@@ -17,9 +17,7 @@ model the rates become the measured honesty budget of the apparatus.
 """
 
 import argparse
-import hashlib
 import sys
-from dataclasses import replace
 
 from wavecorr.contextuality import (
     CHSH,
@@ -33,30 +31,7 @@ from wavecorr.contextuality import (
     mermin_suite_groups,
     pm_suite_groups,
 )
-from wavecorr.network import NoiseModel, build_sequence_tree, tree_distribution
-from wavecorr.splitmix import substream
-from wavecorr.wavecore import pauli_observable
-
-
-def make_provider(noise, master_seed, members):
-    trees = {}
-
-    def provider(state_name, labels):
-        key = (state_name, tuple(labels))
-        if key not in trees:
-            obs = [pauli_observable(l) for l in labels]
-            trees[key] = build_sequence_tree(obs, prep=state_name)
-        tree = trees[key]
-        if noise is None:
-            return tree_distribution(tree)
-        digest = hashlib.sha256(f"{state_name}|{'*'.join(labels)}".encode()).digest()
-        tree_seed = substream(master_seed, int.from_bytes(digest[:8], "big"))
-        return [
-            tree_distribution(tree, noise=replace(noise, seed=substream(tree_seed, m)))
-            for m in range(members)
-        ]
-
-    return provider
+from wavecorr.network import NoiseModel, ensemble_provider
 
 
 def main(argv=None):
@@ -67,6 +42,8 @@ def main(argv=None):
     ap.add_argument("--members", type=int, default=10, help="fabrications per circuit")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
+    if args.members < 1:
+        ap.error("--members must be at least 1")
 
     noise = None
     if args.imbalance or args.jitter or args.leakage:
@@ -85,7 +62,7 @@ def main(argv=None):
           f"({len(pm_suite_groups().all_sequences())} sequences, "
           f"{len(PM_SUITE_STATES)} states):")
     pair = compatibility_suite(
-        PM_SUITE_STATES, pm_suite_groups(), make_provider(noise, args.seed + 1, args.members)
+        PM_SUITE_STATES, pm_suite_groups(), ensemble_provider(noise, args.seed + 1, args.members)
     )
     print(format_compatibility_report(pair))
 
@@ -94,7 +71,7 @@ def main(argv=None):
           f"{len(MERMIN_SUITE_STATES)} states):")
     triple = compatibility_suite(
         MERMIN_SUITE_STATES, mermin_suite_groups(),
-        make_provider(noise, args.seed + 2, args.members),
+        ensemble_provider(noise, args.seed + 2, args.members),
     )
     print(format_compatibility_report(triple))
 

@@ -17,7 +17,6 @@ Typical use:
 """
 
 import argparse
-import hashlib
 import sys
 from dataclasses import replace
 
@@ -36,7 +35,12 @@ from wavecorr.contextuality import (
     mermin_suite_groups,
     pm_suite_groups,
 )
-from wavecorr.network import NoiseModel, build_sequence_tree, tree_distribution
+from wavecorr.network import (
+    NoiseModel,
+    build_sequence_tree,
+    ensemble_provider,
+    tree_distributions,
+)
 from wavecorr.splitmix import substream
 from wavecorr.wavecore import pauli_observable
 
@@ -55,39 +59,22 @@ def build_trees(defn, state_name):
 
 
 def ensemble_values(defn, trees, noise, master_seed, n_seeds):
-    """Inequality value for each fabrication seed."""
-    values = np.empty(n_seeds)
-    for s in range(n_seeds):
-        run_seed = substream(master_seed, s)
-        cors = []
-        for k, (labels, tree) in enumerate(trees.items()):
-            drawn = replace(noise, seed=substream(run_seed, k))
-            dist = tree_distribution(tree, noise=drawn)
-            cors.append(correlator(dist, labels))
-        values[s] = evaluate_inequality(defn, cors).value
-    return values
+    """Inequality value for each fabrication seed.
+
+    Seed s fabricates circuit k with substream(substream(master_seed, s), k);
+    each circuit propagates all of its seeds in one pass.
+    """
+    run_seeds = [substream(master_seed, s) for s in range(n_seeds)]
+    cors = []  # cors[k][s]: correlator of circuit k under seed s
+    for k, (labels, tree) in enumerate(trees.items()):
+        dists = tree_distributions(tree, noise, [substream(run, k) for run in run_seeds])
+        cors.append([correlator(dist, labels) for dist in dists])
+    return np.array([evaluate_inequality(defn, list(row)).value for row in zip(*cors)])
 
 
 def suite_rate(states, groups, noise, master_seed, members):
-    """Worst-case deviation rate from a compatibility suite ensemble."""
-    trees = {}
-
-    def provider(state_name, labels):
-        key = (state_name, tuple(labels))
-        if key not in trees:
-            obs = [pauli_observable(l) for l in labels]
-            trees[key] = build_sequence_tree(obs, prep=state_name)
-        tree = trees[key]
-        digest = hashlib.sha256(f"{state_name}|{'*'.join(labels)}".encode()).digest()
-        tree_seed = substream(master_seed, int.from_bytes(digest[:8], "big"))
-        out = []
-        for m in range(members):
-            drawn = replace(noise, seed=substream(tree_seed, m))
-            out.append(tree_distribution(tree, noise=drawn))
-        return out
-
-    report = compatibility_suite(states, groups, provider)
-    return report
+    """Compatibility suite report over a fabrication ensemble per circuit."""
+    return compatibility_suite(states, groups, ensemble_provider(noise, master_seed, members))
 
 
 def run_point(noise, args, label=""):
@@ -132,6 +119,8 @@ def main(argv=None):
                     help="vary one parameter over --values instead of a single point")
     ap.add_argument("--values", type=float, nargs="+", default=None)
     args = ap.parse_args(argv)
+    if args.seeds < 2:
+        ap.error("--seeds must be at least 2: the spread needs two fabrications")
 
     base = NoiseModel(
         splitter_imbalance_sigma=args.imbalance,

@@ -99,6 +99,7 @@ from wavecorr.network import (
     PropagationError,
     build_sequence_tree,
     tree_distribution,
+    tree_distributions,
 )
 from wavecorr.outcomes import OutcomeDistribution
 from wavecorr.splitmix import substream
@@ -547,12 +548,10 @@ def make_provider(scenario: Scenario) -> Callable[[str, tuple[str, ...]], Outcom
             state = resolve(state_name)
             return sequential_distribution(state, [pauli_observable(lab) for lab in labels])
         tree = tree_for(state_name, labels)
-        noise = None
         if pipeline == "network_noisy":
-            noise = replace(
-                scenario.noise, seed=_stream_for(scenario.seed, "noise", state_name, labels)
-            )
-        return tree_distribution(tree, noise=noise)
+            seed = _stream_for(scenario.seed, "noise", state_name, labels)
+            return tree_distributions(tree, scenario.noise, [seed])[0]
+        return tree_distribution(tree)
 
     def provide(state_name: str, labels: tuple[str, ...]) -> OutcomeDistribution:
         labels = tuple(labels)

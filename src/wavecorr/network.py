@@ -28,15 +28,16 @@ of normalized distributions.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from wavecorr.outcomes import OutcomeDistribution
 from wavecorr.reck import MeshPlan, decompose
-from wavecorr.splitmix import counter_normals
+from wavecorr.splitmix import counter_normals, substream
 from wavecorr.wavecore import (
     GHZ_STABILIZER_SPECS,
     DichotomicObservable,
@@ -47,6 +48,9 @@ from wavecorr.wavecore import (
 )
 
 INTENSITY_CONSERVATION_TOL = 1e-12
+
+# ensemble members propagated together; bounds the (wires, members) buffers
+MEMBER_CHUNK = 32
 
 BEAM_SPLITTER = "beam_splitter"
 PHASE_SEGMENT = "phase_segment"
@@ -120,28 +124,34 @@ class NoiseModel:
         )
 
 
-# --------------------------------------------------------------- noise RNG
-
-
-def element_normals(seed: int, element_indices: np.ndarray) -> np.ndarray:
-    """Standard normal draw per element index, independent of eval order."""
-    return counter_normals(seed, element_indices)
-
-
 # ----------------------------------------------------------------- netlist
 
 
 @dataclass
 class _Group:
-    """Same-kind elements evaluated together in one propagation step."""
+    """Same-kind elements evaluated together in one propagation step.
+
+    Per-element values are columns of shape (n, 1), so they broadcast
+    against the (n, members) amplitudes of an ensemble.
+    """
 
     kind: str
     elem_idx: np.ndarray
-    in_idx: np.ndarray  # shape (n, in_arity)
-    out_idx: np.ndarray  # shape (n, out_arity)
+    in_idx: np.ndarray  # shape (in_arity, n): row k holds each element's k-th input
+    out_idx: np.ndarray  # shape (out_arity, n)
     base: np.ndarray  # phase or ratio, zeros otherwise
-    noise_override: np.ndarray  # nan = use the model draw
-    leak_override: np.ndarray  # nan = use the model leakage
+    noise_override: np.ndarray | None  # nan = use the model draw; None if never set
+    leak_override: np.ndarray | None  # nan = use the model leakage; None if never set
+
+
+def _column(values: list, dtype=float) -> np.ndarray:
+    out = np.empty((len(values), 1), dtype=dtype)
+    out[:, 0] = values
+    return out
+
+
+def _override(values: list) -> np.ndarray | None:
+    return None if all(math.isnan(v) for v in values) else _column(values)
 
 
 class Netlist:
@@ -274,30 +284,22 @@ class Netlist:
             els = [self.elements[i] for i in members]
             n_in, n_out = _ARITY[kind]
             base_key = "phase" if kind == PHASE_SEGMENT else "ratio"
+            noise_key = "imbalance" if kind == BEAM_SPLITTER else "jitter"
             groups.append(
                 _Group(
                     kind=kind,
-                    elem_idx=np.array(members, dtype=np.uint64),
+                    elem_idx=_column(members, np.uint64),
                     in_idx=np.array(
-                        [[wire_index[w] for w in el.ins] for el in els], dtype=np.intp
-                    ).reshape(len(els), n_in),
+                        [[wire_index[el.ins[k]] for el in els] for k in range(n_in)],
+                        dtype=np.intp,
+                    ),
                     out_idx=np.array(
-                        [[wire_index[w] for w in el.outs] for el in els], dtype=np.intp
-                    ).reshape(len(els), n_out),
-                    base=np.array([el.param(base_key, 0.0) for el in els], dtype=float),
-                    noise_override=np.array(
-                        [
-                            el.param(
-                                "imbalance" if kind == BEAM_SPLITTER else "jitter",
-                                np.nan,
-                            )
-                            for el in els
-                        ],
-                        dtype=float,
+                        [[wire_index[el.outs[k]] for el in els] for k in range(n_out)],
+                        dtype=np.intp,
                     ),
-                    leak_override=np.array(
-                        [el.param("leakage", np.nan) for el in els], dtype=float
-                    ),
+                    base=_column([el.param(base_key, 0.0) for el in els]),
+                    noise_override=_override([el.param(noise_key, np.nan) for el in els]),
+                    leak_override=_override([el.param("leakage", np.nan) for el in els]),
                 )
             )
         self._wire_index = wire_index
@@ -395,7 +397,8 @@ def propagate(
     netlist: Netlist,
     drive: WaveState | Mapping[str, complex],
     noise: NoiseModel | None = None,
-) -> PortAmplitudes:
+    seeds: Sequence[int] | None = None,
+) -> PortAmplitudes | list[PortAmplitudes]:
     """Push amplitudes through the netlist in feed-forward order.
 
     ``drive`` maps input port names to amplitudes; a WaveState is matched to
@@ -404,6 +407,13 @@ def propagate(
     input intensity to 1e-12 (each element scatters unitarily); noise keeps
     that bookkeeping because imbalanced splitters are still unitary and
     leakage is accounted as absorption.
+
+    With ``seeds`` one pass propagates a whole fabrication ensemble: member m
+    is the circuit under ``noise`` with its seed replaced by ``seeds[m]``, and
+    one PortAmplitudes per member is returned in seed order.  Every draw is a
+    pure function of (seed, element index), so each member is bitwise what a
+    call with that single seed gives.  Members run MEMBER_CHUNK at a time, so
+    memory does not grow with the ensemble.
     """
     wire_index, groups = netlist._compile()
     if isinstance(drive, WaveState):
@@ -418,45 +428,73 @@ def propagate(
             f"unknown {sorted(extra)})"
         )
 
-    amps = np.zeros(len(wire_index), dtype=complex)
+    start = np.zeros(len(wire_index), dtype=complex)
     for w, a in values.items():
-        amps[wire_index[w]] = a
-    input_intensity = float(np.sum(np.abs(amps) ** 2))
-    absorbed = 0.0
+        start[wire_index[w]] = a
+    input_intensity = float(np.sum(np.abs(start) ** 2))
+    out_idx = np.array([wire_index[w] for w in netlist.output_ports], dtype=np.intp)
+
+    members = [0 if noise is None else noise.seed] if seeds is None else list(seeds)
+    results: list[PortAmplitudes] = []
+    for first in range(0, len(members), MEMBER_CHUNK):
+        chunk = np.array(
+            [s & 0xFFFFFFFFFFFFFFFF for s in members[first : first + MEMBER_CHUNK]],
+            dtype=np.uint64,
+        )
+        amps, absorbed = _propagate_members(groups, start, noise, chunk)
+        for column, lost in zip(amps[out_idx].T, absorbed):
+            results.append(
+                PortAmplitudes(
+                    amplitudes={w: complex(a) for w, a in zip(netlist.output_ports, column)},
+                    input_intensity=input_intensity,
+                    absorbed_intensity=float(lost),
+                )
+            )
+    return results[0] if seeds is None else results
+
+
+def _propagate_members(
+    groups: list[_Group], start: np.ndarray, noise: NoiseModel | None, seeds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes on every wire, shape (wires, members), and absorbed per member."""
+    amps = np.repeat(start[:, None], len(seeds), axis=1)
+    absorbed = np.zeros(len(seeds))
 
     quiet = noise is None or noise.is_quiet
     sigma_imb = 0.0 if noise is None else noise.splitter_imbalance_sigma
     sigma_jit = 0.0 if noise is None else noise.phase_jitter_sigma
     leak_global = 0.0 if noise is None else noise.leakage
-    seed = 0 if noise is None else noise.seed
+    keep_global = np.sqrt(1.0 - leak_global)
 
+    # take(axis=0) and .sum() gather and reduce like [] and np.sum, with less
+    # per-call overhead on the many small groups of a tree
     for g in groups:
         if g.kind == TERMINATION:
-            a = amps[g.in_idx[:, 0]]
-            absorbed += float(np.sum(np.abs(a) ** 2))
+            absorbed += (np.abs(amps.take(g.in_idx[0], axis=0)) ** 2).sum(axis=0)
             continue
         if g.kind == FANOUT_LABEL:
-            amps[g.out_idx[:, 0]] = amps[g.in_idx[:, 0]]
+            amps[g.out_idx[0]] = amps.take(g.in_idx[0], axis=0)
             continue
 
-        has_override = ~np.isnan(g.noise_override)
-        if g.kind in (BEAM_SPLITTER, PHASE_SEGMENT):
+        # fabrication error per (element, member); a scalar where it is zero
+        err = 0.0
+        if g.kind != UNEQUAL_COUPLER:
             sigma = sigma_imb if g.kind == BEAM_SPLITTER else sigma_jit
             if sigma > 0.0:
-                err = sigma * element_normals(seed, g.elem_idx)
-            else:
-                err = np.zeros(len(g.elem_idx))
-            err = np.where(has_override, g.noise_override, err)
-        else:
-            err = np.zeros(len(g.elem_idx))
+                err = sigma * counter_normals(seeds, g.elem_idx)
+            if g.noise_override is not None:
+                err = np.where(np.isnan(g.noise_override), err, g.noise_override)
 
-        leak = np.where(~np.isnan(g.leak_override), g.leak_override, leak_global)
-        keep = np.sqrt(1.0 - leak)
+        if g.leak_override is None:
+            leak, keep = leak_global, keep_global
+        else:
+            leak = np.where(np.isnan(g.leak_override), leak_global, g.leak_override)
+            keep = np.sqrt(1.0 - leak)
 
         if g.kind == BEAM_SPLITTER:
-            u = amps[g.in_idx[:, 0]]
-            v = amps[g.in_idx[:, 1]]
-            if quiet and not has_override.any():
+            u = amps.take(g.in_idx[0], axis=0)
+            v = amps.take(g.in_idx[1], axis=0)
+            if quiet and g.noise_override is None:
                 out_sum = (u + v) * _SQRT_HALF
                 out_diff = (u - v) * _SQRT_HALF
             else:
@@ -465,28 +503,22 @@ def propagate(
                 out_sum = c * u + s * v
                 out_diff = s * u - c * v
             through = np.abs(u) ** 2 + np.abs(v) ** 2
-            absorbed += float(np.sum(leak * through))
-            amps[g.out_idx[:, 0]] = out_sum * keep
-            amps[g.out_idx[:, 1]] = out_diff * keep
+            absorbed += (leak * through).sum(axis=0)
+            amps[g.out_idx[0]] = out_sum * keep
+            amps[g.out_idx[1]] = out_diff * keep
         elif g.kind == PHASE_SEGMENT:
-            a = amps[g.in_idx[:, 0]]
-            absorbed += float(np.sum(leak * np.abs(a) ** 2))
-            amps[g.out_idx[:, 0]] = a * np.exp(1j * (g.base + err)) * keep
+            a = amps.take(g.in_idx[0], axis=0)
+            absorbed += (leak * np.abs(a) ** 2).sum(axis=0)
+            amps[g.out_idx[0]] = a * np.exp(1j * (g.base + err)) * keep
         elif g.kind == UNEQUAL_COUPLER:
-            s_in = amps[g.in_idx[:, 0]]
+            s_in = amps.take(g.in_idx[0], axis=0)
             norm = np.sqrt(1.0 + g.base**2)
-            absorbed += float(np.sum(leak * np.abs(s_in) ** 2))
-            amps[g.out_idx[:, 0]] = s_in / norm * keep
-            amps[g.out_idx[:, 1]] = s_in * (g.base / norm) * keep
+            absorbed += (leak * np.abs(s_in) ** 2).sum(axis=0)
+            amps[g.out_idx[0]] = s_in / norm * keep
+            amps[g.out_idx[1]] = s_in * (g.base / norm) * keep
         else:  # pragma: no cover - kinds are closed above
             raise NetlistError(f"unhandled kind {g.kind!r}")
-
-    out = {w: complex(amps[wire_index[w]]) for w in netlist.output_ports}
-    return PortAmplitudes(
-        amplitudes=out,
-        input_intensity=input_intensity,
-        absorbed_intensity=absorbed,
-    )
+    return amps, absorbed
 
 
 def port_distribution(
@@ -862,20 +894,72 @@ def build_sequence_tree(
     )
 
 
-def tree_distribution(
-    tree: SequenceTree,
-    drive: WaveState | Mapping[str, complex] | None = None,
-    noise: NoiseModel | None = None,
-) -> OutcomeDistribution:
-    """Propagate through a tree and read the leaf-group distribution."""
+def _tree_drive(
+    tree: SequenceTree, drive: WaveState | Mapping[str, complex] | None
+) -> WaveState | Mapping[str, complex]:
     if drive is None:
         ports = tree.netlist.input_ports
         if len(ports) != 1:
             raise PropagationError(
                 "tree has bare mode inputs; pass the state to drive them"
             )
-        drive = {ports[0]: 1.0 + 0.0j}
-    elif isinstance(drive, WaveState) and set(tree.netlist.input_ports) != set(drive.labels):
+        return {ports[0]: 1.0 + 0.0j}
+    if isinstance(drive, WaveState) and set(tree.netlist.input_ports) != set(drive.labels):
         raise PropagationError("drive labels do not match the tree's input ports")
-    amps = propagate(tree.netlist, drive, noise)
+    return drive
+
+
+def tree_distribution(
+    tree: SequenceTree,
+    drive: WaveState | Mapping[str, complex] | None = None,
+    noise: NoiseModel | None = None,
+) -> OutcomeDistribution:
+    """Propagate through a tree and read the leaf-group distribution."""
+    amps = propagate(tree.netlist, _tree_drive(tree, drive), noise)
     return port_distribution(amps, tree.leaf_groups)
+
+
+def tree_distributions(
+    tree: SequenceTree,
+    noise: NoiseModel | None,
+    seeds: Sequence[int],
+    drive: WaveState | Mapping[str, complex] | None = None,
+) -> list[OutcomeDistribution]:
+    """Leaf-group distribution of each fabrication seed, in one propagation.
+
+    Member m is bitwise ``tree_distribution(tree, drive, noise)`` with the
+    noise seed replaced by ``seeds[m]``.
+    """
+    members = propagate(tree.netlist, _tree_drive(tree, drive), noise, seeds)
+    return [port_distribution(amps, tree.leaf_groups) for amps in members]
+
+
+def ensemble_provider(
+    noise: NoiseModel | None, master_seed: int, members: int
+) -> Callable[[str, Sequence[str]], OutcomeDistribution | list[OutcomeDistribution]]:
+    """Distribution source for the compatibility suites under fabrication noise.
+
+    The provider builds (and caches) the tree of a named library state and a
+    Pauli-word sequence, and returns ``members`` fabrications of it.  Each
+    circuit gets its own seed stream, keyed by a digest of its state and
+    sequence, so the draws do not depend on the order circuits are audited
+    in; member m of a circuit uses that stream's m-th substream.  With no
+    noise model the circuit is exact and the provider returns its single
+    distribution.
+    """
+    trees: dict[tuple[str, tuple[str, ...]], SequenceTree] = {}
+
+    def provide(state_name: str, labels: Sequence[str]):
+        key = (state_name, tuple(labels))
+        if key not in trees:
+            obs = [pauli_observable(lab) for lab in labels]
+            trees[key] = build_sequence_tree(obs, prep=state_name)
+        tree = trees[key]
+        if noise is None:
+            return tree_distribution(tree)
+        digest = hashlib.sha256(f"{state_name}|{'*'.join(labels)}".encode()).digest()
+        tree_seed = substream(master_seed, int.from_bytes(digest[:8], "big"))
+        seeds = [substream(tree_seed, m) for m in range(members)]
+        return tree_distributions(tree, noise, seeds)
+
+    return provide

@@ -31,17 +31,27 @@ def substream(seed: int, label: int) -> int:
     return int(mix64(key + (lab + np.uint64(1)) * GOLDEN)[0])
 
 
-def counter_uniform(seed: int, counter: np.ndarray) -> np.ndarray:
-    """Uniforms in (0, 1], one per counter value, stable across platforms."""
-    base = np.uint64(seed & _MASK)
+def counter_uniform(seed: int | np.ndarray, counter: np.ndarray) -> np.ndarray:
+    """Uniforms in (0, 1], one per counter value, stable across platforms.
+
+    ``seed`` may be a uint64 array that broadcasts against ``counter``: each
+    (seed, counter) pair then gets the draw it would get on its own.
+    """
+    base = seed if isinstance(seed, np.ndarray) else np.uint64(seed & _MASK)
     raw = mix64(base + (counter.astype(np.uint64) + np.uint64(1)) * GOLDEN)
     # 53-bit mantissa; shift into (0, 1] so log() stays finite downstream
     return ((raw >> np.uint64(11)) + np.uint64(1)) * (2.0**-53)
 
 
-def counter_normals(seed: int, indices: np.ndarray) -> np.ndarray:
-    """Standard normal draw per index via Box-Muller on counter pairs."""
-    idx = indices.astype(np.uint64)
-    u1 = counter_uniform(seed, idx * np.uint64(2))
-    u2 = counter_uniform(seed, idx * np.uint64(2) + np.uint64(1))
+def counter_normals(seed: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Standard normal draw per index via Box-Muller on counter pairs.
+
+    An array of uint64 seeds broadcasts against ``indices`` like
+    counter_uniform's, e.g. seeds[:, None] for one row per seed.
+    """
+    pair = indices.astype(np.uint64) * np.uint64(2)
+    if np.ndim(seed) > pair.ndim:  # so the stacked axis stays in front of the seed's
+        pair = pair.reshape((1,) * (np.ndim(seed) - pair.ndim) + pair.shape)
+    # both halves of each Box-Muller pair in one pass over the counters
+    u1, u2 = counter_uniform(seed, np.stack([pair, pair + np.uint64(1)]))
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)

@@ -8,7 +8,6 @@ loosening one is an interface change, not a test fix.
 import math
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,7 +37,13 @@ from wavecorr.events import (
     empirical_distribution,
     sample_events,
 )
-from wavecorr.network import NoiseModel, build_sequence_tree, tree_distribution
+from wavecorr.network import (
+    NoiseModel,
+    build_sequence_tree,
+    ensemble_provider,
+    tree_distribution,
+    tree_distributions,
+)
 from wavecorr.reck import decompose, recompose
 from wavecorr.splitmix import substream
 from wavecorr.wavecore import (
@@ -209,38 +214,19 @@ def test_criterion_09_event_models_converge_at_one_million():
 
 
 def _noisy_ensemble_mean(defn, state_name, noise, master_seed, n_seeds):
-    trees = {
-        labels: build_sequence_tree([pauli_observable(l) for l in labels], prep=state_name)
-        for labels in defn.sequences
-    }
-    values = np.empty(n_seeds)
-    for s in range(n_seeds):
-        run_seed = substream(master_seed, s)
-        cors = []
-        for k, (labels, tree) in enumerate(trees.items()):
-            drawn = replace(noise, seed=substream(run_seed, k))
-            cors.append(correlator(tree_distribution(tree, noise=drawn), labels))
-        values[s] = evaluate_inequality(defn, cors).value
+    # seed s fabricates circuit k with substream(substream(master_seed, s), k)
+    run_seeds = [substream(master_seed, s) for s in range(n_seeds)]
+    cors = []  # cors[k][s]: correlator of circuit k under seed s
+    for k, labels in enumerate(defn.sequences):
+        tree = build_sequence_tree([pauli_observable(l) for l in labels], prep=state_name)
+        dists = tree_distributions(tree, noise, [substream(run, k) for run in run_seeds])
+        cors.append([correlator(dist, labels) for dist in dists])
+    values = np.array([evaluate_inequality(defn, list(row)).value for row in zip(*cors)])
     return values.mean()
 
 
 def _noisy_suite_rate(states, groups, noise, master_seed, members):
-    import hashlib
-
-    trees = {}
-
-    def provider(state_name, labels):
-        key = (state_name, tuple(labels))
-        if key not in trees:
-            obs = [pauli_observable(l) for l in labels]
-            trees[key] = build_sequence_tree(obs, prep=state_name)
-        digest = hashlib.sha256(f"{state_name}|{'*'.join(labels)}".encode()).digest()
-        tree_seed = substream(master_seed, int.from_bytes(digest[:8], "big"))
-        return [
-            tree_distribution(trees[key], noise=replace(noise, seed=substream(tree_seed, m)))
-            for m in range(members)
-        ]
-
+    provider = ensemble_provider(noise, master_seed, members)
     return compatibility_suite(states, groups, provider).worst_case
 
 

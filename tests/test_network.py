@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
+import wavecorr.network as network
 from wavecorr.network import (
+    BEAM_SPLITTER,
+    INTENSITY_CONSERVATION_TOL,
+    PHASE_SEGMENT,
+    PHYSICAL_KINDS,
     Netlist,
     NetlistError,
     NoiseModel,
@@ -10,14 +15,15 @@ from wavecorr.network import (
     add_state_prep,
     build_measurement_block,
     build_sequence_tree,
-    element_normals,
     leaf_distribution_csv,
     port_distribution,
     propagate,
     tree_distribution,
+    tree_distributions,
 )
 from wavecorr.outcomes import outcome_signs
 from wavecorr.reck import decompose
+from wavecorr.splitmix import counter_normals, substream
 from wavecorr.wavecore import (
     WaveState,
     binary_labels,
@@ -140,18 +146,26 @@ def test_drive_must_match_ports():
 
 def test_element_normals_deterministic_and_keyed():
     idx = np.arange(64, dtype=np.uint64)
-    a = element_normals(123, idx)
-    b = element_normals(123, idx)
+    a = counter_normals(123, idx)
+    b = counter_normals(123, idx)
     np.testing.assert_array_equal(a, b)
-    c = element_normals(124, idx)
+    c = counter_normals(124, idx)
     assert np.max(np.abs(a - c)) > 1e-3
     # order independence: draws depend only on the element index
-    sub = element_normals(123, idx[10:20])
+    sub = counter_normals(123, idx[10:20])
     np.testing.assert_array_equal(sub, a[10:20])
+    # a column of per-member seeds draws each member's own stream
+    seeds = [123, 124, substream(5, 1), 2**64 - 1]
+    rows = counter_normals(np.array(seeds, dtype=np.uint64)[:, None], idx)
+    for row, seed in zip(rows, seeds):
+        np.testing.assert_array_equal(row, counter_normals(seed, idx))
+    # and a column of element indices against a row of seeds, as propagate draws
+    cols = counter_normals(np.array(seeds, dtype=np.uint64), idx[:, None])
+    np.testing.assert_array_equal(cols, rows.T)
 
 
 def test_element_normals_are_roughly_standard():
-    draws = element_normals(7, np.arange(200_000, dtype=np.uint64))
+    draws = counter_normals(7, np.arange(200_000, dtype=np.uint64))
     assert abs(np.mean(draws)) < 0.01
     assert abs(np.std(draws) - 1.0) < 0.01
 
@@ -407,6 +421,79 @@ def test_phase_jitter_degrades_chsh_monotonically():
     for k in range(len(grid) - 1):
         slack = 3.0 * np.hypot(errs[k], errs[k + 1])
         assert means[k + 1] <= means[k] + slack, (grid, means, errs)
+
+
+# ------------------------------------------------------------- ensembles
+
+
+def mermin_tree_with_overrides():
+    """The Mermin XII, IXI, IIX tree with explicit per-element noise on some elements."""
+    tree = build_sequence_tree(
+        [pauli_observable(l) for l in ("XII", "IXI", "IIX")], prep="ghz"
+    )
+    net = Netlist()
+    for w in tree.netlist.input_ports:
+        net.add_input(w)
+    for w in tree.netlist.ground_ports:
+        net.add_ground(w)
+    for i, el in enumerate(tree.netlist.elements):
+        params = dict(el.params)
+        if i % 7 == 3 and el.kind == BEAM_SPLITTER:
+            params["imbalance"] = 0.01 * (i % 5)
+        if i % 7 == 3 and el.kind == PHASE_SEGMENT:
+            params["jitter"] = -0.02 * (i % 3)
+        if i % 11 == 5 and el.kind in PHYSICAL_KINDS:
+            params["leakage"] = 0.003
+        net.add(el.kind, el.ins, el.outs, **params)
+    for w in tree.netlist.output_ports:
+        net.add_output(w)
+    return net
+
+
+ENSEMBLE_NOISE = NoiseModel(splitter_imbalance_sigma=0.008, phase_jitter_sigma=0.012,
+                            leakage=0.001)
+ENSEMBLE_SEEDS = [substream(17, m) for m in range(9)]
+SOURCE = {"prep.src": 1.0}
+
+
+def test_ensemble_members_match_single_member_calls():
+    net = mermin_tree_with_overrides()
+    batch = propagate(net, SOURCE, ENSEMBLE_NOISE, ENSEMBLE_SEEDS)
+    assert len(batch) == len(ENSEMBLE_SEEDS)
+    for member, seed in zip(batch, ENSEMBLE_SEEDS):
+        single = propagate(net, SOURCE, NoiseModel(**{**ENSEMBLE_NOISE.__dict__, "seed": seed}))
+        assert member.amplitudes == single.amplitudes
+        assert member.input_intensity == single.input_intensity
+        assert member.absorbed_intensity == pytest.approx(single.absorbed_intensity, abs=1e-12)
+    assert batch[0].amplitudes != batch[1].amplitudes
+
+
+def test_ensemble_conserves_intensity_per_member_without_noise():
+    net = mermin_tree_with_overrides()
+    for noise in (None, NoiseModel()):
+        for member in propagate(net, SOURCE, noise, ENSEMBLE_SEEDS):
+            total = member.output_intensity + member.absorbed_intensity
+            assert abs(total - member.input_intensity) <= INTENSITY_CONSERVATION_TOL
+            assert member.absorbed_intensity > 0.5  # the GHZ post-selection
+
+
+@pytest.mark.parametrize("chunk", [1, 7, network.MEMBER_CHUNK])
+def test_ensemble_does_not_depend_on_member_chunking(chunk, monkeypatch):
+    net = mermin_tree_with_overrides()
+    reference = propagate(net, SOURCE, ENSEMBLE_NOISE, ENSEMBLE_SEEDS)
+    monkeypatch.setattr(network, "MEMBER_CHUNK", chunk)
+    chunked = propagate(net, SOURCE, ENSEMBLE_NOISE, ENSEMBLE_SEEDS)
+    for a, b in zip(chunked, reference, strict=True):
+        assert a.amplitudes == b.amplitudes
+        assert a.absorbed_intensity == pytest.approx(b.absorbed_intensity, abs=1e-12)
+
+
+def test_tree_distributions_match_tree_distribution():
+    tree = build_sequence_tree([pauli_observable("ZZ"), pauli_observable("XX")], prep="psi1")
+    dists = tree_distributions(tree, ENSEMBLE_NOISE, ENSEMBLE_SEEDS[:3])
+    for dist, seed in zip(dists, ENSEMBLE_SEEDS):
+        drawn = NoiseModel(**{**ENSEMBLE_NOISE.__dict__, "seed": seed})
+        assert dist.probs == tree_distribution(tree, noise=drawn).probs
 
 
 # ------------------------------------------------------------ text + CSV
