@@ -47,12 +47,15 @@ def main(argv=None):
 
     noise = None
     if args.imbalance or args.jitter or args.leakage:
-        noise = NoiseModel(
-            splitter_imbalance_sigma=args.imbalance,
-            phase_jitter_sigma=args.jitter,
-            leakage=args.leakage,
-            seed=0,
-        )
+        try:
+            noise = NoiseModel(
+                splitter_imbalance_sigma=args.imbalance,
+                phase_jitter_sigma=args.jitter,
+                leakage=args.leakage,
+                seed=0,
+            )
+        except ValueError as exc:
+            ap.error(str(exc))
         print(f"hardware model: imbalance {args.imbalance:g}, jitter {args.jitter:g}, "
               f"leakage {args.leakage:g}, {args.members} fabrications per circuit")
     else:

@@ -122,24 +122,31 @@ def main(argv=None):
     if args.seeds < 2:
         ap.error("--seeds must be at least 2: the spread needs two fabrications")
 
-    base = NoiseModel(
-        splitter_imbalance_sigma=args.imbalance,
-        phase_jitter_sigma=args.jitter,
-        leakage=args.leakage,
-        seed=0,
-    )
-    if args.sweep:
-        if not args.values:
-            ap.error("--sweep needs --values")
-        field = {
-            "imbalance": "splitter_imbalance_sigma",
-            "jitter": "phase_jitter_sigma",
-            "leakage": "leakage",
-        }[args.sweep]
-        for v in args.values:
-            run_point(replace(base, **{field: v}), args, label=f" [{args.sweep}={v:g}]")
-    else:
-        run_point(base, args)
+    if args.sweep and not args.values:
+        ap.error("--sweep needs --values")
+    # every point is validated before the first one runs
+    try:
+        base = NoiseModel(
+            splitter_imbalance_sigma=args.imbalance,
+            phase_jitter_sigma=args.jitter,
+            leakage=args.leakage,
+            seed=0,
+        )
+        if args.sweep:
+            field = {
+                "imbalance": "splitter_imbalance_sigma",
+                "jitter": "phase_jitter_sigma",
+                "leakage": "leakage",
+            }[args.sweep]
+            points = [
+                (replace(base, **{field: v}), f" [{args.sweep}={v:g}]") for v in args.values
+            ]
+        else:
+            points = [(base, "")]
+    except ValueError as exc:
+        ap.error(str(exc))
+    for noise, label in points:
+        run_point(noise, args, label=label)
     return 0
 
 

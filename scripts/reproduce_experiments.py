@@ -65,6 +65,11 @@ def main(argv=None):
                     default="loaded_die")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
+    if args.pipeline == "events":
+        try:
+            EventModelConfig(model=args.model, sample_count=args.samples)
+        except ValueError as exc:
+            ap.error(str(exc))
 
     t0 = time.perf_counter()
     print(f"pipeline: {args.pipeline}\n")

@@ -16,7 +16,8 @@ Scenario schema (all unknown keys are rejected):
     inequality: CHSH            # CHSH | Mermin | PeresMermin | custom
     pipeline: ideal             # ideal | network_ideal | network_noisy | events
     seed: 7                     # optional, default 0; the run's only seed
-    sample_count: 100000        # optional; events pipeline sample size
+    sample_count: 100000        # optional; events pipeline sample size, at
+                                #   most 1e8 for the threshold detector
     base_pipeline: ideal        # optional; what the events pipeline samples
     observables:                # optional remapping of inequality labels
       ZI: ZX
@@ -341,6 +342,18 @@ def _parse_events(raw, path: str) -> EventModelConfig:
         raise ConfigError(path, str(exc)) from None
 
 
+def _check_sample_count(count: int, events: EventModelConfig | None, path: str) -> None:
+    """Reject a sample count before anything is drawn, e.g. one over the
+    threshold detector's cap, which would otherwise exhaust memory."""
+    if count < 1:
+        raise ConfigError(path, "must be at least 1")
+    if events is not None:
+        try:
+            replace(events, sample_count=count)
+        except ValueError as exc:
+            raise ConfigError(path, str(exc)) from None
+
+
 def _substitute_labels(
     defn: InequalityDefinition, overrides: Mapping[str, str], path: str
 ) -> InequalityDefinition:
@@ -449,8 +462,7 @@ def scenario_from_dict(data: Mapping, path: str = "") -> Scenario:
 
     seed = _expect_int(data.get("seed", 0), at("seed"))
     sample_count = _expect_int(data.get("sample_count", 100_000), at("sample_count"))
-    if sample_count < 1:
-        raise ConfigError(at("sample_count"), "must be at least 1")
+    _check_sample_count(sample_count, events, at("sample_count"))
 
     rate = data.get("deviation_rate")
     if rate is not None:
@@ -735,8 +747,7 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
     if args.samples is not None:
-        if args.samples < 1:
-            raise ConfigError("sample_count", "must be at least 1")
+        _check_sample_count(args.samples, scenario.events, "sample_count")
         scenario = replace(scenario, sample_count=args.samples)
     report = run_scenario(scenario)
     sys.stdout.write(format_run_report(report))

@@ -9,6 +9,11 @@ differ only in finite-sample statistics, which is the point: correlation
 experiments built on either produce the same correlators up to 1/sqrt(N)
 noise.
 
+The threshold detector's result is defined by the time-ordered merge of the
+per-port click streams, but it is computed without building that merge: the
+time of the last recorded click is selected from the per-port streams, which
+are sorted by construction, and each port's tally is read off against it.
+
 Events are functions of intensities alone.  Nothing in this module sees an
 amplitude or a phase.
 """
@@ -27,12 +32,19 @@ THRESHOLD_DETECTOR = "threshold_detector"
 LOADED_DIE = "loaded_die"
 EVENT_MODELS = (THRESHOLD_DETECTOR, LOADED_DIE)
 
+# Largest sample_count the threshold detector accepts.  It holds every click
+# time of every port in memory, about 8 bytes per click plus a per-port
+# margin, so 1e8 clicks already take ~0.8 GB; the loaded die has no such cost.
+MAX_THRESHOLD_SAMPLES = 100_000_000
+
 # Initial per-port click budget: expected share plus a wide margin.  The
 # stream extends itself if a port runs dry before the global cutoff, and the
 # counter-based draws make the result identical no matter how the budget is
 # chunked, so these two knobs affect speed only.
 _CHUNK_SIGMAS = 10.0
 _CHUNK_FLOOR = 16
+# thresholds drawn per hash pass: 512 KiB temporaries, small enough for cache
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -67,6 +79,11 @@ class EventModelConfig:
             raise ValueError(
                 f"threshold_spread {self.threshold_spread} must stay below threshold {self.threshold}"
             )
+        if self.model == THRESHOLD_DETECTOR and self.sample_count > MAX_THRESHOLD_SAMPLES:
+            raise ValueError(
+                f"sample_count {self.sample_count} exceeds the threshold detector's"
+                f" limit of {MAX_THRESHOLD_SAMPLES}"
+            )
 
 
 @dataclass(frozen=True)
@@ -93,17 +110,6 @@ class EventCounts:
 
     def frequency(self, outcome: str) -> float:
         return self.counts.get(outcome, 0) / self.total
-
-
-def merge_event_counts(*parts: EventCounts) -> EventCounts:
-    """Combine tallies from disjoint runs.  Associative and commutative."""
-    if not parts:
-        raise ValueError("nothing to merge")
-    combined: dict[str, int] = {}
-    for part in parts:
-        for key, c in part.counts.items():
-            combined[key] = combined.get(key, 0) + int(c)
-    return EventCounts(counts=combined, total=sum(p.total for p in parts))
 
 
 def loaded_die_sample(dist: OutcomeDistribution, config: EventModelConfig) -> EventCounts:
@@ -135,6 +141,12 @@ def threshold_event_stream(
     merge of all ports, truncated after ``sample_count`` clicks.  Simultaneous
     clicks (possible only with zero spread) are recorded in ascending port
     order.  Long-run click fractions approach I_j / sum(I).
+
+    The merged stream is never built: the time of its last recorded click is
+    selected directly from the per-port click times, which are sorted by
+    construction.  Each port then contributes every click strictly before
+    that cutoff, and clicks at the cutoff fill the remaining slots in
+    ascending port order, which is the tally of the merge defined above.
     """
     ports = list(intensities)
     if not ports:
@@ -157,32 +169,25 @@ def threshold_event_stream(
     # brightest port keeps the click-time arithmetic in a sane float range
     rates = rates / rates.max()
     live = np.flatnonzero(rates > 0.0)
-    frac = rates[live] / rates[live].sum()
-
-    def draws(k: int, start: int, count: int) -> np.ndarray:
-        stream = substream(config.seed, int(live[k]))
-        u = counter_uniform(stream, np.arange(start, start + count, dtype=np.uint64))
-        return lo + span * u
+    live_rates = rates[live]
+    frac = live_rates / live_rates.sum()
+    streams = [substream(config.seed, int(j)) for j in live]
 
     budget = np.minimum(
         n, np.ceil(n * frac + _CHUNK_SIGMAS * np.sqrt(n * frac + 1.0) + _CHUNK_FLOOR)
     ).astype(np.int64)
-    drawn = [draws(k, 0, int(budget[k])) for k in range(live.size)]
+    times = [np.empty(int(b)) for b in budget]
     # a port dimmer than the brightest by ~1e300 overflows to inf click
     # times, meaning it never fires in any finite window: the right limit
     with np.errstate(over="ignore"):
-        times = [np.cumsum(d) / rates[live[k]] for k, d in enumerate(drawn)]
-
+        energy = [
+            _click_times(t, streams[k], 0, 0.0, lo, span, live_rates[k])
+            for k, t in enumerate(times)
+        ]
         while True:
-            merged_t = np.concatenate(times)
-            merged_port = np.concatenate(
-                [np.full(t.size, live[k], dtype=np.int64) for k, t in enumerate(times)]
-            )
-            # stable merge: time first, ties by port index
-            order = np.lexsort((merged_port, merged_t))[:n]
-            cutoff = float(merged_t[order[-1]])
+            cutoff = _nth_smallest(times, n)
             # a port whose generated stream ends before the cutoff might
-            # still owe clicks inside the window, so extend it and remerge
+            # still owe clicks inside the window, so extend it and reselect
             short = [
                 k
                 for k in range(live.size)
@@ -191,15 +196,70 @@ def threshold_event_stream(
             if not short:
                 break
             for k in short:
-                have = drawn[k].size
+                have = times[k].size
                 grow = int(min(n - have, max(have, _CHUNK_FLOOR)))
-                drawn[k] = np.concatenate([drawn[k], draws(k, have, grow)])
-                times[k] = np.cumsum(drawn[k]) / rates[live[k]]
+                longer = np.empty(have + grow)
+                longer[:have] = times[k]
+                energy[k] = _click_times(
+                    longer[have:], streams[k], have, energy[k], lo, span, live_rates[k]
+                )
+                times[k] = longer
 
-    fired = np.bincount(merged_port[order], minlength=len(ports))
+    before = [int(np.searchsorted(t, cutoff, side="left")) for t in times]
+    left = n - sum(before)
+    fired = np.zeros(len(ports), dtype=np.int64)
+    for k, t in enumerate(times):  # ties at the cutoff, ascending port order
+        tied = min(int(np.searchsorted(t, cutoff, side="right")) - before[k], left)
+        fired[live[k]] = before[k] + tied
+        left -= tied
     return EventCounts(
         counts={ports[i]: int(fired[i]) for i in range(len(ports))}, total=n
     )
+
+
+def _click_times(
+    out: np.ndarray, stream: int, start: int, energy: float, lo: float, span: float, rate: float
+) -> float:
+    """Fill ``out`` with one port's click times from threshold ``start`` on.
+
+    ``energy`` is the port's accumulated threshold energy before the first
+    of these clicks; the energy after the last one is returned, so a later
+    call continues the stream.  The thresholds are drawn _BLOCK at a time to
+    keep the hash temporaries in cache, and the running sum is carried from
+    block to block, which reproduces one cumsum over the whole stream bit
+    for bit.
+    """
+    for b in range(0, out.size, _BLOCK):
+        seg = out[b : b + _BLOCK]
+        first = start + b
+        u = counter_uniform(stream, np.arange(first, first + seg.size, dtype=np.uint64))
+        np.multiply(u, span, out=seg)
+        seg += lo
+        seg[0] += energy
+        np.cumsum(seg, out=seg)
+        energy = float(seg[-1])
+        seg /= rate
+    return energy
+
+
+def _nth_smallest(times: list[np.ndarray], n: int) -> float:
+    """The n-th smallest value over sorted arrays of positive click times.
+
+    Nonnegative float64 values order like their int64 bit patterns, so the
+    value is found by bisecting on bit patterns, counting the entries at or
+    below each probe with one searchsorted per array: at most 63 rounds.
+    """
+    below = int(np.float64(min(float(t[0]) for t in times)).view(np.int64)) - 1
+    above = int(np.float64(max(float(t[-1]) for t in times)).view(np.int64))
+    # invariant: fewer than n entries <= below, at least n entries <= above
+    while above - below > 1:
+        mid = (below + above) // 2
+        probe = np.int64(mid).view(np.float64)
+        if sum(int(np.searchsorted(t, probe, side="right")) for t in times) >= n:
+            above = mid
+        else:
+            below = mid
+    return float(np.int64(above).view(np.float64))
 
 
 def sample_events(dist: OutcomeDistribution, config: EventModelConfig) -> EventCounts:
@@ -218,13 +278,3 @@ def sample_events(dist: OutcomeDistribution, config: EventModelConfig) -> EventC
 def empirical_distribution(counts: EventCounts) -> OutcomeDistribution:
     """Click frequencies with per-outcome binomial standard errors."""
     return empirical(dict(counts.counts))
-
-
-def event_counts_csv(counts: EventCounts) -> str:
-    """CSV export with header outcome_string,count,frequency,stderr."""
-    dist = empirical_distribution(counts)
-    fmt = "{:.17g}".format
-    lines = ["outcome_string,count,frequency,stderr"]
-    for key, c in counts.counts.items():
-        lines.append(f"{key},{int(c)},{fmt(dist.prob(key))},{fmt(dist.stderr(key))}")
-    return "\n".join(lines) + "\n"

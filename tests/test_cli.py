@@ -21,6 +21,7 @@ from wavecorr.cli import (
     sweep_rows,
 )
 from wavecorr.contextuality import INEQUALITIES, correlator
+from wavecorr.events import MAX_THRESHOLD_SAMPLES
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -194,6 +195,31 @@ def test_seed_and_samples_flags(tmp_path, capsys):
     assert main(["run", path, "--seed", "9", "--samples", "50"]) == 0
     assert "seed 9, 50 events per sequence" in capsys.readouterr().out
     assert main(["run", path, "--samples", "0"]) == 2
+
+
+def test_threshold_sample_count_is_capped_while_parsing(tmp_path, capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the cap must reject the scenario before any event is drawn")
+
+    monkeypatch.setattr(cli, "sample_events", no_sampling)
+    over = MAX_THRESHOLD_SAMPLES + 1
+    threshold = {"model": "threshold_detector"}
+    data = dict(MINIMAL, pipeline="events", events=threshold, sample_count=over)
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(data)
+    assert err.value.path == "sample_count"
+    assert main(["run", write_yaml(tmp_path, data)]) == 2
+    assert "config error: sample_count:" in capsys.readouterr().err
+
+    # the --samples override meets the same cap
+    ok = write_yaml(tmp_path, dict(data, sample_count=10), name="ok.yaml")
+    assert main(["run", ok, "--samples", str(over)]) == 2
+    assert "config error: sample_count:" in capsys.readouterr().err
+
+    # the cap itself is accepted, and the loaded die is not capped
+    assert scenario_from_dict(dict(data, sample_count=over - 1)).sample_count == over - 1
+    die = dict(data, events={"model": "loaded_die"})
+    assert scenario_from_dict(die).sample_count == over
 
 
 def test_csv_run_is_bitwise_reproducible(tmp_path, capsys, monkeypatch):

@@ -10,14 +10,14 @@ from wavecorr.events import (
     EventModelConfig,
     LOADED_DIE,
     THRESHOLD_DETECTOR,
+    MAX_THRESHOLD_SAMPLES,
     empirical_distribution,
-    event_counts_csv,
     loaded_die_sample,
-    merge_event_counts,
     sample_events,
     threshold_event_stream,
 )
 from wavecorr.outcomes import OutcomeDistribution, outcome_signs
+from wavecorr.splitmix import counter_uniform, substream
 from wavecorr.wavecore import pauli_observable, sequential_distribution, state_library
 
 UNIFORM4 = OutcomeDistribution(
@@ -45,6 +45,14 @@ def test_config_rejects_bad_values():
         EventModelConfig(model=THRESHOLD_DETECTOR, threshold=1.0, threshold_spread=1.0)
     # a loaded die never draws thresholds, so the spread bound is not enforced
     EventModelConfig(model=LOADED_DIE, threshold=1.0, threshold_spread=1.0)
+
+
+def test_config_caps_threshold_sample_count():
+    with pytest.raises(ValueError, match="sample_count"):
+        EventModelConfig(model=THRESHOLD_DETECTOR, sample_count=MAX_THRESHOLD_SAMPLES + 1)
+    EventModelConfig(model=THRESHOLD_DETECTOR, sample_count=MAX_THRESHOLD_SAMPLES)
+    # the loaded die tallies in one multinomial draw, so it is not capped
+    EventModelConfig(model=LOADED_DIE, sample_count=MAX_THRESHOLD_SAMPLES + 1)
 
 
 def test_event_counts_validation():
@@ -191,6 +199,72 @@ def test_threshold_insensitive_to_chunking(monkeypatch):
     monkeypatch.setattr(ev, "_CHUNK_FLOOR", 1)
     squeezed = threshold_event_stream(rates, tcfg(30_000, seed=13))
     assert squeezed == reference
+    # thresholds drawn in odd-sized blocks, so blocks straddle every extension
+    monkeypatch.setattr(ev, "_BLOCK", 7)
+    assert threshold_event_stream(rates, tcfg(30_000, seed=13)) == reference
+
+
+def sorted_merge_counts(rates, cfg):
+    """Reference tally: sort the merged stream of n clicks per port.
+
+    No port can place more than n clicks among the first n, so this is the
+    definition of the detector's output, computed the slow way.
+    """
+    keys = list(rates)
+    r = np.array([rates[k] for k in keys], dtype=float)
+    r = r / r.max()
+    lo = cfg.threshold - cfg.threshold_spread
+    n = cfg.sample_count
+    times, owners = [], []
+    for j in np.flatnonzero(r > 0.0):
+        u = counter_uniform(substream(cfg.seed, int(j)), np.arange(n, dtype=np.uint64))
+        with np.errstate(over="ignore"):
+            times.append(np.cumsum(lo + 2.0 * cfg.threshold_spread * u) / r[j])
+        owners.append(np.full(n, j))
+    owner = np.concatenate(owners)
+    first = np.lexsort((owner, np.concatenate(times)))[:n]
+    fired = np.bincount(owner[first], minlength=len(keys))
+    return {k: int(c) for k, c in zip(keys, fired)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rates=st.lists(
+        st.sampled_from([0.0, 1e-320, 1e-3, 0.1, 0.25, 0.5, 1.0, 1.0, 3.0])
+        | st.floats(min_value=0.0, max_value=2.0),
+        min_size=1,
+        max_size=6,
+    ),
+    spread=st.sampled_from([0.0, 0.25, 0.9]),
+    n=st.integers(min_value=1, max_value=3000),
+    seed=st.integers(min_value=0, max_value=2**40),
+)
+def test_threshold_matches_sorted_merge(rates, spread, n, seed):
+    if not any(r > 0.0 for r in rates):
+        rates = rates + [1.0]
+    ports = {f"p{i}": r for i, r in enumerate(rates)}
+    cfg = tcfg(n, seed=seed, spread=spread)
+    assert threshold_event_stream(ports, cfg).counts == sorted_merge_counts(ports, cfg)
+
+
+@pytest.mark.parametrize(
+    "rates,cfg,expected",
+    [
+        # zero spread: a three-way tie at the cutoff, broken by port order
+        ({"a": 1.0, "b": 1.0, "c": 1.0}, tcfg(7, spread=0.0), {"a": 3, "b": 2, "c": 2}),
+        (
+            {"u": 0.65, "v": 0.25, "w": 0.10, "z": 0.0},
+            tcfg(30_000, seed=13),
+            {"u": 19502, "v": 7508, "w": 2990, "z": 0},
+        ),
+        # q's click times overflow to inf: it never fires
+        ({"p": 1.0, "q": 1e-320}, tcfg(1000, seed=3), {"p": 1000, "q": 0}),
+    ],
+)
+def test_threshold_counts_are_pinned(rates, cfg, expected):
+    # recorded from the sort-and-merge implementation: selecting the cutoff
+    # instead of sorting the merged stream must not move a single click
+    assert threshold_event_stream(rates, cfg).counts == expected
 
 
 # ------------------------------------------------------------- equivalence
@@ -225,7 +299,7 @@ def test_sample_events_dispatches_on_model():
     assert abs(thr.frequency("+") - 0.5) < 0.05
 
 
-# ------------------------------------------------- empirical plumbing, csv
+# ------------------------------------------------------ empirical plumbing
 
 
 def test_empirical_distribution_matches_hand_arithmetic():
@@ -243,28 +317,6 @@ def test_uniform_sample_errors_near_formula():
     emp = empirical_distribution(counts)
     for key in UNIFORM4.probs:
         assert abs(emp.stderr(key) - 4.33e-4) < 2e-5
-
-
-def test_csv_round_trip_by_eye():
-    text = event_counts_csv(EventCounts(counts={"+": 3, "-": 1}, total=4))
-    lines = text.strip().split("\n")
-    assert lines[0] == "outcome_string,count,frequency,stderr"
-    assert lines[1].startswith("+,3,0.75,")
-    assert lines[2].startswith("-,1,0.25,")
-
-
-def test_merge_is_order_insensitive():
-    a = EventCounts(counts={"+": 3, "-": 1}, total=4)
-    b = EventCounts(counts={"-": 5, "+": 2}, total=7)
-    c = EventCounts(counts={"+": 1}, total=1)
-    left = merge_event_counts(merge_event_counts(a, b), c)
-    right = merge_event_counts(a, merge_event_counts(b, c))
-    assert left == right
-    assert merge_event_counts(b, a) == merge_event_counts(a, b)
-    assert left.total == 12
-    assert left.counts == {"+": 6, "-": 6}
-    with pytest.raises(ValueError):
-        merge_event_counts()
 
 
 # ---------------------------------------------------------------- property

@@ -15,6 +15,9 @@ sys.path.insert(0, os.path.abspath(SCRIPT_DIR))
 
 import compatibility_audit  # noqa: E402
 import noise_study  # noqa: E402
+import reproduce_experiments  # noqa: E402
+
+from wavecorr.events import MAX_THRESHOLD_SAMPLES  # noqa: E402
 
 NOISE_STUDY_AUDIT = """\
 noise: imbalance 0.008, jitter 0.012, leakage 0.001, 3 fabrication seeds
@@ -80,3 +83,49 @@ def test_compatibility_audit_rejects_fewer_than_one_member(members, capsys):
         compatibility_audit.main(["--members", members, "--jitter", "0.05"])
     assert exc.value.code == 2
     assert "--members" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--seeds", "2", "--leakage", "1"],
+        ["--seeds", "2", "--jitter", "-0.1"],
+        ["--seeds", "2", "--sweep", "leakage", "--values", "0", "1"],
+        ["--seeds", "2", "--sweep", "imbalance", "--values", "-0.01"],
+    ],
+)
+def test_noise_study_rejects_bad_noise_before_running(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        noise_study.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # no point of a sweep runs before the bad one is caught
+    assert "usage:" in err and ("leakage" in err or "noise widths" in err)
+
+
+@pytest.mark.parametrize(
+    "argv", [["--jitter", "-0.1"], ["--imbalance", "-1"], ["--leakage", "1"]]
+)
+def test_compatibility_audit_rejects_bad_noise(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        compatibility_audit.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and ("leakage" in err or "noise widths" in err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--pipeline", "events", "--samples", "0"],
+        ["--pipeline", "events", "--model", "threshold_detector",
+         "--samples", str(MAX_THRESHOLD_SAMPLES + 1)],
+    ],
+)
+def test_reproduce_experiments_rejects_bad_sample_count(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        reproduce_experiments.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "usage:" in err and "sample_count" in err
