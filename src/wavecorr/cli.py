@@ -13,6 +13,7 @@ Scenario schema (all unknown keys are rejected):
     state: chsh                 # library name, basis label like "00", or
                                 #   a list of amplitudes (numbers or strings
                                 #   such as "0.2+0.4j"); lists are normalized
+                                #   and hold at most MAX_MODES (16) entries
     inequality: CHSH            # CHSH | Mermin | PeresMermin | custom
     pipeline: ideal             # ideal | network_ideal | network_noisy | events
     seed: 7                     # optional, default 0; the run's only seed
@@ -138,6 +139,11 @@ CSV_COLUMNS = (
 
 OUTPUT_DIR_ENV = "WAVECORR_OUTPUT_DIR"
 
+# longest amplitude list a scenario may give: a state of d modes is measured
+# with d x d observables and meshes of about 5 d^3 / 2 elements; the shipped
+# scenarios use at most 8 modes
+MAX_MODES = 16
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -252,6 +258,10 @@ def _parse_state(raw, path: str) -> tuple[str, WaveState]:
                 path, f"unknown state {raw!r}; see the list-states subcommand"
             ) from None
     if isinstance(raw, Sequence):
+        if len(raw) > MAX_MODES:
+            raise ConfigError(
+                path, f"amplitude list length {len(raw)} exceeds the cap of {MAX_MODES} modes"
+            )
         amps = np.array(
             [_parse_amplitude(x, f"{path}[{i}]") for i, x in enumerate(raw)],
             dtype=complex,
@@ -425,20 +435,22 @@ def scenario_from_dict(data: Mapping, path: str = "") -> Scenario:
         }
         defn = _substitute_labels(defn, clean, at("observables"))
 
-    # every measurement label must be a valid operator of the state's size
+    # every measurement label must be a valid operator of the state's size;
+    # the width is checked first, since a label of k letters builds a
+    # 2^k x 2^k matrix
     width = state.dim.bit_length() - 1
     for seq, _ in defn.terms:
         for lab in seq:
-            try:
-                pauli_observable(lab)
-            except ValueError as exc:
-                raise ConfigError(at("observables"), f"label {lab!r}: {exc}") from None
             if len(lab) != width:
                 raise ConfigError(
                     at("state"),
                     f"state {state_name!r} carries {width}-letter observables, "
                     f"but the inequality measures {lab!r}",
                 )
+            try:
+                pauli_observable(lab)
+            except ValueError as exc:
+                raise ConfigError(at("observables"), f"label {lab!r}: {exc}") from None
 
     pipeline = _expect_str(_require(data, "pipeline", path), at("pipeline"))
     if pipeline not in PIPELINES:
@@ -696,7 +708,8 @@ def sweep_rows(file_path: str, seed_override: int | None = None) -> list[list[st
             raise ConfigError(f"vary.{key}", "expected a nonempty list of values")
         axes.append((str(key), list(values)))
 
-    rows: list[list[str]] = []
+    # every grid point is parsed before any runs, so a bad one is reported at once
+    points: list[tuple[Scenario, str]] = []
     for combo in itertools.product(*(vals for _, vals in axes)):
         point = _deep_copy(data)
         for (key, _), value in zip(axes, combo):
@@ -708,8 +721,8 @@ def sweep_rows(file_path: str, seed_override: int | None = None) -> list[list[st
             scenario.name,
             ", ".join(f"{key}={_plain(value)}" for (key, _), value in zip(axes, combo)),
         )
-        rows.append(csv_row(run_scenario(scenario), scenario_label=label))
-    return rows
+        points.append((scenario, label))
+    return [csv_row(run_scenario(scenario), scenario_label=label) for scenario, label in points]
 
 
 def _plain(value) -> str:

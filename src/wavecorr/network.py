@@ -1,10 +1,12 @@
 """Feed-forward circuits of splitters, phase segments and couplers.
 
-A netlist is a DAG on named wires: every wire has exactly one driver (an
-element output or an external port) and exactly one reader (an element
-input or an external output port).  Propagation pushes complex amplitudes
-from the input ports to the output ports; intensities at labeled leaf
-groups give joint outcome probabilities.
+A netlist is a DAG on wires with integer ids: every wire has exactly one
+driver (an element output or an external port) and exactly one reader (an
+element input or an external output port).  Only ports carry names (the
+input, ground and output ports map to ids through one table); the wires
+inside generated meshes and trees are anonymous ids.  Propagation pushes
+complex amplitudes from the input ports to the output ports; intensities
+at labeled leaf groups give joint outcome probabilities.
 
 Element behaviour (ideal):
 
@@ -12,7 +14,7 @@ Element behaviour (ideal):
     phase_segment    a -> exp(i phase) a
     unequal_coupler  s -> (s, r s)/sqrt(1 + r^2)
     termination      absorbs its input
-    fanout_label     passes its input through, tagging the wire
+    fanout_label     passes its input through (a branch tap or a leaf)
 
 Measurement blocks diagonalize an observable with a mesh, split the
 eigenmodes into a +1 and a -1 branch, and recompose each branch back to
@@ -30,8 +32,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from itertools import chain, repeat
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,18 +84,16 @@ class PropagationError(ValueError):
     """Numerical failure during propagation (e.g. no intensity at the leaves)."""
 
 
-@dataclass(frozen=True)
-class CircuitElement:
-    kind: str
-    ins: tuple[str, ...]
-    outs: tuple[str, ...]
-    params: tuple[tuple[str, float | str], ...] = ()
+class CircuitElement(NamedTuple):
+    """One element on integer wire ids.
 
-    def param(self, name: str, default=None):
-        for key, value in self.params:
-            if key == name:
-                return value
-        return default
+    ``base`` is a phase segment's phase or a coupler's ratio, 0.0 otherwise.
+    """
+
+    kind: str
+    ins: tuple[int, ...]
+    outs: tuple[int, ...]
+    base: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -126,6 +127,15 @@ class NoiseModel:
 
 # ----------------------------------------------------------------- netlist
 
+# a wire is an id from Netlist.fresh() or a name, mapped to an id on first use
+Wire = int | str
+
+# kinds in name order: a group's position among its layer's groups follows it
+_KINDS = tuple(sorted(_ARITY))
+_KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
+_N_IN = np.array([_ARITY[kind][0] for kind in _KINDS], dtype=np.intp)
+_N_OUT = np.array([_ARITY[kind][1] for kind in _KINDS], dtype=np.intp)
+
 
 @dataclass
 class _Group:
@@ -144,45 +154,107 @@ class _Group:
     leak_override: np.ndarray | None  # nan = use the model leakage; None if never set
 
 
-def _column(values: list, dtype=float) -> np.ndarray:
-    out = np.empty((len(values), 1), dtype=dtype)
-    out[:, 0] = values
-    return out
+def _wire_rows(wires: Iterable[int], arity: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Shape (2, n): the first and second wire of each element, taken in ``order``.
+
+    ``wires`` lists every element's wires back to back.  Rows past an
+    element's arity hold another element's wire (or one of two padding
+    zeros after the last element) and are never read.
+    """
+    flat = np.fromiter(chain(wires, (0, 0)), dtype=np.intp)
+    first = np.cumsum(arity) - arity
+    return flat[np.stack((first, first + 1))[:, order]]
 
 
-def _override(values: list) -> np.ndarray | None:
-    return None if all(math.isnan(v) for v in values) else _column(values)
+def _override_column(overrides: Mapping[int, float], order: np.ndarray) -> np.ndarray | None:
+    """Override per element, taken in ``order`` (nan where none is set); None if none is."""
+    if not overrides:
+        return None
+    column = np.full(len(order), np.nan)
+    column[list(overrides)] = list(overrides.values())
+    return column[order].reshape(-1, 1)
+
+
+def _group_override(column: np.ndarray | None, start: int, stop: int) -> np.ndarray | None:
+    if column is None or np.isnan(column[start:stop]).all():
+        return None
+    return column[start:stop]
 
 
 class Netlist:
-    """Mutable feed-forward circuit; validate() before propagating."""
+    """Mutable feed-forward circuit on integer wire ids; validate() before propagating.
+
+    Generated circuits take anonymous wires from fresh().  A wire given by
+    name (a port, or any wire of a hand-built net) maps to its id through
+    one name table.  Noise overrides are sparse maps from element index to
+    value: ``noise_overrides`` fixes a splitter's imbalance or a segment's
+    phase jitter, ``leak_overrides`` an element's leakage.
+    """
 
     def __init__(self) -> None:
         self.elements: list[CircuitElement] = []
-        self.input_ports: list[str] = []
-        self.ground_ports: list[str] = []
-        self.output_ports: list[str] = []
+        self.input_ports: list[Wire] = []
+        self.ground_ports: list[Wire] = []
+        self.output_ports: list[Wire] = []
+        self.noise_overrides: dict[int, float] = {}
+        self.leak_overrides: dict[int, float] = {}
+        self.n_wires = 0
+        self._names: dict[str, int] = {}
         self._compiled: list[_Group] | None = None
-        self._wire_index: dict[str, int] | None = None
 
     # -- construction ------------------------------------------------
 
-    def add_input(self, wire: str) -> str:
-        self._touch()
+    def fresh(self, count: int = 1) -> int:
+        """A new anonymous wire; with ``count``, the first of that many in a row."""
+        self._compiled = None
+        self.n_wires += count
+        return self.n_wires - count
+
+    def wire_id(self, wire: Wire) -> int:
+        """The id of a wire; a name not seen before gets a fresh id."""
+        if isinstance(wire, str):
+            wid = self._names.get(wire)
+            if wid is None:
+                wid = self._names[wire] = self.fresh()
+            return wid
+        if not 0 <= wire < self.n_wires:
+            raise NetlistError(f"unknown wire id {wire}")
+        return wire
+
+    def add_input(self, wire: Wire) -> int:
+        self._compiled = None
         self.input_ports.append(wire)
-        return wire
+        return self.wire_id(wire)
 
-    def add_ground(self, wire: str) -> str:
-        self._touch()
+    def add_ground(self, wire: Wire | None = None) -> int:
+        """A port held at zero amplitude; anonymous unless named."""
+        if wire is None:
+            wire = self.fresh()
+        self._compiled = None
         self.ground_ports.append(wire)
-        return wire
+        return self.wire_id(wire)
 
-    def add_output(self, wire: str) -> str:
-        self._touch()
+    def add_output(self, wire: Wire) -> Wire:
+        """Read a wire out; propagate() reports it under the name or id given."""
+        self._compiled = None
+        self.wire_id(wire)
         self.output_ports.append(wire)
         return wire
 
-    def add(self, kind: str, ins: Sequence[str], outs: Sequence[str], **params) -> CircuitElement:
+    def add(
+        self,
+        kind: str,
+        ins: Sequence[Wire],
+        outs: Sequence[Wire],
+        base: float = 0.0,
+        noise: float | None = None,
+        leakage: float | None = None,
+    ) -> None:
+        """Append one element; its index in ``elements`` keys its noise draw.
+
+        ``noise`` and ``leakage`` replace the noise model's draw and leakage
+        for this element.
+        """
         if kind not in _ARITY:
             raise NetlistError(f"unknown element kind {kind!r}")
         n_in, n_out = _ARITY[kind]
@@ -191,187 +263,146 @@ class Netlist:
                 f"{kind} takes {n_in} input(s) and {n_out} output(s), "
                 f"got {len(ins)} and {len(outs)}"
             )
-        self._touch()
-        el = CircuitElement(
-            kind=kind,
-            ins=tuple(ins),
-            outs=tuple(outs),
-            params=tuple(sorted(params.items())),
+        self._compiled = None
+        pos = len(self.elements)
+        self.elements.append(
+            CircuitElement(
+                kind,
+                tuple(map(self.wire_id, ins)),
+                tuple(map(self.wire_id, outs)),
+                float(base),
+            )
         )
-        self.elements.append(el)
-        return el
+        if noise is not None:
+            self.noise_overrides[pos] = float(noise)
+        if leakage is not None:
+            self.leak_overrides[pos] = float(leakage)
 
-    def beam_splitter(self, u: str, v: str, out_sum: str, out_diff: str, **ov) -> None:
-        self.add(BEAM_SPLITTER, (u, v), (out_sum, out_diff), **ov)
+    def beam_splitter(
+        self, u: Wire, v: Wire, out_sum: Wire, out_diff: Wire,
+        *, imbalance: float | None = None, leakage: float | None = None,
+    ) -> None:
+        self.add(BEAM_SPLITTER, (u, v), (out_sum, out_diff), noise=imbalance, leakage=leakage)
 
-    def phase_segment(self, a: str, b: str, phase: float, **ov) -> None:
-        self.add(PHASE_SEGMENT, (a,), (b,), phase=float(phase), **ov)
+    def phase_segment(
+        self, a: Wire, b: Wire, phase: float,
+        *, jitter: float | None = None, leakage: float | None = None,
+    ) -> None:
+        self.add(PHASE_SEGMENT, (a,), (b,), phase, noise=jitter, leakage=leakage)
 
-    def unequal_coupler(self, s: str, t1: str, t2: str, ratio: float, **ov) -> None:
+    def unequal_coupler(
+        self, s: Wire, t1: Wire, t2: Wire, ratio: float, *, leakage: float | None = None
+    ) -> None:
         if ratio < 0:
             raise NetlistError("coupler ratio must be nonnegative")
-        self.add(UNEQUAL_COUPLER, (s,), (t1, t2), ratio=float(ratio), **ov)
+        self.add(UNEQUAL_COUPLER, (s,), (t1, t2), ratio, leakage=leakage)
 
-    def termination(self, a: str) -> None:
+    def termination(self, a: Wire) -> None:
         self.add(TERMINATION, (a,), ())
 
-    def fanout_label(self, a: str, b: str, tag: str) -> None:
-        self.add(FANOUT_LABEL, (a,), (b,), tag=str(tag))
+    def fanout_label(self, a: Wire, b: Wire) -> None:
+        self.add(FANOUT_LABEL, (a,), (b,))
 
-    def _touch(self) -> None:
-        self._compiled = None
-        self._wire_index = None
+    def _describe(self, wid: int) -> str:
+        for name, i in self._names.items():
+            if i == wid:
+                return repr(name)
+        return f"#{wid}"
 
     # -- validation and compilation -----------------------------------
 
     def validate(self) -> None:
         """Check single-driver/single-reader wiring and feed-forward order."""
-        driven: dict[str, str] = {}
-        for port in self.input_ports + self.ground_ports:
-            if port in driven:
-                raise NetlistError(f"wire {port!r} driven more than once")
-            driven[port] = "port"
-        read: set[str] = set()
-        for pos, el in enumerate(self.elements):
-            for w in el.ins:
-                if w not in driven:
+        self._layers()
+
+    def _layers(self) -> list[int]:
+        """Validate, and give each element the earliest step at which its inputs are ready."""
+        ready = [-1] * self.n_wires  # step at which each wire is ready; -1 while undriven
+        for w in map(self.wire_id, self.input_ports + self.ground_ports):
+            if ready[w] >= 0:
+                raise NetlistError(f"wire {self._describe(w)} driven more than once")
+            ready[w] = 0
+        read = bytearray(self.n_wires)
+        layers: list[int] = []
+        append = layers.append
+        for pos, (kind, ins, outs, _) in enumerate(self.elements):
+            layer = 0
+            for w in ins:
+                r = ready[w]
+                if r < 0:
                     raise NetlistError(
-                        f"element {pos} ({el.kind}) reads undriven wire {w!r}; "
+                        f"element {pos} ({kind}) reads undriven wire {self._describe(w)}; "
                         "elements must appear in feed-forward order"
                     )
-                if w in read:
-                    raise NetlistError(f"wire {w!r} read more than once")
-                read.add(w)
-            for w in el.outs:
-                if w in driven:
-                    raise NetlistError(f"wire {w!r} driven more than once")
-                driven[w] = "element"
-        outputs = set(self.output_ports)
-        if len(outputs) != len(self.output_ports):
+                if read[w]:
+                    raise NetlistError(f"wire {self._describe(w)} read more than once")
+                read[w] = 1
+                if r > layer:
+                    layer = r
+            append(layer)
+            layer += 1
+            for w in outs:
+                if ready[w] >= 0:
+                    raise NetlistError(f"wire {self._describe(w)} driven more than once")
+                ready[w] = layer
+        outputs = [self.wire_id(w) for w in self.output_ports]
+        if len(set(outputs)) != len(outputs):
             raise NetlistError("duplicate output port")
         for w in outputs:
-            if w not in driven:
-                raise NetlistError(f"output port {w!r} is not driven")
-            if w in read:
-                raise NetlistError(f"output port {w!r} is also read by an element")
-        dangling = set(driven) - read - outputs
-        if dangling:
-            raise NetlistError(f"dangling wires (driven, never read): {sorted(dangling)}")
+            if ready[w] < 0:
+                raise NetlistError(f"output port {self._describe(w)} is not driven")
+            if read[w]:
+                raise NetlistError(f"output port {self._describe(w)} is also read by an element")
+        # every read wire and every output is driven, and none is both, so
+        # some driven wire is left dangling exactly when the counts differ
+        if self.n_wires - ready.count(-1) != read.count(1) + len(outputs):
+            out_set = set(outputs)
+            dangling = [
+                self._describe(w)
+                for w in range(self.n_wires)
+                if ready[w] >= 0 and not read[w] and w not in out_set
+            ]
+            raise NetlistError(f"dangling wires (driven, never read): {dangling}")
+        return layers
 
-    def _compile(self) -> tuple[dict[str, int], list[_Group]]:
-        if self._compiled is not None and self._wire_index is not None:
-            return self._wire_index, self._compiled
-        self.validate()
-        wire_index: dict[str, int] = {}
-        for w in self.input_ports + self.ground_ports:
-            wire_index[w] = len(wire_index)
-        for el in self.elements:
-            for w in el.outs:
-                wire_index[w] = len(wire_index)
+    def _compile(self) -> list[_Group]:
+        if self._compiled is not None:
+            return self._compiled
+        layer = np.array(self._layers(), dtype=np.intp)
+        if not self.elements:
+            self._compiled = []
+            return self._compiled
+        kinds, ins, outs, bases = zip(*self.elements)
+        kind = np.fromiter(map(_KIND_CODE.__getitem__, kinds), dtype=np.intp, count=len(kinds))
+        # a stable sort keeps element order inside each (layer, kind) bucket
+        key = layer * len(_KINDS) + kind
+        order = np.argsort(key, kind="stable")
+        cuts = (np.flatnonzero(np.diff(key[order])) + 1).tolist()
+        starts, stops = [0] + cuts, cuts + [len(kinds)]
 
-        # layer = earliest step at which all inputs are ready
-        ready: dict[str, int] = {w: 0 for w in self.input_ports + self.ground_ports}
-        buckets: dict[tuple[int, str], list[int]] = {}
-        for pos, el in enumerate(self.elements):
-            layer = max(ready[w] for w in el.ins) if el.ins else 0
-            for w in el.outs:
-                ready[w] = layer + 1
-            buckets.setdefault((layer, el.kind), []).append(pos)
+        elem_idx = order.astype(np.uint64).reshape(-1, 1)
+        base = np.array(bases)[order].reshape(-1, 1)
+        ins = _wire_rows(chain.from_iterable(ins), _N_IN[kind], order)
+        outs = _wire_rows(chain.from_iterable(outs), _N_OUT[kind], order)
+        noise = _override_column(self.noise_overrides, order)
+        leak = _override_column(self.leak_overrides, order)
 
         groups: list[_Group] = []
-        for (layer, kind) in sorted(buckets, key=lambda k: (k[0], k[1])):
-            members = buckets[(layer, kind)]
-            els = [self.elements[i] for i in members]
-            n_in, n_out = _ARITY[kind]
-            base_key = "phase" if kind == PHASE_SEGMENT else "ratio"
-            noise_key = "imbalance" if kind == BEAM_SPLITTER else "jitter"
+        for start, stop, code in zip(starts, stops, kind[order[starts]].tolist()):
+            n_in, n_out = _ARITY[_KINDS[code]]
             groups.append(
                 _Group(
-                    kind=kind,
-                    elem_idx=_column(members, np.uint64),
-                    in_idx=np.array(
-                        [[wire_index[el.ins[k]] for el in els] for k in range(n_in)],
-                        dtype=np.intp,
-                    ),
-                    out_idx=np.array(
-                        [[wire_index[el.outs[k]] for el in els] for k in range(n_out)],
-                        dtype=np.intp,
-                    ),
-                    base=_column([el.param(base_key, 0.0) for el in els]),
-                    noise_override=_override([el.param(noise_key, np.nan) for el in els]),
-                    leak_override=_override([el.param("leakage", np.nan) for el in els]),
+                    kind=_KINDS[code],
+                    elem_idx=elem_idx[start:stop],
+                    in_idx=ins[:n_in, start:stop],
+                    out_idx=outs[:n_out, start:stop],
+                    base=base[start:stop],
+                    noise_override=_group_override(noise, start, stop),
+                    leak_override=_group_override(leak, start, stop),
                 )
             )
-        self._wire_index = wire_index
         self._compiled = groups
-        return wire_index, groups
-
-    # -- text format ---------------------------------------------------
-
-    def to_text(self, comment: str | None = None) -> str:
-        """Line-oriented serialization; '#' starts a comment."""
-        fmt = "{:.17g}".format
-        lines: list[str] = []
-        if comment:
-            lines.append(f"# {comment}")
-        for w in self.input_ports:
-            lines.append(f"input {w}")
-        for w in self.ground_ports:
-            lines.append(f"ground {w}")
-        for el in self.elements:
-            parts = [el.kind, *el.ins, *el.outs]
-            if el.kind == PHASE_SEGMENT:
-                parts.append(fmt(el.param("phase", 0.0)))
-            elif el.kind == UNEQUAL_COUPLER:
-                parts.append(fmt(el.param("ratio", 0.0)))
-            elif el.kind == FANOUT_LABEL:
-                parts.append(str(el.param("tag", "?")))
-            for key, value in el.params:
-                if key in ("phase", "ratio", "tag"):
-                    continue
-                parts.append(f"{key}={fmt(value)}")
-            lines.append(" ".join(parts))
-        for w in self.output_ports:
-            lines.append(f"output {w}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "Netlist":
-        net = cls()
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            kind, args = fields[0], fields[1:]
-            try:
-                overrides: dict[str, float] = {}
-                while args and "=" in args[-1]:
-                    key, _, value = args.pop().partition("=")
-                    overrides[key] = float(value)
-                if kind == "input":
-                    net.add_input(args[0])
-                elif kind == "ground":
-                    net.add_ground(args[0])
-                elif kind == "output":
-                    net.add_output(args[0])
-                elif kind == BEAM_SPLITTER:
-                    net.beam_splitter(*args[:4], **overrides)
-                elif kind == PHASE_SEGMENT:
-                    net.phase_segment(args[0], args[1], float(args[2]), **overrides)
-                elif kind == UNEQUAL_COUPLER:
-                    net.unequal_coupler(args[0], args[1], args[2], float(args[3]), **overrides)
-                elif kind == TERMINATION:
-                    net.termination(args[0])
-                elif kind == FANOUT_LABEL:
-                    net.fanout_label(args[0], args[1], args[2])
-                else:
-                    raise NetlistError(f"unknown line kind {kind!r}")
-            except (IndexError, ValueError) as err:
-                if isinstance(err, NetlistError):
-                    raise NetlistError(f"netlist line {lineno}: {err}") from err
-                raise NetlistError(f"netlist line {lineno}: malformed {kind!r} line") from err
-        return net
+        return groups
 
 
 # ------------------------------------------------------------- propagation
@@ -381,7 +412,7 @@ class Netlist:
 class PortAmplitudes:
     """Amplitudes at the output ports plus the energy bookkeeping."""
 
-    amplitudes: dict[str, complex]
+    amplitudes: dict[Wire, complex]  # keyed by the output ports as given
     input_intensity: float
     absorbed_intensity: float
 
@@ -389,7 +420,7 @@ class PortAmplitudes:
     def output_intensity(self) -> float:
         return float(sum(abs(a) ** 2 for a in self.amplitudes.values()))
 
-    def intensity(self, wire: str) -> float:
+    def intensity(self, wire: Wire) -> float:
         return float(abs(self.amplitudes[wire]) ** 2)
 
 
@@ -415,7 +446,7 @@ def propagate(
     call with that single seed gives.  Members run MEMBER_CHUNK at a time, so
     memory does not grow with the ensemble.
     """
-    wire_index, groups = netlist._compile()
+    groups = netlist._compile()
     if isinstance(drive, WaveState):
         values = dict(zip(drive.labels, drive.amplitudes))
     else:
@@ -428,11 +459,11 @@ def propagate(
             f"unknown {sorted(extra)})"
         )
 
-    start = np.zeros(len(wire_index), dtype=complex)
+    start = np.zeros(netlist.n_wires, dtype=complex)
     for w, a in values.items():
-        start[wire_index[w]] = a
+        start[netlist.wire_id(w)] = a
     input_intensity = float(np.sum(np.abs(start) ** 2))
-    out_idx = np.array([wire_index[w] for w in netlist.output_ports], dtype=np.intp)
+    out_idx = np.array([netlist.wire_id(w) for w in netlist.output_ports], dtype=np.intp)
 
     members = [0 if noise is None else noise.seed] if seeds is None else list(seeds)
     results: list[PortAmplitudes] = []
@@ -562,44 +593,29 @@ def _plan_for(matrix: np.ndarray) -> MeshPlan:
     return plan
 
 
-class _Namer:
-    """Fresh wire names under a prefix: p.0, p.1, ..."""
-
-    def __init__(self, prefix: str) -> None:
-        self.prefix = prefix
-        self.n = 0
-
-    def __call__(self) -> str:
-        name = f"{self.prefix}.{self.n}"
-        self.n += 1
-        return name
-
-
-def _phase_column(net: Netlist, wires: list[str], phases: Sequence[float], fresh: _Namer) -> list[str]:
-    out = []
-    for w, ph in zip(wires, phases):
-        nw = fresh()
-        net.phase_segment(w, nw, ph)
-        out.append(nw)
+def _phase_column(net: Netlist, wires: Sequence[int], phases: Sequence[float]) -> list[int]:
+    first = net.fresh(len(wires))
+    out = list(range(first, first + len(wires)))
+    net.elements.extend(
+        map(CircuitElement, repeat(PHASE_SEGMENT), zip(wires), zip(out), phases)
+    )
     return out
 
 
-def _splitter_column(net: Netlist, wires: list[str], p: int, q: int, fresh: _Namer) -> list[str]:
+def _splitter_column(net: Netlist, wires: Sequence[int], p: int, q: int) -> list[int]:
     # splitter on (p, q); identity segments keep the other modes in step
-    out = list(wires)
-    sp, sq = fresh(), fresh()
-    net.beam_splitter(wires[p], wires[q], sp, sq)
-    out[p], out[q] = sp, sq
-    for m in range(len(wires)):
-        if m in (p, q):
-            continue
-        nw = fresh()
-        net.phase_segment(wires[m], nw, 0.0)
-        out[m] = nw
+    first = net.fresh(len(wires))
+    out = list(range(first, first + len(wires)))
+    net.elements.append(CircuitElement(BEAM_SPLITTER, (wires[p], wires[q]), (out[p], out[q])))
+    net.elements.extend(
+        CircuitElement(PHASE_SEGMENT, (w,), (o,))
+        for m, (w, o) in enumerate(zip(wires, out))
+        if m != p and m != q
+    )
     return out
 
 
-def add_mesh(net: Netlist, plan: MeshPlan, in_wires: Sequence[str], prefix: str) -> list[str]:
+def add_mesh(net: Netlist, plan: MeshPlan, in_wires: Sequence[Wire]) -> list[int]:
     """Realize a MeshPlan with splitters and phase segments.
 
     Each mesh element (p, q, th, phi) becomes five full-width columns
@@ -613,38 +629,34 @@ def add_mesh(net: Netlist, plan: MeshPlan, in_wires: Sequence[str], prefix: str)
     which reproduces the element matrix exactly, overall phase included.
     The plan's output phases form one final column.  Every mode crosses
     exactly one element per column, keeping leakage uniform across paths.
+    Returns the output wires, anonymous, in mode order.
     """
     if len(in_wires) != plan.dim:
         raise NetlistError(f"mesh of dimension {plan.dim} fed with {len(in_wires)} wires")
-    fresh = _Namer(prefix)
-    wires = list(in_wires)
+    wires = [net.wire_id(w) for w in in_wires]
     for el in plan.elements:
         p, q, th, phi = el.p, el.q, el.theta, el.phi
         col = [0.0] * plan.dim
         col[q] = -phi - np.pi / 2
-        wires = _phase_column(net, wires, col, fresh)
-        wires = _splitter_column(net, wires, p, q, fresh)
+        wires = _phase_column(net, wires, col)
+        wires = _splitter_column(net, wires, p, q)
         col = [0.0] * plan.dim
         col[p] = np.pi - 2 * th
-        wires = _phase_column(net, wires, col, fresh)
-        wires = _splitter_column(net, wires, p, q, fresh)
+        wires = _phase_column(net, wires, col)
+        wires = _splitter_column(net, wires, p, q)
         col = [0.0] * plan.dim
         col[p] = phi + th - np.pi / 2
         col[q] = phi + th - np.pi
-        wires = _phase_column(net, wires, col, fresh)
-    wires = _phase_column(net, wires, plan.output_phases, fresh)
-    return wires
+        wires = _phase_column(net, wires, col)
+    return _phase_column(net, wires, plan.output_phases)
 
 
 # -------------------------------------------------- blocks and trees
 
 
 def build_measurement_block(
-    net: Netlist,
-    obs: DichotomicObservable,
-    in_wires: Sequence[str],
-    prefix: str,
-) -> tuple[list[str], list[str]]:
+    net: Netlist, obs: DichotomicObservable, in_wires: Sequence[Wire]
+) -> tuple[list[int], list[int]]:
     """Append one measurement stage; returns (upper, lower) branch wires.
 
     The stage maps the bundle into the observable's eigenbasis, routes the
@@ -657,23 +669,20 @@ def build_measurement_block(
         raise NetlistError(f"block for {obs.label!r} needs {d} wires, got {len(in_wires)}")
     to_eigen = _plan_for(obs.diagonalizer.conj().T)
     recompose_plan = _plan_for(obs.diagonalizer)
-    eigen = add_mesh(net, to_eigen, in_wires, f"{prefix}.diag")
+    eigen = add_mesh(net, to_eigen, in_wires)
     plus = set(obs.plus_indices)
-    tagged: list[str] = []
-    for i, w in enumerate(eigen):
-        nw = f"{prefix}.tap.{i}"
-        net.fanout_label(w, nw, "+" if i in plus else "-")
-        tagged.append(nw)
     upper_in, lower_in = [], []
-    for i, w in enumerate(tagged):
+    for i, w in enumerate(eigen):
+        tap = net.fresh()
+        net.fanout_label(w, tap)
         if i in plus:
-            upper_in.append(w)
-            lower_in.append(net.add_ground(f"{prefix}.lo.gnd.{i}"))
+            upper_in.append(tap)
+            lower_in.append(net.add_ground())
         else:
-            upper_in.append(net.add_ground(f"{prefix}.up.gnd.{i}"))
-            lower_in.append(w)
-    upper = add_mesh(net, recompose_plan, upper_in, f"{prefix}.plus")
-    lower = add_mesh(net, recompose_plan, lower_in, f"{prefix}.minus")
+            upper_in.append(net.add_ground())
+            lower_in.append(tap)
+    upper = add_mesh(net, recompose_plan, upper_in)
+    lower = add_mesh(net, recompose_plan, lower_in)
     return upper, lower
 
 
@@ -690,7 +699,6 @@ class SequenceTree:
     leaf_groups: dict[str, tuple[str, ...]]
     observable_labels: tuple[str, ...]
     basis: tuple[str, ...]
-    branch_kind_counts: dict[str, dict[str, int]] = field(default_factory=dict)
 
     @property
     def depth(self) -> int:
@@ -714,47 +722,23 @@ class SequenceTree:
         that cancels out of the normalized leaf distribution.
         """
         net = self.netlist
-        depth: dict[str, int | None] = {w: None for w in net.ground_ports}
+        depth: list[int | None] = [None] * net.n_wires
         for w in net.input_ports:
-            depth[w] = 0
-        for pos, el in enumerate(net.elements):
-            known = [depth[w] for w in el.ins if depth[w] is not None]
+            depth[net.wire_id(w)] = 0
+        for pos, (kind, ins, outs, _) in enumerate(net.elements):
+            known = [depth[w] for w in ins if depth[w] is not None]
             if known and any(v != known[0] for v in known[1:]):
-                raise NetlistError(
-                    f"paths of different length meet at element {pos} ({el.kind})"
-                )
+                raise NetlistError(f"paths of different length meet at element {pos} ({kind})")
             out_depth = known[0] + 1 if known else None
-            for w in el.outs:
+            for w in outs:
                 depth[w] = out_depth
         totals: dict[str, int] = {}
         for outcome, wires in self.leaf_groups.items():
-            leaf_depths = {depth[w] for w in wires if depth[w] is not None}
+            leaf_depths = {depth[net.wire_id(w)] for w in wires} - {None}
             if len(leaf_depths) > 1:
                 raise NetlistError(f"leaf group {outcome!r} mixes path lengths {leaf_depths}")
             totals[outcome] = leaf_depths.pop() if leaf_depths else 0
         return totals
-
-
-def _kind_tally(elements: Iterable[CircuitElement]) -> dict[str, int]:
-    tally: dict[str, int] = {}
-    for el in elements:
-        tally[el.kind] = tally.get(el.kind, 0) + 1
-    return tally
-
-
-def _merge_tallies(a: Mapping[str, int], b: Mapping[str, int]) -> dict[str, int]:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + v
-    return out
-
-
-def _mesh_element_count(plan: MeshPlan) -> int:
-    # each mesh element lays down 5 full-width columns: 3 phase columns of
-    # d segments and 2 splitter columns of 1 splitter + (d-2) pads; one
-    # final phase column realizes the output phases
-    d = plan.dim
-    return len(plan.elements) * (5 * d - 2) + d
 
 
 def _complete_to_unitary(psi: np.ndarray) -> np.ndarray:
@@ -776,36 +760,35 @@ def _complete_to_unitary(psi: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def add_state_prep(net: Netlist, prep: str | WaveState, prefix: str = "prep") -> list[str]:
+def add_state_prep(net: Netlist, prep: str | WaveState, prefix: str = "prep") -> list[int]:
     """Coherent splitting of a single source into a prepared bundle.
 
     Named preparations use the dedicated constructions (one splitter for the
     singlet, an unequal coupler feeding two splitters for the tilted CHSH
     state, a post-selecting stabilizer cascade for the ghz state); any other
     name or explicit state is synthesized as a mesh whose first column is
-    the target vector.  The source port is named "src".
+    the target vector.  The source port is named "<prefix>.src"; the
+    returned mode wires are anonymous.
     """
     src = net.add_input(f"{prefix}.src")
     if isinstance(prep, str) and prep == "singlet":
-        g_u = net.add_ground(f"{prefix}.gu")
-        net.beam_splitter(g_u, src, f"{prefix}.sum", f"{prefix}.diff")
-        g00 = net.add_ground(f"{prefix}.g00")
-        g11 = net.add_ground(f"{prefix}.g11")
+        total, diff = net.fresh(), net.fresh()
+        net.beam_splitter(net.add_ground(), src, total, diff)
         # (u, v) = (0, 1) gives (sum, diff) = (1, -1)/sqrt(2): modes 10 and 01
-        return [g00, f"{prefix}.diff", f"{prefix}.sum", g11]
+        return [net.add_ground(), diff, total, net.add_ground()]
     if isinstance(prep, str) and prep == "chsh":
         r = math.sqrt(2.0) - 1.0
-        net.unequal_coupler(src, f"{prefix}.t1", f"{prefix}.t2", r)
-        g1 = net.add_ground(f"{prefix}.b1g")
-        net.beam_splitter(g1, f"{prefix}.t1", f"{prefix}.a00", f"{prefix}.a11")
-        g2 = net.add_ground(f"{prefix}.b2g")
-        net.beam_splitter(f"{prefix}.t2", g2, f"{prefix}.a01", f"{prefix}.a10")
-        return [f"{prefix}.a00", f"{prefix}.a01", f"{prefix}.a10", f"{prefix}.a11"]
+        t1, t2 = net.fresh(), net.fresh()
+        net.unequal_coupler(src, t1, t2, r)
+        a00, a11 = net.fresh(), net.fresh()
+        net.beam_splitter(net.add_ground(), t1, a00, a11)
+        a01, a10 = net.fresh(), net.fresh()
+        net.beam_splitter(t2, net.add_ground(), a01, a10)
+        return [a00, a01, a10, a11]
     if isinstance(prep, str) and prep == "ghz":
-        wires = [src if i == 0 else net.add_ground(f"{prefix}.g{i}") for i in range(8)]
-        for k, spec in enumerate(GHZ_STABILIZER_SPECS):
-            obs = pauli_observable(spec)
-            upper, lower = build_measurement_block(net, obs, wires, f"{prefix}.sel{k}")
+        wires = [src if i == 0 else net.add_ground() for i in range(8)]
+        for spec in GHZ_STABILIZER_SPECS:
+            upper, lower = build_measurement_block(net, pauli_observable(spec), wires)
             for w in lower:
                 net.termination(w)
             wires = upper
@@ -814,9 +797,8 @@ def add_state_prep(net: Netlist, prep: str | WaveState, prefix: str = "prep") ->
     state = state_library(prep) if isinstance(prep, str) else prep.require_normalized()
     unitary = _complete_to_unitary(np.asarray(state.amplitudes))
     plan = _plan_for(unitary)
-    wires = [src if i == 0 else net.add_ground(f"{prefix}.g{i}") for i in range(state.dim)]
-    return add_mesh(net, plan, wires, f"{prefix}.mesh")
-
+    wires = [src if i == 0 else net.add_ground() for i in range(state.dim)]
+    return add_mesh(net, plan, wires)
 
 def build_sequence_tree(
     observables: Sequence[DichotomicObservable],
@@ -828,7 +810,7 @@ def build_sequence_tree(
     With ``prep`` None the tree's inputs are the bare mode ports (named by
     the basis labels) and the caller drives them with a WaveState; otherwise
     the preparation is built into the circuit and the single input port is
-    "prep.src".
+    "prep.src".  Leaf ports are named "leaf.<outcome>.<basis label>".
     """
     if not 1 <= len(observables) <= 3:
         raise ValueError("sequence trees support one to three measurements")
@@ -848,51 +830,28 @@ def build_sequence_tree(
         roots = [net.add_input(b) for b in basis]
     else:
         roots = add_state_prep(net, prep)
-    branches: list[tuple[str, list[str], dict[str, int]]] = [
-        ("", roots, _kind_tally(net.elements))
-    ]
-    for level, obs in enumerate(observables):
-        branch_mesh_size = _mesh_element_count(_plan_for(obs.diagonalizer))
-        nxt: list[tuple[str, list[str], dict[str, int]]] = []
-        for path, wires, tally in branches:
-            tag = path if path else "root"
-            n0 = len(net.elements)
-            upper, lower = build_measurement_block(
-                net, obs, wires, f"L{level}.{obs.label}.{tag}"
-            )
-            n3 = len(net.elements)
-            # the block appends the shared eigenbasis stage, then one
-            # recomposition mesh per branch, both of the same size
-            lower_tally = _kind_tally(net.elements[n3 - branch_mesh_size : n3])
-            upper_tally = _kind_tally(
-                net.elements[n3 - 2 * branch_mesh_size : n3 - branch_mesh_size]
-            )
-            shared = _merge_tallies(
-                tally, _kind_tally(net.elements[n0 : n3 - 2 * branch_mesh_size])
-            )
-            nxt.append((path + "+", upper, _merge_tallies(shared, upper_tally)))
-            nxt.append((path + "-", lower, _merge_tallies(shared, lower_tally)))
+    branches: list[tuple[str, list[int]]] = [("", roots)]
+    for obs in observables:
+        nxt: list[tuple[str, list[int]]] = []
+        for path, wires in branches:
+            upper, lower = build_measurement_block(net, obs, wires)
+            nxt.append((path + "+", upper))
+            nxt.append((path + "-", lower))
         branches = nxt
 
     leaf_groups: dict[str, tuple[str, ...]] = {}
-    branch_kind_counts: dict[str, dict[str, int]] = {}
-    for path, wires, tally in branches:
-        named = []
-        for b, w in zip(basis, wires):
-            leaf = f"leaf.{path}.{b}"
-            net.fanout_label(w, leaf, path)
+    for path, wires in branches:
+        leaves = tuple(f"leaf.{path}.{b}" for b in basis)
+        for w, leaf in zip(wires, leaves):
+            net.fanout_label(w, leaf)
             net.add_output(leaf)
-            named.append(leaf)
-        leaf_groups[path] = tuple(named)
-        branch_kind_counts[path] = _merge_tallies(tally, {FANOUT_LABEL: len(named)})
+        leaf_groups[path] = leaves
     return SequenceTree(
         netlist=net,
         leaf_groups=leaf_groups,
         observable_labels=tuple(o.label for o in observables),
         basis=basis,
-        branch_kind_counts=branch_kind_counts,
     )
-
 
 def _tree_drive(
     tree: SequenceTree, drive: WaveState | Mapping[str, complex] | None

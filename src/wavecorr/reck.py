@@ -118,57 +118,3 @@ def recompose(plan: MeshPlan) -> np.ndarray:
     for el in plan.elements:
         m = el.embedded(plan.dim) @ m
     return np.diag(np.exp(1j * np.array(plan.output_phases))) @ m
-
-
-# ------------------------------------------------------------- text format
-
-_FLOAT_FMT = "{:.17g}"
-
-
-def plan_to_text(plan: MeshPlan, comment: str | None = None) -> str:
-    """Line-oriented serialization, same conventions as circuit netlists.
-
-    One ``elem`` line per element carrying the mode pair and both angles;
-    ``#`` starts a comment.
-    """
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(f"dim {plan.dim}")
-    for el in plan.elements:
-        lines.append(
-            f"elem {el.p} {el.q} "
-            f"{_FLOAT_FMT.format(el.theta)} {_FLOAT_FMT.format(el.phi)}"
-        )
-    phases = " ".join(_FLOAT_FMT.format(p) for p in plan.output_phases)
-    lines.append(f"phases {phases}")
-    return "\n".join(lines) + "\n"
-
-
-def plan_from_text(text: str) -> MeshPlan:
-    """Parse the serialization produced by plan_to_text."""
-    dim: int | None = None
-    elements: list[MeshElement] = []
-    phases: tuple[float, ...] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        kind, args = fields[0], fields[1:]
-        try:
-            if kind == "dim":
-                dim = int(args[0])
-            elif kind == "elem":
-                elements.append(
-                    MeshElement(int(args[0]), int(args[1]), float(args[2]), float(args[3]))
-                )
-            elif kind == "phases":
-                phases = tuple(float(a) for a in args)
-            else:
-                raise ValueError(f"unknown line kind {kind!r}")
-        except (IndexError, ValueError) as err:
-            raise ValueError(f"mesh text line {lineno}: {err}") from err
-    if dim is None or phases is None:
-        raise ValueError("mesh text needs both a dim line and a phases line")
-    return MeshPlan(dim=dim, elements=tuple(elements), output_phases=phases)

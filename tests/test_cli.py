@@ -102,6 +102,35 @@ def test_bad_amplitude_lists(state, fragment):
     assert fragment in str(err.value)
 
 
+def test_mode_count_is_capped_while_parsing(tmp_path, capsys):
+    over = [1] + [0] * (2 * cli.MAX_MODES - 1)
+    data = dict(MINIMAL, state=over)
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(data)
+    assert err.value.path == "state"
+    assert main(["run", write_yaml(tmp_path, data)]) == 2
+    assert "config error: state:" in capsys.readouterr().err
+    # a list at the cap is a state
+    name, state = cli._parse_state([1] + [0] * (cli.MAX_MODES - 1), "state")
+    assert (name, state.dim) == (f"custom{cli.MAX_MODES}", cli.MAX_MODES)
+
+
+def test_over_long_label_is_rejected_before_its_matrix_is_built(tmp_path, capsys, monkeypatch):
+    real = cli.pauli_observable
+
+    def small_only(spec, *args, **kwargs):
+        assert len(spec) <= 4, f"a {len(spec)}-letter operator would be built"
+        return real(spec, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "pauli_observable", small_only)
+    data = dict(MINIMAL, observables={"ZI": "Z" * 40})
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(data)
+    assert err.value.path == "state"
+    assert main(["run", write_yaml(tmp_path, data)]) == 2
+    assert "config error: state:" in capsys.readouterr().err
+
+
 def test_observable_override_rewrites_terms():
     data = dict(MINIMAL, observables={"ZI": "ZZ"})
     sc = scenario_from_dict(data)
@@ -268,6 +297,21 @@ def test_sweep_empty_grid_rejected(tmp_path):
         sweep_rows(path)
     no_vary = write_yaml(tmp_path, MINIMAL, name="n.yaml")
     assert main(["sweep", no_vary]) == 2
+
+
+def test_sweep_rejects_a_bad_point_before_running_any(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a grid point ran before every point was parsed")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    threshold = {"model": "threshold_detector"}
+    data = dict(MINIMAL, pipeline="events", events=threshold, vary={"seed": [0, 1, 2, "x"]})
+    path = write_yaml(tmp_path, data)
+    with pytest.raises(ConfigError) as err:
+        sweep_rows(path)
+    assert err.value.path == "seed"
+    assert main(["sweep", path]) == 2
+    assert "config error: seed:" in capsys.readouterr().err
 
 
 def test_sweep_cartesian_order(tmp_path):

@@ -1,9 +1,13 @@
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import wavecorr.network as network
 from wavecorr.network import (
     BEAM_SPLITTER,
+    FANOUT_LABEL,
     INTENSITY_CONSERVATION_TOL,
     PHASE_SEGMENT,
     PHYSICAL_KINDS,
@@ -16,7 +20,6 @@ from wavecorr.network import (
     build_measurement_block,
     build_sequence_tree,
     leaf_distribution_csv,
-    port_distribution,
     propagate,
     tree_distribution,
     tree_distributions,
@@ -132,6 +135,40 @@ def test_wiring_validation():
     net.add_output("a2")
     net.validate()
 
+    broken = []
+    net = Netlist()  # a port driven twice
+    net.add_input("a")
+    net.add_ground("a")
+    broken.append(net)
+    net = Netlist()  # an element driving a port
+    net.add_input("a")
+    net.add_ground("b")
+    net.phase_segment("a", "b", 0.0)
+    broken.append(net)
+    net = hybrid_ring()  # a duplicate output
+    net.add_output("s")
+    broken.append(net)
+    net = Netlist()  # an output nothing drives
+    net.add_input("a")
+    net.termination("a")
+    net.add_output("x")
+    broken.append(net)
+    net = Netlist()  # an output also read by an element
+    net.add_input("a")
+    net.phase_segment("a", "b", 0.0)
+    net.phase_segment("b", "c", 0.0)
+    net.add_output("b")
+    net.add_output("c")
+    broken.append(net)
+    for net in broken:
+        with pytest.raises(NetlistError):
+            net.validate()
+    # anonymous wires come from the netlist's own counter
+    net = Netlist()
+    a = net.add_input("a")
+    with pytest.raises(NetlistError):
+        net.phase_segment(a, net.fresh() + 1, 0.0)
+
 
 def test_drive_must_match_ports():
     net = hybrid_ring()
@@ -182,7 +219,7 @@ def test_mesh_fragment_matches_matrix():
         plan = decompose(u)
         net = Netlist()
         ins = [net.add_input(f"in{i}") for i in range(n)]
-        outs = add_mesh(net, plan, ins, "m")
+        outs = add_mesh(net, plan, ins)
         for w in outs:
             net.add_output(w)
         for col in range(n):
@@ -251,7 +288,7 @@ def test_block_branches_equal_luders_branches(spec, name):
     obs = pauli_observable(spec)
     net = Netlist()
     ins = [net.add_input(b) for b in psi.labels]
-    up, lo = build_measurement_block(net, obs, ins, "blk")
+    up, lo = build_measurement_block(net, obs, ins)
     for w in up + lo:
         net.add_output(w)
     pa = propagate(net, psi)
@@ -271,7 +308,7 @@ def test_block_routing_example():
     psi = state_library("00")
     net = Netlist()
     ins = [net.add_input(b) for b in psi.labels]
-    up, lo = build_measurement_block(net, pauli_observable("ZI"), ins, "blk")
+    up, lo = build_measurement_block(net, pauli_observable("ZI"), ins)
     for w in up + lo:
         net.add_output(w)
     pa = propagate(net, psi)
@@ -296,6 +333,39 @@ def test_tree_shape_and_leaf_count():
         build_sequence_tree(obs + obs)
 
 
+def fragment_kind_tallies(tree):
+    """Per leaf group, a tally by kind of the circuit fragments it hangs off.
+
+    The walk goes back through drivers from the leaf wires.  Each element it
+    reaches brings in its whole fragment: the elements joined to it by wires
+    that no fanout_label cuts, plus the fanouts read off the fragment (taps,
+    whose further readers belong to a branch of their own).  Whole fragments
+    are taken because a branch reads only the taps of its own sign, so the
+    bare ancestors of sibling leaf groups differ.
+    """
+    net = tree.netlist
+    driver, reader = {}, {}
+    for pos, el in enumerate(net.elements):
+        driver.update((w, pos) for w in el.outs)
+        reader.update((w, pos) for w in el.ins)
+    tallies = {}
+    for outcome, leaves in tree.leaf_groups.items():
+        stack = [driver[net.wire_id(w)] for w in leaves]
+        seen = set(stack)
+        while stack:
+            el = net.elements[stack.pop()]
+            back = [driver.get(w) for w in el.ins]
+            ahead = [] if el.kind == FANOUT_LABEL else [reader.get(w) for w in el.outs]
+            for pos in back + ahead:
+                if pos is None or pos in seen:
+                    continue
+                seen.add(pos)
+                if not (pos in ahead and net.elements[pos].kind == FANOUT_LABEL):
+                    stack.append(pos)
+        tallies[outcome] = Counter(net.elements[pos].kind for pos in seen)
+    return tallies
+
+
 @pytest.mark.parametrize(
     "prep,specs",
     [
@@ -310,9 +380,9 @@ def test_tree_path_symmetry(prep, specs):
     # every amplitude-carrying path crosses the same number of elements
     totals = tree.path_total_counts()  # raises if unequal paths ever meet
     assert len(set(totals.values())) == 1
-    # and every branch chain is built from identically composed fragments
+    # and every leaf group hangs off identically composed fragments
     baseline = None
-    for outcome, tally in tree.branch_kind_counts.items():
+    for outcome, tally in fragment_kind_tallies(tree).items():
         if baseline is None:
             baseline = tally
         assert tally == baseline, f"branch {outcome} differs: {tally} vs {baseline}"
@@ -428,26 +498,66 @@ def test_phase_jitter_degrades_chsh_monotonically():
 
 def mermin_tree_with_overrides():
     """The Mermin XII, IXI, IIX tree with explicit per-element noise on some elements."""
-    tree = build_sequence_tree(
+    net = build_sequence_tree(
         [pauli_observable(l) for l in ("XII", "IXI", "IIX")], prep="ghz"
-    )
-    net = Netlist()
-    for w in tree.netlist.input_ports:
-        net.add_input(w)
-    for w in tree.netlist.ground_ports:
-        net.add_ground(w)
-    for i, el in enumerate(tree.netlist.elements):
-        params = dict(el.params)
+    ).netlist
+    for i, el in enumerate(net.elements):
         if i % 7 == 3 and el.kind == BEAM_SPLITTER:
-            params["imbalance"] = 0.01 * (i % 5)
+            net.noise_overrides[i] = 0.01 * (i % 5)  # imbalance
         if i % 7 == 3 and el.kind == PHASE_SEGMENT:
-            params["jitter"] = -0.02 * (i % 3)
+            net.noise_overrides[i] = -0.02 * (i % 3)  # jitter
         if i % 11 == 5 and el.kind in PHYSICAL_KINDS:
-            params["leakage"] = 0.003
-        net.add(el.kind, el.ins, el.outs, **params)
-    for w in tree.netlist.output_ports:
-        net.add_output(w)
+            net.leak_overrides[i] = 0.003
     return net
+
+
+def sequence_tree_netlist(prep, *specs):
+    return build_sequence_tree([pauli_observable(s) for s in specs], prep=prep).netlist
+
+
+def compiled_groups_digest(net):
+    """sha256 over each compiled group's kind, element indices, bases and overrides, in order."""
+    h = hashlib.sha256()
+    for g in net._compile():
+        fields = [g.kind.encode(), g.elem_idx.tobytes(), g.base.tobytes()]
+        for override in (g.noise_override, g.leak_override):
+            fields.append(b"none" if override is None else override.tobytes())
+        for f in fields:
+            h.update(len(f).to_bytes(8, "little"))
+            h.update(f)
+    return h.hexdigest()
+
+
+# Recorded on the netlist with string-named wires that the integer-wire one
+# replaced.  Equal groups give equal (seed, element index) draws through the
+# same array operations, hence bitwise equal amplitudes.
+PINNED_GROUPS = {
+    "psi1 ZX*XZ*YY": (
+        lambda: sequence_tree_netlist("psi1", "ZX", "XZ", "YY"), 1174, 123,
+        "61adbafc1f907ab92b8bc2e686e2e3e3e08a7b30ab418aac11723dc85c77afc8",
+    ),
+    "ghz XII*IXI*IIX": (
+        lambda: sequence_tree_netlist("ghz", "XII", "IXI", "IIX"), 7932, 527,
+        "f5443fb8635bfc91fca6abe127ce97a68c224241e1097d1d0ad6e357e66b6f65",
+    ),
+    "chsh ZI*IX": (
+        lambda: sequence_tree_netlist("chsh", "ZI", "IX"), 391, 60,
+        "79a922a2da11760b56fab7e1c63d0ed1ecc05e8ec3d91689273c16ae07acd313",
+    ),
+    "ghz XII*IXI*IIX with overrides": (
+        mermin_tree_with_overrides, 7932, 527,
+        "b43472685f3631d5d5eae3d7c8ce8c35aa36fa5fb3af49e28d16d5eb255fb071",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_GROUPS))
+def test_compiled_groups_are_pinned(name):
+    build, n_elements, n_groups, digest = PINNED_GROUPS[name]
+    net = build()
+    assert len(net.elements) == n_elements
+    assert len(net._compile()) == n_groups
+    assert compiled_groups_digest(net) == digest
 
 
 ENSEMBLE_NOISE = NoiseModel(splitter_imbalance_sigma=0.008, phase_jitter_sigma=0.012,
@@ -496,34 +606,7 @@ def test_tree_distributions_match_tree_distribution():
         assert dist.probs == tree_distribution(tree, noise=drawn).probs
 
 
-# ------------------------------------------------------------ text + CSV
-
-
-def test_netlist_text_roundtrip():
-    tree = build_sequence_tree(
-        [pauli_observable("ZI"), pauli_observable("IX")], prep="chsh"
-    )
-    text = tree.netlist.to_text(comment="chsh ZI,IX tree")
-    back = Netlist.from_text(text)
-    back.validate()
-    assert back.to_text(comment="chsh ZI,IX tree") == text
-    d1 = port_distribution(
-        propagate(tree.netlist, {"prep.src": 1.0}), tree.leaf_groups
-    )
-    d2 = port_distribution(propagate(back, {"prep.src": 1.0}), tree.leaf_groups)
-    assert d1.probs == d2.probs
-    # noise keying follows element order, which the text format preserves
-    nm = NoiseModel(phase_jitter_sigma=0.1, seed=9)
-    n1 = port_distribution(propagate(tree.netlist, {"prep.src": 1.0}, nm), tree.leaf_groups)
-    n2 = port_distribution(propagate(back, {"prep.src": 1.0}, nm), tree.leaf_groups)
-    assert n1.probs == n2.probs
-
-
-def test_netlist_text_errors():
-    with pytest.raises(NetlistError):
-        Netlist.from_text("warp a b\n")
-    with pytest.raises(NetlistError):
-        Netlist.from_text("phase_segment a b notafloat\n")
+# ------------------------------------------------------------------ CSV
 
 
 def test_leaf_csv_format():

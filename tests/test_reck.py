@@ -7,8 +7,6 @@ from wavecorr.reck import (
     MeshElement,
     MeshPlan,
     decompose,
-    plan_from_text,
-    plan_to_text,
     recompose,
 )
 from wavecorr.wavecore import pauli_observable
@@ -129,22 +127,3 @@ def test_plan_bounds_enforced():
         MeshPlan(dim=2, elements=(), output_phases=(0.0,))
     with pytest.raises(ValueError):
         MeshPlan(dim=2, elements=(MeshElement(0, 3, 0.1, 0.0),), output_phases=(0.0, 0.0))
-
-
-def test_text_roundtrip():
-    plan = decompose(random_unitary(5, 42))
-    text = plan_to_text(plan, comment="five-mode test mesh")
-    back = plan_from_text(text)
-    assert back.dim == plan.dim
-    assert back.output_phases == plan.output_phases
-    assert back.elements == plan.elements
-    np.testing.assert_allclose(recompose(back), recompose(plan), atol=1e-15)
-
-
-def test_text_parse_errors():
-    with pytest.raises(ValueError):
-        plan_from_text("elem 0 1 0.1 0.0\n")  # missing dim/phases
-    with pytest.raises(ValueError):
-        plan_from_text("dim 2\nwobble 1 2\nphases 0 0\n")
-    with pytest.raises(ValueError):
-        plan_from_text("dim 2\nelem 0 1 oops 0\nphases 0 0\n")
