@@ -30,19 +30,10 @@ from wavecorr.contextuality import (
     PM_SUITE_STATES,
     compatibility_suite,
     corrected_bound,
-    correlator,
-    evaluate_inequality,
     mermin_suite_groups,
     pm_suite_groups,
 )
-from wavecorr.network import (
-    NoiseModel,
-    build_sequence_tree,
-    ensemble_provider,
-    tree_distributions,
-)
-from wavecorr.splitmix import substream
-from wavecorr.wavecore import pauli_observable
+from wavecorr.network import NoiseModel, ensemble_provider, ensemble_values
 
 EXPERIMENTS = (
     (CHSH, "chsh"),
@@ -51,40 +42,13 @@ EXPERIMENTS = (
 )
 
 
-def build_trees(defn, state_name):
-    return {
-        labels: build_sequence_tree([pauli_observable(l) for l in labels], prep=state_name)
-        for labels in defn.sequences
-    }
-
-
-def ensemble_values(defn, trees, noise, master_seed, n_seeds):
-    """Inequality value for each fabrication seed.
-
-    Seed s fabricates circuit k with substream(substream(master_seed, s), k);
-    each circuit propagates all of its seeds in one pass.
-    """
-    run_seeds = [substream(master_seed, s) for s in range(n_seeds)]
-    cors = []  # cors[k][s]: correlator of circuit k under seed s
-    for k, (labels, tree) in enumerate(trees.items()):
-        dists = tree_distributions(tree, noise, [substream(run, k) for run in run_seeds])
-        cors.append([correlator(dist, labels) for dist in dists])
-    return np.array([evaluate_inequality(defn, list(row)).value for row in zip(*cors)])
-
-
-def suite_rate(states, groups, noise, master_seed, members):
-    """Compatibility suite report over a fabrication ensemble per circuit."""
-    return compatibility_suite(states, groups, ensemble_provider(noise, master_seed, members))
-
-
 def run_point(noise, args, label=""):
     print(f"noise{label}: imbalance {noise.splitter_imbalance_sigma:g}, "
           f"jitter {noise.phase_jitter_sigma:g}, leakage {noise.leakage:g}, "
           f"{args.seeds} fabrication seeds")
     means = {}
     for defn, state_name in EXPERIMENTS:
-        trees = build_trees(defn, state_name)
-        vals = ensemble_values(defn, trees, noise, args.seed, args.seeds)
+        vals = ensemble_values(defn, state_name, noise, args.seed, args.seeds)
         means[defn.name] = vals.mean()
         print(f"  {defn.name:12s} on {state_name:5s}: mean {vals.mean():.4f} "
               f"std {vals.std(ddof=1):.4f}  sem {vals.std(ddof=1)/np.sqrt(len(vals)):.4f}  "
@@ -93,9 +57,13 @@ def run_point(noise, args, label=""):
         return
 
     members = max(4, args.seeds // 10)
-    pair = suite_rate(PM_SUITE_STATES, pm_suite_groups(), noise, args.seed + 1, members)
-    triple = suite_rate(
-        MERMIN_SUITE_STATES, mermin_suite_groups(), noise, args.seed + 2, members
+    pair = compatibility_suite(
+        PM_SUITE_STATES, pm_suite_groups(), ensemble_provider(noise, args.seed + 1, members)
+    )
+    triple = compatibility_suite(
+        MERMIN_SUITE_STATES,
+        mermin_suite_groups(),
+        ensemble_provider(noise, args.seed + 2, members),
     )
     print(f"  pair suite   : worst {pair.worst_case:.4f} ({pair.worst_description})")
     print(f"  triple suite : worst {triple.worst_case:.4f} ({triple.worst_description})")

@@ -29,20 +29,23 @@ from wavecorr.contextuality import (
     correlator,
     evaluate_inequality,
     format_inequality_report,
+    ideal_provider,
 )
 from wavecorr.events import EventModelConfig, empirical_distribution, sample_events
 from wavecorr.network import build_sequence_tree, tree_distribution
 from wavecorr.splitmix import substream
-from wavecorr.wavecore import pauli_observable, sequential_distribution, state_library
+from wavecorr.wavecore import pauli_observable
+
+IDEAL = ideal_provider()
 
 
 def distribution(pipeline, state_name, labels, args, stream):
-    obs = [pauli_observable(l) for l in labels]
-    if pipeline == "exact":
-        return sequential_distribution(state_library(state_name), obs)
     if pipeline == "network":
+        obs = [pauli_observable(l) for l in labels]
         return tree_distribution(build_sequence_tree(obs, prep=state_name))
-    base = sequential_distribution(state_library(state_name), obs)
+    base = IDEAL(state_name, labels)
+    if pipeline == "exact":
+        return base
     cfg = EventModelConfig(
         model=args.model, sample_count=args.samples, seed=substream(args.seed, stream)
     )

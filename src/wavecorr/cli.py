@@ -40,7 +40,8 @@ Scenario schema (all unknown keys are rejected):
       terms:
         - sequence: [ZI, IZ]
           sign: 1
-      nc_bound: 2               # optional, default: exact enumeration
+      nc_bound: 2               # optional, default: exact enumeration over
+                                #   at most 16 distinct labels
       quantum_max: 2.83         # optional, default: algebraic maximum
       algebraic_max: 4          # optional, default: sum of |sign|
     vary:                       # sweep subcommand only: parameter grid,
@@ -82,10 +83,10 @@ from wavecorr.contextuality import (
     SequenceGroups,
     classical_bound_oracle,
     compatibility_suite,
-    correlator,
-    evaluate_inequality,
     format_compatibility_report,
     format_inequality_report,
+    ideal_provider,
+    measure_inequality,
     mermin_suite_groups,
     pm_suite_groups,
 )
@@ -111,7 +112,6 @@ from wavecorr.wavecore import (
     binary_labels,
     library_state_names,
     pauli_observable,
-    sequential_distribution,
     state_library,
 )
 
@@ -143,6 +143,10 @@ OUTPUT_DIR_ENV = "WAVECORR_OUTPUT_DIR"
 # with d x d observables and meshes of about 5 d^3 / 2 elements; the shipped
 # scenarios use at most 8 modes
 MAX_MODES = 16
+
+# most distinct labels a custom inequality without an nc_bound may use: its
+# bound is found by enumerating 2^labels outcome assignments
+MAX_ENUMERATED_LABELS = 16
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -301,6 +305,13 @@ def _parse_custom_definition(raw, path: str) -> InequalityDefinition:
         algebraic = _expect_number(algebraic, f"{path}.algebraic_max")
     nc = data.get("nc_bound")
     if nc is None:
+        n_labels = len({lab for seq, _ in terms for lab in seq})
+        if n_labels > MAX_ENUMERATED_LABELS:
+            raise ConfigError(
+                f"{path}.terms",
+                f"{n_labels} distinct labels exceed the cap of {MAX_ENUMERATED_LABELS} "
+                "for enumerating the noncontextual bound; give nc_bound instead",
+            )
         probe = InequalityDefinition(
             name="probe", terms=tuple(terms), nc_bound=algebraic,
             quantum_max=algebraic, algebraic_max=algebraic,
@@ -365,10 +376,10 @@ def _check_sample_count(count: int, events: EventModelConfig | None, path: str) 
 
 
 def _substitute_labels(
-    defn: InequalityDefinition, overrides: Mapping[str, str], path: str
+    defn: InequalityDefinition, renames: Mapping[str, str], path: str
 ) -> InequalityDefinition:
     known = set(defn.observable_labels)
-    for old in overrides:
+    for old in renames:
         if old not in known:
             raise ConfigError(
                 f"{path}.{old}",
@@ -376,7 +387,7 @@ def _substitute_labels(
                 + ", ".join(defn.observable_labels),
             )
     new_terms = tuple(
-        (tuple(overrides.get(lab, lab) for lab in seq), sign) for seq, sign in defn.terms
+        (tuple(renames.get(lab, lab) for lab in seq), sign) for seq, sign in defn.terms
     )
     return replace(defn, terms=new_terms)
 
@@ -426,12 +437,12 @@ def scenario_from_dict(data: Mapping, path: str = "") -> Scenario:
         )
 
     if "observables" in data:
-        overrides = _expect_map(data["observables"], at("observables"))
+        renames = _expect_map(data["observables"], at("observables"))
         clean = {
             _expect_str(k, f"{at('observables')}.{k}"): _expect_str(
                 v, f"{at('observables')}.{k}"
             )
-            for k, v in overrides.items()
+            for k, v in renames.items()
         }
         defn = _substitute_labels(defn, clean, at("observables"))
 
@@ -567,10 +578,11 @@ def make_provider(scenario: Scenario) -> Callable[[str, tuple[str, ...]], Outcom
             trees[key] = build_sequence_tree(obs, prep=prep)
         return trees[key]
 
+    ideal = ideal_provider(resolve)
+
     def through(pipeline: str, state_name: str, labels: tuple[str, ...]) -> OutcomeDistribution:
         if pipeline == "ideal":
-            state = resolve(state_name)
-            return sequential_distribution(state, [pauli_observable(lab) for lab in labels])
+            return ideal(state_name, labels)
         tree = tree_for(state_name, labels)
         if pipeline == "network_noisy":
             seed = _stream_for(scenario.seed, "noise", state_name, labels)
@@ -610,11 +622,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
         compat = compatibility_suite(states, groups, provider)
         rate = compat.worst_case
 
-    cors = []
-    for labels in scenario.definition.sequences:
-        dist = provider(scenario.state_name, labels)
-        cors.append(correlator(dist, labels))
-    report = evaluate_inequality(scenario.definition, cors, deviation_rate=rate)
+    report = measure_inequality(scenario.definition, provider, scenario.state_name, rate)
     elapsed = time.perf_counter() - started
     return RunReport(
         scenario=scenario, inequality=report, compatibility=compat, elapsed_seconds=elapsed
@@ -693,7 +701,7 @@ def _write_csv(path: str, text: str) -> str:
 # -------------------------------------------------------------------- sweep
 
 
-def sweep_rows(file_path: str, seed_override: int | None = None) -> list[list[str]]:
+def sweep_rows(file_path: str, seed: int | None = None) -> list[list[str]]:
     """One CSV row per grid point of the file's vary section, in grid order."""
     data = load_scenario_dict(file_path)
     vary = data.pop("vary", None)
@@ -713,10 +721,10 @@ def sweep_rows(file_path: str, seed_override: int | None = None) -> list[list[st
     for combo in itertools.product(*(vals for _, vals in axes)):
         point = _deep_copy(data)
         for (key, _), value in zip(axes, combo):
-            _apply_override(point, key, value)
+            _set_dotted(point, key, value)
         scenario = scenario_from_dict(point)
-        if seed_override is not None:
-            scenario = replace(scenario, seed=seed_override)
+        if seed is not None:
+            scenario = replace(scenario, seed=seed)
         label = "{}[{}]".format(
             scenario.name,
             ", ".join(f"{key}={_plain(value)}" for (key, _), value in zip(axes, combo)),
@@ -739,7 +747,7 @@ def _deep_copy(node):
     return node
 
 
-def _apply_override(data: dict, dotted: str, value) -> None:
+def _set_dotted(data: dict, dotted: str, value) -> None:
     keys = dotted.split(".")
     node = data
     for key in keys[:-1]:
@@ -772,7 +780,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    rows = sweep_rows(args.scenario, seed_override=args.seed)
+    rows = sweep_rows(args.scenario, seed=args.seed)
     text = render_csv(rows)
     if args.csv:
         target = _write_csv(args.csv, text)
@@ -820,14 +828,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="evaluate one scenario file")
     run_p.add_argument("scenario", help="path to a scenario YAML file")
-    run_p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    run_p.add_argument("--samples", type=int, default=None, help="override sample_count")
+    run_p.add_argument("--seed", type=int, default=None, help="replace the scenario seed")
+    run_p.add_argument("--samples", type=int, default=None, help="replace sample_count")
     run_p.add_argument("--csv", default=None, help="also write a one-row CSV here")
     run_p.set_defaults(func=cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="run a scenario file's vary grid")
     sweep_p.add_argument("scenario", help="path to a scenario YAML file with a vary section")
-    sweep_p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    sweep_p.add_argument("--seed", type=int, default=None, help="replace the scenario seed")
     sweep_p.add_argument("--csv", default=None, help="write the grid CSV here instead of stdout")
     sweep_p.set_defaults(func=cmd_sweep)
 

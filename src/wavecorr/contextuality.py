@@ -282,21 +282,6 @@ def evaluate_inequality(
     )
 
 
-def chsh_E(correlators: Iterable[Correlator], deviation_rate: float = 0.0) -> InequalityReport:
-    """CHSH expression: sum of the first three correlators minus the last."""
-    return evaluate_inequality(CHSH, correlators, deviation_rate)
-
-
-def mermin_M(correlators: Iterable[Correlator], deviation_rate: float = 0.0) -> InequalityReport:
-    """Mermin expression over the four triple-product correlators."""
-    return evaluate_inequality(MERMIN, correlators, deviation_rate)
-
-
-def pm_chi(correlators: Iterable[Correlator], deviation_rate: float = 0.0) -> InequalityReport:
-    """Peres-Mermin square: rows plus columns with the last column negated."""
-    return evaluate_inequality(PERES_MERMIN, correlators, deviation_rate)
-
-
 def classical_bound_oracle(inequality: InequalityDefinition | str) -> float:
     """Exact noncontextual maximum by brute-force +/-1 assignment.
 

@@ -38,6 +38,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from wavecorr.contextuality import InequalityDefinition, correlator, evaluate_inequality
 from wavecorr.outcomes import OutcomeDistribution
 from wavecorr.reck import MeshPlan, decompose
 from wavecorr.splitmix import counter_normals, substream
@@ -69,9 +70,6 @@ _ARITY = {
     TERMINATION: (1, 0),
     FANOUT_LABEL: (1, 1),
 }
-
-# kinds that scatter power and therefore see leakage
-PHYSICAL_KINDS = frozenset({BEAM_SPLITTER, PHASE_SEGMENT, UNEQUAL_COUPLER})
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -142,7 +140,9 @@ class _Group:
     """Same-kind elements evaluated together in one propagation step.
 
     Per-element values are columns of shape (n, 1), so they broadcast
-    against the (n, members) amplitudes of an ensemble.
+    against the (n, members) amplitudes of an ensemble.  A group carries no
+    noise of its own: each element's draw is keyed by its ``elem_idx`` and
+    the leakage is the model's.
     """
 
     kind: str
@@ -150,8 +150,6 @@ class _Group:
     in_idx: np.ndarray  # shape (in_arity, n): row k holds each element's k-th input
     out_idx: np.ndarray  # shape (out_arity, n)
     base: np.ndarray  # phase or ratio, zeros otherwise
-    noise_override: np.ndarray | None  # nan = use the model draw; None if never set
-    leak_override: np.ndarray | None  # nan = use the model leakage; None if never set
 
 
 def _wire_rows(wires: Iterable[int], arity: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -166,29 +164,13 @@ def _wire_rows(wires: Iterable[int], arity: np.ndarray, order: np.ndarray) -> np
     return flat[np.stack((first, first + 1))[:, order]]
 
 
-def _override_column(overrides: Mapping[int, float], order: np.ndarray) -> np.ndarray | None:
-    """Override per element, taken in ``order`` (nan where none is set); None if none is."""
-    if not overrides:
-        return None
-    column = np.full(len(order), np.nan)
-    column[list(overrides)] = list(overrides.values())
-    return column[order].reshape(-1, 1)
-
-
-def _group_override(column: np.ndarray | None, start: int, stop: int) -> np.ndarray | None:
-    if column is None or np.isnan(column[start:stop]).all():
-        return None
-    return column[start:stop]
-
-
 class Netlist:
     """Mutable feed-forward circuit on integer wire ids; validate() before propagating.
 
     Generated circuits take anonymous wires from fresh().  A wire given by
     name (a port, or any wire of a hand-built net) maps to its id through
-    one name table.  Noise overrides are sparse maps from element index to
-    value: ``noise_overrides`` fixes a splitter's imbalance or a segment's
-    phase jitter, ``leak_overrides`` an element's leakage.
+    one name table.  Every element sees the noise model alone: its draw is
+    keyed by the element's index, and the leakage is the model's.
     """
 
     def __init__(self) -> None:
@@ -196,8 +178,6 @@ class Netlist:
         self.input_ports: list[Wire] = []
         self.ground_ports: list[Wire] = []
         self.output_ports: list[Wire] = []
-        self.noise_overrides: dict[int, float] = {}
-        self.leak_overrides: dict[int, float] = {}
         self.n_wires = 0
         self._names: dict[str, int] = {}
         self._compiled: list[_Group] | None = None
@@ -241,20 +221,8 @@ class Netlist:
         self.output_ports.append(wire)
         return wire
 
-    def add(
-        self,
-        kind: str,
-        ins: Sequence[Wire],
-        outs: Sequence[Wire],
-        base: float = 0.0,
-        noise: float | None = None,
-        leakage: float | None = None,
-    ) -> None:
-        """Append one element; its index in ``elements`` keys its noise draw.
-
-        ``noise`` and ``leakage`` replace the noise model's draw and leakage
-        for this element.
-        """
+    def add(self, kind: str, ins: Sequence[Wire], outs: Sequence[Wire], base: float = 0.0) -> None:
+        """Append one element; its index in ``elements`` keys its noise draw."""
         if kind not in _ARITY:
             raise NetlistError(f"unknown element kind {kind!r}")
         n_in, n_out = _ARITY[kind]
@@ -264,7 +232,6 @@ class Netlist:
                 f"got {len(ins)} and {len(outs)}"
             )
         self._compiled = None
-        pos = len(self.elements)
         self.elements.append(
             CircuitElement(
                 kind,
@@ -273,29 +240,17 @@ class Netlist:
                 float(base),
             )
         )
-        if noise is not None:
-            self.noise_overrides[pos] = float(noise)
-        if leakage is not None:
-            self.leak_overrides[pos] = float(leakage)
 
-    def beam_splitter(
-        self, u: Wire, v: Wire, out_sum: Wire, out_diff: Wire,
-        *, imbalance: float | None = None, leakage: float | None = None,
-    ) -> None:
-        self.add(BEAM_SPLITTER, (u, v), (out_sum, out_diff), noise=imbalance, leakage=leakage)
+    def beam_splitter(self, u: Wire, v: Wire, out_sum: Wire, out_diff: Wire) -> None:
+        self.add(BEAM_SPLITTER, (u, v), (out_sum, out_diff))
 
-    def phase_segment(
-        self, a: Wire, b: Wire, phase: float,
-        *, jitter: float | None = None, leakage: float | None = None,
-    ) -> None:
-        self.add(PHASE_SEGMENT, (a,), (b,), phase, noise=jitter, leakage=leakage)
+    def phase_segment(self, a: Wire, b: Wire, phase: float) -> None:
+        self.add(PHASE_SEGMENT, (a,), (b,), phase)
 
-    def unequal_coupler(
-        self, s: Wire, t1: Wire, t2: Wire, ratio: float, *, leakage: float | None = None
-    ) -> None:
+    def unequal_coupler(self, s: Wire, t1: Wire, t2: Wire, ratio: float) -> None:
         if ratio < 0:
             raise NetlistError("coupler ratio must be nonnegative")
-        self.add(UNEQUAL_COUPLER, (s,), (t1, t2), ratio, leakage=leakage)
+        self.add(UNEQUAL_COUPLER, (s,), (t1, t2), ratio)
 
     def termination(self, a: Wire) -> None:
         self.add(TERMINATION, (a,), ())
@@ -384,8 +339,6 @@ class Netlist:
         base = np.array(bases)[order].reshape(-1, 1)
         ins = _wire_rows(chain.from_iterable(ins), _N_IN[kind], order)
         outs = _wire_rows(chain.from_iterable(outs), _N_OUT[kind], order)
-        noise = _override_column(self.noise_overrides, order)
-        leak = _override_column(self.leak_overrides, order)
 
         groups: list[_Group] = []
         for start, stop, code in zip(starts, stops, kind[order[starts]].tolist()):
@@ -397,8 +350,6 @@ class Netlist:
                     in_idx=ins[:n_in, start:stop],
                     out_idx=outs[:n_out, start:stop],
                     base=base[start:stop],
-                    noise_override=_group_override(noise, start, stop),
-                    leak_override=_group_override(leak, start, stop),
                 )
             )
         self._compiled = groups
@@ -494,8 +445,8 @@ def _propagate_members(
     quiet = noise is None or noise.is_quiet
     sigma_imb = 0.0 if noise is None else noise.splitter_imbalance_sigma
     sigma_jit = 0.0 if noise is None else noise.phase_jitter_sigma
-    leak_global = 0.0 if noise is None else noise.leakage
-    keep_global = np.sqrt(1.0 - leak_global)
+    leak = 0.0 if noise is None else noise.leakage
+    keep = np.sqrt(1.0 - leak)
 
     # take(axis=0) and .sum() gather and reduce like [] and np.sum, with less
     # per-call overhead on the many small groups of a tree
@@ -513,19 +464,11 @@ def _propagate_members(
             sigma = sigma_imb if g.kind == BEAM_SPLITTER else sigma_jit
             if sigma > 0.0:
                 err = sigma * counter_normals(seeds, g.elem_idx)
-            if g.noise_override is not None:
-                err = np.where(np.isnan(g.noise_override), err, g.noise_override)
-
-        if g.leak_override is None:
-            leak, keep = leak_global, keep_global
-        else:
-            leak = np.where(np.isnan(g.leak_override), leak_global, g.leak_override)
-            keep = np.sqrt(1.0 - leak)
 
         if g.kind == BEAM_SPLITTER:
             u = amps.take(g.in_idx[0], axis=0)
             v = amps.take(g.in_idx[1], axis=0)
-            if quiet and g.noise_override is None:
+            if quiet:
                 out_sum = (u + v) * _SQRT_HALF
                 out_diff = (u - v) * _SQRT_HALF
             else:
@@ -566,16 +509,6 @@ def port_distribution(
         raise PropagationError("no intensity reached the grouped output ports")
     probs = {o: i / total for o, i in intensities.items()}
     return OutcomeDistribution(probs=probs, intensities=intensities)
-
-
-def leaf_distribution_csv(dist: OutcomeDistribution) -> str:
-    """CSV with columns outcome_string, probability, intensity."""
-    fmt = "{:.17g}".format
-    lines = ["outcome_string,probability,intensity"]
-    for outcome in sorted(dist.probs):
-        intensity = 0.0 if dist.intensities is None else dist.intensities.get(outcome, 0.0)
-        lines.append(f"{outcome},{fmt(dist.probs[outcome])},{fmt(intensity)}")
-    return "\n".join(lines) + "\n"
 
 
 # ------------------------------------------------------- mesh realization
@@ -922,3 +855,26 @@ def ensemble_provider(
         return tree_distributions(tree, noise, seeds)
 
     return provide
+
+
+def ensemble_values(
+    defn: InequalityDefinition,
+    state_name: str,
+    noise: NoiseModel | None,
+    master_seed: int,
+    n_seeds: int,
+) -> np.ndarray:
+    """Inequality value of each of ``n_seeds`` fabrications of the experiment.
+
+    Every sequence of ``defn`` gets one tree with the named preparation built
+    in.  Fabrication s builds circuit k (the k-th sequence) with seed
+    substream(substream(master_seed, s), k); each circuit propagates all of
+    its fabrications in one pass.
+    """
+    run_seeds = [substream(master_seed, s) for s in range(n_seeds)]
+    cors = []  # cors[k][s]: correlator of circuit k under fabrication s
+    for k, labels in enumerate(defn.sequences):
+        tree = build_sequence_tree([pauli_observable(lab) for lab in labels], prep=state_name)
+        dists = tree_distributions(tree, noise, [substream(run, k) for run in run_seeds])
+        cors.append([correlator(dist, labels) for dist in dists])
+    return np.array([evaluate_inequality(defn, list(row)).value for row in zip(*cors)])

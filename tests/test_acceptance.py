@@ -41,8 +41,8 @@ from wavecorr.network import (
     NoiseModel,
     build_sequence_tree,
     ensemble_provider,
+    ensemble_values,
     tree_distribution,
-    tree_distributions,
 )
 from wavecorr.reck import decompose, recompose
 from wavecorr.splitmix import substream
@@ -213,18 +213,6 @@ def test_criterion_09_event_models_converge_at_one_million():
           f"in {elapsed:.1f} s")
 
 
-def _noisy_ensemble_mean(defn, state_name, noise, master_seed, n_seeds):
-    # seed s fabricates circuit k with substream(substream(master_seed, s), k)
-    run_seeds = [substream(master_seed, s) for s in range(n_seeds)]
-    cors = []  # cors[k][s]: correlator of circuit k under seed s
-    for k, labels in enumerate(defn.sequences):
-        tree = build_sequence_tree([pauli_observable(l) for l in labels], prep=state_name)
-        dists = tree_distributions(tree, noise, [substream(run, k) for run in run_seeds])
-        cors.append([correlator(dist, labels) for dist in dists])
-    values = np.array([evaluate_inequality(defn, list(row)).value for row in zip(*cors)])
-    return values.mean()
-
-
 def _noisy_suite_rate(states, groups, noise, master_seed, members):
     provider = ensemble_provider(noise, master_seed, members)
     return compatibility_suite(states, groups, provider).worst_case
@@ -233,9 +221,9 @@ def _noisy_suite_rate(states, groups, noise, master_seed, members):
 def test_criterion_10_noisy_means_reach_hardware_windows():
     noise = CALIBRATED_NOISE
     means = {
-        "CHSH": float(_noisy_ensemble_mean(CHSH, "chsh", noise, 0, 100)),
-        "Mermin": float(_noisy_ensemble_mean(MERMIN, "ghz", noise, 0, 100)),
-        "PeresMermin": float(_noisy_ensemble_mean(PERES_MERMIN, "psi1", noise, 0, 100)),
+        "CHSH": float(ensemble_values(CHSH, "chsh", noise, 0, 100).mean()),
+        "Mermin": float(ensemble_values(MERMIN, "ghz", noise, 0, 100).mean()),
+        "PeresMermin": float(ensemble_values(PERES_MERMIN, "psi1", noise, 0, 100).mean()),
     }
     for name, mean in means.items():
         center, sigma = HARDWARE_WINDOWS[name]

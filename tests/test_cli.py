@@ -166,6 +166,35 @@ def test_custom_term_field_paths():
         scenario_from_dict(data)
 
 
+def test_custom_label_count_is_capped_before_enumeration(tmp_path, capsys, monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the cap must reject the labels before the bound is enumerated")
+
+    monkeypatch.setattr(cli, "classical_bound_oracle", no_enumeration)
+    terms = [{"sequence": [f"junk{i}"]} for i in range(cli.MAX_ENUMERATED_LABELS + 1)]
+    data = dict(MINIMAL, inequality="custom", custom={"terms": terms})
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(data)
+    assert err.value.path == "custom.terms"
+    for command in ("run", "validate"):
+        assert main([command, write_yaml(tmp_path, data)]) == 2
+        assert "config error: custom.terms:" in capsys.readouterr().err
+
+    # a given bound needs no enumeration, so the labels reach their own check
+    bounded = dict(data, custom={"terms": terms, "nc_bound": 1})
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(bounded)
+    assert err.value.path == "state"
+
+    # at the cap the bound is enumerated
+    calls = []
+    monkeypatch.setattr(cli, "classical_bound_oracle", lambda defn: calls.append(defn) or 0.0)
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(dict(data, custom={"terms": terms[:-1]}))
+    assert len(calls) == 1
+    assert err.value.path == "state"
+
+
 def test_run_exit_codes(tmp_path, capsys):
     good = write_yaml(tmp_path, MINIMAL)
     assert main(["run", good]) == 0

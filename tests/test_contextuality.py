@@ -16,7 +16,6 @@ from wavecorr.contextuality import (
     PERES_MERMIN,
     PM_SUITE_STATES,
     SequenceGroups,
-    chsh_E,
     classical_bound_oracle,
     compatibility_report_json,
     compatibility_suite,
@@ -28,9 +27,7 @@ from wavecorr.contextuality import (
     ideal_provider,
     inequality_report_json,
     measure_inequality,
-    mermin_M,
     mermin_suite_groups,
-    pm_chi,
     pm_suite_groups,
 )
 from wavecorr.outcomes import OutcomeDistribution
@@ -164,7 +161,7 @@ def test_missing_correlator_rejected():
         for a, b in [("ZI", "IZ"), ("XI", "IZ"), ("ZI", "IX")]
     ]
     with pytest.raises(ValueError, match="missing correlator"):
-        chsh_E(cors)
+        evaluate_inequality(CHSH, cors)
 
 
 def test_report_bound_bookkeeping():
@@ -240,7 +237,7 @@ def test_report_invariants_hold_for_any_input(vals, xi):
         Correlator(labels=tuple(labels), value=v, stderr=0.0)
         for (labels, _), v in zip(CHSH.terms, vals)
     ]
-    report = chsh_E(cors, deviation_rate=xi / 100.0)
+    report = evaluate_inequality(CHSH, cors, deviation_rate=xi / 100.0)
     assert report.nc_bound <= report.corrected_bound <= report.algebraic_max
     assert report.nc_bound <= report.quantum_max <= report.algebraic_max
 

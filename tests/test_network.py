@@ -1,16 +1,15 @@
 import hashlib
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import wavecorr.network as network
+from wavecorr.contextuality import CHSH, correlator, evaluate_inequality
 from wavecorr.network import (
-    BEAM_SPLITTER,
     FANOUT_LABEL,
     INTENSITY_CONSERVATION_TOL,
-    PHASE_SEGMENT,
-    PHYSICAL_KINDS,
     Netlist,
     NetlistError,
     NoiseModel,
@@ -19,7 +18,7 @@ from wavecorr.network import (
     add_state_prep,
     build_measurement_block,
     build_sequence_tree,
-    leaf_distribution_csv,
+    ensemble_values,
     propagate,
     tree_distribution,
     tree_distributions,
@@ -88,22 +87,6 @@ def test_termination_absorbs():
     pa = propagate(net, {"a": 1.0})
     assert pa.absorbed_intensity == pytest.approx(1.0)
     assert pa.output_intensity == 0.0
-
-
-def test_per_element_overrides():
-    net = Netlist()
-    net.add_input("a")
-    net.phase_segment("a", "b", 0.0, jitter=np.pi)
-    net.add_output("b")
-    pa = propagate(net, {"a": 1.0})
-    assert pa.amplitudes["b"] == pytest.approx(-1.0)
-    # leakage override beats the model value
-    net = Netlist()
-    net.add_input("a")
-    net.phase_segment("a", "b", 0.0, leakage=0.5)
-    net.add_output("b")
-    pa = propagate(net, {"a": 1.0}, NoiseModel(leakage=0.0))
-    assert abs(pa.amplitudes["b"]) ** 2 == pytest.approx(0.5)
 
 
 # ------------------------------------------------------------ validation
@@ -496,32 +479,23 @@ def test_phase_jitter_degrades_chsh_monotonically():
 # ------------------------------------------------------------- ensembles
 
 
-def mermin_tree_with_overrides():
-    """The Mermin XII, IXI, IIX tree with explicit per-element noise on some elements."""
-    net = build_sequence_tree(
-        [pauli_observable(l) for l in ("XII", "IXI", "IIX")], prep="ghz"
-    ).netlist
-    for i, el in enumerate(net.elements):
-        if i % 7 == 3 and el.kind == BEAM_SPLITTER:
-            net.noise_overrides[i] = 0.01 * (i % 5)  # imbalance
-        if i % 7 == 3 and el.kind == PHASE_SEGMENT:
-            net.noise_overrides[i] = -0.02 * (i % 3)  # jitter
-        if i % 11 == 5 and el.kind in PHYSICAL_KINDS:
-            net.leak_overrides[i] = 0.003
-    return net
-
-
 def sequence_tree_netlist(prep, *specs):
     return build_sequence_tree([pauli_observable(s) for s in specs], prep=prep).netlist
 
 
+def mermin_tree():
+    return sequence_tree_netlist("ghz", "XII", "IXI", "IIX")
+
+
 def compiled_groups_digest(net):
-    """sha256 over each compiled group's kind, element indices, bases and overrides, in order."""
+    """sha256 over each compiled group's kind, element indices and bases, in order.
+
+    The two b"none" fields stand where the digests were recorded with a group's
+    per-element noise and leakage override columns, which plain trees never set.
+    """
     h = hashlib.sha256()
     for g in net._compile():
-        fields = [g.kind.encode(), g.elem_idx.tobytes(), g.base.tobytes()]
-        for override in (g.noise_override, g.leak_override):
-            fields.append(b"none" if override is None else override.tobytes())
+        fields = [g.kind.encode(), g.elem_idx.tobytes(), g.base.tobytes(), b"none", b"none"]
         for f in fields:
             h.update(len(f).to_bytes(8, "little"))
             h.update(f)
@@ -537,16 +511,12 @@ PINNED_GROUPS = {
         "61adbafc1f907ab92b8bc2e686e2e3e3e08a7b30ab418aac11723dc85c77afc8",
     ),
     "ghz XII*IXI*IIX": (
-        lambda: sequence_tree_netlist("ghz", "XII", "IXI", "IIX"), 7932, 527,
+        mermin_tree, 7932, 527,
         "f5443fb8635bfc91fca6abe127ce97a68c224241e1097d1d0ad6e357e66b6f65",
     ),
     "chsh ZI*IX": (
         lambda: sequence_tree_netlist("chsh", "ZI", "IX"), 391, 60,
         "79a922a2da11760b56fab7e1c63d0ed1ecc05e8ec3d91689273c16ae07acd313",
-    ),
-    "ghz XII*IXI*IIX with overrides": (
-        mermin_tree_with_overrides, 7932, 527,
-        "b43472685f3631d5d5eae3d7c8ce8c35aa36fa5fb3af49e28d16d5eb255fb071",
     ),
 }
 
@@ -567,7 +537,7 @@ SOURCE = {"prep.src": 1.0}
 
 
 def test_ensemble_members_match_single_member_calls():
-    net = mermin_tree_with_overrides()
+    net = mermin_tree()
     batch = propagate(net, SOURCE, ENSEMBLE_NOISE, ENSEMBLE_SEEDS)
     assert len(batch) == len(ENSEMBLE_SEEDS)
     for member, seed in zip(batch, ENSEMBLE_SEEDS):
@@ -579,7 +549,7 @@ def test_ensemble_members_match_single_member_calls():
 
 
 def test_ensemble_conserves_intensity_per_member_without_noise():
-    net = mermin_tree_with_overrides()
+    net = mermin_tree()
     for noise in (None, NoiseModel()):
         for member in propagate(net, SOURCE, noise, ENSEMBLE_SEEDS):
             total = member.output_intensity + member.absorbed_intensity
@@ -589,7 +559,7 @@ def test_ensemble_conserves_intensity_per_member_without_noise():
 
 @pytest.mark.parametrize("chunk", [1, 7, network.MEMBER_CHUNK])
 def test_ensemble_does_not_depend_on_member_chunking(chunk, monkeypatch):
-    net = mermin_tree_with_overrides()
+    net = mermin_tree()
     reference = propagate(net, SOURCE, ENSEMBLE_NOISE, ENSEMBLE_SEEDS)
     monkeypatch.setattr(network, "MEMBER_CHUNK", chunk)
     chunked = propagate(net, SOURCE, ENSEMBLE_NOISE, ENSEMBLE_SEEDS)
@@ -606,16 +576,15 @@ def test_tree_distributions_match_tree_distribution():
         assert dist.probs == tree_distribution(tree, noise=drawn).probs
 
 
-# ------------------------------------------------------------------ CSV
-
-
-def test_leaf_csv_format():
-    tree = build_sequence_tree([pauli_observable("ZI"), pauli_observable("IZ")], prep="chsh")
-    dist = tree_distribution(tree)
-    csv = leaf_distribution_csv(dist)
-    lines = csv.strip().split("\n")
-    assert lines[0] == "outcome_string,probability,intensity"
-    assert len(lines) == 1 + 4
-    first = lines[1].split(",")
-    assert first[0] == "++"
-    assert float(first[1]) == pytest.approx(dist.prob("++"))
+def test_ensemble_values_match_per_fabrication_evaluation():
+    master = 29
+    values = ensemble_values(CHSH, "chsh", ENSEMBLE_NOISE, master, 3)
+    assert len(values) == 3
+    for s, value in enumerate(values):
+        cors = []
+        for k, labels in enumerate(CHSH.sequences):
+            tree = build_sequence_tree([pauli_observable(lab) for lab in labels], prep="chsh")
+            drawn = replace(ENSEMBLE_NOISE, seed=substream(substream(master, s), k))
+            cors.append(correlator(tree_distribution(tree, noise=drawn), labels))
+        assert value == evaluate_inequality(CHSH, cors).value
+    assert len(set(values.tolist())) == 3
