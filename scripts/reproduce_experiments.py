@@ -6,7 +6,7 @@ expression on the ghz state, and the nine-observable grid expression on
 every stock two-mode-pair state, through a chosen pipeline:
 
     exact       closed-form sequential update of the wave state
-    network     build the splitter mesh for every sequence and propagate
+    network     build each preparation and measurement stage and propagate
     events N    draw N classical events per sequence and estimate
 
 All three should agree, the first two to rounding error, the third to a
@@ -32,32 +32,32 @@ from wavecorr.contextuality import (
     ideal_provider,
 )
 from wavecorr.events import EventModelConfig, empirical_distribution, sample_events
-from wavecorr.network import build_sequence_tree, tree_distribution
+from wavecorr.network import circuit_distributions
 from wavecorr.splitmix import substream
-from wavecorr.wavecore import pauli_observable
 
 IDEAL = ideal_provider()
 
 
-def distribution(pipeline, state_name, labels, args, stream):
-    if pipeline == "network":
-        obs = [pauli_observable(l) for l in labels]
-        return tree_distribution(build_sequence_tree(obs, prep=state_name))
-    base = IDEAL(state_name, labels)
-    if pipeline == "exact":
-        return base
-    cfg = EventModelConfig(
-        model=args.model, sample_count=args.samples, seed=substream(args.seed, stream)
-    )
-    return empirical_distribution(sample_events(base, cfg))
+def distributions(defn, state_name, args):
+    """One distribution per sequence of ``defn`` on the named state."""
+    if args.pipeline == "network":
+        requests = [(state_name, labels, None) for labels in defn.sequences]
+        return [members[0] for members in circuit_distributions(requests)]
+    bases = IDEAL([(state_name, labels) for labels in defn.sequences])
+    if args.pipeline == "exact":
+        return bases
+    configs = [
+        EventModelConfig(model=args.model, sample_count=args.samples, seed=substream(args.seed, k))
+        for k in range(len(bases))
+    ]
+    return [empirical_distribution(sample_events(b, cfg)) for b, cfg in zip(bases, configs)]
 
 
 def evaluate(defn, state_name, args):
-    cors = []
-    for k, labels in enumerate(defn.sequences):
-        dist = distribution(args.pipeline, state_name, labels, args, stream=k)
-        cors.append(correlator(dist, labels))
-    return evaluate_inequality(defn, cors)
+    dists = distributions(defn, state_name, args)
+    return evaluate_inequality(
+        defn, [correlator(dist, labels) for dist, labels in zip(dists, defn.sequences)]
+    )
 
 
 def main(argv=None):

@@ -34,7 +34,7 @@ from wavecorr.network import (
     NoiseModel,
     SequenceTree,
     build_sequence_tree,
-    tree_distribution,
+    circuit_distributions,
 )
 from wavecorr.outcomes import OutcomeDistribution
 from wavecorr.reck import MeshPlan, decompose, recompose
@@ -69,7 +69,7 @@ __all__ = [
     "NoiseModel",
     "SequenceTree",
     "build_sequence_tree",
-    "tree_distribution",
+    "circuit_distributions",
     "EventCounts",
     "EventModelConfig",
     "sample_events",

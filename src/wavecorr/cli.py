@@ -37,7 +37,7 @@ Scenario schema (all unknown keys are rejected):
     csv: out.csv                # optional CSV output path
     custom:                     # required iff inequality == custom
       name: my-expression       # optional
-      terms:
+      terms:                    # at most MAX_CUSTOM_TERMS (256) terms
         - sequence: [ZI, IZ]
           sign: 1
       nc_bound: 2               # optional, default: exact enumeration over
@@ -68,7 +68,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -80,6 +80,7 @@ from wavecorr.contextuality import (
     InequalityReport,
     MERMIN_SUITE_STATES,
     PM_SUITE_STATES,
+    Provider,
     SequenceGroups,
     classical_bound_oracle,
     compatibility_suite,
@@ -100,9 +101,7 @@ from wavecorr.network import (
     NetlistError,
     NoiseModel,
     PropagationError,
-    build_sequence_tree,
-    tree_distribution,
-    tree_distributions,
+    circuit_distributions,
 )
 from wavecorr.outcomes import OutcomeDistribution
 from wavecorr.splitmix import substream
@@ -147,6 +146,11 @@ MAX_MODES = 16
 # most distinct labels a custom inequality without an nc_bound may use: its
 # bound is found by enumerating 2^labels outcome assignments
 MAX_ENUMERATED_LABELS = 16
+
+# most terms a custom inequality may have: each term is one measured circuit,
+# and enumerating the bound costs 2^labels products per term (about 0.3 s for
+# 256 terms over 16 labels)
+MAX_CUSTOM_TERMS = 256
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -287,6 +291,10 @@ def _parse_custom_definition(raw, path: str) -> InequalityDefinition:
     terms_raw = _require(data, "terms", path)
     if not isinstance(terms_raw, Sequence) or not terms_raw:
         raise ConfigError(f"{path}.terms", "expected a nonempty list of terms")
+    if len(terms_raw) > MAX_CUSTOM_TERMS:
+        raise ConfigError(
+            f"{path}.terms", f"{len(terms_raw)} terms exceed the cap of {MAX_CUSTOM_TERMS}"
+        )
     terms = []
     for i, term in enumerate(terms_raw):
         tpath = f"{path}.terms[{i}]"
@@ -550,56 +558,60 @@ def _stream_for(seed: int, salt: str, state_name: str, labels: Sequence[str]) ->
     return substream(seed, int.from_bytes(digest[:8], "big"))
 
 
-def make_provider(scenario: Scenario) -> Callable[[str, tuple[str, ...]], OutcomeDistribution]:
-    """Distribution source implementing the scenario's pipeline.
+def make_provider(scenario: Scenario) -> Provider:
+    """Batch distribution source implementing the scenario's pipeline.
 
     The provider accepts any library state name (the compatibility suites
     audit their own state sets) plus the scenario's possibly custom state.
-    Sequence trees are cached per (state, sequence); under noise each tree
-    is perturbed with its own derived seed, so distinct circuits do not
-    share fabrication errors, and reruns reproduce them bitwise.
+    Circuit pipelines serve a whole batch through one circuit_distributions
+    call; under noise each (state, sequence) circuit is perturbed with its
+    own derived seed, so distinct circuits do not share fabrication errors,
+    and reruns reproduce them bitwise.
     """
-    trees: dict = {}
 
     def resolve(state_name: str) -> WaveState:
         if state_name == scenario.state_name:
             return scenario.state
         return state_library(state_name)
 
-    def tree_for(state_name: str, labels: tuple[str, ...]):
-        key = (state_name, labels)
-        if key not in trees:
-            obs = [pauli_observable(lab) for lab in labels]
-            try:
-                prep: str | WaveState = state_name
-                state_library(state_name)
-            except KeyError:
-                prep = resolve(state_name)
-            trees[key] = build_sequence_tree(obs, prep=prep)
-        return trees[key]
+    def prep_for(state_name: str) -> str | WaveState:
+        try:
+            state_library(state_name)
+        except KeyError:
+            return resolve(state_name)
+        return state_name
 
     ideal = ideal_provider(resolve)
 
-    def through(pipeline: str, state_name: str, labels: tuple[str, ...]) -> OutcomeDistribution:
+    def through(pipeline: str, requests: list[tuple[str, tuple[str, ...]]]) -> list:
         if pipeline == "ideal":
-            return ideal(state_name, labels)
-        tree = tree_for(state_name, labels)
-        if pipeline == "network_noisy":
-            seed = _stream_for(scenario.seed, "noise", state_name, labels)
-            return tree_distributions(tree, scenario.noise, [seed])[0]
-        return tree_distribution(tree)
+            return ideal(requests)
+        noisy = pipeline == "network_noisy"
+        batch = [
+            (
+                prep_for(state_name),
+                labels,
+                [_stream_for(scenario.seed, "noise", state_name, labels)] if noisy else None,
+            )
+            for state_name, labels in requests
+        ]
+        results = circuit_distributions(batch, scenario.noise if noisy else None)
+        return [dists[0] for dists in results]
 
-    def provide(state_name: str, labels: tuple[str, ...]) -> OutcomeDistribution:
-        labels = tuple(labels)
+    def provide(requests: Sequence[tuple[str, Sequence[str]]]) -> list[OutcomeDistribution]:
+        requests = [(state_name, tuple(labels)) for state_name, labels in requests]
         if scenario.pipeline != "events":
-            return through(scenario.pipeline, state_name, labels)
-        base = through(scenario.base_pipeline, state_name, labels)
-        cfg = replace(
-            scenario.events,
-            sample_count=scenario.sample_count,
-            seed=_stream_for(scenario.seed, "events", state_name, labels),
-        )
-        return empirical_distribution(sample_events(base, cfg))
+            return through(scenario.pipeline, requests)
+        bases = through(scenario.base_pipeline, requests)
+        sampled = []
+        for (state_name, labels), base in zip(requests, bases):
+            cfg = replace(
+                scenario.events,
+                sample_count=scenario.sample_count,
+                seed=_stream_for(scenario.seed, "events", state_name, labels),
+            )
+            sampled.append(empirical_distribution(sample_events(base, cfg)))
+        return sampled
 
     return provide
 

@@ -287,35 +287,52 @@ def classical_bound_oracle(inequality: InequalityDefinition | str) -> float:
 
     Every observable label gets a fixed outcome independent of which
     sequence it appears in; the maximum of the signed sum over all such
-    assignments is the noncontextual bound.
+    assignments is the noncontextual bound.  All 2^labels assignments are
+    evaluated at once, in itertools.product((1, -1), ...) order, and the
+    terms are added one by one in definition order, so every partial sum is
+    the one a loop over assignments would form.
     """
     defn = INEQUALITIES[inequality] if isinstance(inequality, str) else inequality
     labels = defn.observable_labels
-    best = -math.inf
-    for choice in itertools.product((1.0, -1.0), repeat=len(labels)):
-        assigned = dict(zip(labels, choice))
-        total = 0.0
-        for seq, sign in defn.terms:
-            total += sign * math.prod(assigned[lab] for lab in seq)
-        best = max(best, total)
-    return best
+    column = {lab: j for j, lab in enumerate(labels)}
+    # row r assigns -1 to label j where bit L-1-j of r is set, as product does
+    bits = np.arange(2 ** len(labels))[:, None] >> np.arange(len(labels) - 1, -1, -1)
+    assignments = 1.0 - 2.0 * (bits & 1)
+    total = np.zeros(len(assignments))
+    for seq, sign in defn.terms:
+        total += sign * assignments[:, [column[lab] for lab in seq]].prod(axis=1)
+    return float(total.max())
 
 
 # ------------------------------------------------------ distribution source
 
-# A provider maps (state name, measurement labels) to one distribution, or
-# to a list of them when each seed of a noise ensemble produced its own.
-Provider = Callable[[str, tuple[str, ...]], "OutcomeDistribution | Sequence[OutcomeDistribution]"]
+# A request names a state and a measurement sequence.  A provider maps a
+# batch of requests to one result per request, in order: a distribution, or a
+# list of them when each seed of a noise ensemble produced its own.
+Request = tuple[str, tuple[str, ...]]
+Provider = Callable[
+    [Sequence[Request]], "Sequence[OutcomeDistribution | Sequence[OutcomeDistribution]]"
+]
 
 
 def ideal_provider(resolve: Callable[[str], WaveState] = state_library) -> Provider:
     """Distributions from the projector oracle, no circuit in the loop."""
 
-    def provide(state_name: str, labels: tuple[str, ...]) -> OutcomeDistribution:
-        state = resolve(state_name)
-        return sequential_distribution(state, [pauli_observable(lab) for lab in labels])
+    def provide(requests: Sequence[Request]) -> list[OutcomeDistribution]:
+        return [
+            sequential_distribution(resolve(state_name), [pauli_observable(lab) for lab in labels])
+            for state_name, labels in requests
+        ]
 
     return provide
+
+
+def _provide(provider: Provider, requests: list[Request]) -> list:
+    """One provider call for every request, checked for one result each."""
+    results = list(provider(requests))
+    if len(results) != len(requests):
+        raise ValueError(f"provider returned {len(results)} results for {len(requests)} requests")
+    return results
 
 
 def measure_inequality(
@@ -324,10 +341,10 @@ def measure_inequality(
     state_name: str,
     deviation_rate: float = 0.0,
 ) -> InequalityReport:
-    """Evaluate every term of ``defn`` on one state through a provider."""
+    """Evaluate every term of ``defn`` on one state through one provider call."""
+    requests = [(state_name, tuple(labels)) for labels in defn.sequences]
     cors = []
-    for labels in defn.sequences:
-        dist = provider(state_name, tuple(labels))
+    for labels, dist in zip(defn.sequences, _provide(provider, requests)):
         if not isinstance(dist, OutcomeDistribution):
             raise TypeError(
                 "measure_inequality needs a single-distribution provider; "
@@ -457,6 +474,9 @@ def compatibility_suite(
     are averaged per audited quantity, member by member, so a noisy
     circuit's deviation is the mean over its seeds.  The worst case over
     everything is the suite's deviation rate.
+
+    The provider is called once, with every (state, sequence) pair, state
+    by state in the order of ``groups.all_sequences()``.
     """
     if not states:
         raise ValueError("no states to audit")
@@ -472,12 +492,16 @@ def compatibility_suite(
     for seq in dict.fromkeys(sequences):
         check_pairwise_compatible([pauli_observable(lab) for lab in seq])
 
+    # every distribution the records below read, fetched in one provider call
+    # and consumed in the same order
+    requests = [(state, seq) for state in states for seq in sequences]
+    results = iter(_provide(provider, requests))
     records: list[DeviationRecord] = []
     length = None  # ensemble size, fixed across the whole audit
 
     def fetch(state: str, seq: tuple[str, ...]) -> list[OutcomeDistribution]:
         nonlocal length
-        members = _ensemble(provider(state, tuple(seq)))
+        members = _ensemble(next(results))
         if length is None:
             length = len(members)
         elif len(members) != length:

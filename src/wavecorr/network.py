@@ -21,6 +21,15 @@ eigenmodes into a +1 and a -1 branch, and recompose each branch back to
 the computational basis, so a depth-k tree ends in 2^k groups of d leaf
 ports whose intensities are the joint sequential probabilities.
 
+A prepared experiment is a preparation netlist (add_state_prep) feeding a
+measurement stage, the tree of a sequence with bare mode inputs.  The stage
+does not depend on the state, so circuit_distributions serves a batch of
+(state, sequence, seeds) requests by building each preparation and each
+sequence's stage once: the (state, fabrication) pairs of one sequence are
+the member columns of one stage pass.  Each member's noise draws are keyed
+by its element indices in the whole tree, preparation first, so the result
+is bitwise that of the tree with the preparation built in.
+
 Meshes are laid down in columns that cover every mode of the bundle
 (identity phase segments pad the modes an element does not touch), so all
 paths that carry amplitude cross the same number of physical elements.
@@ -33,15 +42,20 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from itertools import chain, islice, repeat
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from wavecorr.contextuality import InequalityDefinition, correlator, evaluate_inequality
+from wavecorr.contextuality import (
+    InequalityDefinition,
+    Provider,
+    correlator,
+    evaluate_inequality,
+)
 from wavecorr.outcomes import OutcomeDistribution
 from wavecorr.reck import MeshPlan, decompose
-from wavecorr.splitmix import counter_normals, substream
+from wavecorr.splitmix import counter_normals, offset_seeds, substream
 from wavecorr.wavecore import (
     GHZ_STABILIZER_SPECS,
     DichotomicObservable,
@@ -377,10 +391,11 @@ class PortAmplitudes:
 
 def propagate(
     netlist: Netlist,
-    drive: WaveState | Mapping[str, complex],
+    drive: WaveState | Mapping[str, complex] | np.ndarray,
     noise: NoiseModel | None = None,
     seeds: Sequence[int] | None = None,
-) -> PortAmplitudes | list[PortAmplitudes]:
+    offsets: Sequence[int] | None = None,
+) -> PortAmplitudes | list[PortAmplitudes] | tuple[np.ndarray, np.ndarray]:
     """Push amplitudes through the netlist in feed-forward order.
 
     ``drive`` maps input port names to amplitudes; a WaveState is matched to
@@ -396,50 +411,87 @@ def propagate(
     pure function of (seed, element index), so each member is bitwise what a
     call with that single seed gives.  Members run MEMBER_CHUNK at a time, so
     memory does not grow with the ensemble.
+
+    An array ``drive`` of shape (input ports, members) is the batch form:
+    column m drives the input ports, in order, for member m, whose seed is
+    ``seeds[m]`` and whose element indices are shifted by ``offsets[m]``
+    (default 0) before drawing.  It returns two arrays: the amplitudes at the
+    output ports, shape (output ports, members), and the absorbed intensity
+    per member.
     """
     groups = netlist._compile()
-    if isinstance(drive, WaveState):
-        values = dict(zip(drive.labels, drive.amplitudes))
-    else:
-        values = dict(drive)
-    missing = set(netlist.input_ports) - set(values)
-    extra = set(values) - set(netlist.input_ports)
-    if missing or extra:
-        raise PropagationError(
-            f"drive does not match input ports (missing {sorted(missing)}, "
-            f"unknown {sorted(extra)})"
-        )
-
-    start = np.zeros(netlist.n_wires, dtype=complex)
-    for w, a in values.items():
-        start[netlist.wire_id(w)] = a
-    input_intensity = float(np.sum(np.abs(start) ** 2))
+    in_idx = np.array([netlist.wire_id(w) for w in netlist.input_ports], dtype=np.intp)
     out_idx = np.array([netlist.wire_id(w) for w in netlist.output_ports], dtype=np.intp)
-
+    batch = isinstance(drive, np.ndarray)
     members = [0 if noise is None else noise.seed] if seeds is None else list(seeds)
-    results: list[PortAmplitudes] = []
-    for first in range(0, len(members), MEMBER_CHUNK):
-        chunk = np.array(
-            [s & 0xFFFFFFFFFFFFFFFF for s in members[first : first + MEMBER_CHUNK]],
-            dtype=np.uint64,
-        )
-        amps, absorbed = _propagate_members(groups, start, noise, chunk)
-        for column, lost in zip(amps[out_idx].T, absorbed):
-            results.append(
-                PortAmplitudes(
-                    amplitudes={w: complex(a) for w, a in zip(netlist.output_ports, column)},
-                    input_intensity=input_intensity,
-                    absorbed_intensity=float(lost),
-                )
+    if batch:
+        columns = drive
+        if columns.shape != (len(in_idx), len(members)):
+            raise PropagationError(
+                f"drive of shape {columns.shape} for {len(in_idx)} input ports "
+                f"and {len(members)} members"
             )
+    else:
+        if isinstance(drive, WaveState):
+            values = dict(zip(drive.labels, drive.amplitudes))
+        else:
+            values = dict(drive)
+        missing = set(netlist.input_ports) - set(values)
+        extra = set(values) - set(netlist.input_ports)
+        if missing or extra:
+            raise PropagationError(
+                f"drive does not match input ports (missing {sorted(missing)}, "
+                f"unknown {sorted(extra)})"
+            )
+        column = np.array([[values[w]] for w in netlist.input_ports], dtype=complex)
+        columns = np.repeat(column, len(members), axis=1)
+    shifts = None if offsets is None else np.asarray(offsets, dtype=np.uint64)
+
+    out = np.empty((len(out_idx), len(members)), dtype=complex)
+    absorbed = np.empty(len(members))
+    for first in range(0, len(members), MEMBER_CHUNK):
+        cols = slice(first, first + MEMBER_CHUNK)
+        chunk = np.array([s & 0xFFFFFFFFFFFFFFFF for s in members[cols]], dtype=np.uint64)
+        start = np.zeros((netlist.n_wires, len(chunk)), dtype=complex)
+        start[in_idx] = columns[:, cols]
+        amps, absorbed[cols] = _propagate_members(
+            groups, start, noise, chunk, None if shifts is None else shifts[cols]
+        )
+        out[:, cols] = amps[out_idx]
+    if batch:
+        return out, absorbed
+
+    input_intensity = float(np.sum(np.abs(column) ** 2))
+    results = [
+        PortAmplitudes(
+            amplitudes={w: complex(a) for w, a in zip(netlist.output_ports, column)},
+            input_intensity=input_intensity,
+            absorbed_intensity=float(lost),
+        )
+        for column, lost in zip(out.T, absorbed)
+    ]
     return results[0] if seeds is None else results
 
 
 def _propagate_members(
-    groups: list[_Group], start: np.ndarray, noise: NoiseModel | None, seeds: np.ndarray
+    groups: list[_Group],
+    start: np.ndarray,
+    noise: NoiseModel | None,
+    seeds: np.ndarray,
+    offsets: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitudes on every wire, shape (wires, members), and absorbed per member."""
-    amps = np.repeat(start[:, None], len(seeds), axis=1)
+    """Amplitudes on every wire, shape (wires, members), and absorbed per member.
+
+    ``start`` holds every wire's starting amplitude per member, shape
+    (wires, members), and is updated in place.  Member m draws element i's
+    fabrication error with seed ``seeds[m]`` at index i + ``offsets[m]`` (i
+    alone without offsets), so a measurement stage propagated behind a
+    separate preparation of n elements, at offset n, draws what the whole
+    circuit draws.
+    """
+    if offsets is not None:
+        seeds = offset_seeds(seeds, offsets)  # folded in once, not per group
+    amps = start
     absorbed = np.zeros(len(seeds))
 
     quiet = noise is None or noise.is_quiet
@@ -493,22 +545,6 @@ def _propagate_members(
         else:  # pragma: no cover - kinds are closed above
             raise NetlistError(f"unhandled kind {g.kind!r}")
     return amps, absorbed
-
-
-def port_distribution(
-    amps: PortAmplitudes, groups: Mapping[str, Sequence[str]]
-) -> OutcomeDistribution:
-    """Normalize grouped port intensities into an outcome distribution."""
-    intensities: dict[str, float] = {}
-    for outcome, wires in groups.items():
-        intensities[outcome] = float(
-            sum(abs(amps.amplitudes[w]) ** 2 for w in wires)
-        )
-    total = sum(intensities.values())
-    if total <= 0.0:
-        raise PropagationError("no intensity reached the grouped output ports")
-    probs = {o: i / total for o, i in intensities.items()}
-    return OutcomeDistribution(probs=probs, intensities=intensities)
 
 
 # ------------------------------------------------------- mesh realization
@@ -736,7 +772,6 @@ def add_state_prep(net: Netlist, prep: str | WaveState, prefix: str = "prep") ->
 def build_sequence_tree(
     observables: Sequence[DichotomicObservable],
     prep: str | WaveState | None = None,
-    labels: Sequence[str] | None = None,
 ) -> SequenceTree:
     """Cascade measurement blocks for a sequence of one to three observables.
 
@@ -754,9 +789,7 @@ def build_sequence_tree(
     n_factors = int(round(math.log2(d)))
     if 2**n_factors != d:
         raise ValueError("mode count must be a power of two")
-    basis = tuple(labels) if labels is not None else binary_labels(n_factors)
-    if len(basis) != d:
-        raise ValueError("basis label count does not match dimension")
+    basis = binary_labels(n_factors)
 
     net = Netlist()
     if prep is None:
@@ -786,73 +819,119 @@ def build_sequence_tree(
         basis=basis,
     )
 
-def _tree_drive(
-    tree: SequenceTree, drive: WaveState | Mapping[str, complex] | None
-) -> WaveState | Mapping[str, complex]:
-    if drive is None:
-        ports = tree.netlist.input_ports
-        if len(ports) != 1:
-            raise PropagationError(
-                "tree has bare mode inputs; pass the state to drive them"
-            )
-        return {ports[0]: 1.0 + 0.0j}
-    if isinstance(drive, WaveState) and set(tree.netlist.input_ports) != set(drive.labels):
-        raise PropagationError("drive labels do not match the tree's input ports")
-    return drive
+# (preparation, Pauli-word labels, member seeds or None)
+CircuitRequest = tuple[str | WaveState, Sequence[str], Sequence[int] | None]
 
 
-def tree_distribution(
-    tree: SequenceTree,
-    drive: WaveState | Mapping[str, complex] | None = None,
-    noise: NoiseModel | None = None,
-) -> OutcomeDistribution:
-    """Propagate through a tree and read the leaf-group distribution."""
-    amps = propagate(tree.netlist, _tree_drive(tree, drive), noise)
-    return port_distribution(amps, tree.leaf_groups)
+def circuit_distributions(
+    requests: Sequence[CircuitRequest], noise: NoiseModel | None = None
+) -> list[list[OutcomeDistribution]]:
+    """Leaf distributions of prepared measurement sequences, many requests per call.
 
+    A request is (prep, labels, seeds): a preparation as add_state_prep takes
+    it, a sequence of Pauli-word labels, and the fabrication seed of each
+    member (None for one member under ``noise``'s own seed).  The result holds
+    one list of member distributions per request, in request order.
 
-def tree_distributions(
-    tree: SequenceTree,
-    noise: NoiseModel | None,
-    seeds: Sequence[int],
-    drive: WaveState | Mapping[str, complex] | None = None,
-) -> list[OutcomeDistribution]:
-    """Leaf-group distribution of each fabrication seed, in one propagation.
-
-    Member m is bitwise ``tree_distribution(tree, drive, noise)`` with the
-    noise seed replaced by ``seeds[m]``.
+    Each distinct prep is built once and all of its members propagate through
+    it in one pass.  Each distinct sequence's measurement stage, the
+    ``prep=None`` tree, is then built once, and the prep outputs of all its
+    requests are the columns of one start matrix.  The prep comes first in
+    ``build_sequence_tree(obs, prep)``, so a stage member behind a prep of n
+    elements draws at offset n, and every member is bitwise what propagating
+    that whole tree with the member's seed gives.  Nothing is cached across
+    calls: each stage is built just before its pass and dropped after it.
     """
-    members = propagate(tree.netlist, _tree_drive(tree, drive), noise, seeds)
-    return [port_distribution(amps, tree.leaf_groups) for amps in members]
+    member_seeds = [
+        [0 if noise is None else noise.seed] if seeds is None else list(seeds)
+        for _, _, seeds in requests
+    ]
+    by_prep: dict = {}
+    by_labels: dict[tuple[str, ...], list[int]] = {}
+    for i, (prep, labels, _) in enumerate(requests):
+        key = prep if isinstance(prep, str) else (prep.labels, prep.amplitudes.tobytes())
+        by_prep.setdefault(key, []).append(i)
+        by_labels.setdefault(tuple(labels), []).append(i)
+
+    prepared: list = [None] * len(requests)  # (modes, members) per request
+    prep_size = [0] * len(requests)
+    for idx in by_prep.values():
+        net = Netlist()
+        for w in add_state_prep(net, requests[idx[0]][0]):
+            net.add_output(w)
+        seeds = [s for i in idx for s in member_seeds[i]]
+        modes, _ = propagate(net, np.ones((1, len(seeds)), dtype=complex), noise, seeds)
+        bounds = np.cumsum([len(member_seeds[i]) for i in idx])[:-1]
+        for i, block in zip(idx, np.split(modes, bounds, axis=1)):
+            prepared[i] = block
+            prep_size[i] = len(net.elements)
+
+    results: list = [None] * len(requests)
+    for labels, idx in by_labels.items():
+        stage = build_sequence_tree([pauli_observable(lab) for lab in labels])
+        for i in idx:
+            if len(prepared[i]) != stage.dim:
+                raise NetlistError(
+                    f"preparation of {len(prepared[i])} modes for the "
+                    f"{stage.dim}-mode sequence {'*'.join(labels)}"
+                )
+        sizes = [len(member_seeds[i]) for i in idx]
+        leaves, _ = propagate(
+            stage.netlist,
+            np.hstack([prepared[i] for i in idx]),
+            noise,
+            [s for i in idx for s in member_seeds[i]],
+            np.repeat([prep_size[i] for i in idx], sizes),
+        )
+        dists = iter(_leaf_distributions(stage, leaves))
+        for i, size in zip(idx, sizes):
+            results[i] = list(islice(dists, size))
+    return results
 
 
-def ensemble_provider(
-    noise: NoiseModel | None, master_seed: int, members: int
-) -> Callable[[str, Sequence[str]], OutcomeDistribution | list[OutcomeDistribution]]:
+def _leaf_distributions(tree: SequenceTree, leaves: np.ndarray) -> list[OutcomeDistribution]:
+    """Normalized leaf-group intensities of each member.
+
+    ``leaves`` holds the amplitudes at the tree's output ports, shape
+    (output ports, members).  Intensities use Python's complex abs (libm
+    hypot), which numpy's complex abs does not match in the last bit.
+    """
+    row = {port: r for r, port in enumerate(tree.netlist.output_ports)}
+    groups = [(outcome, [row[w] for w in wires]) for outcome, wires in tree.leaf_groups.items()]
+    dists = []
+    for column in leaves.T.tolist():
+        intensities = {o: float(sum(abs(column[r]) ** 2 for r in rows)) for o, rows in groups}
+        total = sum(intensities.values())
+        if total <= 0.0:
+            raise PropagationError("no intensity reached the grouped output ports")
+        probs = {o: i / total for o, i in intensities.items()}
+        dists.append(OutcomeDistribution(probs=probs, intensities=intensities))
+    return dists
+
+
+def ensemble_provider(noise: NoiseModel | None, master_seed: int, members: int) -> Provider:
     """Distribution source for the compatibility suites under fabrication noise.
 
-    The provider builds (and caches) the tree of a named library state and a
-    Pauli-word sequence, and returns ``members`` fabrications of it.  Each
-    circuit gets its own seed stream, keyed by a digest of its state and
-    sequence, so the draws do not depend on the order circuits are audited
-    in; member m of a circuit uses that stream's m-th substream.  With no
-    noise model the circuit is exact and the provider returns its single
-    distribution.
+    The provider serves a batch of (library state name, Pauli-word sequence)
+    requests through circuit_distributions and returns ``members``
+    fabrications per request.  Each circuit gets its own seed stream, keyed
+    by a digest of its state and sequence, so the draws do not depend on the
+    order circuits are audited in; member m of a circuit uses that stream's
+    m-th substream.  With no noise model the circuit is exact and the
+    provider returns its single distribution.
     """
-    trees: dict[tuple[str, tuple[str, ...]], SequenceTree] = {}
 
-    def provide(state_name: str, labels: Sequence[str]):
-        key = (state_name, tuple(labels))
-        if key not in trees:
-            obs = [pauli_observable(lab) for lab in labels]
-            trees[key] = build_sequence_tree(obs, prep=state_name)
-        tree = trees[key]
+    def seeds_for(state_name: str, labels: Sequence[str]) -> list[int] | None:
         if noise is None:
-            return tree_distribution(tree)
+            return None
         digest = hashlib.sha256(f"{state_name}|{'*'.join(labels)}".encode()).digest()
         tree_seed = substream(master_seed, int.from_bytes(digest[:8], "big"))
-        seeds = [substream(tree_seed, m) for m in range(members)]
-        return tree_distributions(tree, noise, seeds)
+        return [substream(tree_seed, m) for m in range(members)]
+
+    def provide(requests):
+        batch = [(state, labels, seeds_for(state, labels)) for state, labels in requests]
+        results = circuit_distributions(batch, noise)
+        return [dists[0] for dists in results] if noise is None else results
 
     return provide
 
@@ -866,15 +945,19 @@ def ensemble_values(
 ) -> np.ndarray:
     """Inequality value of each of ``n_seeds`` fabrications of the experiment.
 
-    Every sequence of ``defn`` gets one tree with the named preparation built
-    in.  Fabrication s builds circuit k (the k-th sequence) with seed
-    substream(substream(master_seed, s), k); each circuit propagates all of
-    its fabrications in one pass.
+    Fabrication s builds circuit k (the named preparation, then the k-th
+    sequence) with seed substream(substream(master_seed, s), k).  All
+    circuits go to circuit_distributions in one call, so the preparation and
+    each sequence's stage propagate all of their fabrications in one pass.
     """
     run_seeds = [substream(master_seed, s) for s in range(n_seeds)]
-    cors = []  # cors[k][s]: correlator of circuit k under fabrication s
-    for k, labels in enumerate(defn.sequences):
-        tree = build_sequence_tree([pauli_observable(lab) for lab in labels], prep=state_name)
-        dists = tree_distributions(tree, noise, [substream(run, k) for run in run_seeds])
-        cors.append([correlator(dist, labels) for dist in dists])
+    requests = [
+        (state_name, labels, [substream(run, k) for run in run_seeds])
+        for k, labels in enumerate(defn.sequences)
+    ]
+    # cors[k][s]: correlator of circuit k under fabrication s
+    cors = [
+        [correlator(dist, labels) for dist in dists]
+        for labels, dists in zip(defn.sequences, circuit_distributions(requests, noise))
+    ]
     return np.array([evaluate_inequality(defn, list(row)).value for row in zip(*cors)])

@@ -15,6 +15,8 @@ GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK = 0xFFFFFFFFFFFFFFFF
+# counter_normals reads counters 2i and 2i + 1 for index i
+_NORMAL_STEP = np.uint64((2 * int(GOLDEN)) & _MASK)
 
 
 def mix64(z: np.ndarray) -> np.ndarray:
@@ -55,3 +57,14 @@ def counter_normals(seed: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
     # both halves of each Box-Muller pair in one pass over the counters
     u1, u2 = counter_uniform(seed, np.stack([pair, pair + np.uint64(1)]))
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+def offset_seeds(seeds: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Seeds whose normal at index i is the given seed's at index i + offset.
+
+    counter_uniform hashes seed + (counter + 1) * GOLDEN in wrapping uint64
+    arithmetic, so moving every index by k moves the hashed sum by
+    2 k GOLDEN, which the seed can carry:
+    counter_normals(offset_seeds(s, k), i) == counter_normals(s, i + k).
+    """
+    return seeds + np.asarray(offsets, dtype=np.uint64) * _NORMAL_STEP

@@ -195,6 +195,28 @@ def test_custom_label_count_is_capped_before_enumeration(tmp_path, capsys, monke
     assert err.value.path == "state"
 
 
+def test_custom_term_count_is_capped_before_enumeration(tmp_path, capsys, monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the cap must reject the terms before the bound is enumerated")
+
+    monkeypatch.setattr(cli, "classical_bound_oracle", no_enumeration)
+    labels = ("ZI", "IZ", "XI", "IX")
+    terms = [{"sequence": [labels[i % 4]]} for i in range(cli.MAX_CUSTOM_TERMS + 1)]
+    data = dict(MINIMAL, inequality="custom", custom={"terms": terms})
+    for custom in ({"terms": terms}, {"terms": terms, "nc_bound": 1}):
+        with pytest.raises(ConfigError) as err:
+            scenario_from_dict(dict(data, custom=custom))
+        assert err.value.path == "custom.terms"
+    for command in ("run", "validate"):
+        assert main([command, write_yaml(tmp_path, data)]) == 2
+        assert "config error: custom.terms:" in capsys.readouterr().err
+
+    # at the cap the bound is enumerated
+    monkeypatch.setattr(cli, "classical_bound_oracle", lambda defn: 0.0)
+    sc = scenario_from_dict(dict(data, custom={"terms": terms[:-1]}))
+    assert len(sc.definition.terms) == cli.MAX_CUSTOM_TERMS
+
+
 def test_run_exit_codes(tmp_path, capsys):
     good = write_yaml(tmp_path, MINIMAL)
     assert main(["run", good]) == 0
@@ -300,6 +322,45 @@ def test_csv_run_is_bitwise_reproducible(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+AUDIT_SEQUENCES = "ZI*IZ*ZZ;IX*XI*XX;ZX*XZ*YY;ZI*IX*ZX;IZ*XI*XZ;ZZ*XX*YY"
+
+# (correlator values, value, corrected bound, deviation rate) of the audited
+# noisy grid scenario; every digit comes from the noise draws of 214 circuits
+PINNED_AUDIT_ROWS = {
+    0: (
+        "1;0.99008807057627179;0.99879099116976799;0.99789234206407074;"
+        "0.99786623508894734;-0.99609879399860468",
+        "5.980736432897662", "4.1117240417458838", "0.055862020872941676", "4.11172",
+    ),
+    3: (
+        "1;0.99661532347884829;0.99534953356812594;0.99674972151463037;"
+        "0.99973823188732536;-0.99753200266749609",
+        "5.9859848131164259", "4.147736056624554", "0.073868028312276901", "4.14774",
+    ),
+    7: (
+        "1;0.9958631891998756;0.99707403615325541;0.9988925894578391;"
+        "0.9987720080779825;-0.99929416619518607",
+        "5.9898959890841397", "4.2437482821140398", "0.12187414105701977", "4.24375",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_AUDIT_ROWS))
+def test_audit_csv_bytes_are_pinned(seed, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    path = os.path.join(SCENARIO_DIR, "pm_noisy_audit.yaml")
+    target = tmp_path / "audit.csv"
+    assert main(["run", path, "--seed", str(seed), "--csv", str(target)]) == 0
+    capsys.readouterr()
+    values, value, corrected, rate, short = PINNED_AUDIT_ROWS[seed]
+    row = (
+        f"pm-noisy-audit,psi1,PeresMermin,network_noisy,{seed},{AUDIT_SEQUENCES},"
+        f"{values},0;0;0;0;0;0,{value},0,4,{corrected},6,6,{rate},"
+        f'"violates NC bound 4, violates corrected bound {short}"\n'
+    )
+    assert target.read_text() == ",".join(cli.CSV_COLUMNS) + "\n" + row
+
+
 def test_output_dir_env_prefixes_relative_paths(tmp_path, monkeypatch, capsys):
     outdir = tmp_path / "results"
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(outdir))
@@ -389,10 +450,12 @@ def test_ideal_and_network_pipelines_agree(path):
     data.pop("audit", None)
     base = scenario_from_dict(dict(data, pipeline="ideal"))
     mesh = scenario_from_dict(dict(data, pipeline="network_ideal"))
-    p_base, p_mesh = make_provider(base), make_provider(mesh)
-    for labels in base.definition.sequences:
-        a = correlator(p_base(base.state_name, labels), labels)
-        b = correlator(p_mesh(mesh.state_name, labels), labels)
+    sequences = base.definition.sequences
+    dists_base = make_provider(base)([(base.state_name, labels) for labels in sequences])
+    dists_mesh = make_provider(mesh)([(mesh.state_name, labels) for labels in sequences])
+    for labels, dist_base, dist_mesh in zip(sequences, dists_base, dists_mesh, strict=True):
+        a = correlator(dist_base, labels)
+        b = correlator(dist_mesh, labels)
         assert a.value == pytest.approx(b.value, abs=1e-9), labels
 
 
@@ -426,12 +489,11 @@ def test_noisy_trees_get_independent_disorder():
     )
     sc = scenario_from_dict(data)
     provider = make_provider(sc)
-    values = [
-        correlator(provider("chsh", labels), labels).value
-        for labels in sc.definition.sequences
-    ]
+    sequences = sc.definition.sequences
+    dists = provider([("chsh", labels) for labels in sequences])
+    values = [correlator(dist, labels).value for dist, labels in zip(dists, sequences)]
     # same tree twice reproduces exactly, distinct trees draw differently
-    again = correlator(provider("chsh", sc.definition.sequences[0]), sc.definition.sequences[0])
+    again = correlator(provider([("chsh", sequences[0])])[0], sequences[0])
     assert again.value == values[0]
     assert len({round(v, 12) for v in values}) > 1
 
@@ -440,5 +502,5 @@ def test_events_sequences_use_distinct_streams():
     data = dict(MINIMAL, pipeline="events", sample_count=5_000, seed=4)
     sc = scenario_from_dict(data)
     provider = make_provider(sc)
-    dists = [provider("chsh", labels) for labels in sc.definition.sequences[:2]]
+    dists = provider([("chsh", labels) for labels in sc.definition.sequences[:2]])
     assert dists[0].probs != dists[1].probs

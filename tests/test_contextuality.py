@@ -192,6 +192,32 @@ def test_classical_bound_matches_definition_bounds():
         assert classical_bound_oracle(defn) == defn.nc_bound
 
 
+def looped_bound(defn):
+    """The bound by a plain loop over itertools.product assignments."""
+    labels = defn.observable_labels
+    best = -math.inf
+    for choice in itertools.product((1.0, -1.0), repeat=len(labels)):
+        assigned = dict(zip(labels, choice))
+        total = 0.0
+        for seq, sign in defn.terms:
+            total += sign * math.prod(assigned[lab] for lab in seq)
+        best = max(best, total)
+    return best
+
+
+def test_classical_bound_is_the_looped_bound_bit_for_bit():
+    rng = np.random.default_rng(8)
+    labels = [f"L{i}" for i in range(7)]
+    signs = (1.0, -1.0, 0.1, 1 / 3, -0.7, 3.3)
+    for _ in range(20):
+        terms = tuple(
+            (tuple(map(str, rng.choice(labels, size=rng.integers(1, 4)))), float(rng.choice(signs)))
+            for _ in range(rng.integers(1, 30))
+        )
+        defn = InequalityDefinition("t", terms, nc_bound=-99, quantum_max=-99, algebraic_max=99)
+        assert repr(classical_bound_oracle(defn)) == repr(looped_bound(defn))
+
+
 def test_corrected_bound_exact_values():
     assert corrected_bound(2.0, 4.0, 0.14) == 2.28
     assert corrected_bound(4.0, 6.0, 0.14) == 4.28
@@ -274,11 +300,9 @@ def test_mermin_suite_ideal_is_clean():
 
 
 def test_permutations_of_grid_row_agree_ideally():
-    provider = ideal_provider()
-    values = [
-        correlator(provider("psi7", seq), seq).value
-        for seq in itertools.permutations(("ZX", "XZ", "YY"))
-    ]
+    orderings = list(itertools.permutations(("ZX", "XZ", "YY")))
+    dists = ideal_provider()([("psi7", seq) for seq in orderings])
+    values = [correlator(dist, seq).value for dist, seq in zip(dists, orderings)]
     assert max(values) - min(values) < 1e-12
     assert values[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -311,22 +335,56 @@ def test_suite_rejects_malformed_groups():
         compatibility_suite(("psi1",), bad_probe, ideal_provider())
 
 
+# (category, label) of each record of the pair suite on one state, in order
+PM_RECORD_ORDER = (
+    [("order-independence", "orderings of XZ*YY*ZX")]
+    + [("repeatability", f"{lab}*{lab}*{lab}")
+       for lab in ("ZI", "IZ", "ZZ", "IX", "XI", "XX", "ZX", "XZ", "YY")]
+    + [("nondisturbance", f"ZX*{lab}*ZX") for lab in ("ZI", "IX", "XZ", "YY")]
+    + [("context-independence", f"marginal of {lab}")
+       for lab in ("ZX", "XZ", "YY", "ZI", "IZ", "ZZ", "IX", "XI", "XX")]
+)
+
+
+def test_suite_calls_its_provider_once_in_audit_order():
+    base = ideal_provider()
+    batches = []
+
+    def recording(requests):
+        batches.append(list(requests))
+        return base(requests)
+
+    states = ("psi1", "psi4")
+    report = compatibility_suite(states, pm_suite_groups(), recording)
+    sequences = pm_suite_groups().all_sequences()
+    assert batches == [[(state, seq) for state in states for seq in sequences]]
+    assert [(r.category, r.label) for r in report.records] == PM_RECORD_ORDER * 2
+    assert [r.state for r in report.records] == ["psi1"] * 23 + ["psi4"] * 23
+
+    batches.clear()
+    measure_inequality(PERES_MERMIN, recording, "psi1")
+    assert batches == [[("psi1", seq) for seq in PERES_MERMIN.sequences]]
+
+
+def test_suite_rejects_a_provider_that_drops_requests():
+    base = ideal_provider()
+    with pytest.raises(ValueError, match="results for"):
+        compatibility_suite(("psi1",), pm_suite_groups(), lambda requests: base(requests)[1:])
+
+
 def test_suite_accepts_ensembles_and_averages():
     base = ideal_provider()
 
-    def two_member(state, labels):
-        return [base(state, labels), base(state, labels)]
+    def two_member(requests):
+        return [[dist, dist] for dist in base(requests)]
 
     groups = mermin_suite_groups()
     single = compatibility_suite(("ghz",), groups, base)
     double = compatibility_suite(("ghz",), groups, two_member)
     assert double.worst_case == pytest.approx(single.worst_case, abs=1e-12)
 
-    calls = {"n": 0}
-
-    def ragged(state, labels):
-        calls["n"] += 1
-        return [base(state, labels)] * (1 if calls["n"] == 1 else 2)
+    def ragged(requests):
+        return [[dist] * (1 if k == 0 else 2) for k, dist in enumerate(base(requests))]
 
     with pytest.raises(ValueError, match="members"):
         compatibility_suite(("ghz",), groups, ragged)
@@ -336,8 +394,7 @@ def test_noisy_provider_produces_positive_rate():
     # corrupt one designated chain and watch repeatability flag it
     base = ideal_provider()
 
-    def skewed(state, labels):
-        dist = base(state, labels)
+    def skew(labels, dist):
         if labels == ("XII", "XII", "XII"):
             probs = dict(dist.probs)
             # move 10% of the mass from +++ to +-+ style disagreement
@@ -348,6 +405,9 @@ def test_noisy_provider_produces_positive_rate():
             probs[flipped] = probs.get(flipped, 0.0) + shift
             return OutcomeDistribution(probs)
         return dist
+
+    def skewed(requests):
+        return [skew(labels, dist) for (_, labels), dist in zip(requests, base(requests))]
 
     report = compatibility_suite(("000",), mermin_suite_groups(), skewed)
     assert report.repeatability > 0.01
@@ -388,8 +448,8 @@ def test_compatibility_report_serialization():
 def test_measure_inequality_rejects_ensemble_provider():
     base = ideal_provider()
 
-    def double(state, labels):
-        return [base(state, labels)] * 2
+    def double(requests):
+        return [[dist] * 2 for dist in base(requests)]
 
     with pytest.raises(TypeError):
         measure_inequality(CHSH, double, "chsh")

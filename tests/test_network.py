@@ -18,14 +18,13 @@ from wavecorr.network import (
     add_state_prep,
     build_measurement_block,
     build_sequence_tree,
+    circuit_distributions,
     ensemble_values,
     propagate,
-    tree_distribution,
-    tree_distributions,
 )
 from wavecorr.outcomes import outcome_signs
 from wavecorr.reck import decompose
-from wavecorr.splitmix import counter_normals, substream
+from wavecorr.splitmix import counter_normals, offset_seeds, substream
 from wavecorr.wavecore import (
     WaveState,
     binary_labels,
@@ -182,6 +181,15 @@ def test_element_normals_deterministic_and_keyed():
     # and a column of element indices against a row of seeds, as propagate draws
     cols = counter_normals(np.array(seeds, dtype=np.uint64), idx[:, None])
     np.testing.assert_array_equal(cols, rows.T)
+
+
+def test_offset_seeds_shift_the_draw_index():
+    seeds = np.array([123, substream(5, 1), 2**64 - 1], dtype=np.uint64)
+    offsets = np.array([0, 58, 2**40 + 3], dtype=np.uint64)
+    idx = np.arange(64, dtype=np.uint64)[:, None]
+    np.testing.assert_array_equal(
+        counter_normals(offset_seeds(seeds, offsets), idx), counter_normals(seeds, idx + offsets)
+    )
 
 
 def test_element_normals_are_roughly_standard():
@@ -375,8 +383,7 @@ def test_tree_path_symmetry(prep, specs):
 def test_tree_matches_sequential_oracle(name):
     psi = state_library(name)
     obs = [pauli_observable("ZX"), pauli_observable("XZ"), pauli_observable("YY")]
-    tree = build_sequence_tree(obs, prep=name)
-    dist = tree_distribution(tree)
+    [[dist]] = circuit_distributions([(name, ("ZX", "XZ", "YY"), None)])
     oracle = sequential_distribution(psi, obs)
     for outcome in oracle.probs:
         assert dist.prob(outcome) == pytest.approx(oracle.prob(outcome), abs=1e-9)
@@ -387,17 +394,17 @@ def test_tree_with_bare_inputs_accepts_states():
     tree = build_sequence_tree(obs, prep=None)
     for name in ("psi5", "psi9"):
         psi = state_library(name)
-        dist = tree_distribution(tree, psi)
+        pa = propagate(tree.netlist, psi)
+        intensities = {o: sum(pa.intensity(w) for w in ws) for o, ws in tree.leaf_groups.items()}
         oracle = sequential_distribution(psi, obs)
         for outcome in oracle.probs:
-            assert dist.prob(outcome) == pytest.approx(oracle.prob(outcome), abs=1e-9)
+            assert intensities[outcome] == pytest.approx(oracle.prob(outcome), abs=1e-9)
     with pytest.raises(PropagationError):
-        tree_distribution(tree)  # needs a drive
+        propagate(tree.netlist, {"prep.src": 1.0})  # its inputs are the bare modes
 
 
 def test_repeated_observable_tree_is_diagonal():
-    tree = build_sequence_tree([pauli_observable("IX")] * 3, prep="chsh")
-    dist = tree_distribution(tree)
+    [[dist]] = circuit_distributions([("chsh", ("IX",) * 3, None)])
     mixed = dist.mass_where(lambda o: len(set(o)) > 1)
     assert mixed == pytest.approx(0.0, abs=1e-12)
 
@@ -418,8 +425,9 @@ def test_zero_noise_conserves_intensity():
 def test_uniform_leakage_leaves_distribution_unchanged():
     obs = [pauli_observable("ZX"), pauli_observable("XZ"), pauli_observable("YY")]
     tree = build_sequence_tree(obs, prep="psi7")
-    ideal = tree_distribution(tree)
-    lossy = tree_distribution(tree, noise=NoiseModel(leakage=0.05))
+    request = [("psi7", ("ZX", "XZ", "YY"), None)]
+    [[ideal]] = circuit_distributions(request)
+    [[lossy]] = circuit_distributions(request, NoiseModel(leakage=0.05))
     for outcome in ideal.probs:
         assert lossy.prob(outcome) == pytest.approx(ideal.prob(outcome), abs=1e-9)
     # but energy really is lost
@@ -431,13 +439,12 @@ def test_uniform_leakage_leaves_distribution_unchanged():
 
 
 def test_noisy_propagation_is_reproducible():
-    obs = [pauli_observable("ZI"), pauli_observable("IZ")]
-    tree = build_sequence_tree(obs, prep="chsh")
+    request = [("chsh", ("ZI", "IZ"), None)]
     nm = NoiseModel(splitter_imbalance_sigma=0.02, phase_jitter_sigma=0.05, seed=42)
-    d1 = tree_distribution(tree, noise=nm)
-    d2 = tree_distribution(tree, noise=nm)
+    [[d1]] = circuit_distributions(request, nm)
+    [[d2]] = circuit_distributions(request, nm)
     assert d1.probs == d2.probs
-    d3 = tree_distribution(tree, noise=NoiseModel(**{**nm.__dict__, "seed": 43}))
+    [[d3]] = circuit_distributions(request, NoiseModel(**{**nm.__dict__, "seed": 43}))
     assert d1.probs != d3.probs
 
 
@@ -448,15 +455,21 @@ def test_noise_model_validation():
         NoiseModel(leakage=1.0)
 
 
-def chsh_value(noise=None):
-    terms = [("ZI", "IZ", 1), ("XI", "IZ", 1), ("ZI", "IX", 1), ("XI", "IX", -1)]
-    total = 0.0
-    for a, b, sign in terms:
-        tree = build_sequence_tree([pauli_observable(a), pauli_observable(b)], prep="chsh")
-        dist = tree_distribution(tree, noise=noise)
-        corr = sum(np.prod(outcome_signs(o)) * p for o, p in dist.probs.items())
-        total += sign * corr
-    return total
+CHSH_TERMS = [("ZI", "IZ", 1), ("XI", "IZ", 1), ("ZI", "IX", 1), ("XI", "IX", -1)]
+
+
+def chsh_values(noise, seeds):
+    """The CHSH value of each seed's circuits, every seed drawn in one pass."""
+    requests = [("chsh", (a, b), seeds) for a, b, _ in CHSH_TERMS]
+    per_term = circuit_distributions(requests, noise)
+    values = []
+    for m in range(len(seeds)):
+        total = 0.0
+        for (_, _, sign), dists in zip(CHSH_TERMS, per_term):
+            corr = sum(np.prod(outcome_signs(o)) * p for o, p in dists[m].probs.items())
+            total += sign * corr
+        values.append(total)
+    return values
 
 
 def test_phase_jitter_degrades_chsh_monotonically():
@@ -465,10 +478,7 @@ def test_phase_jitter_degrades_chsh_monotonically():
     n_seeds = 100
     means, errs = [], []
     for sigma in grid:
-        vals = [
-            chsh_value(NoiseModel(phase_jitter_sigma=sigma, seed=seed))
-            for seed in range(n_seeds)
-        ]
+        vals = chsh_values(NoiseModel(phase_jitter_sigma=sigma), range(n_seeds))
         means.append(np.mean(vals))
         errs.append(np.std(vals, ddof=1) / np.sqrt(n_seeds))
     for k in range(len(grid) - 1):
@@ -568,12 +578,104 @@ def test_ensemble_does_not_depend_on_member_chunking(chunk, monkeypatch):
         assert a.absorbed_intensity == pytest.approx(b.absorbed_intensity, abs=1e-12)
 
 
-def test_tree_distributions_match_tree_distribution():
-    tree = build_sequence_tree([pauli_observable("ZZ"), pauli_observable("XX")], prep="psi1")
-    dists = tree_distributions(tree, ENSEMBLE_NOISE, ENSEMBLE_SEEDS[:3])
+def whole_tree_distributions(prep, labels, noise, seeds):
+    """Leaf distributions of the tree with the preparation built in, one per seed."""
+    tree = build_sequence_tree([pauli_observable(lab) for lab in labels], prep=prep)
+    members = propagate(tree.netlist, SOURCE, noise, seeds)
+    ports = tree.netlist.output_ports
+    leaves = np.array([[pa.amplitudes[w] for w in ports] for pa in members]).T
+    return network._leaf_distributions(tree, leaves)
+
+
+def test_batch_members_match_single_seed_requests():
+    request = ("psi1", ("ZZ", "XX"))
+    [dists] = circuit_distributions([(*request, ENSEMBLE_SEEDS[:3])], ENSEMBLE_NOISE)
     for dist, seed in zip(dists, ENSEMBLE_SEEDS):
         drawn = NoiseModel(**{**ENSEMBLE_NOISE.__dict__, "seed": seed})
-        assert dist.probs == tree_distribution(tree, noise=drawn).probs
+        [[single]] = circuit_distributions([(*request, None)], drawn)
+        assert dist.probs == single.probs
+
+
+# every prep kind: a splitter (singlet), a coupler (chsh), terminations (ghz),
+# a synthesized mesh (psi7), a basis label and an explicit state
+PREPS = {
+    "singlet": ("singlet", ("ZI", "IX")),
+    "chsh": ("chsh", ("XI", "IZ")),
+    "ghz": ("ghz", ("XII", "IXI", "IIX")),
+    "psi7": ("psi7", ("ZX", "XZ", "YY")),
+    "basis 01": ("01", ("ZI", "IZ", "ZZ")),
+    "explicit": (
+        WaveState(binary_labels(2), np.array([0.6, 0.48j, 0.0, 0.64])), ("ZX", "XZ", "YY"),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(PREPS))
+def test_circuit_distributions_match_whole_trees(kind):
+    prep, labels = PREPS[kind]
+    seeds = ENSEMBLE_SEEDS[:4]
+    [got] = circuit_distributions([(prep, labels, seeds)], ENSEMBLE_NOISE)
+    want = whole_tree_distributions(prep, labels, ENSEMBLE_NOISE, seeds)
+    for a, b in zip(got, want, strict=True):
+        assert a.probs == b.probs
+        assert a.intensities == b.intensities
+
+
+@pytest.mark.parametrize("chunk", [7, network.MEMBER_CHUNK])
+def test_states_share_a_stage_across_member_chunks(chunk, monkeypatch):
+    monkeypatch.setattr(network, "MEMBER_CHUNK", chunk)
+    labels = ("ZX", "XZ", "YY")
+    states = ["psi1", "singlet", "chsh", "psi11", "10", PREPS["explicit"][0]]
+    seeds = {i: [substream(31 + i, m) for m in range(1 + 2 * i)] for i in range(len(states))}
+    requests = [(prep, labels, seeds[i]) for i, prep in enumerate(states)]
+    requests.insert(2, ("psi4", ("ZI", "IZ", "ZZ"), ENSEMBLE_SEEDS))  # another stage between
+    assert sum(map(len, seeds.values())) == 36 > network.MEMBER_CHUNK  # one stage pass
+    results = circuit_distributions(requests, ENSEMBLE_NOISE)
+    for (prep, req_labels, req_seeds), got in zip(requests, results, strict=True):
+        want = whole_tree_distributions(prep, req_labels, ENSEMBLE_NOISE, req_seeds)
+        assert [d.probs for d in got] == [d.probs for d in want]
+        assert [d.intensities for d in got] == [d.intensities for d in want]
+
+
+def test_each_stage_and_prep_is_built_once(monkeypatch):
+    built = []
+    real = network.build_sequence_tree
+
+    def counting(observables, prep=None):
+        built.append((tuple(o.label for o in observables), prep))
+        return real(observables, prep)
+
+    monkeypatch.setattr(network, "build_sequence_tree", counting)
+    preps = []
+    real_prep = network.add_state_prep
+    monkeypatch.setattr(
+        network, "add_state_prep", lambda net, prep: preps.append(prep) or real_prep(net, prep)
+    )
+    requests = [(s, seq, None) for seq in (("ZI", "IZ"), ("XI", "IX")) for s in ("psi1", "chsh")]
+    circuit_distributions(requests)
+    assert built == [(("ZI", "IZ"), None), (("XI", "IX"), None)]
+    assert preps == ["psi1", "chsh"]
+
+
+def test_stage_conserves_intensity_without_noise():
+    # leaf intensity plus what the prep and the stage absorb is the input
+    for prep, labels in PREPS.values():
+        net = Netlist()
+        for w in add_state_prep(net, prep):
+            net.add_output(w)
+        modes, prep_lost = propagate(net, np.ones((1, 3), dtype=complex), None, [0, 1, 2])
+        stage = build_sequence_tree([pauli_observable(lab) for lab in labels])
+        offsets = [len(net.elements)] * 3
+        leaves, stage_lost = propagate(stage.netlist, modes, None, [0, 1, 2], offsets)
+        total = (np.abs(leaves) ** 2).sum(axis=0) + prep_lost + stage_lost
+        assert np.all(np.abs(total - 1.0) <= INTENSITY_CONSERVATION_TOL), prep
+
+
+def test_prep_width_must_match_the_sequence():
+    with pytest.raises(NetlistError, match="8 modes for the 4-mode"):
+        circuit_distributions([("ghz", ("ZI", "IZ"), None)])
+    with pytest.raises(PropagationError, match="shape"):
+        propagate(hybrid_ring(), np.ones((1, 2), dtype=complex), None, [0, 1])
 
 
 def test_ensemble_values_match_per_fabrication_evaluation():
@@ -583,8 +685,8 @@ def test_ensemble_values_match_per_fabrication_evaluation():
     for s, value in enumerate(values):
         cors = []
         for k, labels in enumerate(CHSH.sequences):
-            tree = build_sequence_tree([pauli_observable(lab) for lab in labels], prep="chsh")
-            drawn = replace(ENSEMBLE_NOISE, seed=substream(substream(master, s), k))
-            cors.append(correlator(tree_distribution(tree, noise=drawn), labels))
+            seed = substream(substream(master, s), k)
+            [dist] = whole_tree_distributions("chsh", labels, ENSEMBLE_NOISE, [seed])
+            cors.append(correlator(dist, labels))
         assert value == evaluate_inequality(CHSH, cors).value
     assert len(set(values.tolist())) == 3

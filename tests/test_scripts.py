@@ -57,6 +57,38 @@ corrected bounds at these rates:
 """
 
 
+REPRODUCE_NETWORK = """\
+pipeline: network
+
+pair state:
+CHSH: value = +2.828427 +/- 0.000000
+  + ZI*IZ  +0.707107 +/- 0.000000
+  + XI*IZ  +0.707107 +/- 0.000000
+  + ZI*IX  +0.707107 +/- 0.000000
+  - XI*IX  -0.707107 +/- 0.000000
+  bounds: noncontextual 2, corrected 2 (deviation rate 0), quantum 2.82843, algebraic 4
+  verdict: violates NC bound 2, saturates quantum max
+
+ghz state:
+Mermin: value = +4.000000 +/- 0.000000
+  + ZII*IZI*IIX  +1.000000 +/- 0.000000
+  + XII*IZI*IIZ  +1.000000 +/- 0.000000
+  + ZII*IXI*IIZ  +1.000000 +/- 0.000000
+  - XII*IXI*IIX  -1.000000 +/- 0.000000
+  bounds: noncontextual 2, corrected 2 (deviation rate 0), quantum 4, algebraic 4
+  verdict: violates NC bound 2, saturates quantum max
+
+grid expression, all stock preparations:
+""" + "".join(f"  {f'psi{i}':6s}: +6.000000 +/- 0.000000  (exact)\n" for i in range(1, 12))
+
+
+def test_reproduce_network_stdout_is_unchanged(capsys):
+    assert reproduce_experiments.main(["--pipeline", "network"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(REPRODUCE_NETWORK + "\nelapsed: ")
+    assert out.count("\n") == REPRODUCE_NETWORK.count("\n") + 2
+
+
 def test_noise_study_audit_stdout_is_unchanged(capsys):
     argv = ["--seeds", "3", "--imbalance", "0.008", "--jitter", "0.012",
             "--leakage", "0.001", "--audit"]
