@@ -416,6 +416,57 @@ def test_sweep_cartesian_order(tmp_path):
     ]
 
 
+# the CHSH grid at 10^6 clicks per sequence through both detector models,
+# recorded before the threshold draws were hashed in place
+PINNED_SWEEP = {
+    "name": "pin",
+    "state": "chsh",
+    "inequality": "CHSH",
+    "pipeline": "events",
+    "base_pipeline": "ideal",
+    "seed": 11,
+    "sample_count": 1_000_000,
+    "vary": {"state": ["chsh", "singlet"], "events.model": ["loaded_die", "threshold_detector"]},
+}
+PINNED_SWEEP_ROWS = (
+    (
+        '"pin[events.model=loaded_die, state=chsh]",chsh,CHSH,events,11,'
+        'ZI*IZ;XI*IZ;ZI*IX;XI*IX,'
+        '0.70667600000000008;0.70846999999999993;0.70664799999999994;'
+        '-0.70795600000000003,'
+        '0.00070753730009378299;0.00070574092916593706;0.00070756526490211495;'
+        '0.00070625654125395533,2.8297499999999998,0.0014135509174713163,2,2,'
+        '2.8284271247461903,4,0,"violates NC bound 2, saturates quantum max"'
+    ),
+    (
+        '"pin[events.model=loaded_die, state=singlet]",singlet,CHSH,events,11,'
+        'ZI*IZ;XI*IZ;ZI*IX;XI*IX,-1;-0.0014939999999999953;-0.00039000000000000146;-1,'
+        '0;0.00099999888398137724;0.00099999992394999714;0,-0.0018839999999999968,'
+        '0.0014142127194534772,2,2,2.8284271247461903,4,0,respects NC bound 2'
+    ),
+    (
+        '"pin[events.model=threshold_detector, state=chsh]",chsh,CHSH,events,11,'
+        'ZI*IZ;XI*IZ;ZI*IX;XI*IX,'
+        '0.707152;0.70718999999999999;0.70719799999999999;-0.70704600000000006,'
+        '0.00070706155948120956;0.00070702355257798867;0.00070701555060408681;'
+        '0.00070716755714894035,2.828586,0.00141413411509517,2,2,2.8284271247461903,4,0,'
+        '"violates NC bound 2, saturates quantum max"'
+    ),
+    (
+        '"pin[events.model=threshold_detector, state=singlet]",singlet,CHSH,events,11,'
+        'ZI*IZ;XI*IZ;ZI*IX;XI*IX,-1;-0.00032399999999996321;-0.00012800000000004474;-1,'
+        '0;0.00099999994751199866;0.00099999999180799999;0,-0.00045200000000011897,'
+        '0.001414213519465855,2,2,2.8284271247461903,4,0,respects NC bound 2'
+    ),
+)
+
+
+def test_events_sweep_csv_bytes_are_pinned(tmp_path):
+    text = cli.render_csv(sweep_rows(write_yaml(tmp_path, PINNED_SWEEP)))
+    rows = ["".join(parts) for parts in PINNED_SWEEP_ROWS]
+    assert text == "\n".join([",".join(cli.CSV_COLUMNS), *rows]) + "\n"
+
+
 def test_state_sweep_scenario_gives_six_everywhere(capsys):
     path = os.path.join(SCENARIO_DIR, "pm_state_sweep.yaml")
     rows = sweep_rows(path)

@@ -267,6 +267,43 @@ def test_threshold_counts_are_pinned(rates, cfg, expected):
     assert threshold_event_stream(rates, cfg).counts == expected
 
 
+def grid_sequence_intensities():
+    # ZI*IX*ZX on the tilted Bell state: eight ports, four of them dark
+    state = state_library("chsh")
+    dist = sequential_distribution(state, [pauli_observable(lab) for lab in ("ZI", "IX", "ZX")])
+    return dict(dist.probs)
+
+
+@pytest.mark.parametrize(
+    "rates,seed,expected",
+    [
+        # a dark port and two rates that differ in the twelfth digit
+        (
+            {"a": 0.5, "b": 0.0, "c": 0.3, "d": 0.3 * (1 + 1e-12)},
+            31,
+            {"a": 454676, "b": 0, "c": 272642, "d": 272682},
+        ),
+        (
+            None,
+            5,
+            {"+++": 426772, "++-": 0, "+-+": 0, "+--": 73234,
+             "-++": 0, "-+-": 73188, "--+": 426806, "---": 0},
+        ),
+        (
+            None,
+            2**40 + 7,
+            {"+++": 426738, "++-": 0, "+-+": 0, "+--": 73261,
+             "-++": 0, "-+-": 73208, "--+": 426793, "---": 0},
+        ),
+    ],
+)
+def test_threshold_counts_at_a_million_clicks_are_pinned(rates, seed, expected):
+    # recorded before the thresholds were hashed in place: every one of the
+    # 10^6 clicks must land where it did
+    rates = grid_sequence_intensities() if rates is None else rates
+    assert threshold_event_stream(rates, tcfg(10**6, seed=seed)).counts == expected
+
+
 # ------------------------------------------------------------- equivalence
 
 
