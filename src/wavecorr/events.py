@@ -13,6 +13,10 @@ The threshold detector's result is defined by the time-ordered merge of the
 per-port click streams, but it is computed without building that merge: the
 time of the last recorded click is selected from the per-port streams, which
 are sorted by construction, and each port's tally is read off against it.
+Each port's energy thresholds are hashed from its counter stream block by
+block straight into its click-time buffer, with two uint64 hash buffers
+serving every block of one draw, and every float step that turns them into
+click times runs in place there too.
 
 Events are functions of intensities alone.  Nothing in this module sees an
 amplitude or a phase.
@@ -26,7 +30,7 @@ from typing import Mapping
 import numpy as np
 
 from wavecorr.outcomes import OutcomeDistribution, empirical
-from wavecorr.splitmix import counter_uniform, substream
+from wavecorr.splitmix import counter_uniform_run, substream
 
 THRESHOLD_DETECTOR = "threshold_detector"
 LOADED_DIE = "loaded_die"
@@ -43,7 +47,7 @@ MAX_THRESHOLD_SAMPLES = 100_000_000
 # chunked, so these two knobs affect speed only.
 _CHUNK_SIGMAS = 10.0
 _CHUNK_FLOOR = 16
-# thresholds drawn per hash pass: 512 KiB temporaries, small enough for cache
+# thresholds drawn per hash pass: 512 KiB buffers, small enough for cache
 _BLOCK = 1 << 16
 
 
@@ -224,16 +228,18 @@ def _click_times(
 
     ``energy`` is the port's accumulated threshold energy before the first
     of these clicks; the energy after the last one is returned, so a later
-    call continues the stream.  The thresholds are drawn _BLOCK at a time to
-    keep the hash temporaries in cache, and the running sum is carried from
-    block to block, which reproduces one cumsum over the whole stream bit
-    for bit.
+    call continues the stream.  The thresholds are drawn _BLOCK at a time,
+    straight into ``out``, by counter_uniform_run with two uint64 hash
+    buffers allocated once per call and kept in cache; every later step runs
+    in place on the block.  The running sum is carried from block to block,
+    which reproduces one cumsum over the whole stream bit for bit.
     """
+    size = min(out.size, _BLOCK)
+    buffers = (np.empty(size, np.uint64), np.empty(size, np.uint64))
     for b in range(0, out.size, _BLOCK):
         seg = out[b : b + _BLOCK]
-        first = start + b
-        u = counter_uniform(stream, np.arange(first, first + seg.size, dtype=np.uint64))
-        np.multiply(u, span, out=seg)
+        counter_uniform_run(seg, stream, start + b, buffers)
+        seg *= span
         seg += lo
         seg[0] += energy
         np.cumsum(seg, out=seg)

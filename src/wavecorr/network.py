@@ -550,6 +550,9 @@ def _propagate_members(
 # ------------------------------------------------------- mesh realization
 
 
+# mesh plans keyed by matrix bytes; past _PLAN_CACHE_SIZE keys the oldest
+# entry is evicted, so arbitrary matrices cannot grow it without bound
+_PLAN_CACHE_SIZE = 256
 _plan_cache: dict[bytes, MeshPlan] = {}
 
 
@@ -559,6 +562,8 @@ def _plan_for(matrix: np.ndarray) -> MeshPlan:
     if plan is None:
         plan = decompose(matrix)
         _plan_cache[key] = plan
+        if len(_plan_cache) > _PLAN_CACHE_SIZE:
+            del _plan_cache[next(iter(_plan_cache))]
     return plan
 
 

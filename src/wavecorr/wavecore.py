@@ -202,7 +202,7 @@ def _check_pauli_spec(spec: PauliSpec) -> str:
     return spec
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def pauli_matrix(spec: PauliSpec) -> np.ndarray:
     """Kronecker product of single-factor Pauli matrices, first factor first."""
     _check_pauli_spec(spec)
@@ -213,8 +213,14 @@ def pauli_matrix(spec: PauliSpec) -> np.ndarray:
     return m
 
 
+@lru_cache(maxsize=1024)
 def pauli_observable(spec: PauliSpec, label: str | None = None) -> DichotomicObservable:
-    """Dichotomic observable for a Pauli product such as "ZI" or "YY"."""
+    """Dichotomic observable for a Pauli product such as "ZI" or "YY".
+
+    Each (spec, label) is diagonalized once and the frozen observable, whose
+    arrays are read-only, is shared; the cache is bounded because specs may
+    come from arbitrary input.
+    """
     _check_pauli_spec(spec)
     if set(spec) == {"I"}:
         raise ValueError("the identity is not a two-outcome observable")

@@ -483,14 +483,14 @@ def test_scenarios_are_shipped():
     assert len(shipped_scenarios()) >= 5
 
 
-@pytest.mark.parametrize("path", shipped_scenarios())
+@pytest.mark.parametrize("path", shipped_scenarios(), ids=os.path.basename)
 def test_shipped_scenarios_load(path):
     data = cli.load_scenario_dict(path)
     data.pop("vary", None)
     scenario_from_dict(data)
 
 
-@pytest.mark.parametrize("path", shipped_scenarios())
+@pytest.mark.parametrize("path", shipped_scenarios(), ids=os.path.basename)
 def test_ideal_and_network_pipelines_agree(path):
     """Every shipped scenario's correlators match between the two exact pipelines."""
     data = cli.load_scenario_dict(path)

@@ -220,6 +220,22 @@ def test_mesh_fragment_matches_matrix():
             np.testing.assert_allclose(got, u[:, col], atol=1e-9)
 
 
+def test_plan_cache_is_bounded_and_keeps_plans(monkeypatch):
+    monkeypatch.setattr(network, "_plan_cache", {})
+    rng = np.random.default_rng(8)
+    matrices = []
+    for _ in range(network._PLAN_CACHE_SIZE + 20):
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        matrices.append(np.linalg.qr(a)[0])
+    plans = [network._plan_for(u) for u in matrices]
+    assert len(network._plan_cache) == network._PLAN_CACHE_SIZE
+    # the oldest entries were evicted, and rebuilding one gives the same plan
+    assert matrices[0].tobytes() not in network._plan_cache
+    for u, plan in zip(matrices, plans):
+        assert network._plan_for(u) == plan == decompose(u)
+    assert len(network._plan_cache) == network._PLAN_CACHE_SIZE
+
+
 # ---------------------------------------------------------------- preps
 
 

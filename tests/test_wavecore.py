@@ -100,6 +100,24 @@ def test_pauli_spec_rejects_garbage():
         pauli_observable("II")
 
 
+def test_pauli_observables_are_built_once_and_shared():
+    obs = pauli_observable("ZX")
+    assert pauli_observable("ZX") is obs
+    assert not obs.matrix.flags.writeable
+    assert not obs.diagonalizer.flags.writeable
+    with pytest.raises(ValueError):
+        obs.matrix[0, 0] = 2.0
+    labeled = pauli_observable("ZX", label="A")
+    assert labeled.label == "A" and obs.label == "ZX"
+    assert pauli_observable("ZX", label="A") is labeled
+    # failures are not cached: a malformed spec raises on every call
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            pauli_observable("ZQ")
+        with pytest.raises(ValueError):
+            pauli_observable("II")
+
+
 def test_observable_invariants():
     for spec in ["ZI", "IX", "YY", "ZX", "XZ", "XX", "ZZ"]:
         obs = pauli_observable(spec)
