@@ -490,7 +490,7 @@ def test_shipped_scenarios_load(path):
     scenario_from_dict(data)
 
 
-@pytest.mark.parametrize("path", shipped_scenarios(), ids=os.path.basename)
+@pytest.mark.parametrize("path", shipped_scenarios())
 def test_ideal_and_network_pipelines_agree(path):
     """Every shipped scenario's correlators match between the two exact pipelines."""
     data = cli.load_scenario_dict(path)
