@@ -227,6 +227,22 @@ def sorted_merge_counts(rates, cfg):
     return {k: int(c) for k, c in zip(keys, fired)}
 
 
+@pytest.mark.parametrize(
+    "rates",
+    [
+        {"+": 0.0, "-": 2.3},
+        {"a": 0.0, "b": 0.0, "c": 0.4, "d": 0.0},
+        {"only": 1e-300},
+        # q underflows to zero against p's scale, so p is the one live port
+        {"p": 1e308, "q": 1e-20, "r": 0.0},
+    ],
+)
+@pytest.mark.parametrize("n", [1, 777, 30_000])
+def test_threshold_one_live_port_takes_every_click(rates, n):
+    cfg = tcfg(n, seed=5)
+    assert threshold_event_stream(rates, cfg).counts == sorted_merge_counts(rates, cfg)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     rates=st.lists(

@@ -706,3 +706,73 @@ def test_ensemble_values_match_per_fabrication_evaluation():
             cors.append(correlator(dist, labels))
         assert value == evaluate_inequality(CHSH, cors).value
     assert len(set(values.tolist())) == 3
+
+
+# Noise draw pins: one digest per (circuit, noise model, member count) of the
+# repr of every leaf probability and intensity that circuit_distributions
+# gives, recorded before the noise was drawn per slab of groups.  Equal draws
+# through the same elementwise operations give bitwise equal amplitudes, so
+# any change in how the draws are batched must leave these unchanged.
+PIN_CIRCUITS = {"psi1 ZX*XZ*YY": ("psi1", ("ZX", "XZ", "YY")),
+                "ghz XII*IXI*IIX": ("ghz", ("XII", "IXI", "IIX"))}
+PIN_NOISE = {
+    "imbalance": NoiseModel(splitter_imbalance_sigma=0.02),
+    "jitter": NoiseModel(phase_jitter_sigma=0.03),
+    "both+leak": NoiseModel(splitter_imbalance_sigma=0.02, phase_jitter_sigma=0.03,
+                            leakage=0.002),
+}
+PIN_MEMBERS = (1, 11, 33)  # 33 crosses MEMBER_CHUNK
+
+
+def noisy_leaf_digests(circuit, noise):
+    prep, labels = PIN_CIRCUITS[circuit]
+    digests = []
+    for n in PIN_MEMBERS:
+        seeds = [substream(41, m) for m in range(n)]
+        [dists] = circuit_distributions([(prep, labels, seeds)], PIN_NOISE[noise])
+        h = hashlib.sha256()
+        for dist in dists:
+            h.update(repr(list(dist.probs.items())).encode())
+            h.update(repr(list(dist.intensities.items())).encode())
+        digests.append(h.hexdigest())
+    return tuple(digests)
+
+
+PINNED_NOISY_LEAVES = {
+    ('psi1 ZX*XZ*YY', 'imbalance'): (
+        '4c35b440387195293b81d92a064b243b688b6edf2efe7ac431e84c1a23427356',
+        'ebec642f72848aa04be117205337893cac0f2c445ef4ebc1094246152b207781',
+        '49a0ed4f63739b51f4b8aab859edbc2c524c68804e984795f4372fbaaca2ec96',
+    ),
+    ('psi1 ZX*XZ*YY', 'jitter'): (
+        '938404c33dc5357da259203810fac62e530de36f279c2648573f4e327fa2da71',
+        '522cfebcfe2decd4d4b2d4300e64e32380a40d051ddd1a53c8afb8c94d5536e4',
+        'a5720300604b901d08b9690b49a80ffcf6a7d7925c4cbc446618e4227b3d530b',
+    ),
+    ('psi1 ZX*XZ*YY', 'both+leak'): (
+        '6ff410a98ceb4008c8f7598db6aca204154acb786cd369186d9e67704f600169',
+        'b93490a89ce00b6391e4ebb3b230148a7fc178b62708de8120d06c59de49e413',
+        '5f09305313643c66383f84043c6520b4debc08a4b6f34bd10c329640cfa26236',
+    ),
+    ('ghz XII*IXI*IIX', 'imbalance'): (
+        '35c32ae5055946f13c979b3377362ecdcdadb44442bfe64bd2104dad29a3675e',
+        '567d8c4972c19489bd2e6c3e94817f9920245d731c909aeb7e5c7a9a5dd9cdad',
+        '093fd84d4b75c9b4a537c2e593e9a64cb665df32d55a10554a7e4b903593be26',
+    ),
+    ('ghz XII*IXI*IIX', 'jitter'): (
+        'be767fe6661b625b58286fdb07e02ba1432fb22669f2a69adc9ba445b7ed17f9',
+        'd5ee412cfbafdcb8f6aded68ec6ef90bd9a6309b845b7f46163cd4f761bedca9',
+        '4ce9dc6559130df24fdcaa3d83185087505289891da5c8e5215cac06d274b7a5',
+    ),
+    ('ghz XII*IXI*IIX', 'both+leak'): (
+        'b88a1c5188b08f38b7f6760ba89622f65f65aa2b25fd77c6d414c4b26600204f',
+        '44f1959c88f4d27971200677b89a16333cc0d14b63afadcaa665540c3b44b0d7',
+        '6a24d957e7ecdc8255ceb14677987ffd73b5c95dcb794f0acd27c0256d96e250',
+    ),
+}
+
+
+@pytest.mark.parametrize("circuit", list(PIN_CIRCUITS))
+@pytest.mark.parametrize("noise", list(PIN_NOISE))
+def test_noisy_leaf_distributions_are_pinned(circuit, noise):
+    assert noisy_leaf_digests(circuit, noise) == PINNED_NOISY_LEAVES[circuit, noise]
