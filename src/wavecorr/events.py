@@ -151,6 +151,8 @@ def threshold_event_stream(
     construction.  Each port then contributes every click strictly before
     that cutoff, and clicks at the cutoff fill the remaining slots in
     ascending port order, which is the tally of the merge defined above.
+    With one live port the merge is that port's stream, so it takes all n
+    clicks and no threshold is drawn.
     """
     ports = list(intensities)
     if not ports:
@@ -173,6 +175,10 @@ def threshold_event_stream(
     # brightest port keeps the click-time arithmetic in a sane float range
     rates = rates / rates.max()
     live = np.flatnonzero(rates > 0.0)
+    if live.size == 1:  # the merge is that port's stream alone: it takes every click
+        fired = dict.fromkeys(ports, 0)
+        fired[ports[live[0]]] = n
+        return EventCounts(counts=fired, total=n)
     live_rates = rates[live]
     frac = live_rates / live_rates.sum()
     streams = [substream(config.seed, int(j)) for j in live]
@@ -180,7 +186,10 @@ def threshold_event_stream(
     budget = np.minimum(
         n, np.ceil(n * frac + _CHUNK_SIGMAS * np.sqrt(n * frac + 1.0) + _CHUNK_FLOOR)
     ).astype(np.int64)
-    times = [np.empty(int(b)) for b in budget]
+    # every port's clicks in one buffer of about n entries: buffers per port
+    # change size with the rates, and the allocator may serve each new size
+    # from freshly mapped pages, paying their page faults again
+    times = np.split(np.empty(int(budget.sum())), np.cumsum(budget)[:-1])
     # a port dimmer than the brightest by ~1e300 overflows to inf click
     # times, meaning it never fires in any finite window: the right limit
     with np.errstate(over="ignore"):

@@ -30,6 +30,12 @@ the member columns of one stage pass.  Each member's noise draws are keyed
 by its element indices in the whole tree, preparation first, so the result
 is bitwise that of the tree with the preparation built in.
 
+Fabrication noise is drawn in slabs, not per group: the noisy groups of one
+kind are cut into runs of at most NOISE_SLAB (element, member) draws, and a
+run is drawn, and turned into splitter angles or phasors, in one pass when
+propagation reaches it.  Noise memory is then one slab per kind, however
+large the circuit, and every amplitude is bitwise that of a draw per group.
+
 Meshes are laid down in columns that cover every mode of the bundle
 (identity phase segments pad the modes an element does not touch), so all
 paths that carry amplitude cross the same number of physical elements.
@@ -70,6 +76,11 @@ INTENSITY_CONSERVATION_TOL = 1e-12
 # ensemble members propagated together; bounds the (wires, members) buffers
 MEMBER_CHUNK = 32
 
+# (element, member) fabrication draws per noise slab, see _noise_slabs; at
+# 2^12 a slab's largest temporary (both uniforms of each draw) is 64 KiB,
+# while 2^13 raised the peak RSS of a 20-member ensemble run by ~0.25 MB
+NOISE_SLAB = 1 << 12
+
 BEAM_SPLITTER = "beam_splitter"
 PHASE_SEGMENT = "phase_segment"
 UNEQUAL_COUPLER = "unequal_coupler"
@@ -86,6 +97,8 @@ _ARITY = {
 }
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+# an ideal splitter's (cos, sin) of pi/4, for propagation that is noisy elsewhere
+_BALANCED = (np.cos(np.pi / 4), np.sin(np.pi / 4))
 
 
 class NetlistError(ValueError):
@@ -488,6 +501,11 @@ def _propagate_members(
     alone without offsets), so a measurement stage propagated behind a
     separate preparation of n elements, at offset n, draws what the whole
     circuit draws.
+
+    Noisy splitter and phase values come a slab of groups at a time from
+    _noise_slabs, drawn when the loop reaches the slab's first group: one
+    slab per kind is held, whatever the circuit's size, and each value is
+    bitwise what a draw for its group alone gives.
     """
     if offsets is not None:
         seeds = offset_seeds(seeds, offsets)  # folded in once, not per group
@@ -499,33 +517,24 @@ def _propagate_members(
     sigma_jit = 0.0 if noise is None else noise.phase_jitter_sigma
     leak = 0.0 if noise is None else noise.leakage
     keep = np.sqrt(1.0 - leak)
+    imbalance = _noise_slabs(groups, BEAM_SPLITTER, seeds, sigma_imb) if sigma_imb > 0.0 else None
+    jitter = _noise_slabs(groups, PHASE_SEGMENT, seeds, sigma_jit) if sigma_jit > 0.0 else None
 
     # take(axis=0) and .sum() gather and reduce like [] and np.sum, with less
     # per-call overhead on the many small groups of a tree
     for g in groups:
         if g.kind == TERMINATION:
             absorbed += (np.abs(amps.take(g.in_idx[0], axis=0)) ** 2).sum(axis=0)
-            continue
-        if g.kind == FANOUT_LABEL:
+        elif g.kind == FANOUT_LABEL:
             amps[g.out_idx[0]] = amps.take(g.in_idx[0], axis=0)
-            continue
-
-        # fabrication error per (element, member); a scalar where it is zero
-        err = 0.0
-        if g.kind != UNEQUAL_COUPLER:
-            sigma = sigma_imb if g.kind == BEAM_SPLITTER else sigma_jit
-            if sigma > 0.0:
-                err = sigma * counter_normals(seeds, g.elem_idx)
-
-        if g.kind == BEAM_SPLITTER:
+        elif g.kind == BEAM_SPLITTER:
             u = amps.take(g.in_idx[0], axis=0)
             v = amps.take(g.in_idx[1], axis=0)
             if quiet:
                 out_sum = (u + v) * _SQRT_HALF
                 out_diff = (u - v) * _SQRT_HALF
             else:
-                ang = np.pi / 4 + err
-                c, s = np.cos(ang), np.sin(ang)
+                c, s = _BALANCED if imbalance is None else next(imbalance)
                 out_sum = c * u + s * v
                 out_diff = s * u - c * v
             through = np.abs(u) ** 2 + np.abs(v) ** 2
@@ -535,7 +544,8 @@ def _propagate_members(
         elif g.kind == PHASE_SEGMENT:
             a = amps.take(g.in_idx[0], axis=0)
             absorbed += (leak * np.abs(a) ** 2).sum(axis=0)
-            amps[g.out_idx[0]] = a * np.exp(1j * (g.base + err)) * keep
+            turn = np.exp(1j * g.base) if jitter is None else next(jitter)
+            amps[g.out_idx[0]] = a * turn * keep
         elif g.kind == UNEQUAL_COUPLER:
             s_in = amps.take(g.in_idx[0], axis=0)
             norm = np.sqrt(1.0 + g.base**2)
@@ -545,6 +555,43 @@ def _propagate_members(
         else:  # pragma: no cover - kinds are closed above
             raise NetlistError(f"unhandled kind {g.kind!r}")
     return amps, absorbed
+
+
+def _noise_slabs(groups: list[_Group], kind: str, seeds: np.ndarray, sigma: float):
+    """Yield, per group of ``kind`` in group order, its elements' noisy values.
+
+    A splitter group gets (cos, sin) of pi/4 + err, a phase group
+    exp(1j * (base + err)), where err = sigma * counter_normals(seeds,
+    elem_idx) has shape (elements, members).  Groups are taken in runs of
+    at most NOISE_SLAB draws (a larger group is a run of its own); a run is
+    drawn in one call when its first group is asked for, and each group
+    gets a view of its rows.  Every step is elementwise, so a value does
+    not depend on which run its element falls in.
+    """
+    runs: list[list[_Group]] = []
+    size = 0
+    for g in groups:
+        if g.kind != kind:
+            continue
+        n = g.elem_idx.size * seeds.size
+        if not runs or size + n > NOISE_SLAB:
+            runs.append([])
+            size = 0
+        runs[-1].append(g)
+        size += n
+    for run in runs:
+        err = sigma * counter_normals(seeds, np.concatenate([g.elem_idx for g in run]))
+        stops = np.cumsum([g.elem_idx.size for g in run]).tolist()
+        rows = [slice(a, b) for a, b in zip([0] + stops, stops)]
+        if kind == BEAM_SPLITTER:
+            ang = np.pi / 4 + err
+            c, s = np.cos(ang), np.sin(ang)
+            for r in rows:
+                yield c[r], s[r]
+        else:
+            turn = np.exp(1j * (np.concatenate([g.base for g in run]) + err))
+            for r in rows:
+                yield turn[r]
 
 
 # ------------------------------------------------------- mesh realization

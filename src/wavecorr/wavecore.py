@@ -13,7 +13,7 @@ against the distributions produced here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,11 +41,12 @@ class IncompatibleObservablesError(ValueError):
     """Raised when a sequence mixes observables that do not commute."""
 
 
+@lru_cache(maxsize=32)
 def binary_labels(n_factors: int) -> tuple[str, ...]:
     """Mode labels for n two-level factors in binary counting order.
 
     The first factor is the most significant position, so two factors give
-    ("00", "01", "10", "11").
+    ("00", "01", "10", "11").  Each count's tuple is built once and shared.
     """
     if n_factors < 1:
         raise ValueError("need at least one factor")
@@ -306,7 +307,9 @@ def _ghz_state() -> WaveState:
 _SQRT2 = np.sqrt(2.0)
 
 
+@cache
 def _library() -> dict[str, WaveState]:
+    """The named states, built once; the frozen states are shared, the dict is private."""
     r = _SQRT2 - 1.0
     chsh = np.array([1.0, r, r, -1.0], dtype=complex) / (2.0 * np.sqrt(2.0 - _SQRT2))
     lib: dict[str, WaveState] = {

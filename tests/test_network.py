@@ -8,11 +8,13 @@ import pytest
 import wavecorr.network as network
 from wavecorr.contextuality import CHSH, correlator, evaluate_inequality
 from wavecorr.network import (
+    BEAM_SPLITTER,
     FANOUT_LABEL,
     INTENSITY_CONSERVATION_TOL,
     Netlist,
     NetlistError,
     NoiseModel,
+    PHASE_SEGMENT,
     PropagationError,
     add_mesh,
     add_state_prep,
@@ -776,3 +778,40 @@ PINNED_NOISY_LEAVES = {
 @pytest.mark.parametrize("noise", list(PIN_NOISE))
 def test_noisy_leaf_distributions_are_pinned(circuit, noise):
     assert noisy_leaf_digests(circuit, noise) == PINNED_NOISY_LEAVES[circuit, noise]
+
+
+@pytest.mark.parametrize("slab", [1, 2**30])
+@pytest.mark.parametrize("noise", ["imbalance", "both+leak"])
+def test_noise_does_not_depend_on_slab_size(slab, noise, monkeypatch):
+    # one run per group, and one run per kind for the whole circuit
+    reference = noisy_leaf_digests("ghz XII*IXI*IIX", noise)
+    monkeypatch.setattr(network, "NOISE_SLAB", slab)
+    assert noisy_leaf_digests("ghz XII*IXI*IIX", noise) == reference
+
+
+def test_noise_is_drawn_once_per_slab(monkeypatch):
+    net = mermin_tree()
+    noisy = [len(g.elem_idx) for g in net._compile() if g.kind in (BEAM_SPLITTER, PHASE_SEGMENT)]
+    members = len(ENSEMBLE_SEEDS)  # one member chunk
+    calls = []
+    real = network.counter_normals
+
+    def counting(seeds, indices):
+        calls.append(indices.size)
+        return real(seeds, indices)
+
+    monkeypatch.setattr(network, "counter_normals", counting)
+
+    def draws(slab):
+        monkeypatch.setattr(network, "NOISE_SLAB", slab)
+        calls.clear()
+        propagate(net, SOURCE, ENSEMBLE_NOISE, ENSEMBLE_SEEDS)
+        return list(calls)
+
+    assert sorted(draws(1)) == sorted(noisy)  # a slab per group
+    assert len(draws(2**30)) == 2  # a slab per kind
+    slabs = draws(network.NOISE_SLAB)
+    assert sum(slabs) == sum(noisy)
+    # runs are cut greedily, so two runs in a row hold more than one slab's draws
+    assert len(slabs) <= 2 + 2 * sum(noisy) * members / network.NOISE_SLAB < len(noisy) / 20
+    assert max(slabs) * members <= max(network.NOISE_SLAB, max(noisy) * members)

@@ -118,6 +118,24 @@ def test_pauli_observables_are_built_once_and_shared():
             pauli_observable("II")
 
 
+def test_library_states_are_built_once_and_shared():
+    names = ["singlet", "chsh", "ghz", "singlet3"] + [f"psi{i}" for i in range(1, 12)]
+    for _ in range(2):
+        assert library_state_names() == names
+    psi1 = state_library("psi1")
+    assert state_library("psi1") is psi1
+    assert not psi1.amplitudes.flags.writeable
+    assert binary_labels(3) is binary_labels(3)
+    # basis labels still work, and unknown names raise on every call
+    np.testing.assert_array_equal(state_library("01").amplitudes, [0, 1, 0, 0])
+    assert state_library("110").labels == binary_labels(3)
+    for _ in range(2):
+        with pytest.raises(KeyError):
+            state_library("psi12")
+        with pytest.raises(KeyError):
+            state_library("")
+
+
 def test_observable_invariants():
     for spec in ["ZI", "IX", "YY", "ZX", "XZ", "XX", "ZZ"]:
         obs = pauli_observable(spec)
