@@ -104,6 +104,7 @@ from wavecorr.network import (
     circuit_distributions,
 )
 from wavecorr.outcomes import OutcomeDistribution
+from wavecorr.reck import SynthesisError
 from wavecorr.splitmix import substream
 from wavecorr.wavecore import (
     IncompatibleObservablesError,
@@ -160,6 +161,7 @@ _NUMERICAL_ERRORS = (
     IncompatibleObservablesError,
     NetlistError,
     PropagationError,
+    SynthesisError,
     ValueError,
     ArithmeticError,
 )

@@ -22,13 +22,17 @@ the computational basis, so a depth-k tree ends in 2^k groups of d leaf
 ports whose intensities are the joint sequential probabilities.
 
 A prepared experiment is a preparation netlist (add_state_prep) feeding a
-measurement stage, the tree of a sequence with bare mode inputs.  The stage
-does not depend on the state, so circuit_distributions serves a batch of
-(state, sequence, seeds) requests by building each preparation and each
-sequence's stage once: the (state, fabrication) pairs of one sequence are
-the member columns of one stage pass.  Each member's noise draws are keyed
-by its element indices in the whole tree, preparation first, so the result
-is bitwise that of the tree with the preparation built in.
+measurement stage.  Every level of a sequence tree is the same measurement
+block for one observable, copied once per branch, so circuit_distributions
+builds, per call, each preparation once and one depth-1 stage (the
+one-observable tree with bare mode inputs) per distinct label, and
+propagates each sequence a level at a time: the 2^(j-1) branches entering
+level j, times the (state, fabrication) pairs of the sequence, are the
+member columns of that level's stage pass.  Each member's noise draws are keyed by where its block sits in
+the whole tree, preparation first, and the leaf taps draw nothing, so every
+leaf is bitwise that of the tree with the preparation built in.  A pass
+holds about PASS_CELLS (wire, member) amplitudes, so a small stage takes
+many members at once and a large one few.
 
 Fabrication noise is drawn in slabs, not per group: the noisy groups of one
 kind are cut into runs of at most NOISE_SLAB (element, member) draws, and a
@@ -48,7 +52,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, islice, product, repeat
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -60,7 +64,7 @@ from wavecorr.contextuality import (
     evaluate_inequality,
 )
 from wavecorr.outcomes import OutcomeDistribution
-from wavecorr.reck import MeshPlan, decompose
+from wavecorr.reck import MeshPlan, SynthesisError, decompose
 from wavecorr.splitmix import counter_normals, offset_seeds, substream
 from wavecorr.wavecore import (
     GHZ_STABILIZER_SPECS,
@@ -73,8 +77,12 @@ from wavecorr.wavecore import (
 
 INTENSITY_CONSERVATION_TOL = 1e-12
 
-# ensemble members propagated together; bounds the (wires, members) buffers
-MEMBER_CHUNK = 32
+# (wire, member) amplitudes per propagation pass, which takes
+# max(1, PASS_CELLS // wires) members.  Fixed 32-member passes peaked at the
+# 6 112-wire Mermin stage times 20 members; 2^17 put 57 members through the
+# 2 288-wire ghz preparation, above that, while 2^16 stays below it and gave
+# a 20-member ensemble run the lower peak RSS (~38.3 vs ~40.0 MB)
+PASS_CELLS = 1 << 16
 
 # (element, member) fabrication draws per noise slab, see _noise_slabs; at
 # 2^12 a slab's largest temporary (both uniforms of each draw) is 64 KiB,
@@ -422,8 +430,10 @@ def propagate(
     is the circuit under ``noise`` with its seed replaced by ``seeds[m]``, and
     one PortAmplitudes per member is returned in seed order.  Every draw is a
     pure function of (seed, element index), so each member is bitwise what a
-    call with that single seed gives.  Members run MEMBER_CHUNK at a time, so
-    memory does not grow with the ensemble.
+    call with that single seed gives.  A pass takes max(1, PASS_CELLS //
+    wires) members, so its (wires, members) buffer stays near PASS_CELLS
+    amplitudes however large the ensemble, and a small circuit takes many
+    members per pass.
 
     An array ``drive`` of shape (input ports, members) is the batch form:
     column m drives the input ports, in order, for member m, whose seed is
@@ -462,8 +472,9 @@ def propagate(
 
     out = np.empty((len(out_idx), len(members)), dtype=complex)
     absorbed = np.empty(len(members))
-    for first in range(0, len(members), MEMBER_CHUNK):
-        cols = slice(first, first + MEMBER_CHUNK)
+    step = max(1, PASS_CELLS // max(netlist.n_wires, 1))
+    for first in range(0, len(members), step):
+        cols = slice(first, first + step)
         chunk = np.array([s & 0xFFFFFFFFFFFFFFFF for s in members[cols]], dtype=np.uint64)
         start = np.zeros((netlist.n_wires, len(chunk)), dtype=complex)
         start[in_idx] = columns[:, cols]
@@ -777,7 +788,7 @@ def _complete_to_unitary(psi: np.ndarray) -> np.ndarray:
         if len(cols) == d:
             break
     if len(cols) != d:
-        raise ValueError("failed to complete the state to a unitary")
+        raise SynthesisError("failed to complete the state to a unitary")
     return np.column_stack(cols)
 
 
@@ -821,6 +832,21 @@ def add_state_prep(net: Netlist, prep: str | WaveState, prefix: str = "prep") ->
     wires = [src if i == 0 else net.add_ground() for i in range(state.dim)]
     return add_mesh(net, plan, wires)
 
+
+def _sequence_factors(observables: Sequence[DichotomicObservable]) -> int:
+    """log2 of the mode count of one to three observables that share it."""
+    if not 1 <= len(observables) <= 3:
+        raise ValueError("sequence trees support one to three measurements")
+    d = observables[0].dim
+    for obs in observables:
+        if obs.dim != d:
+            raise ValueError("all observables in a sequence must share the mode count")
+    n_factors = int(round(math.log2(d)))
+    if 2**n_factors != d:
+        raise ValueError("mode count must be a power of two")
+    return n_factors
+
+
 def build_sequence_tree(
     observables: Sequence[DichotomicObservable],
     prep: str | WaveState | None = None,
@@ -832,17 +858,7 @@ def build_sequence_tree(
     the preparation is built into the circuit and the single input port is
     "prep.src".  Leaf ports are named "leaf.<outcome>.<basis label>".
     """
-    if not 1 <= len(observables) <= 3:
-        raise ValueError("sequence trees support one to three measurements")
-    d = observables[0].dim
-    for obs in observables:
-        if obs.dim != d:
-            raise ValueError("all observables in a sequence must share the mode count")
-    n_factors = int(round(math.log2(d)))
-    if 2**n_factors != d:
-        raise ValueError("mode count must be a power of two")
-    basis = binary_labels(n_factors)
-
+    basis = binary_labels(_sequence_factors(observables))
     net = Netlist()
     if prep is None:
         roots = [net.add_input(b) for b in basis]
@@ -886,13 +902,18 @@ def circuit_distributions(
     one list of member distributions per request, in request order.
 
     Each distinct prep is built once and all of its members propagate through
-    it in one pass.  Each distinct sequence's measurement stage, the
-    ``prep=None`` tree, is then built once, and the prep outputs of all its
-    requests are the columns of one start matrix.  The prep comes first in
-    ``build_sequence_tree(obs, prep)``, so a stage member behind a prep of n
-    elements draws at offset n, and every member is bitwise what propagating
-    that whole tree with the member's seed gives.  Nothing is cached across
-    calls: each stage is built just before its pass and dropped after it.
+    it in one pass.  Each sequence then propagates a level at a time through
+    depth-1 stages, ``build_sequence_tree([pauli_observable(label)])``, one
+    built per distinct label per call.  Level j feeds 2^(j-1) branches, laid
+    side by side on the member axis, branch-major in the tree's breadth-first
+    path order ("+" before "-"), each branch holding the sequence's (request,
+    seed) columns.  ``build_sequence_tree(obs, prep)`` puts the prep's n
+    elements first and then each level's blocks in that order, so branch b
+    of level j draws at offset n + sum_{i<j} 2^(i-1) B_i + b B_j, where B is
+    a block's element count without the stage's 2d leaf taps.  The taps draw
+    no noise and leak nothing, and propagation is elementwise per member, so
+    every member is bitwise what propagating that whole tree with the
+    member's seed gives.  Nothing is cached across calls.
     """
     member_seeds = [
         [0 if noise is None else noise.seed] if seeds is None else list(seeds)
@@ -918,38 +939,50 @@ def circuit_distributions(
             prepared[i] = block
             prep_size[i] = len(net.elements)
 
+    stages: dict[str, tuple[Netlist, int]] = {}  # label -> (depth-1 stage, block elements)
     results: list = [None] * len(requests)
     for labels, idx in by_labels.items():
-        stage = build_sequence_tree([pauli_observable(lab) for lab in labels])
+        d = 2 ** _sequence_factors([pauli_observable(lab) for lab in labels])
         for i in idx:
-            if len(prepared[i]) != stage.dim:
+            if len(prepared[i]) != d:
                 raise NetlistError(
                     f"preparation of {len(prepared[i])} modes for the "
-                    f"{stage.dim}-mode sequence {'*'.join(labels)}"
+                    f"{d}-mode sequence {'*'.join(labels)}"
                 )
         sizes = [len(member_seeds[i]) for i in idx]
-        leaves, _ = propagate(
-            stage.netlist,
-            np.hstack([prepared[i] for i in idx]),
-            noise,
-            [s for i in idx for s in member_seeds[i]],
-            np.repeat([prep_size[i] for i in idx], sizes),
-        )
-        dists = iter(_leaf_distributions(stage, leaves))
+        seeds = [s for i in idx for s in member_seeds[i]]
+        offsets = np.repeat(np.array([prep_size[i] for i in idx], dtype=np.uint64), sizes)
+        amps = np.hstack([prepared[i] for i in idx])  # (d, branches * members)
+        for level, label in enumerate(labels):
+            branches = 2**level
+            if label not in stages:
+                stage = build_sequence_tree([pauli_observable(label)])
+                stages[label] = stage.netlist, len(stage.netlist.elements) - 2 * d
+            net, block = stages[label]
+            shifts = offsets + np.uint64(block) * np.arange(branches, dtype=np.uint64)[:, None]
+            out, _ = propagate(net, amps, noise, seeds * branches, shifts.ravel())
+            offsets += np.uint64(branches * block)
+            # rows: the d "+" leaves, then the d "-" leaves; branch b feeds 2b and 2b + 1
+            amps = out.reshape(2, d, branches, len(seeds)).transpose(1, 2, 0, 3).reshape(d, -1)
+        paths = ["".join(p) for p in product("+-", repeat=len(labels))]
+        leaves = amps.reshape(d, len(paths), -1).transpose(1, 0, 2).reshape(-1, len(seeds))
+        dists = iter(_leaf_distributions(paths, d, leaves))
         for i, size in zip(idx, sizes):
             results[i] = list(islice(dists, size))
     return results
 
 
-def _leaf_distributions(tree: SequenceTree, leaves: np.ndarray) -> list[OutcomeDistribution]:
+def _leaf_distributions(
+    outcomes: Sequence[str], d: int, leaves: np.ndarray
+) -> list[OutcomeDistribution]:
     """Normalized leaf-group intensities of each member.
 
-    ``leaves`` holds the amplitudes at the tree's output ports, shape
-    (output ports, members).  Intensities use Python's complex abs (libm
-    hypot), which numpy's complex abs does not match in the last bit.
+    ``leaves`` holds the amplitudes at a tree's leaf ports in its output
+    order, shape (outcomes * d, members): row k d + b is basis mode b of
+    ``outcomes[k]``.  Intensities use Python's complex abs (libm hypot),
+    which numpy's complex abs does not match in the last bit.
     """
-    row = {port: r for r, port in enumerate(tree.netlist.output_ports)}
-    groups = [(outcome, [row[w] for w in wires]) for outcome, wires in tree.leaf_groups.items()]
+    groups = [(o, range(k * d, (k + 1) * d)) for k, o in enumerate(outcomes)]
     dists = []
     for column in leaves.T.tolist():
         intensities = {o: float(sum(abs(column[r]) ** 2 for r in rows)) for o, rows in groups}

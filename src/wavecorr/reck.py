@@ -33,6 +33,10 @@ PIVOT_TOL = 1e-13
 TWO_PI = 2.0 * np.pi
 
 
+class SynthesisError(ValueError):
+    """A unitary mesh could not be found numerically for a valid input."""
+
+
 @dataclass(frozen=True)
 class MeshElement:
     """One two-mode mixing element at mode pair (p, q) with p < q."""
@@ -107,7 +111,7 @@ def decompose(u: np.ndarray) -> MeshPlan:
             elements.append(el)
     off = w - np.diag(np.diag(w))
     if np.max(np.abs(off)) > ROUNDTRIP_TOL:
-        raise ValueError("nulling failed to reach a diagonal; input too far from unitary")
+        raise SynthesisError("nulling failed to reach a diagonal; input too far from unitary")
     phases = tuple(float((-np.angle(w[k, k])) % TWO_PI) for k in range(n))
     return MeshPlan(dim=n, elements=tuple(elements), output_phases=phases)
 

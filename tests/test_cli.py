@@ -4,12 +4,13 @@ import copy
 import glob
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import yaml
 
-from wavecorr import cli
+from wavecorr import cli, network, reck
 from wavecorr.cli import (
     ConfigError,
     Scenario,
@@ -22,6 +23,7 @@ from wavecorr.cli import (
 )
 from wavecorr.contextuality import INEQUALITIES, correlator
 from wavecorr.events import MAX_THRESHOLD_SAMPLES
+from wavecorr.reck import SynthesisError
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -241,6 +243,32 @@ def test_run_exit_codes(tmp_path, capsys):
     )
     assert main(["run", clash]) == 3
     assert "run failed" in capsys.readouterr().err
+
+
+def fail_nulling(monkeypatch):
+    # no mesh meets a negative round-trip tolerance; cached plans would skip it
+    monkeypatch.setattr(reck, "ROUNDTRIP_TOL", -1.0)
+    monkeypatch.setattr(network, "_plan_cache", {})
+    with pytest.raises(SynthesisError):
+        reck.decompose(np.eye(2))
+
+
+def fail_completion(monkeypatch):
+    # no Gram-Schmidt step extends a NaN state to an orthonormal basis
+    nan_state = SimpleNamespace(amplitudes=np.full(4, np.nan), dim=4)
+    monkeypatch.setattr(network, "state_library", lambda name: nan_state)
+    with pytest.raises(SynthesisError):
+        network._complete_to_unitary(nan_state.amplitudes)
+
+
+@pytest.mark.parametrize("fault,message", [
+    (fail_nulling, "nulling failed"), (fail_completion, "failed to complete"),
+])
+def test_synthesis_failures_exit_numerical(fault, message, tmp_path, capsys, monkeypatch):
+    path = write_yaml(tmp_path, dict(MINIMAL, state="psi1", pipeline="network_ideal"))
+    fault(monkeypatch)
+    assert main(["run", path]) == 3
+    assert f"run failed: {message}" in capsys.readouterr().err
 
 
 def test_vary_section_rejected_by_run(tmp_path, capsys):
@@ -490,7 +518,7 @@ def test_shipped_scenarios_load(path):
     scenario_from_dict(data)
 
 
-@pytest.mark.parametrize("path", shipped_scenarios())
+@pytest.mark.parametrize("path", shipped_scenarios(), ids=os.path.basename)
 def test_ideal_and_network_pipelines_agree(path):
     """Every shipped scenario's correlators match between the two exact pipelines."""
     data = cli.load_scenario_dict(path)

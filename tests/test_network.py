@@ -585,11 +585,11 @@ def test_ensemble_conserves_intensity_per_member_without_noise():
             assert member.absorbed_intensity > 0.5  # the GHZ post-selection
 
 
-@pytest.mark.parametrize("chunk", [1, 7, network.MEMBER_CHUNK])
+@pytest.mark.parametrize("chunk", [1, 7, 32])
 def test_ensemble_does_not_depend_on_member_chunking(chunk, monkeypatch):
     net = mermin_tree()
     reference = propagate(net, SOURCE, ENSEMBLE_NOISE, ENSEMBLE_SEEDS)
-    monkeypatch.setattr(network, "MEMBER_CHUNK", chunk)
+    monkeypatch.setattr(network, "PASS_CELLS", chunk * net.n_wires)  # chunk members per pass
     chunked = propagate(net, SOURCE, ENSEMBLE_NOISE, ENSEMBLE_SEEDS)
     for a, b in zip(chunked, reference, strict=True):
         assert a.amplitudes == b.amplitudes
@@ -602,7 +602,7 @@ def whole_tree_distributions(prep, labels, noise, seeds):
     members = propagate(tree.netlist, SOURCE, noise, seeds)
     ports = tree.netlist.output_ports
     leaves = np.array([[pa.amplitudes[w] for w in ports] for pa in members]).T
-    return network._leaf_distributions(tree, leaves)
+    return network._leaf_distributions(list(tree.leaf_groups), tree.dim, leaves)
 
 
 def test_batch_members_match_single_seed_requests():
@@ -639,20 +639,52 @@ def test_circuit_distributions_match_whole_trees(kind):
         assert a.intensities == b.intensities
 
 
-@pytest.mark.parametrize("chunk", [7, network.MEMBER_CHUNK])
+@pytest.mark.parametrize("chunk", [7, 32])
 def test_states_share_a_stage_across_member_chunks(chunk, monkeypatch):
-    monkeypatch.setattr(network, "MEMBER_CHUNK", chunk)
+    # chunk members per pass through the YY stage
+    monkeypatch.setattr(network, "PASS_CELLS", chunk * sequence_tree_netlist(None, "YY").n_wires)
+    passes = []
+    real = network._propagate_members
+
+    def counting(groups, start, *args):
+        passes.append(start.shape[1])
+        return real(groups, start, *args)
+
+    monkeypatch.setattr(network, "_propagate_members", counting)
     labels = ("ZX", "XZ", "YY")
     states = ["psi1", "singlet", "chsh", "psi11", "10", PREPS["explicit"][0]]
     seeds = {i: [substream(31 + i, m) for m in range(1 + 2 * i)] for i in range(len(states))}
     requests = [(prep, labels, seeds[i]) for i, prep in enumerate(states)]
-    requests.insert(2, ("psi4", ("ZI", "IZ", "ZZ"), ENSEMBLE_SEEDS))  # another stage between
-    assert sum(map(len, seeds.values())) == 36 > network.MEMBER_CHUNK  # one stage pass
+    requests.insert(2, ("psi4", ("ZI", "IZ", "ZZ"), ENSEMBLE_SEEDS))  # another sequence between
+    assert sum(map(len, seeds.values())) == 36
     results = circuit_distributions(requests, ENSEMBLE_NOISE)
+    # the 4 * 36 columns of the deepest YY level fill whole passes, then the rest
+    deepest = [chunk] * (4 * 36 // chunk) + [4 * 36 % chunk]
+    assert any(passes[k:k + len(deepest)] == deepest for k in range(len(passes)))
     for (prep, req_labels, req_seeds), got in zip(requests, results, strict=True):
         want = whole_tree_distributions(prep, req_labels, ENSEMBLE_NOISE, req_seeds)
         assert [d.probs for d in got] == [d.probs for d in want]
         assert [d.intensities for d in got] == [d.intensities for d in want]
+
+
+def test_level_stages_match_whole_trees():
+    # one call: a label repeated on two and on three levels, depths 1 to 3
+    # mixed, and an 8-mode sequence behind the ghz cascade
+    requests = [
+        ("psi1", ("ZX", "ZX"), ENSEMBLE_SEEDS[:3]),
+        ("psi4", ("ZI", "ZI", "ZI"), ENSEMBLE_SEEDS[3:5]),
+        ("chsh", ("XX",), ENSEMBLE_SEEDS[:1]),
+        ("singlet", ("ZI", "XX"), ENSEMBLE_SEEDS[5:9]),
+        ("psi7", ("ZX", "XZ", "YY"), ENSEMBLE_SEEDS[:2]),
+        ("ghz", ("XXX", "ZZI"), ENSEMBLE_SEEDS[:3]),
+        ("ghz", ("YYX",), None),
+    ]
+    results = circuit_distributions(requests, ENSEMBLE_NOISE)
+    for (prep, labels, seeds), got in zip(requests, results, strict=True):
+        seeds = [ENSEMBLE_NOISE.seed] if seeds is None else seeds
+        want = whole_tree_distributions(prep, labels, ENSEMBLE_NOISE, seeds)
+        assert [d.probs for d in got] == [d.probs for d in want], (prep, labels)
+        assert [d.intensities for d in got] == [d.intensities for d in want], (prep, labels)
 
 
 def test_each_stage_and_prep_is_built_once(monkeypatch):
@@ -669,9 +701,11 @@ def test_each_stage_and_prep_is_built_once(monkeypatch):
     monkeypatch.setattr(
         network, "add_state_prep", lambda net, prep: preps.append(prep) or real_prep(net, prep)
     )
-    requests = [(s, seq, None) for seq in (("ZI", "IZ"), ("XI", "IX")) for s in ("psi1", "chsh")]
+    sequences = (("ZI", "IZ"), ("XI", "IX"), ("IX", "ZI", "IX"))
+    requests = [(s, seq, None) for seq in sequences for s in ("psi1", "chsh")]
     circuit_distributions(requests)
-    assert built == [(("ZI", "IZ"), None), (("XI", "IX"), None)]
+    # one depth-1 stage per distinct label, in the order labels are first met
+    assert built == [((lab,), None) for lab in ("ZI", "IZ", "XI", "IX")]
     assert preps == ["psi1", "chsh"]
 
 
@@ -723,7 +757,7 @@ PIN_NOISE = {
     "both+leak": NoiseModel(splitter_imbalance_sigma=0.02, phase_jitter_sigma=0.03,
                             leakage=0.002),
 }
-PIN_MEMBERS = (1, 11, 33)  # 33 crosses MEMBER_CHUNK
+PIN_MEMBERS = (1, 11, 33)
 
 
 def noisy_leaf_digests(circuit, noise):
@@ -792,7 +826,8 @@ def test_noise_does_not_depend_on_slab_size(slab, noise, monkeypatch):
 def test_noise_is_drawn_once_per_slab(monkeypatch):
     net = mermin_tree()
     noisy = [len(g.elem_idx) for g in net._compile() if g.kind in (BEAM_SPLITTER, PHASE_SEGMENT)]
-    members = len(ENSEMBLE_SEEDS)  # one member chunk
+    members = len(ENSEMBLE_SEEDS)
+    monkeypatch.setattr(network, "PASS_CELLS", members * net.n_wires)  # one pass
     calls = []
     real = network.counter_normals
 
