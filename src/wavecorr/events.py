@@ -10,13 +10,16 @@ experiments built on either produce the same correlators up to 1/sqrt(N)
 noise.
 
 The threshold detector's result is defined by the time-ordered merge of the
-per-port click streams, but it is computed without building that merge: the
-time of the last recorded click is selected from the per-port streams, which
-are sorted by construction, and each port's tally is read off against it.
-Each port's energy thresholds are hashed from its counter stream block by
-block straight into its click-time buffer, with two uint64 hash buffers
-serving every block of one draw, and every float step that turns them into
-click times runs in place there too.
+per-port click streams, but it is computed without building that merge, and
+in memory that does not grow with the number of clicks: each live port holds
+one block of its latest click times, the stream is extended block by block
+until the recorded clicks are settled, and the time of the last recorded
+click is selected from the held blocks, which are sorted by construction.
+Each port's tally is its retired clicks plus those of its held block read off
+against that time.  Each port's energy thresholds are hashed from its
+counter stream straight into its block, with two uint64 hash buffers serving
+every block of one draw, and every float step that turns them into click
+times runs in place there too.
 
 Events are functions of intensities alone.  Nothing in this module sees an
 amplitude or a phase.
@@ -36,18 +39,20 @@ THRESHOLD_DETECTOR = "threshold_detector"
 LOADED_DIE = "loaded_die"
 EVENT_MODELS = (THRESHOLD_DETECTOR, LOADED_DIE)
 
-# Largest sample_count the threshold detector accepts.  It holds every click
-# time of every port in memory, about 8 bytes per click plus a per-port
-# margin, so 1e8 clicks already take ~0.8 GB; the loaded die has no such cost.
+# Largest sample_count the threshold detector accepts.  Its memory is one
+# block per live port whatever the count, but its time is not: it hashes one
+# threshold per click, 10-15 ns each, so 1e8 clicks already take over a
+# second per sequence; the loaded die has no such cost.
 MAX_THRESHOLD_SAMPLES = 100_000_000
 
-# Initial per-port click budget: expected share plus a wide margin.  The
-# stream extends itself if a port runs dry before the global cutoff, and the
-# counter-based draws make the result identical no matter how the budget is
+# Per-port click budget drawn before whole blocks: expected share plus a wide
+# margin, so a dim port draws about what it needs rather than a whole block.
+# A port that runs dry before the cutoff goes on a block at a time, and the
+# counter-based draws make the result identical no matter how the stream is
 # chunked, so these two knobs affect speed only.
 _CHUNK_SIGMAS = 10.0
 _CHUNK_FLOOR = 16
-# thresholds drawn per hash pass: 512 KiB buffers, small enough for cache
+# click times a port holds at once: 512 KiB blocks, small enough for cache
 _BLOCK = 1 << 16
 
 
@@ -146,13 +151,18 @@ def threshold_event_stream(
     clicks (possible only with zero spread) are recorded in ascending port
     order.  Long-run click fractions approach I_j / sum(I).
 
-    The merged stream is never built: the time of its last recorded click is
-    selected directly from the per-port click times, which are sorted by
-    construction.  Each port then contributes every click strictly before
-    that cutoff, and clicks at the cutoff fill the remaining slots in
-    ascending port order, which is the tally of the merge defined above.
-    With one live port the merge is that port's stream, so it takes all n
-    clicks and no threshold is drawn.
+    The merged stream is never built, and no port keeps more than its
+    latest block of at most _BLOCK click times.  The port whose latest
+    click is earliest is extended, first up to a budget near its expected
+    share and then a block at a time, until at least n clicks lie at or
+    before the horizon, the earliest of the ports' latest clicks.  Every
+    click retired with an earlier block precedes the n-th click, so the time
+    of the last recorded click is selected from the held blocks, which are
+    sorted by construction.  Each port then contributes its retired clicks
+    and every held click strictly before that cutoff, and clicks at the
+    cutoff fill the remaining slots in ascending port order, which is the
+    tally of the merge defined above.  With one live port the merge is that
+    port's stream, so it takes all n clicks and no threshold is drawn.
     """
     ports = list(intensities)
     if not ports:
@@ -186,44 +196,47 @@ def threshold_event_stream(
     budget = np.minimum(
         n, np.ceil(n * frac + _CHUNK_SIGMAS * np.sqrt(n * frac + 1.0) + _CHUNK_FLOOR)
     ).astype(np.int64)
-    # every port's clicks in one buffer of about n entries: buffers per port
-    # change size with the rates, and the allocator may serve each new size
-    # from freshly mapped pages, paying their page faults again
-    times = np.split(np.empty(int(budget.sum())), np.cumsum(budget)[:-1])
+    # each port holds only its latest block of click times; the blocks before
+    # it are retired, leaving their click count behind
+    width = min(_BLOCK, n)
+    buffers = np.empty((live.size, width))
+    hashes = (np.empty(width, np.uint64), np.empty(width, np.uint64))
+    blocks = [buffers[k, :0] for k in range(live.size)]
+    drawn = [0] * live.size
+    energy = [0.0] * live.size
+    latest = np.full(live.size, -np.inf)
+    retired = 0
     # a port dimmer than the brightest by ~1e300 overflows to inf click
     # times, meaning it never fires in any finite window: the right limit
     with np.errstate(over="ignore"):
-        energy = [
-            _click_times(t, streams[k], 0, 0.0, lo, span, live_rates[k])
-            for k, t in enumerate(times)
-        ]
         while True:
-            cutoff = _nth_smallest(times, n)
-            # a port whose generated stream ends before the cutoff might
-            # still owe clicks inside the window, so extend it and reselect
-            short = [
-                k
-                for k in range(live.size)
-                if times[k].size < n and float(times[k][-1]) < cutoff
-            ]
-            if not short:
+            # every click at or before the horizon is drawn: undrawn clicks
+            # of a port come after its latest one
+            horizon = latest.min()
+            held = sum(int(np.searchsorted(b, horizon, side="right")) for b in blocks)
+            if retired + held >= n:
                 break
-            for k in short:
-                have = times[k].size
-                grow = int(min(n - have, max(have, _CHUNK_FLOOR)))
-                longer = np.empty(have + grow)
-                longer[:have] = times[k]
-                energy[k] = _click_times(
-                    longer[have:], streams[k], have, energy[k], lo, span, live_rates[k]
-                )
-                times[k] = longer
+            # extend the port that sets the horizon; its block ends there, so
+            # every retired click lies at or before a horizon that held fewer
+            # than n clicks, hence strictly before the n-th click
+            k = int(latest.argmin())
+            retired += blocks[k].size
+            limit = int(budget[k]) if drawn[k] < budget[k] else n
+            block = buffers[k, : min(width, limit - drawn[k])]
+            energy[k] = _click_times(
+                block, hashes, streams[k], drawn[k], energy[k], lo, span, live_rates[k]
+            )
+            blocks[k] = block
+            drawn[k] += block.size
+            latest[k] = block[-1]
 
-    before = [int(np.searchsorted(t, cutoff, side="left")) for t in times]
-    left = n - sum(before)
+    cutoff = _nth_smallest(blocks, n - retired)
+    before = [int(np.searchsorted(b, cutoff, side="left")) for b in blocks]
+    left = n - retired - sum(before)
     fired = np.zeros(len(ports), dtype=np.int64)
-    for k, t in enumerate(times):  # ties at the cutoff, ascending port order
-        tied = min(int(np.searchsorted(t, cutoff, side="right")) - before[k], left)
-        fired[live[k]] = before[k] + tied
+    for k, b in enumerate(blocks):  # ties at the cutoff, ascending port order
+        tied = min(int(np.searchsorted(b, cutoff, side="right")) - before[k], left)
+        fired[live[k]] = drawn[k] - b.size + before[k] + tied
         left -= tied
     return EventCounts(
         counts={ports[i]: int(fired[i]) for i in range(len(ports))}, total=n
@@ -231,29 +244,33 @@ def threshold_event_stream(
 
 
 def _click_times(
-    out: np.ndarray, stream: int, start: int, energy: float, lo: float, span: float, rate: float
+    out: np.ndarray,
+    hashes: tuple[np.ndarray, np.ndarray],
+    stream: int,
+    start: int,
+    energy: float,
+    lo: float,
+    span: float,
+    rate: float,
 ) -> float:
     """Fill ``out`` with one port's click times from threshold ``start`` on.
 
     ``energy`` is the port's accumulated threshold energy before the first
     of these clicks; the energy after the last one is returned, so a later
-    call continues the stream.  The thresholds are drawn _BLOCK at a time,
-    straight into ``out``, by counter_uniform_run with two uint64 hash
-    buffers allocated once per call and kept in cache; every later step runs
-    in place on the block.  The running sum is carried from block to block,
-    which reproduces one cumsum over the whole stream bit for bit.
+    call continues the stream.  The thresholds are drawn straight into
+    ``out`` by counter_uniform_run, with ``hashes`` as its two uint64 hash
+    buffers; every later step runs in place.  The running sum is carried
+    from call to call, which reproduces one cumsum over the whole stream bit
+    for bit.
     """
-    size = min(out.size, _BLOCK)
-    buffers = (np.empty(size, np.uint64), np.empty(size, np.uint64))
-    for b in range(0, out.size, _BLOCK):
-        seg = out[b : b + _BLOCK]
-        counter_uniform_run(seg, stream, start + b, buffers)
-        seg *= span
-        seg += lo
-        seg[0] += energy
-        np.cumsum(seg, out=seg)
-        energy = float(seg[-1])
-        seg /= rate
+    counter_uniform_run(out, stream, start, hashes)
+    out *= span
+    out += lo
+    out[0] += energy
+    np.cumsum(out, out=out)
+    energy = float(out[-1])
+    if rate != 1.0:  # the brightest port's rate; x / 1.0 == x bit for bit
+        out /= rate
     return energy
 
 

@@ -268,6 +268,56 @@ def test_threshold_matches_sorted_merge(rates, spread, n, seed):
     assert threshold_event_stream(ports, cfg).counts == sorted_merge_counts(ports, cfg)
 
 
+@pytest.mark.parametrize("block", [7, 64])
+@pytest.mark.parametrize(
+    "rates,cfg",
+    [
+        # zero spread: equal-rate ports tie at the cutoff and at every horizon
+        ({"a": 1.0, "b": 1.0, "c": 1.0}, tcfg(1000, spread=0.0)),
+        ({"a": 1.0, "b": 0.5, "c": 1.0}, tcfg(1001, spread=0.0)),
+        # q's click times overflow to inf: it never sets the horizon
+        ({"p": 1.0, "q": 1e-320, "r": 0.3}, tcfg(1500, seed=3)),
+        ({"u": 0.65, "v": 0.25, "w": 0.10}, tcfg(3000, seed=13)),
+        ({"u": 0.65, "v": 0.25, "w": 0.10, "z": 0.0}, tcfg(2999, seed=7, spread=0.9)),
+    ],
+)
+def test_threshold_horizon_crosses_many_blocks(rates, cfg, block, monkeypatch):
+    # tiny blocks and no budget margin, so every port retires many blocks
+    # before the cutoff is selected from the ones it holds
+    import wavecorr.events as ev
+
+    click_times, sizes = ev._click_times, []
+
+    def spy(out, *args):
+        sizes.append(out.size)
+        return click_times(out, *args)
+
+    monkeypatch.setattr(ev, "_click_times", spy)
+    monkeypatch.setattr(ev, "_BLOCK", block)
+    monkeypatch.setattr(ev, "_CHUNK_SIGMAS", 0.0)
+    monkeypatch.setattr(ev, "_CHUNK_FLOOR", 1)
+    assert threshold_event_stream(rates, cfg).counts == sorted_merge_counts(rates, cfg)
+    assert max(sizes) <= block
+    assert sum(sizes) >= cfg.sample_count and len(sizes) > cfg.sample_count // block
+
+
+@pytest.mark.parametrize("n", [10**6, 4 * 10**6])
+def test_threshold_memory_does_not_grow_with_sample_count(n):
+    # numpy reports its buffers to tracemalloc; each live port holds one
+    # block of at most _BLOCK click times whatever the sample count
+    import tracemalloc
+
+    rates = {"a": 0.4, "b": 0.3, "c": 0.2, "d": 0.1}
+    threshold_event_stream(rates, tcfg(1000))  # lazily built hash tables
+    tracemalloc.start()
+    try:
+        threshold_event_stream(rates, tcfg(n, seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
 @pytest.mark.parametrize(
     "rates,cfg,expected",
     [
