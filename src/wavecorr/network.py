@@ -26,13 +26,20 @@ measurement stage.  Every level of a sequence tree is the same measurement
 block for one observable, copied once per branch, so circuit_distributions
 builds, per call, each preparation once and one depth-1 stage (the
 one-observable tree with bare mode inputs) per distinct label, and
-propagates each sequence a level at a time: the 2^(j-1) branches entering
-level j, times the (state, fabrication) pairs of the sequence, are the
-member columns of that level's stage pass.  Each member's noise draws are keyed by where its block sits in
-the whole tree, preparation first, and the leaf taps draw nothing, so every
-leaf is bitwise that of the tree with the preparation built in.  A pass
-holds about PASS_CELLS (wire, member) amplitudes, so a small stage takes
-many members at once and a large one few.
+propagates the sequences a level at a time: level j of every sequence whose
+j-th label is the same goes through that label's stage in one call, its
+2^(j-1) entering branches times its (state, fabrication) pairs side by side
+with the other sequences' on the member axis.  Each member's noise draws
+are keyed by where its block sits in the whole tree, preparation first, and
+the leaf taps draw nothing, so every leaf is bitwise that of the tree with
+the preparation built in.  Only the amplitudes are computed: the intensity
+lost to terminations and leakage is tallied when a caller asks for it.
+
+A compiled netlist keeps its wires in slots, one per wire live at a time
+(an element's output takes its input's slot), so a stage needs a slot per
+input and ground port, not a row per wire.  A pass holds about PASS_CELLS
+(slot, member) amplitudes, so a small stage takes many members at once and
+a large one few.
 
 Fabrication noise is drawn in slabs, not per group: the noisy groups of one
 kind are cut into runs of at most NOISE_SLAB (element, member) draws, and a
@@ -53,7 +60,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from itertools import chain, islice, product, repeat
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,11 +84,13 @@ from wavecorr.wavecore import (
 
 INTENSITY_CONSERVATION_TOL = 1e-12
 
-# (wire, member) amplitudes per propagation pass, which takes
-# max(1, PASS_CELLS // wires) members.  Fixed 32-member passes peaked at the
-# 6 112-wire Mermin stage times 20 members; 2^17 put 57 members through the
-# 2 288-wire ghz preparation, above that, while 2^16 stays below it and gave
-# a 20-member ensemble run the lower peak RSS (~38.3 vs ~40.0 MB)
+# (slot, member) amplitudes per propagation pass, which takes
+# max(1, PASS_CELLS // slots) members, so a pass's buffer stays within 1 MiB
+# and each group temporary within that (a group's elements each free a live
+# slot) however many members a call brings.  The shipped stages need 8 or 16
+# slots and the ghz preparation 32, so every call of the noisy audit scenario
+# or of a 20-member noise study (at most 2 560 cells) runs as one pass; the
+# bound binds on large ensembles only
 PASS_CELLS = 1 << 16
 
 # (element, member) fabrication draws per noise slab, see _noise_slabs; at
@@ -168,6 +177,8 @@ _KINDS = tuple(sorted(_ARITY))
 _KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
 _N_IN = np.array([_ARITY[kind][0] for kind in _KINDS], dtype=np.intp)
 _N_OUT = np.array([_ARITY[kind][1] for kind in _KINDS], dtype=np.intp)
+# per kind, whether output row k continues input row k (k = 0, 1)
+_CARRIES = np.array([[min(_ARITY[kind]) > k for k in range(2)] for kind in _KINDS])
 
 
 @dataclass
@@ -182,9 +193,17 @@ class _Group:
 
     kind: str
     elem_idx: np.ndarray
-    in_idx: np.ndarray  # shape (in_arity, n): row k holds each element's k-th input
-    out_idx: np.ndarray  # shape (out_arity, n)
+    in_idx: np.ndarray  # shape (in_arity, n): row k holds the slot of each element's k-th input
+    out_idx: np.ndarray  # shape (out_arity, n), slots likewise
     base: np.ndarray  # phase or ratio, zeros otherwise
+
+
+class _Slots(NamedTuple):
+    """Where a compiled netlist's ports sit in a propagation buffer."""
+
+    count: int  # rows of the buffer
+    inputs: np.ndarray  # slot of each input port, in port order
+    outputs: np.ndarray  # slot of each output port, in port order
 
 
 def _wire_rows(wires: Iterable[int], arity: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -216,6 +235,7 @@ class Netlist:
         self.n_wires = 0
         self._names: dict[str, int] = {}
         self._compiled: list[_Group] | None = None
+        self._slots: _Slots | None = None  # set with _compiled
 
     # -- construction ------------------------------------------------
 
@@ -250,7 +270,7 @@ class Netlist:
         return self.wire_id(wire)
 
     def add_output(self, wire: Wire) -> Wire:
-        """Read a wire out; propagate() reports it under the name or id given."""
+        """Read a wire out; propagate() gives the output ports' rows in the order added."""
         self._compiled = None
         self.wire_id(wire)
         self.output_ports.append(wire)
@@ -356,37 +376,86 @@ class Netlist:
         return layers
 
     def _compile(self) -> list[_Group]:
+        """Same-kind groups in execution order, their wires mapped to slots.
+
+        Groups run layer by layer, and within a layer in kind order.  A group
+        reads (and copies) all of its inputs before it writes an output, so a
+        wire's slot is free once its reader's group runs, and that group's
+        own outputs may take it: each output takes the slot of the input in
+        its own row (a splitter's, a phase segment's or a tap's, a coupler's
+        first), and a coupler's second output reuses the slot of a wire that
+        a termination absorbed before a new slot opens.  The slot count is
+        then the most wires live at once.  Input and ground ports get the
+        first slots, since a ground must read zero however late its reader
+        runs; an output port's wire has no reader, so its slot is never
+        freed.  ``_slots`` records the count and where the ports sit.
+        """
         if self._compiled is not None:
             return self._compiled
         layer = np.array(self._layers(), dtype=np.intp)
-        if not self.elements:
-            self._compiled = []
-            return self._compiled
-        kinds, ins, outs, bases = zip(*self.elements)
-        kind = np.fromiter(map(_KIND_CODE.__getitem__, kinds), dtype=np.intp, count=len(kinds))
-        # a stable sort keeps element order inside each (layer, kind) bucket
-        key = layer * len(_KINDS) + kind
-        order = np.argsort(key, kind="stable")
-        cuts = (np.flatnonzero(np.diff(key[order])) + 1).tolist()
-        starts, stops = [0] + cuts, cuts + [len(kinds)]
-
-        elem_idx = order.astype(np.uint64).reshape(-1, 1)
-        base = np.array(bases)[order].reshape(-1, 1)
-        ins = _wire_rows(chain.from_iterable(ins), _N_IN[kind], order)
-        outs = _wire_rows(chain.from_iterable(outs), _N_OUT[kind], order)
-
+        ports = [self.wire_id(w) for w in self.input_ports + self.ground_ports]
+        count = len(ports)
+        # the slot of each chain's first wire; of every wire once mapped by head
+        slot = np.zeros(self.n_wires, dtype=np.intp)
+        slot[ports] = np.arange(count)
         groups: list[_Group] = []
-        for start, stop, code in zip(starts, stops, kind[order[starts]].tolist()):
-            n_in, n_out = _ARITY[_KINDS[code]]
-            groups.append(
-                _Group(
-                    kind=_KINDS[code],
-                    elem_idx=elem_idx[start:stop],
-                    in_idx=ins[:n_in, start:stop],
-                    out_idx=outs[:n_out, start:stop],
-                    base=base[start:stop],
+        if self.elements:
+            kinds, ins, outs, bases = zip(*self.elements)
+            kind = np.fromiter(map(_KIND_CODE.__getitem__, kinds), dtype=np.intp, count=len(kinds))
+            # a stable sort keeps element order inside each (layer, kind) bucket
+            key = layer * len(_KINDS) + kind
+            order = np.argsort(key, kind="stable")
+            cuts = (np.flatnonzero(np.diff(key[order])) + 1).tolist()
+            starts, stops = [0] + cuts, cuts + [len(kinds)]
+            codes = kind[order[starts]].tolist()
+
+            elem_idx = order.astype(np.uint64).reshape(-1, 1)
+            base = np.array(bases)[order].reshape(-1, 1)
+            ins = _wire_rows(chain.from_iterable(ins), _N_IN[kind], order)
+            outs = _wire_rows(chain.from_iterable(outs), _N_OUT[kind], order)
+
+            # output row k of an element with an input row k continues that
+            # input's chain and takes its slot; pointer jumping takes every
+            # wire to its chain's first wire, a port or a coupler's second
+            # output (a chain is shorter than 2^bit_length(wires))
+            carries = _CARRIES[kind[order]]
+            head = np.arange(self.n_wires)
+            for k in range(2):
+                head[outs[k, carries[:, k]]] = ins[k, carries[:, k]]
+            for _ in range(self.n_wires.bit_length()):
+                head = head[head]
+            # in group order, a termination frees its chain's slot and a
+            # coupler's second output takes the last slot freed, or a new one
+            free: list[int] = []
+            for start, stop, code in zip(starts, stops, codes):
+                if _KINDS[code] == TERMINATION:
+                    free += slot[head[ins[0, start:stop]]].tolist()
+                elif _KINDS[code] == UNEQUAL_COUPLER:
+                    for w in outs[1, start:stop].tolist():
+                        if free:
+                            slot[w] = free.pop()
+                        else:
+                            slot[w] = count
+                            count += 1
+            slot = slot[head]
+            ins, outs = slot[ins], slot[outs]
+
+            for start, stop, code in zip(starts, stops, codes):
+                n_in, n_out = _ARITY[_KINDS[code]]
+                groups.append(
+                    _Group(
+                        kind=_KINDS[code],
+                        elem_idx=elem_idx[start:stop],
+                        in_idx=ins[:n_in, start:stop],
+                        out_idx=outs[:n_out, start:stop],
+                        base=base[start:stop],
+                    )
                 )
-            )
+        self._slots = _Slots(
+            count=count,
+            inputs=slot[[self.wire_id(w) for w in self.input_ports]],
+            outputs=slot[[self.wire_id(w) for w in self.output_ports]],
+        )
         self._compiled = groups
         return groups
 
@@ -394,124 +463,86 @@ class Netlist:
 # ------------------------------------------------------------- propagation
 
 
-@dataclass(frozen=True)
-class PortAmplitudes:
-    """Amplitudes at the output ports plus the energy bookkeeping."""
-
-    amplitudes: dict[Wire, complex]  # keyed by the output ports as given
-    input_intensity: float
-    absorbed_intensity: float
-
-    @property
-    def output_intensity(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.amplitudes.values()))
-
-    def intensity(self, wire: Wire) -> float:
-        return float(abs(self.amplitudes[wire]) ** 2)
-
-
 def propagate(
     netlist: Netlist,
-    drive: WaveState | Mapping[str, complex] | np.ndarray,
+    drive: np.ndarray,
     noise: NoiseModel | None = None,
     seeds: Sequence[int] | None = None,
     offsets: Sequence[int] | None = None,
-) -> PortAmplitudes | list[PortAmplitudes] | tuple[np.ndarray, np.ndarray]:
-    """Push amplitudes through the netlist in feed-forward order.
+    *,
+    return_absorbed: bool = False,
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Push a batch of members through the netlist in feed-forward order.
 
-    ``drive`` maps input port names to amplitudes; a WaveState is matched to
-    the ports by its mode labels.  Grounded ports start at zero.  With zero
-    noise the total output intensity plus the absorbed intensity equals the
-    input intensity to 1e-12 (each element scatters unitarily); noise keeps
-    that bookkeeping because imbalanced splitters are still unitary and
-    leakage is accounted as absorption.
+    ``drive`` has shape (input ports, members): column m drives the input
+    ports, in order, for member m; grounded ports start at zero.  Member m is
+    the circuit under ``noise`` with its seed replaced by ``seeds[m]`` (one
+    member under the model's own seed when ``seeds`` is None), and its element
+    indices shifted by ``offsets[m]`` (default 0) before drawing.  Every draw
+    is a pure function of (seed, element index) and every step is elementwise
+    per member, so each member is bitwise what a call with that member alone
+    gives.
 
-    With ``seeds`` one pass propagates a whole fabrication ensemble: member m
-    is the circuit under ``noise`` with its seed replaced by ``seeds[m]``, and
-    one PortAmplitudes per member is returned in seed order.  Every draw is a
-    pure function of (seed, element index), so each member is bitwise what a
-    call with that single seed gives.  A pass takes max(1, PASS_CELLS //
-    wires) members, so its (wires, members) buffer stays near PASS_CELLS
-    amplitudes however large the ensemble, and a small circuit takes many
-    members per pass.
+    Returns the amplitudes at the output ports, shape (output ports,
+    members).  With ``return_absorbed`` it also returns the intensity each
+    member lost to terminations and leakage; with zero noise the output
+    intensity plus that equals the input intensity to 1e-12 (each element
+    scatters unitarily), and noise keeps the bookkeeping because imbalanced
+    splitters are still unitary and leakage is counted as absorbed.
 
-    An array ``drive`` of shape (input ports, members) is the batch form:
-    column m drives the input ports, in order, for member m, whose seed is
-    ``seeds[m]`` and whose element indices are shifted by ``offsets[m]``
-    (default 0) before drawing.  It returns two arrays: the amplitudes at the
-    output ports, shape (output ports, members), and the absorbed intensity
-    per member.
+    Wires live in the slots of Netlist._compile, so a pass's buffer has
+    shape (slots, members).  A pass takes max(1, PASS_CELLS // slots)
+    members, so the buffer stays near PASS_CELLS amplitudes however many
+    members there are, and a small circuit takes many members per pass.
     """
     groups = netlist._compile()
-    in_idx = np.array([netlist.wire_id(w) for w in netlist.input_ports], dtype=np.intp)
-    out_idx = np.array([netlist.wire_id(w) for w in netlist.output_ports], dtype=np.intp)
-    batch = isinstance(drive, np.ndarray)
+    slots = netlist._slots
     members = [0 if noise is None else noise.seed] if seeds is None else list(seeds)
-    if batch:
-        columns = drive
-        if columns.shape != (len(in_idx), len(members)):
-            raise PropagationError(
-                f"drive of shape {columns.shape} for {len(in_idx)} input ports "
-                f"and {len(members)} members"
-            )
-    else:
-        if isinstance(drive, WaveState):
-            values = dict(zip(drive.labels, drive.amplitudes))
-        else:
-            values = dict(drive)
-        missing = set(netlist.input_ports) - set(values)
-        extra = set(values) - set(netlist.input_ports)
-        if missing or extra:
-            raise PropagationError(
-                f"drive does not match input ports (missing {sorted(missing)}, "
-                f"unknown {sorted(extra)})"
-            )
-        column = np.array([[values[w]] for w in netlist.input_ports], dtype=complex)
-        columns = np.repeat(column, len(members), axis=1)
+    if np.shape(drive) != (len(slots.inputs), len(members)):
+        raise PropagationError(
+            f"drive of shape {np.shape(drive)} for {len(slots.inputs)} input ports "
+            f"and {len(members)} members"
+        )
+    member_seeds = np.array([s & 0xFFFFFFFFFFFFFFFF for s in members], dtype=np.uint64)
     shifts = None if offsets is None else np.asarray(offsets, dtype=np.uint64)
 
-    out = np.empty((len(out_idx), len(members)), dtype=complex)
-    absorbed = np.empty(len(members))
-    step = max(1, PASS_CELLS // max(netlist.n_wires, 1))
+    out = np.empty((len(slots.outputs), len(members)), dtype=complex)
+    absorbed = np.zeros(len(members)) if return_absorbed else None
+    step = max(1, PASS_CELLS // max(slots.count, 1))
     for first in range(0, len(members), step):
         cols = slice(first, first + step)
-        chunk = np.array([s & 0xFFFFFFFFFFFFFFFF for s in members[cols]], dtype=np.uint64)
-        start = np.zeros((netlist.n_wires, len(chunk)), dtype=complex)
-        start[in_idx] = columns[:, cols]
-        amps, absorbed[cols] = _propagate_members(
-            groups, start, noise, chunk, None if shifts is None else shifts[cols]
+        amps = np.zeros((slots.count, len(member_seeds[cols])), dtype=complex)
+        amps[slots.inputs] = drive[:, cols]
+        _propagate_members(
+            groups,
+            amps,
+            noise,
+            member_seeds[cols],
+            None if shifts is None else shifts[cols],
+            None if absorbed is None else absorbed[cols],
         )
-        out[:, cols] = amps[out_idx]
-    if batch:
-        return out, absorbed
-
-    input_intensity = float(np.sum(np.abs(column) ** 2))
-    results = [
-        PortAmplitudes(
-            amplitudes={w: complex(a) for w, a in zip(netlist.output_ports, column)},
-            input_intensity=input_intensity,
-            absorbed_intensity=float(lost),
-        )
-        for column, lost in zip(out.T, absorbed)
-    ]
-    return results[0] if seeds is None else results
+        out[:, cols] = amps[slots.outputs]
+    return (out, absorbed) if return_absorbed else out
 
 
 def _propagate_members(
     groups: list[_Group],
-    start: np.ndarray,
+    amps: np.ndarray,
     noise: NoiseModel | None,
     seeds: np.ndarray,
     offsets: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitudes on every wire, shape (wires, members), and absorbed per member.
+    absorbed: np.ndarray | None = None,
+) -> None:
+    """Run the compiled groups over ``amps``, shape (slots, members), in place.
 
-    ``start`` holds every wire's starting amplitude per member, shape
-    (wires, members), and is updated in place.  Member m draws element i's
-    fabrication error with seed ``seeds[m]`` at index i + ``offsets[m]`` (i
-    alone without offsets), so a measurement stage propagated behind a
-    separate preparation of n elements, at offset n, draws what the whole
-    circuit draws.
+    ``amps`` holds each input and ground slot's starting amplitude per
+    member; afterwards the output ports' slots hold theirs.  Member m draws
+    element i's fabrication error with seed ``seeds[m]`` at index i +
+    ``offsets[m]`` (i alone without offsets), so a measurement stage
+    propagated behind a separate preparation of n elements, at offset n,
+    draws what the whole circuit draws.  Given ``absorbed``, one entry per
+    member, the intensity each member loses to terminations and leakage is
+    added to it; amplitudes do not depend on whether it is.
 
     Noisy splitter and phase values come a slab of groups at a time from
     _noise_slabs, drawn when the loop reaches the slab's first group: one
@@ -520,8 +551,7 @@ def _propagate_members(
     """
     if offsets is not None:
         seeds = offset_seeds(seeds, offsets)  # folded in once, not per group
-    amps = start
-    absorbed = np.zeros(len(seeds))
+    tally = absorbed is not None
 
     quiet = noise is None or noise.is_quiet
     sigma_imb = 0.0 if noise is None else noise.splitter_imbalance_sigma
@@ -532,10 +562,12 @@ def _propagate_members(
     jitter = _noise_slabs(groups, PHASE_SEGMENT, seeds, sigma_jit) if sigma_jit > 0.0 else None
 
     # take(axis=0) and .sum() gather and reduce like [] and np.sum, with less
-    # per-call overhead on the many small groups of a tree
+    # per-call overhead on the many small groups of a tree; take copies, so a
+    # group may write an output into a slot its own inputs just left
     for g in groups:
         if g.kind == TERMINATION:
-            absorbed += (np.abs(amps.take(g.in_idx[0], axis=0)) ** 2).sum(axis=0)
+            if tally:
+                absorbed += (np.abs(amps.take(g.in_idx[0], axis=0)) ** 2).sum(axis=0)
         elif g.kind == FANOUT_LABEL:
             amps[g.out_idx[0]] = amps.take(g.in_idx[0], axis=0)
         elif g.kind == BEAM_SPLITTER:
@@ -548,24 +580,25 @@ def _propagate_members(
                 c, s = _BALANCED if imbalance is None else next(imbalance)
                 out_sum = c * u + s * v
                 out_diff = s * u - c * v
-            through = np.abs(u) ** 2 + np.abs(v) ** 2
-            absorbed += (leak * through).sum(axis=0)
+            if tally:
+                absorbed += (leak * (np.abs(u) ** 2 + np.abs(v) ** 2)).sum(axis=0)
             amps[g.out_idx[0]] = out_sum * keep
             amps[g.out_idx[1]] = out_diff * keep
         elif g.kind == PHASE_SEGMENT:
             a = amps.take(g.in_idx[0], axis=0)
-            absorbed += (leak * np.abs(a) ** 2).sum(axis=0)
+            if tally:
+                absorbed += (leak * np.abs(a) ** 2).sum(axis=0)
             turn = np.exp(1j * g.base) if jitter is None else next(jitter)
             amps[g.out_idx[0]] = a * turn * keep
         elif g.kind == UNEQUAL_COUPLER:
             s_in = amps.take(g.in_idx[0], axis=0)
             norm = np.sqrt(1.0 + g.base**2)
-            absorbed += (leak * np.abs(s_in) ** 2).sum(axis=0)
+            if tally:
+                absorbed += (leak * np.abs(s_in) ** 2).sum(axis=0)
             amps[g.out_idx[0]] = s_in / norm * keep
             amps[g.out_idx[1]] = s_in * (g.base / norm) * keep
         else:  # pragma: no cover - kinds are closed above
             raise NetlistError(f"unhandled kind {g.kind!r}")
-    return amps, absorbed
 
 
 def _noise_slabs(groups: list[_Group], kind: str, seeds: np.ndarray, sigma: float):
@@ -740,38 +773,6 @@ class SequenceTree:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def leaf_count(self) -> int:
-        return sum(len(ws) for ws in self.leaf_groups.values())
-
-    def path_total_counts(self) -> dict[str, int]:
-        """Elements crossed along any amplitude-carrying path to each leaf.
-
-        Wires reachable only from grounds carry no amplitude until they are
-        mixed in, so they impose no constraint; wherever two constrained
-        wires meet at an element their path totals must agree.  Equal totals
-        everywhere are what make uniform per-element leakage a global factor
-        that cancels out of the normalized leaf distribution.
-        """
-        net = self.netlist
-        depth: list[int | None] = [None] * net.n_wires
-        for w in net.input_ports:
-            depth[net.wire_id(w)] = 0
-        for pos, (kind, ins, outs, _) in enumerate(net.elements):
-            known = [depth[w] for w in ins if depth[w] is not None]
-            if known and any(v != known[0] for v in known[1:]):
-                raise NetlistError(f"paths of different length meet at element {pos} ({kind})")
-            out_depth = known[0] + 1 if known else None
-            for w in outs:
-                depth[w] = out_depth
-        totals: dict[str, int] = {}
-        for outcome, wires in self.leaf_groups.items():
-            leaf_depths = {depth[net.wire_id(w)] for w in wires} - {None}
-            if len(leaf_depths) > 1:
-                raise NetlistError(f"leaf group {outcome!r} mixes path lengths {leaf_depths}")
-            totals[outcome] = leaf_depths.pop() if leaf_depths else 0
-        return totals
-
 
 def _complete_to_unitary(psi: np.ndarray) -> np.ndarray:
     """Deterministic unitary whose first column is the given unit vector."""
@@ -854,9 +855,10 @@ def build_sequence_tree(
     """Cascade measurement blocks for a sequence of one to three observables.
 
     With ``prep`` None the tree's inputs are the bare mode ports (named by
-    the basis labels) and the caller drives them with a WaveState; otherwise
-    the preparation is built into the circuit and the single input port is
-    "prep.src".  Leaf ports are named "leaf.<outcome>.<basis label>".
+    the basis labels, in basis order) and the caller drives them with a
+    state's amplitudes; otherwise the preparation is built into the circuit
+    and the single input port is "prep.src".  Leaf ports are named
+    "leaf.<outcome>.<basis label>".
     """
     basis = binary_labels(_sequence_factors(observables))
     net = Netlist()
@@ -902,18 +904,21 @@ def circuit_distributions(
     one list of member distributions per request, in request order.
 
     Each distinct prep is built once and all of its members propagate through
-    it in one pass.  Each sequence then propagates a level at a time through
+    it in one call.  The sequences then propagate a level at a time through
     depth-1 stages, ``build_sequence_tree([pauli_observable(label)])``, one
-    built per distinct label per call.  Level j feeds 2^(j-1) branches, laid
-    side by side on the member axis, branch-major in the tree's breadth-first
-    path order ("+" before "-"), each branch holding the sequence's (request,
-    seed) columns.  ``build_sequence_tree(obs, prep)`` puts the prep's n
-    elements first and then each level's blocks in that order, so branch b
-    of level j draws at offset n + sum_{i<j} 2^(i-1) B_i + b B_j, where B is
-    a block's element count without the stage's 2d leaf taps.  The taps draw
-    no noise and leak nothing, and propagation is elementwise per member, so
-    every member is bitwise what propagating that whole tree with the
-    member's seed gives.  Nothing is cached across calls.
+    built per distinct label per call, in the order labels are first met.
+    Level j of a sequence feeds 2^(j-1) branches, laid side by side on the
+    member axis, branch-major in the tree's breadth-first path order ("+"
+    before "-"), each branch holding the sequence's (request, seed) columns;
+    the columns of every sequence whose j-th label is the same go through
+    that label's stage in one propagate call.  ``build_sequence_tree(obs,
+    prep)`` puts the prep's n elements first and then each level's blocks in
+    that order, so branch b of level j draws at offset n + sum_{i<j}
+    2^(i-1) B_i + b B_j, where B is a block's element count without the
+    stage's 2d leaf taps.  The taps draw no noise and leak nothing, and
+    propagation is elementwise per member, so every member is bitwise what
+    propagating that whole tree with the member's seed gives.  Nothing is
+    cached across calls.
     """
     member_seeds = [
         [0 if noise is None else noise.seed] if seeds is None else list(seeds)
@@ -933,14 +938,18 @@ def circuit_distributions(
         for w in add_state_prep(net, requests[idx[0]][0]):
             net.add_output(w)
         seeds = [s for i in idx for s in member_seeds[i]]
-        modes, _ = propagate(net, np.ones((1, len(seeds)), dtype=complex), noise, seeds)
+        modes = propagate(net, np.ones((1, len(seeds)), dtype=complex), noise, seeds)
         bounds = np.cumsum([len(member_seeds[i]) for i in idx])[:-1]
         for i, block in zip(idx, np.split(modes, bounds, axis=1)):
             prepared[i] = block
             prep_size[i] = len(net.elements)
 
+    # per distinct label sequence: its member seeds, and the (d, branches *
+    # members) amplitudes entering its next level with each column's offset
+    seq_seeds: dict[tuple[str, ...], list[int]] = {}
+    seq_offsets: dict[tuple[str, ...], np.ndarray] = {}
+    seq_amps: dict[tuple[str, ...], np.ndarray] = {}
     stages: dict[str, tuple[Netlist, int]] = {}  # label -> (depth-1 stage, block elements)
-    results: list = [None] * len(requests)
     for labels, idx in by_labels.items():
         d = 2 ** _sequence_factors([pauli_observable(lab) for lab in labels])
         for i in idx:
@@ -949,26 +958,52 @@ def circuit_distributions(
                     f"preparation of {len(prepared[i])} modes for the "
                     f"{d}-mode sequence {'*'.join(labels)}"
                 )
-        sizes = [len(member_seeds[i]) for i in idx]
-        seeds = [s for i in idx for s in member_seeds[i]]
-        offsets = np.repeat(np.array([prep_size[i] for i in idx], dtype=np.uint64), sizes)
-        amps = np.hstack([prepared[i] for i in idx])  # (d, branches * members)
-        for level, label in enumerate(labels):
-            branches = 2**level
+        for label in labels:
             if label not in stages:
                 stage = build_sequence_tree([pauli_observable(label)])
                 stages[label] = stage.netlist, len(stage.netlist.elements) - 2 * d
+        sizes = [len(member_seeds[i]) for i in idx]
+        seq_seeds[labels] = [s for i in idx for s in member_seeds[i]]
+        seq_offsets[labels] = np.repeat(
+            np.array([prep_size[i] for i in idx], dtype=np.uint64), sizes
+        )
+        seq_amps[labels] = np.hstack([prepared[i] for i in idx])
+
+    # level j of every sequence whose j-th label is the same goes through that
+    # label's stage in one call, the sequences side by side on the member axis
+    for level in range(max(map(len, by_labels), default=0)):
+        branches = 2**level
+        by_stage: dict[str, list[tuple[str, ...]]] = {}
+        for labels in by_labels:
+            if level < len(labels):
+                by_stage.setdefault(labels[level], []).append(labels)
+        for label, group in by_stage.items():
             net, block = stages[label]
-            shifts = offsets + np.uint64(block) * np.arange(branches, dtype=np.uint64)[:, None]
-            out, _ = propagate(net, amps, noise, seeds * branches, shifts.ravel())
-            offsets += np.uint64(branches * block)
-            # rows: the d "+" leaves, then the d "-" leaves; branch b feeds 2b and 2b + 1
-            amps = out.reshape(2, d, branches, len(seeds)).transpose(1, 2, 0, 3).reshape(d, -1)
+            steps = np.uint64(block) * np.arange(branches, dtype=np.uint64)[:, None]
+            out = propagate(
+                net,
+                np.hstack([seq_amps[labels] for labels in group]),
+                noise,
+                [s for labels in group for s in seq_seeds[labels] * branches],
+                np.concatenate([(seq_offsets[labels] + steps).ravel() for labels in group]),
+            )
+            d = len(out) // 2
+            widths = [branches * len(seq_seeds[labels]) for labels in group]
+            for labels, part in zip(group, np.split(out, np.cumsum(widths)[:-1], axis=1)):
+                seq_offsets[labels] += np.uint64(branches * block)
+                # rows: the d "+" leaves, then the d "-" leaves; branch b feeds 2b and 2b + 1
+                seq_amps[labels] = (
+                    part.reshape(2, d, branches, -1).transpose(1, 2, 0, 3).reshape(d, -1)
+                )
+
+    results: list = [None] * len(requests)
+    for labels, idx in by_labels.items():
+        d, n = len(seq_amps[labels]), len(seq_seeds[labels])
         paths = ["".join(p) for p in product("+-", repeat=len(labels))]
-        leaves = amps.reshape(d, len(paths), -1).transpose(1, 0, 2).reshape(-1, len(seeds))
+        leaves = seq_amps[labels].reshape(d, len(paths), -1).transpose(1, 0, 2).reshape(-1, n)
         dists = iter(_leaf_distributions(paths, d, leaves))
-        for i, size in zip(idx, sizes):
-            results[i] = list(islice(dists, size))
+        for i in idx:
+            results[i] = list(islice(dists, len(member_seeds[i])))
     return results
 
 
@@ -1032,8 +1067,9 @@ def ensemble_values(
 
     Fabrication s builds circuit k (the named preparation, then the k-th
     sequence) with seed substream(substream(master_seed, s), k).  All
-    circuits go to circuit_distributions in one call, so the preparation and
-    each sequence's stage propagate all of their fabrications in one pass.
+    circuits go to circuit_distributions in one call, so the preparation, and
+    each level of the sequences that share a label there, propagate all of
+    their fabrications in one propagate call.
     """
     run_seeds = [substream(master_seed, s) for s in range(n_seeds)]
     requests = [

@@ -68,8 +68,9 @@ def mix64(z: np.ndarray) -> np.ndarray:
 def _unit_into(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Uniforms in (0, 1] from mixed words; ``raw`` is clobbered.
 
-    ``out`` may be raw's own memory viewed as float64: each word is read
-    before its slot is written.
+    ``out`` should not overlap ``raw``: the values would be the same, but
+    numpy copies the whole input of a casting ufunc whose output overlaps
+    it.  The mixing scratch, viewed as float64, is free by then.
     """
     # 53-bit mantissa; shift into (0, 1] so log() stays finite downstream.
     # The shifted word is at most 2^53, so its int64 view converts exactly.
@@ -93,8 +94,9 @@ def counter_uniform(seed: int | np.ndarray, counter: np.ndarray) -> np.ndarray:
     """
     base = seed if isinstance(seed, np.ndarray) else np.uint64(seed & _MASK)
     z = np.asarray(base + (counter.astype(np.uint64) + np.uint64(1)) * GOLDEN)
-    _mix64_into(z, np.empty_like(z))
-    return _unit_into(z, z.view(np.float64))
+    scratch = np.empty_like(z)
+    _mix64_into(z, scratch)
+    return _unit_into(z, scratch.view(np.float64))
 
 
 def counter_uniform_run(

@@ -1,6 +1,6 @@
 import hashlib
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -39,6 +39,48 @@ from wavecorr.wavecore import (
 SQRT2 = np.sqrt(2.0)
 
 
+@dataclass(frozen=True)
+class PortAmplitudes:
+    """One member's amplitudes at the output ports plus the energy bookkeeping."""
+
+    amplitudes: dict  # keyed by the output ports as given
+    input_intensity: float
+    absorbed_intensity: float
+
+    @property
+    def output_intensity(self):
+        return float(sum(abs(a) ** 2 for a in self.amplitudes.values()))
+
+    def intensity(self, wire):
+        return float(abs(self.amplitudes[wire]) ** 2)
+
+
+def propagate_ports(net, drive, noise=None, seeds=None):
+    """propagate's batch form with the absorbed tally on, read out by port.
+
+    ``drive`` maps each input port's name to its amplitude, or is a WaveState
+    matched to the ports by its mode labels; every member gets the same
+    drive.  Returns one PortAmplitudes under ``noise``'s own seed, or one per
+    seed in seed order.
+    """
+    values = dict(zip(drive.labels, drive.amplitudes)) if isinstance(drive, WaveState) else drive
+    column = np.array([[values[w]] for w in net.input_ports], dtype=complex)
+    members = 1 if seeds is None else len(seeds)
+    out, absorbed = propagate(
+        net, np.repeat(column, members, axis=1), noise, seeds, return_absorbed=True
+    )
+    input_intensity = float(np.sum(np.abs(column) ** 2))
+    ports = [
+        PortAmplitudes(
+            amplitudes={w: complex(a) for w, a in zip(net.output_ports, amps)},
+            input_intensity=input_intensity,
+            absorbed_intensity=float(lost),
+        )
+        for amps, lost in zip(out.T, absorbed)
+    ]
+    return ports[0] if seeds is None else ports
+
+
 def hybrid_ring():
     net = Netlist()
     net.add_input("u")
@@ -53,10 +95,10 @@ def hybrid_ring():
 
 
 def test_hybrid_ring_sum_diff():
-    pa = propagate(hybrid_ring(), {"u": 1.0, "v": 0.0})
+    pa = propagate_ports(hybrid_ring(), {"u": 1.0, "v": 0.0})
     assert pa.amplitudes["s"] == pytest.approx(1 / SQRT2)
     assert pa.amplitudes["d"] == pytest.approx(1 / SQRT2)
-    pa = propagate(hybrid_ring(), {"u": 0.0, "v": 1.0})
+    pa = propagate_ports(hybrid_ring(), {"u": 0.0, "v": 1.0})
     assert pa.amplitudes["s"] == pytest.approx(1 / SQRT2)
     assert pa.amplitudes["d"] == pytest.approx(-1 / SQRT2)
 
@@ -66,7 +108,7 @@ def test_phase_segment_and_coupler():
     net.add_input("a")
     net.phase_segment("a", "b", np.pi / 2)
     net.add_output("b")
-    pa = propagate(net, {"a": 1.0})
+    pa = propagate_ports(net, {"a": 1.0})
     assert pa.amplitudes["b"] == pytest.approx(1j)
 
     net = Netlist()
@@ -74,7 +116,7 @@ def test_phase_segment_and_coupler():
     net.unequal_coupler("s", "t1", "t2", SQRT2 - 1.0)
     net.add_output("t1")
     net.add_output("t2")
-    pa = propagate(net, {"s": 1.0})
+    pa = propagate_ports(net, {"s": 1.0})
     r = SQRT2 - 1.0
     assert pa.amplitudes["t1"] == pytest.approx(1 / np.sqrt(1 + r * r))
     assert pa.amplitudes["t2"] == pytest.approx(r / np.sqrt(1 + r * r))
@@ -85,7 +127,7 @@ def test_termination_absorbs():
     net = Netlist()
     net.add_input("a")
     net.termination("a")
-    pa = propagate(net, {"a": 1.0})
+    pa = propagate_ports(net, {"a": 1.0})
     assert pa.absorbed_intensity == pytest.approx(1.0)
     assert pa.output_intensity == 0.0
 
@@ -156,10 +198,13 @@ def test_wiring_validation():
 
 def test_drive_must_match_ports():
     net = hybrid_ring()
+    # a row per input port and a column per member: too few ports, too many,
+    # and two columns for the one member of a call without seeds
+    for shape in [(1, 1), (3, 1), (2, 2)]:
+        with pytest.raises(PropagationError):
+            propagate(net, np.ones(shape, dtype=complex))
     with pytest.raises(PropagationError):
-        propagate(net, {"u": 1.0})
-    with pytest.raises(PropagationError):
-        propagate(net, {"u": 1.0, "v": 0.0, "w": 0.0})
+        propagate(net, {"u": 1.0, "v": 0.0})  # ports are driven by row, not by name
 
 
 # ------------------------------------------------------------- noise RNG
@@ -217,7 +262,7 @@ def test_mesh_fragment_matches_matrix():
             net.add_output(w)
         for col in range(n):
             drive = {f"in{i}": (1.0 if i == col else 0.0) for i in range(n)}
-            pa = propagate(net, drive)
+            pa = propagate_ports(net, drive)
             got = np.array([pa.amplitudes[w] for w in outs])
             np.testing.assert_allclose(got, u[:, col], atol=1e-9)
 
@@ -246,7 +291,7 @@ def test_singlet_prep():
     wires = add_state_prep(net, "singlet")
     for w in wires:
         net.add_output(w)
-    pa = propagate(net, {"prep.src": 1.0})
+    pa = propagate_ports(net, {"prep.src": 1.0})
     got = np.array([pa.amplitudes[w] for w in wires])
     np.testing.assert_allclose(got, state_library("singlet").amplitudes, atol=1e-12)
 
@@ -259,7 +304,7 @@ def test_chsh_prep_through_coupler_and_rings():
     kinds = [el.kind for el in net.elements]
     assert kinds.count("unequal_coupler") == 1
     assert kinds.count("beam_splitter") == 2
-    pa = propagate(net, {"prep.src": 1.0})
+    pa = propagate_ports(net, {"prep.src": 1.0})
     got = np.array([pa.amplitudes[w] for w in wires])
     np.testing.assert_allclose(got, state_library("chsh").amplitudes, atol=1e-12)
 
@@ -269,7 +314,7 @@ def test_ghz_prep_postselects_an_eighth():
     wires = add_state_prep(net, "ghz")
     for w in wires:
         net.add_output(w)
-    pa = propagate(net, {"prep.src": 1.0})
+    pa = propagate_ports(net, {"prep.src": 1.0})
     got = np.array([pa.amplitudes[w] for w in wires])
     ghz = state_library("ghz").amplitudes
     assert pa.output_intensity == pytest.approx(1.0 / 8.0, abs=1e-12)
@@ -282,7 +327,7 @@ def test_mesh_prep_arbitrary_state():
     wires = add_state_prep(net, "psi11")
     for w in wires:
         net.add_output(w)
-    pa = propagate(net, {"prep.src": 1.0})
+    pa = propagate_ports(net, {"prep.src": 1.0})
     got = np.array([pa.amplitudes[w] for w in wires])
     np.testing.assert_allclose(got, state_library("psi11").amplitudes, atol=1e-9)
 
@@ -300,7 +345,7 @@ def test_block_branches_equal_luders_branches(spec, name):
     up, lo = build_measurement_block(net, obs, ins)
     for w in up + lo:
         net.add_output(w)
-    pa = propagate(net, psi)
+    pa = propagate_ports(net, psi)
     for outcome, wires in ((+1, up), (-1, lo)):
         got = np.array([pa.amplitudes[w] for w in wires])
         prob, post = luders_project(psi, obs, outcome)
@@ -320,12 +365,45 @@ def test_block_routing_example():
     up, lo = build_measurement_block(net, pauli_observable("ZI"), ins)
     for w in up + lo:
         net.add_output(w)
-    pa = propagate(net, psi)
+    pa = propagate_ports(net, psi)
     assert pa.intensity(up[0]) == pytest.approx(1.0, abs=1e-12)
     assert sum(pa.intensity(w) for w in lo) == pytest.approx(0.0, abs=1e-12)
 
 
 # ----------------------------------------------------------------- trees
+
+
+def leaf_count(tree):
+    return sum(len(ws) for ws in tree.leaf_groups.values())
+
+
+def path_total_counts(tree):
+    """Elements crossed along any amplitude-carrying path to each leaf.
+
+    Wires reachable only from grounds carry no amplitude until they are
+    mixed in, so they impose no constraint; wherever two constrained
+    wires meet at an element their path totals must agree.  Equal totals
+    everywhere are what make uniform per-element leakage a global factor
+    that cancels out of the normalized leaf distribution.
+    """
+    net = tree.netlist
+    depth = [None] * net.n_wires
+    for w in net.input_ports:
+        depth[net.wire_id(w)] = 0
+    for pos, (kind, ins, outs, _) in enumerate(net.elements):
+        known = [depth[w] for w in ins if depth[w] is not None]
+        if known and any(v != known[0] for v in known[1:]):
+            raise NetlistError(f"paths of different length meet at element {pos} ({kind})")
+        out_depth = known[0] + 1 if known else None
+        for w in outs:
+            depth[w] = out_depth
+    totals = {}
+    for outcome, wires in tree.leaf_groups.items():
+        leaf_depths = {depth[net.wire_id(w)] for w in wires} - {None}
+        if len(leaf_depths) > 1:
+            raise NetlistError(f"leaf group {outcome!r} mixes path lengths {leaf_depths}")
+        totals[outcome] = leaf_depths.pop() if leaf_depths else 0
+    return totals
 
 
 def test_tree_shape_and_leaf_count():
@@ -335,7 +413,7 @@ def test_tree_shape_and_leaf_count():
     assert set(tree.leaf_groups) == {
         "".join(t) for t in __import__("itertools").product("+-", repeat=3)
     }
-    assert tree.leaf_count == 4 * 2**3
+    assert leaf_count(tree) == 4 * 2**3
     with pytest.raises(ValueError):
         build_sequence_tree([])
     with pytest.raises(ValueError):
@@ -387,7 +465,7 @@ def fragment_kind_tallies(tree):
 def test_tree_path_symmetry(prep, specs):
     tree = build_sequence_tree([pauli_observable(s) for s in specs], prep=prep)
     # every amplitude-carrying path crosses the same number of elements
-    totals = tree.path_total_counts()  # raises if unequal paths ever meet
+    totals = path_total_counts(tree)  # raises if unequal paths ever meet
     assert len(set(totals.values())) == 1
     # and every leaf group hangs off identically composed fragments
     baseline = None
@@ -412,13 +490,13 @@ def test_tree_with_bare_inputs_accepts_states():
     tree = build_sequence_tree(obs, prep=None)
     for name in ("psi5", "psi9"):
         psi = state_library(name)
-        pa = propagate(tree.netlist, psi)
+        pa = propagate_ports(tree.netlist, psi)
         intensities = {o: sum(pa.intensity(w) for w in ws) for o, ws in tree.leaf_groups.items()}
         oracle = sequential_distribution(psi, obs)
         for outcome in oracle.probs:
             assert intensities[outcome] == pytest.approx(oracle.prob(outcome), abs=1e-9)
     with pytest.raises(PropagationError):
-        propagate(tree.netlist, {"prep.src": 1.0})  # its inputs are the bare modes
+        propagate(tree.netlist, np.ones((1, 1), dtype=complex))  # its inputs are the 4 bare modes
 
 
 def test_repeated_observable_tree_is_diagonal():
@@ -427,13 +505,80 @@ def test_repeated_observable_tree_is_diagonal():
     assert mixed == pytest.approx(0.0, abs=1e-12)
 
 
+# ---------------------------------------------------------------- slots
+
+
+def slot_net():
+    """Four ports, one early output, a ground read last, a coupler after a termination."""
+    net = Netlist()
+    for w in ("a", "b", "c"):
+        net.add_input(w)
+    net.add_ground("g")
+    net.beam_splitter("a", "b", "s", "t")  # outputs take the slots a and b leave
+    net.add_output("s")  # written first, read out only at the end
+    net.phase_segment("c", "c1", 0.7)
+    net.phase_segment("t", "t1", np.pi / 3)
+    net.termination("c1")  # frees c's slot ...
+    net.unequal_coupler("t1", "u1", "u2", 0.5)  # ... which u2 takes
+    net.beam_splitter("u1", "g", "o1", "o2")  # the ground must still read zero
+    net.phase_segment("u2", "o3", -1.1)
+    for w in ("o1", "o2", "o3"):
+        net.add_output(w)
+    return net
+
+
+def slot_count(net):
+    """Rows of the netlist's propagation buffer: the most wires live at once."""
+    net._compile()
+    return net._slots.count
+
+
+# sha256 of the output amplitudes' bytes, recorded when every wire had a row
+# of its own in the propagation buffer
+PINNED_SLOT_NET = {
+    "quiet": "96353497aab38c53f0ac58a8c4173ad39cac21d45c70516eaedfe2ee5a8ef186",
+    "noisy": "31f3d160e1737fc2048d5dabdd85dd02c447de5b0cdd5b727dab505b457434aa",
+}
+
+
+def test_slots_never_clobber_a_live_wire():
+    net = slot_net()
+    assert (net.n_wires, slot_count(net)) == (13, 4)
+    rng = np.random.default_rng(3)
+    drive = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+    seeds = [11, 12, 13, 14, 15]
+    quiet = propagate(net, drive, None, seeds)
+    a, b, _ = drive
+    t1 = (a - b) / SQRT2 * np.exp(1j * np.pi / 3)
+    u1, u2 = t1 / np.sqrt(1.25), t1 * 0.5 / np.sqrt(1.25)
+    want = [(a + b) / SQRT2, u1 / SQRT2, u1 / SQRT2, u2 * np.exp(-1.1j)]
+    np.testing.assert_allclose(quiet, want, rtol=0, atol=1e-12)
+    noise = NoiseModel(splitter_imbalance_sigma=0.02, phase_jitter_sigma=0.03, leakage=0.002,
+                       seed=9)
+    noisy = propagate(net, drive, noise, seeds)
+    got = {"quiet": quiet, "noisy": noisy}
+    assert {k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in got.items()} == PINNED_SLOT_NET
+
+
+@pytest.mark.parametrize("build,slots", [
+    (lambda: sequence_tree_netlist(None, "ZX"), 8),
+    (lambda: sequence_tree_netlist(None, "XXX"), 16),
+    (lambda: prep_netlist("ghz"), 32),
+], ids=["ZX stage", "XXX stage", "ghz prep"])
+def test_circuits_need_a_slot_per_port(build, slots):
+    # with no couplers, every element but a termination passes its inputs'
+    # slots on, so a stage or the ghz cascade needs a slot per input and ground port
+    net = build()
+    assert slot_count(net) == slots == len(net.input_ports) + len(net.ground_ports)
+
+
 # ------------------------------------------------------------ invariants
 
 
 def test_zero_noise_conserves_intensity():
     obs = [pauli_observable("ZI"), pauli_observable("IZ")]
     tree = build_sequence_tree(obs, prep="chsh")
-    pa = propagate(tree.netlist, {"prep.src": 1.0})
+    pa = propagate_ports(tree.netlist, {"prep.src": 1.0})
     assert pa.output_intensity + pa.absorbed_intensity == pytest.approx(
         pa.input_intensity, abs=1e-12
     )
@@ -449,7 +594,7 @@ def test_uniform_leakage_leaves_distribution_unchanged():
     for outcome in ideal.probs:
         assert lossy.prob(outcome) == pytest.approx(ideal.prob(outcome), abs=1e-9)
     # but energy really is lost
-    pa = propagate(tree.netlist, {"prep.src": 1.0}, NoiseModel(leakage=0.05))
+    pa = propagate_ports(tree.netlist, {"prep.src": 1.0}, NoiseModel(leakage=0.05))
     assert pa.absorbed_intensity > 0.5
     assert pa.output_intensity + pa.absorbed_intensity == pytest.approx(
         pa.input_intensity, abs=1e-10
@@ -511,6 +656,13 @@ def sequence_tree_netlist(prep, *specs):
     return build_sequence_tree([pauli_observable(s) for s in specs], prep=prep).netlist
 
 
+def prep_netlist(prep):
+    net = Netlist()
+    for w in add_state_prep(net, prep):
+        net.add_output(w)
+    return net
+
+
 def mermin_tree():
     return sequence_tree_netlist("ghz", "XII", "IXI", "IIX")
 
@@ -566,10 +718,11 @@ SOURCE = {"prep.src": 1.0}
 
 def test_ensemble_members_match_single_member_calls():
     net = mermin_tree()
-    batch = propagate(net, SOURCE, ENSEMBLE_NOISE, ENSEMBLE_SEEDS)
+    batch = propagate_ports(net, SOURCE, ENSEMBLE_NOISE, ENSEMBLE_SEEDS)
     assert len(batch) == len(ENSEMBLE_SEEDS)
     for member, seed in zip(batch, ENSEMBLE_SEEDS):
-        single = propagate(net, SOURCE, NoiseModel(**{**ENSEMBLE_NOISE.__dict__, "seed": seed}))
+        drawn = NoiseModel(**{**ENSEMBLE_NOISE.__dict__, "seed": seed})
+        single = propagate_ports(net, SOURCE, drawn)
         assert member.amplitudes == single.amplitudes
         assert member.input_intensity == single.input_intensity
         assert member.absorbed_intensity == pytest.approx(single.absorbed_intensity, abs=1e-12)
@@ -579,7 +732,7 @@ def test_ensemble_members_match_single_member_calls():
 def test_ensemble_conserves_intensity_per_member_without_noise():
     net = mermin_tree()
     for noise in (None, NoiseModel()):
-        for member in propagate(net, SOURCE, noise, ENSEMBLE_SEEDS):
+        for member in propagate_ports(net, SOURCE, noise, ENSEMBLE_SEEDS):
             total = member.output_intensity + member.absorbed_intensity
             assert abs(total - member.input_intensity) <= INTENSITY_CONSERVATION_TOL
             assert member.absorbed_intensity > 0.5  # the GHZ post-selection
@@ -588,9 +741,9 @@ def test_ensemble_conserves_intensity_per_member_without_noise():
 @pytest.mark.parametrize("chunk", [1, 7, 32])
 def test_ensemble_does_not_depend_on_member_chunking(chunk, monkeypatch):
     net = mermin_tree()
-    reference = propagate(net, SOURCE, ENSEMBLE_NOISE, ENSEMBLE_SEEDS)
-    monkeypatch.setattr(network, "PASS_CELLS", chunk * net.n_wires)  # chunk members per pass
-    chunked = propagate(net, SOURCE, ENSEMBLE_NOISE, ENSEMBLE_SEEDS)
+    reference = propagate_ports(net, SOURCE, ENSEMBLE_NOISE, ENSEMBLE_SEEDS)
+    monkeypatch.setattr(network, "PASS_CELLS", chunk * slot_count(net))  # chunk members per pass
+    chunked = propagate_ports(net, SOURCE, ENSEMBLE_NOISE, ENSEMBLE_SEEDS)
     for a, b in zip(chunked, reference, strict=True):
         assert a.amplitudes == b.amplitudes
         assert a.absorbed_intensity == pytest.approx(b.absorbed_intensity, abs=1e-12)
@@ -599,7 +752,7 @@ def test_ensemble_does_not_depend_on_member_chunking(chunk, monkeypatch):
 def whole_tree_distributions(prep, labels, noise, seeds):
     """Leaf distributions of the tree with the preparation built in, one per seed."""
     tree = build_sequence_tree([pauli_observable(lab) for lab in labels], prep=prep)
-    members = propagate(tree.netlist, SOURCE, noise, seeds)
+    members = propagate_ports(tree.netlist, SOURCE, noise, seeds)
     ports = tree.netlist.output_ports
     leaves = np.array([[pa.amplitudes[w] for w in ports] for pa in members]).T
     return network._leaf_distributions(list(tree.leaf_groups), tree.dim, leaves)
@@ -642,7 +795,8 @@ def test_circuit_distributions_match_whole_trees(kind):
 @pytest.mark.parametrize("chunk", [7, 32])
 def test_states_share_a_stage_across_member_chunks(chunk, monkeypatch):
     # chunk members per pass through the YY stage
-    monkeypatch.setattr(network, "PASS_CELLS", chunk * sequence_tree_netlist(None, "YY").n_wires)
+    stage = sequence_tree_netlist(None, "YY")
+    monkeypatch.setattr(network, "PASS_CELLS", chunk * slot_count(stage))
     passes = []
     real = network._propagate_members
 
@@ -709,16 +863,49 @@ def test_each_stage_and_prep_is_built_once(monkeypatch):
     assert preps == ["psi1", "chsh"]
 
 
+def test_one_stage_pass_per_level_and_label(monkeypatch):
+    calls = []
+    real = network.propagate
+
+    def counting(net, drive, *args, **kwargs):
+        calls.append((net, drive.shape[1]))
+        return real(net, drive, *args, **kwargs)
+
+    monkeypatch.setattr(network, "propagate", counting)
+    sequences = [("ZX", "XZ", "YY"), ("ZX", "XZ"), ("XZ", "ZX"), ("ZX", "YY", "XZ")]
+    requests = [
+        (prep, seq, ENSEMBLE_SEEDS[:k])
+        for k, seq in enumerate(sequences, start=1)
+        for prep in ("psi1", "chsh")
+    ]
+    results = circuit_distributions(requests, ENSEMBLE_NOISE)
+    # a pass per distinct prep, then one per (level, label): ZX, XZ at level
+    # 0; XZ, ZX, YY at level 1; YY, XZ at level 2
+    stage_calls = calls[2:]
+    assert len(stage_calls) == 7
+    assert len({net for net, _ in stage_calls}) == 3
+    # all eight requests go through level 0, whatever their label there
+    level0 = sum(width for _, width in stage_calls[:2])
+    assert level0 == 2 * sum(range(1, 5))
+    for (prep, labels, seeds), got in zip(requests, results, strict=True):
+        want = whole_tree_distributions(prep, labels, ENSEMBLE_NOISE, seeds)
+        assert [d.probs for d in got] == [d.probs for d in want], (prep, labels)
+
+
 def test_stage_conserves_intensity_without_noise():
     # leaf intensity plus what the prep and the stage absorb is the input
     for prep, labels in PREPS.values():
         net = Netlist()
         for w in add_state_prep(net, prep):
             net.add_output(w)
-        modes, prep_lost = propagate(net, np.ones((1, 3), dtype=complex), None, [0, 1, 2])
+        modes, prep_lost = propagate(
+            net, np.ones((1, 3), dtype=complex), None, [0, 1, 2], return_absorbed=True
+        )
         stage = build_sequence_tree([pauli_observable(lab) for lab in labels])
         offsets = [len(net.elements)] * 3
-        leaves, stage_lost = propagate(stage.netlist, modes, None, [0, 1, 2], offsets)
+        leaves, stage_lost = propagate(
+            stage.netlist, modes, None, [0, 1, 2], offsets, return_absorbed=True
+        )
         total = (np.abs(leaves) ** 2).sum(axis=0) + prep_lost + stage_lost
         assert np.all(np.abs(total - 1.0) <= INTENSITY_CONSERVATION_TOL), prep
 
@@ -827,7 +1014,7 @@ def test_noise_is_drawn_once_per_slab(monkeypatch):
     net = mermin_tree()
     noisy = [len(g.elem_idx) for g in net._compile() if g.kind in (BEAM_SPLITTER, PHASE_SEGMENT)]
     members = len(ENSEMBLE_SEEDS)
-    monkeypatch.setattr(network, "PASS_CELLS", members * net.n_wires)  # one pass
+    monkeypatch.setattr(network, "PASS_CELLS", members * slot_count(net))  # one pass
     calls = []
     real = network.counter_normals
 
@@ -840,7 +1027,7 @@ def test_noise_is_drawn_once_per_slab(monkeypatch):
     def draws(slab):
         monkeypatch.setattr(network, "NOISE_SLAB", slab)
         calls.clear()
-        propagate(net, SOURCE, ENSEMBLE_NOISE, ENSEMBLE_SEEDS)
+        propagate_ports(net, SOURCE, ENSEMBLE_NOISE, ENSEMBLE_SEEDS)
         return list(calls)
 
     assert sorted(draws(1)) == sorted(noisy)  # a slab per group
