@@ -52,7 +52,6 @@ def main(argv=None):
                 splitter_imbalance_sigma=args.imbalance,
                 phase_jitter_sigma=args.jitter,
                 leakage=args.leakage,
-                seed=0,
             )
         except ValueError as exc:
             ap.error(str(exc))

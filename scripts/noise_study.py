@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Fabrication-noise study for the three correlation experiments.
 
-Builds the splitter meshes once per measurement sequence, then propagates
-an ensemble of independently perturbed copies (one fabrication draw per
-seed per circuit) and reports the mean and spread of each inequality
-value.  Optionally runs the compatibility suites on the same hardware
-model to estimate the deviation rate and the corrected bound it implies.
+Propagates an ensemble of independently perturbed fabrications of each
+experiment's circuits (one fabrication draw per seed per circuit) and
+reports the mean and spread of each inequality value.  The preparation and
+each Pauli word's measurement stage are built once per experiment, and all
+fabrications go through them together.  Optionally runs the compatibility
+suites on the same hardware model to estimate the deviation rate and the
+corrected bound it implies.
 
 Typical use:
 
@@ -98,7 +100,6 @@ def main(argv=None):
             splitter_imbalance_sigma=args.imbalance,
             phase_jitter_sigma=args.jitter,
             leakage=args.leakage,
-            seed=0,
         )
         if args.sweep:
             field = {

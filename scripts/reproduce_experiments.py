@@ -26,10 +26,9 @@ from wavecorr.contextuality import (
     MERMIN,
     PERES_MERMIN,
     PM_SUITE_STATES,
-    correlator,
-    evaluate_inequality,
     format_inequality_report,
     ideal_provider,
+    measure_inequality,
 )
 from wavecorr.events import EventModelConfig, empirical_distribution, sample_events
 from wavecorr.network import circuit_distributions
@@ -38,26 +37,32 @@ from wavecorr.splitmix import substream
 IDEAL = ideal_provider()
 
 
-def distributions(defn, state_name, args):
-    """One distribution per sequence of ``defn`` on the named state."""
-    if args.pipeline == "network":
-        requests = [(state_name, labels, None) for labels in defn.sequences]
-        return [members[0] for members in circuit_distributions(requests)]
-    bases = IDEAL([(state_name, labels) for labels in defn.sequences])
+def make_provider(args):
+    """Distribution source of the chosen pipeline, one member per request.
+
+    The events pipeline samples request k, the k-th term of an inequality,
+    with seed substream(args.seed, k).
+    """
     if args.pipeline == "exact":
-        return bases
-    configs = [
-        EventModelConfig(model=args.model, sample_count=args.samples, seed=substream(args.seed, k))
-        for k in range(len(bases))
-    ]
-    return [empirical_distribution(sample_events(b, cfg)) for b, cfg in zip(bases, configs)]
+        return IDEAL
+    if args.pipeline == "network":
+        return lambda requests: circuit_distributions(
+            [(state_name, labels, None) for state_name, labels in requests]
+        )
 
+    def sampled(requests):
+        configs = [
+            EventModelConfig(
+                model=args.model, sample_count=args.samples, seed=substream(args.seed, k)
+            )
+            for k in range(len(requests))
+        ]
+        return [
+            [empirical_distribution(sample_events(base, cfg)) for base in members]
+            for members, cfg in zip(IDEAL(requests), configs)
+        ]
 
-def evaluate(defn, state_name, args):
-    dists = distributions(defn, state_name, args)
-    return evaluate_inequality(
-        defn, [correlator(dist, labels) for dist, labels in zip(dists, defn.sequences)]
-    )
+    return sampled
 
 
 def main(argv=None):
@@ -75,19 +80,20 @@ def main(argv=None):
             ap.error(str(exc))
 
     t0 = time.perf_counter()
+    provider = make_provider(args)
     print(f"pipeline: {args.pipeline}\n")
 
-    report = evaluate(CHSH, "chsh", args)
+    (report,) = measure_inequality(CHSH, provider, "chsh")
     print("pair state:")
     print(format_inequality_report(report))
 
-    report = evaluate(MERMIN, "ghz", args)
+    (report,) = measure_inequality(MERMIN, provider, "ghz")
     print("ghz state:")
     print(format_inequality_report(report))
 
     print("grid expression, all stock preparations:")
     for name in PM_SUITE_STATES:
-        report = evaluate(PERES_MERMIN, name, args)
+        (report,) = measure_inequality(PERES_MERMIN, provider, name)
         flag = "" if report.stderr else "  (exact)"
         print(f"  {name:6s}: {report.value:+.6f} +/- {report.stderr:.6f}{flag}")
     print(f"\nelapsed: {time.perf_counter() - t0:.2f} s")

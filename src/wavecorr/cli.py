@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import itertools
 import os
@@ -105,7 +104,7 @@ from wavecorr.network import (
 )
 from wavecorr.outcomes import OutcomeDistribution
 from wavecorr.reck import SynthesisError
-from wavecorr.splitmix import substream
+from wavecorr.splitmix import keyed_substream
 from wavecorr.wavecore import (
     IncompatibleObservablesError,
     WaveState,
@@ -347,9 +346,7 @@ def _parse_noise(raw, path: str) -> NoiseModel:
     _reject_unknown(data, allowed, path)
     kwargs = {key: _expect_number(data[key], f"{path}.{key}") for key in data}
     try:
-        # the run seed governs all draws; the model's own seed field is
-        # filled per tree at propagation time
-        return NoiseModel(seed=0, **kwargs)
+        return NoiseModel(**kwargs)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
 
@@ -552,23 +549,18 @@ def load_scenario(file_path: str) -> Scenario:
 # ---------------------------------------------------------------- pipelines
 
 
-def _stream_for(seed: int, salt: str, state_name: str, labels: Sequence[str]) -> int:
-    """Stable per-(purpose, state, sequence) child seed, order independent."""
-    digest = hashlib.sha256(
-        f"{salt}|{state_name}|{'*'.join(labels)}".encode()
-    ).digest()
-    return substream(seed, int.from_bytes(digest[:8], "big"))
-
-
 def make_provider(scenario: Scenario) -> Provider:
     """Batch distribution source implementing the scenario's pipeline.
 
     The provider accepts any library state name (the compatibility suites
     audit their own state sets) plus the scenario's possibly custom state.
-    Circuit pipelines serve a whole batch through one circuit_distributions
-    call; under noise each (state, sequence) circuit is perturbed with its
-    own derived seed, so distinct circuits do not share fabrication errors,
-    and reruns reproduce them bitwise.
+    Every pipeline answers a request with a one-member list.  Circuit
+    pipelines serve a whole batch through one circuit_distributions call;
+    under noise each (state, sequence) circuit is perturbed with its own
+    seed, keyed_substream(seed, "noise|<state>|<labels>"), so distinct
+    circuits do not share fabrication errors, and reruns reproduce them
+    bitwise.  The events pipeline samples each base member with the seed
+    keyed "events|<state>|<labels>".
     """
 
     def resolve(state_name: str) -> WaveState:
@@ -593,26 +585,27 @@ def make_provider(scenario: Scenario) -> Provider:
             (
                 prep_for(state_name),
                 labels,
-                [_stream_for(scenario.seed, "noise", state_name, labels)] if noisy else None,
+                [keyed_substream(scenario.seed, f"noise|{state_name}|{'*'.join(labels)}")]
+                if noisy
+                else None,
             )
             for state_name, labels in requests
         ]
-        results = circuit_distributions(batch, scenario.noise if noisy else None)
-        return [dists[0] for dists in results]
+        return circuit_distributions(batch, scenario.noise if noisy else None)
 
-    def provide(requests: Sequence[tuple[str, Sequence[str]]]) -> list[OutcomeDistribution]:
+    def provide(requests: Sequence[tuple[str, Sequence[str]]]) -> list[list[OutcomeDistribution]]:
         requests = [(state_name, tuple(labels)) for state_name, labels in requests]
         if scenario.pipeline != "events":
             return through(scenario.pipeline, requests)
         bases = through(scenario.base_pipeline, requests)
         sampled = []
-        for (state_name, labels), base in zip(requests, bases):
+        for (state_name, labels), members in zip(requests, bases):
             cfg = replace(
                 scenario.events,
                 sample_count=scenario.sample_count,
-                seed=_stream_for(scenario.seed, "events", state_name, labels),
+                seed=keyed_substream(scenario.seed, f"events|{state_name}|{'*'.join(labels)}"),
             )
-            sampled.append(empirical_distribution(sample_events(base, cfg)))
+            sampled.append([empirical_distribution(sample_events(m, cfg)) for m in members])
         return sampled
 
     return provide
@@ -636,7 +629,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
         compat = compatibility_suite(states, groups, provider)
         rate = compat.worst_case
 
-    report = measure_inequality(scenario.definition, provider, scenario.state_name, rate)
+    (report,) = measure_inequality(scenario.definition, provider, scenario.state_name, rate)
     elapsed = time.perf_counter() - started
     return RunReport(
         scenario=scenario, inequality=report, compatibility=compat, elapsed_seconds=elapsed

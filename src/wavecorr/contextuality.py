@@ -11,16 +11,20 @@ maximum, and the algebraic maximum.
 The deviation rate comes from a compatibility audit: sequences that probe
 whether marginals are context independent, whether joint correlators are
 order independent, whether repeated measurements repeat, and whether
-interleaved compatible measurements disturb each other.  The audit is pure
-bookkeeping over outcome distributions supplied by a provider callable, so
-the same code audits exact projector chains, circuit propagation, or
-event-sampled counts.
+interleaved compatible measurements disturb each other.
+
+Both the inequality and the audit are pure bookkeeping over outcome
+distributions supplied by a provider callable, which answers every request
+with a list of member distributions: one member from the projector oracle
+or from sampled events, one per fabrication seed from a noisy circuit.  So
+one code path evaluates exact projector chains, circuit propagation, and
+event-sampled counts: an inequality gives one report per member, and the
+audit averages each audited quantity over the members.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -208,9 +212,9 @@ class InequalityReport:
         if len(self.terms) != len(self.term_signs):
             raise ValueError("terms and term_signs disagree in length")
 
-    def violates(self, bound: float, sigmas: float = 0.0) -> bool:
-        """Whether the value exceeds ``bound`` by ``sigmas`` standard errors."""
-        return self.value - sigmas * self.stderr > bound
+    def violates(self, bound: float) -> bool:
+        """Whether the value exceeds ``bound``."""
+        return self.value > bound
 
     @property
     def verdict(self) -> str:
@@ -307,31 +311,36 @@ def classical_bound_oracle(inequality: InequalityDefinition | str) -> float:
 # ------------------------------------------------------ distribution source
 
 # A request names a state and a measurement sequence.  A provider maps a
-# batch of requests to one result per request, in order: a distribution, or a
-# list of them when each seed of a noise ensemble produced its own.
+# batch of requests to one list of member distributions per request, in
+# order: a single member from an exact or sampled source, one per fabrication
+# seed from a noise ensemble.
 Request = tuple[str, tuple[str, ...]]
-Provider = Callable[
-    [Sequence[Request]], "Sequence[OutcomeDistribution | Sequence[OutcomeDistribution]]"
-]
+Provider = Callable[[Sequence[Request]], Sequence[Sequence[OutcomeDistribution]]]
 
 
 def ideal_provider(resolve: Callable[[str], WaveState] = state_library) -> Provider:
     """Distributions from the projector oracle, no circuit in the loop."""
 
-    def provide(requests: Sequence[Request]) -> list[OutcomeDistribution]:
+    def provide(requests: Sequence[Request]) -> list[list[OutcomeDistribution]]:
         return [
-            sequential_distribution(resolve(state_name), [pauli_observable(lab) for lab in labels])
-            for state_name, labels in requests
+            [sequential_distribution(resolve(name), [pauli_observable(lab) for lab in labels])]
+            for name, labels in requests
         ]
 
     return provide
 
 
-def _provide(provider: Provider, requests: list[Request]) -> list:
-    """One provider call for every request, checked for one result each."""
-    results = list(provider(requests))
+def _provide(provider: Provider, requests: list[Request]) -> list[list[OutcomeDistribution]]:
+    """One provider call for every request, checked for equally many members each."""
+    results = [list(members) for members in provider(requests)]
     if len(results) != len(requests):
         raise ValueError(f"provider returned {len(results)} results for {len(requests)} requests")
+    for (state_name, labels), members in zip(requests, results):
+        if not members or len(members) != len(results[0]):
+            raise ValueError(
+                f"provider returned {len(members)} members for {state_name} "
+                f"{'*'.join(labels)}, expected {len(results[0]) or 'at least one'}"
+            )
     return results
 
 
@@ -340,18 +349,22 @@ def measure_inequality(
     provider: Provider,
     state_name: str,
     deviation_rate: float = 0.0,
-) -> InequalityReport:
-    """Evaluate every term of ``defn`` on one state through one provider call."""
+) -> list[InequalityReport]:
+    """Evaluate every term of ``defn`` on one state through one provider call.
+
+    Returns one report per member: report m is built from the m-th member of
+    every term's distributions.  A provider that brings no members, or
+    different member counts for different terms, raises ValueError.
+    """
     requests = [(state_name, tuple(labels)) for labels in defn.sequences]
-    cors = []
-    for labels, dist in zip(defn.sequences, _provide(provider, requests)):
-        if not isinstance(dist, OutcomeDistribution):
-            raise TypeError(
-                "measure_inequality needs a single-distribution provider; "
-                "got an ensemble, evaluate per member instead"
-            )
-        cors.append(correlator(dist, labels))
-    return evaluate_inequality(defn, cors, deviation_rate)
+    return [
+        evaluate_inequality(
+            defn,
+            [correlator(dist, labels) for labels, dist in zip(defn.sequences, member)],
+            deviation_rate,
+        )
+        for member in zip(*_provide(provider, requests))
+    ]
 
 
 # ------------------------------------------------------ compatibility suite
@@ -449,15 +462,6 @@ def _clamped(x: float) -> float:
     return min(1.0, max(0.0, float(x)))
 
 
-def _ensemble(result) -> list[OutcomeDistribution]:
-    if isinstance(result, OutcomeDistribution):
-        return [result]
-    members = list(result)
-    if not members or not all(isinstance(m, OutcomeDistribution) for m in members):
-        raise TypeError("provider must return an OutcomeDistribution or a list of them")
-    return members
-
-
 def compatibility_suite(
     states: Sequence[str],
     groups: SequenceGroups,
@@ -470,13 +474,14 @@ def compatibility_suite(
     orderings.  Repeatability and nondisturbance: for three-link chains,
     the probability that the first and third results differ.  Context
     independence: the spread of each observable's single-outcome marginal
-    across every sequence and slot where it appears.  Ensemble providers
-    are averaged per audited quantity, member by member, so a noisy
+    across every sequence and slot where it appears.  Each audited quantity
+    is computed member by member and averaged over the members, so a noisy
     circuit's deviation is the mean over its seeds.  The worst case over
     everything is the suite's deviation rate.
 
     The provider is called once, with every (state, sequence) pair, state
-    by state in the order of ``groups.all_sequences()``.
+    by state in the order of ``groups.all_sequences()``, and must bring the
+    same nonzero number of members for every pair.
     """
     if not states:
         raise ValueError("no states to audit")
@@ -497,18 +502,6 @@ def compatibility_suite(
     requests = [(state, seq) for state in states for seq in sequences]
     results = iter(_provide(provider, requests))
     records: list[DeviationRecord] = []
-    length = None  # ensemble size, fixed across the whole audit
-
-    def fetch(state: str, seq: tuple[str, ...]) -> list[OutcomeDistribution]:
-        nonlocal length
-        members = _ensemble(next(results))
-        if length is None:
-            length = len(members)
-        elif len(members) != length:
-            raise ValueError(
-                f"provider returned {len(members)} members for {seq}, expected {length}"
-            )
-        return members
 
     for state in states:
         # marginal of each observable in every context it appears in,
@@ -523,7 +516,7 @@ def compatibility_suite(
         for group in groups.permutation_groups:
             per_member = []
             for seq in group:
-                members = fetch(state, tuple(seq))
+                members = next(results)
                 note_marginals(tuple(seq), members)
                 per_member.append([correlator(m, seq).value for m in members])
             spread = (np.max(per_member, axis=0) - np.min(per_member, axis=0)) / 2.0
@@ -540,7 +533,7 @@ def compatibility_suite(
             ("nondisturbance", groups.disturbance_sequences),
         ):
             for seq in seqs:
-                members = fetch(state, tuple(seq))
+                members = next(results)
                 note_marginals(tuple(seq), members)
                 mass = [m.mass_where(lambda s: s[0] != s[2]) for m in members]
                 records.append(
@@ -581,7 +574,7 @@ def compatibility_suite(
     )
 
 
-# ------------------------------------------------------------ serialization
+# ------------------------------------------------------------------ output
 
 
 def format_inequality_report(report: InequalityReport) -> str:
@@ -609,26 +602,6 @@ def format_inequality_report(report: InequalityReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def inequality_report_json(report: InequalityReport) -> str:
-    """Machine-readable record with the report fields verbatim."""
-    payload = {
-        "name": report.name,
-        "value": report.value,
-        "stderr": report.stderr,
-        "nc_bound": report.nc_bound,
-        "corrected_bound": report.corrected_bound,
-        "quantum_max": report.quantum_max,
-        "algebraic_max": report.algebraic_max,
-        "deviation_rate": report.deviation_rate,
-        "terms": [
-            {"labels": list(c.labels), "value": c.value, "stderr": c.stderr, "sign": s}
-            for c, s in zip(report.terms, report.term_signs)
-        ],
-        "verdict": report.verdict,
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
 def format_compatibility_report(report: CompatibilityReport) -> str:
     """Human-readable summary of a compatibility audit."""
     lines = [
@@ -640,24 +613,3 @@ def format_compatibility_report(report: CompatibilityReport) -> str:
         f"  worst case           : {report.worst_case:.6f} ({report.worst_description})",
     ]
     return "\n".join(lines) + "\n"
-
-
-def compatibility_report_json(report: CompatibilityReport) -> str:
-    payload = {
-        "context_independence": report.context_independence,
-        "order_independence": report.order_independence,
-        "repeatability": report.repeatability,
-        "nondisturbance": report.nondisturbance,
-        "worst_case": report.worst_case,
-        "worst_description": report.worst_description,
-        "records": [
-            {
-                "category": r.category,
-                "state": r.state,
-                "label": r.label,
-                "value": r.value,
-            }
-            for r in report.records
-        ],
-    }
-    return json.dumps(payload, sort_keys=True)

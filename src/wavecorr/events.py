@@ -32,7 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from wavecorr.outcomes import OutcomeDistribution, empirical
+from wavecorr.outcomes import OutcomeDistribution
 from wavecorr.splitmix import counter_uniform_run, substream
 
 THRESHOLD_DETECTOR = "threshold_detector"
@@ -308,5 +308,8 @@ def sample_events(dist: OutcomeDistribution, config: EventModelConfig) -> EventC
 
 
 def empirical_distribution(counts: EventCounts) -> OutcomeDistribution:
-    """Click frequencies with per-outcome binomial standard errors."""
-    return empirical(dict(counts.counts))
+    """Click frequencies, with the click total as the sample count."""
+    return OutcomeDistribution(
+        probs={key: c / counts.total for key, c in counts.counts.items()},
+        sample_count=counts.total,
+    )

@@ -56,7 +56,6 @@ of normalized distributions.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from itertools import chain, islice, product, repeat
@@ -64,15 +63,10 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from wavecorr.contextuality import (
-    InequalityDefinition,
-    Provider,
-    correlator,
-    evaluate_inequality,
-)
+from wavecorr.contextuality import InequalityDefinition, Provider, measure_inequality
 from wavecorr.outcomes import OutcomeDistribution
 from wavecorr.reck import MeshPlan, SynthesisError, decompose
-from wavecorr.splitmix import counter_normals, offset_seeds, substream
+from wavecorr.splitmix import counter_normals, keyed_substream, offset_seeds, substream
 from wavecorr.wavecore import (
     GHZ_STABILIZER_SPECS,
     DichotomicObservable,
@@ -144,13 +138,13 @@ class NoiseModel:
 
     One normal draw per element per run, keyed by (seed, element index)
     through a counter-based generator, so results do not depend on
-    evaluation order and are reproducible bit for bit.
+    evaluation order and are reproducible bit for bit.  The seeds are not
+    part of the model: every propagation takes one per member.
     """
 
     splitter_imbalance_sigma: float = 0.0
     phase_jitter_sigma: float = 0.0
     leakage: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.splitter_imbalance_sigma < 0 or self.phase_jitter_sigma < 0:
@@ -476,9 +470,9 @@ def propagate(
 
     ``drive`` has shape (input ports, members): column m drives the input
     ports, in order, for member m; grounded ports start at zero.  Member m is
-    the circuit under ``noise`` with its seed replaced by ``seeds[m]`` (one
-    member under the model's own seed when ``seeds`` is None), and its element
-    indices shifted by ``offsets[m]`` (default 0) before drawing.  Every draw
+    the circuit under ``noise`` drawn with seed ``seeds[m]`` (one member at
+    seed 0 when ``seeds`` is None), its element indices shifted by
+    ``offsets[m]`` (default 0) before drawing.  Every draw
     is a pure function of (seed, element index) and every step is elementwise
     per member, so each member is bitwise what a call with that member alone
     gives.
@@ -497,7 +491,7 @@ def propagate(
     """
     groups = netlist._compile()
     slots = netlist._slots
-    members = [0 if noise is None else noise.seed] if seeds is None else list(seeds)
+    members = [0] if seeds is None else list(seeds)
     if np.shape(drive) != (len(slots.inputs), len(members)):
         raise PropagationError(
             f"drive of shape {np.shape(drive)} for {len(slots.inputs)} input ports "
@@ -793,17 +787,17 @@ def _complete_to_unitary(psi: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def add_state_prep(net: Netlist, prep: str | WaveState, prefix: str = "prep") -> list[int]:
+def add_state_prep(net: Netlist, prep: str | WaveState) -> list[int]:
     """Coherent splitting of a single source into a prepared bundle.
 
     Named preparations use the dedicated constructions (one splitter for the
     singlet, an unequal coupler feeding two splitters for the tilted CHSH
     state, a post-selecting stabilizer cascade for the ghz state); any other
     name or explicit state is synthesized as a mesh whose first column is
-    the target vector.  The source port is named "<prefix>.src"; the
-    returned mode wires are anonymous.
+    the target vector.  The source port is named "prep.src"; the returned
+    mode wires are anonymous.
     """
-    src = net.add_input(f"{prefix}.src")
+    src = net.add_input("prep.src")
     if isinstance(prep, str) and prep == "singlet":
         total, diff = net.fresh(), net.fresh()
         net.beam_splitter(net.add_ground(), src, total, diff)
@@ -900,7 +894,7 @@ def circuit_distributions(
 
     A request is (prep, labels, seeds): a preparation as add_state_prep takes
     it, a sequence of Pauli-word labels, and the fabrication seed of each
-    member (None for one member under ``noise``'s own seed).  The result holds
+    member (None for one member at seed 0).  The result holds
     one list of member distributions per request, in request order.
 
     Each distinct prep is built once and all of its members propagate through
@@ -920,10 +914,7 @@ def circuit_distributions(
     propagating that whole tree with the member's seed gives.  Nothing is
     cached across calls.
     """
-    member_seeds = [
-        [0 if noise is None else noise.seed] if seeds is None else list(seeds)
-        for _, _, seeds in requests
-    ]
+    member_seeds = [[0] if seeds is None else list(seeds) for _, _, seeds in requests]
     by_prep: dict = {}
     by_labels: dict[tuple[str, ...], list[int]] = {}
     for i, (prep, labels, _) in enumerate(requests):
@@ -1033,25 +1024,24 @@ def ensemble_provider(noise: NoiseModel | None, master_seed: int, members: int) 
     """Distribution source for the compatibility suites under fabrication noise.
 
     The provider serves a batch of (library state name, Pauli-word sequence)
-    requests through circuit_distributions and returns ``members``
-    fabrications per request.  Each circuit gets its own seed stream, keyed
-    by a digest of its state and sequence, so the draws do not depend on the
-    order circuits are audited in; member m of a circuit uses that stream's
-    m-th substream.  With no noise model the circuit is exact and the
-    provider returns its single distribution.
+    requests through circuit_distributions and returns its member lists as
+    they are: ``members`` fabrications per request.  Each circuit gets its
+    own seed stream, keyed by its state and sequence, so the draws do not
+    depend on the order circuits are audited in; member m of a circuit uses
+    that stream's m-th substream.  With no noise model every fabrication is
+    the same exact circuit, so each request gets a single member.
     """
 
     def seeds_for(state_name: str, labels: Sequence[str]) -> list[int] | None:
         if noise is None:
             return None
-        digest = hashlib.sha256(f"{state_name}|{'*'.join(labels)}".encode()).digest()
-        tree_seed = substream(master_seed, int.from_bytes(digest[:8], "big"))
+        tree_seed = keyed_substream(master_seed, f"{state_name}|{'*'.join(labels)}")
         return [substream(tree_seed, m) for m in range(members)]
 
     def provide(requests):
-        batch = [(state, labels, seeds_for(state, labels)) for state, labels in requests]
-        results = circuit_distributions(batch, noise)
-        return [dists[0] for dists in results] if noise is None else results
+        return circuit_distributions(
+            [(state, labels, seeds_for(state, labels)) for state, labels in requests], noise
+        )
 
     return provide
 
@@ -1066,19 +1056,23 @@ def ensemble_values(
     """Inequality value of each of ``n_seeds`` fabrications of the experiment.
 
     Fabrication s builds circuit k (the named preparation, then the k-th
-    sequence) with seed substream(substream(master_seed, s), k).  All
-    circuits go to circuit_distributions in one call, so the preparation, and
-    each level of the sequences that share a label there, propagate all of
-    their fabrications in one propagate call.
+    sequence) with seed substream(substream(master_seed, s), k).  The values
+    come from measure_inequality, whose request k is term k's sequence: the
+    provider answers it with one member per fabrication, in fabrication
+    order, so report s is fabrication s.  All circuits go to
+    circuit_distributions in one call, so the preparation, and each level of
+    the sequences that share a label there, propagate all of their
+    fabrications in one propagate call.
     """
     run_seeds = [substream(master_seed, s) for s in range(n_seeds)]
-    requests = [
-        (state_name, labels, [substream(run, k) for run in run_seeds])
-        for k, labels in enumerate(defn.sequences)
-    ]
-    # cors[k][s]: correlator of circuit k under fabrication s
-    cors = [
-        [correlator(dist, labels) for dist in dists]
-        for labels, dists in zip(defn.sequences, circuit_distributions(requests, noise))
-    ]
-    return np.array([evaluate_inequality(defn, list(row)).value for row in zip(*cors)])
+
+    def provide(requests):
+        return circuit_distributions(
+            [
+                (state, labels, [substream(run, k) for run in run_seeds])
+                for k, (state, labels) in enumerate(requests)
+            ],
+            noise,
+        )
+
+    return np.array([report.value for report in measure_inequality(defn, provide, state_name)])

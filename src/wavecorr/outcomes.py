@@ -3,13 +3,12 @@
 Every backend (projector algebra, circuit propagation, event counting)
 reduces to the same thing: a normalized probability over outcome strings
 such as ``"++-"``.  Empirical distributions additionally carry the sample
-count and per-outcome standard errors.
+count.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 PROB_SUM_TOL = 1e-10
@@ -30,14 +29,6 @@ def outcome_signs(s: str) -> tuple[int, ...]:
     return tuple(1 if ch == "+" else -1 for ch in s)
 
 
-def all_outcome_strings(length: int) -> list[str]:
-    """All 2**length outcome strings, '+' before '-' slotwise."""
-    strings = [""]
-    for _ in range(length):
-        strings = [s + ch for s in strings for ch in "+-"]
-    return strings
-
-
 @dataclass(frozen=True)
 class OutcomeDistribution:
     """Normalized probabilities over outcome strings.
@@ -45,14 +36,12 @@ class OutcomeDistribution:
     ``sample_count`` is None for exact (intensity-derived) distributions and
     the number of recorded events for empirical ones.  ``intensities`` keeps
     the raw per-outcome intensities when the distribution came from circuit
-    ports, and ``stderrs`` the per-outcome binomial standard errors when it
-    came from counts.
+    ports.
     """
 
     probs: Mapping[str, float]
     sample_count: int | None = None
     intensities: Mapping[str, float] | None = None
-    stderrs: Mapping[str, float] | None = None
 
     def __post_init__(self) -> None:
         if not self.probs:
@@ -72,11 +61,6 @@ class OutcomeDistribution:
     def prob(self, outcome: str) -> float:
         return float(self.probs.get(outcome, 0.0))
 
-    def stderr(self, outcome: str) -> float:
-        if self.stderrs is None:
-            return 0.0
-        return float(self.stderrs.get(outcome, 0.0))
-
     def marginal(self, position: int) -> dict[str, float]:
         """Marginal distribution of the measurement at the given slot."""
         out = {"+": 0.0, "-": 0.0}
@@ -88,18 +72,3 @@ class OutcomeDistribution:
         """Total probability of outcome strings satisfying ``predicate``."""
         return float(sum(p for key, p in self.probs.items() if predicate(key)))
 
-
-def empirical(counts: Mapping[str, int]) -> OutcomeDistribution:
-    """Frequencies and binomial standard errors from event counts."""
-    total = sum(counts.values())
-    if total <= 0:
-        raise ValueError("no events recorded")
-    probs: dict[str, float] = {}
-    errs: dict[str, float] = {}
-    for key, c in counts.items():
-        if c < 0:
-            raise ValueError(f"negative count for outcome {key!r}")
-        p = c / total
-        probs[key] = p
-        errs[key] = math.sqrt(p * (1.0 - p) / total)
-    return OutcomeDistribution(probs=probs, sample_count=total, stderrs=errs)

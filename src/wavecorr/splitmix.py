@@ -16,6 +16,7 @@ stream is drawn without a fresh temporary per operation.
 
 from __future__ import annotations
 
+import hashlib
 from functools import cache
 
 import numpy as np
@@ -84,6 +85,16 @@ def substream(seed: int, label: int) -> int:
     key = np.array([seed & _MASK], dtype=np.uint64)
     lab = np.array([label & _MASK], dtype=np.uint64)
     return int(mix64(key + (lab + np.uint64(1)) * GOLDEN)[0])
+
+
+def keyed_substream(seed: int, key: str) -> int:
+    """Child seed of the stream named by ``key``, such as "noise|chsh|ZI*IZ".
+
+    The label is the first 8 bytes of the key's sha256 digest, big-endian, so
+    the child depends on the name alone, not on the order names are met in.
+    """
+    digest = hashlib.sha256(key.encode()).digest()
+    return substream(seed, int.from_bytes(digest[:8], "big"))
 
 
 def counter_uniform(seed: int | np.ndarray, counter: np.ndarray) -> np.ndarray:

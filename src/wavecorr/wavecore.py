@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from wavecorr.outcomes import OutcomeDistribution, all_outcome_strings
+from wavecorr.outcomes import OutcomeDistribution
 
 HERMITICITY_TOL = 1e-12
 INVOLUTION_TOL = 1e-10
@@ -91,12 +91,6 @@ class WaveState:
         if not self.is_normalized:
             raise ValueError(f"state norm^2 = {self.norm2} is not 1 within {NORMALIZATION_TOL}")
         return self
-
-    def normalized(self) -> "WaveState":
-        n = np.sqrt(self.norm2)
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return WaveState(self.labels, self.amplitudes / n)
 
     def intensity(self, label: str) -> float:
         idx = self.labels.index(label)
@@ -215,17 +209,17 @@ def pauli_matrix(spec: PauliSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=1024)
-def pauli_observable(spec: PauliSpec, label: str | None = None) -> DichotomicObservable:
+def pauli_observable(spec: PauliSpec) -> DichotomicObservable:
     """Dichotomic observable for a Pauli product such as "ZI" or "YY".
 
-    Each (spec, label) is diagonalized once and the frozen observable, whose
+    Each spec is diagonalized once and the frozen observable, whose
     arrays are read-only, is shared; the cache is bounded because specs may
     come from arbitrary input.
     """
     _check_pauli_spec(spec)
     if set(spec) == {"I"}:
         raise ValueError("the identity is not a two-outcome observable")
-    return DichotomicObservable.from_matrix(label or spec, pauli_matrix(spec))
+    return DichotomicObservable.from_matrix(spec, pauli_matrix(spec))
 
 
 def commute(obs_a: DichotomicObservable, obs_b: DichotomicObservable) -> bool:

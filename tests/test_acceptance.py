@@ -66,7 +66,6 @@ CALIBRATED_NOISE = NoiseModel(
     splitter_imbalance_sigma=0.008,
     phase_jitter_sigma=0.012,
     leakage=0.001,
-    seed=0,
 )
 
 
@@ -76,7 +75,7 @@ def ok(criterion, message):
 
 def test_criterion_01_pair_expression_saturates_quantum_max():
     t0 = time.perf_counter()
-    report = measure_inequality(CHSH, ideal_provider(), "chsh")
+    (report,) = measure_inequality(CHSH, ideal_provider(), "chsh")
     elapsed = time.perf_counter() - t0
     assert abs(report.value - 2 * math.sqrt(2)) < 1e-9
     assert report.verdict == "violates NC bound 2, saturates quantum max"
@@ -86,7 +85,7 @@ def test_criterion_01_pair_expression_saturates_quantum_max():
 
 def test_criterion_02_triple_expression_saturates_algebraic_max():
     t0 = time.perf_counter()
-    report = measure_inequality(MERMIN, ideal_provider(), "ghz")
+    (report,) = measure_inequality(MERMIN, ideal_provider(), "ghz")
     elapsed = time.perf_counter() - t0
     assert abs(report.value - 4.0) < 1e-9
     assert elapsed < 1.0
@@ -96,7 +95,10 @@ def test_criterion_02_triple_expression_saturates_algebraic_max():
 def test_criterion_03_grid_expression_is_state_independent():
     t0 = time.perf_counter()
     provider = ideal_provider()
-    values = [measure_inequality(PERES_MERMIN, provider, s).value for s in PM_SUITE_STATES]
+    values = []
+    for state in PM_SUITE_STATES:
+        (report,) = measure_inequality(PERES_MERMIN, provider, state)
+        values.append(report.value)
     elapsed = time.perf_counter() - t0
     assert len(values) == 11
     for state, value in zip(PM_SUITE_STATES, values):
@@ -190,7 +192,7 @@ def test_criterion_09_event_models_converge_at_one_million():
     for model in (LOADED_DIE, THRESHOLD_DETECTOR):
         cors = []
         bases = provider([("psi7", labels) for labels in PERES_MERMIN.sequences])
-        for k, (labels, base) in enumerate(zip(PERES_MERMIN.sequences, bases)):
+        for k, (labels, (base,)) in enumerate(zip(PERES_MERMIN.sequences, bases)):
             cfg = EventModelConfig(
                 model=model, sample_count=1_000_000, seed=substream(900 + k, k)
             )

@@ -532,7 +532,7 @@ def test_ideal_and_network_pipelines_agree(path):
     sequences = base.definition.sequences
     dists_base = make_provider(base)([(base.state_name, labels) for labels in sequences])
     dists_mesh = make_provider(mesh)([(mesh.state_name, labels) for labels in sequences])
-    for labels, dist_base, dist_mesh in zip(sequences, dists_base, dists_mesh, strict=True):
+    for labels, (dist_base,), (dist_mesh,) in zip(sequences, dists_base, dists_mesh, strict=True):
         a = correlator(dist_base, labels)
         b = correlator(dist_mesh, labels)
         assert a.value == pytest.approx(b.value, abs=1e-9), labels
@@ -570,9 +570,10 @@ def test_noisy_trees_get_independent_disorder():
     provider = make_provider(sc)
     sequences = sc.definition.sequences
     dists = provider([("chsh", labels) for labels in sequences])
-    values = [correlator(dist, labels).value for dist, labels in zip(dists, sequences)]
+    values = [correlator(dist, labels).value for (dist,), labels in zip(dists, sequences)]
     # same tree twice reproduces exactly, distinct trees draw differently
-    again = correlator(provider([("chsh", sequences[0])])[0], sequences[0])
+    [[dist]] = provider([("chsh", sequences[0])])
+    again = correlator(dist, sequences[0])
     assert again.value == values[0]
     assert len({round(v, 12) for v in values}) > 1
 
@@ -581,5 +582,5 @@ def test_events_sequences_use_distinct_streams():
     data = dict(MINIMAL, pipeline="events", sample_count=5_000, seed=4)
     sc = scenario_from_dict(data)
     provider = make_provider(sc)
-    dists = provider([("chsh", labels) for labels in sc.definition.sequences[:2]])
-    assert dists[0].probs != dists[1].probs
+    [[first], [second]] = provider([("chsh", labels) for labels in sc.definition.sequences[:2]])
+    assert first.probs != second.probs

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 
 import numpy as np
@@ -17,7 +16,6 @@ from wavecorr.contextuality import (
     PM_SUITE_STATES,
     SequenceGroups,
     classical_bound_oracle,
-    compatibility_report_json,
     compatibility_suite,
     corrected_bound,
     correlator,
@@ -25,7 +23,6 @@ from wavecorr.contextuality import (
     format_compatibility_report,
     format_inequality_report,
     ideal_provider,
-    inequality_report_json,
     measure_inequality,
     mermin_suite_groups,
     pm_suite_groups,
@@ -97,7 +94,8 @@ def test_correlator_range_validation():
 
 
 def ideal_report(defn, state_name, xi=0.0):
-    return measure_inequality(defn, ideal_provider(), state_name, deviation_rate=xi)
+    (report,) = measure_inequality(defn, ideal_provider(), state_name, deviation_rate=xi)
+    return report
 
 
 def test_chsh_saturates_quantum_max_on_design_state():
@@ -302,7 +300,7 @@ def test_mermin_suite_ideal_is_clean():
 def test_permutations_of_grid_row_agree_ideally():
     orderings = list(itertools.permutations(("ZX", "XZ", "YY")))
     dists = ideal_provider()([("psi7", seq) for seq in orderings])
-    values = [correlator(dist, seq).value for dist, seq in zip(dists, orderings)]
+    values = [correlator(dist, seq).value for (dist,), seq in zip(dists, orderings)]
     assert max(values) - min(values) < 1e-12
     assert values[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -376,7 +374,7 @@ def test_suite_accepts_ensembles_and_averages():
     base = ideal_provider()
 
     def two_member(requests):
-        return [[dist, dist] for dist in base(requests)]
+        return [members * 2 for members in base(requests)]
 
     groups = mermin_suite_groups()
     single = compatibility_suite(("ghz",), groups, base)
@@ -384,7 +382,7 @@ def test_suite_accepts_ensembles_and_averages():
     assert double.worst_case == pytest.approx(single.worst_case, abs=1e-12)
 
     def ragged(requests):
-        return [[dist] * (1 if k == 0 else 2) for k, dist in enumerate(base(requests))]
+        return [members * (1 if k == 0 else 2) for k, members in enumerate(base(requests))]
 
     with pytest.raises(ValueError, match="members"):
         compatibility_suite(("ghz",), groups, ragged)
@@ -407,7 +405,10 @@ def test_noisy_provider_produces_positive_rate():
         return dist
 
     def skewed(requests):
-        return [skew(labels, dist) for (_, labels), dist in zip(requests, base(requests))]
+        return [
+            [skew(labels, dist) for dist in members]
+            for (_, labels), members in zip(requests, base(requests))
+        ]
 
     report = compatibility_suite(("000",), mermin_suite_groups(), skewed)
     assert report.repeatability > 0.01
@@ -416,16 +417,6 @@ def test_noisy_provider_produces_positive_rate():
 
 
 # ------------------------------------------------------------ serialization
-
-
-def test_inequality_report_json_round_trip():
-    report = ideal_report(PERES_MERMIN, "psi3", xi=0.14)
-    payload = json.loads(inequality_report_json(report))
-    assert payload["name"] == "PeresMermin"
-    assert payload["value"] == pytest.approx(6.0, abs=1e-9)
-    assert payload["corrected_bound"] == 4.28
-    assert len(payload["terms"]) == 6
-    assert payload["verdict"] == report.verdict
 
 
 def test_inequality_report_table_mentions_everything():
@@ -440,16 +431,43 @@ def test_compatibility_report_serialization():
     report = compatibility_suite(("psi1",), pm_suite_groups(), ideal_provider())
     text = format_compatibility_report(report)
     assert "worst case" in text
-    payload = json.loads(compatibility_report_json(report))
-    assert payload["worst_case"] == report.worst_case
-    assert len(payload["records"]) == len(report.records)
 
 
-def test_measure_inequality_rejects_ensemble_provider():
+THREE_STATES = ("chsh", "00", "singlet")
+
+
+def three_member(requests):
+    """Member m of every request is its distribution on THREE_STATES[m]."""
+    base = ideal_provider()
+    per_state = [base([(name, labels) for _, labels in requests]) for name in THREE_STATES]
+    return [[dist for (dist,) in column] for column in zip(*per_state)]
+
+
+def test_measure_inequality_reports_each_member():
+    reports = measure_inequality(CHSH, three_member, "chsh", deviation_rate=0.1)
+    assert len(reports) == 3
+    for m, (report, name) in enumerate(zip(reports, THREE_STATES)):
+        def alone(requests, m=m):
+            return [[members[m]] for members in three_member(requests)]
+
+        assert measure_inequality(CHSH, alone, "chsh", deviation_rate=0.1) == [report]
+        assert report == ideal_report(CHSH, name, xi=0.1)
+    assert reports[0].value == pytest.approx(SQRT8, abs=1e-9)
+    assert len({r.value for r in reports}) == 3
+
+
+def test_measure_inequality_rejects_ragged_or_missing_members():
     base = ideal_provider()
 
-    def double(requests):
-        return [[dist] * 2 for dist in base(requests)]
+    def ragged(requests):
+        return [members * (1 if k == 0 else 2) for k, members in enumerate(base(requests))]
 
-    with pytest.raises(TypeError):
-        measure_inequality(CHSH, double, "chsh")
+    def none(requests):
+        return [[] for _ in requests]
+
+    def one_empty(requests):
+        return [[] if k == 2 else members for k, members in enumerate(base(requests))]
+
+    for provider in (ragged, none, one_empty):
+        with pytest.raises(ValueError, match="members"):
+            measure_inequality(CHSH, provider, "chsh")

@@ -414,17 +414,17 @@ def test_empirical_distribution_matches_hand_arithmetic():
     emp = empirical_distribution(EventCounts(counts={"+": 3, "-": 1}, total=4))
     assert emp.prob("+") == 0.75
     assert emp.prob("-") == 0.25
-    expected = math.sqrt(0.75 * 0.25 / 4)
-    assert abs(emp.stderr("+") - expected) < 1e-15
-    assert abs(emp.stderr("-") - expected) < 1e-15
+    assert emp.sample_count == 4
 
 
 def test_uniform_sample_errors_near_formula():
     n = 1_000_000
     counts = loaded_die_sample(UNIFORM4, EventModelConfig(sample_count=n, seed=2))
     emp = empirical_distribution(counts)
+    assert emp.sample_count == n
+    # the binomial error sqrt(p (1 - p) / n) of each frequency is 4.33e-4
     for key in UNIFORM4.probs:
-        assert abs(emp.stderr(key) - 4.33e-4) < 2e-5
+        assert abs(emp.prob(key) - 0.25) < 4 * 4.33e-4
 
 
 # ---------------------------------------------------------------- property

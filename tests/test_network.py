@@ -60,8 +60,8 @@ def propagate_ports(net, drive, noise=None, seeds=None):
 
     ``drive`` maps each input port's name to its amplitude, or is a WaveState
     matched to the ports by its mode labels; every member gets the same
-    drive.  Returns one PortAmplitudes under ``noise``'s own seed, or one per
-    seed in seed order.
+    drive.  Returns one PortAmplitudes at seed 0 when ``seeds`` is None, or
+    one per seed in seed order.
     """
     values = dict(zip(drive.labels, drive.amplitudes)) if isinstance(drive, WaveState) else drive
     column = np.array([[values[w]] for w in net.input_ports], dtype=complex)
@@ -553,8 +553,7 @@ def test_slots_never_clobber_a_live_wire():
     u1, u2 = t1 / np.sqrt(1.25), t1 * 0.5 / np.sqrt(1.25)
     want = [(a + b) / SQRT2, u1 / SQRT2, u1 / SQRT2, u2 * np.exp(-1.1j)]
     np.testing.assert_allclose(quiet, want, rtol=0, atol=1e-12)
-    noise = NoiseModel(splitter_imbalance_sigma=0.02, phase_jitter_sigma=0.03, leakage=0.002,
-                       seed=9)
+    noise = NoiseModel(splitter_imbalance_sigma=0.02, phase_jitter_sigma=0.03, leakage=0.002)
     noisy = propagate(net, drive, noise, seeds)
     got = {"quiet": quiet, "noisy": noisy}
     assert {k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in got.items()} == PINNED_SLOT_NET
@@ -602,12 +601,12 @@ def test_uniform_leakage_leaves_distribution_unchanged():
 
 
 def test_noisy_propagation_is_reproducible():
-    request = [("chsh", ("ZI", "IZ"), None)]
-    nm = NoiseModel(splitter_imbalance_sigma=0.02, phase_jitter_sigma=0.05, seed=42)
-    [[d1]] = circuit_distributions(request, nm)
-    [[d2]] = circuit_distributions(request, nm)
+    request = ("chsh", ("ZI", "IZ"))
+    nm = NoiseModel(splitter_imbalance_sigma=0.02, phase_jitter_sigma=0.05)
+    [[d1]] = circuit_distributions([(*request, [42])], nm)
+    [[d2]] = circuit_distributions([(*request, [42])], nm)
     assert d1.probs == d2.probs
-    [[d3]] = circuit_distributions(request, NoiseModel(**{**nm.__dict__, "seed": 43}))
+    [[d3]] = circuit_distributions([(*request, [43])], nm)
     assert d1.probs != d3.probs
 
 
@@ -721,8 +720,7 @@ def test_ensemble_members_match_single_member_calls():
     batch = propagate_ports(net, SOURCE, ENSEMBLE_NOISE, ENSEMBLE_SEEDS)
     assert len(batch) == len(ENSEMBLE_SEEDS)
     for member, seed in zip(batch, ENSEMBLE_SEEDS):
-        drawn = NoiseModel(**{**ENSEMBLE_NOISE.__dict__, "seed": seed})
-        single = propagate_ports(net, SOURCE, drawn)
+        [single] = propagate_ports(net, SOURCE, ENSEMBLE_NOISE, [seed])
         assert member.amplitudes == single.amplitudes
         assert member.input_intensity == single.input_intensity
         assert member.absorbed_intensity == pytest.approx(single.absorbed_intensity, abs=1e-12)
@@ -762,8 +760,7 @@ def test_batch_members_match_single_seed_requests():
     request = ("psi1", ("ZZ", "XX"))
     [dists] = circuit_distributions([(*request, ENSEMBLE_SEEDS[:3])], ENSEMBLE_NOISE)
     for dist, seed in zip(dists, ENSEMBLE_SEEDS):
-        drawn = NoiseModel(**{**ENSEMBLE_NOISE.__dict__, "seed": seed})
-        [[single]] = circuit_distributions([(*request, None)], drawn)
+        [[single]] = circuit_distributions([(*request, [seed])], ENSEMBLE_NOISE)
         assert dist.probs == single.probs
 
 
@@ -835,7 +832,7 @@ def test_level_stages_match_whole_trees():
     ]
     results = circuit_distributions(requests, ENSEMBLE_NOISE)
     for (prep, labels, seeds), got in zip(requests, results, strict=True):
-        seeds = [ENSEMBLE_NOISE.seed] if seeds is None else seeds
+        seeds = [0] if seeds is None else seeds
         want = whole_tree_distributions(prep, labels, ENSEMBLE_NOISE, seeds)
         assert [d.probs for d in got] == [d.probs for d in want], (prep, labels)
         assert [d.intensities for d in got] == [d.intensities for d in want], (prep, labels)

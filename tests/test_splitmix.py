@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from wavecorr.splitmix import _RUN, counter_uniform, counter_uniform_run, mix64
+from wavecorr.splitmix import (
+    _RUN,
+    counter_uniform,
+    counter_uniform_run,
+    keyed_substream,
+    mix64,
+)
 
 TOP = 2**64
 
@@ -47,3 +53,12 @@ def test_counter_uniform_broadcasts_seed_arrays():
     both = counter_uniform(seeds[:, None], counter)
     for row, seed in zip(both, seeds):
         np.testing.assert_array_equal(row, counter_uniform(int(seed), counter))
+
+
+def test_keyed_substreams_are_pinned():
+    # a scenario's noise seed for one circuit, the events seed of another, and
+    # an ensemble provider's stream for an audited circuit: the values the CLI
+    # and the audit suites drew from before they shared this helper
+    assert keyed_substream(37, "noise|psi1|ZI*IZ*ZZ") == 10668374995722334559
+    assert keyed_substream(5, "events|chsh|XI*IX") == 8292395291244354801
+    assert keyed_substream(1, "psi1|ZX*XZ*YY") == 8508906500038447765
