@@ -14,15 +14,18 @@ from wavecorr.contextuality import (
     InequalityReport,
     MERMIN,
     PERES_MERMIN,
+    batched,
     classical_bound_oracle,
     compatibility_suite,
     corrected_bound,
     correlator,
     evaluate_inequality,
     ideal_provider,
+    inequality_requests,
     measure_inequality,
     mermin_suite_groups,
     pm_suite_groups,
+    suite_requests,
 )
 from wavecorr.events import (
     EventCounts,
@@ -86,9 +89,12 @@ __all__ = [
     "corrected_bound",
     "evaluate_inequality",
     "measure_inequality",
+    "inequality_requests",
     "ideal_provider",
+    "batched",
     "CompatibilityReport",
     "compatibility_suite",
+    "suite_requests",
     "pm_suite_groups",
     "mermin_suite_groups",
 ]

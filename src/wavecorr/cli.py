@@ -81,14 +81,17 @@ from wavecorr.contextuality import (
     PM_SUITE_STATES,
     Provider,
     SequenceGroups,
+    batched,
     classical_bound_oracle,
     compatibility_suite,
     format_compatibility_report,
     format_inequality_report,
     ideal_provider,
+    inequality_requests,
     measure_inequality,
     mermin_suite_groups,
     pm_suite_groups,
+    suite_requests,
 )
 from wavecorr.events import (
     EVENT_MODELS,
@@ -618,18 +621,29 @@ def _audit_plan(defn: InequalityDefinition) -> tuple[tuple[str, ...], SequenceGr
 
 
 def run_scenario(scenario: Scenario) -> RunReport:
-    """Evaluate the scenario's inequality, auditing first when asked."""
+    """Evaluate the scenario's inequality, auditing first when asked.
+
+    The run asks its pipeline once, for every distribution it reads: the
+    audit suite's requests (when audited) followed by the inequality's go to
+    one make_provider call through ``batched``, and the suite and the
+    inequality each read their own slice.  Every circuit's seeds are keyed by
+    its state and sequence, so the results equal those of separate calls.
+    """
     started = time.perf_counter()
-    provider = make_provider(scenario)
+    defn = scenario.definition
+    request_lists = [inequality_requests(defn, scenario.state_name)]
+    if scenario.audit:
+        states, groups = _audit_plan(defn)
+        request_lists.insert(0, suite_requests(states, groups))
+    providers = batched(make_provider(scenario), *request_lists)
 
     compat: CompatibilityReport | None = None
     rate = scenario.deviation_rate or 0.0
     if scenario.audit:
-        states, groups = _audit_plan(scenario.definition)
-        compat = compatibility_suite(states, groups, provider)
+        compat = compatibility_suite(states, groups, providers[0])
         rate = compat.worst_case
 
-    (report,) = measure_inequality(scenario.definition, provider, scenario.state_name, rate)
+    (report,) = measure_inequality(defn, providers[-1], scenario.state_name, rate)
     elapsed = time.perf_counter() - started
     return RunReport(
         scenario=scenario, inequality=report, compatibility=compat, elapsed_seconds=elapsed

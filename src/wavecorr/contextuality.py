@@ -330,6 +330,44 @@ def ideal_provider(resolve: Callable[[str], WaveState] = state_library) -> Provi
     return provide
 
 
+def batched(provider: Provider, *request_lists: Sequence[Request]) -> tuple[Provider, ...]:
+    """One provider per announced request list, all served by one call to ``provider``.
+
+    The first call to any returned provider asks ``provider`` once for every
+    list, concatenated in order; each returned provider then serves its own
+    slice by position.  Nothing is deduplicated, so a request that appears in
+    two lists is computed twice and no assumption is made about ``provider``.
+    A returned provider asked for anything but its announced list raises
+    LookupError: a consumer that drifted from its announced requests is a bug,
+    not a numerical failure.
+    """
+    announced = [[(name, tuple(labels)) for name, labels in reqs] for reqs in request_lists]
+    served: list[list[Sequence[OutcomeDistribution]]] = []
+
+    def serving(k: int) -> Provider:
+        start = sum(len(reqs) for reqs in announced[:k])
+
+        def provide(requests: Sequence[Request]) -> list[Sequence[OutcomeDistribution]]:
+            if [(name, tuple(labels)) for name, labels in requests] != announced[k]:
+                raise LookupError(
+                    f"batched request list {k} of {len(announced)} was announced with "
+                    f"{len(announced[k])} requests and asked for a different list"
+                )
+            if not served:
+                everything = [req for reqs in announced for req in reqs]
+                results = list(provider(everything))
+                if len(results) != len(everything):
+                    raise ValueError(
+                        f"provider returned {len(results)} results for {len(everything)} requests"
+                    )
+                served.extend(results)
+            return served[start : start + len(announced[k])]
+
+        return provide
+
+    return tuple(serving(k) for k in range(len(announced)))
+
+
 def _provide(provider: Provider, requests: list[Request]) -> list[list[OutcomeDistribution]]:
     """One provider call for every request, checked for equally many members each."""
     results = [list(members) for members in provider(requests)]
@@ -344,6 +382,11 @@ def _provide(provider: Provider, requests: list[Request]) -> list[list[OutcomeDi
     return results
 
 
+def inequality_requests(defn: InequalityDefinition, state_name: str) -> list[Request]:
+    """The requests measure_inequality makes: term k's sequence on the state."""
+    return [(state_name, tuple(labels)) for labels in defn.sequences]
+
+
 def measure_inequality(
     defn: InequalityDefinition,
     provider: Provider,
@@ -352,18 +395,19 @@ def measure_inequality(
 ) -> list[InequalityReport]:
     """Evaluate every term of ``defn`` on one state through one provider call.
 
-    Returns one report per member: report m is built from the m-th member of
-    every term's distributions.  A provider that brings no members, or
-    different member counts for different terms, raises ValueError.
+    The call asks for exactly ``inequality_requests(defn, state_name)``, so a
+    caller can announce it in advance, e.g. to ``batched``.  Returns one
+    report per member: report m is built from the m-th member of every term's
+    distributions.  A provider that brings no members, or different member
+    counts for different terms, raises ValueError.
     """
-    requests = [(state_name, tuple(labels)) for labels in defn.sequences]
     return [
         evaluate_inequality(
             defn,
             [correlator(dist, labels) for labels, dist in zip(defn.sequences, member)],
             deviation_rate,
         )
-        for member in zip(*_provide(provider, requests))
+        for member in zip(*_provide(provider, inequality_requests(defn, state_name)))
     ]
 
 
@@ -462,6 +506,12 @@ def _clamped(x: float) -> float:
     return min(1.0, max(0.0, float(x)))
 
 
+def suite_requests(states: Sequence[str], groups: SequenceGroups) -> list[Request]:
+    """The requests compatibility_suite makes: every sequence, state by state."""
+    sequences = groups.all_sequences()
+    return [(state, seq) for state in states for seq in sequences]
+
+
 def compatibility_suite(
     states: Sequence[str],
     groups: SequenceGroups,
@@ -479,9 +529,11 @@ def compatibility_suite(
     circuit's deviation is the mean over its seeds.  The worst case over
     everything is the suite's deviation rate.
 
-    The provider is called once, with every (state, sequence) pair, state
-    by state in the order of ``groups.all_sequences()``, and must bring the
-    same nonzero number of members for every pair.
+    The plan is checked before the provider is called.  The provider is
+    then called once, with ``suite_requests(states, groups)``: every
+    (state, sequence) pair, state by state in the order of
+    ``groups.all_sequences()``.  It must bring the same nonzero number of
+    members for every pair.
     """
     if not states:
         raise ValueError("no states to audit")
@@ -499,8 +551,7 @@ def compatibility_suite(
 
     # every distribution the records below read, fetched in one provider call
     # and consumed in the same order
-    requests = [(state, seq) for state in states for seq in sequences]
-    results = iter(_provide(provider, requests))
+    results = iter(_provide(provider, suite_requests(states, groups)))
     records: list[DeviationRecord] = []
 
     for state in states:

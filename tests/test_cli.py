@@ -4,6 +4,7 @@ import copy
 import glob
 import math
 import os
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -387,6 +388,199 @@ def test_audit_csv_bytes_are_pinned(seed, tmp_path, capsys, monkeypatch):
         f'"violates NC bound 4, violates corrected bound {short}"\n'
     )
     assert target.read_text() == ",".join(cli.CSV_COLUMNS) + "\n" + row
+
+
+def run_stdout(capsys, *argv):
+    """Stdout of ``wavecorr <argv>`` without the timing line."""
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    return "".join(line for line in out.splitlines(True) if not line.startswith("elapsed:"))
+
+
+PM_IDEAL_AUDIT = {
+    "name": "pm-ideal-audit",
+    "state": "psi5",
+    "inequality": "PeresMermin",
+    "pipeline": "ideal",
+    "audit": True,
+}
+PM_EVENTS_AUDIT = {
+    "name": "pm-events-audit",
+    "state": "psi7",
+    "inequality": "PeresMermin",
+    "pipeline": "events",
+    "base_pipeline": "ideal",
+    "seed": 11,
+    "sample_count": 200_000,
+    "events": {"model": "loaded_die"},
+    "audit": True,
+}
+
+_GRID_TERMS = (
+    "  + ZI*IZ*ZZ  +1.000000 +/- 0.000000\n"
+    "  + IX*XI*XX  +1.000000 +/- 0.000000\n"
+    "  + ZX*XZ*YY  +1.000000 +/- 0.000000\n"
+    "  + ZI*IX*ZX  +1.000000 +/- 0.000000\n"
+    "  + IZ*XI*XZ  +1.000000 +/- 0.000000\n"
+    "  - ZZ*XX*YY  -1.000000 +/- 0.000000\n"
+)
+
+# full `wavecorr run` stdout of audited runs, recorded while the suite and the
+# inequality still made separate provider calls
+PINNED_AUDIT_STDOUT = {
+    "noisy-3": (
+        "scenario pm-noisy-audit: state psi1, pipeline network_noisy, seed 3\n"
+        "PeresMermin: value = +5.985985 +/- 0.000000\n"
+        "  + ZI*IZ*ZZ  +1.000000 +/- 0.000000\n"
+        "  + IX*XI*XX  +0.996615 +/- 0.000000\n"
+        "  + ZX*XZ*YY  +0.995350 +/- 0.000000\n"
+        "  + ZI*IX*ZX  +0.996750 +/- 0.000000\n"
+        "  + IZ*XI*XZ  +0.999738 +/- 0.000000\n"
+        "  - ZZ*XX*YY  -0.997532 +/- 0.000000\n"
+        "  bounds: noncontextual 4, corrected 4.14774 (deviation rate 0.073868), "
+        "quantum 6, algebraic 6\n"
+        "  verdict: violates NC bound 4, violates corrected bound 4.14774\n"
+        "compatibility audit:\n"
+        "  context independence : 0.073868\n"
+        "  order independence   : 0.005151\n"
+        "  repeatability        : 0.006596\n"
+        "  nondisturbance       : 0.006642\n"
+        "  worst case           : 0.073868 (context-independence: state psi11, marginal of YY)\n"
+    ),
+    "noisy-83": (
+        "scenario pm-noisy-audit: state psi1, pipeline network_noisy, seed 83\n"
+        "PeresMermin: value = +5.986158 +/- 0.000000\n"
+        "  + ZI*IZ*ZZ  +1.000000 +/- 0.000000\n"
+        "  + IX*XI*XX  +0.996335 +/- 0.000000\n"
+        "  + ZX*XZ*YY  +0.997437 +/- 0.000000\n"
+        "  + ZI*IX*ZX  +0.994446 +/- 0.000000\n"
+        "  + IZ*XI*XZ  +0.998808 +/- 0.000000\n"
+        "  - ZZ*XX*YY  -0.999132 +/- 0.000000\n"
+        "  bounds: noncontextual 4, corrected 4.2297 (deviation rate 0.11485), "
+        "quantum 6, algebraic 6\n"
+        "  verdict: violates NC bound 4, violates corrected bound 4.2297\n"
+        "compatibility audit:\n"
+        "  context independence : 0.114850\n"
+        "  order independence   : 0.007885\n"
+        "  repeatability        : 0.005621\n"
+        "  nondisturbance       : 0.010052\n"
+        "  worst case           : 0.114850 (context-independence: state psi11, marginal of YY)\n"
+    ),
+    "ideal": (
+        "scenario pm-ideal-audit: state psi5, pipeline ideal, seed 0\n"
+        "PeresMermin: value = +6.000000 +/- 0.000000\n"
+        + _GRID_TERMS
+        + "  bounds: noncontextual 4, corrected 4 (deviation rate 1.11022e-16), "
+        "quantum 6, algebraic 6\n"
+        "  verdict: violates NC bound 4, violates corrected bound 4, saturates quantum max\n"
+        "compatibility audit:\n"
+        "  context independence : 0.000000\n"
+        "  order independence   : 0.000000\n"
+        "  repeatability        : 0.000000\n"
+        "  nondisturbance       : 0.000000\n"
+        "  worst case           : 0.000000 (context-independence: state psi11, marginal of YY)\n"
+    ),
+    "events": (
+        "scenario pm-events-audit: state psi7, pipeline events, seed 11, "
+        "200000 events per sequence via loaded_die\n"
+        "PeresMermin: value = +6.000000 +/- 0.000000\n"
+        + _GRID_TERMS
+        + "  bounds: noncontextual 4, corrected 4.01045 (deviation rate 0.005225), "
+        "quantum 6, algebraic 6\n"
+        "  verdict: violates NC bound 4, violates corrected bound 4.01045, saturates quantum max\n"
+        "compatibility audit:\n"
+        "  context independence : 0.005225\n"
+        "  order independence   : 0.000000\n"
+        "  repeatability        : 0.000000\n"
+        "  nondisturbance       : 0.000000\n"
+        "  worst case           : 0.005225 (context-independence: state psi3, marginal of YY)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_AUDIT_STDOUT))
+def test_audited_run_stdout_is_pinned(key, tmp_path, capsys):
+    if key.startswith("noisy-"):
+        path = os.path.join(SCENARIO_DIR, "pm_noisy_audit.yaml")
+        argv = ["run", path, "--seed", key.split("-")[1]]
+    else:
+        data = PM_IDEAL_AUDIT if key == "ideal" else PM_EVENTS_AUDIT
+        argv = ["run", write_yaml(tmp_path, data)]
+    assert run_stdout(capsys, *argv) == PINNED_AUDIT_STDOUT[key]
+
+
+def audited(pipeline):
+    """The audited noisy grid scenario, moved onto ``pipeline``."""
+    data = cli.load_scenario_dict(os.path.join(SCENARIO_DIR, "pm_noisy_audit.yaml"))
+    if pipeline == "events":
+        data.update(pipeline="events", base_pipeline="network_noisy", sample_count=20_000)
+    else:
+        data["pipeline"] = pipeline
+    if pipeline in ("ideal", "network_ideal"):
+        del data["noise"]
+    return scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("pipeline", ["ideal", "network_ideal", "network_noisy", "events"])
+def test_audited_run_equals_separate_provider_calls(pipeline):
+    scenario = audited(pipeline)
+    # the suite and the inequality, each asking a provider of its own
+    states, groups = cli._audit_plan(scenario.definition)
+    compat = cli.compatibility_suite(states, groups, make_provider(scenario))
+    (report,) = cli.measure_inequality(
+        scenario.definition, make_provider(scenario), scenario.state_name, compat.worst_case
+    )
+    run = run_scenario(scenario)
+    assert repr(run.compatibility) == repr(compat)
+    assert repr(run.inequality) == repr(report)
+
+
+def test_audited_run_asks_its_pipeline_once(monkeypatch):
+    calls = []
+    real = cli.circuit_distributions
+
+    def counting(batch, noise):
+        calls.append(len(batch))
+        return real(batch, noise)
+
+    monkeypatch.setattr(cli, "circuit_distributions", counting)
+    built = []
+    real_build = network.build_sequence_tree
+    monkeypatch.setattr(
+        network,
+        "build_sequence_tree",
+        lambda observables, prep=None: (
+            built.append((tuple(o.label for o in observables), prep))
+            or real_build(observables, prep)
+        ),
+    )
+    scenario = load_scenario(os.path.join(SCENARIO_DIR, "pm_noisy_audit.yaml"))
+    run_scenario(scenario)
+    # 11 states x 19 audit sequences, then the 6 grid terms; one stage per label
+    assert calls == [11 * 19 + 6]
+    grid = ("ZI", "IZ", "ZZ", "IX", "XI", "XX", "ZX", "XZ", "YY")
+    assert sorted(built) == sorted(((lab,), None) for lab in grid)
+
+
+def test_incompatible_audit_plan_fails_before_any_circuit(monkeypatch):
+    def no_circuits(*args, **kwargs):
+        raise AssertionError("a circuit was built for a plan that cannot run")
+
+    monkeypatch.setattr(cli, "circuit_distributions", no_circuits)
+    states, groups = cli._audit_plan(INEQUALITIES["PeresMermin"])
+    clashing = replace(groups, disturbance_sequences=(("ZI", "XI", "ZI"),))
+    monkeypatch.setattr(cli, "_audit_plan", lambda defn: (states, clashing))
+    scenario = load_scenario(os.path.join(SCENARIO_DIR, "pm_noisy_audit.yaml"))
+    with pytest.raises(ValueError, match="commute|compatible"):
+        run_scenario(scenario)
+
+
+def test_drifted_request_list_is_not_a_numerical_failure(monkeypatch):
+    # the inequality announces a reordered list but asks for its own
+    real = cli.inequality_requests
+    monkeypatch.setattr(cli, "inequality_requests", lambda defn, name: real(defn, name)[::-1])
+    with pytest.raises(LookupError, match="request list 1 of 2"):
+        main(["run", os.path.join(SCENARIO_DIR, "pm_noisy_audit.yaml")])
 
 
 def test_output_dir_env_prefixes_relative_paths(tmp_path, monkeypatch, capsys):

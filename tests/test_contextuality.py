@@ -15,6 +15,7 @@ from wavecorr.contextuality import (
     PERES_MERMIN,
     PM_SUITE_STATES,
     SequenceGroups,
+    batched,
     classical_bound_oracle,
     compatibility_suite,
     corrected_bound,
@@ -23,9 +24,11 @@ from wavecorr.contextuality import (
     format_compatibility_report,
     format_inequality_report,
     ideal_provider,
+    inequality_requests,
     measure_inequality,
     mermin_suite_groups,
     pm_suite_groups,
+    suite_requests,
 )
 from wavecorr.outcomes import OutcomeDistribution
 from wavecorr.wavecore import (
@@ -356,12 +359,86 @@ def test_suite_calls_its_provider_once_in_audit_order():
     report = compatibility_suite(states, pm_suite_groups(), recording)
     sequences = pm_suite_groups().all_sequences()
     assert batches == [[(state, seq) for state in states for seq in sequences]]
+    assert batches == [suite_requests(states, pm_suite_groups())]
     assert [(r.category, r.label) for r in report.records] == PM_RECORD_ORDER * 2
     assert [r.state for r in report.records] == ["psi1"] * 23 + ["psi4"] * 23
 
     batches.clear()
     measure_inequality(PERES_MERMIN, recording, "psi1")
     assert batches == [[("psi1", seq) for seq in PERES_MERMIN.sequences]]
+    assert batches == [inequality_requests(PERES_MERMIN, "psi1")]
+
+
+def counting_ideal():
+    """The projector oracle, with the batches it was asked for."""
+    base = ideal_provider()
+    batches = []
+
+    def provide(requests):
+        batches.append(list(requests))
+        return base(requests)
+
+    return provide, batches
+
+
+SUITE_REQUESTS = suite_requests(("psi1", "psi4"), pm_suite_groups())
+PM_REQUESTS = inequality_requests(PERES_MERMIN, "psi1")
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_batched_makes_one_call_whichever_provider_asks_first(first):
+    provider, batches = counting_ideal()
+    providers = batched(provider, SUITE_REQUESTS, PM_REQUESTS)
+    lists = (SUITE_REQUESTS, PM_REQUESTS)
+    providers[first](lists[first])
+    providers[1 - first](lists[1 - first])
+    providers[first](lists[first])
+    # nothing is deduplicated: psi1's ZX*XZ*YY is asked for twice
+    assert batches == [SUITE_REQUESTS + PM_REQUESTS]
+    assert ("psi1", ("ZX", "XZ", "YY")) in SUITE_REQUESTS
+    assert ("psi1", ("ZX", "XZ", "YY")) in PM_REQUESTS
+
+
+def test_batched_is_lazy_and_serves_each_slice_in_order():
+    provider, batches = counting_ideal()
+    suite, inequality = batched(provider, SUITE_REQUESTS, PM_REQUESTS)
+    assert batches == []
+    assert inequality(PM_REQUESTS) == provider(PM_REQUESTS)
+    assert suite(SUITE_REQUESTS) == provider(SUITE_REQUESTS)
+    # the consumers read the same reports through their slices
+    suite, inequality = batched(ideal_provider(), SUITE_REQUESTS, PM_REQUESTS)
+    assert compatibility_suite(("psi1", "psi4"), pm_suite_groups(), suite) == (
+        compatibility_suite(("psi1", "psi4"), pm_suite_groups(), ideal_provider())
+    )
+    assert measure_inequality(PERES_MERMIN, inequality, "psi1") == (
+        measure_inequality(PERES_MERMIN, ideal_provider(), "psi1")
+    )
+
+
+def test_batched_member_lists_pass_through_unchanged():
+    suite, inequality = batched(three_member, SUITE_REQUESTS, PM_REQUESTS)
+    assert inequality(PM_REQUESTS) == three_member(PM_REQUESTS)
+    assert [len(members) for members in suite(SUITE_REQUESTS)] == [3] * len(SUITE_REQUESTS)
+
+
+def test_batched_rejects_requests_it_did_not_announce():
+    provider, batches = counting_ideal()
+    suite, inequality = batched(provider, SUITE_REQUESTS, PM_REQUESTS)
+    for asked in (PM_REQUESTS[::-1], PM_REQUESTS[:-1], inequality_requests(PERES_MERMIN, "psi4")):
+        with pytest.raises(LookupError, match="request list 1 of 2") as err:
+            inequality(asked)
+        assert not isinstance(err.value, ValueError)
+    with pytest.raises(LookupError, match="request list 0 of 2"):
+        suite(PM_REQUESTS)
+    # a drifted consumer is caught before the provider is asked
+    assert batches == []
+
+
+def test_batched_rejects_a_provider_that_drops_requests():
+    base = ideal_provider()
+    (only,) = batched(lambda requests: base(requests)[1:], PM_REQUESTS)
+    with pytest.raises(ValueError, match="results for"):
+        only(PM_REQUESTS)
 
 
 def test_suite_rejects_a_provider_that_drops_requests():
