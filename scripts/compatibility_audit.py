@@ -8,7 +8,7 @@ first answer, a compatible partner in between must not disturb it, and
 each observable's marginal must not depend on which context it is read
 in.  The worst deviation rate feeds the corrected noncontextuality bound.
 
-With no noise every rate is zero to rounding error.  With a hardware
+With no noise every rate reads zero.  With a hardware
 model the rates become the measured honesty budget of the apparatus.
 
     python3 scripts/compatibility_audit.py

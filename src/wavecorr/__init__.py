@@ -14,7 +14,6 @@ from wavecorr.contextuality import (
     InequalityReport,
     MERMIN,
     PERES_MERMIN,
-    batched,
     classical_bound_oracle,
     compatibility_suite,
     corrected_bound,
@@ -91,7 +90,6 @@ __all__ = [
     "measure_inequality",
     "inequality_requests",
     "ideal_provider",
-    "batched",
     "CompatibilityReport",
     "compatibility_suite",
     "suite_requests",

@@ -60,9 +60,11 @@ paths; nothing else reads the environment.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import itertools
+import math
 import os
 import sys
 import time
@@ -80,8 +82,8 @@ from wavecorr.contextuality import (
     MERMIN_SUITE_STATES,
     PM_SUITE_STATES,
     Provider,
+    Request,
     SequenceGroups,
-    batched,
     classical_bound_oracle,
     compatibility_suite,
     format_compatibility_report,
@@ -226,7 +228,13 @@ def _expect_str(value, path: str) -> str:
 def _expect_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _expect_int(value, path: str) -> int:
@@ -252,12 +260,15 @@ def _parse_amplitude(raw, path: str) -> complex:
     if isinstance(raw, bool):
         raise ConfigError(path, "amplitude cannot be a boolean")
     if isinstance(raw, (int, float)):
-        return complex(raw)
+        return complex(_expect_number(raw, path))
     if isinstance(raw, str):
         try:
-            return complex(raw.replace(" ", ""))
+            amp = complex(raw.replace(" ", ""))
         except ValueError:
             raise ConfigError(path, f"cannot parse amplitude {raw!r}") from None
+        if not cmath.isfinite(amp):
+            raise ConfigError(path, f"amplitude {raw!r} is not finite")
+        return amp
     raise ConfigError(path, f"amplitude must be a number or a string, got {type(raw).__name__}")
 
 
@@ -624,26 +635,33 @@ def run_scenario(scenario: Scenario) -> RunReport:
     """Evaluate the scenario's inequality, auditing first when asked.
 
     The run asks its pipeline once, for every distribution it reads: the
-    audit suite's requests (when audited) followed by the inequality's go to
-    one make_provider call through ``batched``, and the suite and the
-    inequality each read their own slice.  Every circuit's seeds are keyed by
-    its state and sequence, so the results equal those of separate calls.
+    first consumer to ask fills a table, keyed by request, with the audit
+    suite's requests (when audited) followed by the inequality's, and both
+    consumers read from it.  make_provider seeds every request from its own
+    state and sequence, so a request's distributions do not depend on the
+    batch it arrives in, and the table gives what separate calls would.
     """
     started = time.perf_counter()
     defn = scenario.definition
-    request_lists = [inequality_requests(defn, scenario.state_name)]
+    requests = inequality_requests(defn, scenario.state_name)
     if scenario.audit:
         states, groups = _audit_plan(defn)
-        request_lists.insert(0, suite_requests(states, groups))
-    providers = batched(make_provider(scenario), *request_lists)
+        requests = suite_requests(states, groups) + requests
+    pipeline = make_provider(scenario)
+    table: dict[Request, Sequence[OutcomeDistribution]] = {}
+
+    def provider(asked: Sequence[Request]) -> list[Sequence[OutcomeDistribution]]:
+        if not table:
+            table.update(zip(requests, pipeline(requests), strict=True))
+        return [table[name, tuple(labels)] for name, labels in asked]
 
     compat: CompatibilityReport | None = None
     rate = scenario.deviation_rate or 0.0
     if scenario.audit:
-        compat = compatibility_suite(states, groups, providers[0])
+        compat = compatibility_suite(states, groups, provider)
         rate = compat.worst_case
 
-    (report,) = measure_inequality(defn, providers[-1], scenario.state_name, rate)
+    (report,) = measure_inequality(defn, provider, scenario.state_name, rate)
     elapsed = time.perf_counter() - started
     return RunReport(
         scenario=scenario, inequality=report, compatibility=compat, elapsed_seconds=elapsed

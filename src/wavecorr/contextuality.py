@@ -330,46 +330,15 @@ def ideal_provider(resolve: Callable[[str], WaveState] = state_library) -> Provi
     return provide
 
 
-def batched(provider: Provider, *request_lists: Sequence[Request]) -> tuple[Provider, ...]:
-    """One provider per announced request list, all served by one call to ``provider``.
-
-    The first call to any returned provider asks ``provider`` once for every
-    list, concatenated in order; each returned provider then serves its own
-    slice by position.  Nothing is deduplicated, so a request that appears in
-    two lists is computed twice and no assumption is made about ``provider``.
-    A returned provider asked for anything but its announced list raises
-    LookupError: a consumer that drifted from its announced requests is a bug,
-    not a numerical failure.
-    """
-    announced = [[(name, tuple(labels)) for name, labels in reqs] for reqs in request_lists]
-    served: list[list[Sequence[OutcomeDistribution]]] = []
-
-    def serving(k: int) -> Provider:
-        start = sum(len(reqs) for reqs in announced[:k])
-
-        def provide(requests: Sequence[Request]) -> list[Sequence[OutcomeDistribution]]:
-            if [(name, tuple(labels)) for name, labels in requests] != announced[k]:
-                raise LookupError(
-                    f"batched request list {k} of {len(announced)} was announced with "
-                    f"{len(announced[k])} requests and asked for a different list"
-                )
-            if not served:
-                everything = [req for reqs in announced for req in reqs]
-                results = list(provider(everything))
-                if len(results) != len(everything):
-                    raise ValueError(
-                        f"provider returned {len(results)} results for {len(everything)} requests"
-                    )
-                served.extend(results)
-            return served[start : start + len(announced[k])]
-
-        return provide
-
-    return tuple(serving(k) for k in range(len(announced)))
-
-
 def _provide(provider: Provider, requests: list[Request]) -> list[list[OutcomeDistribution]]:
-    """One provider call for every request, checked for equally many members each."""
+    """One provider call for every request, checked for equally many members each.
+
+    Every distinct sequence is checked for pairwise commuting observables
+    before the provider is called, so an incompatible sequence fails the
+    same way on every source, before any circuit is built.
+    """
+    for labels in dict.fromkeys(labels for _, labels in requests):
+        check_pairwise_compatible([pauli_observable(lab) for lab in labels])
     results = [list(members) for members in provider(requests)]
     if len(results) != len(requests):
         raise ValueError(f"provider returned {len(results)} results for {len(requests)} requests")
@@ -395,9 +364,8 @@ def measure_inequality(
 ) -> list[InequalityReport]:
     """Evaluate every term of ``defn`` on one state through one provider call.
 
-    The call asks for exactly ``inequality_requests(defn, state_name)``, so a
-    caller can announce it in advance, e.g. to ``batched``.  Returns one
-    report per member: report m is built from the m-th member of every term's
+    The call asks for exactly ``inequality_requests(defn, state_name)``.
+    Returns one report per member: report m is built from the m-th member of every term's
     distributions.  A provider that brings no members, or different member
     counts for different terms, raises ValueError.
     """
@@ -503,7 +471,9 @@ class CompatibilityReport:
 
 
 def _clamped(x: float) -> float:
-    return min(1.0, max(0.0, float(x)))
+    """``x`` in [0, 1]; a deviation at round-off level reads as exactly zero."""
+    x = float(x)
+    return 0.0 if x <= _VALUE_TOL else min(1.0, x)
 
 
 def suite_requests(states: Sequence[str], groups: SequenceGroups) -> list[Request]:
@@ -529,16 +499,15 @@ def compatibility_suite(
     circuit's deviation is the mean over its seeds.  The worst case over
     everything is the suite's deviation rate.
 
-    The plan is checked before the provider is called.  The provider is
-    then called once, with ``suite_requests(states, groups)``: every
+    The plan, every sequence's commutation included, is checked before the
+    provider is called.  The provider is then called once, with ``suite_requests(states, groups)``: every
     (state, sequence) pair, state by state in the order of
     ``groups.all_sequences()``.  It must bring the same nonzero number of
     members for every pair.
     """
     if not states:
         raise ValueError("no states to audit")
-    sequences = groups.all_sequences()
-    if not sequences:
+    if not groups.all_sequences():
         raise ValueError("no sequences to audit")
     for seq in groups.repeat_sequences:
         if len(seq) != 3 or len(set(seq)) != 1:
@@ -546,8 +515,6 @@ def compatibility_suite(
     for seq in groups.disturbance_sequences:
         if len(seq) != 3 or seq[0] != seq[2]:
             raise ValueError(f"disturbance sequences must look like (O, P, O), got {seq}")
-    for seq in dict.fromkeys(sequences):
-        check_pairwise_compatible([pauli_observable(lab) for lab in seq])
 
     # every distribution the records below read, fetched in one provider call
     # and consumed in the same order

@@ -27,6 +27,7 @@ amplitude or a phase.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -80,10 +81,12 @@ class EventModelConfig:
             raise ValueError(f"unknown event model {self.model!r}; expected one of {EVENT_MODELS}")
         if self.sample_count < 1:
             raise ValueError(f"sample_count must be at least 1, got {self.sample_count}")
-        if not self.threshold > 0.0:
-            raise ValueError(f"threshold must be positive, got {self.threshold}")
-        if self.threshold_spread < 0.0:
-            raise ValueError(f"threshold_spread must be nonnegative, got {self.threshold_spread}")
+        if not 0.0 < self.threshold < math.inf:
+            raise ValueError(f"threshold must be positive and finite, got {self.threshold}")
+        if not 0.0 <= self.threshold_spread < math.inf:
+            raise ValueError(
+                f"threshold_spread must be finite and nonnegative, got {self.threshold_spread}"
+            )
         if self.model == THRESHOLD_DETECTOR and self.threshold_spread >= self.threshold:
             raise ValueError(
                 f"threshold_spread {self.threshold_spread} must stay below threshold {self.threshold}"

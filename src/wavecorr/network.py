@@ -147,8 +147,11 @@ class NoiseModel:
     leakage: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.splitter_imbalance_sigma < 0 or self.phase_jitter_sigma < 0:
-            raise ValueError("noise widths must be nonnegative")
+        if not all(
+            0.0 <= sigma < math.inf
+            for sigma in (self.splitter_imbalance_sigma, self.phase_jitter_sigma)
+        ):
+            raise ValueError("noise widths must be finite and nonnegative")
         if not (0.0 <= self.leakage < 1.0):
             raise ValueError("leakage must lie in [0, 1)")
 

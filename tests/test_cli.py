@@ -272,6 +272,53 @@ def test_synthesis_failures_exit_numerical(fault, message, tmp_path, capsys, mon
     assert f"run failed: {message}" in capsys.readouterr().err
 
 
+def _custom(**fields):
+    terms = [{"sequence": ["ZI", "IZ"], "sign": fields.pop("sign", 1)}]
+    return dict(MINIMAL, inequality="custom", custom=dict(fields, terms=terms))
+
+
+# every number a scenario can give, by field path: value -> scenario
+NUMBER_FIELDS = {
+    "noise.splitter_imbalance_sigma": lambda x: dict(
+        MINIMAL, pipeline="network_noisy", noise={"splitter_imbalance_sigma": x}
+    ),
+    "noise.phase_jitter_sigma": lambda x: dict(
+        MINIMAL, pipeline="network_noisy", noise={"phase_jitter_sigma": x}
+    ),
+    "noise.leakage": lambda x: dict(MINIMAL, pipeline="network_noisy", noise={"leakage": x}),
+    "events.threshold": lambda x: dict(
+        MINIMAL, pipeline="events", events={"model": "threshold_detector", "threshold": x}
+    ),
+    "events.threshold_spread": lambda x: dict(
+        MINIMAL, pipeline="events", events={"model": "threshold_detector", "threshold_spread": x}
+    ),
+    "deviation_rate": lambda x: dict(MINIMAL, deviation_rate=x),
+    "custom.terms[0].sign": lambda x: _custom(sign=x),
+    "custom.nc_bound": lambda x: _custom(nc_bound=x),
+    "custom.quantum_max": lambda x: _custom(quantum_max=x),
+    "custom.algebraic_max": lambda x: _custom(algebraic_max=x),
+    "state[0]": lambda x: dict(MINIMAL, state=[x, 1, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("path", sorted(NUMBER_FIELDS))
+def test_non_finite_numbers_are_config_errors(path, value, tmp_path, capsys):
+    scenario = write_yaml(tmp_path, NUMBER_FIELDS[path](value))
+    assert main(["run", scenario]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+
+
+@pytest.mark.parametrize("path,value", [
+    ("state[1]", "nan"), ("state[1]", "1+infj"),
+    pytest.param("custom.terms[0].sign", 10**400, id="custom.terms[0].sign-10**400"),
+])
+def test_non_finite_strings_and_huge_integers_are_config_errors(path, value, tmp_path, capsys):
+    data = _custom(sign=value) if path.startswith("custom") else dict(MINIMAL, state=[1, value, 0, 0])
+    assert main(["run", write_yaml(tmp_path, data)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+
+
 def test_vary_section_rejected_by_run(tmp_path, capsys):
     data = dict(MINIMAL, vary={"seed": [1, 2]})
     path = write_yaml(tmp_path, data)
@@ -426,7 +473,8 @@ _GRID_TERMS = (
 )
 
 # full `wavecorr run` stdout of audited runs, recorded while the suite and the
-# inequality still made separate provider calls
+# inequality still made separate provider calls; the exact ideal audit reads
+# zero where its round-off once read 1.11022e-16
 PINNED_AUDIT_STDOUT = {
     "noisy-3": (
         "scenario pm-noisy-audit: state psi1, pipeline network_noisy, seed 3\n"
@@ -470,15 +518,15 @@ PINNED_AUDIT_STDOUT = {
         "scenario pm-ideal-audit: state psi5, pipeline ideal, seed 0\n"
         "PeresMermin: value = +6.000000 +/- 0.000000\n"
         + _GRID_TERMS
-        + "  bounds: noncontextual 4, corrected 4 (deviation rate 1.11022e-16), "
+        + "  bounds: noncontextual 4, corrected 4 (deviation rate 0), "
         "quantum 6, algebraic 6\n"
-        "  verdict: violates NC bound 4, violates corrected bound 4, saturates quantum max\n"
+        "  verdict: violates NC bound 4, saturates quantum max\n"
         "compatibility audit:\n"
         "  context independence : 0.000000\n"
         "  order independence   : 0.000000\n"
         "  repeatability        : 0.000000\n"
         "  nondisturbance       : 0.000000\n"
-        "  worst case           : 0.000000 (context-independence: state psi11, marginal of YY)\n"
+        "  worst case           : 0.000000 (order-independence: state psi1, orderings of XZ*YY*ZX)\n"
     ),
     "events": (
         "scenario pm-events-audit: state psi7, pipeline events, seed 11, "
@@ -575,12 +623,62 @@ def test_incompatible_audit_plan_fails_before_any_circuit(monkeypatch):
         run_scenario(scenario)
 
 
-def test_drifted_request_list_is_not_a_numerical_failure(monkeypatch):
-    # the inequality announces a reordered list but asks for its own
+def test_drifted_request_list_is_not_a_numerical_failure(monkeypatch, capsys):
+    path = os.path.join(SCENARIO_DIR, "pm_noisy_audit.yaml")
+    expected = run_stdout(capsys, "run", path)
     real = cli.inequality_requests
+    # a run that lists its terms in another order serves them all the same
     monkeypatch.setattr(cli, "inequality_requests", lambda defn, name: real(defn, name)[::-1])
-    with pytest.raises(LookupError, match="request list 1 of 2"):
-        main(["run", os.path.join(SCENARIO_DIR, "pm_noisy_audit.yaml")])
+    assert run_stdout(capsys, "run", path) == expected
+    # one that leaves out a term the suite does not ask for is an internal bug
+    monkeypatch.setattr(cli, "inequality_requests", lambda defn, name: real(defn, name)[1:])
+    with pytest.raises(LookupError) as err:
+        main(["run", path])
+    assert not isinstance(err.value, ValueError)
+    assert err.value.args == (("psi1", ("ZI", "IZ", "ZZ")),)
+
+
+@pytest.mark.parametrize("pipeline", ["ideal", "network_ideal", "network_noisy", "events"])
+def test_request_results_do_not_depend_on_their_batch(pipeline):
+    # what lets one run serve both consumers from a table keyed by request
+    scenario = audited(pipeline)
+    states, groups = cli._audit_plan(scenario.definition)
+    everything = cli.suite_requests(states, groups) + cli.inequality_requests(
+        scenario.definition, scenario.state_name
+    )
+    amid = make_provider(scenario)(everything)
+    for k in (0, 2, len(everything) - 1):
+        request = everything[k]
+        (alone,) = make_provider(scenario)([request])
+        first, second = make_provider(scenario)([request, request])
+        assert repr(amid[k]) == repr(alone) == repr(first) == repr(second)
+
+
+NON_COMMUTING = {
+    "ideal": {},
+    "network_ideal": {"pipeline": "network_ideal"},
+    "network_noisy": {"pipeline": "network_noisy", "noise": {"phase_jitter_sigma": 0.01}},
+    "events": {"pipeline": "events", "base_pipeline": "network_ideal"},
+}
+
+
+@pytest.mark.parametrize("pipeline", sorted(NON_COMMUTING))
+@pytest.mark.parametrize("how", ["custom", "observables"])
+def test_non_commuting_sequence_fails_on_every_pipeline(pipeline, how, tmp_path, capsys, monkeypatch):
+    def no_circuits(*args, **kwargs):
+        raise AssertionError("a circuit was built for a sequence that cannot run")
+
+    monkeypatch.setattr(cli, "circuit_distributions", no_circuits)
+    if how == "custom":
+        data = dict(
+            MINIMAL, inequality="custom", custom={"terms": [{"sequence": ["ZI", "XI"]}]}
+        )
+    else:
+        # CHSH's third term ZI*IX becomes ZI*XI
+        data = dict(MINIMAL, observables={"IX": "XI"})
+    path = write_yaml(tmp_path, dict(data, **NON_COMMUTING[pipeline]))
+    assert main(["run", path]) == 3
+    assert "run failed: observables 'ZI' and 'XI' do not commute" in capsys.readouterr().err
 
 
 def test_output_dir_env_prefixes_relative_paths(tmp_path, monkeypatch, capsys):

@@ -43,6 +43,11 @@ def test_config_rejects_bad_values():
         EventModelConfig(threshold_spread=-0.1)
     with pytest.raises(ValueError):
         EventModelConfig(model=THRESHOLD_DETECTOR, threshold=1.0, threshold_spread=1.0)
+    for value in (math.nan, math.inf):
+        for field in ("threshold", "threshold_spread"):
+            for model in (LOADED_DIE, THRESHOLD_DETECTOR):
+                with pytest.raises(ValueError, match="finite"):
+                    EventModelConfig(model=model, **{field: value})
     # a loaded die never draws thresholds, so the spread bound is not enforced
     EventModelConfig(model=LOADED_DIE, threshold=1.0, threshold_spread=1.0)
 

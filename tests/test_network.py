@@ -615,6 +615,10 @@ def test_noise_model_validation():
         NoiseModel(splitter_imbalance_sigma=-0.1)
     with pytest.raises(ValueError):
         NoiseModel(leakage=1.0)
+    for field in ("splitter_imbalance_sigma", "phase_jitter_sigma", "leakage"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                NoiseModel(**{field: value})
 
 
 CHSH_TERMS = [("ZI", "IZ", 1), ("XI", "IZ", 1), ("ZI", "IX", 1), ("XI", "IX", -1)]

@@ -124,6 +124,8 @@ def test_compatibility_audit_rejects_fewer_than_one_member(members, capsys):
         ["--seeds", "2", "--jitter", "-0.1"],
         ["--seeds", "2", "--sweep", "leakage", "--values", "0", "1"],
         ["--seeds", "2", "--sweep", "imbalance", "--values", "-0.01"],
+        ["--seeds", "2", "--jitter", "nan"],
+        ["--seeds", "2", "--sweep", "imbalance", "--values", "0", "inf"],
     ],
 )
 def test_noise_study_rejects_bad_noise_before_running(argv, capsys):
@@ -136,7 +138,8 @@ def test_noise_study_rejects_bad_noise_before_running(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["--jitter", "-0.1"], ["--imbalance", "-1"], ["--leakage", "1"]]
+    "argv",
+    [["--jitter", "-0.1"], ["--imbalance", "-1"], ["--leakage", "1"], ["--jitter", "nan"]],
 )
 def test_compatibility_audit_rejects_bad_noise(argv, capsys):
     with pytest.raises(SystemExit) as exc:
