@@ -33,12 +33,13 @@ Scenario schema (all unknown keys are rejected):
     deviation_rate: 0.14        # optional fixed rate for the corrected bound
     audit: true                 # optional; measure the rate with the
                                 #   compatibility suite instead (exclusive
-                                #   with deviation_rate)
+                                #   with deviation_rate; built-in
+                                #   inequalities only)
     csv: out.csv                # optional CSV output path
     custom:                     # required iff inequality == custom
       name: my-expression       # optional
       terms:                    # at most MAX_CUSTOM_TERMS (256) terms
-        - sequence: [ZI, IZ]
+        - sequence: [ZI, IZ]    # one to MAX_SEQUENCE_LENGTH (3) labels
           sign: 1
       nc_bound: 2               # optional, default: exact enumeration over
                                 #   at most 16 distinct labels
@@ -156,6 +157,11 @@ MAX_ENUMERATED_LABELS = 16
 # and enumerating the bound costs 2^labels products per term (about 0.3 s for
 # 256 terms over 16 labels)
 MAX_CUSTOM_TERMS = 256
+
+# most labels a custom term's sequence may have: every pipeline measures
+# sequences of one to three observables (the ideal one walks 2^labels
+# branches, the circuit ones build trees of that depth)
+MAX_SEQUENCE_LENGTH = 3
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -292,7 +298,10 @@ def _parse_state(raw, path: str) -> tuple[str, WaveState]:
         n = len(amps)
         if n < 2 or n & (n - 1):
             raise ConfigError(path, f"amplitude list length {n} is not a power of two >= 2")
-        norm = np.linalg.norm(amps)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(amps)
+        if not math.isfinite(norm):
+            raise ConfigError(path, "amplitude list norm overflows; scale the amplitudes down")
         if norm < 1e-12:
             raise ConfigError(path, "amplitude list has zero norm")
         k = n.bit_length() - 1
@@ -318,6 +327,11 @@ def _parse_custom_definition(raw, path: str) -> InequalityDefinition:
         seq_raw = _require(tmap, "sequence", tpath)
         if not isinstance(seq_raw, Sequence) or isinstance(seq_raw, str) or not seq_raw:
             raise ConfigError(f"{tpath}.sequence", "expected a nonempty list of labels")
+        if len(seq_raw) > MAX_SEQUENCE_LENGTH:
+            raise ConfigError(
+                f"{tpath}.sequence",
+                f"{len(seq_raw)} labels exceed the cap of {MAX_SEQUENCE_LENGTH} measurements",
+            )
         seq = tuple(_expect_str(lab, f"{tpath}.sequence[{j}]") for j, lab in enumerate(seq_raw))
         sign = _expect_number(tmap.get("sign", 1.0), f"{tpath}.sign")
         terms.append((seq, sign))
@@ -516,7 +530,7 @@ def scenario_from_dict(data: Mapping, path: str = "") -> Scenario:
     audit = _expect_bool(data.get("audit", False), at("audit"))
     if audit and rate is not None:
         raise ConfigError(at("audit"), "choose either audit or a fixed deviation_rate")
-    if audit and defn.name not in INEQUALITIES:
+    if audit and kind == "custom":
         raise ConfigError(at("audit"), "auditing needs one of the built-in inequalities")
 
     csv_path = data.get("csv")

@@ -120,9 +120,6 @@ class EventCounts:
         if self.total < 1:
             raise ValueError("at least one event is required")
 
-    def frequency(self, outcome: str) -> float:
-        return self.counts.get(outcome, 0) / self.total
-
 
 def loaded_die_sample(dist: OutcomeDistribution, config: EventModelConfig) -> EventCounts:
     """Tallies of ``sample_count`` independent draws from ``dist``.

@@ -29,8 +29,8 @@ one-observable tree with bare mode inputs) per distinct label, and
 propagates the sequences a level at a time: level j of every sequence whose
 j-th label is the same goes through that label's stage in one call, its
 2^(j-1) entering branches times its (state, fabrication) pairs side by side
-with the other sequences' on the member axis.  Each member's noise draws
-are keyed by where its block sits in the whole tree, preparation first, and
+with the other sequences' on the member axis.  Each member's seeds are moved
+past the elements before its block in the whole tree, preparation first, and
 the leaf taps draw nothing, so every leaf is bitwise that of the tree with
 the preparation built in.  Only the amplitudes are computed: the intensity
 lost to terminations and leakage is tallied when a caller asks for it.
@@ -75,8 +75,6 @@ from wavecorr.wavecore import (
     pauli_observable,
     state_library,
 )
-
-INTENSITY_CONSERVATION_TOL = 1e-12
 
 # (slot, member) amplitudes per propagation pass, which takes
 # max(1, PASS_CELLS // slots) members, so a pass's buffer stays within 1 MiB
@@ -464,8 +462,7 @@ def propagate(
     netlist: Netlist,
     drive: np.ndarray,
     noise: NoiseModel | None = None,
-    seeds: Sequence[int] | None = None,
-    offsets: Sequence[int] | None = None,
+    seeds: Sequence[int] | np.ndarray | None = None,
     *,
     return_absorbed: bool = False,
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
@@ -473,12 +470,13 @@ def propagate(
 
     ``drive`` has shape (input ports, members): column m drives the input
     ports, in order, for member m; grounded ports start at zero.  Member m is
-    the circuit under ``noise`` drawn with seed ``seeds[m]`` (one member at
-    seed 0 when ``seeds`` is None), its element indices shifted by
-    ``offsets[m]`` (default 0) before drawing.  Every draw
-    is a pure function of (seed, element index) and every step is elementwise
-    per member, so each member is bitwise what a call with that member alone
-    gives.
+    the circuit under ``noise`` drawn with seed ``seeds[m]``, an int taken
+    modulo 2^64 or an entry of a uint64 array (one member at seed 0 when
+    ``seeds`` is None).  Every draw is a pure function of (seed,
+    element index) and every step is elementwise per member, so each member
+    is bitwise what a call with that member alone gives.  A netlist that
+    continues a circuit of n elements is passed ``offset_seeds(seeds, n)``:
+    its element i then draws what the whole circuit's element n + i draws.
 
     Returns the amplitudes at the output ports, shape (output ports,
     members).  With ``return_absorbed`` it also returns the intensity each
@@ -494,19 +492,18 @@ def propagate(
     """
     groups = netlist._compile()
     slots = netlist._slots
-    members = [0] if seeds is None else list(seeds)
-    if np.shape(drive) != (len(slots.inputs), len(members)):
+    member_seeds = _seed_array([0] if seeds is None else seeds)
+    members = len(member_seeds)
+    if np.shape(drive) != (len(slots.inputs), members):
         raise PropagationError(
             f"drive of shape {np.shape(drive)} for {len(slots.inputs)} input ports "
-            f"and {len(members)} members"
+            f"and {members} members"
         )
-    member_seeds = np.array([s & 0xFFFFFFFFFFFFFFFF for s in members], dtype=np.uint64)
-    shifts = None if offsets is None else np.asarray(offsets, dtype=np.uint64)
 
-    out = np.empty((len(slots.outputs), len(members)), dtype=complex)
-    absorbed = np.zeros(len(members)) if return_absorbed else None
+    out = np.empty((len(slots.outputs), members), dtype=complex)
+    absorbed = np.zeros(members) if return_absorbed else None
     step = max(1, PASS_CELLS // max(slots.count, 1))
-    for first in range(0, len(members), step):
+    for first in range(0, members, step):
         cols = slice(first, first + step)
         amps = np.zeros((slots.count, len(member_seeds[cols])), dtype=complex)
         amps[slots.inputs] = drive[:, cols]
@@ -515,11 +512,17 @@ def propagate(
             amps,
             noise,
             member_seeds[cols],
-            None if shifts is None else shifts[cols],
             None if absorbed is None else absorbed[cols],
         )
         out[:, cols] = amps[slots.outputs]
     return (out, absorbed) if return_absorbed else out
+
+
+def _seed_array(seeds: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Seeds as uint64: an array cast, ints taken modulo 2^64."""
+    if isinstance(seeds, np.ndarray):
+        return seeds.astype(np.uint64, copy=False)
+    return np.array([s & 0xFFFFFFFFFFFFFFFF for s in seeds], dtype=np.uint64)
 
 
 def _propagate_members(
@@ -527,27 +530,22 @@ def _propagate_members(
     amps: np.ndarray,
     noise: NoiseModel | None,
     seeds: np.ndarray,
-    offsets: np.ndarray | None = None,
     absorbed: np.ndarray | None = None,
 ) -> None:
     """Run the compiled groups over ``amps``, shape (slots, members), in place.
 
     ``amps`` holds each input and ground slot's starting amplitude per
     member; afterwards the output ports' slots hold theirs.  Member m draws
-    element i's fabrication error with seed ``seeds[m]`` at index i +
-    ``offsets[m]`` (i alone without offsets), so a measurement stage
-    propagated behind a separate preparation of n elements, at offset n,
-    draws what the whole circuit draws.  Given ``absorbed``, one entry per
-    member, the intensity each member loses to terminations and leakage is
-    added to it; amplitudes do not depend on whether it is.
+    element i's fabrication error with seed ``seeds[m]`` at index i.  Given
+    ``absorbed``, one entry per member, the intensity each member loses to
+    terminations and leakage is added to it; amplitudes do not depend on
+    whether it is.
 
     Noisy splitter and phase values come a slab of groups at a time from
     _noise_slabs, drawn when the loop reaches the slab's first group: one
     slab per kind is held, whatever the circuit's size, and each value is
     bitwise what a draw for its group alone gives.
     """
-    if offsets is not None:
-        seeds = offset_seeds(seeds, offsets)  # folded in once, not per group
     tally = absorbed is not None
 
     quiet = noise is None or noise.is_quiet
@@ -763,10 +761,6 @@ class SequenceTree:
     basis: tuple[str, ...]
 
     @property
-    def depth(self) -> int:
-        return len(self.observable_labels)
-
-    @property
     def dim(self) -> int:
         return len(self.basis)
 
@@ -912,12 +906,16 @@ def circuit_distributions(
     prep)`` puts the prep's n elements first and then each level's blocks in
     that order, so branch b of level j draws at offset n + sum_{i<j}
     2^(i-1) B_i + b B_j, where B is a block's element count without the
-    stage's 2d leaf taps.  The taps draw no noise and leak nothing, and
-    propagation is elementwise per member, so every member is bitwise what
-    propagating that whole tree with the member's seed gives.  Nothing is
-    cached across calls.
+    stage's 2d leaf taps.  That offset lives in the seeds: each sequence's
+    seeds are moved past n once (splitmix.offset_seeds), branch b of a level
+    gets them moved b B_j further, and after the level they move on by
+    2^(j-1) B_j.  Moves add in wrapping uint64 arithmetic, and the taps draw
+    no noise and leak nothing, so every member is bitwise what propagating
+    that whole tree with the member's seed gives.  Nothing is cached across
+    calls.
     """
-    member_seeds = [[0] if seeds is None else list(seeds) for _, _, seeds in requests]
+    # each request's member seeds, moved past its preparation once that has run
+    member_seeds = [_seed_array([0] if seeds is None else seeds) for _, _, seeds in requests]
     by_prep: dict = {}
     by_labels: dict[tuple[str, ...], list[int]] = {}
     for i, (prep, labels, _) in enumerate(requests):
@@ -926,22 +924,22 @@ def circuit_distributions(
         by_labels.setdefault(tuple(labels), []).append(i)
 
     prepared: list = [None] * len(requests)  # (modes, members) per request
-    prep_size = [0] * len(requests)
     for idx in by_prep.values():
         net = Netlist()
         for w in add_state_prep(net, requests[idx[0]][0]):
             net.add_output(w)
-        seeds = [s for i in idx for s in member_seeds[i]]
+        seeds = np.concatenate([member_seeds[i] for i in idx])
         modes = propagate(net, np.ones((1, len(seeds)), dtype=complex), noise, seeds)
         bounds = np.cumsum([len(member_seeds[i]) for i in idx])[:-1]
-        for i, block in zip(idx, np.split(modes, bounds, axis=1)):
+        moved = np.split(offset_seeds(seeds, len(net.elements)), bounds)
+        for i, block, part in zip(idx, np.split(modes, bounds, axis=1), moved):
             prepared[i] = block
-            prep_size[i] = len(net.elements)
+            member_seeds[i] = part
 
-    # per distinct label sequence: its member seeds, and the (d, branches *
-    # members) amplitudes entering its next level with each column's offset
-    seq_seeds: dict[tuple[str, ...], list[int]] = {}
-    seq_offsets: dict[tuple[str, ...], np.ndarray] = {}
+    # per distinct label sequence: its member seeds, moved past every element
+    # before its next level, and the (d, branches * members) amplitudes
+    # entering that level
+    seq_seeds: dict[tuple[str, ...], np.ndarray] = {}
     seq_amps: dict[tuple[str, ...], np.ndarray] = {}
     stages: dict[str, tuple[Netlist, int]] = {}  # label -> (depth-1 stage, block elements)
     for labels, idx in by_labels.items():
@@ -956,11 +954,7 @@ def circuit_distributions(
             if label not in stages:
                 stage = build_sequence_tree([pauli_observable(label)])
                 stages[label] = stage.netlist, len(stage.netlist.elements) - 2 * d
-        sizes = [len(member_seeds[i]) for i in idx]
-        seq_seeds[labels] = [s for i in idx for s in member_seeds[i]]
-        seq_offsets[labels] = np.repeat(
-            np.array([prep_size[i] for i in idx], dtype=np.uint64), sizes
-        )
+        seq_seeds[labels] = np.concatenate([member_seeds[i] for i in idx])
         seq_amps[labels] = np.hstack([prepared[i] for i in idx])
 
     # level j of every sequence whose j-th label is the same goes through that
@@ -973,18 +967,15 @@ def circuit_distributions(
                 by_stage.setdefault(labels[level], []).append(labels)
         for label, group in by_stage.items():
             net, block = stages[label]
-            steps = np.uint64(block) * np.arange(branches, dtype=np.uint64)[:, None]
-            out = propagate(
-                net,
-                np.hstack([seq_amps[labels] for labels in group]),
-                noise,
-                [s for labels in group for s in seq_seeds[labels] * branches],
-                np.concatenate([(seq_offsets[labels] + steps).ravel() for labels in group]),
-            )
+            # branch-major columns; branch b draws b blocks further on
+            steps = block * np.arange(branches)[:, None]
+            branch_seeds = [offset_seeds(seq_seeds[labels], steps).ravel() for labels in group]
+            amps = np.hstack([seq_amps[labels] for labels in group])
+            out = propagate(net, amps, noise, np.concatenate(branch_seeds))
             d = len(out) // 2
             widths = [branches * len(seq_seeds[labels]) for labels in group]
             for labels, part in zip(group, np.split(out, np.cumsum(widths)[:-1], axis=1)):
-                seq_offsets[labels] += np.uint64(branches * block)
+                seq_seeds[labels] = offset_seeds(seq_seeds[labels], branches * block)
                 # rows: the d "+" leaves, then the d "-" leaves; branch b feeds 2b and 2b + 1
                 seq_amps[labels] = (
                     part.reshape(2, d, branches, -1).transpose(1, 2, 0, 3).reshape(d, -1)

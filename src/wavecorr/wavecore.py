@@ -247,12 +247,13 @@ def luders_project(
 
 
 def check_pairwise_compatible(observables: Sequence[DichotomicObservable]) -> None:
-    for i in range(len(observables)):
-        for j in range(i + 1, len(observables)):
-            if not commute(observables[i], observables[j]):
+    # an observable commutes with itself exactly, so one object met twice
+    # (a repeat, or the outer pair of O, P, O) is not compared
+    for i, a in enumerate(observables):
+        for b in observables[i + 1 :]:
+            if a is not b and not commute(a, b):
                 raise IncompatibleObservablesError(
-                    f"observables {observables[i].label!r} and "
-                    f"{observables[j].label!r} do not commute"
+                    f"observables {a.label!r} and {b.label!r} do not commute"
                 )
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from wavecorr import cli, network, reck
+from wavecorr import cli, contextuality, network, reck, wavecore
 from wavecorr.cli import (
     ConfigError,
     Scenario,
@@ -97,7 +97,13 @@ def test_amplitude_state_is_normalized():
 
 @pytest.mark.parametrize(
     "state,fragment",
-    [([1, 0, 0], "power of two"), ([0, 0], "zero norm"), ([1, "x"], "state[1]")],
+    [
+        ([1, 0, 0], "power of two"),
+        ([0, 0], "zero norm"),
+        ([1, "x"], "state[1]"),
+        # finite entries whose norm overflows, under the RuntimeWarning filter
+        ([1e308, 1e308, 0, 0], "state: amplitude list norm overflows"),
+    ],
 )
 def test_bad_amplitude_lists(state, fragment):
     with pytest.raises(ConfigError, match=None) as err:
@@ -218,6 +224,14 @@ def test_custom_term_count_is_capped_before_enumeration(tmp_path, capsys, monkey
     monkeypatch.setattr(cli, "classical_bound_oracle", lambda defn: 0.0)
     sc = scenario_from_dict(dict(data, custom={"terms": terms[:-1]}))
     assert len(sc.definition.terms) == cli.MAX_CUSTOM_TERMS
+
+
+@pytest.mark.parametrize("name", sorted(INEQUALITIES))
+def test_custom_inequality_named_after_a_built_in_is_not_audited(name, tmp_path, capsys):
+    data = _custom(name=name)
+    assert scenario_from_dict(data).definition.name == name
+    assert main(["run", write_yaml(tmp_path, dict(data, audit=True))]) == 2
+    assert capsys.readouterr().err.startswith("config error: audit: ")
 
 
 def test_run_exit_codes(tmp_path, capsys):
@@ -610,6 +624,30 @@ def test_audited_run_asks_its_pipeline_once(monkeypatch):
     assert sorted(built) == sorted(((lab,), None) for lab in grid)
 
 
+def test_commutation_check_skips_an_observable_met_twice(monkeypatch):
+    scenario = scenario_from_dict(PM_IDEAL_AUDIT)
+    real = wavecore.commute
+
+    def every_pair(observables):  # the check comparing an observable with itself too
+        for i, a in enumerate(observables):
+            for b in observables[i + 1 :]:
+                if not real(a, b):
+                    raise wavecore.IncompatibleObservablesError(f"{a.label} {b.label}")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(wavecore, "check_pairwise_compatible", every_pair)
+        patched.setattr(contextuality, "check_pairwise_compatible", every_pair)
+        reference = run_scenario(scenario)
+
+    pairs = []
+    monkeypatch.setattr(wavecore, "commute", lambda a, b: pairs.append((a, b)) or real(a, b))
+    run = run_scenario(scenario)
+    assert len(pairs) == 348  # of 720 with each observable's own pairs
+    assert all(a is not b for a, b in pairs)
+    assert repr(run.compatibility) == repr(reference.compatibility)
+    assert repr(run.inequality) == repr(reference.inequality)
+
+
 def test_incompatible_audit_plan_fails_before_any_circuit(monkeypatch):
     def no_circuits(*args, **kwargs):
         raise AssertionError("a circuit was built for a plan that cannot run")
@@ -679,6 +717,20 @@ def test_non_commuting_sequence_fails_on_every_pipeline(pipeline, how, tmp_path,
     path = write_yaml(tmp_path, dict(data, **NON_COMMUTING[pipeline]))
     assert main(["run", path]) == 3
     assert "run failed: observables 'ZI' and 'XI' do not commute" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pipeline", sorted(NON_COMMUTING))
+def test_custom_sequence_length_is_capped_while_parsing(pipeline, tmp_path, capsys):
+    labels = ("ZI", "IZ", "ZZ")
+    at_cap = [labels[i % 3] for i in range(cli.MAX_SEQUENCE_LENGTH)]
+    over = [labels[i % 3] for i in range(cli.MAX_SEQUENCE_LENGTH + 1)]
+    for sequence, code in ((over, 2), (at_cap, 0)):
+        terms = [{"sequence": ["ZI"]}, {"sequence": sequence}]
+        data = dict(MINIMAL, inequality="custom", custom={"terms": terms})
+        assert main(["run", write_yaml(tmp_path, dict(data, **NON_COMMUTING[pipeline]))]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("config error: custom.terms[1].sequence: ")
 
 
 def test_output_dir_env_prefixes_relative_paths(tmp_path, monkeypatch, capsys):

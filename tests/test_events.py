@@ -70,8 +70,8 @@ def test_event_counts_validation():
     with pytest.raises(ValueError):
         EventCounts(counts={"+": 0.5, "-": 0.5}, total=1)
     ec = EventCounts(counts={"+": 3, "-": 1}, total=4)
-    assert ec.frequency("+") == 0.75
-    assert ec.frequency("missing") == 0.0
+    assert ec.counts.get("+", 0) / ec.total == 0.75
+    assert ec.counts.get("missing", 0) / ec.total == 0.0
 
 
 # --------------------------------------------------------------- loaded die
@@ -155,7 +155,7 @@ def test_threshold_equal_rates_split_evenly():
     n = 100_000
     counts = threshold_event_stream({"+": 1.0, "-": 1.0}, tcfg(n, seed=9))
     sigma = math.sqrt(0.25 / n)
-    assert abs(counts.frequency("+") - 0.5) <= 4.0 * sigma
+    assert abs(counts.counts.get("+", 0) / counts.total - 0.5) <= 4.0 * sigma
     assert counts.total == n
 
 
@@ -164,7 +164,7 @@ def test_threshold_rates_three_to_one():
     counts = threshold_event_stream({"+": 0.75, "-": 0.25}, tcfg(n, seed=21))
     for key, p in (("+", 0.75), ("-", 0.25)):
         sigma = math.sqrt(p * (1.0 - p) / n)
-        assert abs(counts.frequency(key) - p) <= 4.0 * sigma
+        assert abs(counts.counts.get(key, 0) / counts.total - p) <= 4.0 * sigma
 
 
 def test_threshold_intensity_scale_does_not_matter_statistically():
@@ -172,7 +172,7 @@ def test_threshold_intensity_scale_does_not_matter_statistically():
     a = threshold_event_stream({"u": 0.6, "v": 0.2, "w": 0.2}, tcfg(n, seed=4))
     b = threshold_event_stream({"u": 6.0, "v": 2.0, "w": 2.0}, tcfg(n, seed=4))
     for key in ("u", "v", "w"):
-        assert abs(a.frequency(key) - b.frequency(key)) <= 0.01
+        assert abs(a.counts.get(key, 0) / a.total - b.counts.get(key, 0) / b.total) <= 0.01
 
 
 def test_threshold_zero_spread_alternates_from_lowest_port():
@@ -408,8 +408,8 @@ def test_sample_events_dispatches_on_model():
     thr = sample_events(dist, tcfg(4000, seed=7))
     assert die.total == thr.total == 4000
     assert die != thr  # different mechanisms, same seed
-    assert abs(die.frequency("+") - 0.5) < 0.05
-    assert abs(thr.frequency("+") - 0.5) < 0.05
+    assert abs(die.counts.get("+", 0) / die.total - 0.5) < 0.05
+    assert abs(thr.counts.get("+", 0) / thr.total - 0.5) < 0.05
 
 
 # ------------------------------------------------------ empirical plumbing
@@ -456,4 +456,4 @@ def test_threshold_stream_properties(rates, seed):
     assert again == counts
     total = sum(rates)
     for key, r in ports.items():
-        assert abs(counts.frequency(key) - r / total) <= 0.1
+        assert abs(counts.counts.get(key, 0) / counts.total - r / total) <= 0.1

@@ -10,7 +10,6 @@ from wavecorr.contextuality import CHSH, correlator, evaluate_inequality
 from wavecorr.network import (
     BEAM_SPLITTER,
     FANOUT_LABEL,
-    INTENSITY_CONSERVATION_TOL,
     Netlist,
     NetlistError,
     NoiseModel,
@@ -37,6 +36,10 @@ from wavecorr.wavecore import (
 )
 
 SQRT2 = np.sqrt(2.0)
+
+# with zero noise, output intensity plus what terminations absorb equals the
+# input intensity to this tolerance: every element scatters unitarily
+INTENSITY_CONSERVATION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -409,7 +412,7 @@ def path_total_counts(tree):
 def test_tree_shape_and_leaf_count():
     obs = [pauli_observable(s) for s in ("ZX", "XZ", "YY")]
     tree = build_sequence_tree(obs, prep="psi7")
-    assert tree.depth == 3
+    assert len(tree.observable_labels) == 3
     assert set(tree.leaf_groups) == {
         "".join(t) for t in __import__("itertools").product("+-", repeat=3)
     }
@@ -903,9 +906,8 @@ def test_stage_conserves_intensity_without_noise():
             net, np.ones((1, 3), dtype=complex), None, [0, 1, 2], return_absorbed=True
         )
         stage = build_sequence_tree([pauli_observable(lab) for lab in labels])
-        offsets = [len(net.elements)] * 3
         leaves, stage_lost = propagate(
-            stage.netlist, modes, None, [0, 1, 2], offsets, return_absorbed=True
+            stage.netlist, modes, None, [0, 1, 2], return_absorbed=True
         )
         total = (np.abs(leaves) ** 2).sum(axis=0) + prep_lost + stage_lost
         assert np.all(np.abs(total - 1.0) <= INTENSITY_CONSERVATION_TOL), prep
