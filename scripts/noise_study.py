@@ -94,6 +94,8 @@ def main(argv=None):
 
     if args.sweep and not args.values:
         ap.error("--sweep needs --values")
+    if args.values and not args.sweep:
+        ap.error("--values needs --sweep")
     # every point is validated before the first one runs
     try:
         base = NoiseModel(

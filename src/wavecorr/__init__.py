@@ -34,7 +34,6 @@ from wavecorr.events import (
 )
 from wavecorr.network import (
     NoiseModel,
-    SequenceTree,
     build_sequence_tree,
     circuit_distributions,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "decompose",
     "recompose",
     "NoiseModel",
-    "SequenceTree",
     "build_sequence_tree",
     "circuit_distributions",
     "EventCounts",

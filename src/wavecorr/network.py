@@ -4,9 +4,9 @@ A netlist is a DAG on wires with integer ids: every wire has exactly one
 driver (an element output or an external port) and exactly one reader (an
 element input or an external output port).  Only ports carry names (the
 input, ground and output ports map to ids through one table); the wires
-inside generated meshes and trees are anonymous ids.  Propagation pushes
-complex amplitudes from the input ports to the output ports; intensities
-at labeled leaf groups give joint outcome probabilities.
+inside generated meshes and stages are anonymous ids.  Propagation pushes
+complex amplitudes from the input ports to the output ports, whose
+intensities give joint outcome probabilities.
 
 Element behaviour (ideal):
 
@@ -14,26 +14,28 @@ Element behaviour (ideal):
     phase_segment    a -> exp(i phase) a
     unequal_coupler  s -> (s, r s)/sqrt(1 + r^2)
     termination      absorbs its input
-    fanout_label     passes its input through (a branch tap or a leaf)
+    fanout_label     passes its input through (a branch tap)
 
 Measurement blocks diagonalize an observable with a mesh, split the
 eigenmodes into a +1 and a -1 branch, and recompose each branch back to
-the computational basis, so a depth-k tree ends in 2^k groups of d leaf
-ports whose intensities are the joint sequential probabilities.
+the computational basis.  A sequence of k measurements is a tree of such
+blocks, one per branch per level, ending in 2^k groups of d modes whose
+intensities are the joint sequential probabilities.
 
-A prepared experiment is a preparation netlist (add_state_prep) feeding a
-measurement stage.  Every level of a sequence tree is the same measurement
-block for one observable, copied once per branch, so circuit_distributions
-builds, per call, each preparation once and one depth-1 stage (the
-one-observable tree with bare mode inputs) per distinct label, and
-propagates the sequences a level at a time: level j of every sequence whose
-j-th label is the same goes through that label's stage in one call, its
-2^(j-1) entering branches times its (state, fabrication) pairs side by side
-with the other sequences' on the member axis.  Each member's seeds are moved
-past the elements before its block in the whole tree, preparation first, and
-the leaf taps draw nothing, so every leaf is bitwise that of the tree with
-the preparation built in.  Only the amplitudes are computed: the intensity
-lost to terminations and leakage is tallied when a caller asks for it.
+A prepared experiment is a preparation netlist (add_state_prep) feeding
+that tree.  Every level of the tree is the same measurement block for one
+observable, copied once per branch, so the tree is never built whole:
+circuit_distributions builds, per call, each preparation once and one
+measurement stage (build_sequence_tree: the block on bare mode inputs) per
+distinct label, and propagates the sequences a level at a time: level j of
+every sequence whose j-th label is the same goes through that label's stage
+in one call, its 2^(j-1) entering branches times its (state, fabrication)
+pairs side by side with the other sequences' on the member axis.  Each
+member's seeds are moved past the elements before its block in the whole
+tree, preparation first, so every group of d modes is bitwise that of the
+tree with the preparation built in.  Only the amplitudes are computed: the
+intensity lost to terminations and leakage is tallied when a caller asks
+for it.
 
 A compiled netlist keeps its wires in slots, one per wire live at a time
 (an element's output takes its input's slot), so a stage needs a slot per
@@ -71,7 +73,6 @@ from wavecorr.wavecore import (
     GHZ_STABILIZER_SPECS,
     DichotomicObservable,
     WaveState,
-    binary_labels,
     pauli_observable,
     state_library,
 )
@@ -711,7 +712,7 @@ def add_mesh(net: Netlist, plan: MeshPlan, in_wires: Sequence[Wire]) -> list[int
     return _phase_column(net, wires, plan.output_phases)
 
 
-# -------------------------------------------------- blocks and trees
+# ------------------------------------------------- blocks and stages
 
 
 def build_measurement_block(
@@ -744,25 +745,6 @@ def build_measurement_block(
     upper = add_mesh(net, recompose_plan, upper_in)
     lower = add_mesh(net, recompose_plan, lower_in)
     return upper, lower
-
-
-@dataclass(frozen=True)
-class SequenceTree:
-    """A prepared netlist measuring a fixed observable sequence.
-
-    ``leaf_groups`` maps each outcome string (first measurement first) to
-    the d output ports whose summed intensity is that outcome's joint
-    probability.
-    """
-
-    netlist: Netlist
-    leaf_groups: dict[str, tuple[str, ...]]
-    observable_labels: tuple[str, ...]
-    basis: tuple[str, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
 
 
 def _complete_to_unitary(psi: np.ndarray) -> np.ndarray:
@@ -825,60 +807,21 @@ def add_state_prep(net: Netlist, prep: str | WaveState) -> list[int]:
     return add_mesh(net, plan, wires)
 
 
-def _sequence_factors(observables: Sequence[DichotomicObservable]) -> int:
-    """log2 of the mode count of one to three observables that share it."""
-    if not 1 <= len(observables) <= 3:
-        raise ValueError("sequence trees support one to three measurements")
-    d = observables[0].dim
-    for obs in observables:
-        if obs.dim != d:
-            raise ValueError("all observables in a sequence must share the mode count")
-    n_factors = int(round(math.log2(d)))
-    if 2**n_factors != d:
-        raise ValueError("mode count must be a power of two")
-    return n_factors
+def build_sequence_tree(obs: DichotomicObservable) -> Netlist:
+    """The measurement stage for one observable: its block on bare mode inputs.
 
-
-def build_sequence_tree(
-    observables: Sequence[DichotomicObservable],
-    prep: str | WaveState | None = None,
-) -> SequenceTree:
-    """Cascade measurement blocks for a sequence of one to three observables.
-
-    With ``prep`` None the tree's inputs are the bare mode ports (named by
-    the basis labels, in basis order) and the caller drives them with a
-    state's amplitudes; otherwise the preparation is built into the circuit
-    and the single input port is "prep.src".  Leaf ports are named
-    "leaf.<outcome>.<basis label>".
+    The obs.dim anonymous input ports take a state's amplitudes in basis
+    order.  The output ports are the upper (+1) branch's wires, then the
+    lower (-1) branch's, each in basis order.
     """
-    basis = binary_labels(_sequence_factors(observables))
     net = Netlist()
-    if prep is None:
-        roots = [net.add_input(b) for b in basis]
-    else:
-        roots = add_state_prep(net, prep)
-    branches: list[tuple[str, list[int]]] = [("", roots)]
-    for obs in observables:
-        nxt: list[tuple[str, list[int]]] = []
-        for path, wires in branches:
-            upper, lower = build_measurement_block(net, obs, wires)
-            nxt.append((path + "+", upper))
-            nxt.append((path + "-", lower))
-        branches = nxt
-
-    leaf_groups: dict[str, tuple[str, ...]] = {}
-    for path, wires in branches:
-        leaves = tuple(f"leaf.{path}.{b}" for b in basis)
-        for w, leaf in zip(wires, leaves):
-            net.fanout_label(w, leaf)
-            net.add_output(leaf)
-        leaf_groups[path] = leaves
-    return SequenceTree(
-        netlist=net,
-        leaf_groups=leaf_groups,
-        observable_labels=tuple(o.label for o in observables),
-        basis=basis,
+    upper, lower = build_measurement_block(
+        net, obs, [net.add_input(net.fresh()) for _ in range(obs.dim)]
     )
+    for w in upper + lower:
+        net.add_output(w)
+    return net
+
 
 # (preparation, Pauli-word labels, member seeds or None)
 CircuitRequest = tuple[str | WaveState, Sequence[str], Sequence[int] | None]
@@ -894,25 +837,26 @@ def circuit_distributions(
     member (None for one member at seed 0).  The result holds
     one list of member distributions per request, in request order.
 
-    Each distinct prep is built once and all of its members propagate through
-    it in one call.  The sequences then propagate a level at a time through
-    depth-1 stages, ``build_sequence_tree([pauli_observable(label)])``, one
+    A sequence holds one to three labels of one mode count (ValueError
+    otherwise).  Each distinct prep is built once and all of its members
+    propagate through it in one call.  The sequences then propagate a level
+    at a time through measurement stages, ``build_sequence_tree(obs)``, one
     built per distinct label per call, in the order labels are first met.
     Level j of a sequence feeds 2^(j-1) branches, laid side by side on the
     member axis, branch-major in the tree's breadth-first path order ("+"
     before "-"), each branch holding the sequence's (request, seed) columns;
     the columns of every sequence whose j-th label is the same go through
-    that label's stage in one propagate call.  ``build_sequence_tree(obs,
-    prep)`` puts the prep's n elements first and then each level's blocks in
-    that order, so branch b of level j draws at offset n + sum_{i<j}
-    2^(i-1) B_i + b B_j, where B is a block's element count without the
-    stage's 2d leaf taps.  That offset lives in the seeds: each sequence's
-    seeds are moved past n once (splitmix.offset_seeds), branch b of a level
-    gets them moved b B_j further, and after the level they move on by
-    2^(j-1) B_j.  Moves add in wrapping uint64 arithmetic, and the taps draw
-    no noise and leak nothing, so every member is bitwise what propagating
-    that whole tree with the member's seed gives.  Nothing is cached across
-    calls.
+    that label's stage in one propagate call.  The whole tree, the reference
+    the bitwise tests in tests/test_network.py build, puts the prep's n
+    elements first and then each level's blocks in that order, so branch b
+    of level j draws at offset n + sum_{i<j} 2^(i-1) B_i + b B_j, where B
+    is a stage's element count.  That offset lives in the seeds: each
+    sequence's seeds are moved past n once (splitmix.offset_seeds), branch b
+    of a level gets them moved b B_j further, and after the level they move
+    on by 2^(j-1) B_j.  Moves add in wrapping uint64 arithmetic, and the
+    tree's leaf taps draw no noise and leak nothing, so every member is
+    bitwise what propagating that whole tree with the member's seed gives.
+    Nothing is cached across calls.
     """
     # each request's member seeds, moved past its preparation once that has run
     member_seeds = [_seed_array([0] if seeds is None else seeds) for _, _, seeds in requests]
@@ -941,19 +885,23 @@ def circuit_distributions(
     # entering that level
     seq_seeds: dict[tuple[str, ...], np.ndarray] = {}
     seq_amps: dict[tuple[str, ...], np.ndarray] = {}
-    stages: dict[str, tuple[Netlist, int]] = {}  # label -> (depth-1 stage, block elements)
+    stages: dict[str, Netlist] = {}  # label -> its measurement stage
     for labels, idx in by_labels.items():
-        d = 2 ** _sequence_factors([pauli_observable(lab) for lab in labels])
+        if not 1 <= len(labels) <= 3:
+            raise ValueError("a sequence holds one to three measurements")
+        observables = [pauli_observable(lab) for lab in labels]
+        d = observables[0].dim
+        if any(obs.dim != d for obs in observables):
+            raise ValueError("all observables in a sequence must share the mode count")
         for i in idx:
             if len(prepared[i]) != d:
                 raise NetlistError(
                     f"preparation of {len(prepared[i])} modes for the "
                     f"{d}-mode sequence {'*'.join(labels)}"
                 )
-        for label in labels:
+        for label, obs in zip(labels, observables):
             if label not in stages:
-                stage = build_sequence_tree([pauli_observable(label)])
-                stages[label] = stage.netlist, len(stage.netlist.elements) - 2 * d
+                stages[label] = build_sequence_tree(obs)
         seq_seeds[labels] = np.concatenate([member_seeds[i] for i in idx])
         seq_amps[labels] = np.hstack([prepared[i] for i in idx])
 
@@ -966,7 +914,8 @@ def circuit_distributions(
             if level < len(labels):
                 by_stage.setdefault(labels[level], []).append(labels)
         for label, group in by_stage.items():
-            net, block = stages[label]
+            net = stages[label]
+            block = len(net.elements)
             # branch-major columns; branch b draws b blocks further on
             steps = block * np.arange(branches)[:, None]
             branch_seeds = [offset_seeds(seq_seeds[labels], steps).ravel() for labels in group]
@@ -976,7 +925,7 @@ def circuit_distributions(
             widths = [branches * len(seq_seeds[labels]) for labels in group]
             for labels, part in zip(group, np.split(out, np.cumsum(widths)[:-1], axis=1)):
                 seq_seeds[labels] = offset_seeds(seq_seeds[labels], branches * block)
-                # rows: the d "+" leaves, then the d "-" leaves; branch b feeds 2b and 2b + 1
+                # rows: the d "+" wires, then the d "-" wires; branch b feeds 2b and 2b + 1
                 seq_amps[labels] = (
                     part.reshape(2, d, branches, -1).transpose(1, 2, 0, 3).reshape(d, -1)
                 )

@@ -92,10 +92,6 @@ class WaveState:
             raise ValueError(f"state norm^2 = {self.norm2} is not 1 within {NORMALIZATION_TOL}")
         return self
 
-    def intensity(self, label: str) -> float:
-        idx = self.labels.index(label)
-        return float(abs(self.amplitudes[idx]) ** 2)
-
 
 def _canonical_eigenbasis(projector: np.ndarray, rank: int) -> np.ndarray:
     """Orthonormal basis of a projector's range, fixed deterministically.
@@ -174,12 +170,6 @@ class DichotomicObservable:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def outcomes(self) -> np.ndarray:
-        out = np.ones(self.dim)
-        out[list(self.minus_indices)] = -1.0
-        return out
 
     def projector(self, outcome: int) -> np.ndarray:
         if outcome not in (+1, -1):

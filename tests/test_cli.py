@@ -611,17 +611,14 @@ def test_audited_run_asks_its_pipeline_once(monkeypatch):
     monkeypatch.setattr(
         network,
         "build_sequence_tree",
-        lambda observables, prep=None: (
-            built.append((tuple(o.label for o in observables), prep))
-            or real_build(observables, prep)
-        ),
+        lambda obs: built.append(obs.label) or real_build(obs),
     )
     scenario = load_scenario(os.path.join(SCENARIO_DIR, "pm_noisy_audit.yaml"))
     run_scenario(scenario)
     # 11 states x 19 audit sequences, then the 6 grid terms; one stage per label
     assert calls == [11 * 19 + 6]
     grid = ("ZI", "IZ", "ZZ", "IX", "XI", "XX", "ZX", "XZ", "YY")
-    assert sorted(built) == sorted(((lab,), None) for lab in grid)
+    assert sorted(built) == sorted(grid)
 
 
 def test_commutation_check_skips_an_observable_met_twice(monkeypatch):

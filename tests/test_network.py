@@ -1,6 +1,8 @@
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -376,6 +378,43 @@ def test_block_routing_example():
 # ----------------------------------------------------------------- trees
 
 
+class WholeTree(NamedTuple):
+    """A prepared tree built whole; ``leaf_groups`` maps each outcome to its d leaf ports."""
+
+    netlist: Netlist
+    leaf_groups: dict
+
+
+def whole_tree(prep, *specs):
+    """The whole measurement tree for a sequence, the reference the stage path must match.
+
+    With ``prep`` None the inputs are the bare mode ports, named by the basis
+    labels in basis order; otherwise add_state_prep builds the preparation in
+    front and the single input port is "prep.src".  Each level is one
+    measurement block per branch, in breadth-first path order ("+" before
+    "-"), and each leaf is a fanout_label tap onto an output port named
+    "leaf.<outcome>.<basis label>", outcomes first measurement first.
+    """
+    observables = [pauli_observable(s) for s in specs]
+    basis = binary_labels(observables[0].dim.bit_length() - 1)
+    net = Netlist()
+    roots = [net.add_input(b) for b in basis] if prep is None else add_state_prep(net, prep)
+    branches = [("", roots)]
+    for obs in observables:
+        branches = [
+            (path + sign, branch)
+            for path, wires in branches
+            for sign, branch in zip("+-", build_measurement_block(net, obs, wires))
+        ]
+    leaf_groups = {}
+    for path, wires in branches:
+        leaf_groups[path] = tuple(f"leaf.{path}.{b}" for b in basis)
+        for w, leaf in zip(wires, leaf_groups[path]):
+            net.fanout_label(w, leaf)
+            net.add_output(leaf)
+    return WholeTree(net, leaf_groups)
+
+
 def leaf_count(tree):
     return sum(len(ws) for ws in tree.leaf_groups.values())
 
@@ -410,17 +449,32 @@ def path_total_counts(tree):
 
 
 def test_tree_shape_and_leaf_count():
-    obs = [pauli_observable(s) for s in ("ZX", "XZ", "YY")]
-    tree = build_sequence_tree(obs, prep="psi7")
-    assert len(tree.observable_labels) == 3
-    assert set(tree.leaf_groups) == {
-        "".join(t) for t in __import__("itertools").product("+-", repeat=3)
-    }
+    tree = whole_tree("psi7", "ZX", "XZ", "YY")
+    assert set(tree.leaf_groups) == {"".join(t) for t in product("+-", repeat=3)}
     assert leaf_count(tree) == 4 * 2**3
-    with pytest.raises(ValueError):
-        build_sequence_tree([])
-    with pytest.raises(ValueError):
-        build_sequence_tree(obs + obs)
+
+
+@pytest.mark.parametrize("labels,match", [
+    ((), "one to three"),
+    (("ZX", "XZ", "YY", "ZX"), "one to three"),
+    (("ZI", "ZII"), "mode count"),
+])
+def test_sequences_hold_one_to_three_labels_of_one_width(labels, match):
+    with pytest.raises(ValueError, match=match):
+        circuit_distributions([("psi7", labels, None)])
+
+
+def test_stage_is_one_block_on_bare_inputs():
+    # dim anonymous inputs, the block's elements with no leaf tap after them,
+    # and the upper then the lower branch's wires as outputs
+    obs = pauli_observable("ZX")
+    stage = build_sequence_tree(obs)
+    block = Netlist()
+    ins = [block.add_input(block.fresh()) for _ in range(obs.dim)]
+    upper, lower = build_measurement_block(block, obs, ins)
+    assert stage.input_ports == ins == [0, 1, 2, 3]
+    assert stage.elements == block.elements
+    assert stage.output_ports == upper + lower
 
 
 def fragment_kind_tallies(tree):
@@ -466,7 +520,7 @@ def fragment_kind_tallies(tree):
     ],
 )
 def test_tree_path_symmetry(prep, specs):
-    tree = build_sequence_tree([pauli_observable(s) for s in specs], prep=prep)
+    tree = whole_tree(prep, *specs)
     # every amplitude-carrying path crosses the same number of elements
     totals = path_total_counts(tree)  # raises if unequal paths ever meet
     assert len(set(totals.values())) == 1
@@ -490,7 +544,7 @@ def test_tree_matches_sequential_oracle(name):
 
 def test_tree_with_bare_inputs_accepts_states():
     obs = [pauli_observable("ZI"), pauli_observable("IZ")]
-    tree = build_sequence_tree(obs, prep=None)
+    tree = whole_tree(None, "ZI", "IZ")
     for name in ("psi5", "psi9"):
         psi = state_library(name)
         pa = propagate_ports(tree.netlist, psi)
@@ -563,8 +617,8 @@ def test_slots_never_clobber_a_live_wire():
 
 
 @pytest.mark.parametrize("build,slots", [
-    (lambda: sequence_tree_netlist(None, "ZX"), 8),
-    (lambda: sequence_tree_netlist(None, "XXX"), 16),
+    (lambda: build_sequence_tree(pauli_observable("ZX")), 8),
+    (lambda: build_sequence_tree(pauli_observable("XXX")), 16),
     (lambda: prep_netlist("ghz"), 32),
 ], ids=["ZX stage", "XXX stage", "ghz prep"])
 def test_circuits_need_a_slot_per_port(build, slots):
@@ -578,8 +632,7 @@ def test_circuits_need_a_slot_per_port(build, slots):
 
 
 def test_zero_noise_conserves_intensity():
-    obs = [pauli_observable("ZI"), pauli_observable("IZ")]
-    tree = build_sequence_tree(obs, prep="chsh")
+    tree = whole_tree("chsh", "ZI", "IZ")
     pa = propagate_ports(tree.netlist, {"prep.src": 1.0})
     assert pa.output_intensity + pa.absorbed_intensity == pytest.approx(
         pa.input_intensity, abs=1e-12
@@ -588,8 +641,7 @@ def test_zero_noise_conserves_intensity():
 
 
 def test_uniform_leakage_leaves_distribution_unchanged():
-    obs = [pauli_observable("ZX"), pauli_observable("XZ"), pauli_observable("YY")]
-    tree = build_sequence_tree(obs, prep="psi7")
+    tree = whole_tree("psi7", "ZX", "XZ", "YY")
     request = [("psi7", ("ZX", "XZ", "YY"), None)]
     [[ideal]] = circuit_distributions(request)
     [[lossy]] = circuit_distributions(request, NoiseModel(leakage=0.05))
@@ -658,10 +710,6 @@ def test_phase_jitter_degrades_chsh_monotonically():
 # ------------------------------------------------------------- ensembles
 
 
-def sequence_tree_netlist(prep, *specs):
-    return build_sequence_tree([pauli_observable(s) for s in specs], prep=prep).netlist
-
-
 def prep_netlist(prep):
     net = Netlist()
     for w in add_state_prep(net, prep):
@@ -670,7 +718,7 @@ def prep_netlist(prep):
 
 
 def mermin_tree():
-    return sequence_tree_netlist("ghz", "XII", "IXI", "IIX")
+    return whole_tree("ghz", "XII", "IXI", "IIX").netlist
 
 
 def compiled_groups_digest(net):
@@ -693,7 +741,7 @@ def compiled_groups_digest(net):
 # same array operations, hence bitwise equal amplitudes.
 PINNED_GROUPS = {
     "psi1 ZX*XZ*YY": (
-        lambda: sequence_tree_netlist("psi1", "ZX", "XZ", "YY"), 1174, 123,
+        lambda: whole_tree("psi1", "ZX", "XZ", "YY").netlist, 1174, 123,
         "61adbafc1f907ab92b8bc2e686e2e3e3e08a7b30ab418aac11723dc85c77afc8",
     ),
     "ghz XII*IXI*IIX": (
@@ -701,7 +749,7 @@ PINNED_GROUPS = {
         "f5443fb8635bfc91fca6abe127ce97a68c224241e1097d1d0ad6e357e66b6f65",
     ),
     "chsh ZI*IX": (
-        lambda: sequence_tree_netlist("chsh", "ZI", "IX"), 391, 60,
+        lambda: whole_tree("chsh", "ZI", "IX").netlist, 391, 60,
         "79a922a2da11760b56fab7e1c63d0ed1ecc05e8ec3d91689273c16ae07acd313",
     ),
 }
@@ -756,11 +804,11 @@ def test_ensemble_does_not_depend_on_member_chunking(chunk, monkeypatch):
 
 def whole_tree_distributions(prep, labels, noise, seeds):
     """Leaf distributions of the tree with the preparation built in, one per seed."""
-    tree = build_sequence_tree([pauli_observable(lab) for lab in labels], prep=prep)
-    members = propagate_ports(tree.netlist, SOURCE, noise, seeds)
-    ports = tree.netlist.output_ports
-    leaves = np.array([[pa.amplitudes[w] for w in ports] for pa in members]).T
-    return network._leaf_distributions(list(tree.leaf_groups), tree.dim, leaves)
+    net, leaf_groups = whole_tree(prep, *labels)
+    members = propagate_ports(net, SOURCE, noise, seeds)
+    leaves = np.array([[pa.amplitudes[w] for w in net.output_ports] for pa in members]).T
+    d = len(next(iter(leaf_groups.values())))
+    return network._leaf_distributions(list(leaf_groups), d, leaves)
 
 
 def test_batch_members_match_single_seed_requests():
@@ -799,7 +847,7 @@ def test_circuit_distributions_match_whole_trees(kind):
 @pytest.mark.parametrize("chunk", [7, 32])
 def test_states_share_a_stage_across_member_chunks(chunk, monkeypatch):
     # chunk members per pass through the YY stage
-    stage = sequence_tree_netlist(None, "YY")
+    stage = build_sequence_tree(pauli_observable("YY"))
     monkeypatch.setattr(network, "PASS_CELLS", chunk * slot_count(stage))
     passes = []
     real = network._propagate_members
@@ -849,9 +897,9 @@ def test_each_stage_and_prep_is_built_once(monkeypatch):
     built = []
     real = network.build_sequence_tree
 
-    def counting(observables, prep=None):
-        built.append((tuple(o.label for o in observables), prep))
-        return real(observables, prep)
+    def counting(obs):
+        built.append(obs.label)
+        return real(obs)
 
     monkeypatch.setattr(network, "build_sequence_tree", counting)
     preps = []
@@ -863,7 +911,7 @@ def test_each_stage_and_prep_is_built_once(monkeypatch):
     requests = [(s, seq, None) for seq in sequences for s in ("psi1", "chsh")]
     circuit_distributions(requests)
     # one depth-1 stage per distinct label, in the order labels are first met
-    assert built == [((lab,), None) for lab in ("ZI", "IZ", "XI", "IX")]
+    assert built == ["ZI", "IZ", "XI", "IX"]
     assert preps == ["psi1", "chsh"]
 
 
@@ -905,10 +953,8 @@ def test_stage_conserves_intensity_without_noise():
         modes, prep_lost = propagate(
             net, np.ones((1, 3), dtype=complex), None, [0, 1, 2], return_absorbed=True
         )
-        stage = build_sequence_tree([pauli_observable(lab) for lab in labels])
-        leaves, stage_lost = propagate(
-            stage.netlist, modes, None, [0, 1, 2], return_absorbed=True
-        )
+        tree = whole_tree(None, *labels).netlist
+        leaves, stage_lost = propagate(tree, modes, None, [0, 1, 2], return_absorbed=True)
         total = (np.abs(leaves) ** 2).sum(axis=0) + prep_lost + stage_lost
         assert np.all(np.abs(total - 1.0) <= INTENSITY_CONSERVATION_TOL), prep
 

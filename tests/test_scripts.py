@@ -109,6 +109,19 @@ def test_noise_study_rejects_fewer_than_two_seeds(seeds, capsys):
     assert "--seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,missing",
+    [(["--sweep", "jitter"], "--values"), (["--values", "0.1", "0.2"], "--sweep")],
+)
+def test_noise_study_sweep_and_values_need_each_other(argv, missing, capsys):
+    with pytest.raises(SystemExit) as exc:
+        noise_study.main(["--seeds", "2", *argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # not even the base point runs
+    assert "usage:" in err and f"needs {missing}" in err
+
+
 @pytest.mark.parametrize("members", ["-1", "0"])
 def test_compatibility_audit_rejects_fewer_than_one_member(members, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -141,7 +141,8 @@ def test_observable_invariants():
         np.testing.assert_allclose(obs.matrix @ obs.matrix, np.eye(d), atol=1e-10)
         a = obs.diagonalizer
         np.testing.assert_allclose(a.conj().T @ a, np.eye(d), atol=1e-10)
-        rebuilt = a @ np.diag(obs.outcomes) @ a.conj().T
+        signs = [1.0 if i in obs.plus_indices else -1.0 for i in range(d)]
+        rebuilt = a @ np.diag(signs) @ a.conj().T
         np.testing.assert_allclose(rebuilt, obs.matrix, atol=1e-10)
         assert set(obs.plus_indices) | set(obs.minus_indices) == set(range(d))
         assert not set(obs.plus_indices) & set(obs.minus_indices)
@@ -372,7 +373,7 @@ def test_psi11_renormalized():
 def test_basis_state_lookup():
     st_ = state_library("101")
     assert st_.labels == binary_labels(3)
-    assert st_.intensity("101") == pytest.approx(1.0)
+    assert abs(st_.amplitudes[st_.labels.index("101")]) ** 2 == pytest.approx(1.0)
     with pytest.raises(KeyError):
         state_library("nope")
 
