@@ -20,16 +20,13 @@ import argparse
 import sys
 
 from wavecorr.contextuality import (
-    CHSH,
-    MERMIN,
-    MERMIN_SUITE_STATES,
-    PERES_MERMIN,
-    PM_SUITE_STATES,
+    AUDIT_SUITES,
+    INEQUALITIES,
+    PAIR_SUITE,
+    TRIPLE_SUITE,
     compatibility_suite,
     corrected_bound,
     format_compatibility_report,
-    mermin_suite_groups,
-    pm_suite_groups,
 )
 from wavecorr.network import NoiseModel, ensemble_provider
 
@@ -60,26 +57,19 @@ def main(argv=None):
     else:
         print("hardware model: none (exact propagation)")
 
-    print("\npair-observable suite "
-          f"({len(pm_suite_groups().all_sequences())} sequences, "
-          f"{len(PM_SUITE_STATES)} states):")
-    pair = compatibility_suite(
-        PM_SUITE_STATES, pm_suite_groups(), ensemble_provider(noise, args.seed + 1, args.members)
-    )
-    print(format_compatibility_report(pair))
+    rates = {}
+    for offset, suite in enumerate((PAIR_SUITE, TRIPLE_SUITE), 1):
+        print(f"\n{suite.name}-observable suite "
+              f"({len(suite.sequences)} sequences, {len(suite.states)} states):")
+        report = compatibility_suite(
+            suite, ensemble_provider(noise, args.seed + offset, args.members)
+        )
+        rates[suite] = report.worst_case
+        print(format_compatibility_report(report), end="")
 
-    print("triple-observable suite "
-          f"({len(mermin_suite_groups().all_sequences())} sequences, "
-          f"{len(MERMIN_SUITE_STATES)} states):")
-    triple = compatibility_suite(
-        MERMIN_SUITE_STATES, mermin_suite_groups(),
-        ensemble_provider(noise, args.seed + 2, args.members),
-    )
-    print(format_compatibility_report(triple))
-
-    print("corrected bounds at these rates:")
-    for defn, rate in ((CHSH, pair.worst_case), (MERMIN, triple.worst_case),
-                       (PERES_MERMIN, pair.worst_case)):
+    print("\ncorrected bounds at these rates:")
+    for defn in INEQUALITIES.values():
+        rate = rates[AUDIT_SUITES[defn.name]]
         print(f"  {defn.name:12s}: noncontextual {defn.nc_bound:g} -> "
               f"{corrected_bound(defn.nc_bound, defn.algebraic_max, rate):.4f}")
     return 0

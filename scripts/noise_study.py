@@ -25,15 +25,14 @@ from dataclasses import replace
 import numpy as np
 
 from wavecorr.contextuality import (
+    AUDIT_SUITES,
     CHSH,
     MERMIN,
-    MERMIN_SUITE_STATES,
+    PAIR_SUITE,
     PERES_MERMIN,
-    PM_SUITE_STATES,
+    TRIPLE_SUITE,
     compatibility_suite,
     corrected_bound,
-    mermin_suite_groups,
-    pm_suite_groups,
 )
 from wavecorr.network import NoiseModel, ensemble_provider, ensemble_values
 
@@ -59,18 +58,14 @@ def run_point(noise, args, label=""):
         return
 
     members = max(4, args.seeds // 10)
-    pair = compatibility_suite(
-        PM_SUITE_STATES, pm_suite_groups(), ensemble_provider(noise, args.seed + 1, members)
-    )
-    triple = compatibility_suite(
-        MERMIN_SUITE_STATES,
-        mermin_suite_groups(),
-        ensemble_provider(noise, args.seed + 2, members),
-    )
-    print(f"  pair suite   : worst {pair.worst_case:.4f} ({pair.worst_description})")
-    print(f"  triple suite : worst {triple.worst_case:.4f} ({triple.worst_description})")
-    for defn, rate in ((CHSH, pair.worst_case), (MERMIN, triple.worst_case),
-                       (PERES_MERMIN, pair.worst_case)):
+    rates = {}
+    for offset, suite in enumerate((PAIR_SUITE, TRIPLE_SUITE), 1):
+        report = compatibility_suite(suite, ensemble_provider(noise, args.seed + offset, members))
+        rates[suite] = report.worst_case
+        print(f"  {suite.name + ' suite':12s} : worst {report.worst_case:.4f} "
+              f"({report.worst_description})")
+    for defn, _ in EXPERIMENTS:
+        rate = rates[AUDIT_SUITES[defn.name]]
         corr = corrected_bound(defn.nc_bound, defn.algebraic_max, rate)
         ok = "below" if corr < means[defn.name] else "NOT below"
         print(f"  corrected {defn.name:12s}: {corr:.4f} ({ok} the mean {means[defn.name]:.4f})")

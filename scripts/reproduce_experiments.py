@@ -24,8 +24,8 @@ import time
 from wavecorr.contextuality import (
     CHSH,
     MERMIN,
+    PAIR_SUITE,
     PERES_MERMIN,
-    PM_SUITE_STATES,
     format_inequality_report,
     ideal_provider,
     measure_inequality,
@@ -92,7 +92,7 @@ def main(argv=None):
     print(format_inequality_report(report))
 
     print("grid expression, all stock preparations:")
-    for name in PM_SUITE_STATES:
+    for name in PAIR_SUITE.states:
         (report,) = measure_inequality(PERES_MERMIN, provider, name)
         flag = "" if report.stderr else "  (exact)"
         print(f"  {name:6s}: {report.value:+.6f} +/- {report.stderr:.6f}{flag}")

@@ -6,6 +6,8 @@ correlators and noncontextuality-inequality reports.
 """
 
 from wavecorr.contextuality import (
+    AUDIT_SUITES,
+    AuditSuite,
     CHSH,
     CompatibilityReport,
     Correlator,
@@ -13,7 +15,9 @@ from wavecorr.contextuality import (
     InequalityDefinition,
     InequalityReport,
     MERMIN,
+    PAIR_SUITE,
     PERES_MERMIN,
+    TRIPLE_SUITE,
     classical_bound_oracle,
     compatibility_suite,
     corrected_bound,
@@ -22,9 +26,6 @@ from wavecorr.contextuality import (
     ideal_provider,
     inequality_requests,
     measure_inequality,
-    mermin_suite_groups,
-    pm_suite_groups,
-    suite_requests,
 )
 from wavecorr.events import (
     EventCounts,
@@ -90,9 +91,10 @@ __all__ = [
     "ideal_provider",
     "CompatibilityReport",
     "compatibility_suite",
-    "suite_requests",
-    "pm_suite_groups",
-    "mermin_suite_groups",
+    "AuditSuite",
+    "PAIR_SUITE",
+    "TRIPLE_SUITE",
+    "AUDIT_SUITES",
 ]
 
 __version__ = "0.1.0"

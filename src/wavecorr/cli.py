@@ -10,15 +10,16 @@ numerical failure such as an incompatible measurement sequence.
 Scenario schema (all unknown keys are rejected):
 
     name: chsh-ideal            # required, any string
-    state: chsh                 # library name, basis label like "00", or
-                                #   a list of amplitudes (numbers or strings
-                                #   such as "0.2+0.4j"); lists are normalized
-                                #   and hold at most MAX_MODES (16) entries
+    state: chsh                 # library name, basis label of at most 4
+                                #   letters like "00", or a list of at most
+                                #   MAX_MODES (16) amplitudes (numbers or
+                                #   strings such as "0.2+0.4j"), normalized
     inequality: CHSH            # CHSH | Mermin | PeresMermin | custom
     pipeline: ideal             # ideal | network_ideal | network_noisy | events
     seed: 7                     # optional, default 0; the run's only seed
     sample_count: 100000        # optional; events pipeline sample size, at
-                                #   most 1e8 for the threshold detector
+                                #   most 1e8 for the threshold detector and
+                                #   2^63 - 1 for the loaded die
     base_pipeline: ideal        # optional; what the events pipeline samples
     observables:                # optional remapping of inequality labels
       ZI: ZX
@@ -76,15 +77,13 @@ import numpy as np
 import yaml
 
 from wavecorr.contextuality import (
+    AUDIT_SUITES,
     CompatibilityReport,
     INEQUALITIES,
     InequalityDefinition,
     InequalityReport,
-    MERMIN_SUITE_STATES,
-    PM_SUITE_STATES,
     Provider,
     Request,
-    SequenceGroups,
     classical_bound_oracle,
     compatibility_suite,
     format_compatibility_report,
@@ -92,9 +91,6 @@ from wavecorr.contextuality import (
     ideal_provider,
     inequality_requests,
     measure_inequality,
-    mermin_suite_groups,
-    pm_suite_groups,
-    suite_requests,
 )
 from wavecorr.events import (
     EVENT_MODELS,
@@ -280,6 +276,11 @@ def _parse_amplitude(raw, path: str) -> complex:
 
 def _parse_state(raw, path: str) -> tuple[str, WaveState]:
     if isinstance(raw, str):
+        # a basis label of k letters names a state of 2^k modes
+        if set(raw) <= {"0", "1"} and len(raw) > MAX_MODES.bit_length() - 1:
+            raise ConfigError(
+                path, f"basis label of {len(raw)} letters exceeds the cap of {MAX_MODES} modes"
+            )
         try:
             return raw, state_library(raw)
         except KeyError:
@@ -639,12 +640,6 @@ def make_provider(scenario: Scenario) -> Provider:
     return provide
 
 
-def _audit_plan(defn: InequalityDefinition) -> tuple[tuple[str, ...], SequenceGroups]:
-    if defn.name == "Mermin":
-        return MERMIN_SUITE_STATES, mermin_suite_groups()
-    return PM_SUITE_STATES, pm_suite_groups()
-
-
 def run_scenario(scenario: Scenario) -> RunReport:
     """Evaluate the scenario's inequality, auditing first when asked.
 
@@ -659,8 +654,8 @@ def run_scenario(scenario: Scenario) -> RunReport:
     defn = scenario.definition
     requests = inequality_requests(defn, scenario.state_name)
     if scenario.audit:
-        states, groups = _audit_plan(defn)
-        requests = suite_requests(states, groups) + requests
+        suite = AUDIT_SUITES[defn.name]
+        requests = suite.requests + requests
     pipeline = make_provider(scenario)
     table: dict[Request, Sequence[OutcomeDistribution]] = {}
 
@@ -672,7 +667,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
     compat: CompatibilityReport | None = None
     rate = scenario.deviation_rate or 0.0
     if scenario.audit:
-        compat = compatibility_suite(states, groups, provider)
+        compat = compatibility_suite(suite, provider)
         rate = compat.worst_case
 
     (report,) = measure_inequality(defn, provider, scenario.state_name, rate)

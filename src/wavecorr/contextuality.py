@@ -383,48 +383,68 @@ def measure_inequality(
 
 
 @dataclass(frozen=True)
-class SequenceGroups:
-    """Audit plan: orderings to compare, chains to repeat, probes to interleave."""
+class AuditSuite:
+    """Audit plan: its states, orderings to compare, chains to repeat, probes to interleave."""
 
+    name: str
+    states: tuple[str, ...]
     permutation_groups: tuple[tuple[tuple[str, ...], ...], ...]
     repeat_sequences: tuple[tuple[str, ...], ...]
     disturbance_sequences: tuple[tuple[str, ...], ...]
 
-    def all_sequences(self) -> list[tuple[str, ...]]:
-        out: list[tuple[str, ...]] = []
-        for group in self.permutation_groups:
-            out.extend(tuple(seq) for seq in group)
-        out.extend(tuple(seq) for seq in self.repeat_sequences)
-        out.extend(tuple(seq) for seq in self.disturbance_sequences)
-        return out
+    def __post_init__(self) -> None:
+        if not self.states:
+            raise ValueError("no states to audit")
+        if not self.sequences:
+            raise ValueError("no sequences to audit")
+        for seq in self.repeat_sequences:
+            if len(seq) != 3 or len(set(seq)) != 1:
+                raise ValueError(f"repeat sequences must look like (O, O, O), got {seq}")
+        for seq in self.disturbance_sequences:
+            if len(seq) != 3 or seq[0] != seq[2]:
+                raise ValueError(f"disturbance sequences must look like (O, P, O), got {seq}")
+
+    @property
+    def sequences(self) -> tuple[tuple[str, ...], ...]:
+        groups = (*self.permutation_groups, self.repeat_sequences, self.disturbance_sequences)
+        return tuple(tuple(seq) for group in groups for seq in group)
+
+    @property
+    def requests(self) -> list[Request]:
+        """The requests compatibility_suite makes: every sequence, state by state."""
+        sequences = self.sequences
+        return [(state, seq) for state in self.states for seq in sequences]
 
 
 _GRID_LABELS = ("ZI", "IZ", "ZZ", "IX", "XI", "XX", "ZX", "XZ", "YY")
 
+# the nineteen sequences of the nine grid observables on the eleven two-mode
+# benchmark preparations
+PAIR_SUITE = AuditSuite(
+    name="pair",
+    states=tuple(f"psi{i}" for i in range(1, 12)),
+    permutation_groups=(tuple(itertools.permutations(("ZX", "XZ", "YY"))),),
+    repeat_sequences=tuple((lab, lab, lab) for lab in _GRID_LABELS),
+    disturbance_sequences=tuple(("ZX", lab, "ZX") for lab in ("ZI", "IX", "XZ", "YY")),
+)
 
-def pm_suite_groups() -> SequenceGroups:
-    """The nineteen audit sequences for the nine grid observables."""
-    return SequenceGroups(
-        permutation_groups=(tuple(itertools.permutations(("ZX", "XZ", "YY"))),),
-        repeat_sequences=tuple((lab, lab, lab) for lab in _GRID_LABELS),
-        disturbance_sequences=tuple(("ZX", lab, "ZX") for lab in ("ZI", "IX", "XZ", "YY")),
-    )
+# the twelve sequences of the triple-product observables on the four
+# three-mode preparations
+TRIPLE_SUITE = AuditSuite(
+    name="triple",
+    states=("ghz", "000", "111", "singlet3"),
+    permutation_groups=(tuple(itertools.permutations(("ZII", "IZI", "IIX"))),),
+    repeat_sequences=(("ZII",) * 3, ("XII",) * 3),
+    disturbance_sequences=tuple(("ZII", lab, "ZII") for lab in ("IZI", "IIZ", "IXI", "IIX")),
+)
 
-
-def mermin_suite_groups() -> SequenceGroups:
-    """The twelve audit sequences for the triple-product observables."""
-    return SequenceGroups(
-        permutation_groups=(tuple(itertools.permutations(("ZII", "IZI", "IIX"))),),
-        repeat_sequences=(("ZII",) * 3, ("XII",) * 3),
-        disturbance_sequences=tuple(
-            ("ZII", lab, "ZII") for lab in ("IZI", "IIZ", "IXI", "IIX")
-        ),
-    )
-
-
-# the eleven two-mode benchmark preparations, and the four three-mode ones
-PM_SUITE_STATES: tuple[str, ...] = tuple(f"psi{i}" for i in range(1, 12))
-MERMIN_SUITE_STATES: tuple[str, ...] = ("ghz", "000", "111", "singlet3")
+# the suite whose deviation rate corrects each built-in inequality's bound:
+# the grid observables include CHSH's, the triple products are Mermin's
+AUDIT_SUITES: Mapping[str, AuditSuite] = {
+    "CHSH": PAIR_SUITE,
+    "Mermin": TRIPLE_SUITE,
+    "PeresMermin": PAIR_SUITE,
+}
 
 
 @dataclass(frozen=True)
@@ -476,18 +496,8 @@ def _clamped(x: float) -> float:
     return 0.0 if x <= _VALUE_TOL else min(1.0, x)
 
 
-def suite_requests(states: Sequence[str], groups: SequenceGroups) -> list[Request]:
-    """The requests compatibility_suite makes: every sequence, state by state."""
-    sequences = groups.all_sequences()
-    return [(state, seq) for state in states for seq in sequences]
-
-
-def compatibility_suite(
-    states: Sequence[str],
-    groups: SequenceGroups,
-    provider: Provider,
-) -> CompatibilityReport:
-    """Audit compatibility assumptions over states and sequence groups.
+def compatibility_suite(suite: AuditSuite, provider: Provider) -> CompatibilityReport:
+    """Audit compatibility assumptions over a suite's states and sequences.
 
     Four deviations are tracked.  Order independence: within each
     permutation group, half the spread of the joint correlator across
@@ -499,29 +509,18 @@ def compatibility_suite(
     circuit's deviation is the mean over its seeds.  The worst case over
     everything is the suite's deviation rate.
 
-    The plan, every sequence's commutation included, is checked before the
-    provider is called.  The provider is then called once, with ``suite_requests(states, groups)``: every
-    (state, sequence) pair, state by state in the order of
-    ``groups.all_sequences()``.  It must bring the same nonzero number of
-    members for every pair.
+    The suite's shape is checked when it is built, and every sequence's
+    commutation before the provider is called.  The provider is then called
+    once, with ``suite.requests``: every (state, sequence) pair, state by
+    state in the order of ``suite.sequences``.  It must bring the same
+    nonzero number of members for every pair.
     """
-    if not states:
-        raise ValueError("no states to audit")
-    if not groups.all_sequences():
-        raise ValueError("no sequences to audit")
-    for seq in groups.repeat_sequences:
-        if len(seq) != 3 or len(set(seq)) != 1:
-            raise ValueError(f"repeat sequences must look like (O, O, O), got {seq}")
-    for seq in groups.disturbance_sequences:
-        if len(seq) != 3 or seq[0] != seq[2]:
-            raise ValueError(f"disturbance sequences must look like (O, P, O), got {seq}")
-
     # every distribution the records below read, fetched in one provider call
     # and consumed in the same order
-    results = iter(_provide(provider, suite_requests(states, groups)))
+    results = iter(_provide(provider, suite.requests))
     records: list[DeviationRecord] = []
 
-    for state in states:
+    for state in suite.states:
         # marginal of each observable in every context it appears in,
         # collected as one row of per-member values per (label, slot, seq)
         contexts: dict[str, list[np.ndarray]] = {}
@@ -531,7 +530,7 @@ def compatibility_suite(
                 row = np.array([m.marginal(pos)["+"] for m in members])
                 contexts.setdefault(lab, []).append(row)
 
-        for group in groups.permutation_groups:
+        for group in suite.permutation_groups:
             per_member = []
             for seq in group:
                 members = next(results)
@@ -547,8 +546,8 @@ def compatibility_suite(
                 )
             )
         for category, seqs in (
-            ("repeatability", groups.repeat_sequences),
-            ("nondisturbance", groups.disturbance_sequences),
+            ("repeatability", suite.repeat_sequences),
+            ("nondisturbance", suite.disturbance_sequences),
         ):
             for seq in seqs:
                 members = next(results)

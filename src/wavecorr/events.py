@@ -81,6 +81,8 @@ class EventModelConfig:
             raise ValueError(f"unknown event model {self.model!r}; expected one of {EVENT_MODELS}")
         if self.sample_count < 1:
             raise ValueError(f"sample_count must be at least 1, got {self.sample_count}")
+        if self.sample_count > np.iinfo(np.int64).max:  # clicks are counted in int64
+            raise ValueError(f"sample_count {self.sample_count} exceeds the int64 limit 2^63 - 1")
         if not 0.0 < self.threshold < math.inf:
             raise ValueError(f"threshold must be positive and finite, got {self.threshold}")
         if not 0.0 <= self.threshold_spread < math.inf:

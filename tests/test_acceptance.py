@@ -14,12 +14,13 @@ import pytest
 
 from wavecorr.cli import main as cli_main
 from wavecorr.contextuality import (
+    AUDIT_SUITES,
     CHSH,
     INEQUALITIES,
     MERMIN,
-    MERMIN_SUITE_STATES,
+    PAIR_SUITE,
     PERES_MERMIN,
-    PM_SUITE_STATES,
+    TRIPLE_SUITE,
     classical_bound_oracle,
     compatibility_suite,
     corrected_bound,
@@ -27,8 +28,6 @@ from wavecorr.contextuality import (
     evaluate_inequality,
     ideal_provider,
     measure_inequality,
-    mermin_suite_groups,
-    pm_suite_groups,
 )
 from wavecorr.events import (
     LOADED_DIE,
@@ -96,12 +95,12 @@ def test_criterion_03_grid_expression_is_state_independent():
     t0 = time.perf_counter()
     provider = ideal_provider()
     values = []
-    for state in PM_SUITE_STATES:
+    for state in PAIR_SUITE.states:
         (report,) = measure_inequality(PERES_MERMIN, provider, state)
         values.append(report.value)
     elapsed = time.perf_counter() - t0
     assert len(values) == 11
-    for state, value in zip(PM_SUITE_STATES, values):
+    for state, value in zip(PAIR_SUITE.states, values):
         assert abs(value - 6.0) < 1e-9, state
     assert elapsed < 5.0
     ok(3, f"chi = 6 within 1e-9 on all 11 stock states in {elapsed:.3f} s")
@@ -168,18 +167,15 @@ def test_criterion_07_mesh_pipeline_matches_matrix_oracle():
 
 def test_criterion_08_compatibility_suites_clean_in_ideal_mode():
     provider = ideal_provider()
-    for states, groups, tag in (
-        (PM_SUITE_STATES, pm_suite_groups(), "pair"),
-        (MERMIN_SUITE_STATES, mermin_suite_groups(), "triple"),
-    ):
-        report = compatibility_suite(states, groups, provider)
+    for suite in (PAIR_SUITE, TRIPLE_SUITE):
+        report = compatibility_suite(suite, provider)
         for category, value in (
             ("order", report.order_independence),
             ("repeat", report.repeatability),
             ("disturb", report.nondisturbance),
             ("context", report.context_independence),
         ):
-            assert value < 1e-9, (tag, category, value)
+            assert value < 1e-9, (suite.name, category, value)
         assert report.worst_case < 1e-9
         assert corrected_bound(4.0, 6.0, 0.0) == 4.0
     ok(8, "both suites ideal-clean below 1e-9, deviation rate 0")
@@ -214,9 +210,9 @@ def test_criterion_09_event_models_converge_at_one_million():
           f"in {elapsed:.1f} s")
 
 
-def _noisy_suite_rate(states, groups, noise, master_seed, members):
+def _noisy_suite_rate(suite, noise, master_seed, members):
     provider = ensemble_provider(noise, master_seed, members)
-    return compatibility_suite(states, groups, provider).worst_case
+    return compatibility_suite(suite, provider).worst_case
 
 
 # CHSH, Mermin and PeresMermin means, then the pair and triple suite rates
@@ -237,17 +233,16 @@ def test_criterion_10_noisy_means_reach_hardware_windows():
         center, sigma = HARDWARE_WINDOWS[name]
         assert center - sigma <= mean <= center + sigma, (name, mean)
 
-    pair_rate = _noisy_suite_rate(PM_SUITE_STATES, pm_suite_groups(), noise, 1, 6)
-    triple_rate = _noisy_suite_rate(
-        MERMIN_SUITE_STATES, mermin_suite_groups(), noise, 2, 6
-    )
+    rates = {
+        suite: _noisy_suite_rate(suite, noise, offset, 6)
+        for offset, suite in enumerate((PAIR_SUITE, TRIPLE_SUITE), 1)
+    }
     # every digit is pinned, so a change to how the members are propagated
     # or seeded shows up here
-    assert [repr(v) for v in (*means.values(), pair_rate, triple_rate)] == PINNED_CRITERION_10
+    assert [repr(v) for v in (*means.values(), *rates.values())] == PINNED_CRITERION_10
     corrected = {
-        "CHSH": corrected_bound(2.0, 4.0, pair_rate),
-        "Mermin": corrected_bound(2.0, 4.0, triple_rate),
-        "PeresMermin": corrected_bound(4.0, 6.0, pair_rate),
+        name: corrected_bound(defn.nc_bound, defn.algebraic_max, rates[AUDIT_SUITES[name]])
+        for name, defn in INEQUALITIES.items()
     }
     for name in means:
         assert corrected[name] < means[name], (name, corrected[name], means[name])

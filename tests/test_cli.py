@@ -124,6 +124,24 @@ def test_mode_count_is_capped_while_parsing(tmp_path, capsys):
     assert (name, state.dim) == (f"custom{cli.MAX_MODES}", cli.MAX_MODES)
 
 
+def test_basis_label_length_is_capped_while_parsing(tmp_path, capsys, monkeypatch):
+    # a label at the cap is a state of MAX_MODES modes
+    name, state = cli._parse_state("0000", "state")
+    assert (name, state.dim) == ("0000", cli.MAX_MODES)
+
+    def no_library(name):
+        raise AssertionError(f"a state of 2^{len(name)} modes would be built")
+
+    monkeypatch.setattr(cli, "state_library", no_library)
+    for length in (5, 40):
+        data = dict(MINIMAL, state="0" * length)
+        with pytest.raises(ConfigError) as err:
+            scenario_from_dict(data)
+        assert err.value.path == "state"
+        assert main(["validate", write_yaml(tmp_path, data)]) == 2
+        assert "config error: state:" in capsys.readouterr().err
+
+
 def test_over_long_label_is_rejected_before_its_matrix_is_built(tmp_path, capsys, monkeypatch):
     real = cli.pauli_observable
 
@@ -392,6 +410,21 @@ def test_threshold_sample_count_is_capped_while_parsing(tmp_path, capsys, monkey
     assert scenario_from_dict(die).sample_count == over
 
 
+def test_loaded_die_sample_count_is_capped_at_int64(tmp_path, capsys):
+    over = 2**63
+    data = dict(MINIMAL, pipeline="events", sample_count=over)
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(data)
+    assert err.value.path == "sample_count"
+    assert main(["validate", write_yaml(tmp_path, data)]) == 2
+    assert "config error: sample_count:" in capsys.readouterr().err
+
+    ok = write_yaml(tmp_path, dict(data, sample_count=10), name="ok.yaml")
+    assert main(["run", ok, "--samples", str(over)]) == 2
+    assert "config error: sample_count:" in capsys.readouterr().err
+    assert scenario_from_dict(dict(data, sample_count=over - 1)).sample_count == over - 1
+
+
 def test_csv_run_is_bitwise_reproducible(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
     data = dict(
@@ -477,6 +510,27 @@ PM_EVENTS_AUDIT = {
     "audit": True,
 }
 
+# the pair suite audits CHSH and the triple suite Mermin, on the hardware of
+# scenarios/pm_noisy_audit.yaml
+CHSH_NOISY_AUDIT = {
+    "name": "chsh-noisy-audit",
+    "state": "chsh",
+    "inequality": "CHSH",
+    "pipeline": "network_noisy",
+    "seed": 5,
+    "noise": {"splitter_imbalance_sigma": 0.008, "phase_jitter_sigma": 0.012, "leakage": 0.001},
+    "audit": True,
+}
+MERMIN_NOISY_AUDIT = dict(
+    CHSH_NOISY_AUDIT, name="mermin-noisy-audit", state="ghz", inequality="Mermin"
+)
+AUDITED_SCENARIOS = {
+    "ideal": PM_IDEAL_AUDIT,
+    "events": PM_EVENTS_AUDIT,
+    "chsh": CHSH_NOISY_AUDIT,
+    "mermin": MERMIN_NOISY_AUDIT,
+}
+
 _GRID_TERMS = (
     "  + ZI*IZ*ZZ  +1.000000 +/- 0.000000\n"
     "  + IX*XI*XX  +1.000000 +/- 0.000000\n"
@@ -488,7 +542,8 @@ _GRID_TERMS = (
 
 # full `wavecorr run` stdout of audited runs, recorded while the suite and the
 # inequality still made separate provider calls; the exact ideal audit reads
-# zero where its round-off once read 1.11022e-16
+# zero where its round-off once read 1.11022e-16.  The CHSH and Mermin runs
+# were recorded while each caller still chose its suite by hand.
 PINNED_AUDIT_STDOUT = {
     "noisy-3": (
         "scenario pm-noisy-audit: state psi1, pipeline network_noisy, seed 3\n"
@@ -557,6 +612,40 @@ PINNED_AUDIT_STDOUT = {
         "  nondisturbance       : 0.000000\n"
         "  worst case           : 0.005225 (context-independence: state psi3, marginal of YY)\n"
     ),
+    "chsh": (
+        "scenario chsh-noisy-audit: state chsh, pipeline network_noisy, seed 5\n"
+        "CHSH: value = +2.824610 +/- 0.000000\n"
+        "  + ZI*IZ  +0.707213 +/- 0.000000\n"
+        "  + XI*IZ  +0.705340 +/- 0.000000\n"
+        "  + ZI*IX  +0.705261 +/- 0.000000\n"
+        "  - XI*IX  -0.706796 +/- 0.000000\n"
+        "  bounds: noncontextual 2, corrected 2.22073 (deviation rate 0.110364), "
+        "quantum 2.82843, algebraic 4\n"
+        "  verdict: violates NC bound 2, violates corrected bound 2.22073\n"
+        "compatibility audit:\n"
+        "  context independence : 0.110364\n"
+        "  order independence   : 0.005907\n"
+        "  repeatability        : 0.004756\n"
+        "  nondisturbance       : 0.010246\n"
+        "  worst case           : 0.110364 (context-independence: state psi11, marginal of YY)\n"
+    ),
+    "mermin": (
+        "scenario mermin-noisy-audit: state ghz, pipeline network_noisy, seed 5\n"
+        "Mermin: value = +3.938521 +/- 0.000000\n"
+        "  + ZII*IZI*IIX  +0.996351 +/- 0.000000\n"
+        "  + XII*IZI*IIZ  +0.996690 +/- 0.000000\n"
+        "  + ZII*IXI*IIZ  +0.992036 +/- 0.000000\n"
+        "  - XII*IXI*IIX  -0.953444 +/- 0.000000\n"
+        "  bounds: noncontextual 2, corrected 2.0839 (deviation rate 0.0419479), "
+        "quantum 4, algebraic 4\n"
+        "  verdict: violates NC bound 2, violates corrected bound 2.0839\n"
+        "compatibility audit:\n"
+        "  context independence : 0.041948\n"
+        "  order independence   : 0.034804\n"
+        "  repeatability        : 0.002958\n"
+        "  nondisturbance       : 0.000377\n"
+        "  worst case           : 0.041948 (context-independence: state ghz, marginal of ZII)\n"
+    ),
 }
 
 
@@ -566,8 +655,7 @@ def test_audited_run_stdout_is_pinned(key, tmp_path, capsys):
         path = os.path.join(SCENARIO_DIR, "pm_noisy_audit.yaml")
         argv = ["run", path, "--seed", key.split("-")[1]]
     else:
-        data = PM_IDEAL_AUDIT if key == "ideal" else PM_EVENTS_AUDIT
-        argv = ["run", write_yaml(tmp_path, data)]
+        argv = ["run", write_yaml(tmp_path, AUDITED_SCENARIOS[key])]
     assert run_stdout(capsys, *argv) == PINNED_AUDIT_STDOUT[key]
 
 
@@ -587,8 +675,8 @@ def audited(pipeline):
 def test_audited_run_equals_separate_provider_calls(pipeline):
     scenario = audited(pipeline)
     # the suite and the inequality, each asking a provider of its own
-    states, groups = cli._audit_plan(scenario.definition)
-    compat = cli.compatibility_suite(states, groups, make_provider(scenario))
+    suite = cli.AUDIT_SUITES[scenario.definition.name]
+    compat = cli.compatibility_suite(suite, make_provider(scenario))
     (report,) = cli.measure_inequality(
         scenario.definition, make_provider(scenario), scenario.state_name, compat.worst_case
     )
@@ -645,14 +733,13 @@ def test_commutation_check_skips_an_observable_met_twice(monkeypatch):
     assert repr(run.inequality) == repr(reference.inequality)
 
 
-def test_incompatible_audit_plan_fails_before_any_circuit(monkeypatch):
+def test_incompatible_audit_suite_fails_before_any_circuit(monkeypatch):
     def no_circuits(*args, **kwargs):
         raise AssertionError("a circuit was built for a plan that cannot run")
 
     monkeypatch.setattr(cli, "circuit_distributions", no_circuits)
-    states, groups = cli._audit_plan(INEQUALITIES["PeresMermin"])
-    clashing = replace(groups, disturbance_sequences=(("ZI", "XI", "ZI"),))
-    monkeypatch.setattr(cli, "_audit_plan", lambda defn: (states, clashing))
+    clashing = replace(cli.AUDIT_SUITES["PeresMermin"], disturbance_sequences=(("ZI", "XI", "ZI"),))
+    monkeypatch.setitem(cli.AUDIT_SUITES, "PeresMermin", clashing)
     scenario = load_scenario(os.path.join(SCENARIO_DIR, "pm_noisy_audit.yaml"))
     with pytest.raises(ValueError, match="commute|compatible"):
         run_scenario(scenario)
@@ -677,8 +764,7 @@ def test_drifted_request_list_is_not_a_numerical_failure(monkeypatch, capsys):
 def test_request_results_do_not_depend_on_their_batch(pipeline):
     # what lets one run serve both consumers from a table keyed by request
     scenario = audited(pipeline)
-    states, groups = cli._audit_plan(scenario.definition)
-    everything = cli.suite_requests(states, groups) + cli.inequality_requests(
+    everything = cli.AUDIT_SUITES[scenario.definition.name].requests + cli.inequality_requests(
         scenario.definition, scenario.state_name
     )
     amid = make_provider(scenario)(everything)

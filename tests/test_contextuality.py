@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,14 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavecorr.contextuality import (
+    AUDIT_SUITES,
     CHSH,
+    INEQUALITIES,
+    AuditSuite,
     Correlator,
     InequalityDefinition,
     MERMIN,
-    MERMIN_SUITE_STATES,
+    PAIR_SUITE,
     PERES_MERMIN,
-    PM_SUITE_STATES,
-    SequenceGroups,
+    TRIPLE_SUITE,
     classical_bound_oracle,
     compatibility_suite,
     corrected_bound,
@@ -25,9 +28,6 @@ from wavecorr.contextuality import (
     ideal_provider,
     inequality_requests,
     measure_inequality,
-    mermin_suite_groups,
-    pm_suite_groups,
-    suite_requests,
 )
 from wavecorr.outcomes import OutcomeDistribution
 from wavecorr.wavecore import (
@@ -138,7 +138,7 @@ def test_mermin_basis_state_by_oracle():
 
 
 def test_pm_chi_state_independent_six():
-    values = [ideal_report(PERES_MERMIN, name).value for name in PM_SUITE_STATES]
+    values = [ideal_report(PERES_MERMIN, name).value for name in PAIR_SUITE.states]
     for val in values:
         assert val == pytest.approx(6.0, abs=1e-9)
     assert max(values) - min(values) < 1e-9
@@ -283,7 +283,7 @@ def test_custom_definition_validation():
 
 
 def test_pm_suite_ideal_is_clean():
-    report = compatibility_suite(PM_SUITE_STATES, pm_suite_groups(), ideal_provider())
+    report = compatibility_suite(PAIR_SUITE, ideal_provider())
     assert report.context_independence < 1e-9
     assert report.order_independence < 1e-9
     assert report.repeatability < 1e-9
@@ -293,9 +293,7 @@ def test_pm_suite_ideal_is_clean():
 
 
 def test_mermin_suite_ideal_is_clean():
-    report = compatibility_suite(
-        MERMIN_SUITE_STATES, mermin_suite_groups(), ideal_provider()
-    )
+    report = compatibility_suite(TRIPLE_SUITE, ideal_provider())
     assert report.worst_case < 1e-9
 
 
@@ -308,31 +306,40 @@ def test_permutations_of_grid_row_agree_ideally():
 
 
 def test_suite_counts_cover_the_published_plan():
-    assert len(pm_suite_groups().all_sequences()) == 19
-    assert len(mermin_suite_groups().all_sequences()) == 12
-    assert len(PM_SUITE_STATES) == 11
-    assert len(MERMIN_SUITE_STATES) == 4
+    assert len(PAIR_SUITE.sequences) == 19
+    assert len(TRIPLE_SUITE.sequences) == 12
+    assert len(PAIR_SUITE.states) == 11
+    assert len(TRIPLE_SUITE.states) == 4
+
+
+def test_every_built_in_inequality_is_audited_on_its_own_observables():
+    assert set(AUDIT_SUITES) == set(INEQUALITIES)
+    for name, defn in INEQUALITIES.items():
+        audited = {lab for seq in AUDIT_SUITES[name].sequences for lab in seq}
+        assert set(defn.observable_labels) <= audited, name
 
 
 def test_suite_rejects_incompatible_sequences():
-    groups = SequenceGroups(
+    suite = AuditSuite(
+        name="clash",
+        states=("psi1",),
         permutation_groups=(),
         repeat_sequences=(),
         disturbance_sequences=(("ZI", "XI", "ZI"),),
     )
     with pytest.raises(IncompatibleObservablesError):
-        compatibility_suite(("psi1",), groups, ideal_provider())
+        compatibility_suite(suite, ideal_provider())
 
 
 def test_suite_rejects_malformed_groups():
-    with pytest.raises(ValueError):
-        compatibility_suite((), pm_suite_groups(), ideal_provider())
-    bad_repeat = SequenceGroups((), (("ZI", "IZ", "ZI"),), ())
-    with pytest.raises(ValueError):
-        compatibility_suite(("psi1",), bad_repeat, ideal_provider())
-    bad_probe = SequenceGroups((), (), (("ZI", "IZ", "IX"),))
-    with pytest.raises(ValueError):
-        compatibility_suite(("psi1",), bad_probe, ideal_provider())
+    with pytest.raises(ValueError, match="no states"):
+        replace(PAIR_SUITE, states=())
+    with pytest.raises(ValueError, match="no sequences"):
+        AuditSuite("empty", ("psi1",), (), (), ())
+    with pytest.raises(ValueError, match="repeat"):
+        AuditSuite("bad-repeat", ("psi1",), (), (("ZI", "IZ", "ZI"),), ())
+    with pytest.raises(ValueError, match="disturbance"):
+        AuditSuite("bad-probe", ("psi1",), (), (), (("ZI", "IZ", "IX"),))
 
 
 # (category, label) of each record of the pair suite on one state, in order
@@ -355,10 +362,10 @@ def test_suite_calls_its_provider_once_in_audit_order():
         return base(requests)
 
     states = ("psi1", "psi4")
-    report = compatibility_suite(states, pm_suite_groups(), recording)
-    sequences = pm_suite_groups().all_sequences()
-    assert batches == [[(state, seq) for state in states for seq in sequences]]
-    assert batches == [suite_requests(states, pm_suite_groups())]
+    suite = replace(PAIR_SUITE, states=states)
+    report = compatibility_suite(suite, recording)
+    assert batches == [[(state, seq) for state in states for seq in suite.sequences]]
+    assert batches == [suite.requests]
     assert [(r.category, r.label) for r in report.records] == PM_RECORD_ORDER * 2
     assert [r.state for r in report.records] == ["psi1"] * 23 + ["psi4"] * 23
 
@@ -371,7 +378,9 @@ def test_suite_calls_its_provider_once_in_audit_order():
 def test_suite_rejects_a_provider_that_drops_requests():
     base = ideal_provider()
     with pytest.raises(ValueError, match="results for"):
-        compatibility_suite(("psi1",), pm_suite_groups(), lambda requests: base(requests)[1:])
+        compatibility_suite(
+            replace(PAIR_SUITE, states=("psi1",)), lambda requests: base(requests)[1:]
+        )
 
 
 def test_suite_accepts_ensembles_and_averages():
@@ -380,16 +389,16 @@ def test_suite_accepts_ensembles_and_averages():
     def two_member(requests):
         return [members * 2 for members in base(requests)]
 
-    groups = mermin_suite_groups()
-    single = compatibility_suite(("ghz",), groups, base)
-    double = compatibility_suite(("ghz",), groups, two_member)
+    suite = replace(TRIPLE_SUITE, states=("ghz",))
+    single = compatibility_suite(suite, base)
+    double = compatibility_suite(suite, two_member)
     assert double.worst_case == pytest.approx(single.worst_case, abs=1e-12)
 
     def ragged(requests):
         return [members * (1 if k == 0 else 2) for k, members in enumerate(base(requests))]
 
     with pytest.raises(ValueError, match="members"):
-        compatibility_suite(("ghz",), groups, ragged)
+        compatibility_suite(suite, ragged)
 
 
 def test_noisy_provider_produces_positive_rate():
@@ -414,7 +423,7 @@ def test_noisy_provider_produces_positive_rate():
             for (_, labels), members in zip(requests, base(requests))
         ]
 
-    report = compatibility_suite(("000",), mermin_suite_groups(), skewed)
+    report = compatibility_suite(replace(TRIPLE_SUITE, states=("000",)), skewed)
     assert report.repeatability > 0.01
     assert report.worst_case == report.repeatability
     assert "repeatability" in report.worst_description
@@ -432,7 +441,7 @@ def test_inequality_report_table_mentions_everything():
 
 
 def test_compatibility_report_serialization():
-    report = compatibility_suite(("psi1",), pm_suite_groups(), ideal_provider())
+    report = compatibility_suite(replace(PAIR_SUITE, states=("psi1",)), ideal_provider())
     text = format_compatibility_report(report)
     assert "worst case" in text
 

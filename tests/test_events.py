@@ -52,6 +52,13 @@ def test_config_rejects_bad_values():
     EventModelConfig(model=LOADED_DIE, threshold=1.0, threshold_spread=1.0)
 
 
+@pytest.mark.parametrize("model", [LOADED_DIE, THRESHOLD_DETECTOR])
+def test_config_caps_every_model_at_int64(model):
+    with pytest.raises(ValueError, match="sample_count"):
+        EventModelConfig(model=model, sample_count=2**63)
+    EventModelConfig(model=LOADED_DIE, sample_count=2**63 - 1)
+
+
 def test_config_caps_threshold_sample_count():
     with pytest.raises(ValueError, match="sample_count"):
         EventModelConfig(model=THRESHOLD_DETECTOR, sample_count=MAX_THRESHOLD_SAMPLES + 1)

@@ -168,6 +168,7 @@ def test_compatibility_audit_rejects_bad_noise(argv, capsys):
         ["--pipeline", "events", "--samples", "0"],
         ["--pipeline", "events", "--model", "threshold_detector",
          "--samples", str(MAX_THRESHOLD_SAMPLES + 1)],
+        ["--pipeline", "events", "--samples", str(2**63)],
     ],
 )
 def test_reproduce_experiments_rejects_bad_sample_count(argv, capsys):
