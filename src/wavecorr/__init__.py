@@ -22,7 +22,6 @@ from wavecorr.contextuality import (
     compatibility_suite,
     corrected_bound,
     correlator,
-    evaluate_inequality,
     ideal_provider,
     inequality_requests,
     measure_inequality,
@@ -85,7 +84,6 @@ __all__ = [
     "INEQUALITIES",
     "classical_bound_oracle",
     "corrected_bound",
-    "evaluate_inequality",
     "measure_inequality",
     "inequality_requests",
     "ideal_provider",

@@ -35,8 +35,8 @@ Scenario schema (all unknown keys are rejected):
     audit: true                 # optional; measure the rate with the
                                 #   compatibility suite instead (exclusive
                                 #   with deviation_rate; built-in
-                                #   inequalities only)
-    csv: out.csv                # optional CSV output path
+                                #   inequalities only, all labels audited)
+    csv: out.csv                # optional CSV output path (run and sweep)
     custom:                     # required iff inequality == custom
       name: my-expression       # optional
       terms:                    # at most MAX_CUSTOM_TERMS (256) terms
@@ -533,6 +533,12 @@ def scenario_from_dict(data: Mapping, path: str = "") -> Scenario:
         raise ConfigError(at("audit"), "choose either audit or a fixed deviation_rate")
     if audit and kind == "custom":
         raise ConfigError(at("audit"), "auditing needs one of the built-in inequalities")
+    if audit:
+        # the suite's rate corrects the bound only if the suite measured every label
+        suite = AUDIT_SUITES[defn.name]
+        for lab in defn.observable_labels:
+            if not any(lab in seq for seq in suite.sequences):
+                raise ConfigError(at("audit"), f"the {suite.name} suite never measures {lab!r}")
 
     csv_path = data.get("csv")
     if csv_path is not None:
@@ -701,10 +707,11 @@ def _g(x: float) -> str:
 def csv_row(report: RunReport, scenario_label: str | None = None) -> list[str]:
     sc = report.scenario
     ineq = report.inequality
+    defn = ineq.definition
     return [
         scenario_label or sc.name,
         sc.state_name,
-        ineq.name,
+        defn.name,
         sc.pipeline,
         str(sc.seed),
         ";".join("*".join(c.labels) for c in ineq.terms),
@@ -712,10 +719,10 @@ def csv_row(report: RunReport, scenario_label: str | None = None) -> list[str]:
         ";".join(_g(c.stderr) for c in ineq.terms),
         _g(ineq.value),
         _g(ineq.stderr),
-        _g(ineq.nc_bound),
+        _g(defn.nc_bound),
         _g(ineq.corrected_bound),
-        _g(ineq.quantum_max),
-        _g(ineq.algebraic_max),
+        _g(defn.quantum_max),
+        _g(defn.algebraic_max),
         _g(ineq.deviation_rate),
         ineq.verdict,
     ]
@@ -762,6 +769,8 @@ def sweep_rows(file_path: str, seed: int | None = None) -> list[list[str]]:
     for key, values in vary.items():
         if not isinstance(values, Sequence) or isinstance(values, str) or not values:
             raise ConfigError(f"vary.{key}", "expected a nonempty list of values")
+        if key == "csv":
+            raise ConfigError("vary.csv", "a sweep writes one CSV; set csv outside vary")
         axes.append((str(key), list(values)))
 
     # every grid point is parsed before any runs, so a bad one is reported at once
@@ -830,8 +839,9 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     rows = sweep_rows(args.scenario, seed=args.seed)
     text = render_csv(rows)
-    if args.csv:
-        target = _write_csv(args.csv, text)
+    csv_path = args.csv or load_scenario_dict(args.scenario).get("csv")
+    if csv_path:
+        target = _write_csv(csv_path, text)
         sys.stdout.write(f"wrote {target} ({len(rows)} rows)\n")
     else:
         sys.stdout.write(text)

@@ -3,10 +3,10 @@
 Three inequality families are built in: the four-correlator CHSH
 expression, the four-correlator Mermin expression on triple products, and
 the Peres-Mermin square whose six row and column products witness
-state-independent contextuality.  Each evaluates to a report carrying the
-measured value next to four reference numbers: the noncontextual bound,
-the same bound corrected for a measured deviation rate, the quantum
-maximum, and the algebraic maximum.
+state-independent contextuality.  Each evaluates to a report holding the
+measured correlators, from which it derives the value, set next to four
+reference numbers: the noncontextual bound, the same bound corrected for a
+measured deviation rate, the quantum maximum, and the algebraic maximum.
 
 The deviation rate comes from a compatibility audit: sequences that probe
 whether marginals are context independent, whether joint correlators are
@@ -28,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -179,38 +179,46 @@ INEQUALITIES: Mapping[str, InequalityDefinition] = {
 
 @dataclass(frozen=True)
 class InequalityReport:
-    """Evaluated inequality with every bound it is judged against."""
+    """A definition's term correlators as measured, and the rate that corrects its bound.
 
-    name: str
-    value: float
-    stderr: float
-    nc_bound: float
-    corrected_bound: float
-    quantum_max: float
-    algebraic_max: float
-    deviation_rate: float
-    terms: tuple[Correlator, ...] = ()
-    term_signs: tuple[float, ...] = ()
+    Correlator k measures the definition's k-th sequence.  The value, its
+    standard error and the corrected bound are computed from these on each
+    read; the name and the other bounds are read from ``definition``.
+    """
+
+    definition: InequalityDefinition
+    terms: tuple[Correlator, ...]
+    deviation_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.stderr < 0.0:
-            raise ValueError("stderr must be nonnegative")
+        object.__setattr__(self, "terms", tuple(self.terms))
         if not 0.0 <= self.deviation_rate <= 1.0:
             raise ValueError(f"deviation rate {self.deviation_rate} outside [0, 1]")
-        if not (
-            self.nc_bound - _VALUE_TOL
-            <= self.corrected_bound
-            <= self.algebraic_max + _VALUE_TOL
-        ):
-            raise ValueError("corrected bound escaped [nc_bound, algebraic_max]")
-        if not (
-            self.nc_bound - _VALUE_TOL
-            <= self.quantum_max
-            <= self.algebraic_max + _VALUE_TOL
-        ):
-            raise ValueError("quantum maximum escaped [nc_bound, algebraic_max]")
-        if len(self.terms) != len(self.term_signs):
-            raise ValueError("terms and term_signs disagree in length")
+        sequences = [tuple(labels) for labels in self.definition.sequences]
+        if [cor.labels for cor in self.terms] != sequences:
+            raise ValueError(
+                f"{self.definition.name} measures {', '.join('*'.join(s) for s in sequences)}; "
+                f"got correlators for {', '.join('*'.join(c.labels) for c in self.terms)}"
+            )
+
+    @property
+    def value(self) -> float:
+        value = 0.0
+        for (_, sign), cor in zip(self.definition.terms, self.terms):
+            value += sign * cor.value
+        return value
+
+    @property
+    def stderr(self) -> float:
+        variance = 0.0
+        for (_, sign), cor in zip(self.definition.terms, self.terms):
+            variance += (sign * cor.stderr) ** 2
+        return math.sqrt(variance)
+
+    @property
+    def corrected_bound(self) -> float:
+        defn = self.definition
+        return corrected_bound(defn.nc_bound, defn.algebraic_max, self.deviation_rate)
 
     def violates(self, bound: float) -> bool:
         """Whether the value exceeds ``bound``."""
@@ -218,13 +226,14 @@ class InequalityReport:
 
     @property
     def verdict(self) -> str:
+        defn = self.definition
         parts = []
-        word = "violates" if self.violates(self.nc_bound) else "respects"
-        parts.append(f"{word} NC bound {self.nc_bound:g}")
+        word = "violates" if self.violates(defn.nc_bound) else "respects"
+        parts.append(f"{word} NC bound {defn.nc_bound:g}")
         if self.deviation_rate > 0.0:
             word = "violates" if self.violates(self.corrected_bound) else "respects"
             parts.append(f"{word} corrected bound {self.corrected_bound:g}")
-        if abs(self.value - self.quantum_max) <= max(1e-6, 3.0 * self.stderr):
+        if abs(self.value - defn.quantum_max) <= max(1e-6, 3.0 * self.stderr):
             parts.append("saturates quantum max")
         return ", ".join(parts)
 
@@ -247,43 +256,6 @@ def corrected_bound(nc_bound: float, algebraic_max: float, deviation_rate: float
     alg = Fraction(str(float(algebraic_max)))
     xi = Fraction(str(float(deviation_rate)))
     return float(nc + xi * (alg - nc))
-
-
-def evaluate_inequality(
-    defn: InequalityDefinition,
-    correlators: Iterable[Correlator],
-    deviation_rate: float = 0.0,
-) -> InequalityReport:
-    """Assemble a report from correlators labeled by their sequences."""
-    by_labels: dict[tuple[str, ...], Correlator] = {}
-    for cor in correlators:
-        by_labels[cor.labels] = cor
-    picked: list[Correlator] = []
-    signs: list[float] = []
-    value = 0.0
-    variance = 0.0
-    for labels, sign in defn.terms:
-        cor = by_labels.get(tuple(labels))
-        if cor is None:
-            raise ValueError(
-                f"missing correlator for sequence {'*'.join(labels)} of {defn.name}"
-            )
-        picked.append(cor)
-        signs.append(sign)
-        value += sign * cor.value
-        variance += (sign * cor.stderr) ** 2
-    return InequalityReport(
-        name=defn.name,
-        value=value,
-        stderr=math.sqrt(variance),
-        nc_bound=defn.nc_bound,
-        corrected_bound=corrected_bound(defn.nc_bound, defn.algebraic_max, deviation_rate),
-        quantum_max=defn.quantum_max,
-        algebraic_max=defn.algebraic_max,
-        deviation_rate=deviation_rate,
-        terms=tuple(picked),
-        term_signs=tuple(signs),
-    )
 
 
 def classical_bound_oracle(inequality: InequalityDefinition | str) -> float:
@@ -370,7 +342,7 @@ def measure_inequality(
     counts for different terms, raises ValueError.
     """
     return [
-        evaluate_inequality(
+        InequalityReport(
             defn,
             [correlator(dist, labels) for labels, dist in zip(defn.sequences, member)],
             deviation_rate,
@@ -459,35 +431,34 @@ class DeviationRecord:
 
 @dataclass(frozen=True)
 class CompatibilityReport:
-    """Worst observed deviation per audit category, all in [0, 1]."""
+    """An audit's deviation records, each in [0, 1].
 
-    context_independence: float
-    order_independence: float
-    repeatability: float
-    nondisturbance: float
-    worst_case: float
-    worst_description: str = ""
-    records: tuple[DeviationRecord, ...] = ()
+    A category's rate is its largest record (0 when it has none), and the
+    worst case, the suite's deviation rate, is the first largest of all.
+    """
 
-    def __post_init__(self) -> None:
-        for name in (
-            "context_independence",
-            "order_independence",
-            "repeatability",
-            "nondisturbance",
-            "worst_case",
-        ):
-            val = getattr(self, name)
-            if not 0.0 <= val <= 1.0:
-                raise ValueError(f"{name} deviation {val} outside [0, 1]")
-        peak = max(
-            self.context_independence,
-            self.order_independence,
-            self.repeatability,
-            self.nondisturbance,
-        )
-        if abs(self.worst_case - peak) > _VALUE_TOL:
-            raise ValueError("worst_case is not the maximum of the category deviations")
+    records: tuple[DeviationRecord, ...]
+
+    def _peak(self, category: str) -> float:
+        return max((r.value for r in self.records if r.category == category), default=0.0)
+
+    context_independence = property(lambda self: self._peak("context-independence"))
+    order_independence = property(lambda self: self._peak("order-independence"))
+    repeatability = property(lambda self: self._peak("repeatability"))
+    nondisturbance = property(lambda self: self._peak("nondisturbance"))
+
+    @property
+    def worst(self) -> DeviationRecord:
+        return max(self.records, key=lambda r: r.value)
+
+    @property
+    def worst_case(self) -> float:
+        return self.worst.value
+
+    @property
+    def worst_description(self) -> str:
+        worst = self.worst
+        return f"{worst.category}: state {worst.state}, {worst.label}"
 
 
 def _clamped(x: float) -> float:
@@ -575,20 +546,7 @@ def compatibility_suite(suite: AuditSuite, provider: Provider) -> CompatibilityR
                 )
             )
 
-    def peak(category: str) -> float:
-        vals = [r.value for r in records if r.category == category]
-        return max(vals) if vals else 0.0
-
-    worst = max(records, key=lambda r: r.value)
-    return CompatibilityReport(
-        context_independence=peak("context-independence"),
-        order_independence=peak("order-independence"),
-        repeatability=peak("repeatability"),
-        nondisturbance=peak("nondisturbance"),
-        worst_case=worst.value,
-        worst_description=f"{worst.category}: state {worst.state}, {worst.label}",
-        records=tuple(records),
-    )
+    return CompatibilityReport(tuple(records))
 
 
 # ------------------------------------------------------------------ output
@@ -596,23 +554,23 @@ def compatibility_suite(suite: AuditSuite, provider: Provider) -> CompatibilityR
 
 def format_inequality_report(report: InequalityReport) -> str:
     """Human-readable table for one evaluated inequality."""
-    lines = [f"{report.name}: value = {report.value:+.6f} +/- {report.stderr:.6f}"]
-    if report.terms:
-        width = max(len("*".join(c.labels)) for c in report.terms)
-        for cor, sign in zip(report.terms, report.term_signs):
-            mark = "+" if sign > 0 else "-"
-            lines.append(
-                f"  {mark} {'*'.join(cor.labels):<{width}}  "
-                f"{cor.value:+.6f} +/- {cor.stderr:.6f}"
-            )
+    defn = report.definition
+    lines = [f"{defn.name}: value = {report.value:+.6f} +/- {report.stderr:.6f}"]
+    width = max(len("*".join(c.labels)) for c in report.terms)
+    for cor, (_, sign) in zip(report.terms, defn.terms):
+        mark = "+" if sign > 0 else "-"
+        lines.append(
+            f"  {mark} {'*'.join(cor.labels):<{width}}  "
+            f"{cor.value:+.6f} +/- {cor.stderr:.6f}"
+        )
     lines.append(
         "  bounds: noncontextual {:g}, corrected {:g} (deviation rate {:g}), "
         "quantum {:g}, algebraic {:g}".format(
-            report.nc_bound,
+            defn.nc_bound,
             report.corrected_bound,
             report.deviation_rate,
-            report.quantum_max,
-            report.algebraic_max,
+            defn.quantum_max,
+            defn.algebraic_max,
         )
     )
     lines.append(f"  verdict: {report.verdict}")

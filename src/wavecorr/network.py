@@ -14,7 +14,8 @@ Element behaviour (ideal):
     phase_segment    a -> exp(i phase) a
     unequal_coupler  s -> (s, r s)/sqrt(1 + r^2)
     termination      absorbs its input
-    fanout_label     passes its input through (a branch tap)
+    fanout_label     passes its input through (a branch tap; it keeps its
+                     input's slot, so it costs no propagation step)
 
 Measurement blocks diagonalize an observable with a mesh, split the
 eigenmodes into a +1 and a -1 branch, and recompose each branch back to
@@ -380,11 +381,12 @@ class Netlist:
         own outputs may take it: each output takes the slot of the input in
         its own row (a splitter's, a phase segment's or a tap's, a coupler's
         first), and a coupler's second output reuses the slot of a wire that
-        a termination absorbed before a new slot opens.  The slot count is
-        then the most wires live at once.  Input and ground ports get the
-        first slots, since a ground must read zero however late its reader
-        runs; an output port's wire has no reader, so its slot is never
-        freed.  ``_slots`` records the count and where the ports sit.
+        a termination absorbed before a new slot opens.  A tap thus moves no
+        amplitude and gets no group, though it keeps its element index.  The
+        slot count is then the most wires live at once.  Input and ground
+        ports get the first slots, since a ground must read zero however late
+        its reader runs; an output port's wire has no reader, so its slot is
+        never freed.  ``_slots`` records the count and where the ports sit.
         """
         if self._compiled is not None:
             return self._compiled
@@ -437,6 +439,8 @@ class Netlist:
             ins, outs = slot[ins], slot[outs]
 
             for start, stop, code in zip(starts, stops, codes):
+                if _KINDS[code] == FANOUT_LABEL:
+                    continue  # a tap's output already sits in its input's slot
                 n_in, n_out = _ARITY[_KINDS[code]]
                 groups.append(
                     _Group(
@@ -564,8 +568,6 @@ def _propagate_members(
         if g.kind == TERMINATION:
             if tally:
                 absorbed += (np.abs(amps.take(g.in_idx[0], axis=0)) ** 2).sum(axis=0)
-        elif g.kind == FANOUT_LABEL:
-            amps[g.out_idx[0]] = amps.take(g.in_idx[0], axis=0)
         elif g.kind == BEAM_SPLITTER:
             u = amps.take(g.in_idx[0], axis=0)
             v = amps.take(g.in_idx[1], axis=0)

@@ -22,7 +22,7 @@ diagonal becomes the output phases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,21 +72,22 @@ class MeshElement:
 
 @dataclass(frozen=True)
 class MeshPlan:
-    """Ordered mixing elements plus per-mode output phases."""
+    """Ordered mixing elements plus one output phase per mode, which sets the dimension."""
 
-    dim: int
     elements: tuple[MeshElement, ...]
     output_phases: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.output_phases) != self.dim:
-            raise ValueError("one output phase per mode required")
         limit = self.dim * (self.dim - 1) // 2
         if len(self.elements) > limit:
             raise ValueError(f"{len(self.elements)} elements exceed the N(N-1)/2 = {limit} bound")
         for el in self.elements:
             if el.q >= self.dim:
                 raise ValueError(f"element mode {el.q} outside mesh of dimension {self.dim}")
+
+    @property
+    def dim(self) -> int:
+        return len(self.output_phases)
 
 
 def decompose(u: np.ndarray) -> MeshPlan:
@@ -113,7 +114,7 @@ def decompose(u: np.ndarray) -> MeshPlan:
     if np.max(np.abs(off)) > ROUNDTRIP_TOL:
         raise SynthesisError("nulling failed to reach a diagonal; input too far from unitary")
     phases = tuple(float((-np.angle(w[k, k])) % TWO_PI) for k in range(n))
-    return MeshPlan(dim=n, elements=tuple(elements), output_phases=phases)
+    return MeshPlan(elements=tuple(elements), output_phases=phases)
 
 
 def recompose(plan: MeshPlan) -> np.ndarray:

@@ -127,15 +127,13 @@ class DichotomicObservable:
 
     ``diagonalizer`` is the unitary A with O = A diag(outcomes) A^dagger,
     eigenvalues ordered descending: the +1 eigenvectors occupy the columns
-    listed in ``plus_indices`` and the -1 eigenvectors those in
-    ``minus_indices``.
+    listed in ``plus_indices`` and the -1 eigenvectors the rest.
     """
 
     label: str
     matrix: np.ndarray
     diagonalizer: np.ndarray = field(repr=False)
     plus_indices: tuple[int, ...]
-    minus_indices: tuple[int, ...]
 
     @classmethod
     def from_matrix(cls, label: str, matrix: np.ndarray) -> "DichotomicObservable":
@@ -164,7 +162,6 @@ class DichotomicObservable:
             matrix=m,
             diagonalizer=diag,
             plus_indices=tuple(range(k_plus)),
-            minus_indices=tuple(range(k_plus, dim)),
         )
 
     @property

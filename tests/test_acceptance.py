@@ -17,6 +17,7 @@ from wavecorr.contextuality import (
     AUDIT_SUITES,
     CHSH,
     INEQUALITIES,
+    InequalityReport,
     MERMIN,
     PAIR_SUITE,
     PERES_MERMIN,
@@ -25,7 +26,6 @@ from wavecorr.contextuality import (
     compatibility_suite,
     corrected_bound,
     correlator,
-    evaluate_inequality,
     ideal_provider,
     measure_inequality,
 )
@@ -194,7 +194,7 @@ def test_criterion_09_event_models_converge_at_one_million():
             )
             dist = empirical_distribution(sample_events(base, cfg))
             cors.append(correlator(dist, labels))
-        reports[model] = evaluate_inequality(PERES_MERMIN, cors)
+        reports[model] = InequalityReport(PERES_MERMIN, cors)
     elapsed = time.perf_counter() - t0
 
     # every grid sequence has a deterministic product on any state, so the

@@ -252,6 +252,21 @@ def test_custom_inequality_named_after_a_built_in_is_not_audited(name, tmp_path,
     assert capsys.readouterr().err.startswith("config error: audit: ")
 
 
+def test_audit_must_measure_every_label_the_run_measures(tmp_path, capsys, monkeypatch):
+    def no_provider(scenario):
+        raise AssertionError("a provider was made for a run its audit does not cover")
+
+    monkeypatch.setattr(cli, "make_provider", no_provider)
+    # no pair-suite sequence measures YI, so the suite's rate would not cover it
+    remapped = dict(MINIMAL, observables={"ZI": "YI"}, audit=True)
+    assert main(["run", write_yaml(tmp_path, remapped)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: audit: ")
+    assert "pair suite" in err and "'YI'" in err
+    # a remap onto a label the suite measures is still audited
+    assert scenario_from_dict(dict(remapped, observables={"ZI": "ZZ"})).audit
+
+
 def test_run_exit_codes(tmp_path, capsys):
     good = write_yaml(tmp_path, MINIMAL)
     assert main(["run", good]) == 0
@@ -836,6 +851,28 @@ def test_sweep_grid_rows_and_determinism(tmp_path, capsys):
     assert rows == sweep_rows(path)
 
 
+def test_sweep_writes_the_files_csv_unless_given_one(tmp_path, capsys):
+    target = tmp_path / "grid.csv"
+    path = write_yaml(tmp_path, dict(MINIMAL, csv=str(target), vary={"seed": [1, 2]}))
+    assert main(["sweep", path]) == 0
+    assert capsys.readouterr().out == f"wrote {target} (2 rows)\n"
+    text = target.read_text()
+    assert text == cli.render_csv(sweep_rows(path))
+    # --csv takes precedence over the file's field, as it does for run
+    target.unlink()
+    other = tmp_path / "other.csv"
+    assert main(["sweep", path, "--csv", str(other)]) == 0
+    assert other.read_text() == text
+    assert not target.exists()
+    capsys.readouterr()
+
+
+def test_sweep_csv_is_not_a_grid_axis(tmp_path, capsys):
+    path = write_yaml(tmp_path, dict(MINIMAL, vary={"csv": ["a.csv", "b.csv"]}))
+    assert main(["sweep", path]) == 2
+    assert capsys.readouterr().err.startswith("config error: vary.csv: ")
+
+
 def test_sweep_empty_grid_rejected(tmp_path):
     path = write_yaml(tmp_path, dict(MINIMAL, vary={"state": []}))
     with pytest.raises(ConfigError, match="vary.state"):
@@ -980,7 +1017,7 @@ def test_audit_scenario_reports_corrected_bound():
     rate = report.compatibility.worst_case
     assert rate > 0
     assert report.inequality.deviation_rate == rate
-    assert report.inequality.corrected_bound > report.inequality.nc_bound
+    assert report.inequality.corrected_bound > report.inequality.definition.nc_bound
     # the corrected bound must stay below the measured value for the
     # shipped noise point, otherwise the demonstration is vacuous
     assert report.inequality.value > report.inequality.corrected_bound

@@ -12,8 +12,11 @@ from wavecorr.contextuality import (
     CHSH,
     INEQUALITIES,
     AuditSuite,
+    CompatibilityReport,
     Correlator,
+    DeviationRecord,
     InequalityDefinition,
+    InequalityReport,
     MERMIN,
     PAIR_SUITE,
     PERES_MERMIN,
@@ -22,7 +25,6 @@ from wavecorr.contextuality import (
     compatibility_suite,
     corrected_bound,
     correlator,
-    evaluate_inequality,
     format_compatibility_report,
     format_inequality_report,
     ideal_provider,
@@ -110,7 +112,7 @@ def test_chsh_saturates_quantum_max_on_design_state():
 def test_chsh_product_state_value_one():
     report = ideal_report(CHSH, "00")
     assert report.value == pytest.approx(1.0, abs=1e-12)
-    assert not report.violates(report.nc_bound)
+    assert not report.violates(report.definition.nc_bound)
 
 
 def test_chsh_is_maximized_by_design_state_over_library():
@@ -128,7 +130,7 @@ def test_chsh_is_maximized_by_design_state_over_library():
 def test_mermin_saturates_on_ghz_like_state():
     report = ideal_report(MERMIN, "ghz")
     assert report.value == pytest.approx(4.0, abs=1e-9)
-    assert report.quantum_max == report.algebraic_max == 4.0
+    assert report.definition.quantum_max == report.definition.algebraic_max == 4.0
 
 
 def test_mermin_basis_state_by_oracle():
@@ -147,9 +149,10 @@ def test_pm_chi_state_independent_six():
 def test_pm_term_structure():
     report = ideal_report(PERES_MERMIN, "psi7")
     # five products give +1, the all-two-mode column gives -1
-    for cor, sign in zip(report.terms, report.term_signs):
+    signs = tuple(sign for _, sign in report.definition.terms)
+    for cor, sign in zip(report.terms, signs):
         assert cor.value == pytest.approx(sign and math.copysign(1.0, sign), abs=1e-9)
-    assert report.term_signs == (1.0, 1.0, 1.0, 1.0, 1.0, -1.0)
+    assert signs == (1.0, 1.0, 1.0, 1.0, 1.0, -1.0)
 
 
 def test_missing_correlator_rejected():
@@ -158,17 +161,21 @@ def test_missing_correlator_rejected():
             state_library("chsh"),
             [pauli_observable(a), pauli_observable(b)],
         ), (a, b))
-        for a, b in [("ZI", "IZ"), ("XI", "IZ"), ("ZI", "IX")]
+        for a, b in [("ZI", "IZ"), ("XI", "IZ"), ("ZI", "IX"), ("XI", "IX")]
     ]
-    with pytest.raises(ValueError, match="missing correlator"):
-        evaluate_inequality(CHSH, cors)
+    assert InequalityReport(CHSH, cors).value == pytest.approx(SQRT8, abs=1e-9)
+    # term k must be measured on the definition's k-th sequence: none may be
+    # missing, and none may stand in another's place
+    for wrong in (cors[:3], cors[1:2] + cors[:1] + cors[2:]):
+        with pytest.raises(ValueError, match="CHSH measures ZI\\*IZ, XI\\*IZ"):
+            InequalityReport(CHSH, wrong)
 
 
 def test_report_bound_bookkeeping():
     report = ideal_report(CHSH, "chsh", xi=0.14)
-    assert report.nc_bound == 2.0
+    assert report.definition.nc_bound == 2.0
     assert report.corrected_bound == 2.28
-    assert report.algebraic_max == 4.0
+    assert report.definition.algebraic_max == 4.0
     assert report.deviation_rate == 0.14
     assert "violates corrected bound 2.28" in report.verdict
 
@@ -263,9 +270,10 @@ def test_report_invariants_hold_for_any_input(vals, xi):
         Correlator(labels=tuple(labels), value=v, stderr=0.0)
         for (labels, _), v in zip(CHSH.terms, vals)
     ]
-    report = evaluate_inequality(CHSH, cors, deviation_rate=xi / 100.0)
-    assert report.nc_bound <= report.corrected_bound <= report.algebraic_max
-    assert report.nc_bound <= report.quantum_max <= report.algebraic_max
+    report = InequalityReport(CHSH, cors, deviation_rate=xi / 100.0)
+    defn = report.definition
+    assert defn.nc_bound <= report.corrected_bound <= defn.algebraic_max
+    assert defn.nc_bound <= defn.quantum_max <= defn.algebraic_max
 
 
 def test_custom_definition_validation():
@@ -427,6 +435,21 @@ def test_noisy_provider_produces_positive_rate():
     assert report.repeatability > 0.01
     assert report.worst_case == report.repeatability
     assert "repeatability" in report.worst_description
+
+
+def test_compatibility_rates_are_read_from_the_records():
+    records = (
+        DeviationRecord("repeatability", "ghz", "ZII*ZII*ZII", 0.25),
+        DeviationRecord("nondisturbance", "000", "ZII*IZI*ZII", 0.25),
+        DeviationRecord("repeatability", "111", "XII*XII*XII", 0.125),
+    )
+    report = CompatibilityReport(records)
+    assert (report.repeatability, report.nondisturbance) == (0.25, 0.25)
+    # a category without records reads zero
+    assert report.context_independence == report.order_independence == 0.0
+    # of equal worst records, the first one is the worst case
+    assert report.worst is records[0]
+    assert report.worst_description == "repeatability: state ghz, ZII*ZII*ZII"
 
 
 # ------------------------------------------------------------ serialization

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import wavecorr.network as network
-from wavecorr.contextuality import CHSH, correlator, evaluate_inequality
+from wavecorr.contextuality import CHSH, InequalityReport, correlator
 from wavecorr.network import (
     BEAM_SPLITTER,
     FANOUT_LABEL,
@@ -628,6 +628,24 @@ def test_circuits_need_a_slot_per_port(build, slots):
     assert slot_count(net) == slots == len(net.input_ports) + len(net.ground_ports)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: build_sequence_tree(pauli_observable("ZI")),
+    lambda: build_sequence_tree(pauli_observable("YY")),
+    lambda: build_sequence_tree(pauli_observable("ZII")),
+    lambda: prep_netlist("ghz"),
+], ids=["ZI stage", "YY stage", "ZII stage", "ghz prep"])
+def test_taps_keep_their_slot_and_get_no_group(build):
+    # a tap's output takes its input's slot, so a group would copy slots onto
+    # themselves; the other elements keep their indices, so no draw moves
+    net = build()
+    taps = {pos for pos, el in enumerate(net.elements) if el.kind == FANOUT_LABEL}
+    assert taps
+    groups = net._compile()
+    assert FANOUT_LABEL not in {g.kind for g in groups}
+    compiled = sorted(i for g in groups for i in g.elem_idx.ravel().tolist())
+    assert compiled == sorted(set(range(len(net.elements))) - taps)
+
+
 # ------------------------------------------------------------ invariants
 
 
@@ -737,20 +755,23 @@ def compiled_groups_digest(net):
 
 
 # Recorded on the netlist with string-named wires that the integer-wire one
-# replaced.  Equal groups give equal (seed, element index) draws through the
-# same array operations, hence bitwise equal amplitudes.
+# replaced, over every group then; the taps' groups were later dropped from
+# the digest, on the last netlist that compiled taps, whose digest over every
+# group still matched this record.  Equal groups give equal (seed, element
+# index) draws through the same array operations, hence bitwise equal
+# amplitudes.
 PINNED_GROUPS = {
     "psi1 ZX*XZ*YY": (
-        lambda: whole_tree("psi1", "ZX", "XZ", "YY").netlist, 1174, 123,
-        "61adbafc1f907ab92b8bc2e686e2e3e3e08a7b30ab418aac11723dc85c77afc8",
+        lambda: whole_tree("psi1", "ZX", "XZ", "YY").netlist, 1174, 119,
+        "b92aa1be06d6ea2932ad0014715559c1d7fa8e7567b2318fc668ace5d5c2d0ce",
     ),
     "ghz XII*IXI*IIX": (
-        mermin_tree, 7932, 527,
-        "f5443fb8635bfc91fca6abe127ce97a68c224241e1097d1d0ad6e357e66b6f65",
+        mermin_tree, 7932, 520,
+        "89445aff810c5d1d160f22795e2cda9600125182674d91f89d8d3391220a266c",
     ),
     "chsh ZI*IX": (
-        lambda: whole_tree("chsh", "ZI", "IX").netlist, 391, 60,
-        "79a922a2da11760b56fab7e1c63d0ed1ecc05e8ec3d91689273c16ae07acd313",
+        lambda: whole_tree("chsh", "ZI", "IX").netlist, 391, 55,
+        "ef1e1715f9edf2a75c3c9f19b9b5f97edb624e743c4ee20bcccac4741e27e0b4",
     ),
 }
 
@@ -976,7 +997,7 @@ def test_ensemble_values_match_per_fabrication_evaluation():
             seed = substream(substream(master, s), k)
             [dist] = whole_tree_distributions("chsh", labels, ENSEMBLE_NOISE, [seed])
             cors.append(correlator(dist, labels))
-        assert value == evaluate_inequality(CHSH, cors).value
+        assert value == InequalityReport(CHSH, cors).value
     assert len(set(values.tolist())) == 3
 
 

@@ -1,9 +1,40 @@
-"""The package's public surface."""
+"""The package's public surface, and imports that every module uses."""
+
+import ast
+from pathlib import Path
+
+import pytest
 
 import wavecorr
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_exported_name_resolves():
     assert len(set(wavecorr.__all__)) == len(wavecorr.__all__)
     missing = [name for name in wavecorr.__all__ if not hasattr(wavecorr, name)]
     assert missing == []
+
+
+def _unused_imports(path):
+    """Top-level imported names that the module never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    # an attribute chain such as np.array starts at the Name np
+    return sorted(imported - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)})
+
+
+MODULES = sorted(
+    p for p in [*(ROOT / "src" / "wavecorr").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    if p.name != "__init__.py"
+)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert _unused_imports(path) == []

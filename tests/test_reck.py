@@ -122,8 +122,6 @@ def test_roundtrip_property(n, seed):
 def test_plan_bounds_enforced():
     el = MeshElement(0, 1, 0.1, 0.2)
     with pytest.raises(ValueError):
-        MeshPlan(dim=2, elements=(el, el), output_phases=(0.0, 0.0))
+        MeshPlan(elements=(el, el), output_phases=(0.0, 0.0))
     with pytest.raises(ValueError):
-        MeshPlan(dim=2, elements=(), output_phases=(0.0,))
-    with pytest.raises(ValueError):
-        MeshPlan(dim=2, elements=(MeshElement(0, 3, 0.1, 0.0),), output_phases=(0.0, 0.0))
+        MeshPlan(elements=(MeshElement(0, 3, 0.1, 0.0),), output_phases=(0.0, 0.0))

