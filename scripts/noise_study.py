@@ -42,6 +42,11 @@ EXPERIMENTS = (
     (PERES_MERMIN, "psi1"),
 )
 
+# fabrication seeds per point: criterion 10 uses 100; at this cap one --audit
+# point (whose suites take seeds // 10 members) ran in ~26 s at a ~250 MB peak
+# on a 2-CPU host, and time and memory grow about linearly with the count
+MAX_SEEDS = 5_000
+
 
 def run_point(noise, args, label=""):
     print(f"noise{label}: imbalance {noise.splitter_imbalance_sigma:g}, "
@@ -86,6 +91,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.seeds < 2:
         ap.error("--seeds must be at least 2: the spread needs two fabrications")
+    if args.seeds > MAX_SEEDS:
+        ap.error(f"--seeds must be at most {MAX_SEEDS}")
 
     if args.sweep and not args.values:
         ap.error("--sweep needs --values")

@@ -34,9 +34,11 @@ in one call, its 2^(j-1) entering branches times its (state, fabrication)
 pairs side by side with the other sequences' on the member axis.  Each
 member's seeds are moved past the elements before its block in the whole
 tree, preparation first, so every group of d modes is bitwise that of the
-tree with the preparation built in.  Only the amplitudes are computed: the
-intensity lost to terminations and leakage is tallied when a caller asks
-for it.
+tree with the preparation built in.  Only the amplitudes are computed, and
+only by the live plan of each compiled netlist: the elements that can change
+an output port.  The intensity lost to terminations and leakage is tallied
+when a caller asks for it, and the full plan runs then, post-selected
+branches included.
 
 A compiled netlist keeps its wires in slots, one per wire live at a time
 (an element's output takes its input's slot), so a stage needs a slot per
@@ -49,6 +51,10 @@ kind are cut into runs of at most NOISE_SLAB (element, member) draws, and a
 run is drawn, and turned into splitter angles or phasors, in one pass when
 propagation reaches it.  Noise memory is then one slab per kind, however
 large the circuit, and every amplitude is bitwise that of a draw per group.
+Only the plan that runs draws: an element outside the live plan (fed only
+by ground ports, or behind a post-selection that feeds only terminations)
+draws nothing, and since every draw is keyed by (member seed, element
+index), the live elements draw what they would in the full plan.
 
 Meshes are laid down in columns that cover every mode of the bundle
 (identity phase segments pad the modes an element does not touch), so all
@@ -61,6 +67,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, islice, product, repeat
 from typing import Iterable, NamedTuple, Sequence
 
@@ -136,7 +143,7 @@ class CircuitElement(NamedTuple):
 class NoiseModel:
     """Per-element Gaussian imperfections plus uniform power leakage.
 
-    One normal draw per element per run, keyed by (seed, element index)
+    One normal draw per live element per run, keyed by (seed, element index)
     through a counter-based generator, so results do not depend on
     evaluation order and are reproducible bit for bit.  The seeds are not
     part of the model: every propagation takes one per member.
@@ -174,6 +181,7 @@ _KINDS = tuple(sorted(_ARITY))
 _KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
 _N_IN = np.array([_ARITY[kind][0] for kind in _KINDS], dtype=np.intp)
 _N_OUT = np.array([_ARITY[kind][1] for kind in _KINDS], dtype=np.intp)
+_IS_COUPLER = np.array([kind == UNEQUAL_COUPLER for kind in _KINDS])
 # per kind, whether output row k continues input row k (k = 0, 1)
 _CARRIES = np.array([[min(_ARITY[kind]) > k for k in range(2)] for kind in _KINDS])
 
@@ -215,6 +223,65 @@ def _wire_rows(wires: Iterable[int], arity: np.ndarray, order: np.ndarray) -> np
     return flat[np.stack((first, first + 1))[:, order]]
 
 
+def _cut_groups(
+    key: np.ndarray, elem_idx: np.ndarray, ins: np.ndarray, outs: np.ndarray, base: np.ndarray
+) -> list[_Group]:
+    """One group per run of equal (layer, kind) ``key`` among elements sorted by it.
+
+    ``elem_idx`` and ``base`` are columns and ``ins``, ``outs`` the (2, n)
+    slot rows of those elements; each group holds views of its rows.  Taps
+    get no group: a tap's output already sits in its input's slot.
+    """
+    if not key.size:
+        return []
+    cuts = (np.flatnonzero(np.diff(key)) + 1).tolist()
+    starts, stops = [0] + cuts, cuts + [key.size]
+    groups = []
+    for start, stop, code in zip(starts, stops, (key[starts] % len(_KINDS)).tolist()):
+        kind = _KINDS[code]
+        if kind == FANOUT_LABEL:
+            continue
+        n_in, n_out = _ARITY[kind]
+        rows = slice(start, stop)
+        groups.append(_Group(kind, elem_idx[rows], ins[:n_in, rows], outs[:n_out, rows], base[rows]))
+    return groups
+
+
+@dataclass(frozen=True)
+class _Compiled:
+    """A netlist's elements sorted by (layer, kind) ``key``; each plan is cut on first use.
+
+    ``elem_idx`` and ``base`` are columns and ``ins``, ``outs`` the (2, n)
+    slot rows of those elements; ``kept`` flags the live plan's elements.
+    """
+
+    key: np.ndarray
+    elem_idx: np.ndarray
+    ins: np.ndarray
+    outs: np.ndarray
+    base: np.ndarray
+    kept: np.ndarray
+
+    @cached_property
+    def full(self) -> list[_Group]:
+        return _cut_groups(self.key, self.elem_idx, self.ins, self.outs, self.base)
+
+    @cached_property
+    def live(self) -> list[_Group]:
+        k = self.kept
+        return _cut_groups(self.key[k], self.elem_idx[k], self.ins[:, k], self.outs[:, k], self.base[k])
+
+
+_NO_ELEMENTS = _Compiled(
+    key=np.zeros(0, dtype=np.intp),
+    elem_idx=np.zeros((0, 1), dtype=np.uint64),
+    ins=np.zeros((2, 0), dtype=np.intp),
+    outs=np.zeros((2, 0), dtype=np.intp),
+    base=np.zeros((0, 1)),
+    kept=np.zeros(0, dtype=bool),
+)
+
+
 class Netlist:
     """Mutable feed-forward circuit on integer wire ids; validate() before propagating.
 
@@ -231,7 +298,7 @@ class Netlist:
         self.output_ports: list[Wire] = []
         self.n_wires = 0
         self._names: dict[str, int] = {}
-        self._compiled: list[_Group] | None = None
+        self._compiled: _Compiled | None = None
         self._slots: _Slots | None = None  # set with _compiled
 
     # -- construction ------------------------------------------------
@@ -322,18 +389,28 @@ class Netlist:
         """Check single-driver/single-reader wiring and feed-forward order."""
         self._layers()
 
-    def _layers(self) -> list[int]:
-        """Validate, and give each element the earliest step at which its inputs are ready."""
+    def _layers(self) -> tuple[list[int], bytearray]:
+        """Validate; give each element the earliest step at which its inputs are ready.
+
+        Also flags, per element, whether it is lit: whether some input may
+        carry amplitude.  An input port may; a ground port carries zero in
+        every propagation, and so does every output of an unlit element.
+        """
         ready = [-1] * self.n_wires  # step at which each wire is ready; -1 while undriven
         for w in map(self.wire_id, self.input_ports + self.ground_ports):
             if ready[w] >= 0:
                 raise NetlistError(f"wire {self._describe(w)} driven more than once")
             ready[w] = 0
+        lit_wire = bytearray(self.n_wires)  # wires that may carry amplitude
+        for w in map(self.wire_id, self.input_ports):
+            lit_wire[w] = 1
         read = bytearray(self.n_wires)
         layers: list[int] = []
+        lit = bytearray(len(self.elements))
         append = layers.append
         for pos, (kind, ins, outs, _) in enumerate(self.elements):
             layer = 0
+            z = 0
             for w in ins:
                 r = ready[w]
                 if r < 0:
@@ -344,14 +421,17 @@ class Netlist:
                 if read[w]:
                     raise NetlistError(f"wire {self._describe(w)} read more than once")
                 read[w] = 1
+                z |= lit_wire[w]
                 if r > layer:
                     layer = r
             append(layer)
+            lit[pos] = z
             layer += 1
             for w in outs:
                 if ready[w] >= 0:
                     raise NetlistError(f"wire {self._describe(w)} driven more than once")
                 ready[w] = layer
+                lit_wire[w] = z
         outputs = [self.wire_id(w) for w in self.output_ports]
         if len(set(outputs)) != len(outputs):
             raise NetlistError("duplicate output port")
@@ -370,9 +450,29 @@ class Netlist:
                 if ready[w] >= 0 and not read[w] and w not in out_set
             ]
             raise NetlistError(f"dangling wires (driven, never read): {dangling}")
-        return layers
+        return layers, lit
 
-    def _compile(self) -> list[_Group]:
+    def _drop_unread(self, flags: bytearray, outputs: list[int]) -> None:
+        """Clear the flag of every element none of whose outputs can reach an output port.
+
+        Walking back from the output ports, a wire can when it is one or
+        when its reader has an output that can.
+        """
+        reach = bytearray(self.n_wires)
+        for w in outputs:
+            reach[w] = 1
+        pos = len(self.elements)
+        for _, ins, outs, _ in reversed(self.elements):
+            pos -= 1
+            for w in outs:
+                if reach[w]:
+                    for v in ins:
+                        reach[v] = 1
+                    break
+            else:
+                flags[pos] = 0
+
+    def _compile(self, live: bool = False) -> list[_Group]:
         """Same-kind groups in execution order, their wires mapped to slots.
 
         Groups run layer by layer, and within a layer in kind order.  A group
@@ -387,23 +487,40 @@ class Netlist:
         ports get the first slots, since a ground must read zero however late
         its reader runs; an output port's wire has no reader, so its slot is
         never freed.  ``_slots`` records the count and where the ports sit.
+
+        With ``live`` it gives the live plan instead: these groups, each cut
+        to the elements that can change an output port, and empty groups
+        dropped.  An unlit element, which reads only wires that carry zero
+        (see _layers), writes zeros into slots that already hold zeros; one
+        whose outputs reach only terminations writes slots that only such
+        elements read, so both may be skipped; a coupler never is, since its
+        second output may take a slot that still holds an absorbed wire's
+        amplitude.  Every kept element keeps its index, hence its draws.
+        The netlist compiles once; each plan is cut when first asked for.
         """
-        if self._compiled is not None:
-            return self._compiled
-        layer = np.array(self._layers(), dtype=np.intp)
+        if self._compiled is None:
+            self._compiled = self._sorted_columns()
+        return self._compiled.live if live else self._compiled.full
+
+    def _sorted_columns(self) -> _Compiled:
+        """The elements in group order with their slots, for _compile; sets ``_slots``."""
+        layers, live = self._layers()
+        layer = np.array(layers, dtype=np.intp)
+        outputs = [self.wire_id(w) for w in self.output_ports]
         ports = [self.wire_id(w) for w in self.input_ports + self.ground_ports]
         count = len(ports)
         # the slot of each chain's first wire; of every wire once mapped by head
         slot = np.zeros(self.n_wires, dtype=np.intp)
         slot[ports] = np.arange(count)
-        groups: list[_Group] = []
+        compiled = _NO_ELEMENTS
         if self.elements:
             kinds, ins, outs, bases = zip(*self.elements)
             kind = np.fromiter(map(_KIND_CODE.__getitem__, kinds), dtype=np.intp, count=len(kinds))
             # a stable sort keeps element order inside each (layer, kind) bucket
             key = layer * len(_KINDS) + kind
             order = np.argsort(key, kind="stable")
-            cuts = (np.flatnonzero(np.diff(key[order])) + 1).tolist()
+            key = key[order]
+            cuts = (np.flatnonzero(np.diff(key)) + 1).tolist()
             starts, stops = [0] + cuts, cuts + [len(kinds)]
             codes = kind[order[starts]].tolist()
 
@@ -438,26 +555,24 @@ class Netlist:
             slot = slot[head]
             ins, outs = slot[ins], slot[outs]
 
-            for start, stop, code in zip(starts, stops, codes):
-                if _KINDS[code] == FANOUT_LABEL:
-                    continue  # a tap's output already sits in its input's slot
-                n_in, n_out = _ARITY[_KINDS[code]]
-                groups.append(
-                    _Group(
-                        kind=_KINDS[code],
-                        elem_idx=elem_idx[start:stop],
-                        in_idx=ins[:n_in, start:stop],
-                        out_idx=outs[:n_out, start:stop],
-                        base=base[start:stop],
-                    )
-                )
+            # the live plan: lit elements with an output that can reach an
+            # output port, which every output can when no termination absorbs
+            # a wire (every other element has an output, and every wire is
+            # read or is an output port); every coupler is kept, since a
+            # skipped one would leave its second output's recycled slot
+            # holding an absorbed amplitude
+            if TERMINATION in kinds:
+                self._drop_unread(live, outputs)
+            for pos in np.flatnonzero(_IS_COUPLER[kind]).tolist():
+                live[pos] = 1
+            kept = np.frombuffer(live, dtype=bool)[order]
+            compiled = _Compiled(key, elem_idx, ins, outs, base, kept)
         self._slots = _Slots(
             count=count,
             inputs=slot[[self.wire_id(w) for w in self.input_ports]],
-            outputs=slot[[self.wire_id(w) for w in self.output_ports]],
+            outputs=slot[outputs],
         )
-        self._compiled = groups
-        return groups
+        return compiled
 
 
 # ------------------------------------------------------------- propagation
@@ -490,12 +605,18 @@ def propagate(
     scatters unitarily), and noise keeps the bookkeeping because imbalanced
     splitters are still unitary and leakage is counted as absorbed.
 
+    Only the netlist's live plan runs (Netlist._compile): elements that
+    cannot change an output port neither draw noise nor move amplitude, and
+    the outputs are bitwise those of the full plan.  With
+    ``return_absorbed`` the full plan runs, so the tally sees every
+    termination and every element's leakage.
+
     Wires live in the slots of Netlist._compile, so a pass's buffer has
     shape (slots, members).  A pass takes max(1, PASS_CELLS // slots)
     members, so the buffer stays near PASS_CELLS amplitudes however many
     members there are, and a small circuit takes many members per pass.
     """
-    groups = netlist._compile()
+    groups = netlist._compile(live=not return_absorbed)
     slots = netlist._slots
     member_seeds = _seed_array([0] if seeds is None else seeds)
     members = len(member_seeds)
@@ -604,11 +725,16 @@ def _noise_slabs(groups: list[_Group], kind: str, seeds: np.ndarray, sigma: floa
 
     A splitter group gets (cos, sin) of pi/4 + err, a phase group
     exp(1j * (base + err)), where err = sigma * counter_normals(seeds,
-    elem_idx) has shape (elements, members).  Groups are taken in runs of
-    at most NOISE_SLAB draws (a larger group is a run of its own); a run is
-    drawn in one call when its first group is asked for, and each group
-    gets a view of its rows.  Every step is elementwise, so a value does
-    not depend on which run its element falls in.
+    elem_idx) has shape (elements, members).  ``groups`` is the plan that
+    runs, so only its elements draw.  Groups are taken in runs of at most
+    NOISE_SLAB draws (a larger group is a run of its own); a run is drawn
+    in one call when its first group is asked for, and each group gets a
+    view of its rows.  Every step is elementwise, so a value does not
+    depend on which run its element falls in.
+
+    A phasor is written as the cos and sin of its angle into the real and
+    imaginary views of one complex buffer: bitwise what np.exp(1j * angle)
+    gives, which reads an angle of -0.0 as +0.0, at less cost.
     """
     runs: list[list[_Group]] = []
     size = 0
@@ -631,7 +757,11 @@ def _noise_slabs(groups: list[_Group], kind: str, seeds: np.ndarray, sigma: floa
             for r in rows:
                 yield c[r], s[r]
         else:
-            turn = np.exp(1j * (np.concatenate([g.base for g in run]) + err))
+            angle = np.concatenate([g.base for g in run]) + err
+            angle += 0.0  # -0.0 to +0.0, as exp(1j * angle) reads it
+            turn = np.empty(angle.shape, dtype=complex)
+            np.cos(angle, out=turn.real)
+            np.sin(angle, out=turn.imag)
             for r in rows:
                 yield turn[r]
 

@@ -9,6 +9,7 @@ count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 PROB_SUM_TOL = 1e-10
@@ -23,8 +24,14 @@ def check_outcome_string(s: str) -> str:
     return s
 
 
+# a correlator reads the signs of every outcome of every member's distribution,
+# and a run meets a few dozen distinct strings at most
+@lru_cache(maxsize=256)
 def outcome_signs(s: str) -> tuple[int, ...]:
-    """Map an outcome string to its +/-1 results, first measurement first."""
+    """Map an outcome string to its +/-1 results, first measurement first.
+
+    A malformed string raises on every call: the cache keeps only results.
+    """
     check_outcome_string(s)
     return tuple(1 if ch == "+" else -1 for ch in s)
 

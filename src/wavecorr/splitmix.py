@@ -26,6 +26,7 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK = 0xFFFFFFFFFFFFFFFF
 _SHIFT1, _SHIFT2, _SHIFT3 = np.uint64(30), np.uint64(27), np.uint64(31)
+_GOLDEN_INT, _MIX1_INT, _MIX2_INT = int(GOLDEN), int(_MIX1), int(_MIX2)
 _MANTISSA_SHIFT = np.uint64(11)
 # counter_uniform_run hashes a counter run in chunks of this length
 _RUN = 1 << 16
@@ -81,10 +82,15 @@ def _unit_into(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def substream(seed: int, label: int) -> int:
-    """Derive an independent child seed for the labeled stream."""
-    key = np.array([seed & _MASK], dtype=np.uint64)
-    lab = np.array([label & _MASK], dtype=np.uint64)
-    return int(mix64(key + (lab + np.uint64(1)) * GOLDEN)[0])
+    """Derive an independent child seed for the labeled stream.
+
+    mix64 of seed + (label + 1) * GOLDEN modulo 2^64, on Python ints: one
+    call hashes one word, which numpy would do through several 1-entry arrays.
+    """
+    z = (seed + (label + 1) * _GOLDEN_INT) & _MASK
+    z = ((z ^ (z >> 30)) * _MIX1_INT) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2_INT) & _MASK
+    return z ^ (z >> 31)
 
 
 def keyed_substream(seed: int, key: str) -> int:

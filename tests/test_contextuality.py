@@ -31,7 +31,7 @@ from wavecorr.contextuality import (
     inequality_requests,
     measure_inequality,
 )
-from wavecorr.outcomes import OutcomeDistribution
+from wavecorr.outcomes import OutcomeDistribution, outcome_signs
 from wavecorr.wavecore import (
     IncompatibleObservablesError,
     library_state_names,
@@ -77,6 +77,18 @@ def test_correlator_empirical_stderr():
     v = 0.5 + 0.3 - 0.2
     assert cor.value == pytest.approx(v)
     assert cor.stderr == pytest.approx(math.sqrt((1 - v * v) / 10_000))
+
+
+def test_outcome_signs_are_cached_and_malformed_strings_always_raise():
+    outcome_signs.cache_clear()
+    assert outcome_signs("+-+") == (1, -1, 1)
+    assert outcome_signs("+-+") is outcome_signs("+-+")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="malformed outcome string"):
+            outcome_signs("+x")
+    info = outcome_signs.cache_info()
+    assert (info.hits, info.currsize) == (2, 1)
+    assert info.maxsize is not None
 
 
 def test_correlator_label_mismatch_and_alphabet():

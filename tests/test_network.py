@@ -1,3 +1,4 @@
+import copy
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -8,7 +9,14 @@ import numpy as np
 import pytest
 
 import wavecorr.network as network
-from wavecorr.contextuality import CHSH, InequalityReport, correlator
+from wavecorr.contextuality import (
+    CHSH,
+    INEQUALITIES,
+    PAIR_SUITE,
+    TRIPLE_SUITE,
+    InequalityReport,
+    correlator,
+)
 from wavecorr.network import (
     BEAM_SPLITTER,
     FANOUT_LABEL,
@@ -17,6 +25,7 @@ from wavecorr.network import (
     NoiseModel,
     PHASE_SEGMENT,
     PropagationError,
+    UNEQUAL_COUPLER,
     add_mesh,
     add_state_prep,
     build_measurement_block,
@@ -1107,3 +1116,102 @@ def test_noise_is_drawn_once_per_slab(monkeypatch):
     # runs are cut greedily, so two runs in a row hold more than one slab's draws
     assert len(slabs) <= 2 + 2 * sum(noisy) * members / network.NOISE_SLAB < len(noisy) / 20
     assert max(slabs) * members <= max(network.NOISE_SLAB, max(noisy) * members)
+
+
+# ------------------------------------------------------------ live plan
+
+# every Pauli word that a shipped inequality or audit suite measures
+SHIPPED_LABELS = sorted(
+    {label for defn in INEQUALITIES.values() for seq in defn.sequences for label in seq}
+    | {label for suite in (PAIR_SUITE, TRIPLE_SUITE) for seq in suite.sequences for label in seq}
+)
+
+
+def live_indices(net):
+    return {i for g in net._compile(live=True) for i in g.elem_idx.ravel().tolist()}
+
+
+def noisy_indices(net):
+    return {i for i, el in enumerate(net.elements) if el.kind in (BEAM_SPLITTER, PHASE_SEGMENT)}
+
+
+def shipped_circuits():
+    """(name, netlist, drive) for the ghz prep and every shipped stage."""
+    rng = np.random.default_rng(5)
+    members = len(ENSEMBLE_SEEDS)
+    yield "ghz prep", prep_netlist("ghz"), np.ones((1, members), dtype=complex)
+    for label in SHIPPED_LABELS:
+        net = build_sequence_tree(pauli_observable(label))
+        shape = (len(net.input_ports), members)
+        yield f"{label} stage", net, rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def full_plan(net, drive):
+    # the absorbed tally runs every compiled group
+    return propagate(net, drive, ENSEMBLE_NOISE, ENSEMBLE_SEEDS, return_absorbed=True)[0]
+
+
+def test_live_plan_equals_full_plan():
+    for name, net, drive in shipped_circuits():
+        live = propagate(net, drive, ENSEMBLE_NOISE, ENSEMBLE_SEEDS)
+        assert live.tobytes() == full_plan(net, drive).tobytes(), name
+        assert live_indices(net) & noisy_indices(net) < noisy_indices(net), name
+
+
+def rebased(net, indices, base):
+    """A copy of ``net`` whose elements at ``indices`` have the given base."""
+    mutant = copy.copy(net)
+    mutant.elements = [
+        el._replace(base=base) if pos in indices else el for pos, el in enumerate(net.elements)
+    ]
+    mutant._compiled = None
+    return mutant
+
+
+@pytest.mark.parametrize("build", [
+    lambda: prep_netlist("ghz"),
+    lambda: build_sequence_tree(pauli_observable("XXX")),
+    lambda: build_sequence_tree(pauli_observable("ZX")),
+], ids=["ghz prep", "XXX stage", "ZX stage"])
+def test_elements_outside_the_live_plan_cannot_change_an_output(build):
+    net = build()
+    drive = np.ones((len(net.input_ports), len(ENSEMBLE_SEEDS)), dtype=complex)
+    reference = propagate(net, drive, ENSEMBLE_NOISE, ENSEMBLE_SEEDS).tobytes()
+    live = live_indices(net)
+    dead = set(range(len(net.elements))) - live
+    assert dead
+    # the full plan runs every element, so a dead one that could reach an
+    # output through a nonzero input would move it
+    assert full_plan(rebased(net, dead, 1.234), drive).tobytes() == reference
+    segments = [i for i in sorted(live) if net.elements[i].kind == PHASE_SEGMENT]
+    for i in (segments[0], segments[-1]):
+        mutant = rebased(net, {i}, net.elements[i].base + 0.5)
+        assert propagate(mutant, drive, ENSEMBLE_NOISE, ENSEMBLE_SEEDS).tobytes() != reference
+
+
+def test_live_plan_keeps_every_coupler():
+    # a coupler's second output may reuse a slot a termination freed, so one
+    # fed only by a ground must still write its zeros there
+    net = Netlist()
+    net.add_input("a")
+    g = net.add_ground()
+    net.termination("a")
+    net.unequal_coupler(g, "t1", "t2", 0.5)
+    for w in ("t1", "t2"):
+        net.add_output(w)
+    assert slot_count(net) == 2  # "t2" took the slot "a" left
+    out = propagate(net, np.full((1, 2), 3.0 + 1j), ENSEMBLE_NOISE, [1, 2])
+    assert not out.any()
+    assert live_indices(net) == {1}
+    assert [g.kind for g in net._compile(live=True)] == [UNEQUAL_COUPLER]
+
+
+def test_ghz_prep_draws_for_its_live_elements_only():
+    # 950 noisy elements see only ground ports (the seven beside the source
+    # and each block's routing grounds), and 520 more sit in the three
+    # post-selected -1 branches, which feed only terminations
+    net = prep_netlist("ghz")
+    noisy = noisy_indices(net)
+    _, lit = net._layers()
+    assert (len(noisy), sum(not lit[i] for i in noisy)) == (2124, 950)
+    assert len(live_indices(net) & noisy) == 654

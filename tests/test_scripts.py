@@ -17,6 +17,9 @@ import compatibility_audit  # noqa: E402
 import noise_study  # noqa: E402
 import reproduce_experiments  # noqa: E402
 
+import numpy as np  # noqa: E402
+
+import wavecorr.network as network  # noqa: E402
 from wavecorr.events import MAX_THRESHOLD_SAMPLES  # noqa: E402
 
 NOISE_STUDY_AUDIT = """\
@@ -101,12 +104,39 @@ def test_compatibility_audit_stdout_is_unchanged(capsys):
     assert capsys.readouterr().out == COMPATIBILITY_AUDIT
 
 
+def test_noise_study_point_draws_only_live_cells(monkeypatch, capsys):
+    # (element, member) normals of one 20-seed point; every element the
+    # circuits hold would be 635 560
+    drawn = []
+    real = network.counter_normals
+
+    def counting(seeds, indices):
+        drawn.append(np.size(seeds) * indices.size)
+        return real(seeds, indices)
+
+    monkeypatch.setattr(network, "counter_normals", counting)
+    argv = ["--seeds", "20", "--imbalance", "0.008", "--jitter", "0.012",
+            "--leakage", "0.001", "--seed", "37"]
+    assert noise_study.main(argv) == 0
+    capsys.readouterr()
+    assert sum(drawn) == 453_900
+
+
 @pytest.mark.parametrize("seeds", ["-3", "0", "1"])
 def test_noise_study_rejects_fewer_than_two_seeds(seeds, capsys):
     with pytest.raises(SystemExit) as exc:
         noise_study.main(["--seeds", seeds])
     assert exc.value.code == 2
     assert "--seeds" in capsys.readouterr().err
+
+
+def test_noise_study_caps_its_seeds(monkeypatch, capsys):
+    monkeypatch.setattr(noise_study, "run_point", None)  # no ensemble may run
+    with pytest.raises(SystemExit) as exc:
+        noise_study.main(["--seeds", str(noise_study.MAX_SEEDS + 1), "--audit"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"--seeds must be at most {noise_study.MAX_SEEDS}" in err
 
 
 @pytest.mark.parametrize(
@@ -128,6 +158,16 @@ def test_compatibility_audit_rejects_fewer_than_one_member(members, capsys):
         compatibility_audit.main(["--members", members, "--jitter", "0.05"])
     assert exc.value.code == 2
     assert "--members" in capsys.readouterr().err
+
+
+def test_compatibility_audit_caps_its_members(monkeypatch, capsys):
+    monkeypatch.setattr(compatibility_audit, "compatibility_suite", None)  # no audit may run
+    members = str(compatibility_audit.MAX_MEMBERS + 1)
+    with pytest.raises(SystemExit) as exc:
+        compatibility_audit.main(["--members", members, "--jitter", "0.05"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"--members must be at most {compatibility_audit.MAX_MEMBERS}" in err
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,18 @@
 """Counter-based streams: the in-place run draw against the array draw."""
 
+import random
+
 import numpy as np
 import pytest
 
 from wavecorr.splitmix import (
+    GOLDEN,
     _RUN,
     counter_uniform,
     counter_uniform_run,
     keyed_substream,
     mix64,
+    substream,
 )
 
 TOP = 2**64
@@ -45,6 +49,19 @@ def test_mix64_leaves_its_input_untouched():
     mixed = mix64(z)
     np.testing.assert_array_equal(z, before)
     assert not np.array_equal(mixed, before)
+
+
+def test_substream_matches_the_array_hash():
+    # substream hashes Python ints; mix64 over uint64 arrays is the reference,
+    # with both arguments taken modulo 2^64 (negative and >= 2^64 included)
+    rng = random.Random(11)
+    edges = [0, 1, -1, TOP - 1, TOP, -TOP, 2**70 + 3]
+    pairs = [(a, b) for a in edges for b in edges]
+    pairs += [(rng.randrange(-(2**70), 2**70), rng.randrange(-(2**70), 2**70)) for _ in range(2_000)]
+    for seed, label in pairs:
+        key = np.array([seed % TOP], dtype=np.uint64)
+        lab = np.array([label % TOP], dtype=np.uint64)
+        assert substream(seed, label) == int(mix64(key + (lab + np.uint64(1)) * GOLDEN)[0])
 
 
 def test_counter_uniform_broadcasts_seed_arrays():
