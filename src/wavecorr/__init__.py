@@ -47,7 +47,6 @@ from wavecorr.wavecore import (
     commute,
     luders_project,
     pauli_observable,
-    prepare_ghz_by_postselection,
     sequential_distribution,
     state_library,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "luders_project",
     "sequential_distribution",
     "state_library",
-    "prepare_ghz_by_postselection",
     "MeshPlan",
     "decompose",
     "recompose",

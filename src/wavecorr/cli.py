@@ -472,6 +472,7 @@ def scenario_from_dict(data: Mapping, path: str = "") -> Scenario:
             f"expected one of {', '.join(INEQUALITIES)}, custom; got {kind!r}",
         )
 
+    written, clean = defn, {}  # the labels as given, and their remapping
     if "observables" in data:
         renames = _expect_map(data["observables"], at("observables"))
         clean = {
@@ -484,10 +485,11 @@ def scenario_from_dict(data: Mapping, path: str = "") -> Scenario:
 
     # every measurement label must be a valid operator of the state's size;
     # the width is checked first, since a label of k letters builds a
-    # 2^k x 2^k matrix
+    # 2^k x 2^k matrix.  A bad label is reported where it was written: at
+    # its remapping, or else in the custom section (built-in labels are valid)
     width = state.dim.bit_length() - 1
-    for seq, _ in defn.terms:
-        for lab in seq:
+    for i, ((seq, _), (old_seq, _)) in enumerate(zip(defn.terms, written.terms)):
+        for j, (lab, old) in enumerate(zip(seq, old_seq)):
             if len(lab) != width:
                 raise ConfigError(
                     at("state"),
@@ -497,7 +499,8 @@ def scenario_from_dict(data: Mapping, path: str = "") -> Scenario:
             try:
                 pauli_observable(lab)
             except ValueError as exc:
-                raise ConfigError(at("observables"), f"label {lab!r}: {exc}") from None
+                where = f"observables.{old}" if old in clean else f"custom.terms[{i}].sequence[{j}]"
+                raise ConfigError(at(where), f"label {lab!r}: {exc}") from None
 
     pipeline = _expect_str(_require(data, "pipeline", path), at("pipeline"))
     if pipeline not in PIPELINES:

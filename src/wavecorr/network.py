@@ -36,9 +36,7 @@ member's seeds are moved past the elements before its block in the whole
 tree, preparation first, so every group of d modes is bitwise that of the
 tree with the preparation built in.  Only the amplitudes are computed, and
 only by the live plan of each compiled netlist: the elements that can change
-an output port.  The intensity lost to terminations and leakage is tallied
-when a caller asks for it, and the full plan runs then, post-selected
-branches included.
+an output port.
 
 A compiled netlist keeps its wires in slots, one per wire live at a time
 (an element's output takes its input's slot), so a stage needs a slot per
@@ -51,10 +49,10 @@ kind are cut into runs of at most NOISE_SLAB (element, member) draws, and a
 run is drawn, and turned into splitter angles or phasors, in one pass when
 propagation reaches it.  Noise memory is then one slab per kind, however
 large the circuit, and every amplitude is bitwise that of a draw per group.
-Only the plan that runs draws: an element outside the live plan (fed only
-by ground ports, or behind a post-selection that feeds only terminations)
-draws nothing, and since every draw is keyed by (member seed, element
-index), the live elements draw what they would in the full plan.
+Only the live plan draws: an element outside it (fed only by ground ports,
+or behind a post-selection that feeds only terminations) draws nothing, and
+since every draw is keyed by (member seed, element index), each live element
+draws what it would in a plan that ran every element.
 
 Meshes are laid down in columns that cover every mode of the bundle
 (identity phase segments pad the modes an element does not touch), so all
@@ -67,7 +65,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, islice, product, repeat
 from typing import Iterable, NamedTuple, Sequence
 
@@ -247,41 +244,6 @@ def _cut_groups(
     return groups
 
 
-@dataclass(frozen=True)
-class _Compiled:
-    """A netlist's elements sorted by (layer, kind) ``key``; each plan is cut on first use.
-
-    ``elem_idx`` and ``base`` are columns and ``ins``, ``outs`` the (2, n)
-    slot rows of those elements; ``kept`` flags the live plan's elements.
-    """
-
-    key: np.ndarray
-    elem_idx: np.ndarray
-    ins: np.ndarray
-    outs: np.ndarray
-    base: np.ndarray
-    kept: np.ndarray
-
-    @cached_property
-    def full(self) -> list[_Group]:
-        return _cut_groups(self.key, self.elem_idx, self.ins, self.outs, self.base)
-
-    @cached_property
-    def live(self) -> list[_Group]:
-        k = self.kept
-        return _cut_groups(self.key[k], self.elem_idx[k], self.ins[:, k], self.outs[:, k], self.base[k])
-
-
-_NO_ELEMENTS = _Compiled(
-    key=np.zeros(0, dtype=np.intp),
-    elem_idx=np.zeros((0, 1), dtype=np.uint64),
-    ins=np.zeros((2, 0), dtype=np.intp),
-    outs=np.zeros((2, 0), dtype=np.intp),
-    base=np.zeros((0, 1)),
-    kept=np.zeros(0, dtype=bool),
-)
-
-
 class Netlist:
     """Mutable feed-forward circuit on integer wire ids; validate() before propagating.
 
@@ -298,7 +260,7 @@ class Netlist:
         self.output_ports: list[Wire] = []
         self.n_wires = 0
         self._names: dict[str, int] = {}
-        self._compiled: _Compiled | None = None
+        self._compiled: list[_Group] | None = None
         self._slots: _Slots | None = None  # set with _compiled
 
     # -- construction ------------------------------------------------
@@ -472,8 +434,8 @@ class Netlist:
             else:
                 flags[pos] = 0
 
-    def _compile(self, live: bool = False) -> list[_Group]:
-        """Same-kind groups in execution order, their wires mapped to slots.
+    def _compile(self) -> list[_Group]:
+        """The live plan: same-kind groups in execution order, their wires mapped to slots.
 
         Groups run layer by layer, and within a layer in kind order.  A group
         reads (and copies) all of its inputs before it writes an output, so a
@@ -488,22 +450,22 @@ class Netlist:
         its reader runs; an output port's wire has no reader, so its slot is
         never freed.  ``_slots`` records the count and where the ports sit.
 
-        With ``live`` it gives the live plan instead: these groups, each cut
-        to the elements that can change an output port, and empty groups
-        dropped.  An unlit element, which reads only wires that carry zero
-        (see _layers), writes zeros into slots that already hold zeros; one
-        whose outputs reach only terminations writes slots that only such
-        elements read, so both may be skipped; a coupler never is, since its
-        second output may take a slot that still holds an absorbed wire's
-        amplitude.  Every kept element keeps its index, hence its draws.
-        The netlist compiles once; each plan is cut when first asked for.
+        Each group holds only the elements that can change an output port,
+        and a group left empty is dropped.  An unlit element, which reads
+        only wires that carry zero (see _layers), writes zeros into slots
+        that already hold zeros; one whose outputs reach only terminations
+        writes slots that only such elements read, so both may be skipped; a
+        coupler never is, since its second output may take a slot that still
+        holds an absorbed wire's amplitude.  Every kept element keeps its
+        index, hence its draws.  The netlist compiles once and keeps the
+        groups.
         """
         if self._compiled is None:
             self._compiled = self._sorted_columns()
-        return self._compiled.live if live else self._compiled.full
+        return self._compiled
 
-    def _sorted_columns(self) -> _Compiled:
-        """The elements in group order with their slots, for _compile; sets ``_slots``."""
+    def _sorted_columns(self) -> list[_Group]:
+        """The live groups with their slots, for _compile; sets ``_slots``."""
         layers, live = self._layers()
         layer = np.array(layers, dtype=np.intp)
         outputs = [self.wire_id(w) for w in self.output_ports]
@@ -512,7 +474,7 @@ class Netlist:
         # the slot of each chain's first wire; of every wire once mapped by head
         slot = np.zeros(self.n_wires, dtype=np.intp)
         slot[ports] = np.arange(count)
-        compiled = _NO_ELEMENTS
+        groups: list[_Group] = []
         if self.elements:
             kinds, ins, outs, bases = zip(*self.elements)
             kind = np.fromiter(map(_KIND_CODE.__getitem__, kinds), dtype=np.intp, count=len(kinds))
@@ -566,13 +528,13 @@ class Netlist:
             for pos in np.flatnonzero(_IS_COUPLER[kind]).tolist():
                 live[pos] = 1
             kept = np.frombuffer(live, dtype=bool)[order]
-            compiled = _Compiled(key, elem_idx, ins, outs, base, kept)
+            groups = _cut_groups(key[kept], elem_idx[kept], ins[:, kept], outs[:, kept], base[kept])
         self._slots = _Slots(
             count=count,
             inputs=slot[[self.wire_id(w) for w in self.input_ports]],
             outputs=slot[outputs],
         )
-        return compiled
+        return groups
 
 
 # ------------------------------------------------------------- propagation
@@ -583,9 +545,7 @@ def propagate(
     drive: np.ndarray,
     noise: NoiseModel | None = None,
     seeds: Sequence[int] | np.ndarray | None = None,
-    *,
-    return_absorbed: bool = False,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Push a batch of members through the netlist in feed-forward order.
 
     ``drive`` has shape (input ports, members): column m drives the input
@@ -599,24 +559,17 @@ def propagate(
     its element i then draws what the whole circuit's element n + i draws.
 
     Returns the amplitudes at the output ports, shape (output ports,
-    members).  With ``return_absorbed`` it also returns the intensity each
-    member lost to terminations and leakage; with zero noise the output
-    intensity plus that equals the input intensity to 1e-12 (each element
-    scatters unitarily), and noise keeps the bookkeeping because imbalanced
-    splitters are still unitary and leakage is counted as absorbed.
-
-    Only the netlist's live plan runs (Netlist._compile): elements that
-    cannot change an output port neither draw noise nor move amplitude, and
-    the outputs are bitwise those of the full plan.  With
-    ``return_absorbed`` the full plan runs, so the tally sees every
-    termination and every element's leakage.
+    members).  Only the netlist's live plan runs (Netlist._compile):
+    elements that cannot change an output port neither draw noise nor move
+    amplitude, and the outputs are bitwise those of a plan that ran every
+    element.
 
     Wires live in the slots of Netlist._compile, so a pass's buffer has
     shape (slots, members).  A pass takes max(1, PASS_CELLS // slots)
     members, so the buffer stays near PASS_CELLS amplitudes however many
     members there are, and a small circuit takes many members per pass.
     """
-    groups = netlist._compile(live=not return_absorbed)
+    groups = netlist._compile()
     slots = netlist._slots
     member_seeds = _seed_array([0] if seeds is None else seeds)
     members = len(member_seeds)
@@ -627,21 +580,14 @@ def propagate(
         )
 
     out = np.empty((len(slots.outputs), members), dtype=complex)
-    absorbed = np.zeros(members) if return_absorbed else None
     step = max(1, PASS_CELLS // max(slots.count, 1))
     for first in range(0, members, step):
         cols = slice(first, first + step)
         amps = np.zeros((slots.count, len(member_seeds[cols])), dtype=complex)
         amps[slots.inputs] = drive[:, cols]
-        _propagate_members(
-            groups,
-            amps,
-            noise,
-            member_seeds[cols],
-            None if absorbed is None else absorbed[cols],
-        )
+        _propagate_members(groups, amps, noise, member_seeds[cols])
         out[:, cols] = amps[slots.outputs]
-    return (out, absorbed) if return_absorbed else out
+    return out
 
 
 def _seed_array(seeds: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -656,24 +602,20 @@ def _propagate_members(
     amps: np.ndarray,
     noise: NoiseModel | None,
     seeds: np.ndarray,
-    absorbed: np.ndarray | None = None,
 ) -> None:
     """Run the compiled groups over ``amps``, shape (slots, members), in place.
 
     ``amps`` holds each input and ground slot's starting amplitude per
     member; afterwards the output ports' slots hold theirs.  Member m draws
-    element i's fabrication error with seed ``seeds[m]`` at index i.  Given
-    ``absorbed``, one entry per member, the intensity each member loses to
-    terminations and leakage is added to it; amplitudes do not depend on
-    whether it is.
+    element i's fabrication error with seed ``seeds[m]`` at index i.  A
+    termination moves no amplitude, so its group, which only a plan that
+    keeps every element holds, is passed over.
 
     Noisy splitter and phase values come a slab of groups at a time from
     _noise_slabs, drawn when the loop reaches the slab's first group: one
     slab per kind is held, whatever the circuit's size, and each value is
     bitwise what a draw for its group alone gives.
     """
-    tally = absorbed is not None
-
     quiet = noise is None or noise.is_quiet
     sigma_imb = 0.0 if noise is None else noise.splitter_imbalance_sigma
     sigma_jit = 0.0 if noise is None else noise.phase_jitter_sigma
@@ -682,14 +624,11 @@ def _propagate_members(
     imbalance = _noise_slabs(groups, BEAM_SPLITTER, seeds, sigma_imb) if sigma_imb > 0.0 else None
     jitter = _noise_slabs(groups, PHASE_SEGMENT, seeds, sigma_jit) if sigma_jit > 0.0 else None
 
-    # take(axis=0) and .sum() gather and reduce like [] and np.sum, with less
-    # per-call overhead on the many small groups of a tree; take copies, so a
-    # group may write an output into a slot its own inputs just left
+    # take(axis=0) gathers like [], with less per-call overhead on the many
+    # small groups of a tree; take copies, so a group may write an output
+    # into a slot its own inputs just left
     for g in groups:
-        if g.kind == TERMINATION:
-            if tally:
-                absorbed += (np.abs(amps.take(g.in_idx[0], axis=0)) ** 2).sum(axis=0)
-        elif g.kind == BEAM_SPLITTER:
+        if g.kind == BEAM_SPLITTER:
             u = amps.take(g.in_idx[0], axis=0)
             v = amps.take(g.in_idx[1], axis=0)
             if quiet:
@@ -699,25 +638,17 @@ def _propagate_members(
                 c, s = _BALANCED if imbalance is None else next(imbalance)
                 out_sum = c * u + s * v
                 out_diff = s * u - c * v
-            if tally:
-                absorbed += (leak * (np.abs(u) ** 2 + np.abs(v) ** 2)).sum(axis=0)
             amps[g.out_idx[0]] = out_sum * keep
             amps[g.out_idx[1]] = out_diff * keep
         elif g.kind == PHASE_SEGMENT:
             a = amps.take(g.in_idx[0], axis=0)
-            if tally:
-                absorbed += (leak * np.abs(a) ** 2).sum(axis=0)
             turn = np.exp(1j * g.base) if jitter is None else next(jitter)
             amps[g.out_idx[0]] = a * turn * keep
         elif g.kind == UNEQUAL_COUPLER:
             s_in = amps.take(g.in_idx[0], axis=0)
             norm = np.sqrt(1.0 + g.base**2)
-            if tally:
-                absorbed += (leak * np.abs(s_in) ** 2).sum(axis=0)
             amps[g.out_idx[0]] = s_in / norm * keep
             amps[g.out_idx[1]] = s_in * (g.base / norm) * keep
-        else:  # pragma: no cover - kinds are closed above
-            raise NetlistError(f"unhandled kind {g.kind!r}")
 
 
 def _noise_slabs(groups: list[_Group], kind: str, seeds: np.ndarray, sigma: float):
@@ -725,8 +656,8 @@ def _noise_slabs(groups: list[_Group], kind: str, seeds: np.ndarray, sigma: floa
 
     A splitter group gets (cos, sin) of pi/4 + err, a phase group
     exp(1j * (base + err)), where err = sigma * counter_normals(seeds,
-    elem_idx) has shape (elements, members).  ``groups`` is the plan that
-    runs, so only its elements draw.  Groups are taken in runs of at most
+    elem_idx) has shape (elements, members).  ``groups`` is the live plan,
+    so only its elements draw.  Groups are taken in runs of at most
     NOISE_SLAB draws (a larger group is a run of its own); a run is drawn
     in one call when its first group is asked for, and each group gets a
     view of its rows.  Every step is elementwise, so a value does not

@@ -342,26 +342,5 @@ def library_state_names() -> list[str]:
     return list(_library().keys())
 
 
+# the library's ghz state spans the common +1 eigenspace of these stabilizers
 GHZ_STABILIZER_SPECS = ("XZZ", "ZXZ", "ZZX")
-
-
-def prepare_ghz_by_postselection(state: WaveState) -> tuple[float, WaveState | None]:
-    """Keep the +1 branch of XZZ, ZXZ, ZZX in turn.
-
-    Returns the overall success probability and the renormalized surviving
-    state (None if the input has no overlap with the target).  Any normalized
-    three-factor input works; the survivor is always the ghz library state up
-    to a global phase because the three stabilizers single out a
-    one-dimensional common +1 eigenspace.
-    """
-    state.require_normalized()
-    if state.dim != 8:
-        raise ValueError("post-selected preparation needs a three-factor state")
-    current: WaveState | None = state
-    prob_total = 1.0
-    for spec in GHZ_STABILIZER_SPECS:
-        if current is None:
-            return 0.0, None
-        prob, current = luders_project(current, pauli_observable(spec), +1)
-        prob_total *= prob
-    return prob_total, current

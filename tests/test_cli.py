@@ -66,6 +66,15 @@ def test_minimal_scenario_parses():
         ({"base_pipeline": "ideal"}, "base_pipeline"),
         ({"events": {"model": "loaded_die"}}, "events"),
         ({"custom": {"terms": []}}, "custom"),
+        # a malformed label is reported where it was written
+        (
+            {
+                "inequality": "custom",
+                "custom": {"terms": [{"sequence": ["ZI"]}, {"sequence": ["IZ", "zi"]}]},
+            },
+            "custom.terms[1].sequence[1]",
+        ),
+        ({"observables": {"IX": "ix"}}, "observables.IX"),
     ],
 )
 def test_schema_violations_name_the_field(patch, path_fragment):

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import product
@@ -48,18 +49,17 @@ from wavecorr.wavecore import (
 
 SQRT2 = np.sqrt(2.0)
 
-# with zero noise, output intensity plus what terminations absorb equals the
-# input intensity to this tolerance: every element scatters unitarily
+# with zero noise, a circuit without terminations delivers its input intensity
+# to its output ports to this tolerance: every element scatters unitarily
 INTENSITY_CONSERVATION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class PortAmplitudes:
-    """One member's amplitudes at the output ports plus the energy bookkeeping."""
+    """One member's amplitudes at the output ports, and the intensity driven in."""
 
     amplitudes: dict  # keyed by the output ports as given
     input_intensity: float
-    absorbed_intensity: float
 
     @property
     def output_intensity(self):
@@ -70,7 +70,7 @@ class PortAmplitudes:
 
 
 def propagate_ports(net, drive, noise=None, seeds=None):
-    """propagate's batch form with the absorbed tally on, read out by port.
+    """propagate's batch form, read out by port.
 
     ``drive`` maps each input port's name to its amplitude, or is a WaveState
     matched to the ports by its mode labels; every member gets the same
@@ -80,17 +80,14 @@ def propagate_ports(net, drive, noise=None, seeds=None):
     values = dict(zip(drive.labels, drive.amplitudes)) if isinstance(drive, WaveState) else drive
     column = np.array([[values[w]] for w in net.input_ports], dtype=complex)
     members = 1 if seeds is None else len(seeds)
-    out, absorbed = propagate(
-        net, np.repeat(column, members, axis=1), noise, seeds, return_absorbed=True
-    )
+    out = propagate(net, np.repeat(column, members, axis=1), noise, seeds)
     input_intensity = float(np.sum(np.abs(column) ** 2))
     ports = [
         PortAmplitudes(
             amplitudes={w: complex(a) for w, a in zip(net.output_ports, amps)},
             input_intensity=input_intensity,
-            absorbed_intensity=float(lost),
         )
-        for amps, lost in zip(out.T, absorbed)
+        for amps in out.T
     ]
     return ports[0] if seeds is None else ports
 
@@ -141,9 +138,15 @@ def test_termination_absorbs():
     net = Netlist()
     net.add_input("a")
     net.termination("a")
-    pa = propagate_ports(net, {"a": 1.0})
-    assert pa.absorbed_intensity == pytest.approx(1.0)
-    assert pa.output_intensity == 0.0
+    assert propagate_ports(net, {"a": 1.0}).output_intensity == 0.0
+    # a terminated splitter output takes its half of the input away
+    net = Netlist()
+    net.add_input("u")
+    net.add_input("v")
+    net.beam_splitter("u", "v", "s", "d")
+    net.termination("d")
+    net.add_output("s")
+    assert propagate_ports(net, {"u": 1.0, "v": 0.0}).output_intensity == pytest.approx(0.5)
 
 
 # ------------------------------------------------------------ validation
@@ -333,7 +336,6 @@ def test_ghz_prep_postselects_an_eighth():
     ghz = state_library("ghz").amplitudes
     assert pa.output_intensity == pytest.approx(1.0 / 8.0, abs=1e-12)
     np.testing.assert_allclose(got, ghz / np.sqrt(8.0), atol=1e-9)
-    assert pa.absorbed_intensity == pytest.approx(7.0 / 8.0, abs=1e-12)
 
 
 def test_mesh_prep_arbitrary_state():
@@ -599,6 +601,24 @@ def slot_count(net):
     return net._slots.count
 
 
+def full_plan(net):
+    """A copy of ``net`` compiled to every element instead of its live plan.
+
+    The live plan keeps the lit elements (Netlist._layers) that
+    Netlist._drop_unread leaves flagged; with every element lit and none
+    dropped, it keeps them all, so the groups are the netlist's whole
+    schedule, terminations included.
+    """
+    full = copy.copy(net)
+    full._compiled = None
+    layers = Netlist._layers
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Netlist, "_layers", lambda n: (layers(n)[0], bytearray([1]) * len(n.elements)))
+        mp.setattr(Netlist, "_drop_unread", lambda n, flags, outputs: None)
+        full._compile()
+    return full
+
+
 # sha256 of the output amplitudes' bytes, recorded when every wire had a row
 # of its own in the propagation buffer
 PINNED_SLOT_NET = {
@@ -649,7 +669,7 @@ def test_taps_keep_their_slot_and_get_no_group(build):
     net = build()
     taps = {pos for pos, el in enumerate(net.elements) if el.kind == FANOUT_LABEL}
     assert taps
-    groups = net._compile()
+    groups = full_plan(net)._compile()
     assert FANOUT_LABEL not in {g.kind for g in groups}
     compiled = sorted(i for g in groups for i in g.elem_idx.ravel().tolist())
     assert compiled == sorted(set(range(len(net.elements))) - taps)
@@ -661,25 +681,44 @@ def test_taps_keep_their_slot_and_get_no_group(build):
 def test_zero_noise_conserves_intensity():
     tree = whole_tree("chsh", "ZI", "IZ")
     pa = propagate_ports(tree.netlist, {"prep.src": 1.0})
-    assert pa.output_intensity + pa.absorbed_intensity == pytest.approx(
-        pa.input_intensity, abs=1e-12
-    )
-    assert pa.absorbed_intensity == pytest.approx(0.0, abs=1e-12)
+    assert abs(pa.output_intensity - pa.input_intensity) <= INTENSITY_CONSERVATION_TOL
 
 
 def test_uniform_leakage_leaves_distribution_unchanged():
-    tree = whole_tree("psi7", "ZX", "XZ", "YY")
     request = [("psi7", ("ZX", "XZ", "YY"), None)]
     [[ideal]] = circuit_distributions(request)
     [[lossy]] = circuit_distributions(request, NoiseModel(leakage=0.05))
     for outcome in ideal.probs:
         assert lossy.prob(outcome) == pytest.approx(ideal.prob(outcome), abs=1e-9)
-    # but energy really is lost
-    pa = propagate_ports(tree.netlist, {"prep.src": 1.0}, NoiseModel(leakage=0.05))
-    assert pa.absorbed_intensity > 0.5
-    assert pa.output_intensity + pa.absorbed_intensity == pytest.approx(
-        pa.input_intensity, abs=1e-10
-    )
+
+
+def leakage_circuits():
+    """(name, netlist, one drive column): every shipped stage, four preps, a whole tree."""
+    rng = np.random.default_rng(9)
+    for label in SHIPPED_LABELS:
+        net = build_sequence_tree(pauli_observable(label))
+        shape = (len(net.input_ports), 1)
+        yield f"{label} stage", net, rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    source = np.ones((1, 1), dtype=complex)
+    for prep in ("singlet", "chsh", "ghz", "psi11"):
+        yield f"{prep} prep", prep_netlist(prep), source
+    yield "psi7 ZX*XZ*YY", whole_tree("psi7", "ZX", "XZ", "YY").netlist, source
+
+
+def test_uniform_leakage_scales_every_output_alike():
+    # every lit path crosses the same number D of elements, each keeping
+    # sqrt(1 - leak) of its amplitude, so every output that light reaches
+    # is the quiet one times (1 - leak)^(D / 2), one D per circuit
+    leak = 0.05
+    for name, net, drive in leakage_circuits():
+        quiet = propagate(net, drive)
+        lossy = propagate(net, drive, NoiseModel(leakage=leak))
+        lit = np.abs(quiet) > 1e-9
+        assert lit.any() and np.all(np.abs(lossy[~lit]) <= 1e-9), name
+        ratio = lossy[lit] / quiet[lit]
+        depth = round(2 * math.log(ratio[0].real) / math.log(1 - leak))
+        assert depth >= 1, name
+        np.testing.assert_allclose(ratio, (1 - leak) ** (depth / 2), rtol=1e-12, err_msg=name)
 
 
 def test_noisy_propagation_is_reproducible():
@@ -766,9 +805,10 @@ def compiled_groups_digest(net):
 # Recorded on the netlist with string-named wires that the integer-wire one
 # replaced, over every group then; the taps' groups were later dropped from
 # the digest, on the last netlist that compiled taps, whose digest over every
-# group still matched this record.  Equal groups give equal (seed, element
-# index) draws through the same array operations, hence bitwise equal
-# amplitudes.
+# group still matched this record.  The live plan drops elements, so the
+# digest is taken over full_plan's groups, every element but the taps.
+# Equal groups give equal (seed, element index) draws through the same array
+# operations, hence bitwise equal amplitudes.
 PINNED_GROUPS = {
     "psi1 ZX*XZ*YY": (
         lambda: whole_tree("psi1", "ZX", "XZ", "YY").netlist, 1174, 119,
@@ -788,7 +828,7 @@ PINNED_GROUPS = {
 @pytest.mark.parametrize("name", list(PINNED_GROUPS))
 def test_compiled_groups_are_pinned(name):
     build, n_elements, n_groups, digest = PINNED_GROUPS[name]
-    net = build()
+    net = full_plan(build())
     assert len(net.elements) == n_elements
     assert len(net._compile()) == n_groups
     assert compiled_groups_digest(net) == digest
@@ -808,17 +848,17 @@ def test_ensemble_members_match_single_member_calls():
         [single] = propagate_ports(net, SOURCE, ENSEMBLE_NOISE, [seed])
         assert member.amplitudes == single.amplitudes
         assert member.input_intensity == single.input_intensity
-        assert member.absorbed_intensity == pytest.approx(single.absorbed_intensity, abs=1e-12)
     assert batch[0].amplitudes != batch[1].amplitudes
 
 
 def test_ensemble_conserves_intensity_per_member_without_noise():
+    # the ghz post-selection keeps an eighth of the input, and the tree
+    # after it loses nothing
     net = mermin_tree()
     for noise in (None, NoiseModel()):
         for member in propagate_ports(net, SOURCE, noise, ENSEMBLE_SEEDS):
-            total = member.output_intensity + member.absorbed_intensity
-            assert abs(total - member.input_intensity) <= INTENSITY_CONSERVATION_TOL
-            assert member.absorbed_intensity > 0.5  # the GHZ post-selection
+            kept = member.output_intensity - member.input_intensity / 8
+            assert abs(kept) <= INTENSITY_CONSERVATION_TOL
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 32])
@@ -829,7 +869,6 @@ def test_ensemble_does_not_depend_on_member_chunking(chunk, monkeypatch):
     chunked = propagate_ports(net, SOURCE, ENSEMBLE_NOISE, ENSEMBLE_SEEDS)
     for a, b in zip(chunked, reference, strict=True):
         assert a.amplitudes == b.amplitudes
-        assert a.absorbed_intensity == pytest.approx(b.absorbed_intensity, abs=1e-12)
 
 
 def whole_tree_distributions(prep, labels, noise, seeds):
@@ -975,18 +1014,13 @@ def test_one_stage_pass_per_level_and_label(monkeypatch):
 
 
 def test_stage_conserves_intensity_without_noise():
-    # leaf intensity plus what the prep and the stage absorb is the input
+    # the leaves get all the intensity the prep delivers
     for prep, labels in PREPS.values():
-        net = Netlist()
-        for w in add_state_prep(net, prep):
-            net.add_output(w)
-        modes, prep_lost = propagate(
-            net, np.ones((1, 3), dtype=complex), None, [0, 1, 2], return_absorbed=True
-        )
+        modes = propagate(prep_netlist(prep), np.ones((1, 3), dtype=complex), None, [0, 1, 2])
         tree = whole_tree(None, *labels).netlist
-        leaves, stage_lost = propagate(tree, modes, None, [0, 1, 2], return_absorbed=True)
-        total = (np.abs(leaves) ** 2).sum(axis=0) + prep_lost + stage_lost
-        assert np.all(np.abs(total - 1.0) <= INTENSITY_CONSERVATION_TOL), prep
+        leaves = propagate(tree, modes, None, [0, 1, 2])
+        lost = (np.abs(modes) ** 2).sum(axis=0) - (np.abs(leaves) ** 2).sum(axis=0)
+        assert np.all(np.abs(lost) <= INTENSITY_CONSERVATION_TOL), prep
 
 
 def test_prep_width_must_match_the_sequence():
@@ -1128,7 +1162,7 @@ SHIPPED_LABELS = sorted(
 
 
 def live_indices(net):
-    return {i for g in net._compile(live=True) for i in g.elem_idx.ravel().tolist()}
+    return {i for g in net._compile() for i in g.elem_idx.ravel().tolist()}
 
 
 def noisy_indices(net):
@@ -1146,15 +1180,11 @@ def shipped_circuits():
         yield f"{label} stage", net, rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def full_plan(net, drive):
-    # the absorbed tally runs every compiled group
-    return propagate(net, drive, ENSEMBLE_NOISE, ENSEMBLE_SEEDS, return_absorbed=True)[0]
-
-
 def test_live_plan_equals_full_plan():
     for name, net, drive in shipped_circuits():
         live = propagate(net, drive, ENSEMBLE_NOISE, ENSEMBLE_SEEDS)
-        assert live.tobytes() == full_plan(net, drive).tobytes(), name
+        full = propagate(full_plan(net), drive, ENSEMBLE_NOISE, ENSEMBLE_SEEDS)
+        assert live.tobytes() == full.tobytes(), name
         assert live_indices(net) & noisy_indices(net) < noisy_indices(net), name
 
 
@@ -1182,7 +1212,8 @@ def test_elements_outside_the_live_plan_cannot_change_an_output(build):
     assert dead
     # the full plan runs every element, so a dead one that could reach an
     # output through a nonzero input would move it
-    assert full_plan(rebased(net, dead, 1.234), drive).tobytes() == reference
+    mutant = full_plan(rebased(net, dead, 1.234))
+    assert propagate(mutant, drive, ENSEMBLE_NOISE, ENSEMBLE_SEEDS).tobytes() == reference
     segments = [i for i in sorted(live) if net.elements[i].kind == PHASE_SEGMENT]
     for i in (segments[0], segments[-1]):
         mutant = rebased(net, {i}, net.elements[i].base + 0.5)
@@ -1203,7 +1234,7 @@ def test_live_plan_keeps_every_coupler():
     out = propagate(net, np.full((1, 2), 3.0 + 1j), ENSEMBLE_NOISE, [1, 2])
     assert not out.any()
     assert live_indices(net) == {1}
-    assert [g.kind for g in net._compile(live=True)] == [UNEQUAL_COUPLER]
+    assert [g.kind for g in net._compile()] == [UNEQUAL_COUPLER]
 
 
 def test_ghz_prep_draws_for_its_live_elements_only():

@@ -38,3 +38,31 @@ MODULES = sorted(
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+# top-level definitions that no src/ or scripts/ module reads, each kept as
+# the oracle that the named test compares the library against
+TEST_ORACLES = {
+    "reck.recompose": "tests/test_reck.py::test_roundtrip_on_seeded_unitaries",
+    "splitmix.mix64": "tests/test_splitmix.py::test_substream_matches_the_array_hash",
+    "wavecore.luders_project": "tests/test_network.py::test_block_branches_equal_luders_branches",
+}
+
+
+def _read_names(path):
+    """Every name the module reads, as a bare Name or as an attribute."""
+    nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    return {n.id for n in nodes if isinstance(n, ast.Name)} | {
+        n.attr for n in nodes if isinstance(n, ast.Attribute)
+    }
+
+
+def test_every_library_definition_is_read_outside_the_tests():
+    read = set().union(*map(_read_names, MODULES))
+    unread = [
+        f"{path.stem}.{node.name}"
+        for path in sorted((ROOT / "src" / "wavecorr").glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read
+    ]
+    assert sorted(unread) == sorted(TEST_ORACLES)

@@ -16,7 +16,6 @@ from wavecorr.wavecore import (
     luders_project,
     pauli_matrix,
     pauli_observable,
-    prepare_ghz_by_postselection,
     sequential_distribution,
     state_library,
 )
@@ -384,49 +383,3 @@ def test_bell_and_product_states_match_hand_written_vectors():
     np.testing.assert_allclose(
         state_library("psi10").amplitudes, [half, -half, half, half], atol=1e-15
     )
-
-
-# ---------------------------------------------------- ghz post-selection
-
-
-def test_ghz_postselection_from_all_zero():
-    prob, out = prepare_ghz_by_postselection(state_library("000"))
-    assert prob == pytest.approx(1.0 / 8.0, abs=1e-12)
-    ghz = state_library("ghz")
-    phase = out.amplitudes[np.argmax(np.abs(ghz.amplitudes))] / ghz.amplitudes[
-        np.argmax(np.abs(ghz.amplitudes))
-    ]
-    np.testing.assert_allclose(out.amplitudes, phase * ghz.amplitudes, atol=1e-12)
-    assert abs(abs(phase) - 1.0) < 1e-12
-
-
-def test_ghz_postselection_fixed_point():
-    prob, out = prepare_ghz_by_postselection(state_library("ghz"))
-    assert prob == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(out.amplitudes, state_library("ghz").amplitudes, atol=1e-12)
-
-
-def test_ghz_postselection_orthogonal_input():
-    # flip the sign structure: a -1 eigenstate of ZZX never survives
-    ghz = state_library("ghz")
-    flipped = pauli_matrix("IIZ") @ ghz.amplitudes
-    minus = WaveState(ghz.labels, flipped)
-    overlap = abs(np.vdot(ghz.amplitudes, minus.amplitudes))
-    assert overlap < 1e-12
-    prob, out = prepare_ghz_by_postselection(minus)
-    assert prob == pytest.approx(0.0, abs=1e-12)
-    assert out is None
-
-
-def test_ghz_postselection_random_inputs_land_on_ghz():
-    rng = np.random.default_rng(11)
-    ghz = state_library("ghz")
-    for _ in range(5):
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        psi = WaveState(binary_labels(3), amps / np.linalg.norm(amps))
-        prob, out = prepare_ghz_by_postselection(psi)
-        expected = abs(np.vdot(ghz.amplitudes, psi.amplitudes)) ** 2
-        assert prob == pytest.approx(expected, abs=1e-10)
-        if out is not None:
-            overlap = abs(np.vdot(ghz.amplitudes, out.amplitudes))
-            assert overlap == pytest.approx(1.0, abs=1e-10)
