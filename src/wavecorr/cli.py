@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import copy
 import csv
 import io
 import itertools
@@ -779,7 +780,7 @@ def sweep_rows(file_path: str, seed: int | None = None) -> list[list[str]]:
     # every grid point is parsed before any runs, so a bad one is reported at once
     points: list[tuple[Scenario, str]] = []
     for combo in itertools.product(*(vals for _, vals in axes)):
-        point = _deep_copy(data)
+        point = copy.deepcopy(data)
         for (key, _), value in zip(axes, combo):
             _set_dotted(point, key, value)
         scenario = scenario_from_dict(point)
@@ -797,14 +798,6 @@ def _plain(value) -> str:
     if isinstance(value, float):
         return "{:g}".format(value)
     return str(value)
-
-
-def _deep_copy(node):
-    if isinstance(node, Mapping):
-        return {k: _deep_copy(v) for k, v in node.items()}
-    if isinstance(node, list):
-        return [_deep_copy(v) for v in node]
-    return node
 
 
 def _set_dotted(data: dict, dotted: str, value) -> None:

@@ -1,12 +1,10 @@
 """Feed-forward circuits of splitters, phase segments and couplers.
 
-A netlist is a DAG on wires with integer ids: every wire has exactly one
-driver (an element output or an external port) and exactly one reader (an
-element input or an external output port).  Only ports carry names (the
-input, ground and output ports map to ids through one table); the wires
-inside generated meshes and stages are anonymous ids.  Propagation pushes
-complex amplitudes from the input ports to the output ports, whose
-intensities give joint outcome probabilities.
+A netlist is a DAG on integer wires, each an id from Netlist.fresh():
+every wire has exactly one driver (an element output or an external port)
+and exactly one reader (an element input or an external output port).
+Propagation pushes complex amplitudes from the input ports to the output
+ports, whose intensities give joint outcome probabilities.
 
 Element behaviour (ideal):
 
@@ -38,11 +36,11 @@ tree with the preparation built in.  Only the amplitudes are computed, and
 only by the live plan of each compiled netlist: the elements that can change
 an output port.
 
-A compiled netlist keeps its wires in slots, one per wire live at a time
-(an element's output takes its input's slot), so a stage needs a slot per
-input and ground port, not a row per wire.  A pass holds about PASS_CELLS
-(slot, member) amplitudes, so a small stage takes many members at once and
-a large one few.
+A compiled netlist keeps its wires in slots: an element's output takes its
+input's slot, and a coupler's second output opens a slot, so a circuit
+needs a slot per input and ground port and per coupler, not a row per
+wire.  A pass holds about PASS_CELLS (slot, member) amplitudes, so a small
+stage takes many members at once and a large one few.
 
 Fabrication noise is drawn in slabs, not per group: the noisy groups of one
 kind are cut into runs of at most NOISE_SLAB (element, member) draws, and a
@@ -84,11 +82,11 @@ from wavecorr.wavecore import (
 
 # (slot, member) amplitudes per propagation pass, which takes
 # max(1, PASS_CELLS // slots) members, so a pass's buffer stays within 1 MiB
-# and each group temporary within that (a group's elements each free a live
-# slot) however many members a call brings.  The shipped stages need 8 or 16
-# slots and the ghz preparation 32, so every call of the noisy audit scenario
-# or of a 20-member noise study (at most 2 560 cells) runs as one pass; the
-# bound binds on large ensembles only
+# and each group temporary within that (a group's elements each read a slot
+# of their own) however many members a call brings.  The shipped stages need
+# 8 or 16 slots and the ghz preparation 32, so every call of the noisy audit
+# scenario or of a 20-member noise study (at most 2 560 cells) runs as one
+# pass; the bound binds on large ensembles only
 PASS_CELLS = 1 << 16
 
 # (element, member) fabrication draws per noise slab, see _noise_slabs; at
@@ -170,15 +168,11 @@ class NoiseModel:
 
 # ----------------------------------------------------------------- netlist
 
-# a wire is an id from Netlist.fresh() or a name, mapped to an id on first use
-Wire = int | str
-
 # kinds in name order: a group's position among its layer's groups follows it
 _KINDS = tuple(sorted(_ARITY))
 _KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
 _N_IN = np.array([_ARITY[kind][0] for kind in _KINDS], dtype=np.intp)
 _N_OUT = np.array([_ARITY[kind][1] for kind in _KINDS], dtype=np.intp)
-_IS_COUPLER = np.array([kind == UNEQUAL_COUPLER for kind in _KINDS])
 # per kind, whether output row k continues input row k (k = 0, 1)
 _CARRIES = np.array([[min(_ARITY[kind]) > k for k in range(2)] for kind in _KINDS])
 
@@ -245,64 +239,54 @@ def _cut_groups(
 
 
 class Netlist:
-    """Mutable feed-forward circuit on integer wire ids; validate() before propagating.
+    """Mutable feed-forward circuit on integer wires; it checks its wiring as it compiles.
 
-    Generated circuits take anonymous wires from fresh().  A wire given by
-    name (a port, or any wire of a hand-built net) maps to its id through
-    one name table.  Every element sees the noise model alone: its draw is
-    keyed by the element's index, and the leakage is the model's.
+    Every wire is an id from fresh().  Every element sees the noise model
+    alone: its draw is keyed by the element's index, and the leakage is the
+    model's.
     """
 
     def __init__(self) -> None:
         self.elements: list[CircuitElement] = []
-        self.input_ports: list[Wire] = []
-        self.ground_ports: list[Wire] = []
-        self.output_ports: list[Wire] = []
+        self.input_ports: list[int] = []
+        self.ground_ports: list[int] = []
+        self.output_ports: list[int] = []
         self.n_wires = 0
-        self._names: dict[str, int] = {}
         self._compiled: list[_Group] | None = None
         self._slots: _Slots | None = None  # set with _compiled
 
     # -- construction ------------------------------------------------
 
     def fresh(self, count: int = 1) -> int:
-        """A new anonymous wire; with ``count``, the first of that many in a row."""
+        """A new wire; with ``count``, the first of that many in a row."""
         self._compiled = None
         self.n_wires += count
         return self.n_wires - count
 
-    def wire_id(self, wire: Wire) -> int:
-        """The id of a wire; a name not seen before gets a fresh id."""
-        if isinstance(wire, str):
-            wid = self._names.get(wire)
-            if wid is None:
-                wid = self._names[wire] = self.fresh()
-            return wid
+    def wire_id(self, wire: int) -> int:
+        """``wire``, checked to be an id that fresh() gave."""
         if not 0 <= wire < self.n_wires:
             raise NetlistError(f"unknown wire id {wire}")
         return wire
 
-    def add_input(self, wire: Wire) -> int:
+    def add_input(self, wire: int) -> int:
         self._compiled = None
-        self.input_ports.append(wire)
-        return self.wire_id(wire)
-
-    def add_ground(self, wire: Wire | None = None) -> int:
-        """A port held at zero amplitude; anonymous unless named."""
-        if wire is None:
-            wire = self.fresh()
-        self._compiled = None
-        self.ground_ports.append(wire)
-        return self.wire_id(wire)
-
-    def add_output(self, wire: Wire) -> Wire:
-        """Read a wire out; propagate() gives the output ports' rows in the order added."""
-        self._compiled = None
-        self.wire_id(wire)
-        self.output_ports.append(wire)
+        self.input_ports.append(self.wire_id(wire))
         return wire
 
-    def add(self, kind: str, ins: Sequence[Wire], outs: Sequence[Wire], base: float = 0.0) -> None:
+    def add_ground(self) -> int:
+        """A fresh wire, held at zero amplitude as a port."""
+        wire = self.fresh()
+        self.ground_ports.append(wire)
+        return wire
+
+    def add_output(self, wire: int) -> int:
+        """Read a wire out; propagate() gives the output ports' rows in the order added."""
+        self._compiled = None
+        self.output_ports.append(self.wire_id(wire))
+        return wire
+
+    def add(self, kind: str, ins: Sequence[int], outs: Sequence[int], base: float = 0.0) -> None:
         """Append one element; its index in ``elements`` keys its noise draw."""
         if kind not in _ARITY:
             raise NetlistError(f"unknown element kind {kind!r}")
@@ -312,6 +296,8 @@ class Netlist:
                 f"{kind} takes {n_in} input(s) and {n_out} output(s), "
                 f"got {len(ins)} and {len(outs)}"
             )
+        if kind == UNEQUAL_COUPLER and base < 0:
+            raise NetlistError("coupler ratio must be nonnegative")
         self._compiled = None
         self.elements.append(
             CircuitElement(
@@ -322,34 +308,7 @@ class Netlist:
             )
         )
 
-    def beam_splitter(self, u: Wire, v: Wire, out_sum: Wire, out_diff: Wire) -> None:
-        self.add(BEAM_SPLITTER, (u, v), (out_sum, out_diff))
-
-    def phase_segment(self, a: Wire, b: Wire, phase: float) -> None:
-        self.add(PHASE_SEGMENT, (a,), (b,), phase)
-
-    def unequal_coupler(self, s: Wire, t1: Wire, t2: Wire, ratio: float) -> None:
-        if ratio < 0:
-            raise NetlistError("coupler ratio must be nonnegative")
-        self.add(UNEQUAL_COUPLER, (s,), (t1, t2), ratio)
-
-    def termination(self, a: Wire) -> None:
-        self.add(TERMINATION, (a,), ())
-
-    def fanout_label(self, a: Wire, b: Wire) -> None:
-        self.add(FANOUT_LABEL, (a,), (b,))
-
-    def _describe(self, wid: int) -> str:
-        for name, i in self._names.items():
-            if i == wid:
-                return repr(name)
-        return f"#{wid}"
-
     # -- validation and compilation -----------------------------------
-
-    def validate(self) -> None:
-        """Check single-driver/single-reader wiring and feed-forward order."""
-        self._layers()
 
     def _layers(self) -> tuple[list[int], bytearray]:
         """Validate; give each element the earliest step at which its inputs are ready.
@@ -359,12 +318,12 @@ class Netlist:
         every propagation, and so does every output of an unlit element.
         """
         ready = [-1] * self.n_wires  # step at which each wire is ready; -1 while undriven
-        for w in map(self.wire_id, self.input_ports + self.ground_ports):
+        for w in self.input_ports + self.ground_ports:
             if ready[w] >= 0:
-                raise NetlistError(f"wire {self._describe(w)} driven more than once")
+                raise NetlistError(f"wire #{w} driven more than once")
             ready[w] = 0
         lit_wire = bytearray(self.n_wires)  # wires that may carry amplitude
-        for w in map(self.wire_id, self.input_ports):
+        for w in self.input_ports:
             lit_wire[w] = 1
         read = bytearray(self.n_wires)
         layers: list[int] = []
@@ -377,11 +336,11 @@ class Netlist:
                 r = ready[w]
                 if r < 0:
                     raise NetlistError(
-                        f"element {pos} ({kind}) reads undriven wire {self._describe(w)}; "
+                        f"element {pos} ({kind}) reads undriven wire #{w}; "
                         "elements must appear in feed-forward order"
                     )
                 if read[w]:
-                    raise NetlistError(f"wire {self._describe(w)} read more than once")
+                    raise NetlistError(f"wire #{w} read more than once")
                 read[w] = 1
                 z |= lit_wire[w]
                 if r > layer:
@@ -391,23 +350,23 @@ class Netlist:
             layer += 1
             for w in outs:
                 if ready[w] >= 0:
-                    raise NetlistError(f"wire {self._describe(w)} driven more than once")
+                    raise NetlistError(f"wire #{w} driven more than once")
                 ready[w] = layer
                 lit_wire[w] = z
-        outputs = [self.wire_id(w) for w in self.output_ports]
+        outputs = self.output_ports
         if len(set(outputs)) != len(outputs):
             raise NetlistError("duplicate output port")
         for w in outputs:
             if ready[w] < 0:
-                raise NetlistError(f"output port {self._describe(w)} is not driven")
+                raise NetlistError(f"output port #{w} is not driven")
             if read[w]:
-                raise NetlistError(f"output port {self._describe(w)} is also read by an element")
+                raise NetlistError(f"output port #{w} is also read by an element")
         # every read wire and every output is driven, and none is both, so
         # some driven wire is left dangling exactly when the counts differ
         if self.n_wires - ready.count(-1) != read.count(1) + len(outputs):
             out_set = set(outputs)
             dangling = [
-                self._describe(w)
+                f"#{w}"
                 for w in range(self.n_wires)
                 if ready[w] >= 0 and not read[w] and w not in out_set
             ]
@@ -438,38 +397,30 @@ class Netlist:
         """The live plan: same-kind groups in execution order, their wires mapped to slots.
 
         Groups run layer by layer, and within a layer in kind order.  A group
-        reads (and copies) all of its inputs before it writes an output, so a
-        wire's slot is free once its reader's group runs, and that group's
-        own outputs may take it: each output takes the slot of the input in
-        its own row (a splitter's, a phase segment's or a tap's, a coupler's
-        first), and a coupler's second output reuses the slot of a wire that
-        a termination absorbed before a new slot opens.  A tap thus moves no
-        amplitude and gets no group, though it keeps its element index.  The
-        slot count is then the most wires live at once.  Input and ground
-        ports get the first slots, since a ground must read zero however late
-        its reader runs; an output port's wire has no reader, so its slot is
-        never freed.  ``_slots`` records the count and where the ports sit.
+        reads (and copies) all of its inputs before it writes an output, so
+        each output takes the slot of the input in its own row (a
+        splitter's, a phase segment's or a tap's, a coupler's first), and a
+        coupler's second output opens a slot.  A tap thus moves no amplitude
+        and gets no group, though it keeps its element index.  Input and
+        ground ports get the first slots and the couplers' second outputs
+        the next, in group order; every slot starts at zero, so a ground
+        reads zero however late its reader runs.  ``_slots`` records the
+        count and where the ports sit.
 
         Each group holds only the elements that can change an output port,
         and a group left empty is dropped.  An unlit element, which reads
         only wires that carry zero (see _layers), writes zeros into slots
         that already hold zeros; one whose outputs reach only terminations
-        writes slots that only such elements read, so both may be skipped; a
-        coupler never is, since its second output may take a slot that still
-        holds an absorbed wire's amplitude.  Every kept element keeps its
-        index, hence its draws.  The netlist compiles once and keeps the
+        writes slots that only such elements read, so both may be skipped.
+        Every kept element keeps its index, hence its draws.  The netlist
+        compiles once, checking its wiring (NetlistError), and keeps the
         groups.
         """
-        if self._compiled is None:
-            self._compiled = self._sorted_columns()
-        return self._compiled
-
-    def _sorted_columns(self) -> list[_Group]:
-        """The live groups with their slots, for _compile; sets ``_slots``."""
+        if self._compiled is not None:
+            return self._compiled
         layers, live = self._layers()
-        layer = np.array(layers, dtype=np.intp)
-        outputs = [self.wire_id(w) for w in self.output_ports]
-        ports = [self.wire_id(w) for w in self.input_ports + self.ground_ports]
+        outputs = self.output_ports
+        ports = self.input_ports + self.ground_ports
         count = len(ports)
         # the slot of each chain's first wire; of every wire once mapped by head
         slot = np.zeros(self.n_wires, dtype=np.intp)
@@ -479,12 +430,9 @@ class Netlist:
             kinds, ins, outs, bases = zip(*self.elements)
             kind = np.fromiter(map(_KIND_CODE.__getitem__, kinds), dtype=np.intp, count=len(kinds))
             # a stable sort keeps element order inside each (layer, kind) bucket
-            key = layer * len(_KINDS) + kind
+            key = np.array(layers, dtype=np.intp) * len(_KINDS) + kind
             order = np.argsort(key, kind="stable")
             key = key[order]
-            cuts = (np.flatnonzero(np.diff(key)) + 1).tolist()
-            starts, stops = [0] + cuts, cuts + [len(kinds)]
-            codes = kind[order[starts]].tolist()
 
             elem_idx = order.astype(np.uint64).reshape(-1, 1)
             base = np.array(bases)[order].reshape(-1, 1)
@@ -495,45 +443,30 @@ class Netlist:
             # input's chain and takes its slot; pointer jumping takes every
             # wire to its chain's first wire, a port or a coupler's second
             # output (a chain is shorter than 2^bit_length(wires))
-            carries = _CARRIES[kind[order]]
+            kind = kind[order]
+            carries = _CARRIES[kind]
             head = np.arange(self.n_wires)
             for k in range(2):
                 head[outs[k, carries[:, k]]] = ins[k, carries[:, k]]
             for _ in range(self.n_wires.bit_length()):
                 head = head[head]
-            # in group order, a termination frees its chain's slot and a
-            # coupler's second output takes the last slot freed, or a new one
-            free: list[int] = []
-            for start, stop, code in zip(starts, stops, codes):
-                if _KINDS[code] == TERMINATION:
-                    free += slot[head[ins[0, start:stop]]].tolist()
-                elif _KINDS[code] == UNEQUAL_COUPLER:
-                    for w in outs[1, start:stop].tolist():
-                        if free:
-                            slot[w] = free.pop()
-                        else:
-                            slot[w] = count
-                            count += 1
+            # each coupler's second output opens the next slot, in group order
+            opened = outs[1, kind == _KIND_CODE[UNEQUAL_COUPLER]]
+            slot[opened] = np.arange(count, count + opened.size)
+            count += opened.size
             slot = slot[head]
             ins, outs = slot[ins], slot[outs]
 
             # the live plan: lit elements with an output that can reach an
             # output port, which every output can when no termination absorbs
             # a wire (every other element has an output, and every wire is
-            # read or is an output port); every coupler is kept, since a
-            # skipped one would leave its second output's recycled slot
-            # holding an absorbed amplitude
+            # read or is an output port)
             if TERMINATION in kinds:
                 self._drop_unread(live, outputs)
-            for pos in np.flatnonzero(_IS_COUPLER[kind]).tolist():
-                live[pos] = 1
             kept = np.frombuffer(live, dtype=bool)[order]
             groups = _cut_groups(key[kept], elem_idx[kept], ins[:, kept], outs[:, kept], base[kept])
-        self._slots = _Slots(
-            count=count,
-            inputs=slot[[self.wire_id(w) for w in self.input_ports]],
-            outputs=slot[outputs],
-        )
+        self._slots = _Slots(count=count, inputs=slot[self.input_ports], outputs=slot[outputs])
+        self._compiled = groups
         return groups
 
 
@@ -739,7 +672,7 @@ def _splitter_column(net: Netlist, wires: Sequence[int], p: int, q: int) -> list
     return out
 
 
-def add_mesh(net: Netlist, plan: MeshPlan, in_wires: Sequence[Wire]) -> list[int]:
+def add_mesh(net: Netlist, plan: MeshPlan, in_wires: Sequence[int]) -> list[int]:
     """Realize a MeshPlan with splitters and phase segments.
 
     Each mesh element (p, q, th, phi) becomes five full-width columns
@@ -753,7 +686,7 @@ def add_mesh(net: Netlist, plan: MeshPlan, in_wires: Sequence[Wire]) -> list[int
     which reproduces the element matrix exactly, overall phase included.
     The plan's output phases form one final column.  Every mode crosses
     exactly one element per column, keeping leakage uniform across paths.
-    Returns the output wires, anonymous, in mode order.
+    Returns the output wires, fresh ones, in mode order.
     """
     if len(in_wires) != plan.dim:
         raise NetlistError(f"mesh of dimension {plan.dim} fed with {len(in_wires)} wires")
@@ -779,7 +712,7 @@ def add_mesh(net: Netlist, plan: MeshPlan, in_wires: Sequence[Wire]) -> list[int
 
 
 def build_measurement_block(
-    net: Netlist, obs: DichotomicObservable, in_wires: Sequence[Wire]
+    net: Netlist, obs: DichotomicObservable, in_wires: Sequence[int]
 ) -> tuple[list[int], list[int]]:
     """Append one measurement stage; returns (upper, lower) branch wires.
 
@@ -798,7 +731,7 @@ def build_measurement_block(
     upper_in, lower_in = [], []
     for i, w in enumerate(eigen):
         tap = net.fresh()
-        net.fanout_label(w, tap)
+        net.add(FANOUT_LABEL, (w,), (tap,))
         if i in plus:
             upper_in.append(tap)
             lower_in.append(net.add_ground())
@@ -836,30 +769,30 @@ def add_state_prep(net: Netlist, prep: str | WaveState) -> list[int]:
     singlet, an unequal coupler feeding two splitters for the tilted CHSH
     state, a post-selecting stabilizer cascade for the ghz state); any other
     name or explicit state is synthesized as a mesh whose first column is
-    the target vector.  The source port is named "prep.src"; the returned
-    mode wires are anonymous.
+    the target vector.  The source is the one input port, a fresh wire (wire
+    0 of an empty netlist); the mode wires are returned in basis order.
     """
-    src = net.add_input("prep.src")
+    src = net.add_input(net.fresh())
     if isinstance(prep, str) and prep == "singlet":
         total, diff = net.fresh(), net.fresh()
-        net.beam_splitter(net.add_ground(), src, total, diff)
+        net.add(BEAM_SPLITTER, (net.add_ground(), src), (total, diff))
         # (u, v) = (0, 1) gives (sum, diff) = (1, -1)/sqrt(2): modes 10 and 01
         return [net.add_ground(), diff, total, net.add_ground()]
     if isinstance(prep, str) and prep == "chsh":
         r = math.sqrt(2.0) - 1.0
         t1, t2 = net.fresh(), net.fresh()
-        net.unequal_coupler(src, t1, t2, r)
+        net.add(UNEQUAL_COUPLER, (src,), (t1, t2), r)
         a00, a11 = net.fresh(), net.fresh()
-        net.beam_splitter(net.add_ground(), t1, a00, a11)
+        net.add(BEAM_SPLITTER, (net.add_ground(), t1), (a00, a11))
         a01, a10 = net.fresh(), net.fresh()
-        net.beam_splitter(t2, net.add_ground(), a01, a10)
+        net.add(BEAM_SPLITTER, (t2, net.add_ground()), (a01, a10))
         return [a00, a01, a10, a11]
     if isinstance(prep, str) and prep == "ghz":
         wires = [src if i == 0 else net.add_ground() for i in range(8)]
         for spec in GHZ_STABILIZER_SPECS:
             upper, lower = build_measurement_block(net, pauli_observable(spec), wires)
             for w in lower:
-                net.termination(w)
+                net.add(TERMINATION, (w,), ())
             wires = upper
         return wires
 
@@ -873,7 +806,7 @@ def add_state_prep(net: Netlist, prep: str | WaveState) -> list[int]:
 def build_sequence_tree(obs: DichotomicObservable) -> Netlist:
     """The measurement stage for one observable: its block on bare mode inputs.
 
-    The obs.dim anonymous input ports take a state's amplitudes in basis
+    The obs.dim input ports, wires 0 to obs.dim - 1, take a state's amplitudes in basis
     order.  The output ports are the upper (+1) branch's wires, then the
     lower (-1) branch's, each in basis order.
     """

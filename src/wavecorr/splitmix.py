@@ -142,11 +142,10 @@ def counter_normals(seed: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Standard normal draw per index via Box-Muller on counter pairs.
 
     An array of uint64 seeds broadcasts against ``indices`` like
-    counter_uniform's, e.g. seeds[:, None] for one row per seed.
+    counter_uniform's, e.g. a row of seeds against a column of indices; the
+    seeds may not have more axes than the indices.
     """
     pair = indices.astype(np.uint64) * np.uint64(2)
-    if np.ndim(seed) > pair.ndim:  # so the stacked axis stays in front of the seed's
-        pair = pair.reshape((1,) * (np.ndim(seed) - pair.ndim) + pair.shape)
     # both halves of each Box-Muller pair in one pass over the counters
     u1, u2 = counter_uniform(seed, np.stack([pair, pair + np.uint64(1)]))
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)

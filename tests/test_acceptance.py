@@ -10,7 +10,6 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from wavecorr.cli import main as cli_main
 from wavecorr.contextuality import (

@@ -1,6 +1,5 @@
 """Command line behavior: schema checks, exit codes, pipelines, CSV output."""
 
-import copy
 import glob
 import math
 import os
@@ -14,7 +13,6 @@ import yaml
 from wavecorr import cli, contextuality, network, reck, wavecore
 from wavecorr.cli import (
     ConfigError,
-    Scenario,
     load_scenario,
     main,
     make_provider,

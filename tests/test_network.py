@@ -1,8 +1,8 @@
 import copy
 import hashlib
 import math
-from collections import Counter
-from dataclasses import dataclass, replace
+from collections import Counter, defaultdict
+from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
@@ -26,6 +26,7 @@ from wavecorr.network import (
     NoiseModel,
     PHASE_SEGMENT,
     PropagationError,
+    TERMINATION,
     UNEQUAL_COUPLER,
     add_mesh,
     add_state_prep,
@@ -53,6 +54,14 @@ SQRT2 = np.sqrt(2.0)
 # to its output ports to this tolerance: every element scatters unitarily
 INTENSITY_CONSERVATION_TOL = 1e-12
 
+# a unit drive at add_state_prep's source, wire 0 of the netlist it starts
+SOURCE = {0: 1.0}
+
+
+def named(net):
+    """Wire ids by name for a hand-built net: a name's first use takes net.fresh()."""
+    return defaultdict(net.fresh)
+
 
 @dataclass(frozen=True)
 class PortAmplitudes:
@@ -72,13 +81,15 @@ class PortAmplitudes:
 def propagate_ports(net, drive, noise=None, seeds=None):
     """propagate's batch form, read out by port.
 
-    ``drive`` maps each input port's name to its amplitude, or is a WaveState
-    matched to the ports by its mode labels; every member gets the same
-    drive.  Returns one PortAmplitudes at seed 0 when ``seeds`` is None, or
-    one per seed in seed order.
+    ``drive`` maps each input port's wire to its amplitude, or is a WaveState
+    whose amplitudes drive the input ports in order; every member gets the
+    same drive.  Returns one PortAmplitudes at seed 0 when ``seeds`` is None,
+    or one per seed in seed order.
     """
-    values = dict(zip(drive.labels, drive.amplitudes)) if isinstance(drive, WaveState) else drive
-    column = np.array([[values[w]] for w in net.input_ports], dtype=complex)
+    if isinstance(drive, WaveState):
+        column = np.array(drive.amplitudes, dtype=complex)[:, None]
+    else:
+        column = np.array([[drive[w]] for w in net.input_ports], dtype=complex)
     members = 1 if seeds is None else len(seeds)
     out = propagate(net, np.repeat(column, members, axis=1), noise, seeds)
     input_intensity = float(np.sum(np.abs(column) ** 2))
@@ -93,12 +104,13 @@ def propagate_ports(net, drive, noise=None, seeds=None):
 
 
 def hybrid_ring():
+    """A splitter from input ports 0 and 1 to output ports 2 (sum) and 3 (difference)."""
     net = Netlist()
-    net.add_input("u")
-    net.add_input("v")
-    net.beam_splitter("u", "v", "s", "d")
-    net.add_output("s")
-    net.add_output("d")
+    u, v = net.add_input(net.fresh()), net.add_input(net.fresh())
+    s, d = net.fresh(), net.fresh()
+    net.add(BEAM_SPLITTER, (u, v), (s, d))
+    net.add_output(s)
+    net.add_output(d)
     return net
 
 
@@ -106,111 +118,122 @@ def hybrid_ring():
 
 
 def test_hybrid_ring_sum_diff():
-    pa = propagate_ports(hybrid_ring(), {"u": 1.0, "v": 0.0})
-    assert pa.amplitudes["s"] == pytest.approx(1 / SQRT2)
-    assert pa.amplitudes["d"] == pytest.approx(1 / SQRT2)
-    pa = propagate_ports(hybrid_ring(), {"u": 0.0, "v": 1.0})
-    assert pa.amplitudes["s"] == pytest.approx(1 / SQRT2)
-    assert pa.amplitudes["d"] == pytest.approx(-1 / SQRT2)
+    pa = propagate_ports(hybrid_ring(), {0: 1.0, 1: 0.0})
+    assert pa.amplitudes[2] == pytest.approx(1 / SQRT2)
+    assert pa.amplitudes[3] == pytest.approx(1 / SQRT2)
+    pa = propagate_ports(hybrid_ring(), {0: 0.0, 1: 1.0})
+    assert pa.amplitudes[2] == pytest.approx(1 / SQRT2)
+    assert pa.amplitudes[3] == pytest.approx(-1 / SQRT2)
 
 
 def test_phase_segment_and_coupler():
     net = Netlist()
-    net.add_input("a")
-    net.phase_segment("a", "b", np.pi / 2)
-    net.add_output("b")
-    pa = propagate_ports(net, {"a": 1.0})
-    assert pa.amplitudes["b"] == pytest.approx(1j)
+    w = named(net)
+    net.add_input(w["a"])
+    net.add(PHASE_SEGMENT, (w["a"],), (w["b"],), np.pi / 2)
+    net.add_output(w["b"])
+    pa = propagate_ports(net, {w["a"]: 1.0})
+    assert pa.amplitudes[w["b"]] == pytest.approx(1j)
 
     net = Netlist()
-    net.add_input("s")
-    net.unequal_coupler("s", "t1", "t2", SQRT2 - 1.0)
-    net.add_output("t1")
-    net.add_output("t2")
-    pa = propagate_ports(net, {"s": 1.0})
+    w = named(net)
+    net.add_input(w["s"])
+    net.add(UNEQUAL_COUPLER, (w["s"],), (w["t1"], w["t2"]), SQRT2 - 1.0)
+    net.add_output(w["t1"])
+    net.add_output(w["t2"])
+    pa = propagate_ports(net, {w["s"]: 1.0})
     r = SQRT2 - 1.0
-    assert pa.amplitudes["t1"] == pytest.approx(1 / np.sqrt(1 + r * r))
-    assert pa.amplitudes["t2"] == pytest.approx(r / np.sqrt(1 + r * r))
+    assert pa.amplitudes[w["t1"]] == pytest.approx(1 / np.sqrt(1 + r * r))
+    assert pa.amplitudes[w["t2"]] == pytest.approx(r / np.sqrt(1 + r * r))
     assert pa.output_intensity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_termination_absorbs():
     net = Netlist()
-    net.add_input("a")
-    net.termination("a")
-    assert propagate_ports(net, {"a": 1.0}).output_intensity == 0.0
+    a = net.add_input(net.fresh())
+    net.add(TERMINATION, (a,), ())
+    assert propagate_ports(net, {a: 1.0}).output_intensity == 0.0
     # a terminated splitter output takes its half of the input away
     net = Netlist()
-    net.add_input("u")
-    net.add_input("v")
-    net.beam_splitter("u", "v", "s", "d")
-    net.termination("d")
-    net.add_output("s")
-    assert propagate_ports(net, {"u": 1.0, "v": 0.0}).output_intensity == pytest.approx(0.5)
+    w = named(net)
+    net.add_input(w["u"])
+    net.add_input(w["v"])
+    net.add(BEAM_SPLITTER, (w["u"], w["v"]), (w["s"], w["d"]))
+    net.add(TERMINATION, (w["d"],), ())
+    net.add_output(w["s"])
+    assert propagate_ports(net, {w["u"]: 1.0, w["v"]: 0.0}).output_intensity == pytest.approx(0.5)
 
 
 # ------------------------------------------------------------ validation
 
 
 def test_wiring_validation():
+    # the wiring is checked when the netlist compiles
     net = Netlist()
-    net.add_input("a")
-    net.beam_splitter("a", "missing", "s", "d")
+    w = named(net)
+    net.add_input(w["a"])
+    net.add(BEAM_SPLITTER, (w["a"], w["missing"]), (w["s"], w["d"]))
     with pytest.raises(NetlistError):
-        net.validate()
+        net._compile()
 
     net = Netlist()
-    net.add_input("a")
-    net.phase_segment("a", "b", 0.0)
-    net.phase_segment("a", "c", 0.0)  # double read
+    w = named(net)
+    net.add_input(w["a"])
+    net.add(PHASE_SEGMENT, (w["a"],), (w["b"],), 0.0)
+    net.add(PHASE_SEGMENT, (w["a"],), (w["c"],), 0.0)  # double read
     with pytest.raises(NetlistError):
-        net.validate()
+        net._compile()
 
     net = Netlist()
-    net.add_input("a")
-    net.phase_segment("a", "b", 0.0)  # b driven, never read
+    w = named(net)
+    net.add_input(w["a"])
+    net.add(PHASE_SEGMENT, (w["a"],), (w["b"],), 0.0)  # b driven, never read
     with pytest.raises(NetlistError):
-        net.validate()
+        net._compile()
 
     net = Netlist()
-    net.add_input("a")
-    net.phase_segment("a", "a2", 0.0)
-    net.add_output("a2")
-    net.validate()
+    w = named(net)
+    net.add_input(w["a"])
+    net.add(PHASE_SEGMENT, (w["a"],), (w["a2"],), 0.0)
+    net.add_output(w["a2"])
+    net._compile()
 
     broken = []
     net = Netlist()  # a port driven twice
-    net.add_input("a")
-    net.add_ground("a")
+    a = net.add_input(net.fresh())
+    net.add_input(a)
     broken.append(net)
     net = Netlist()  # an element driving a port
-    net.add_input("a")
-    net.add_ground("b")
-    net.phase_segment("a", "b", 0.0)
+    a = net.add_input(net.fresh())
+    net.add(PHASE_SEGMENT, (a,), (net.add_ground(),), 0.0)
     broken.append(net)
     net = hybrid_ring()  # a duplicate output
-    net.add_output("s")
+    net.add_output(2)
     broken.append(net)
     net = Netlist()  # an output nothing drives
-    net.add_input("a")
-    net.termination("a")
-    net.add_output("x")
+    w = named(net)
+    net.add_input(w["a"])
+    net.add(TERMINATION, (w["a"],), ())
+    net.add_output(w["x"])
     broken.append(net)
     net = Netlist()  # an output also read by an element
-    net.add_input("a")
-    net.phase_segment("a", "b", 0.0)
-    net.phase_segment("b", "c", 0.0)
-    net.add_output("b")
-    net.add_output("c")
+    w = named(net)
+    net.add_input(w["a"])
+    net.add(PHASE_SEGMENT, (w["a"],), (w["b"],), 0.0)
+    net.add(PHASE_SEGMENT, (w["b"],), (w["c"],), 0.0)
+    net.add_output(w["b"])
+    net.add_output(w["c"])
     broken.append(net)
     for net in broken:
         with pytest.raises(NetlistError):
-            net.validate()
-    # anonymous wires come from the netlist's own counter
+            net._compile()
+    # wires come from the netlist's own counter, and a coupler's ratio is nonnegative
     net = Netlist()
-    a = net.add_input("a")
+    a = net.add_input(net.fresh())
     with pytest.raises(NetlistError):
-        net.phase_segment(a, net.fresh() + 1, 0.0)
+        net.add(PHASE_SEGMENT, (a,), (net.fresh() + 1,), 0.0)
+    with pytest.raises(NetlistError, match="nonnegative"):
+        net.add(UNEQUAL_COUPLER, (a,), (net.fresh(), net.fresh()), -0.5)
 
 
 def test_drive_must_match_ports():
@@ -221,7 +244,7 @@ def test_drive_must_match_ports():
         with pytest.raises(PropagationError):
             propagate(net, np.ones(shape, dtype=complex))
     with pytest.raises(PropagationError):
-        propagate(net, {"u": 1.0, "v": 0.0})  # ports are driven by row, not by name
+        propagate(net, {0: 1.0, 1: 0.0})  # ports are driven by row, not by wire
 
 
 # ------------------------------------------------------------- noise RNG
@@ -237,14 +260,12 @@ def test_element_normals_deterministic_and_keyed():
     # order independence: draws depend only on the element index
     sub = counter_normals(123, idx[10:20])
     np.testing.assert_array_equal(sub, a[10:20])
-    # a column of per-member seeds draws each member's own stream
+    # a column of element indices against a row of per-member seeds, as
+    # propagate draws, gives each member its own stream
     seeds = [123, 124, substream(5, 1), 2**64 - 1]
-    rows = counter_normals(np.array(seeds, dtype=np.uint64)[:, None], idx)
-    for row, seed in zip(rows, seeds):
-        np.testing.assert_array_equal(row, counter_normals(seed, idx))
-    # and a column of element indices against a row of seeds, as propagate draws
     cols = counter_normals(np.array(seeds, dtype=np.uint64), idx[:, None])
-    np.testing.assert_array_equal(cols, rows.T)
+    for col, seed in zip(cols.T, seeds):
+        np.testing.assert_array_equal(col, counter_normals(seed, idx))
 
 
 def test_offset_seeds_shift_the_draw_index():
@@ -273,12 +294,12 @@ def test_mesh_fragment_matches_matrix():
         u = q * (np.diag(r) / np.abs(np.diag(r)))
         plan = decompose(u)
         net = Netlist()
-        ins = [net.add_input(f"in{i}") for i in range(n)]
+        ins = [net.add_input(net.fresh()) for _ in range(n)]
         outs = add_mesh(net, plan, ins)
         for w in outs:
             net.add_output(w)
         for col in range(n):
-            drive = {f"in{i}": (1.0 if i == col else 0.0) for i in range(n)}
+            drive = {w: (1.0 if i == col else 0.0) for i, w in enumerate(ins)}
             pa = propagate_ports(net, drive)
             got = np.array([pa.amplitudes[w] for w in outs])
             np.testing.assert_allclose(got, u[:, col], atol=1e-9)
@@ -308,7 +329,7 @@ def test_singlet_prep():
     wires = add_state_prep(net, "singlet")
     for w in wires:
         net.add_output(w)
-    pa = propagate_ports(net, {"prep.src": 1.0})
+    pa = propagate_ports(net, SOURCE)
     got = np.array([pa.amplitudes[w] for w in wires])
     np.testing.assert_allclose(got, state_library("singlet").amplitudes, atol=1e-12)
 
@@ -321,7 +342,7 @@ def test_chsh_prep_through_coupler_and_rings():
     kinds = [el.kind for el in net.elements]
     assert kinds.count("unequal_coupler") == 1
     assert kinds.count("beam_splitter") == 2
-    pa = propagate_ports(net, {"prep.src": 1.0})
+    pa = propagate_ports(net, SOURCE)
     got = np.array([pa.amplitudes[w] for w in wires])
     np.testing.assert_allclose(got, state_library("chsh").amplitudes, atol=1e-12)
 
@@ -331,7 +352,7 @@ def test_ghz_prep_postselects_an_eighth():
     wires = add_state_prep(net, "ghz")
     for w in wires:
         net.add_output(w)
-    pa = propagate_ports(net, {"prep.src": 1.0})
+    pa = propagate_ports(net, SOURCE)
     got = np.array([pa.amplitudes[w] for w in wires])
     ghz = state_library("ghz").amplitudes
     assert pa.output_intensity == pytest.approx(1.0 / 8.0, abs=1e-12)
@@ -343,7 +364,7 @@ def test_mesh_prep_arbitrary_state():
     wires = add_state_prep(net, "psi11")
     for w in wires:
         net.add_output(w)
-    pa = propagate_ports(net, {"prep.src": 1.0})
+    pa = propagate_ports(net, SOURCE)
     got = np.array([pa.amplitudes[w] for w in wires])
     np.testing.assert_allclose(got, state_library("psi11").amplitudes, atol=1e-9)
 
@@ -357,7 +378,7 @@ def test_block_branches_equal_luders_branches(spec, name):
     psi = state_library(name)
     obs = pauli_observable(spec)
     net = Netlist()
-    ins = [net.add_input(b) for b in psi.labels]
+    ins = [net.add_input(net.fresh()) for _ in psi.labels]
     up, lo = build_measurement_block(net, obs, ins)
     for w in up + lo:
         net.add_output(w)
@@ -377,7 +398,7 @@ def test_block_routing_example():
     # measuring ZI on |00> puts everything on the upper branch, mode 00
     psi = state_library("00")
     net = Netlist()
-    ins = [net.add_input(b) for b in psi.labels]
+    ins = [net.add_input(net.fresh()) for _ in psi.labels]
     up, lo = build_measurement_block(net, pauli_observable("ZI"), ins)
     for w in up + lo:
         net.add_output(w)
@@ -399,17 +420,20 @@ class WholeTree(NamedTuple):
 def whole_tree(prep, *specs):
     """The whole measurement tree for a sequence, the reference the stage path must match.
 
-    With ``prep`` None the inputs are the bare mode ports, named by the basis
-    labels in basis order; otherwise add_state_prep builds the preparation in
-    front and the single input port is "prep.src".  Each level is one
-    measurement block per branch, in breadth-first path order ("+" before
-    "-"), and each leaf is a fanout_label tap onto an output port named
-    "leaf.<outcome>.<basis label>", outcomes first measurement first.
+    With ``prep`` None the inputs are the bare mode ports in basis order;
+    otherwise add_state_prep builds the preparation in front and the single
+    input port is its source, wire 0.  Each level is one measurement block
+    per branch, in breadth-first path order ("+" before "-"), and each leaf
+    is a fanout_label tap onto an output port; the leaf groups hold those
+    ports in basis order, keyed by outcome, first measurement first.
     """
     observables = [pauli_observable(s) for s in specs]
     basis = binary_labels(observables[0].dim.bit_length() - 1)
     net = Netlist()
-    roots = [net.add_input(b) for b in basis] if prep is None else add_state_prep(net, prep)
+    if prep is None:
+        roots = [net.add_input(net.fresh()) for _ in basis]
+    else:
+        roots = add_state_prep(net, prep)
     branches = [("", roots)]
     for obs in observables:
         branches = [
@@ -419,9 +443,9 @@ def whole_tree(prep, *specs):
         ]
     leaf_groups = {}
     for path, wires in branches:
-        leaf_groups[path] = tuple(f"leaf.{path}.{b}" for b in basis)
+        leaf_groups[path] = tuple(net.fresh() for _ in wires)
         for w, leaf in zip(wires, leaf_groups[path]):
-            net.fanout_label(w, leaf)
+            net.add(FANOUT_LABEL, (w,), (leaf,))
             net.add_output(leaf)
     return WholeTree(net, leaf_groups)
 
@@ -442,7 +466,7 @@ def path_total_counts(tree):
     net = tree.netlist
     depth = [None] * net.n_wires
     for w in net.input_ports:
-        depth[net.wire_id(w)] = 0
+        depth[w] = 0
     for pos, (kind, ins, outs, _) in enumerate(net.elements):
         known = [depth[w] for w in ins if depth[w] is not None]
         if known and any(v != known[0] for v in known[1:]):
@@ -452,7 +476,7 @@ def path_total_counts(tree):
             depth[w] = out_depth
     totals = {}
     for outcome, wires in tree.leaf_groups.items():
-        leaf_depths = {depth[net.wire_id(w)] for w in wires} - {None}
+        leaf_depths = {depth[w] for w in wires} - {None}
         if len(leaf_depths) > 1:
             raise NetlistError(f"leaf group {outcome!r} mixes path lengths {leaf_depths}")
         totals[outcome] = leaf_depths.pop() if leaf_depths else 0
@@ -505,7 +529,7 @@ def fragment_kind_tallies(tree):
         reader.update((w, pos) for w in el.ins)
     tallies = {}
     for outcome, leaves in tree.leaf_groups.items():
-        stack = [driver[net.wire_id(w)] for w in leaves]
+        stack = [driver[w] for w in leaves]
         seen = set(stack)
         while stack:
             el = net.elements[stack.pop()]
@@ -579,19 +603,20 @@ def test_repeated_observable_tree_is_diagonal():
 def slot_net():
     """Four ports, one early output, a ground read last, a coupler after a termination."""
     net = Netlist()
-    for w in ("a", "b", "c"):
-        net.add_input(w)
-    net.add_ground("g")
-    net.beam_splitter("a", "b", "s", "t")  # outputs take the slots a and b leave
-    net.add_output("s")  # written first, read out only at the end
-    net.phase_segment("c", "c1", 0.7)
-    net.phase_segment("t", "t1", np.pi / 3)
-    net.termination("c1")  # frees c's slot ...
-    net.unequal_coupler("t1", "u1", "u2", 0.5)  # ... which u2 takes
-    net.beam_splitter("u1", "g", "o1", "o2")  # the ground must still read zero
-    net.phase_segment("u2", "o3", -1.1)
-    for w in ("o1", "o2", "o3"):
-        net.add_output(w)
+    w = named(net)
+    for name in ("a", "b", "c"):
+        net.add_input(w[name])
+    w["g"] = net.add_ground()
+    net.add(BEAM_SPLITTER, (w["a"], w["b"]), (w["s"], w["t"]))  # outputs take a's and b's slots
+    net.add_output(w["s"])  # written first, read out only at the end
+    net.add(PHASE_SEGMENT, (w["c"],), (w["c1"],), 0.7)
+    net.add(PHASE_SEGMENT, (w["t"],), (w["t1"],), np.pi / 3)
+    net.add(TERMINATION, (w["c1"],), ())  # c's slot is read no more ...
+    net.add(UNEQUAL_COUPLER, (w["t1"],), (w["u1"], w["u2"]), 0.5)  # ... and u2 opens a fifth
+    net.add(BEAM_SPLITTER, (w["u1"], w["g"]), (w["o1"], w["o2"]))  # the ground must read zero
+    net.add(PHASE_SEGMENT, (w["u2"],), (w["o3"],), -1.1)
+    for name in ("o1", "o2", "o3"):
+        net.add_output(w[name])
     return net
 
 
@@ -629,7 +654,7 @@ PINNED_SLOT_NET = {
 
 def test_slots_never_clobber_a_live_wire():
     net = slot_net()
-    assert (net.n_wires, slot_count(net)) == (13, 4)
+    assert (net.n_wires, slot_count(net)) == (13, 5)
     rng = np.random.default_rng(3)
     drive = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
     seeds = [11, 12, 13, 14, 15]
@@ -649,12 +674,15 @@ def test_slots_never_clobber_a_live_wire():
     (lambda: build_sequence_tree(pauli_observable("ZX")), 8),
     (lambda: build_sequence_tree(pauli_observable("XXX")), 16),
     (lambda: prep_netlist("ghz"), 32),
-], ids=["ZX stage", "XXX stage", "ghz prep"])
+    (lambda: prep_netlist("chsh"), 4),
+], ids=["ZX stage", "XXX stage", "ghz prep", "chsh prep"])
 def test_circuits_need_a_slot_per_port(build, slots):
-    # with no couplers, every element but a termination passes its inputs'
-    # slots on, so a stage or the ghz cascade needs a slot per input and ground port
+    # every element passes its inputs' slots on and only a coupler's second
+    # output opens one, so a circuit needs a slot per input and ground port
+    # and per coupler: 3 ports and a coupler for the chsh prep
     net = build()
-    assert slot_count(net) == slots == len(net.input_ports) + len(net.ground_ports)
+    couplers = sum(el.kind == UNEQUAL_COUPLER for el in net.elements)
+    assert slot_count(net) == slots == len(net.input_ports) + len(net.ground_ports) + couplers
 
 
 @pytest.mark.parametrize("build", [
@@ -680,7 +708,7 @@ def test_taps_keep_their_slot_and_get_no_group(build):
 
 def test_zero_noise_conserves_intensity():
     tree = whole_tree("chsh", "ZI", "IZ")
-    pa = propagate_ports(tree.netlist, {"prep.src": 1.0})
+    pa = propagate_ports(tree.netlist, SOURCE)
     assert abs(pa.output_intensity - pa.input_intensity) <= INTENSITY_CONSERVATION_TOL
 
 
@@ -837,7 +865,6 @@ def test_compiled_groups_are_pinned(name):
 ENSEMBLE_NOISE = NoiseModel(splitter_imbalance_sigma=0.008, phase_jitter_sigma=0.012,
                             leakage=0.001)
 ENSEMBLE_SEEDS = [substream(17, m) for m in range(9)]
-SOURCE = {"prep.src": 1.0}
 
 
 def test_ensemble_members_match_single_member_calls():
@@ -1220,21 +1247,24 @@ def test_elements_outside_the_live_plan_cannot_change_an_output(build):
         assert propagate(mutant, drive, ENSEMBLE_NOISE, ENSEMBLE_SEEDS).tobytes() != reference
 
 
-def test_live_plan_keeps_every_coupler():
-    # a coupler's second output may reuse a slot a termination freed, so one
-    # fed only by a ground must still write its zeros there
+def test_live_plan_skips_a_coupler_fed_only_by_ground():
+    # a coupler's second output opens a slot, which starts at zero, so a
+    # coupler that reads only a ground may be skipped, even beside a
+    # termination whose slot still holds the amplitude it absorbed
     net = Netlist()
-    net.add_input("a")
+    w = named(net)
+    net.add_input(w["a"])
     g = net.add_ground()
-    net.termination("a")
-    net.unequal_coupler(g, "t1", "t2", 0.5)
-    for w in ("t1", "t2"):
-        net.add_output(w)
-    assert slot_count(net) == 2  # "t2" took the slot "a" left
-    out = propagate(net, np.full((1, 2), 3.0 + 1j), ENSEMBLE_NOISE, [1, 2])
+    net.add(TERMINATION, (w["a"],), ())
+    net.add(UNEQUAL_COUPLER, (g,), (w["t1"], w["t2"]), 0.5)
+    for name in ("t1", "t2"):
+        net.add_output(w[name])
+    assert slot_count(net) == 3  # "t2" opened a slot of its own
+    drive = np.full((1, 2), 3.0 + 1j)
+    out = propagate(net, drive, ENSEMBLE_NOISE, [1, 2])
     assert not out.any()
-    assert live_indices(net) == {1}
-    assert [g.kind for g in net._compile()] == [UNEQUAL_COUPLER]
+    assert net._compile() == []
+    assert propagate(full_plan(net), drive, ENSEMBLE_NOISE, [1, 2]).tobytes() == out.tobytes()
 
 
 def test_ghz_prep_draws_for_its_live_elements_only():

@@ -29,13 +29,17 @@ def _unused_imports(path):
     return sorted(imported - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)})
 
 
+# the modules that read the library: src/ and scripts/, never the tests
 MODULES = sorted(
     p for p in [*(ROOT / "src" / "wavecorr").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
     if p.name != "__init__.py"
 )
+TEST_MODULES = sorted((ROOT / "tests").glob("*.py"))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize(
+    "path", MODULES + TEST_MODULES, ids=lambda p: f"{p.parent.name}/{p.name}"
+)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 
@@ -57,12 +61,26 @@ def _read_names(path):
     }
 
 
+def _definitions(path):
+    """(qualified name, name) of the module's top-level functions and classes
+    and of each class's methods, dunders aside."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{path.stem}.{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef) and not (
+                    m.name.startswith("__") and m.name.endswith("__")
+                ):
+                    yield f"{path.stem}.{node.name}.{m.name}", m.name
+
+
 def test_every_library_definition_is_read_outside_the_tests():
     read = set().union(*map(_read_names, MODULES))
     unread = [
-        f"{path.stem}.{node.name}"
+        qualified
         for path in sorted((ROOT / "src" / "wavecorr").glob("*.py"))
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read
+        for qualified, name in _definitions(path)
+        if name not in read
     ]
     assert sorted(unread) == sorted(TEST_ORACLES)
