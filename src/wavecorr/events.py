@@ -10,16 +10,11 @@ experiments built on either produce the same correlators up to 1/sqrt(N)
 noise.
 
 The threshold detector's result is defined by the time-ordered merge of the
-per-port click streams, but it is computed without building that merge, and
-in memory that does not grow with the number of clicks: each live port holds
-one block of its latest click times, the stream is extended block by block
-until the recorded clicks are settled, and the time of the last recorded
-click is selected from the held blocks, which are sorted by construction.
-Each port's tally is its retired clicks plus those of its held block read off
-against that time.  Each port's energy thresholds are hashed from its
-counter stream straight into its block, with two uint64 hash buffers serving
-every block of one draw, and every float step that turns them into click
-times runs in place there too.
+per-port click streams, but it is computed without that merge, in memory
+that does not grow with the number of clicks.  Thresholds are whole energy
+quanta hashed from counter streams, so running energies are exact integers:
+most clicks are summed from hashed words, and click times are computed only
+near the cutoff, one bounded block per port at a time.
 
 Events are functions of intensities alone.  Nothing in this module sees an
 amplitude or a phase.
@@ -34,23 +29,20 @@ from typing import Mapping
 import numpy as np
 
 from wavecorr.outcomes import OutcomeDistribution
-from wavecorr.splitmix import counter_uniform_run, substream
+from wavecorr.splitmix import counter_words, substream
 
 THRESHOLD_DETECTOR = "threshold_detector"
 LOADED_DIE = "loaded_die"
 EVENT_MODELS = (THRESHOLD_DETECTOR, LOADED_DIE)
 
-# Largest sample_count the threshold detector accepts.  Its memory is one
-# block per live port whatever the count, but its time is not: it hashes one
-# threshold per click, 10-15 ns each, so 1e8 clicks already take over a
-# second per sequence; the loaded die has no such cost.
+# Largest sample_count the threshold detector accepts.  Its memory is one block
+# per live port whatever the count, but its time is not: ~2.5 ns per click, so
+# 1e8 clicks take ~0.25 s per sequence; the loaded die has no such cost.
 MAX_THRESHOLD_SAMPLES = 100_000_000
 
-# Per-port click budget drawn before whole blocks: expected share plus a wide
-# margin, so a dim port draws about what it needs rather than a whole block.
-# A port that runs dry before the cutoff goes on a block at a time, and the
-# counter-based draws make the result identical no matter how the stream is
-# chunked, so these two knobs affect speed only.
+# Each port skips its expected share less a wide margin, draws click times up
+# to its share plus that margin, then a block at a time.  The result does not
+# depend on the chunking, so these two knobs affect speed only.
 _CHUNK_SIGMAS = 10.0
 _CHUNK_FLOOR = 16
 # click times a port holds at once: 512 KiB blocks, small enough for cache
@@ -62,12 +54,13 @@ class EventModelConfig:
     """Parameters of one detection run.
 
     ``threshold`` and ``threshold_spread`` matter only to the threshold
-    detector: each click consumes an energy drawn uniformly from
-    [threshold - threshold_spread, threshold + threshold_spread], redrawn
-    after every click.  The spread must stay below the threshold so drawn
-    energies remain positive.  A zero spread is a degenerate configuration
-    in which equal-rate ports click simultaneously; simultaneous clicks are
-    recorded in ascending port order.
+    detector: each click consumes an energy drawn uniformly from the 2^32
+    cell midpoints of [threshold - threshold_spread, threshold +
+    threshold_spread], redrawn after every click (see threshold_event_stream).
+    The spread must stay below the threshold so drawn energies remain
+    positive.  A zero spread is a degenerate configuration in which
+    equal-rate ports click simultaneously; simultaneous clicks are recorded
+    in ascending port order.
     """
 
     model: str = LOADED_DIE
@@ -147,24 +140,29 @@ def threshold_event_stream(
 
     Port j accumulates energy at rate I_j and clicks when the running total
     crosses its current threshold; the accumulator then resets and a new
-    threshold is drawn.  Each port is therefore a renewal process with click
-    times cumsum(thresholds)/I_j, and the recorded stream is the time-ordered
-    merge of all ports, truncated after ``sample_count`` clicks.  Simultaneous
-    clicks (possible only with zero spread) are recorded in ascending port
-    order.  Long-run click fractions approach I_j / sum(I).
+    threshold is drawn.  The recorded stream is the time-ordered merge of all
+    ports, truncated after n = ``sample_count`` clicks, simultaneous clicks in
+    ascending port order.  Long-run click fractions approach I_j / sum(I).
 
-    The merged stream is never built, and no port keeps more than its
-    latest block of at most _BLOCK click times.  The port whose latest
-    click is earliest is extended, first up to a budget near its expected
-    share and then a block at a time, until at least n clicks lie at or
-    before the horizon, the earliest of the ports' latest clicks.  Every
-    click retired with an earlier block precedes the n-th click, so the time
-    of the last recorded click is selected from the held blocks, which are
-    sorted by construction.  Each port then contributes its retired clicks
-    and every held click strictly before that cutoff, and clicks at the
-    cutoff fill the remaining slots in ascending port order, which is the
-    tally of the merge defined above.  With one live port the merge is that
-    port's stream, so it takes all n clicks and no threshold is drawn.
+    Word w of port j's stream s = substream(seed, j) is mix64(s + (w + 1)
+    GOLDEN); click i spends lo + q (2 v_i + 1), with lo = threshold - spread,
+    q = 2 spread 2^-33 and v_i the low (even i) or high (odd i) half of word
+    i // 2.  Click m >= 1 comes at (m lo + q E_m) / rate_j, E_m the exact sum
+    of 2 v_i + 1 over i < m and rates divided by the largest: integer sums and
+    once-rounded float steps, so the counts are the same on every host.
+
+    The merge is never built.  Each live port skips its expected share less
+    the margin, rounded down to even, summing those clicks' energy from whole
+    words.  Then the port whose latest click is earliest draws a block of at
+    most _BLOCK click times, until n clicks lie at or before the horizon, the
+    earliest latest click.  The cutoff, the n-th click's time, is selected
+    from the held blocks, sorted by construction; ties at it fill the last
+    slots in port order.  Undrawn clicks can only lower a count and skipped
+    clicks after x can only raise the count at x, so a retired block, whose
+    horizon held fewer than n clicks, precedes the cutoff, and if every last
+    skipped click precedes the cutoff, the cutoff and tallies are the merge's.
+    Otherwise the draw is redone with no skip.  With one live port the merge
+    is that port's stream, so it takes all n clicks and no threshold is drawn.
     """
     ports = list(intensities)
     if not ports:
@@ -182,57 +180,51 @@ def threshold_event_stream(
 
     n = config.sample_count
     lo = config.threshold - config.threshold_spread
-    span = 2.0 * config.threshold_spread
+    q = 2.0 * config.threshold_spread * 2.0**-33
     # only relative rates matter for the merge order, and normalizing by the
     # brightest port keeps the click-time arithmetic in a sane float range
     rates = rates / rates.max()
     live = np.flatnonzero(rates > 0.0)
     if live.size == 1:  # the merge is that port's stream alone: it takes every click
-        fired = dict.fromkeys(ports, 0)
-        fired[ports[live[0]]] = n
-        return EventCounts(counts=fired, total=n)
+        return EventCounts({p: n if i == live[0] else 0 for i, p in enumerate(ports)}, n)
     live_rates = rates[live]
-    frac = live_rates / live_rates.sum()
+    share = n * (live_rates / live_rates.sum())
+    margin = _CHUNK_SIGMAS * np.sqrt(share + 1.0) + _CHUNK_FLOOR
+    budget = np.minimum(n, np.ceil(share + margin)).astype(np.int64)
+    skips = 2 * np.maximum(0.0, (share - margin) // 2).astype(np.int64)
     streams = [substream(config.seed, int(j)) for j in live]
-
-    budget = np.minimum(
-        n, np.ceil(n * frac + _CHUNK_SIGMAS * np.sqrt(n * frac + 1.0) + _CHUNK_FLOOR)
-    ).astype(np.int64)
-    # each port holds only its latest block of click times; the blocks before
-    # it are retired, leaving their click count behind
     width = min(_BLOCK, n)
-    buffers = np.empty((live.size, width))
-    hashes = (np.empty(width, np.uint64), np.empty(width, np.uint64))
-    blocks = [buffers[k, :0] for k in range(live.size)]
-    drawn = [0] * live.size
-    energy = [0.0] * live.size
-    latest = np.full(live.size, -np.inf)
-    retired = 0
+    times = np.empty((live.size, width))
+    words = (np.empty(width // 2 + 1, np.uint64), np.empty(width // 2 + 1, np.uint64))
+    buffers = (*words, np.empty(width + 2, np.int64), np.arange(1.0, width + 1.0))
     # a port dimmer than the brightest by ~1e300 overflows to inf click
     # times, meaning it never fires in any finite window: the right limit
     with np.errstate(over="ignore"):
-        while True:
-            # every click at or before the horizon is drawn: undrawn clicks
-            # of a port come after its latest one
-            horizon = latest.min()
-            held = sum(int(np.searchsorted(b, horizon, side="right")) for b in blocks)
-            if retired + held >= n:
+        for skip in (skips, 0 * skips):  # without skipping only if the check fails
+            drawn = skip.tolist()
+            energy = [_energy(s, 0, c // 2, words) for s, c in zip(streams, drawn)]
+            first = (skip * lo + q * np.array(energy, dtype=float)) / live_rates
+            first[skip == 0] = -np.inf
+            latest, retired = first.copy(), sum(drawn)
+            blocks = [times[k, :0] for k in range(live.size)]
+            while True:
+                horizon = latest.min()
+                held = sum(int(np.searchsorted(b, horizon, side="right")) for b in blocks)
+                if retired + held >= n:
+                    break
+                k = int(latest.argmin())
+                retired += blocks[k].size
+                limit = int(budget[k]) if drawn[k] < budget[k] else n
+                blocks[k] = times[k, : min(width, limit - drawn[k])]
+                energy[k] = _click_times(
+                    blocks[k], buffers, streams[k], drawn[k], energy[k], (lo, q, live_rates[k])
+                )
+                drawn[k] += blocks[k].size
+                latest[k] = blocks[k][-1]
+            cutoff = _nth_smallest([b for b in blocks if b.size], n - retired)
+            if np.all(first < cutoff):  # every skipped click precedes the cutoff
                 break
-            # extend the port that sets the horizon; its block ends there, so
-            # every retired click lies at or before a horizon that held fewer
-            # than n clicks, hence strictly before the n-th click
-            k = int(latest.argmin())
-            retired += blocks[k].size
-            limit = int(budget[k]) if drawn[k] < budget[k] else n
-            block = buffers[k, : min(width, limit - drawn[k])]
-            energy[k] = _click_times(
-                block, hashes, streams[k], drawn[k], energy[k], lo, span, live_rates[k]
-            )
-            blocks[k] = block
-            drawn[k] += block.size
-            latest[k] = block[-1]
 
-    cutoff = _nth_smallest(blocks, n - retired)
     before = [int(np.searchsorted(b, cutoff, side="left")) for b in blocks]
     left = n - retired - sum(before)
     fired = np.zeros(len(ports), dtype=np.int64)
@@ -240,37 +232,45 @@ def threshold_event_stream(
         tied = min(int(np.searchsorted(b, cutoff, side="right")) - before[k], left)
         fired[live[k]] = drawn[k] - b.size + before[k] + tied
         left -= tied
-    return EventCounts(
-        counts={ports[i]: int(fired[i]) for i in range(len(ports))}, total=n
-    )
+    return EventCounts(counts=dict(zip(ports, fired.tolist())), total=n)
+
+
+def _energy(stream: int, start: int, stop: int, words: tuple[np.ndarray, np.ndarray]) -> int:
+    """Exact energy, in quanta, of the clicks paid by words [start, stop).
+
+    A word pays 2 v + 1 quanta for each 32-bit half v.  Per chunk, the words'
+    sum modulo 2^64 and their high halves' sum (below 2^48) give both halves'.
+    """
+    total = high = 0
+    for first in range(start, stop, words[0].size):
+        w = counter_words(words[0][: stop - first], stream, first, words[1])
+        total += int(w.sum())
+        high += int(np.right_shift(w, np.uint64(32), out=words[1][: w.size]).sum())
+    return 2 * ((total - (high << 32)) % 2**64 + high) + 2 * (stop - start)
 
 
 def _click_times(
-    out: np.ndarray,
-    hashes: tuple[np.ndarray, np.ndarray],
-    stream: int,
-    start: int,
-    energy: float,
-    lo: float,
-    span: float,
-    rate: float,
-) -> float:
-    """Fill ``out`` with one port's click times from threshold ``start`` on.
+    out: np.ndarray, buffers: tuple, stream: int, start: int, energy: int, scale: tuple
+) -> int:
+    """Fill ``out`` with one port's click times from click ``start`` on.
 
-    ``energy`` is the port's accumulated threshold energy before the first
-    of these clicks; the energy after the last one is returned, so a later
-    call continues the stream.  The thresholds are drawn straight into
-    ``out`` by counter_uniform_run, with ``hashes`` as its two uint64 hash
-    buffers; every later step runs in place.  The running sum is carried
-    from call to call, which reproduces one cumsum over the whole stream bit
-    for bit.
+    ``energy`` is the energy in quanta before that click; the one after the
+    block is returned.  ``scale`` is (lo, q, rate).
     """
-    counter_uniform_run(out, stream, start, hashes)
-    out *= span
-    out += lo
-    out[0] += energy
-    np.cumsum(out, out=out)
-    energy = float(out[-1])
+    (words, scratch, ints, ones), (lo, q, rate) = buffers, scale
+    w = counter_words(words[: (start % 2 + out.size + 1) // 2], stream, start // 2, scratch)
+    np.bitwise_and(w, np.uint64(0xFFFFFFFF), out=ints.view(np.uint64)[0 : 2 * w.size : 2])
+    np.right_shift(w, np.uint64(32), out=ints.view(np.uint64)[1 : 2 * w.size : 2])
+    spent = ints[start % 2 : start % 2 + out.size]
+    spent <<= 1
+    spent += 1
+    spent[0] += energy
+    np.cumsum(spent, out=spent)
+    np.multiply(spent, q, out=out)
+    energy = int(spent[-1])
+    clicks = np.add(ones[: out.size], start, out=ints.view(np.float64)[: out.size])
+    clicks *= lo
+    out += clicks
     if rate != 1.0:  # the brightest port's rate; x / 1.0 == x bit for bit
         out /= rate
     return energy

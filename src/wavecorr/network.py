@@ -63,7 +63,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, islice, product, repeat
+from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -945,13 +947,16 @@ def _leaf_distributions(
     ``leaves`` holds the amplitudes at a tree's leaf ports in its output
     order, shape (outcomes * d, members): row k d + b is basis mode b of
     ``outcomes[k]``.  Intensities use Python's complex abs (libm hypot),
-    which numpy's complex abs does not match in the last bit.
+    which numpy's complex abs does not match in the last bit.  Sums add left
+    to right (``reduce``): builtin ``sum`` compensates floats from Python 3.12.
     """
     groups = [(o, range(k * d, (k + 1) * d)) for k, o in enumerate(outcomes)]
     dists = []
     for column in leaves.T.tolist():
-        intensities = {o: float(sum(abs(column[r]) ** 2 for r in rows)) for o, rows in groups}
-        total = sum(intensities.values())
+        intensities = {
+            o: float(reduce(add, (abs(column[r]) ** 2 for r in rows), 0)) for o, rows in groups
+        }
+        total = reduce(add, intensities.values(), 0)
         if total <= 0.0:
             raise PropagationError("no intensity reached the grouped output ports")
         probs = {o: i / total for o, i in intensities.items()}

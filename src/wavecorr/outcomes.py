@@ -9,7 +9,8 @@ count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from typing import Mapping
 
 PROB_SUM_TOL = 1e-10
@@ -77,5 +78,6 @@ class OutcomeDistribution:
 
     def mass_where(self, predicate) -> float:
         """Total probability of outcome strings satisfying ``predicate``."""
-        return float(sum(p for key, p in self.probs.items() if predicate(key)))
+        # left to right on every Python; builtin sum compensates from 3.12
+        return float(reduce(add, (p for key, p in self.probs.items() if predicate(key)), 0))
 

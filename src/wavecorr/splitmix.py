@@ -8,10 +8,10 @@ evaluation schedule.
 
 One private step holds the mixing sequence and runs it in place on uint64
 buffers.  counter_uniform hashes whatever counter array it is given.
-counter_uniform_run fills a float buffer with the draws of one contiguous
+counter_words fills a uint64 buffer with the hashed words of one contiguous
 counter run without building the run: it adds a precomputed table of
-i * GOLDEN to one wrapping scalar and mixes in two reusable buffers, so a long
-stream is drawn without a fresh temporary per operation.
+i * GOLDEN to one wrapping scalar and mixes in place, so a long stream is
+hashed without a fresh temporary per operation.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 _SHIFT1, _SHIFT2, _SHIFT3 = np.uint64(30), np.uint64(27), np.uint64(31)
 _GOLDEN_INT, _MIX1_INT, _MIX2_INT = int(GOLDEN), int(_MIX1), int(_MIX2)
 _MANTISSA_SHIFT = np.uint64(11)
-# counter_uniform_run hashes a counter run in chunks of this length
+# counter_words hashes a counter run in chunks of this length
 _RUN = 1 << 16
 # counter_normals reads counters 2i and 2i + 1 for index i
 _NORMAL_STEP = np.uint64((2 * int(GOLDEN)) & _MASK)
@@ -116,25 +116,20 @@ def counter_uniform(seed: int | np.ndarray, counter: np.ndarray) -> np.ndarray:
     return _unit_into(z, scratch.view(np.float64))
 
 
-def counter_uniform_run(
-    out: np.ndarray, seed: int, first: int, buffers: tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
-    """Fill ``out`` with counter_uniform(seed, np.arange(first, first + out.size)).
+def counter_words(out: np.ndarray, seed: int, first: int, scratch: np.ndarray) -> np.ndarray:
+    """Fill uint64 ``out`` with mix64(seed + (first + i + 1) * GOLDEN), i < out.size.
 
-    The counter run is never built: draw i hashes the wrapping sum
-    seed + (first + 1) * GOLDEN + i * GOLDEN, whose last term comes from a
-    precomputed table, in ``_RUN``-sized chunks.  ``buffers`` are two uint64
-    arrays of at least min(out.size, _RUN) entries, which the caller reuses
-    across calls to save their allocation; their contents are clobbered.
+    These are the words counter_uniform converts to floats.  The counter run
+    is never built: the last term of seed + (first + 1) * GOLDEN + i * GOLDEN
+    comes from a precomputed table, in ``_RUN``-sized chunks.  ``scratch`` is
+    a uint64 array of at least min(out.size, _RUN) entries, which the caller
+    reuses across calls to save its allocation; its contents are clobbered.
     """
-    z, scratch = buffers
-    base = (seed + (first + 1) * int(GOLDEN)) & _MASK
+    base = (seed + (first + 1) * _GOLDEN_INT) & _MASK
     for b in range(0, out.size, _RUN):
-        m = min(_RUN, out.size - b)
-        zb, sb = z[:m], scratch[:m]
-        np.add(_steps()[:m], np.uint64((base + b * int(GOLDEN)) & _MASK), out=zb)
-        _mix64_into(zb, sb)
-        _unit_into(zb, out[b : b + m])
+        zb = out[b : b + _RUN]
+        np.add(_steps()[: zb.size], np.uint64((base + b * _GOLDEN_INT) & _MASK), out=zb)
+        _mix64_into(zb, scratch[: zb.size])
     return out
 
 

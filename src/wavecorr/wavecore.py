@@ -13,7 +13,8 @@ against the distributions produced here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
+from operator import add
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -268,7 +269,7 @@ def sequential_distribution(
             walk(obs.projector(outcome) @ amps, depth + 1, prefix + ch)
 
     walk(state.amplitudes, 0, "")
-    total = sum(probs.values())
+    total = reduce(add, probs.values(), 0)  # left to right on every Python, unlike sum
     if abs(total - 1.0) > COMMUTATOR_TOL:
         raise ValueError(f"branch probabilities sum to {total}, projection chain is broken")
     # absorb the float dust so downstream consumers see an exact distribution

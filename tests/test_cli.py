@@ -915,8 +915,9 @@ def test_sweep_cartesian_order(tmp_path):
     ]
 
 
-# the CHSH grid at 10^6 clicks per sequence through both detector models,
-# recorded before the threshold draws were hashed in place
+# the CHSH grid at 10^6 clicks per sequence through both detector models;
+# the loaded-die rows date from before the threshold draws were hashed in
+# place, the threshold rows from the exact-energy thresholds
 PINNED_SWEEP = {
     "name": "pin",
     "state": "chsh",
@@ -946,16 +947,16 @@ PINNED_SWEEP_ROWS = (
     (
         '"pin[events.model=threshold_detector, state=chsh]",chsh,CHSH,events,11,'
         'ZI*IZ;XI*IZ;ZI*IX;XI*IX,'
-        '0.707152;0.70718999999999999;0.70719799999999999;-0.70704600000000006,'
-        '0.00070706155948120956;0.00070702355257798867;0.00070701555060408681;'
-        '0.00070716755714894035,2.828586,0.00141413411509517,2,2,2.8284271247461903,4,0,'
-        '"violates NC bound 2, saturates quantum max"'
+        '0.70701000000000003;0.70718200000000009;0.70707999999999993;-0.70696199999999998,'
+        '0.00070720354912853767;0.00070703155437080729;0.00070713356135881434;'
+        '0.00070725153273499522,2.8282340000000001,0.0014143101084740928,2,2,'
+        '2.8284271247461903,4,0,"violates NC bound 2, saturates quantum max"'
     ),
     (
         '"pin[events.model=threshold_detector, state=singlet]",singlet,CHSH,events,11,'
-        'ZI*IZ;XI*IZ;ZI*IX;XI*IX,-1;-0.00032399999999996321;-0.00012800000000004474;-1,'
-        '0;0.00099999994751199866;0.00099999999180799999;0,-0.00045200000000011897,'
-        '0.001414213519465855,2,2,2.8284271247461903,4,0,respects NC bound 2'
+        'ZI*IZ;XI*IZ;ZI*IX;XI*IX,-1;-7.7999999999966985e-05;-0.00019600000000005724;-1,'
+        '0;0.00099999999695799999;0.00099999998079199981;0,-0.00027400000000010749,'
+        '0.0014142135466399691,2,2,2.8284271247461903,4,0,respects NC bound 2'
     ),
 )
 

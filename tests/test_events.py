@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from wavecorr.events import (
     threshold_event_stream,
 )
 from wavecorr.outcomes import OutcomeDistribution, outcome_signs
-from wavecorr.splitmix import counter_uniform, substream
+from wavecorr.splitmix import _RUN, GOLDEN, mix64, substream
 from wavecorr.wavecore import pauli_observable, sequential_distribution, state_library
 
 UNIFORM4 = OutcomeDistribution(
@@ -216,22 +219,34 @@ def test_threshold_insensitive_to_chunking(monkeypatch):
     assert threshold_event_stream(rates, tcfg(30_000, seed=13)) == reference
 
 
+def threshold_halves(stream, start, stop):
+    """v_i for clicks 2 start <= i < 2 stop: each hashed word's low half, then its high half."""
+    counter = np.arange(start, stop, dtype=np.uint64)
+    words = mix64(np.uint64(stream) + (counter + np.uint64(1)) * GOLDEN)
+    low, high = words & np.uint64(0xFFFFFFFF), words >> np.uint64(32)
+    return np.stack([low, high], axis=1).ravel().astype(np.int64)
+
+
 def sorted_merge_counts(rates, cfg):
     """Reference tally: sort the merged stream of n clicks per port.
 
     No port can place more than n clicks among the first n, so this is the
-    definition of the detector's output, computed the slow way.
+    definition of the detector's output, computed the slow way: click m of a
+    port comes at (m lo + q E_m) / rate, E_m summing 2 v_i + 1 over i < m.
     """
     keys = list(rates)
     r = np.array([rates[k] for k in keys], dtype=float)
     r = r / r.max()
     lo = cfg.threshold - cfg.threshold_spread
+    q = 2.0 * cfg.threshold_spread * 2.0**-33
     n = cfg.sample_count
+    clicks = np.arange(1, n + 1).astype(float)
     times, owners = [], []
     for j in np.flatnonzero(r > 0.0):
-        u = counter_uniform(substream(cfg.seed, int(j)), np.arange(n, dtype=np.uint64))
+        v = threshold_halves(substream(cfg.seed, int(j)), 0, (n + 1) // 2)[:n]
+        energy = np.cumsum(2 * v + 1)
         with np.errstate(over="ignore"):
-            times.append(np.cumsum(lo + 2.0 * cfg.threshold_spread * u) / r[j])
+            times.append((clicks * lo + q * energy.astype(float)) / r[j])
         owners.append(np.full(n, j))
     owner = np.concatenate(owners)
     first = np.lexsort((owner, np.concatenate(times)))[:n]
@@ -257,6 +272,7 @@ def test_threshold_one_live_port_takes_every_click(rates, n, monkeypatch):
 
     cfg = tcfg(n, seed=5)
     monkeypatch.setattr(ev, "_click_times", no_draw)
+    monkeypatch.setattr(ev, "_energy", no_draw)
     assert threshold_event_stream(rates, cfg).counts == sorted_merge_counts(rates, cfg)
 
 
@@ -294,8 +310,9 @@ def test_threshold_matches_sorted_merge(rates, spread, n, seed):
     ],
 )
 def test_threshold_horizon_crosses_many_blocks(rates, cfg, block, monkeypatch):
-    # tiny blocks and no budget margin, so every port retires many blocks
-    # before the cutoff is selected from the ones it holds
+    # tiny blocks from odd starts, first after a skip with no margin, then
+    # with a margin so wide that nothing is skipped: every port then retires
+    # many blocks before the cutoff is selected from the ones it holds
     import wavecorr.events as ev
 
     click_times, sizes = ev._click_times, []
@@ -307,13 +324,57 @@ def test_threshold_horizon_crosses_many_blocks(rates, cfg, block, monkeypatch):
     monkeypatch.setattr(ev, "_click_times", spy)
     monkeypatch.setattr(ev, "_BLOCK", block)
     monkeypatch.setattr(ev, "_CHUNK_SIGMAS", 0.0)
-    monkeypatch.setattr(ev, "_CHUNK_FLOOR", 1)
-    assert threshold_event_stream(rates, cfg).counts == sorted_merge_counts(rates, cfg)
-    assert max(sizes) <= block
+    for floor in (1, 10**9):
+        sizes.clear()
+        monkeypatch.setattr(ev, "_CHUNK_FLOOR", floor)
+        assert threshold_event_stream(rates, cfg).counts == sorted_merge_counts(rates, cfg)
+        assert max(sizes) <= block
     assert sum(sizes) >= cfg.sample_count and len(sizes) > cfg.sample_count // block
 
 
-@pytest.mark.parametrize("n", [10**6, 4 * 10**6])
+def test_skipped_energy_is_the_per_click_sum():
+    # the skip's whole-word sums against a cumsum over single clicks, from
+    # odd and even word starts, over runs that cross a chunk of the buffers
+    # and a _RUN-long chunk of the hash table
+    import wavecorr.events as ev
+
+    rng = np.random.default_rng(24)
+    words = (np.empty(_RUN + 5, np.uint64), np.empty(_RUN + 5, np.uint64))
+    for _ in range(20):
+        stream = int(rng.integers(0, 2**64, dtype=np.uint64))
+        start = int(rng.integers(0, 5000))
+        length = int(rng.choice([1, 2, 999, _RUN + 5, _RUN + 6, 2 * _RUN + 13]))
+        expected = int(np.cumsum(2 * threshold_halves(stream, start, start + length) + 1)[-1])
+        assert ev._energy(stream, start, start + length, words) == expected
+
+
+@pytest.mark.parametrize(
+    "rates,cfg",
+    [
+        ({"u": 0.65, "v": 0.25, "w": 0.10}, tcfg(30_000, seed=13)),
+        ({"a": 1.0, "b": 1.0}, tcfg(4001, seed=2, spread=0.9)),
+        ({"a": 0.4, "b": 0.3, "c": 0.2, "d": 0.1}, tcfg(20_000, seed=8)),
+    ],
+)
+def test_threshold_redraws_when_a_skip_reaches_the_cutoff(rates, cfg, monkeypatch):
+    # skipping all but one click of a port's expected share overshoots the
+    # cutoff for about half the ports; the draw must then run without skipping
+    import wavecorr.events as ev
+
+    nth_smallest, cutoffs = ev._nth_smallest, []
+
+    def spy(*args):
+        cutoffs.append(nth_smallest(*args))
+        return cutoffs[-1]
+
+    monkeypatch.setattr(ev, "_nth_smallest", spy)
+    monkeypatch.setattr(ev, "_CHUNK_SIGMAS", 0.0)
+    monkeypatch.setattr(ev, "_CHUNK_FLOOR", 1)
+    assert threshold_event_stream(rates, cfg).counts == sorted_merge_counts(rates, cfg)
+    assert len(cutoffs) == 2
+
+
+@pytest.mark.parametrize("n", [10**6, 4 * 10**6, MAX_THRESHOLD_SAMPLES])
 def test_threshold_memory_does_not_grow_with_sample_count(n):
     # numpy reports its buffers to tracemalloc; each live port holds one
     # block of at most _BLOCK click times whatever the sample count
@@ -338,15 +399,15 @@ def test_threshold_memory_does_not_grow_with_sample_count(n):
         (
             {"u": 0.65, "v": 0.25, "w": 0.10, "z": 0.0},
             tcfg(30_000, seed=13),
-            {"u": 19502, "v": 7508, "w": 2990, "z": 0},
+            {"u": 19505, "v": 7502, "w": 2993, "z": 0},
         ),
         # q's click times overflow to inf: it never fires
         ({"p": 1.0, "q": 1e-320}, tcfg(1000, seed=3), {"p": 1000, "q": 0}),
     ],
 )
 def test_threshold_counts_are_pinned(rates, cfg, expected):
-    # recorded from the sort-and-merge implementation: selecting the cutoff
-    # instead of sorting the merged stream must not move a single click
+    # recorded from the exact-energy thresholds, equal to sorted_merge_counts:
+    # skipping, blocking and selecting the cutoff must not move a single click
     assert threshold_event_stream(rates, cfg).counts == expected
 
 
@@ -357,34 +418,74 @@ def grid_sequence_intensities():
     return dict(dist.probs)
 
 
-@pytest.mark.parametrize(
-    "rates,seed,expected",
-    [
-        # a dark port and two rates that differ in the twelfth digit
-        (
-            {"a": 0.5, "b": 0.0, "c": 0.3, "d": 0.3 * (1 + 1e-12)},
-            31,
-            {"a": 454676, "b": 0, "c": 272642, "d": 272682},
-        ),
-        (
-            None,
-            5,
-            {"+++": 426772, "++-": 0, "+-+": 0, "+--": 73234,
-             "-++": 0, "-+-": 73188, "--+": 426806, "---": 0},
-        ),
-        (
-            None,
-            2**40 + 7,
-            {"+++": 426738, "++-": 0, "+-+": 0, "+--": 73261,
-             "-++": 0, "-+-": 73208, "--+": 426793, "---": 0},
-        ),
-    ],
-)
+PINNED_MILLION = [
+    # a dark port and two rates that differ in the twelfth digit
+    (
+        {"a": 0.5, "b": 0.0, "c": 0.3, "d": 0.3 * (1 + 1e-12)},
+        31,
+        {"a": 454556, "b": 0, "c": 272632, "d": 272812},
+    ),
+    (
+        None,
+        5,
+        {"+++": 426748, "++-": 0, "+-+": 0, "+--": 73260,
+         "-++": 0, "-+-": 73224, "--+": 426768, "---": 0},
+    ),
+    (
+        None,
+        2**40 + 7,
+        {"+++": 426714, "++-": 0, "+-+": 0, "+--": 73283,
+         "-++": 0, "-+-": 73218, "--+": 426785, "---": 0},
+    ),
+]
+
+
+@pytest.mark.parametrize("rates,seed,expected", PINNED_MILLION)
 def test_threshold_counts_at_a_million_clicks_are_pinned(rates, seed, expected):
-    # recorded before the thresholds were hashed in place: every one of the
-    # 10^6 clicks must land where it did
+    # recorded from the exact-energy thresholds, equal to sorted_merge_counts:
+    # every one of the 10^6 clicks must land where it did, on every host
     rates = grid_sequence_intensities() if rates is None else rates
     assert threshold_event_stream(rates, tcfg(10**6, seed=seed)).counts == expected
+
+
+def test_threshold_quanta_are_uniform():
+    # (2 v + 1) 2^-33 over 10^6 clicks of port 0's stream at seed 0: mean and
+    # variance within 4 sigma of U(0, 1)'s, KS distance below the 1 % value
+    n = 10**6
+    u = np.sort((2 * threshold_halves(substream(0, 0), 0, n // 2) + 1) * 2.0**-33)
+    assert abs(u.mean() - 0.5) <= 4.0 * math.sqrt(1.0 / 12.0 / n)
+    assert abs(u.var() - 1.0 / 12.0) <= 4.0 * math.sqrt((1.0 / 80.0 - 1.0 / 144.0) / n)
+    ks = max((np.arange(1, n + 1) / n - u).max(), (u - np.arange(n) / n).max())
+    assert ks < 1.63 / math.sqrt(n)
+
+
+def test_threshold_counts_do_not_depend_on_numpy_dispatch():
+    # the pinned 10^6-click cases in a process with every numpy dispatch
+    # group this host runs disabled: only exactly rounded operations are used
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    groups = [g for g in __cpu_dispatch__ if __cpu_features__.get(g)]
+    cases = [
+        (grid_sequence_intensities() if rates is None else rates, seed)
+        for rates, seed, _ in PINNED_MILLION
+    ]
+    script = (
+        "import sys\n"
+        "from wavecorr.events import EventModelConfig, threshold_event_stream\n"
+        f"for rates, seed in {cases!r}:\n"
+        "    cfg = EventModelConfig('threshold_detector', 1.0, 0.25, 10**6, seed)\n"
+        "    print(threshold_event_stream(rates, cfg).counts)\n"
+    )
+    src = os.path.dirname(os.path.dirname(threshold_event_stream.__code__.co_filename))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path, NPY_DISABLE_CPU_FEATURES=" ".join(groups))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines() == [str(expected) for _, _, expected in PINNED_MILLION]
 
 
 # ------------------------------------------------------------- equivalence

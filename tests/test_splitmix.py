@@ -1,4 +1,4 @@
-"""Counter-based streams: the in-place run draw against the array draw."""
+"""Counter-based streams: the in-place run of hashed words against the array hash."""
 
 import random
 
@@ -9,7 +9,7 @@ from wavecorr.splitmix import (
     GOLDEN,
     _RUN,
     counter_uniform,
-    counter_uniform_run,
+    counter_words,
     keyed_substream,
     mix64,
     substream,
@@ -18,10 +18,14 @@ from wavecorr.splitmix import (
 TOP = 2**64
 
 
-def run_draw(n, seed, first, buffers=None):
-    size = min(n, _RUN)
-    buffers = buffers or (np.empty(size, np.uint64), np.empty(size, np.uint64))
-    return counter_uniform_run(np.empty(n), seed, first, buffers)
+def run_draw(n, seed, first, scratch=None):
+    scratch = np.empty(min(n, _RUN), np.uint64) if scratch is None else scratch
+    return counter_words(np.empty(n, np.uint64), seed, first, scratch)
+
+
+def counter_array_words(seed, first, n):
+    counter = np.arange(first, first + n, dtype=np.uint64)
+    return mix64(np.uint64(seed % TOP) + (counter + np.uint64(1)) * GOLDEN)
 
 
 @pytest.mark.parametrize("n", [1, 7, _RUN - 1, _RUN, _RUN + 1, 3 * _RUN + 5])
@@ -30,17 +34,18 @@ def run_draw(n, seed, first, buffers=None):
 def test_run_draw_matches_counter_array(n, seed, first):
     # "wrap" ends the run at counter 2^64 - 1, where counter + 1 wraps to 0
     first = TOP - n if first == "wrap" else first
-    expected = counter_uniform(seed, np.arange(first, first + n, dtype=np.uint64))
-    got = run_draw(n, seed, first)
-    np.testing.assert_array_equal(got, expected)
-    assert got.min() > 0.0 and got.max() <= 1.0
+    np.testing.assert_array_equal(run_draw(n, seed, first), counter_array_words(seed, first, n))
+    # counter_uniform keeps the top 53 bits of the same words, plus one
+    uniforms = counter_uniform(seed, np.arange(first, first + min(n, 99), dtype=np.uint64))
+    top = (run_draw(n, seed, first)[:99] >> np.uint64(11)) + np.uint64(1)
+    np.testing.assert_array_equal(uniforms, top.astype(float) * 2.0**-53)
 
 
 def test_run_draw_reuses_given_buffers_across_lengths():
-    buffers = (np.empty(_RUN, np.uint64), np.empty(_RUN, np.uint64))
+    scratch = np.empty(_RUN, np.uint64)
     for first, n in [(5, _RUN), (99, 3), (TOP - 40, 40), (0, 2 * _RUN + 1)]:
-        expected = counter_uniform(77, np.arange(first, first + n, dtype=np.uint64))
-        np.testing.assert_array_equal(run_draw(n, 77, first, buffers), expected)
+        expected = counter_array_words(77, first, n)
+        np.testing.assert_array_equal(run_draw(n, 77, first, scratch), expected)
 
 
 def test_mix64_leaves_its_input_untouched():
