@@ -38,14 +38,13 @@ from wavecorr.network import (
     circuit_distributions,
 )
 from wavecorr.outcomes import OutcomeDistribution
-from wavecorr.reck import MeshPlan, decompose, recompose
+from wavecorr.reck import MeshPlan, decompose
 from wavecorr.wavecore import (
     DichotomicObservable,
     IncompatibleObservablesError,
     PauliSpec,
     WaveState,
     commute,
-    luders_project,
     pauli_observable,
     sequential_distribution,
     state_library,
@@ -59,12 +58,10 @@ __all__ = [
     "IncompatibleObservablesError",
     "pauli_observable",
     "commute",
-    "luders_project",
     "sequential_distribution",
     "state_library",
     "MeshPlan",
     "decompose",
-    "recompose",
     "NoiseModel",
     "build_sequence_tree",
     "circuit_distributions",

@@ -14,7 +14,9 @@ per-port click streams, but it is computed without that merge, in memory
 that does not grow with the number of clicks.  Thresholds are whole energy
 quanta hashed from counter streams, so running energies are exact integers:
 most clicks are summed from hashed words, and click times are computed only
-near the cutoff, one bounded block per port at a time.
+in a window around each port's expected share, sized in the count's own
+standard deviations, one bounded block per port at a time.  The cutoff is
+then selected from the held click times by one partition.
 
 Events are functions of intensities alone.  Nothing in this module sees an
 amplitude or a phase.
@@ -36,13 +38,14 @@ LOADED_DIE = "loaded_die"
 EVENT_MODELS = (THRESHOLD_DETECTOR, LOADED_DIE)
 
 # Largest sample_count the threshold detector accepts.  Its memory is one block
-# per live port whatever the count, but its time is not: ~2.5 ns per click, so
-# 1e8 clicks take ~0.25 s per sequence; the loaded die has no such cost.
+# per live port whatever the count, but its time is not: ~2 ns per click, almost
+# all of it hashing, so 1e8 clicks take ~0.2 s per sequence; the loaded die has
+# no such cost.
 MAX_THRESHOLD_SAMPLES = 100_000_000
 
-# Each port skips its expected share less a wide margin, draws click times up
-# to its share plus that margin, then a block at a time.  The result does not
-# depend on the chunking, so these two knobs affect speed only.
+# The margin around each port's share, in its count's standard deviations plus
+# a floor of clicks (see threshold_event_stream).  The result does not depend
+# on the chunking, so these two knobs affect speed only.
 _CHUNK_SIGMAS = 10.0
 _CHUNK_FLOOR = 16
 # click times a port holds at once: 512 KiB blocks, small enough for cache
@@ -151,18 +154,22 @@ def threshold_event_stream(
     of 2 v_i + 1 over i < m and rates divided by the largest: integer sums and
     once-rounded float steps, so the counts are the same on every host.
 
-    The merge is never built.  Each live port skips its expected share less
-    the margin, rounded down to even, summing those clicks' energy from whole
-    words.  Then the port whose latest click is earliest draws a block of at
-    most _BLOCK click times, until n clicks lie at or before the horizon, the
-    earliest latest click.  The cutoff, the n-th click's time, is selected
-    from the held blocks, sorted by construction; ties at it fill the last
-    slots in port order.  Undrawn clicks can only lower a count and skipped
-    clicks after x can only raise the count at x, so a retired block, whose
-    horizon held fewer than n clicks, precedes the cutoff, and if every last
-    skipped click precedes the cutoff, the cutoff and tallies are the merge's.
-    Otherwise the draw is redone with no skip.  With one live port the merge
-    is that port's stream, so it takes all n clicks and no threshold is drawn.
+    The merge is never built.  A click spends a uniform energy, so a port's
+    count has coefficient of variation cv = spread / (threshold sqrt 3), and
+    the margin is _CHUNK_SIGMAS cv sqrt(share + 1) + _CHUNK_FLOOR clicks.  Each
+    live port skips its expected share less the margin, rounded down to even,
+    summing those clicks' energy from whole words.  Then the port whose latest
+    click is earliest draws a block of at most _BLOCK click times, until n
+    clicks lie at or before the horizon, the earliest latest click.  The
+    cutoff, the n-th click's time, lies at or before the horizon, so it is
+    selected by one partition of the held blocks' prefixes up to it; ties at
+    it fill the last slots in port order.  Undrawn clicks can only lower a
+    count and skipped clicks after x can only raise the count at x, so a
+    retired block, whose horizon held fewer than n clicks, precedes the
+    cutoff, and if every last skipped click precedes the cutoff, the cutoff
+    and tallies are the merge's.  Otherwise the draw is redone with no skip.
+    With one live port the merge is that port's stream, so it takes all n
+    clicks and no threshold is drawn.
     """
     ports = list(intensities)
     if not ports:
@@ -189,7 +196,8 @@ def threshold_event_stream(
         return EventCounts({p: n if i == live[0] else 0 for i, p in enumerate(ports)}, n)
     live_rates = rates[live]
     share = n * (live_rates / live_rates.sum())
-    margin = _CHUNK_SIGMAS * np.sqrt(share + 1.0) + _CHUNK_FLOOR
+    cv = config.threshold_spread / (config.threshold * math.sqrt(3.0))
+    margin = _CHUNK_SIGMAS * cv * np.sqrt(share + 1.0) + _CHUNK_FLOOR
     budget = np.minimum(n, np.ceil(share + margin)).astype(np.int64)
     skips = 2 * np.maximum(0.0, (share - margin) // 2).astype(np.int64)
     streams = [substream(config.seed, int(j)) for j in live]
@@ -209,8 +217,8 @@ def threshold_event_stream(
             blocks = [times[k, :0] for k in range(live.size)]
             while True:
                 horizon = latest.min()
-                held = sum(int(np.searchsorted(b, horizon, side="right")) for b in blocks)
-                if retired + held >= n:
+                held = [b[: np.searchsorted(b, horizon, side="right")] for b in blocks]
+                if retired + sum(h.size for h in held) >= n:
                     break
                 k = int(latest.argmin())
                 retired += blocks[k].size
@@ -221,7 +229,7 @@ def threshold_event_stream(
                 )
                 drawn[k] += blocks[k].size
                 latest[k] = blocks[k][-1]
-            cutoff = _nth_smallest([b for b in blocks if b.size], n - retired)
+            cutoff = _nth_smallest(held, n - retired)
             if np.all(first < cutoff):  # every skipped click precedes the cutoff
                 break
 
@@ -277,23 +285,13 @@ def _click_times(
 
 
 def _nth_smallest(times: list[np.ndarray], n: int) -> float:
-    """The n-th smallest value over sorted arrays of positive click times.
+    """The n-th smallest value over arrays of click times, by one partition.
 
-    Nonnegative float64 values order like their int64 bit patterns, so the
-    value is found by bisecting on bit patterns, counting the entries at or
-    below each probe with one searchsorted per array: at most 63 rounds.
+    That is the smallest value with at least n entries at or below it.
     """
-    below = int(np.float64(min(float(t[0]) for t in times)).view(np.int64)) - 1
-    above = int(np.float64(max(float(t[-1]) for t in times)).view(np.int64))
-    # invariant: fewer than n entries <= below, at least n entries <= above
-    while above - below > 1:
-        mid = (below + above) // 2
-        probe = np.int64(mid).view(np.float64)
-        if sum(int(np.searchsorted(t, probe, side="right")) for t in times) >= n:
-            above = mid
-        else:
-            below = mid
-    return float(np.int64(above).view(np.float64))
+    held = np.concatenate(times)
+    held.partition(n - 1)
+    return float(held[n - 1])
 
 
 def sample_events(dist: OutcomeDistribution, config: EventModelConfig) -> EventCounts:

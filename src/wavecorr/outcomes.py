@@ -66,9 +66,6 @@ class OutcomeDistribution:
     def outcome_length(self) -> int:
         return len(next(iter(self.probs)))
 
-    def prob(self, outcome: str) -> float:
-        return float(self.probs.get(outcome, 0.0))
-
     def marginal(self, position: int) -> dict[str, float]:
         """Marginal distribution of the measurement at the given slot."""
         out = {"+": 0.0, "-": 0.0}

@@ -8,10 +8,10 @@ diagonal of output phases.  The element acting on modes (p, q), p < q, is
 
 with th in [0, pi/2] and phi in [0, 2 pi), embedded as identity elsewhere.
 
-Convention: ``recompose`` applies ``plan.elements`` to the input vector in
-list order (elements[0] acts first) and the output phases last, i.e.
+Convention: a plan applies ``plan.elements`` to the input vector in list
+order (elements[0] acts first) and the output phases last, so its unitary is
 
-    recompose(plan) = diag(exp(i*phases)) @ E_m @ ... @ E_1.
+    diag(exp(i*phases)) @ E_m @ ... @ E_1.
 
 ``decompose`` finds the factors by eliminating the sub-diagonal entries of
 u^dagger column by column: left-multiplying by E(p=j, q=i, th, phi) with
@@ -115,11 +115,3 @@ def decompose(u: np.ndarray) -> MeshPlan:
         raise SynthesisError("nulling failed to reach a diagonal; input too far from unitary")
     phases = tuple(float((-np.angle(w[k, k])) % TWO_PI) for k in range(n))
     return MeshPlan(elements=tuple(elements), output_phases=phases)
-
-
-def recompose(plan: MeshPlan) -> np.ndarray:
-    """Rebuild the unitary: elements applied in list order, phases last."""
-    m = np.eye(plan.dim, dtype=complex)
-    for el in plan.elements:
-        m = el.embedded(plan.dim) @ m
-    return np.diag(np.exp(1j * np.array(plan.output_phases))) @ m

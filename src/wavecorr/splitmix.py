@@ -6,12 +6,13 @@ bitwise identical results on every platform.  Noisy circuit propagation and
 event sampling both lean on this: their outputs must not depend on the
 evaluation schedule.
 
-One private step holds the mixing sequence and runs it in place on uint64
-buffers.  counter_uniform hashes whatever counter array it is given.
-counter_words fills a uint64 buffer with the hashed words of one contiguous
-counter run without building the run: it adds a precomputed table of
-i * GOLDEN to one wrapping scalar and mixes in place, so a long stream is
-hashed without a fresh temporary per operation.
+One private step holds the mixing sequence, the finalizer written mix64
+below, and runs it in place on uint64 buffers.  counter_uniform hashes
+whatever counter array it is given.  counter_words fills a uint64 buffer
+with the hashed words of one contiguous counter run without building the
+run: it adds a precomputed table of i * GOLDEN to one wrapping scalar and
+mixes in place, so a long stream is hashed without a fresh temporary per
+operation.
 """
 
 from __future__ import annotations
@@ -59,12 +60,6 @@ def _mix64_into(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     np.right_shift(z, _SHIFT3, out=scratch)
     z ^= scratch
     return z
-
-
-def mix64(z: np.ndarray) -> np.ndarray:
-    """Stafford variant-13 finalizer: full-avalanche 64-bit mixing."""
-    z = np.array(z, dtype=np.uint64)
-    return _mix64_into(z, np.empty_like(z))
 
 
 def _unit_into(raw: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -25,7 +25,6 @@ HERMITICITY_TOL = 1e-12
 INVOLUTION_TOL = 1e-10
 COMMUTATOR_TOL = 1e-10
 NORMALIZATION_TOL = 1e-12
-ZERO_BRANCH_TOL = 1e-14
 
 # entries below this are treated as zero when splitting eigenspaces
 _EIGVEC_TOL = 1e-9
@@ -129,12 +128,14 @@ class DichotomicObservable:
     ``diagonalizer`` is the unitary A with O = A diag(outcomes) A^dagger,
     eigenvalues ordered descending: the +1 eigenvectors occupy the columns
     listed in ``plus_indices`` and the -1 eigenvectors the rest.
+    ``projectors`` holds the read-only (I + O) / 2 and (I - O) / 2.
     """
 
     label: str
     matrix: np.ndarray
     diagonalizer: np.ndarray = field(repr=False)
     plus_indices: tuple[int, ...]
+    projectors: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
     @classmethod
     def from_matrix(cls, label: str, matrix: np.ndarray) -> "DichotomicObservable":
@@ -155,14 +156,15 @@ class DichotomicObservable:
         basis_plus = _canonical_eigenbasis(p_plus, k_plus)
         basis_minus = _canonical_eigenbasis(p_minus, dim - k_plus)
         diag = np.column_stack([basis_plus, basis_minus])
-        diag.flags.writeable = False
         m = m.copy()
-        m.flags.writeable = False
+        for a in (diag, m, p_plus, p_minus):
+            a.flags.writeable = False
         return cls(
             label=label,
             matrix=m,
             diagonalizer=diag,
             plus_indices=tuple(range(k_plus)),
+            projectors=(p_plus, p_minus),
         )
 
     @property
@@ -172,7 +174,7 @@ class DichotomicObservable:
     def projector(self, outcome: int) -> np.ndarray:
         if outcome not in (+1, -1):
             raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-        return (np.eye(self.dim) + outcome * self.matrix) / 2
+        return self.projectors[0 if outcome == +1 else 1]
 
 
 PauliSpec = str
@@ -216,22 +218,6 @@ def commute(obs_a: DichotomicObservable, obs_b: DichotomicObservable) -> bool:
         raise ValueError("observables act on different mode counts")
     comm = obs_a.matrix @ obs_b.matrix - obs_b.matrix @ obs_a.matrix
     return float(np.max(np.abs(comm))) < COMMUTATOR_TOL
-
-
-def luders_project(
-    state: WaveState, obs: DichotomicObservable, outcome: int
-) -> tuple[float, WaveState | None]:
-    """Probability of the outcome and the renormalized post-measurement state.
-
-    The post state is None when the branch probability is below 1e-14.
-    """
-    if obs.dim != state.dim:
-        raise ValueError("observable dimension does not match state")
-    branch = obs.projector(outcome) @ state.amplitudes
-    prob = float(np.real(np.vdot(branch, branch)))
-    if prob < ZERO_BRANCH_TOL:
-        return prob, None
-    return prob, WaveState(state.labels, branch / np.sqrt(prob))
 
 
 def check_pairwise_compatible(observables: Sequence[DichotomicObservable]) -> None:

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+from oracles import recompose
 from wavecorr.cli import main as cli_main
 from wavecorr.contextuality import (
     AUDIT_SUITES,
@@ -41,7 +42,7 @@ from wavecorr.network import (
     ensemble_provider,
     ensemble_values,
 )
-from wavecorr.reck import decompose, recompose
+from wavecorr.reck import decompose
 from wavecorr.splitmix import substream
 from wavecorr.wavecore import (
     library_state_names,

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import mix64
 from wavecorr.events import (
     EventCounts,
     EventModelConfig,
@@ -20,7 +22,7 @@ from wavecorr.events import (
     threshold_event_stream,
 )
 from wavecorr.outcomes import OutcomeDistribution, outcome_signs
-from wavecorr.splitmix import _RUN, GOLDEN, mix64, substream
+from wavecorr.splitmix import _RUN, GOLDEN, substream
 from wavecorr.wavecore import pauli_observable, sequential_distribution, state_library
 
 UNIFORM4 = OutcomeDistribution(
@@ -374,6 +376,65 @@ def test_threshold_redraws_when_a_skip_reaches_the_cutoff(rates, cfg, monkeypatc
     assert len(cutoffs) == 2
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.lists(
+            st.sampled_from([0.5, 1.0, 1.0, 2.0, math.inf])
+            | st.floats(min_value=1e-300, max_value=1e300),
+            max_size=12,
+        ),
+        min_size=1,
+        max_size=8,
+    ).filter(any)
+)
+def test_nth_smallest_is_the_sorted_concatenation_entry(arrays):
+    # ties within and across arrays, ports that never fire (inf) and empty
+    # prefixes, at every n from 1 to the total; the inputs stay as they were
+    import wavecorr.events as ev
+
+    times = [np.sort(np.array(a, dtype=float)) for a in arrays]
+    copies = [t.copy() for t in times]
+    merged = np.sort(np.concatenate(times))
+    for n in range(1, merged.size + 1):
+        assert ev._nth_smallest(times, n) == merged[n - 1]
+    assert all(np.array_equal(t, c) for t, c in zip(times, copies))
+
+
+WINDOW_CASES = list(itertools.product([0.0, 0.05, 0.25, 0.9, 0.999], [0.5, 1.0, 3.0]))
+
+
+@pytest.mark.parametrize(
+    "case,ratio,threshold", [(i, *rt) for i, rt in enumerate(WINDOW_CASES)]
+)
+def test_threshold_draws_one_block_per_live_port(case, ratio, threshold, monkeypatch):
+    # the margin spans ten of a count's own standard deviations, so every
+    # live port's first block reaches past the cutoff and no draw is redone:
+    # the counts do not depend on it, only the time does
+    import wavecorr.events as ev
+
+    ports = 2 + case % 7
+    n = min(10 ** (3 + case % 4), 2 * 10**6 // ports)
+    draw = np.random.default_rng(case).uniform(0.05, 1.0, ports)
+    rates = {f"p{j}": float(r) for j, r in enumerate(draw)}
+    cfg = tcfg(n, seed=case, spread=ratio * threshold, threshold=threshold)
+    click_times, nth_smallest, streams, selections = ev._click_times, ev._nth_smallest, [], []
+
+    def block_spy(out, buffers, stream, *args):
+        streams.append(stream)
+        return click_times(out, buffers, stream, *args)
+
+    def select_spy(held, rank):
+        selections.append(rank)
+        return nth_smallest(held, rank)
+
+    monkeypatch.setattr(ev, "_click_times", block_spy)
+    monkeypatch.setattr(ev, "_nth_smallest", select_spy)
+    assert threshold_event_stream(rates, cfg).counts == sorted_merge_counts(rates, cfg)
+    assert sorted(streams) == sorted(substream(cfg.seed, j) for j in range(ports))
+    assert len(selections) == 1
+
+
 @pytest.mark.parametrize("n", [10**6, 4 * 10**6, MAX_THRESHOLD_SAMPLES])
 def test_threshold_memory_does_not_grow_with_sample_count(n):
     # numpy reports its buffers to tracemalloc; each live port holds one
@@ -505,7 +566,7 @@ def test_models_estimate_the_same_distribution():
     )
     for key, p in dist.probs.items():
         sigma = math.sqrt(2.0 * p * (1.0 - p) / n)
-        assert abs(die.prob(key) - thr.prob(key)) <= 4.0 * max(sigma, 1e-12)
+        assert abs(die.probs.get(key, 0.0) - thr.probs.get(key, 0.0)) <= 4.0 * max(sigma, 1e-12)
 
 
 def test_sample_events_dispatches_on_model():
@@ -525,8 +586,8 @@ def test_sample_events_dispatches_on_model():
 
 def test_empirical_distribution_matches_hand_arithmetic():
     emp = empirical_distribution(EventCounts(counts={"+": 3, "-": 1}, total=4))
-    assert emp.prob("+") == 0.75
-    assert emp.prob("-") == 0.25
+    assert emp.probs.get("+", 0.0) == 0.75
+    assert emp.probs.get("-", 0.0) == 0.25
     assert emp.sample_count == 4
 
 
@@ -537,7 +598,7 @@ def test_uniform_sample_errors_near_formula():
     assert emp.sample_count == n
     # the binomial error sqrt(p (1 - p) / n) of each frequency is 4.33e-4
     for key in UNIFORM4.probs:
-        assert abs(emp.prob(key) - 0.25) < 4 * 4.33e-4
+        assert abs(emp.probs.get(key, 0.0) - 0.25) < 4 * 4.33e-4
 
 
 # ---------------------------------------------------------------- property

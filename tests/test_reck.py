@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import recompose
 from wavecorr.reck import (
     MeshElement,
     MeshPlan,
     decompose,
-    recompose,
 )
 from wavecorr.wavecore import pauli_observable
 

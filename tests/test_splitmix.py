@@ -5,13 +5,13 @@ import random
 import numpy as np
 import pytest
 
+from oracles import mix64
 from wavecorr.splitmix import (
     GOLDEN,
     _RUN,
     counter_uniform,
     counter_words,
     keyed_substream,
-    mix64,
     substream,
 )
 

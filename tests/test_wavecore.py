@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import luders_project
 from wavecorr.outcomes import outcome_signs
 from wavecorr.wavecore import (
     DichotomicObservable,
@@ -13,7 +14,6 @@ from wavecorr.wavecore import (
     binary_labels,
     commute,
     library_state_names,
-    luders_project,
     pauli_matrix,
     pauli_observable,
     sequential_distribution,
@@ -178,6 +178,18 @@ def test_projector_completeness_property(spec_a, spec_b):
     assert commute(obs, other) == commute(other, obs)
 
 
+@pytest.mark.parametrize("spec", [s for n in (1, 2, 3) for s in pauli_specs(n)])
+def test_projectors_are_held_bit_for_bit(spec):
+    # built once per observable, so sequential_distribution's walk reads them
+    obs = pauli_observable(spec)
+    for outcome in (+1, -1):
+        held = obs.projector(outcome)
+        want = (np.eye(obs.dim) + outcome * obs.matrix) / 2
+        assert held.dtype == want.dtype and held.tobytes() == want.tobytes()
+        assert not held.flags.writeable
+        assert obs.projector(outcome) is held
+
+
 def test_commute_examples():
     assert commute(pauli_observable("ZI"), pauli_observable("IZ"))
     assert commute(pauli_observable("ZI"), pauli_observable("IX"))
@@ -237,7 +249,7 @@ def test_sequential_distribution_basis_state():
     dist = sequential_distribution(
         state_library("00"), [pauli_observable("ZI"), pauli_observable("IZ")]
     )
-    assert dist.prob("++") == pytest.approx(1.0, abs=1e-12)
+    assert dist.probs.get("++", 0.0) == pytest.approx(1.0, abs=1e-12)
     assert sum(dist.probs.values()) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -246,8 +258,8 @@ def test_sequential_distribution_chsh_pair():
         state_library("chsh"), [pauli_observable("ZI"), pauli_observable("IZ")]
     )
     heavy = 1.0 / (4.0 * (2.0 - SQRT2))
-    assert dist.prob("++") == pytest.approx(heavy, abs=1e-12)
-    assert dist.prob("--") == pytest.approx(heavy, abs=1e-12)
+    assert dist.probs.get("++", 0.0) == pytest.approx(heavy, abs=1e-12)
+    assert dist.probs.get("--", 0.0) == pytest.approx(heavy, abs=1e-12)
     value = sum(np.prod(outcome_signs(o)) * p for o, p in dist.probs.items())
     assert value == pytest.approx(1.0 / SQRT2, abs=1e-12)
 
@@ -289,7 +301,7 @@ def test_permutation_invariance_of_joint_distribution():
         dist = sequential_distribution(psi, [pauli_observable(specs[i]) for i in perm])
         for outcome, p in base.probs.items():
             permuted = "".join(outcome[i] for i in perm)
-            assert dist.prob(permuted) == pytest.approx(p, abs=1e-12)
+            assert dist.probs.get(permuted, 0.0) == pytest.approx(p, abs=1e-12)
 
 
 def test_repeatability_same_observable_thrice():
