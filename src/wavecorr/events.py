@@ -297,13 +297,12 @@ def _nth_smallest(times: list[np.ndarray], n: int) -> float:
 def sample_events(dist: OutcomeDistribution, config: EventModelConfig) -> EventCounts:
     """Run whichever detection model the config names on a distribution.
 
-    The threshold detector consumes raw port intensities when the
-    distribution carries them, otherwise the normalized probabilities (the
-    two differ only by an irrelevant time scale).
+    The threshold detector integrates the probabilities as port
+    intensities: it scales them by the brightest port anyway, so any
+    overall intensity would set only a time scale.
     """
     if config.model == THRESHOLD_DETECTOR:
-        weights = dist.intensities if dist.intensities is not None else dist.probs
-        return threshold_event_stream(dict(weights), config)
+        return threshold_event_stream(dict(dist.probs), config)
     return loaded_die_sample(dist, config)
 
 

@@ -54,9 +54,11 @@ draws what it would in a plan that ran every element.
 
 Meshes are laid down in columns that cover every mode of the bundle
 (identity phase segments pad the modes an element does not touch), so all
-paths that carry amplitude cross the same number of physical elements.
-Uniform per-element leakage then rescales every leaf alike and drops out
-of normalized distributions.
+paths that carry amplitude cross the same number D of physical elements,
+one D per circuit.  Uniform per-element leakage would scale every leaf's
+intensity by the same (1 - leakage)^D and drop out of the normalized
+distributions, so propagation does not apply it: a circuit's outputs are
+its probabilities, which no leakage changes.
 """
 
 from __future__ import annotations
@@ -112,8 +114,6 @@ _ARITY = {
 }
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-# an ideal splitter's (cos, sin) of pi/4, for propagation that is noisy elsewhere
-_BALANCED = (np.cos(np.pi / 4), np.sin(np.pi / 4))
 
 
 class NetlistError(ValueError):
@@ -143,7 +143,13 @@ class NoiseModel:
     One normal draw per live element per run, keyed by (seed, element index)
     through a counter-based generator, so results do not depend on
     evaluation order and are reproducible bit for bit.  The seeds are not
-    part of the model: every propagation takes one per member.
+    part of the model: every propagation takes one per member.  A width of
+    zero draws nothing and leaves that kind's elements ideal.
+
+    ``leakage`` is validated and reported but never applied: every lit path
+    crosses the same number of elements (see the module docstring), so a
+    uniform loss scales every leaf alike and leaves each distribution as
+    it is.
     """
 
     splitter_imbalance_sigma: float = 0.0
@@ -158,14 +164,6 @@ class NoiseModel:
             raise ValueError("noise widths must be finite and nonnegative")
         if not (0.0 <= self.leakage < 1.0):
             raise ValueError("leakage must lie in [0, 1)")
-
-    @property
-    def is_quiet(self) -> bool:
-        return (
-            self.splitter_imbalance_sigma == 0.0
-            and self.phase_jitter_sigma == 0.0
-            and self.leakage == 0.0
-        )
 
 
 # ----------------------------------------------------------------- netlist
@@ -185,8 +183,7 @@ class _Group:
 
     Per-element values are columns of shape (n, 1), so they broadcast
     against the (n, members) amplitudes of an ensemble.  A group carries no
-    noise of its own: each element's draw is keyed by its ``elem_idx`` and
-    the leakage is the model's.
+    noise of its own: each element's draw is keyed by its ``elem_idx``.
     """
 
     kind: str
@@ -244,8 +241,7 @@ class Netlist:
     """Mutable feed-forward circuit on integer wires; it checks its wiring as it compiles.
 
     Every wire is an id from fresh().  Every element sees the noise model
-    alone: its draw is keyed by the element's index, and the leakage is the
-    model's.
+    alone: its draw is keyed by the element's index.
     """
 
     def __init__(self) -> None:
@@ -549,13 +545,14 @@ def _propagate_members(
     Noisy splitter and phase values come a slab of groups at a time from
     _noise_slabs, drawn when the loop reaches the slab's first group: one
     slab per kind is held, whatever the circuit's size, and each value is
-    bitwise what a draw for its group alone gives.
+    bitwise what a draw for its group alone gives.  A kind whose width is
+    zero draws nothing and runs the ideal element, so such a model gives
+    the bits of no model at all for that kind.  The model's leakage is not
+    applied: every lit path crosses the same number of elements, so it
+    would scale every output alike.
     """
-    quiet = noise is None or noise.is_quiet
     sigma_imb = 0.0 if noise is None else noise.splitter_imbalance_sigma
     sigma_jit = 0.0 if noise is None else noise.phase_jitter_sigma
-    leak = 0.0 if noise is None else noise.leakage
-    keep = np.sqrt(1.0 - leak)
     imbalance = _noise_slabs(groups, BEAM_SPLITTER, seeds, sigma_imb) if sigma_imb > 0.0 else None
     jitter = _noise_slabs(groups, PHASE_SEGMENT, seeds, sigma_jit) if sigma_jit > 0.0 else None
 
@@ -566,24 +563,22 @@ def _propagate_members(
         if g.kind == BEAM_SPLITTER:
             u = amps.take(g.in_idx[0], axis=0)
             v = amps.take(g.in_idx[1], axis=0)
-            if quiet:
-                out_sum = (u + v) * _SQRT_HALF
-                out_diff = (u - v) * _SQRT_HALF
+            if imbalance is None:
+                amps[g.out_idx[0]] = (u + v) * _SQRT_HALF
+                amps[g.out_idx[1]] = (u - v) * _SQRT_HALF
             else:
-                c, s = _BALANCED if imbalance is None else next(imbalance)
-                out_sum = c * u + s * v
-                out_diff = s * u - c * v
-            amps[g.out_idx[0]] = out_sum * keep
-            amps[g.out_idx[1]] = out_diff * keep
+                c, s = next(imbalance)
+                amps[g.out_idx[0]] = c * u + s * v
+                amps[g.out_idx[1]] = s * u - c * v
         elif g.kind == PHASE_SEGMENT:
             a = amps.take(g.in_idx[0], axis=0)
             turn = np.exp(1j * g.base) if jitter is None else next(jitter)
-            amps[g.out_idx[0]] = a * turn * keep
+            amps[g.out_idx[0]] = a * turn
         elif g.kind == UNEQUAL_COUPLER:
             s_in = amps.take(g.in_idx[0], axis=0)
             norm = np.sqrt(1.0 + g.base**2)
-            amps[g.out_idx[0]] = s_in / norm * keep
-            amps[g.out_idx[1]] = s_in * (g.base / norm) * keep
+            amps[g.out_idx[0]] = s_in / norm
+            amps[g.out_idx[1]] = s_in * (g.base / norm)
 
 
 def _noise_slabs(groups: list[_Group], kind: str, seeds: np.ndarray, sigma: float):
@@ -687,7 +682,7 @@ def add_mesh(net: Netlist, plan: MeshPlan, in_wires: Sequence[int]) -> list[int]
 
     which reproduces the element matrix exactly, overall phase included.
     The plan's output phases form one final column.  Every mode crosses
-    exactly one element per column, keeping leakage uniform across paths.
+    exactly one element per column, so every path crosses as many elements.
     Returns the output wires, fresh ones, in mode order.
     """
     if len(in_wires) != plan.dim:
@@ -852,8 +847,8 @@ def circuit_distributions(
     sequence's seeds are moved past n once (splitmix.offset_seeds), branch b
     of a level gets them moved b B_j further, and after the level they move
     on by 2^(j-1) B_j.  Moves add in wrapping uint64 arithmetic, and the
-    tree's leaf taps draw no noise and leak nothing, so every member is
-    bitwise what propagating that whole tree with the member's seed gives.
+    tree's leaf taps draw no noise, so every member is bitwise what
+    propagating that whole tree with the member's seed gives.
     Nothing is cached across calls.
     """
     # each request's member seeds, moved past its preparation once that has run
@@ -942,7 +937,7 @@ def circuit_distributions(
 def _leaf_distributions(
     outcomes: Sequence[str], d: int, leaves: np.ndarray
 ) -> list[OutcomeDistribution]:
-    """Normalized leaf-group intensities of each member.
+    """Each member's leaf-group intensities over their total: its probabilities.
 
     ``leaves`` holds the amplitudes at a tree's leaf ports in its output
     order, shape (outcomes * d, members): row k d + b is basis mode b of
@@ -959,8 +954,7 @@ def _leaf_distributions(
         total = reduce(add, intensities.values(), 0)
         if total <= 0.0:
             raise PropagationError("no intensity reached the grouped output ports")
-        probs = {o: i / total for o, i in intensities.items()}
-        dists.append(OutcomeDistribution(probs=probs, intensities=intensities))
+        dists.append(OutcomeDistribution({o: i / total for o, i in intensities.items()}))
     return dists
 
 

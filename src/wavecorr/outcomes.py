@@ -41,15 +41,14 @@ def outcome_signs(s: str) -> tuple[int, ...]:
 class OutcomeDistribution:
     """Normalized probabilities over outcome strings.
 
-    ``sample_count`` is None for exact (intensity-derived) distributions and
-    the number of recorded events for empirical ones.  ``intensities`` keeps
-    the raw per-outcome intensities when the distribution came from circuit
-    ports.
+    ``sample_count`` is None for exact distributions and the number of
+    recorded events for empirical ones.  A circuit's distribution is its
+    leaf intensities over their total and keeps no intensities: every
+    consumer, the threshold detector included, reads probabilities.
     """
 
     probs: Mapping[str, float]
     sample_count: int | None = None
-    intensities: Mapping[str, float] | None = None
 
     def __post_init__(self) -> None:
         if not self.probs:

@@ -217,8 +217,8 @@ def _noisy_suite_rate(suite, noise, master_seed, members):
 
 # CHSH, Mermin and PeresMermin means, then the pair and triple suite rates
 PINNED_CRITERION_10 = [
-    "2.8216722718015648", "3.91448483392483", "5.9823537540763905",
-    "0.0782038941953671", "0.04683900577825392",
+    "2.8216722718015657", "3.91448483392483", "5.9823537540763905",
+    "0.07820389419536682", "0.04683900577825356",
 ]
 
 

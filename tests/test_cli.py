@@ -473,19 +473,19 @@ AUDIT_SEQUENCES = "ZI*IZ*ZZ;IX*XI*XX;ZX*XZ*YY;ZI*IX*ZX;IZ*XI*XZ;ZZ*XX*YY"
 # noisy grid scenario; every digit comes from the noise draws of 214 circuits
 PINNED_AUDIT_ROWS = {
     0: (
-        "1;0.99008807057627179;0.99879099116976799;0.99789234206407074;"
-        "0.99786623508894734;-0.99609879399860468",
-        "5.980736432897662", "4.1117240417458838", "0.055862020872941676", "4.11172",
+        "1;0.99008807057627179;0.99879099116976799;0.99789234206407063;"
+        "0.99786623508894723;-0.99609879399860468",
+        "5.980736432897662", "4.1117240417458838", "0.055862020872941731", "4.11172",
     ),
     3: (
         "1;0.99661532347884829;0.99534953356812594;0.99674972151463037;"
         "0.99973823188732536;-0.99753200266749609",
-        "5.9859848131164259", "4.147736056624554", "0.073868028312276901", "4.14774",
+        "5.9859848131164259", "4.147736056624554", "0.073868028312277234", "4.14774",
     ),
     7: (
-        "1;0.9958631891998756;0.99707403615325541;0.9988925894578391;"
+        "1;0.9958631891998756;0.99707403615325552;0.9988925894578391;"
         "0.9987720080779825;-0.99929416619518607",
-        "5.9898959890841397", "4.2437482821140398", "0.12187414105701977", "4.24375",
+        "5.9898959890841397", "4.2437482821140406", "0.12187414105702021", "4.24375",
     ),
 }
 

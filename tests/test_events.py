@@ -570,9 +570,7 @@ def test_models_estimate_the_same_distribution():
 
 
 def test_sample_events_dispatches_on_model():
-    dist = OutcomeDistribution(
-        {"+": 0.5, "-": 0.5}, intensities={"+": 3.0, "-": 3.0}
-    )
+    dist = OutcomeDistribution({"+": 0.5, "-": 0.5})
     die = sample_events(dist, EventModelConfig(model=LOADED_DIE, sample_count=4000, seed=7))
     thr = sample_events(dist, tcfg(4000, seed=7))
     assert die.total == thr.total == 4000
