@@ -33,8 +33,9 @@ from wavecorr.contextuality import (
     TRIPLE_SUITE,
     compatibility_suite,
     corrected_bound,
+    measure_inequality,
 )
-from wavecorr.network import NoiseModel, ensemble_provider, ensemble_values
+from wavecorr.network import NoiseModel, ensemble_provider
 
 EXPERIMENTS = (
     (CHSH, "chsh"),
@@ -53,8 +54,10 @@ def run_point(noise, args, label=""):
           f"jitter {noise.phase_jitter_sigma:g}, leakage {noise.leakage:g}, "
           f"{args.seeds} fabrication seeds")
     means = {}
+    fabrications = ensemble_provider(noise, args.seed, args.seeds)
     for defn, state_name in EXPERIMENTS:
-        vals = ensemble_values(defn, state_name, noise, args.seed, args.seeds)
+        reports = measure_inequality(defn, fabrications, state_name)
+        vals = np.array([report.value for report in reports])
         means[defn.name] = vals.mean()
         print(f"  {defn.name:12s} on {state_name:5s}: mean {vals.mean():.4f} "
               f"std {vals.std(ddof=1):.4f}  sem {vals.std(ddof=1)/np.sqrt(len(vals)):.4f}  "

@@ -31,8 +31,8 @@ from wavecorr.contextuality import (
     measure_inequality,
 )
 from wavecorr.events import EventModelConfig, empirical_distribution, sample_events
-from wavecorr.network import circuit_distributions
-from wavecorr.splitmix import substream
+from wavecorr.network import ensemble_provider
+from wavecorr.splitmix import keyed_substream
 
 IDEAL = ideal_provider()
 
@@ -40,22 +40,24 @@ IDEAL = ideal_provider()
 def make_provider(args):
     """Distribution source of the chosen pipeline, one member per request.
 
-    The events pipeline samples request k, the k-th term of an inequality,
-    with seed substream(args.seed, k).
+    The seeds follow ``wavecorr run``: the network pipeline is
+    network.ensemble_provider without noise, and the events pipeline samples
+    the request (state, labels) with seed keyed_substream(args.seed,
+    "events|<state>|<labels>"), the labels joined by "*".
     """
     if args.pipeline == "exact":
         return IDEAL
     if args.pipeline == "network":
-        return lambda requests: circuit_distributions(
-            [(state_name, labels, None) for state_name, labels in requests]
-        )
+        return ensemble_provider(None, args.seed, 1)
 
     def sampled(requests):
         configs = [
             EventModelConfig(
-                model=args.model, sample_count=args.samples, seed=substream(args.seed, k)
+                model=args.model,
+                sample_count=args.samples,
+                seed=keyed_substream(args.seed, f"events|{state_name}|{'*'.join(labels)}"),
             )
-            for k in range(len(requests))
+            for state_name, labels in requests
         ]
         return [
             [empirical_distribution(sample_events(base, cfg)) for base in members]

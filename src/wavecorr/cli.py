@@ -103,7 +103,7 @@ from wavecorr.network import (
     NetlistError,
     NoiseModel,
     PropagationError,
-    circuit_distributions,
+    ensemble_provider,
 )
 from wavecorr.outcomes import OutcomeDistribution
 from wavecorr.reck import SynthesisError
@@ -594,12 +594,12 @@ def make_provider(scenario: Scenario) -> Provider:
     The provider accepts any library state name (the compatibility suites
     audit their own state sets) plus the scenario's possibly custom state.
     Every pipeline answers a request with a one-member list.  Circuit
-    pipelines serve a whole batch through one circuit_distributions call;
-    under noise each (state, sequence) circuit is perturbed with its own
-    seed, keyed_substream(seed, "noise|<state>|<labels>"), so distinct
+    pipelines are network.ensemble_provider with one member at the
+    scenario's seed (without noise for network_ideal), so each (state,
+    sequence) circuit is fabricated from its own keyed seed, distinct
     circuits do not share fabrication errors, and reruns reproduce them
     bitwise.  The events pipeline samples each base member with the seed
-    keyed "events|<state>|<labels>".
+    keyed_substream(seed, "events|<state>|<labels>").
     """
 
     def resolve(state_name: str) -> WaveState:
@@ -619,18 +619,8 @@ def make_provider(scenario: Scenario) -> Provider:
     def through(pipeline: str, requests: list[tuple[str, tuple[str, ...]]]) -> list:
         if pipeline == "ideal":
             return ideal(requests)
-        noisy = pipeline == "network_noisy"
-        batch = [
-            (
-                prep_for(state_name),
-                labels,
-                [keyed_substream(scenario.seed, f"noise|{state_name}|{'*'.join(labels)}")]
-                if noisy
-                else None,
-            )
-            for state_name, labels in requests
-        ]
-        return circuit_distributions(batch, scenario.noise if noisy else None)
+        noise = scenario.noise if pipeline == "network_noisy" else None
+        return ensemble_provider(noise, scenario.seed, 1, prep_for)(requests)
 
     def provide(requests: Sequence[tuple[str, Sequence[str]]]) -> list[list[OutcomeDistribution]]:
         requests = [(state_name, tuple(labels)) for state_name, labels in requests]

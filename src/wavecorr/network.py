@@ -68,11 +68,11 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, islice, product, repeat
 from operator import add
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from wavecorr.contextuality import InequalityDefinition, Provider, measure_inequality
+from wavecorr.contextuality import Provider
 from wavecorr.outcomes import OutcomeDistribution
 from wavecorr.reck import MeshPlan, SynthesisError, decompose
 from wavecorr.splitmix import counter_normals, keyed_substream, offset_seeds, substream
@@ -958,16 +958,24 @@ def _leaf_distributions(
     return dists
 
 
-def ensemble_provider(noise: NoiseModel | None, master_seed: int, members: int) -> Provider:
-    """Distribution source for the compatibility suites under fabrication noise.
+def ensemble_provider(
+    noise: NoiseModel | None,
+    master_seed: int,
+    members: int,
+    prep: Callable[[str], str | WaveState] = lambda state_name: state_name,
+) -> Provider:
+    """Distribution source of fabricated circuits: the one fabrication-seed rule.
 
-    The provider serves a batch of (library state name, Pauli-word sequence)
+    The provider serves a batch of (state name, Pauli-word sequence)
     requests through circuit_distributions and returns its member lists as
-    they are: ``members`` fabrications per request.  Each circuit gets its
-    own seed stream, keyed by its state and sequence, so the draws do not
-    depend on the order circuits are audited in; member m of a circuit uses
-    that stream's m-th substream.  With no noise model every fabrication is
-    the same exact circuit, so each request gets a single member.
+    they are: ``members`` fabrications per request.  ``prep`` turns a state
+    name into what add_state_prep takes; by default the name itself, a
+    library state.  Member m of the circuit (state, labels) gets the seed
+    substream(keyed_substream(master_seed, "<state>|<labels>"), m), the
+    labels joined by "*", so a circuit's fabrications depend on neither the
+    batch nor the order circuits are asked for in.  With no noise model
+    every fabrication is the same exact circuit, so each request gets a
+    single member.
     """
 
     def seeds_for(state_name: str, labels: Sequence[str]) -> list[int] | None:
@@ -978,39 +986,7 @@ def ensemble_provider(noise: NoiseModel | None, master_seed: int, members: int) 
 
     def provide(requests):
         return circuit_distributions(
-            [(state, labels, seeds_for(state, labels)) for state, labels in requests], noise
+            [(prep(state), labels, seeds_for(state, labels)) for state, labels in requests], noise
         )
 
     return provide
-
-
-def ensemble_values(
-    defn: InequalityDefinition,
-    state_name: str,
-    noise: NoiseModel | None,
-    master_seed: int,
-    n_seeds: int,
-) -> np.ndarray:
-    """Inequality value of each of ``n_seeds`` fabrications of the experiment.
-
-    Fabrication s builds circuit k (the named preparation, then the k-th
-    sequence) with seed substream(substream(master_seed, s), k).  The values
-    come from measure_inequality, whose request k is term k's sequence: the
-    provider answers it with one member per fabrication, in fabrication
-    order, so report s is fabrication s.  All circuits go to
-    circuit_distributions in one call, so the preparation, and each level of
-    the sequences that share a label there, propagate all of their
-    fabrications in one propagate call.
-    """
-    run_seeds = [substream(master_seed, s) for s in range(n_seeds)]
-
-    def provide(requests):
-        return circuit_distributions(
-            [
-                (state, labels, [substream(run, k) for run in run_seeds])
-                for k, (state, labels) in enumerate(requests)
-            ],
-            noise,
-        )
-
-    return np.array([report.value for report in measure_inequality(defn, provide, state_name)])

@@ -89,7 +89,7 @@ def substream(seed: int, label: int) -> int:
 
 
 def keyed_substream(seed: int, key: str) -> int:
-    """Child seed of the stream named by ``key``, such as "noise|chsh|ZI*IZ".
+    """Child seed of the stream named by ``key``, such as "chsh|ZI*IZ".
 
     The label is the first 8 bytes of the key's sha256 digest, big-endian, so
     the child depends on the name alone, not on the order names are met in.

@@ -473,19 +473,19 @@ AUDIT_SEQUENCES = "ZI*IZ*ZZ;IX*XI*XX;ZX*XZ*YY;ZI*IX*ZX;IZ*XI*XZ;ZZ*XX*YY"
 # noisy grid scenario; every digit comes from the noise draws of 214 circuits
 PINNED_AUDIT_ROWS = {
     0: (
-        "1;0.99008807057627179;0.99879099116976799;0.99789234206407063;"
-        "0.99786623508894723;-0.99609879399860468",
-        "5.980736432897662", "4.1117240417458838", "0.055862020872941731", "4.11172",
+        "1;0.99413322569688678;0.99084127559889057;0.99921418924271155;"
+        "0.99949937316815851;-0.99880270726259235",
+        "5.982490770969239", "4.2170725511268987", "0.10853627556344947", "4.21707",
     ),
     3: (
-        "1;0.99661532347884829;0.99534953356812594;0.99674972151463037;"
-        "0.99973823188732536;-0.99753200266749609",
-        "5.9859848131164259", "4.147736056624554", "0.073868028312277234", "4.14774",
+        "1;0.99761154775718497;0.99608210379671835;0.99873699166212426;"
+        "0.9992324925003635;-0.99738754239542438",
+        "5.9890506781118154", "4.2315914470216276", "0.11579572351081396", "4.23159",
     ),
     7: (
-        "1;0.9958631891998756;0.99707403615325552;0.9988925894578391;"
-        "0.9987720080779825;-0.99929416619518607",
-        "5.9898959890841397", "4.2437482821140406", "0.12187414105702021", "4.24375",
+        "1;0.98926452780619156;0.99492718632327737;0.99693336951706935;"
+        "0.99295716913022436;-0.99826996903140708",
+        "5.972352221808169", "4.1584523744054964", "0.079226187202748433", "4.15845",
     ),
 }
 
@@ -562,48 +562,48 @@ _GRID_TERMS = (
     "  - ZZ*XX*YY  -1.000000 +/- 0.000000\n"
 )
 
-# full `wavecorr run` stdout of audited runs, recorded while the suite and the
-# inequality still made separate provider calls; the exact ideal audit reads
-# zero where its round-off once read 1.11022e-16.  The CHSH and Mermin runs
-# were recorded while each caller still chose its suite by hand.
+# full `wavecorr run` stdout of audited runs; the exact ideal audit reads
+# zero where its round-off once read 1.11022e-16.  Each noisy run is what
+# compatibility_suite and measure_inequality print over
+# network.ensemble_provider(noise, seed, 1), asked separately.
 PINNED_AUDIT_STDOUT = {
     "noisy-3": (
         "scenario pm-noisy-audit: state psi1, pipeline network_noisy, seed 3\n"
-        "PeresMermin: value = +5.985985 +/- 0.000000\n"
+        "PeresMermin: value = +5.989051 +/- 0.000000\n"
         "  + ZI*IZ*ZZ  +1.000000 +/- 0.000000\n"
-        "  + IX*XI*XX  +0.996615 +/- 0.000000\n"
-        "  + ZX*XZ*YY  +0.995350 +/- 0.000000\n"
-        "  + ZI*IX*ZX  +0.996750 +/- 0.000000\n"
-        "  + IZ*XI*XZ  +0.999738 +/- 0.000000\n"
-        "  - ZZ*XX*YY  -0.997532 +/- 0.000000\n"
-        "  bounds: noncontextual 4, corrected 4.14774 (deviation rate 0.073868), "
+        "  + IX*XI*XX  +0.997612 +/- 0.000000\n"
+        "  + ZX*XZ*YY  +0.996082 +/- 0.000000\n"
+        "  + ZI*IX*ZX  +0.998737 +/- 0.000000\n"
+        "  + IZ*XI*XZ  +0.999232 +/- 0.000000\n"
+        "  - ZZ*XX*YY  -0.997388 +/- 0.000000\n"
+        "  bounds: noncontextual 4, corrected 4.23159 (deviation rate 0.115796), "
         "quantum 6, algebraic 6\n"
-        "  verdict: violates NC bound 4, violates corrected bound 4.14774\n"
+        "  verdict: violates NC bound 4, violates corrected bound 4.23159\n"
         "compatibility audit:\n"
-        "  context independence : 0.073868\n"
-        "  order independence   : 0.005151\n"
-        "  repeatability        : 0.006596\n"
-        "  nondisturbance       : 0.006642\n"
-        "  worst case           : 0.073868 (context-independence: state psi11, marginal of YY)\n"
+        "  context independence : 0.115796\n"
+        "  order independence   : 0.011330\n"
+        "  repeatability        : 0.006231\n"
+        "  nondisturbance       : 0.008180\n"
+        "  worst case           : 0.115796 (context-independence: state psi11, marginal of YY)\n"
     ),
     "noisy-83": (
         "scenario pm-noisy-audit: state psi1, pipeline network_noisy, seed 83\n"
-        "PeresMermin: value = +5.986158 +/- 0.000000\n"
+        "PeresMermin: value = +5.987198 +/- 0.000000\n"
         "  + ZI*IZ*ZZ  +1.000000 +/- 0.000000\n"
-        "  + IX*XI*XX  +0.996335 +/- 0.000000\n"
-        "  + ZX*XZ*YY  +0.997437 +/- 0.000000\n"
-        "  + ZI*IX*ZX  +0.994446 +/- 0.000000\n"
-        "  + IZ*XI*XZ  +0.998808 +/- 0.000000\n"
-        "  - ZZ*XX*YY  -0.999132 +/- 0.000000\n"
-        "  bounds: noncontextual 4, corrected 4.2297 (deviation rate 0.11485), "
+        "  + IX*XI*XX  +0.995762 +/- 0.000000\n"
+        "  + ZX*XZ*YY  +0.996835 +/- 0.000000\n"
+        "  + ZI*IX*ZX  +0.995645 +/- 0.000000\n"
+        "  + IZ*XI*XZ  +0.999428 +/- 0.000000\n"
+        "  - ZZ*XX*YY  -0.999528 +/- 0.000000\n"
+        "  bounds: noncontextual 4, corrected 4.1906 (deviation rate 0.0953006), "
         "quantum 6, algebraic 6\n"
-        "  verdict: violates NC bound 4, violates corrected bound 4.2297\n"
+        "  verdict: violates NC bound 4, violates corrected bound 4.1906\n"
         "compatibility audit:\n"
-        "  context independence : 0.114850\n"
-        "  order independence   : 0.007885\n"
-        "  repeatability        : 0.005621\n"
-        "  nondisturbance       : 0.010052\n"
-        "  worst case           : 0.114850 (context-independence: state psi11, marginal of YY)\n"
+        "  context independence : 0.095301\n"
+        "  order independence   : 0.009931\n"
+        "  repeatability        : 0.006629\n"
+        "  nondisturbance       : 0.007327\n"
+        "  worst case           : 0.095301 (context-independence: state psi11, marginal of YY)\n"
     ),
     "ideal": (
         "scenario pm-ideal-audit: state psi5, pipeline ideal, seed 0\n"
@@ -636,37 +636,37 @@ PINNED_AUDIT_STDOUT = {
     ),
     "chsh": (
         "scenario chsh-noisy-audit: state chsh, pipeline network_noisy, seed 5\n"
-        "CHSH: value = +2.824610 +/- 0.000000\n"
-        "  + ZI*IZ  +0.707213 +/- 0.000000\n"
-        "  + XI*IZ  +0.705340 +/- 0.000000\n"
-        "  + ZI*IX  +0.705261 +/- 0.000000\n"
-        "  - XI*IX  -0.706796 +/- 0.000000\n"
-        "  bounds: noncontextual 2, corrected 2.22073 (deviation rate 0.110364), "
+        "CHSH: value = +2.858755 +/- 0.000000\n"
+        "  + ZI*IZ  +0.707130 +/- 0.000000\n"
+        "  + XI*IZ  +0.718746 +/- 0.000000\n"
+        "  + ZI*IX  +0.708807 +/- 0.000000\n"
+        "  - XI*IX  -0.724072 +/- 0.000000\n"
+        "  bounds: noncontextual 2, corrected 2.25844 (deviation rate 0.129221), "
         "quantum 2.82843, algebraic 4\n"
-        "  verdict: violates NC bound 2, violates corrected bound 2.22073\n"
+        "  verdict: violates NC bound 2, violates corrected bound 2.25844\n"
         "compatibility audit:\n"
-        "  context independence : 0.110364\n"
-        "  order independence   : 0.005907\n"
-        "  repeatability        : 0.004756\n"
-        "  nondisturbance       : 0.010246\n"
-        "  worst case           : 0.110364 (context-independence: state psi11, marginal of YY)\n"
+        "  context independence : 0.129221\n"
+        "  order independence   : 0.006985\n"
+        "  repeatability        : 0.006065\n"
+        "  nondisturbance       : 0.007741\n"
+        "  worst case           : 0.129221 (context-independence: state psi11, marginal of XZ)\n"
     ),
     "mermin": (
         "scenario mermin-noisy-audit: state ghz, pipeline network_noisy, seed 5\n"
-        "Mermin: value = +3.938521 +/- 0.000000\n"
-        "  + ZII*IZI*IIX  +0.996351 +/- 0.000000\n"
-        "  + XII*IZI*IIZ  +0.996690 +/- 0.000000\n"
-        "  + ZII*IXI*IIZ  +0.992036 +/- 0.000000\n"
-        "  - XII*IXI*IIX  -0.953444 +/- 0.000000\n"
-        "  bounds: noncontextual 2, corrected 2.0839 (deviation rate 0.0419479), "
+        "Mermin: value = +3.848140 +/- 0.000000\n"
+        "  + ZII*IZI*IIX  +0.979411 +/- 0.000000\n"
+        "  + XII*IZI*IIZ  +0.976578 +/- 0.000000\n"
+        "  + ZII*IXI*IIZ  +0.983063 +/- 0.000000\n"
+        "  - XII*IXI*IIX  -0.909088 +/- 0.000000\n"
+        "  bounds: noncontextual 2, corrected 2.09373 (deviation rate 0.0468646), "
         "quantum 4, algebraic 4\n"
-        "  verdict: violates NC bound 2, violates corrected bound 2.0839\n"
+        "  verdict: violates NC bound 2, violates corrected bound 2.09373\n"
         "compatibility audit:\n"
-        "  context independence : 0.041948\n"
-        "  order independence   : 0.034804\n"
-        "  repeatability        : 0.002958\n"
-        "  nondisturbance       : 0.000377\n"
-        "  worst case           : 0.041948 (context-independence: state ghz, marginal of ZII)\n"
+        "  context independence : 0.046865\n"
+        "  order independence   : 0.045970\n"
+        "  repeatability        : 0.004703\n"
+        "  nondisturbance       : 0.000518\n"
+        "  worst case           : 0.046865 (context-independence: state 111, marginal of IIX)\n"
     ),
 }
 
@@ -709,13 +709,13 @@ def test_audited_run_equals_separate_provider_calls(pipeline):
 
 def test_audited_run_asks_its_pipeline_once(monkeypatch):
     calls = []
-    real = cli.circuit_distributions
+    real = network.circuit_distributions
 
     def counting(batch, noise):
         calls.append(len(batch))
         return real(batch, noise)
 
-    monkeypatch.setattr(cli, "circuit_distributions", counting)
+    monkeypatch.setattr(network, "circuit_distributions", counting)
     built = []
     real_build = network.build_sequence_tree
     monkeypatch.setattr(
@@ -759,7 +759,7 @@ def test_incompatible_audit_suite_fails_before_any_circuit(monkeypatch):
     def no_circuits(*args, **kwargs):
         raise AssertionError("a circuit was built for a plan that cannot run")
 
-    monkeypatch.setattr(cli, "circuit_distributions", no_circuits)
+    monkeypatch.setattr(network, "circuit_distributions", no_circuits)
     clashing = replace(cli.AUDIT_SUITES["PeresMermin"], disturbance_sequences=(("ZI", "XI", "ZI"),))
     monkeypatch.setitem(cli.AUDIT_SUITES, "PeresMermin", clashing)
     scenario = load_scenario(os.path.join(SCENARIO_DIR, "pm_noisy_audit.yaml"))
@@ -797,6 +797,16 @@ def test_request_results_do_not_depend_on_their_batch(pipeline):
         assert repr(amid[k]) == repr(alone) == repr(first) == repr(second)
 
 
+@pytest.mark.parametrize("pipeline", ["network_ideal", "network_noisy"])
+def test_circuit_pipelines_are_the_ensemble_provider(pipeline):
+    scenario = audited(pipeline)
+    requests = cli.AUDIT_SUITES[scenario.definition.name].requests + cli.inequality_requests(
+        scenario.definition, scenario.state_name
+    )
+    want = network.ensemble_provider(scenario.noise, scenario.seed, 1)(requests)
+    assert repr(make_provider(scenario)(requests)) == repr(want)
+
+
 NON_COMMUTING = {
     "ideal": {},
     "network_ideal": {"pipeline": "network_ideal"},
@@ -811,7 +821,7 @@ def test_non_commuting_sequence_fails_on_every_pipeline(pipeline, how, tmp_path,
     def no_circuits(*args, **kwargs):
         raise AssertionError("a circuit was built for a sequence that cannot run")
 
-    monkeypatch.setattr(cli, "circuit_distributions", no_circuits)
+    monkeypatch.setattr(network, "circuit_distributions", no_circuits)
     if how == "custom":
         data = dict(
             MINIMAL, inequality="custom", custom={"terms": [{"sequence": ["ZI", "XI"]}]}

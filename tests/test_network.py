@@ -15,8 +15,6 @@ from wavecorr.contextuality import (
     INEQUALITIES,
     PAIR_SUITE,
     TRIPLE_SUITE,
-    InequalityReport,
-    correlator,
 )
 from wavecorr.network import (
     BEAM_SPLITTER,
@@ -33,12 +31,12 @@ from wavecorr.network import (
     build_measurement_block,
     build_sequence_tree,
     circuit_distributions,
-    ensemble_values,
+    ensemble_provider,
     propagate,
 )
 from wavecorr.outcomes import outcome_signs
 from wavecorr.reck import decompose
-from wavecorr.splitmix import counter_normals, offset_seeds, substream
+from wavecorr.splitmix import counter_normals, keyed_substream, offset_seeds, substream
 from wavecorr.wavecore import (
     WaveState,
     binary_labels,
@@ -1040,18 +1038,18 @@ def test_prep_width_must_match_the_sequence():
         propagate(hybrid_ring(), np.ones((1, 2), dtype=complex), None, [0, 1])
 
 
-def test_ensemble_values_match_per_fabrication_evaluation():
+def test_ensemble_provider_members_match_whole_trees():
+    # member m of circuit (state, labels) is the whole tree at its keyed seed
     master = 29
-    values = ensemble_values(CHSH, "chsh", ENSEMBLE_NOISE, master, 3)
-    assert len(values) == 3
-    for s, value in enumerate(values):
-        cors = []
-        for k, labels in enumerate(CHSH.sequences):
-            seed = substream(substream(master, s), k)
-            [dist] = whole_tree_distributions("chsh", labels, ENSEMBLE_NOISE, [seed])
-            cors.append(correlator(dist, labels))
-        assert value == InequalityReport(CHSH, cors).value
-    assert len(set(values.tolist())) == 3
+    results = ensemble_provider(ENSEMBLE_NOISE, master, 3)(
+        [("chsh", labels) for labels in CHSH.sequences]
+    )
+    for labels, got in zip(CHSH.sequences, results, strict=True):
+        tree_seed = keyed_substream(master, f"chsh|{'*'.join(labels)}")
+        seeds = [substream(tree_seed, m) for m in range(3)]
+        want = whole_tree_distributions("chsh", labels, ENSEMBLE_NOISE, seeds)
+        assert [d.probs for d in got] == [d.probs for d in want], labels
+    assert len({repr(d.probs) for d in results[0]}) == 3
 
 
 # Noise draw pins: one digest per (circuit, noise model, member count) of the

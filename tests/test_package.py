@@ -44,6 +44,21 @@ def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 
 
+def _reads(path, name):
+    """Whether the module at ``path`` loads ``name`` as a name or an attribute."""
+    return any(
+        isinstance(n, ast.Name) and n.id == name or isinstance(n, ast.Attribute) and n.attr == name
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    )
+
+
+def test_only_the_network_layer_builds_circuits():
+    # every other module asks network.ensemble_provider, so fabrication seeds
+    # follow one rule
+    paths = sorted([*(ROOT / "src" / "wavecorr").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
+    assert [p.name for p in paths if _reads(p, "circuit_distributions")] == ["network.py"]
+
+
 # a function's or comprehension's own scope: a name it binds hides a global
 _SCOPES = (
     ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,

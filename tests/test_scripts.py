@@ -5,6 +5,7 @@ compatibility suites, so a change to how members are propagated or seeded
 shows up here byte for byte.
 """
 
+import argparse
 import os
 import sys
 
@@ -20,18 +21,20 @@ import reproduce_experiments  # noqa: E402
 import numpy as np  # noqa: E402
 
 import wavecorr.network as network  # noqa: E402
+from wavecorr.cli import run_scenario, scenario_from_dict  # noqa: E402
+from wavecorr.contextuality import CHSH, measure_inequality  # noqa: E402
 from wavecorr.events import MAX_THRESHOLD_SAMPLES  # noqa: E402
 
 NOISE_STUDY_AUDIT = """\
 noise: imbalance 0.008, jitter 0.012, leakage 0.001, 3 fabrication seeds
-  CHSH         on chsh : mean 2.8287 std 0.0163  sem 0.0094  range [2.8135, 2.8459]
-  Mermin       on ghz  : mean 3.9204 std 0.0275  sem 0.0159  range [3.8998, 3.9516]
-  PeresMermin  on psi1 : mean 5.9842 std 0.0056  sem 0.0032  range [5.9789, 5.9900]
+  CHSH         on chsh : mean 2.8263 std 0.0035  sem 0.0020  range [2.8238, 2.8303]
+  Mermin       on ghz  : mean 3.9274 std 0.0330  sem 0.0191  range [3.8918, 3.9570]
+  PeresMermin  on psi1 : mean 5.9840 std 0.0025  sem 0.0014  range [5.9825, 5.9868]
   pair suite   : worst 0.0903 (context-independence: state psi11, marginal of YY)
   triple suite : worst 0.0478 (context-independence: state ghz, marginal of ZII)
-  corrected CHSH        : 2.1806 (below the mean 2.8287)
-  corrected Mermin      : 2.0956 (below the mean 3.9204)
-  corrected PeresMermin : 4.1806 (below the mean 5.9842)
+  corrected CHSH        : 2.1806 (below the mean 2.8263)
+  corrected Mermin      : 2.0956 (below the mean 3.9274)
+  corrected PeresMermin : 4.1806 (below the mean 5.9840)
 """
 
 COMPATIBILITY_AUDIT = """\
@@ -90,6 +93,18 @@ def test_reproduce_network_stdout_is_unchanged(capsys):
     out = capsys.readouterr().out
     assert out.startswith(REPRODUCE_NETWORK + "\nelapsed: ")
     assert out.count("\n") == REPRODUCE_NETWORK.count("\n") + 2
+
+
+@pytest.mark.parametrize("model", ["loaded_die", "threshold_detector"])
+def test_reproduce_events_draw_what_wavecorr_run_draws(model):
+    # the script seeds each sequence's events by the rule `wavecorr run` uses
+    args = argparse.Namespace(pipeline="events", model=model, samples=20_000, seed=5)
+    (report,) = measure_inequality(CHSH, reproduce_experiments.make_provider(args), "chsh")
+    scenario = scenario_from_dict({
+        "name": "chsh-events", "state": "chsh", "inequality": "CHSH", "pipeline": "events",
+        "seed": 5, "sample_count": 20_000, "events": {"model": model},
+    })
+    assert repr(report) == repr(run_scenario(scenario).inequality)
 
 
 def test_noise_study_audit_stdout_is_unchanged(capsys):
