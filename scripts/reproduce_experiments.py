@@ -30,9 +30,9 @@ from wavecorr.contextuality import (
     ideal_provider,
     measure_inequality,
 )
-from wavecorr.events import EventModelConfig, empirical_distribution, sample_events
+from wavecorr.cli import event_provider
+from wavecorr.events import EventModelConfig
 from wavecorr.network import ensemble_provider
-from wavecorr.splitmix import keyed_substream
 
 IDEAL = ideal_provider()
 
@@ -41,30 +41,16 @@ def make_provider(args):
     """Distribution source of the chosen pipeline, one member per request.
 
     The seeds follow ``wavecorr run``: the network pipeline is
-    network.ensemble_provider without noise, and the events pipeline samples
-    the request (state, labels) with seed keyed_substream(args.seed,
-    "events|<state>|<labels>"), the labels joined by "*".
+    network.ensemble_provider without noise, and the events pipeline is
+    cli.event_provider over the exact distributions, drawing args.samples
+    events of args.model at args.seed.
     """
     if args.pipeline == "exact":
         return IDEAL
     if args.pipeline == "network":
         return ensemble_provider(None, args.seed, 1)
-
-    def sampled(requests):
-        configs = [
-            EventModelConfig(
-                model=args.model,
-                sample_count=args.samples,
-                seed=keyed_substream(args.seed, f"events|{state_name}|{'*'.join(labels)}"),
-            )
-            for state_name, labels in requests
-        ]
-        return [
-            [empirical_distribution(sample_events(base, cfg)) for base in members]
-            for members, cfg in zip(IDEAL(requests), configs)
-        ]
-
-    return sampled
+    config = EventModelConfig(model=args.model, sample_count=args.samples, seed=args.seed)
+    return event_provider(IDEAL, config)
 
 
 def main(argv=None):
@@ -75,14 +61,12 @@ def main(argv=None):
                     default="loaded_die")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
-    if args.pipeline == "events":
-        try:
-            EventModelConfig(model=args.model, sample_count=args.samples)
-        except ValueError as exc:
-            ap.error(str(exc))
 
     t0 = time.perf_counter()
-    provider = make_provider(args)
+    try:
+        provider = make_provider(args)
+    except ValueError as exc:  # the events config, checked before anything is drawn
+        ap.error(str(exc))
     print(f"pipeline: {args.pipeline}\n")
 
     (report,) = measure_inequality(CHSH, provider, "chsh")

@@ -193,7 +193,6 @@ class Scenario:
     definition: InequalityDefinition
     pipeline: str
     seed: int = 0
-    sample_count: int = 100_000
     base_pipeline: str = "ideal"
     noise: NoiseModel | None = None
     events: EventModelConfig | None = None
@@ -400,16 +399,20 @@ def _parse_events(raw, path: str) -> EventModelConfig:
         raise ConfigError(path, str(exc)) from None
 
 
-def _check_sample_count(count: int, events: EventModelConfig | None, path: str) -> None:
-    """Reject a sample count before anything is drawn, e.g. one over the
-    threshold detector's cap, which would otherwise exhaust memory."""
+def _check_sample_count(
+    count: int, events: EventModelConfig | None, path: str
+) -> EventModelConfig | None:
+    """The events config drawing ``count`` events, checked before anything is
+    drawn: a count over the threshold detector's cap would exhaust memory.
+    Pipelines without events reject only a count below 1."""
     if count < 1:
         raise ConfigError(path, "must be at least 1")
-    if events is not None:
-        try:
-            replace(events, sample_count=count)
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from None
+    if events is None:
+        return None
+    try:
+        return replace(events, sample_count=count)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 def _substitute_labels(
@@ -447,42 +450,37 @@ _SCENARIO_KEYS = (
 )
 
 
-def scenario_from_dict(data: Mapping, path: str = "") -> Scenario:
+def scenario_from_dict(data: Mapping) -> Scenario:
     """Validate a raw mapping into a Scenario, reporting exact field paths."""
-    data = _expect_map(data, path or "scenario")
-    _reject_unknown(data, _SCENARIO_KEYS, path)
+    data = _expect_map(data, "scenario")
+    _reject_unknown(data, _SCENARIO_KEYS, "")
 
-    def at(key: str) -> str:
-        return f"{path}.{key}" if path else key
+    name = _expect_str(_require(data, "name", ""), "name")
+    state_name, state = _parse_state(_require(data, "state", ""), "state")
 
-    name = _expect_str(_require(data, "name", path), at("name"))
-    state_name, state = _parse_state(_require(data, "state", path), at("state"))
-
-    kind = _expect_str(_require(data, "inequality", path), at("inequality"))
+    kind = _expect_str(_require(data, "inequality", ""), "inequality")
     if kind == "custom":
         if "custom" not in data:
-            raise ConfigError(at("custom"), "inequality 'custom' needs a custom section")
-        defn = _parse_custom_definition(data["custom"], at("custom"))
+            raise ConfigError("custom", "inequality 'custom' needs a custom section")
+        defn = _parse_custom_definition(data["custom"], "custom")
     elif kind in INEQUALITIES:
         if "custom" in data:
-            raise ConfigError(at("custom"), "custom section is only read when inequality is 'custom'")
+            raise ConfigError("custom", "custom section is only read when inequality is 'custom'")
         defn = INEQUALITIES[kind]
     else:
         raise ConfigError(
-            at("inequality"),
+            "inequality",
             f"expected one of {', '.join(INEQUALITIES)}, custom; got {kind!r}",
         )
 
     written, clean = defn, {}  # the labels as given, and their remapping
     if "observables" in data:
-        renames = _expect_map(data["observables"], at("observables"))
+        renames = _expect_map(data["observables"], "observables")
         clean = {
-            _expect_str(k, f"{at('observables')}.{k}"): _expect_str(
-                v, f"{at('observables')}.{k}"
-            )
+            _expect_str(k, f"observables.{k}"): _expect_str(v, f"observables.{k}")
             for k, v in renames.items()
         }
-        defn = _substitute_labels(defn, clean, at("observables"))
+        defn = _substitute_labels(defn, clean, "observables")
 
     # every measurement label must be a valid operator of the state's size;
     # the width is checked first, since a label of k letters builds a
@@ -493,7 +491,7 @@ def scenario_from_dict(data: Mapping, path: str = "") -> Scenario:
         for j, (lab, old) in enumerate(zip(seq, old_seq)):
             if len(lab) != width:
                 raise ConfigError(
-                    at("state"),
+                    "state",
                     f"state {state_name!r} carries {width}-letter observables, "
                     f"but the inequality measures {lab!r}",
                 )
@@ -501,52 +499,52 @@ def scenario_from_dict(data: Mapping, path: str = "") -> Scenario:
                 pauli_observable(lab)
             except ValueError as exc:
                 where = f"observables.{old}" if old in clean else f"custom.terms[{i}].sequence[{j}]"
-                raise ConfigError(at(where), f"label {lab!r}: {exc}") from None
+                raise ConfigError(where, f"label {lab!r}: {exc}") from None
 
-    pipeline = _expect_str(_require(data, "pipeline", path), at("pipeline"))
+    pipeline = _expect_str(_require(data, "pipeline", ""), "pipeline")
     if pipeline not in PIPELINES:
-        raise ConfigError(at("pipeline"), f"expected one of {', '.join(PIPELINES)}")
-    base = _expect_str(data.get("base_pipeline", "ideal"), at("base_pipeline"))
+        raise ConfigError("pipeline", f"expected one of {', '.join(PIPELINES)}")
+    base = _expect_str(data.get("base_pipeline", "ideal"), "base_pipeline")
     if base not in BASE_PIPELINES:
-        raise ConfigError(at("base_pipeline"), f"expected one of {', '.join(BASE_PIPELINES)}")
+        raise ConfigError("base_pipeline", f"expected one of {', '.join(BASE_PIPELINES)}")
     if "base_pipeline" in data and pipeline != "events":
-        raise ConfigError(at("base_pipeline"), "only the events pipeline takes a base")
+        raise ConfigError("base_pipeline", "only the events pipeline takes a base")
 
-    noise = _parse_noise(data["noise"], at("noise")) if "noise" in data else None
+    noise = _parse_noise(data["noise"], "noise") if "noise" in data else None
     needs_noise = pipeline == "network_noisy" or (pipeline == "events" and base == "network_noisy")
     if needs_noise and noise is None:
-        raise ConfigError(at("noise"), "this pipeline perturbs the circuit; add a noise section")
+        raise ConfigError("noise", "this pipeline perturbs the circuit; add a noise section")
 
-    events = _parse_events(data["events"], at("events")) if "events" in data else None
+    events = _parse_events(data["events"], "events") if "events" in data else None
     if events is not None and pipeline != "events":
-        raise ConfigError(at("events"), "events section is only read by the events pipeline")
+        raise ConfigError("events", "events section is only read by the events pipeline")
     if pipeline == "events" and events is None:
         events = EventModelConfig()
 
-    seed = _expect_int(data.get("seed", 0), at("seed"))
-    sample_count = _expect_int(data.get("sample_count", 100_000), at("sample_count"))
-    _check_sample_count(sample_count, events, at("sample_count"))
+    seed = _expect_int(data.get("seed", 0), "seed")
+    sample_count = _expect_int(data.get("sample_count", 100_000), "sample_count")
+    events = _check_sample_count(sample_count, events, "sample_count")
 
     rate = data.get("deviation_rate")
     if rate is not None:
-        rate = _expect_number(rate, at("deviation_rate"))
+        rate = _expect_number(rate, "deviation_rate")
         if not 0.0 <= rate <= 1.0:
-            raise ConfigError(at("deviation_rate"), "must lie in [0, 1]")
-    audit = _expect_bool(data.get("audit", False), at("audit"))
+            raise ConfigError("deviation_rate", "must lie in [0, 1]")
+    audit = _expect_bool(data.get("audit", False), "audit")
     if audit and rate is not None:
-        raise ConfigError(at("audit"), "choose either audit or a fixed deviation_rate")
+        raise ConfigError("audit", "choose either audit or a fixed deviation_rate")
     if audit and kind == "custom":
-        raise ConfigError(at("audit"), "auditing needs one of the built-in inequalities")
+        raise ConfigError("audit", "auditing needs one of the built-in inequalities")
     if audit:
         # the suite's rate corrects the bound only if the suite measured every label
         suite = AUDIT_SUITES[defn.name]
         for lab in defn.observable_labels:
             if not any(lab in seq for seq in suite.sequences):
-                raise ConfigError(at("audit"), f"the {suite.name} suite never measures {lab!r}")
+                raise ConfigError("audit", f"the {suite.name} suite never measures {lab!r}")
 
     csv_path = data.get("csv")
     if csv_path is not None:
-        csv_path = _expect_str(csv_path, at("csv"))
+        csv_path = _expect_str(csv_path, "csv")
 
     return Scenario(
         name=name,
@@ -555,7 +553,6 @@ def scenario_from_dict(data: Mapping, path: str = "") -> Scenario:
         definition=defn,
         pipeline=pipeline,
         seed=seed,
-        sample_count=sample_count,
         base_pipeline=base,
         noise=noise,
         events=events,
@@ -588,18 +585,40 @@ def load_scenario(file_path: str) -> Scenario:
 # ---------------------------------------------------------------- pipelines
 
 
+def event_provider(base: Provider, config: EventModelConfig) -> Provider:
+    """Detection events drawn from a base provider's distributions: the one
+    event-seed rule.
+
+    Every member of ``base``'s answer to the request (state, labels) is
+    sampled with ``config`` at the seed keyed_substream(config.seed,
+    "events|<state>|<labels>"), the labels joined by "*", so a request's
+    events depend on neither the batch nor the order requests come in.
+    """
+
+    def sample(state_name: str, labels: Sequence[str], members) -> list[OutcomeDistribution]:
+        key = f"events|{state_name}|{'*'.join(labels)}"
+        cfg = replace(config, seed=keyed_substream(config.seed, key))
+        return [empirical_distribution(sample_events(m, cfg)) for m in members]
+
+    def provide(requests: Sequence[Request]) -> list[list[OutcomeDistribution]]:
+        return [sample(*request, members) for request, members in zip(requests, base(requests))]
+
+    return provide
+
+
 def make_provider(scenario: Scenario) -> Provider:
     """Batch distribution source implementing the scenario's pipeline.
 
     The provider accepts any library state name (the compatibility suites
     audit their own state sets) plus the scenario's possibly custom state.
-    Every pipeline answers a request with a one-member list.  Circuit
-    pipelines are network.ensemble_provider with one member at the
-    scenario's seed (without noise for network_ideal), so each (state,
-    sequence) circuit is fabricated from its own keyed seed, distinct
-    circuits do not share fabrication errors, and reruns reproduce them
-    bitwise.  The events pipeline samples each base member with the seed
-    keyed_substream(seed, "events|<state>|<labels>").
+    Every pipeline answers a request with a one-member list.  The ideal
+    pipeline is contextuality.ideal_provider.  Circuit pipelines are
+    network.ensemble_provider with one member at the scenario's seed
+    (without noise for network_ideal), so each (state, sequence) circuit is
+    fabricated from its own keyed seed, distinct circuits do not share
+    fabrication errors, and reruns reproduce them bitwise.  The events
+    pipeline is event_provider over its base pipeline, with the scenario's
+    events config at the scenario's seed.
     """
 
     def resolve(state_name: str) -> WaveState:
@@ -614,30 +633,16 @@ def make_provider(scenario: Scenario) -> Provider:
             return resolve(state_name)
         return state_name
 
-    ideal = ideal_provider(resolve)
-
-    def through(pipeline: str, requests: list[tuple[str, tuple[str, ...]]]) -> list:
+    def through(pipeline: str) -> Provider:
         if pipeline == "ideal":
-            return ideal(requests)
+            return ideal_provider(resolve)
         noise = scenario.noise if pipeline == "network_noisy" else None
-        return ensemble_provider(noise, scenario.seed, 1, prep_for)(requests)
+        return ensemble_provider(noise, scenario.seed, 1, prep_for)
 
-    def provide(requests: Sequence[tuple[str, Sequence[str]]]) -> list[list[OutcomeDistribution]]:
-        requests = [(state_name, tuple(labels)) for state_name, labels in requests]
-        if scenario.pipeline != "events":
-            return through(scenario.pipeline, requests)
-        bases = through(scenario.base_pipeline, requests)
-        sampled = []
-        for (state_name, labels), members in zip(requests, bases):
-            cfg = replace(
-                scenario.events,
-                sample_count=scenario.sample_count,
-                seed=keyed_substream(scenario.seed, f"events|{state_name}|{'*'.join(labels)}"),
-            )
-            sampled.append([empirical_distribution(sample_events(m, cfg)) for m in members])
-        return sampled
-
-    return provide
+    if scenario.pipeline != "events":
+        return through(scenario.pipeline)
+    events = replace(scenario.events, seed=scenario.seed)
+    return event_provider(through(scenario.base_pipeline), events)
 
 
 def run_scenario(scenario: Scenario) -> RunReport:
@@ -686,7 +691,7 @@ def format_run_report(report: RunReport) -> str:
         f"scenario {sc.name}: state {sc.state_name}, pipeline {sc.pipeline}, seed {sc.seed}",
     ]
     if sc.pipeline == "events":
-        lines[0] += f", {sc.sample_count} events per sequence via {sc.events.model}"
+        lines[0] += f", {sc.events.sample_count} events per sequence via {sc.events.model}"
     out = "\n".join(lines) + "\n" + format_inequality_report(report.inequality)
     if report.compatibility is not None:
         out += format_compatibility_report(report.compatibility)
@@ -740,10 +745,13 @@ def _output_path(path: str) -> str:
 def _write_csv(path: str, text: str) -> str:
     target = _output_path(path)
     parent = os.path.dirname(target)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(target, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError("csv", f"cannot write {target}: {exc.strerror or exc}") from None
     return target
 
 
@@ -765,6 +773,8 @@ def sweep_rows(file_path: str, seed: int | None = None) -> list[list[str]]:
             raise ConfigError(f"vary.{key}", "expected a nonempty list of values")
         if key == "csv":
             raise ConfigError("vary.csv", "a sweep writes one CSV; set csv outside vary")
+        if key == "seed" and seed is not None:
+            raise ConfigError("vary.seed", "the grid varies the seed; --seed would replace it")
         axes.append((str(key), list(values)))
 
     # every grid point is parsed before any runs, so a bad one is reported at once
@@ -811,8 +821,9 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
     if args.samples is not None:
-        _check_sample_count(args.samples, scenario.events, "sample_count")
-        scenario = replace(scenario, sample_count=args.samples)
+        scenario = replace(
+            scenario, events=_check_sample_count(args.samples, scenario.events, "sample_count")
+        )
     report = run_scenario(scenario)
     sys.stdout.write(format_run_report(report))
     csv_path = args.csv or scenario.csv_path

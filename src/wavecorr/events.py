@@ -148,15 +148,16 @@ def threshold_event_stream(
     ascending port order.  Long-run click fractions approach I_j / sum(I).
 
     Word w of port j's stream s = substream(seed, j) is mix64(s + (w + 1)
-    GOLDEN); click i spends lo + q (2 v_i + 1), with lo = threshold - spread,
-    q = 2 spread 2^-33 and v_i the low (even i) or high (odd i) half of word
-    i // 2.  Click m >= 1 comes at (m lo + q E_m) / rate_j, E_m the exact sum
-    of 2 v_i + 1 over i < m and rates divided by the largest: integer sums and
-    once-rounded float steps, so the counts are the same on every host.
+    GOLDEN); click i spends lo + q (2 v_i + 1) thresholds, with r = spread /
+    threshold, lo = 1 - r, q = 2 r 2^-33 and v_i the low (even i) or high
+    (odd i) half of word i // 2.  Click m >= 1 comes at (m lo + q E_m) /
+    rate_j, E_m the exact sum of 2 v_i + 1 over i < m and rates divided by
+    the largest: integer sums and once-rounded float steps, so the counts are
+    the same on every host and depend on the threshold only through r.
 
     The merge is never built.  A click spends a uniform energy, so a port's
-    count has coefficient of variation cv = spread / (threshold sqrt 3), and
-    the margin is _CHUNK_SIGMAS cv sqrt(share + 1) + _CHUNK_FLOOR clicks.  Each
+    count has coefficient of variation cv = r / sqrt 3, and the margin is
+    _CHUNK_SIGMAS cv sqrt(share + 1) + _CHUNK_FLOOR clicks.  Each
     live port skips its expected share less the margin, rounded down to even,
     summing those clicks' energy from whole words.  Then the port whose latest
     click is earliest draws a block of at most _BLOCK click times, until n
@@ -186,8 +187,10 @@ def threshold_event_stream(
         )
 
     n = config.sample_count
-    lo = config.threshold - config.threshold_spread
-    q = 2.0 * config.threshold_spread * 2.0**-33
+    # in units of the threshold, which like the overall intensity sets only a
+    # time scale: click times stay finite and q nonzero at any finite threshold
+    ratio = config.threshold_spread / config.threshold
+    lo, q = 1.0 - ratio, 2.0 * ratio * 2.0**-33
     # only relative rates matter for the merge order, and normalizing by the
     # brightest port keeps the click-time arithmetic in a sane float range
     rates = rates / rates.max()
@@ -196,7 +199,7 @@ def threshold_event_stream(
         return EventCounts({p: n if i == live[0] else 0 for i, p in enumerate(ports)}, n)
     live_rates = rates[live]
     share = n * (live_rates / live_rates.sum())
-    cv = config.threshold_spread / (config.threshold * math.sqrt(3.0))
+    cv = ratio / math.sqrt(3.0)
     margin = _CHUNK_SIGMAS * cv * np.sqrt(share + 1.0) + _CHUNK_FLOOR
     budget = np.minimum(n, np.ceil(share + margin)).astype(np.int64)
     skips = 2 * np.maximum(0.0, (share - margin) // 2).astype(np.int64)

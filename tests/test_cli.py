@@ -427,9 +427,9 @@ def test_threshold_sample_count_is_capped_while_parsing(tmp_path, capsys, monkey
     assert "config error: sample_count:" in capsys.readouterr().err
 
     # the cap itself is accepted, and the loaded die is not capped
-    assert scenario_from_dict(dict(data, sample_count=over - 1)).sample_count == over - 1
+    assert scenario_from_dict(dict(data, sample_count=over - 1)).events.sample_count == over - 1
     die = dict(data, events={"model": "loaded_die"})
-    assert scenario_from_dict(die).sample_count == over
+    assert scenario_from_dict(die).events.sample_count == over
 
 
 def test_loaded_die_sample_count_is_capped_at_int64(tmp_path, capsys):
@@ -444,7 +444,7 @@ def test_loaded_die_sample_count_is_capped_at_int64(tmp_path, capsys):
     ok = write_yaml(tmp_path, dict(data, sample_count=10), name="ok.yaml")
     assert main(["run", ok, "--samples", str(over)]) == 2
     assert "config error: sample_count:" in capsys.readouterr().err
-    assert scenario_from_dict(dict(data, sample_count=over - 1)).sample_count == over - 1
+    assert scenario_from_dict(dict(data, sample_count=over - 1)).events.sample_count == over - 1
 
 
 def test_csv_run_is_bitwise_reproducible(tmp_path, capsys, monkeypatch):
@@ -888,6 +888,26 @@ def test_sweep_csv_is_not_a_grid_axis(tmp_path, capsys):
     path = write_yaml(tmp_path, dict(MINIMAL, vary={"csv": ["a.csv", "b.csv"]}))
     assert main(["sweep", path]) == 2
     assert capsys.readouterr().err.startswith("config error: vary.csv: ")
+
+
+def test_sweep_seed_flag_does_not_flatten_a_seed_axis(tmp_path, capsys):
+    path = write_yaml(tmp_path, dict(MINIMAL, vary={"seed": [1, 2]}))
+    assert main(["sweep", path, "--seed", "5"]) == 2
+    assert capsys.readouterr().err.startswith("config error: vary.seed: ")
+    # on a grid over other fields, --seed still replaces the file's seed
+    other = write_yaml(tmp_path, dict(MINIMAL, vary={"state": ["chsh", "00"]}), name="o.yaml")
+    assert {row[4] for row in sweep_rows(other, seed=5)} == {"5"}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("target", ["a directory", "a path through a file"])
+def test_unwritable_csv_target_is_a_config_error(command, target, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    (tmp_path / "file").write_text("")
+    csv_path = str(tmp_path if target == "a directory" else tmp_path / "file" / "out.csv")
+    path = write_yaml(tmp_path, dict(MINIMAL, vary={"seed": [1]}) if command == "sweep" else MINIMAL)
+    assert main([command, path, "--csv", csv_path]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: csv: cannot write {csv_path}: ")
 
 
 def test_sweep_empty_grid_rejected(tmp_path):

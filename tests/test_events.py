@@ -234,13 +234,14 @@ def sorted_merge_counts(rates, cfg):
 
     No port can place more than n clicks among the first n, so this is the
     definition of the detector's output, computed the slow way: click m of a
-    port comes at (m lo + q E_m) / rate, E_m summing 2 v_i + 1 over i < m.
+    port comes at (m lo + q E_m) / rate thresholds, E_m summing 2 v_i + 1
+    over i < m.
     """
     keys = list(rates)
     r = np.array([rates[k] for k in keys], dtype=float)
     r = r / r.max()
-    lo = cfg.threshold - cfg.threshold_spread
-    q = 2.0 * cfg.threshold_spread * 2.0**-33
+    ratio = cfg.threshold_spread / cfg.threshold
+    lo, q = 1.0 - ratio, 2.0 * ratio * 2.0**-33
     n = cfg.sample_count
     clicks = np.arange(1, n + 1).astype(float)
     times, owners = [], []
@@ -470,6 +471,20 @@ def test_threshold_counts_are_pinned(rates, cfg, expected):
     # recorded from the exact-energy thresholds, equal to sorted_merge_counts:
     # skipping, blocking and selecting the cutoff must not move a single click
     assert threshold_event_stream(rates, cfg).counts == expected
+
+
+@pytest.mark.parametrize(
+    "threshold", [2.0**1010, 2.0**-1060, 1e306], ids=["2^1010", "2^-1060", "1e306"]
+)
+def test_threshold_sets_only_a_time_scale(threshold):
+    # at one spread ratio every finite threshold clicks as threshold 1 does;
+    # in absolute units the large ones overflow the click times to inf and
+    # the small one underflows q to zero
+    rates = {"a": 0.4, "b": 0.3, "c": 0.2, "d": 0.1}
+    unit = threshold_event_stream(rates, tcfg(10**6, seed=3))
+    assert unit.counts == {"a": 399972, "b": 300010, "c": 200045, "d": 99973}
+    cfg = tcfg(10**6, seed=3, spread=0.25 * threshold, threshold=threshold)
+    assert threshold_event_stream(rates, cfg).counts == unit.counts
 
 
 def grid_sequence_intensities():

@@ -52,11 +52,19 @@ def _reads(path, name):
     )
 
 
+# every source file of src/ and scripts/, the package's __init__ included
+SOURCES = sorted([*(ROOT / "src" / "wavecorr").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
+
+
 def test_only_the_network_layer_builds_circuits():
     # every other module asks network.ensemble_provider, so fabrication seeds
     # follow one rule
-    paths = sorted([*(ROOT / "src" / "wavecorr").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
-    assert [p.name for p in paths if _reads(p, "circuit_distributions")] == ["network.py"]
+    assert [p.name for p in SOURCES if _reads(p, "circuit_distributions")] == ["network.py"]
+
+
+def test_only_the_cli_draws_events():
+    # every other module asks cli.event_provider, so event seeds follow one rule
+    assert [p.name for p in SOURCES if _reads(p, "sample_events")] == ["cli.py"]
 
 
 # a function's or comprehension's own scope: a name it binds hides a global
