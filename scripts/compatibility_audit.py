@@ -28,7 +28,7 @@ from wavecorr.contextuality import (
     corrected_bound,
     format_compatibility_report,
 )
-from wavecorr.network import NoiseModel, ensemble_provider
+from wavecorr.network import NoiseModel, PropagationError, ensemble_provider
 
 # fabrications per circuit: at this cap a noisy audit ran in ~17 s at a ~250 MB
 # peak on a 2-CPU host, and time and memory grow about linearly with the count
@@ -67,9 +67,13 @@ def main(argv=None):
     for offset, suite in enumerate((PAIR_SUITE, TRIPLE_SUITE), 1):
         print(f"\n{suite.name}-observable suite "
               f"({len(suite.sequences)} sequences, {len(suite.states)} states):")
-        report = compatibility_suite(
-            suite, ensemble_provider(noise, args.seed + offset, args.members)
-        )
+        try:
+            report = compatibility_suite(
+                suite, ensemble_provider(noise, args.seed + offset, args.members)
+            )
+        except PropagationError as exc:  # such as a noise width whose draw overflows
+            sys.stderr.write(f"run failed: {exc}\n")
+            return 3
         rates[suite] = report.worst_case
         print(format_compatibility_report(report), end="")
 

@@ -35,7 +35,7 @@ from wavecorr.contextuality import (
     corrected_bound,
     measure_inequality,
 )
-from wavecorr.network import NoiseModel, ensemble_provider
+from wavecorr.network import NoiseModel, PropagationError, ensemble_provider
 
 EXPERIMENTS = (
     (CHSH, "chsh"),
@@ -121,8 +121,12 @@ def main(argv=None):
             points = [(base, "")]
     except ValueError as exc:
         ap.error(str(exc))
-    for noise, label in points:
-        run_point(noise, args, label=label)
+    try:
+        for noise, label in points:
+            run_point(noise, args, label=label)
+    except PropagationError as exc:  # such as a noise width whose draw overflows
+        sys.stderr.write(f"run failed: {exc}\n")
+        return 3
     return 0
 
 

@@ -227,9 +227,35 @@ def _expect_str(value, path: str) -> str:
     return value
 
 
+def _text_number_hint(value, integer: bool = False) -> str:
+    """How to write a number that YAML read as text, such as 1e-3, or "".
+
+    PyYAML reads a float only with a dot and, after an e, a signed
+    exponent: 1e-3, 1e6 and 1.0e3 are strings, 1.0e-3 is a float.
+    """
+    if not isinstance(value, str):
+        return ""
+    try:
+        number = float(value)
+    except ValueError:
+        return ""
+    if not math.isfinite(number):
+        return ""
+    if integer and number.is_integer():
+        written = str(int(number))
+    else:
+        mantissa, e, exponent = value.strip().lower().partition("e")
+        if "." not in mantissa:
+            mantissa += ".0"
+        if e and exponent[0] not in "+-":
+            exponent = "+" + exponent
+        written = mantissa + e + exponent
+    return f" (YAML reads {value} as text; write {written})"
+
+
 def _expect_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
+        raise ConfigError(path, f"expected a number, got {value!r}{_text_number_hint(value)}")
     try:
         number = float(value)
     except OverflowError:
@@ -241,7 +267,8 @@ def _expect_number(value, path: str) -> float:
 
 def _expect_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(path, f"expected an integer, got {value!r}")
+        hint = _text_number_hint(value, integer=True)
+        raise ConfigError(path, f"expected an integer, got {value!r}{hint}")
     return value
 
 

@@ -954,6 +954,8 @@ def _leaf_distributions(
         total = reduce(add, intensities.values(), 0)
         if total <= 0.0:
             raise PropagationError("no intensity reached the grouped output ports")
+        if not total < math.inf:  # inf or NaN: an overflowed noise draw
+            raise PropagationError(f"the leaf intensities sum to {total}, not a finite number")
         dists.append(OutcomeDistribution({o: i / total for o, i in intensities.items()}))
     return dists
 

@@ -54,11 +54,12 @@ class OutcomeDistribution:
         if not self.probs:
             raise ValueError("empty distribution")
         total = 0.0
+        # written so that a NaN fails each test
         for key, p in self.probs.items():
-            if p < -PROB_SUM_TOL:
-                raise ValueError(f"negative probability {p} for outcome {key!r}")
+            if not p >= -PROB_SUM_TOL:
+                raise ValueError(f"probability {p} for outcome {key!r} is negative or NaN")
             total += p
-        if abs(total - 1.0) > PROB_SUM_TOL:
+        if not abs(total - 1.0) <= PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
 
     @property

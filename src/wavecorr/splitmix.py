@@ -13,14 +13,29 @@ with the hashed words of one contiguous counter run without building the
 run: it adds a precomputed table of i * GOLDEN to one wrapping scalar and
 mixes in place, so a long stream is hashed without a fresh temporary per
 operation.
+
+keyed_substream names a stream by the SHA-256 digest of its key.  SHA-256
+comes from CPython's builtin module (_sha2 from 3.12, _sha256 before), so
+a circuit run never imports hashlib and the OpenSSL library behind it
+(~3.5 MB resident).  OpenSSL loads only in a run that draws from the
+loaded die, whose numpy.random imports hashlib, and on a build without the
+builtin hashes, where this module falls back to hashlib.sha256.  The
+digest is the same on every path.
 """
 
 from __future__ import annotations
 
-import hashlib
 from functools import cache
 
 import numpy as np
+
+try:
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256  # a build without the builtin hashes
 
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -94,7 +109,7 @@ def keyed_substream(seed: int, key: str) -> int:
     The label is the first 8 bytes of the key's sha256 digest, big-endian, so
     the child depends on the name alone, not on the order names are met in.
     """
-    digest = hashlib.sha256(key.encode()).digest()
+    digest = sha256(key.encode()).digest()
     return substream(seed, int.from_bytes(digest[:8], "big"))
 
 

@@ -3,6 +3,8 @@
 import glob
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -371,6 +373,48 @@ def test_non_finite_strings_and_huge_integers_are_config_errors(path, value, tmp
     data = _custom(sign=value) if path.startswith("custom") else dict(MINIMAL, state=[1, value, 0, 0])
     assert main(["run", write_yaml(tmp_path, data)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+
+
+@pytest.mark.parametrize(
+    "path,text,written",
+    [
+        ("noise.phase_jitter_sigma", "1e-3", "1.0e-3"),
+        ("noise.phase_jitter_sigma", "1e6", "1.0e+6"),
+        ("noise.phase_jitter_sigma", "1.0e3", "1.0e+3"),
+        ("seed", "1e3", "1000"),
+    ],
+)
+def test_numbers_yaml_reads_as_text_get_a_hint(path, text, written, tmp_path, capsys):
+    # PyYAML reads a float only with a dot and a signed exponent
+    assert yaml.safe_load(f"x: {text}")["x"] == text
+    assert yaml.safe_load(f"x: {written}")["x"] == float(text)
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text(
+        "name: t\nstate: chsh\ninequality: CHSH\npipeline: network_noisy\n"
+        + (f"seed: {text}\nnoise: {{phase_jitter_sigma: 0.01}}\n" if path == "seed"
+           else f"noise: {{phase_jitter_sigma: {text}}}\n")
+    )
+    assert main(["run", str(scenario)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: expected ")
+    assert f"(YAML reads {text} as text; write {written})" in err
+
+
+@pytest.mark.parametrize("field", ["splitter_imbalance_sigma", "phase_jitter_sigma"])
+def test_noise_draws_that_overflow_are_numerical_failures(field, tmp_path):
+    # sigma * normal overflows to inf, and cos/sin of inf is NaN; that NaN must
+    # not reach the correlators as a verdict.  A subprocess, since this suite
+    # turns the overflow's RuntimeWarning into an error
+    data = dict(MINIMAL, pipeline="network_noisy", noise={field: 1.0e308})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wavecorr.cli", "run", write_yaml(tmp_path, data)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 3
+    assert "run failed: the leaf intensities sum to nan" in proc.stderr
+    assert "verdict" not in proc.stdout
 
 
 def test_vary_section_rejected_by_run(tmp_path, capsys):

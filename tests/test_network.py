@@ -34,7 +34,7 @@ from wavecorr.network import (
     ensemble_provider,
     propagate,
 )
-from wavecorr.outcomes import outcome_signs
+from wavecorr.outcomes import OutcomeDistribution, outcome_signs
 from wavecorr.reck import decompose
 from wavecorr.splitmix import counter_normals, keyed_substream, offset_seeds, substream
 from wavecorr.wavecore import (
@@ -575,6 +575,19 @@ def test_tree_with_bare_inputs_accepts_states():
             assert intensities[outcome] == pytest.approx(oracle.probs.get(outcome, 0.0), abs=1e-9)
     with pytest.raises(PropagationError):
         propagate(tree.netlist, np.ones((1, 1), dtype=complex))  # its inputs are the 4 bare modes
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_leaves_without_a_finite_total_are_a_propagation_error(bad):
+    leaves = np.array([[0.6], [bad]], dtype=complex)
+    with pytest.raises(PropagationError, match="not a finite number"):
+        network._leaf_distributions(["+", "-"], 1, leaves)
+
+
+@pytest.mark.parametrize("probs", [{"+": np.nan, "-": 1.0}, {"+": 0.5, "-": np.inf}])
+def test_a_distribution_rejects_nan_and_inf(probs):
+    with pytest.raises(ValueError):
+        OutcomeDistribution(probs)
 
 
 def test_repeated_observable_tree_is_diagonal():

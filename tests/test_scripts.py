@@ -7,6 +7,7 @@ shows up here byte for byte.
 
 import argparse
 import os
+import subprocess
 import sys
 
 import pytest
@@ -203,6 +204,28 @@ def test_noise_study_rejects_bad_noise_before_running(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""  # no point of a sweep runs before the bad one is caught
     assert "usage:" in err and ("leakage" in err or "noise widths" in err)
+
+
+@pytest.mark.parametrize(
+    "script,argv,result",
+    [
+        ("noise_study.py", ["--seeds", "2", "--imbalance", "1e308"], "mean"),
+        ("compatibility_audit.py", ["--members", "1", "--jitter", "1e308"], "worst case"),
+    ],
+)
+def test_scripts_stop_when_the_noise_draw_overflows(script, argv, result):
+    # a subprocess, since this suite turns the overflow's RuntimeWarning into
+    # an error; no script may report the NaN values that follow it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(network.__file__)), os.environ.get("PYTHONPATH", "")]
+    ))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPT_DIR, script), *argv],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 3
+    assert "run failed: the leaf intensities sum to nan" in proc.stderr
+    assert result not in proc.stdout
 
 
 @pytest.mark.parametrize(

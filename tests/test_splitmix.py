@@ -1,9 +1,16 @@
 """Counter-based streams: the in-place run of hashed words against the array hash."""
 
+import hashlib
+import importlib.util
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import mix64
 from wavecorr.splitmix import (
@@ -16,6 +23,8 @@ from wavecorr.splitmix import (
 )
 
 TOP = 2**64
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(REPO, "src")
 
 
 def run_draw(n, seed, first, scratch=None):
@@ -77,10 +86,67 @@ def test_counter_uniform_broadcasts_seed_arrays():
         np.testing.assert_array_equal(row, counter_uniform(int(seed), counter))
 
 
+# a scenario's noise seed for one circuit, the events seed of another, and an
+# ensemble provider's stream for an audited circuit: the values the CLI and the
+# audit suites drew from before they shared keyed_substream
+PINNED_KEYS = [
+    (37, "noise|psi1|ZI*IZ*ZZ", 10668374995722334559),
+    (5, "events|chsh|XI*IX", 8292395291244354801),
+    (1, "psi1|ZX*XZ*YY", 8508906500038447765),
+]
+
+
 def test_keyed_substreams_are_pinned():
-    # a scenario's noise seed for one circuit, the events seed of another, and
-    # an ensemble provider's stream for an audited circuit: the values the CLI
-    # and the audit suites drew from before they shared this helper
-    assert keyed_substream(37, "noise|psi1|ZI*IZ*ZZ") == 10668374995722334559
-    assert keyed_substream(5, "events|chsh|XI*IX") == 8292395291244354801
-    assert keyed_substream(1, "psi1|ZX*XZ*YY") == 8508906500038447765
+    for seed, key, expected in PINNED_KEYS:
+        assert keyed_substream(seed, key) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(), key=st.text())
+def test_keyed_substream_matches_hashlib(seed, key):
+    # the builtin SHA-256 against hashlib's, over any seed and any key,
+    # non-ASCII ones included
+    digest = hashlib.sha256(key.encode()).digest()
+    assert keyed_substream(seed, key) == substream(seed, int.from_bytes(digest[:8], "big"))
+
+
+def _run_python(script):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", script], cwd=REPO, env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+
+
+def test_keyed_substreams_hold_on_the_hashlib_fallback():
+    # a build without the builtin hashes: both modules are blocked from import
+    script = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "import hashlib\n"
+        "from wavecorr import splitmix\n"
+        "assert splitmix.sha256 is hashlib.sha256\n"
+        f"for seed, key, _ in {PINNED_KEYS!r}:\n"
+        "    print(splitmix.keyed_substream(seed, key))\n"
+    )
+    assert _run_python(script).split() == [str(expected) for _, _, expected in PINNED_KEYS]
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+    reason="this Python has no builtin SHA-256 module",
+)
+def test_circuit_runs_do_not_load_openssl():
+    # hashlib imports _hashlib, the OpenSSL binding, which costs a circuit run
+    # ~3.5 MB of resident memory for one 20-byte hash per circuit
+    script = (
+        "import contextlib, io, sys\n"
+        "sys.path.insert(0, 'scripts')\n"
+        "import noise_study\n"
+        "from wavecorr import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert noise_study.main(['--seeds', '20']) == 0\n"
+        "    assert cli.main(['run', 'scenarios/pm_noisy_audit.yaml']) == 0\n"
+        "print(sorted(m for m in ('_hashlib', 'hashlib') if m in sys.modules))\n"
+    )
+    assert _run_python(script).strip() == "[]"
