@@ -42,14 +42,23 @@ needs a slot per input and ground port and per coupler, not a row per
 wire.  A pass holds about PASS_CELLS (slot, member) amplitudes, so a small
 stage takes many members at once and a large one few.
 
+A chain of phase segments is physically one longer line whose phase errors
+add, so the noise is one draw per fused run of phase segments, scaled by
+sqrt(n); exact in law.  A wave that crosses n segments picks up
+exp(i sum(b_k + sigma z_k)), and with the z_k independent standard normals
+that is the law of exp(i (sum b_k + sigma sqrt(n) z)).  The live plan holds
+each run of segments, each reading the one before, as one entry at its
+first segment's index: the run's bases added left to right and a jitter
+scale of sqrt(n).  Every splitter draws on its own.
+
 Fabrication noise is drawn in slabs, not per group: the noisy groups of one
-kind are cut into runs of at most NOISE_SLAB (element, member) draws, and a
-run is drawn, and turned into splitter angles or phasors, in one pass when
+kind are cut into slabs of at most NOISE_SLAB (entry, member) draws, and a
+slab is drawn, and turned into splitter angles or phasors, in one pass when
 propagation reaches it.  Noise memory is then one slab per kind, however
 large the circuit, and every amplitude is bitwise that of a draw per group.
 Only the live plan draws: an element outside it (fed only by ground ports,
 or behind a post-selection that feeds only terminations) draws nothing, and
-since every draw is keyed by (member seed, element index), each live element
+since every draw is keyed by (member seed, entry index), each live entry
 draws what it would in a plan that ran every element.
 
 Meshes are laid down in columns that cover every mode of the bundle
@@ -93,7 +102,7 @@ from wavecorr.wavecore import (
 # pass; the bound binds on large ensembles only
 PASS_CELLS = 1 << 16
 
-# (element, member) fabrication draws per noise slab, see _noise_slabs; at
+# (entry, member) fabrication draws per noise slab, see _noise_slabs; at
 # 2^12 a slab's largest temporary (both uniforms of each draw) is 64 KiB,
 # while 2^13 raised the peak RSS of a 20-member ensemble run by ~0.25 MB
 NOISE_SLAB = 1 << 12
@@ -140,11 +149,14 @@ class CircuitElement(NamedTuple):
 class NoiseModel:
     """Per-element Gaussian imperfections plus uniform power leakage.
 
-    One normal draw per live element per run, keyed by (seed, element index)
-    through a counter-based generator, so results do not depend on
-    evaluation order and are reproducible bit for bit.  The seeds are not
-    part of the model: every propagation takes one per member.  A width of
-    zero draws nothing and leaves that kind's elements ideal.
+    One normal draw per live splitter and per fused run of live phase
+    segments, scaled by sqrt(n) for a run of n; exact in law, since the
+    segments' errors add (see the module docstring).  Each draw is keyed by
+    (seed, index of the splitter or of the run's first segment) through a
+    counter-based generator, so results do not depend on evaluation order
+    and are reproducible bit for bit.  The seeds are not part of the model:
+    every propagation takes one per member.  A width of zero draws nothing
+    and leaves that kind's elements ideal.
 
     ``leakage`` is validated and reported but never applied: every lit path
     crosses the same number of elements (see the module docstring), so a
@@ -179,11 +191,13 @@ _CARRIES = np.array([[min(_ARITY[kind]) > k for k in range(2)] for kind in _KIND
 
 @dataclass
 class _Group:
-    """Same-kind elements evaluated together in one propagation step.
+    """Same-kind entries evaluated together in one propagation step.
 
-    Per-element values are columns of shape (n, 1), so they broadcast
-    against the (n, members) amplitudes of an ensemble.  A group carries no
-    noise of its own: each element's draw is keyed by its ``elem_idx``.
+    An entry is one element, or for phase segments one run of them (see
+    _phase_runs), which its head's ``elem_idx`` stands for.  Per-entry
+    values are columns of shape (n, 1), so they broadcast against the (n,
+    members) amplitudes of an ensemble.  A group carries no noise of its
+    own: each entry's draw is keyed by its ``elem_idx``.
     """
 
     kind: str
@@ -191,6 +205,7 @@ class _Group:
     in_idx: np.ndarray  # shape (in_arity, n): row k holds the slot of each element's k-th input
     out_idx: np.ndarray  # shape (out_arity, n), slots likewise
     base: np.ndarray  # phase or ratio, zeros otherwise
+    scale: np.ndarray  # jitter scale: sqrt(run length) for a phase entry, ones otherwise
 
 
 class _Slots(NamedTuple):
@@ -214,13 +229,19 @@ def _wire_rows(wires: Iterable[int], arity: np.ndarray, order: np.ndarray) -> np
 
 
 def _cut_groups(
-    key: np.ndarray, elem_idx: np.ndarray, ins: np.ndarray, outs: np.ndarray, base: np.ndarray
+    key: np.ndarray,
+    elem_idx: np.ndarray,
+    ins: np.ndarray,
+    outs: np.ndarray,
+    base: np.ndarray,
+    scale: np.ndarray,
 ) -> list[_Group]:
-    """One group per run of equal (layer, kind) ``key`` among elements sorted by it.
+    """One group per run of equal (layer, kind) ``key`` among entries sorted by it.
 
-    ``elem_idx`` and ``base`` are columns and ``ins``, ``outs`` the (2, n)
-    slot rows of those elements; each group holds views of its rows.  Taps
-    get no group: a tap's output already sits in its input's slot.
+    ``elem_idx``, ``base`` and ``scale`` are columns and ``ins``, ``outs``
+    the (2, n) slot rows of those entries; each group holds views of its
+    rows.  Taps get no group: a tap's output already sits in its input's
+    slot.
     """
     if not key.size:
         return []
@@ -233,8 +254,34 @@ def _cut_groups(
             continue
         n_in, n_out = _ARITY[kind]
         rows = slice(start, stop)
-        groups.append(_Group(kind, elem_idx[rows], ins[:n_in, rows], outs[:n_out, rows], base[rows]))
+        groups.append(
+            _Group(kind, elem_idx[rows], ins[:n_in, rows], outs[:n_out, rows], base[rows], scale[rows])
+        )
     return groups
+
+
+def _phase_runs(seg_in: np.ndarray, seg_out: np.ndarray, n_wires: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each phase segment's run: the position of its run's first segment, and its rank there.
+
+    ``seg_in`` and ``seg_out`` hold the input and output wire of each phase
+    segment of a plan, in plan order.  A segment whose input wire another
+    of them drives continues that one's run; any other starts a run of its
+    own, so a tap, a port or any other kind ends a run.  Pointer jumping,
+    as for Netlist._compile's slot map, takes every segment to the run's
+    first segment while it counts the steps (a run is shorter than
+    2^bit_length(segments)).
+    """
+    pos = np.arange(seg_in.size)
+    driver = np.full(n_wires, -1, dtype=np.intp)
+    driver[seg_out] = pos
+    head = driver[seg_in]
+    first = head < 0
+    head[first] = pos[first]
+    rank = (~first).astype(np.intp)
+    for _ in range(seg_in.size.bit_length()):
+        rank += rank[head]
+        head = head[head]
+    return head, rank
 
 
 class Netlist:
@@ -410,9 +457,14 @@ class Netlist:
         only wires that carry zero (see _layers), writes zeros into slots
         that already hold zeros; one whose outputs reach only terminations
         writes slots that only such elements read, so both may be skipped.
-        Every kept element keeps its index, hence its draws.  The netlist
-        compiles once, checking its wiring (NetlistError), and keeps the
-        groups.
+        Every kept element keeps its index.  Then each run of kept phase
+        segments (_phase_runs) becomes one entry at its first segment's layer,
+        slot and index, with the run's bases added left to right and a
+        jitter scale of sqrt(run length): the run's wires share one slot,
+        which only the run reads, so its result may be written at the first
+        segment's step.  A segment's feeder is kept whenever the segment is,
+        so liveness never cuts a run.  The netlist compiles once, checking
+        its wiring (NetlistError), and keeps the groups.
         """
         if self._compiled is not None:
             return self._compiled
@@ -453,7 +505,6 @@ class Netlist:
             slot[opened] = np.arange(count, count + opened.size)
             count += opened.size
             slot = slot[head]
-            ins, outs = slot[ins], slot[outs]
 
             # the live plan: lit elements with an output that can reach an
             # output port, which every output can when no termination absorbs
@@ -462,7 +513,26 @@ class Netlist:
             if TERMINATION in kinds:
                 self._drop_unread(live, outputs)
             kept = np.frombuffer(live, dtype=bool)[order]
-            groups = _cut_groups(key[kept], elem_idx[kept], ins[:, kept], outs[:, kept], base[kept])
+
+            # each run of kept phase segments becomes its first segment, with
+            # the run's bases added left to right (a row per run, accumulated
+            # along it) and a jitter scale of sqrt(run length)
+            seg = np.flatnonzero(kept & (kind == _KIND_CODE[PHASE_SEGMENT]))
+            first, rank = _phase_runs(ins[0, seg], outs[0, seg], self.n_wires)
+            run = np.cumsum(rank == 0)[first] - 1
+            length = np.bincount(run)
+            table = np.zeros((length.size, rank.max(initial=0) + 1))
+            table[run, rank] = base[seg, 0]
+            heads = seg[rank == 0]
+            base[heads, 0] = np.cumsum(table, axis=1)[np.arange(length.size), length - 1]
+            scale = np.ones_like(base)
+            scale[heads, 0] = np.sqrt(length)
+            kept[seg[rank > 0]] = False
+
+            ins, outs = slot[ins], slot[outs]
+            groups = _cut_groups(
+                key[kept], elem_idx[kept], ins[:, kept], outs[:, kept], base[kept], scale[kept]
+            )
         self._slots = _Slots(count=count, inputs=slot[self.input_ports], outputs=slot[outputs])
         self._compiled = groups
         return groups
@@ -538,9 +608,10 @@ def _propagate_members(
 
     ``amps`` holds each input and ground slot's starting amplitude per
     member; afterwards the output ports' slots hold theirs.  Member m draws
-    element i's fabrication error with seed ``seeds[m]`` at index i.  A
-    termination moves no amplitude, so its group, which only a plan that
-    keeps every element holds, is passed over.
+    entry i's fabrication error with seed ``seeds[m]`` at index i: one draw
+    per splitter, and one per fused run of phase segments, scaled by
+    sqrt(n); exact in law.  A termination moves no amplitude, so its group,
+    which only a plan that keeps every element holds, is passed over.
 
     Noisy splitter and phase values come a slab of groups at a time from
     _noise_slabs, drawn when the loop reaches the slab's first group: one
@@ -582,49 +653,54 @@ def _propagate_members(
 
 
 def _noise_slabs(groups: list[_Group], kind: str, seeds: np.ndarray, sigma: float):
-    """Yield, per group of ``kind`` in group order, its elements' noisy values.
+    """Yield, per group of ``kind`` in group order, its entries' noisy values.
 
     A splitter group gets (cos, sin) of pi/4 + err, a phase group
-    exp(1j * (base + err)), where err = sigma * counter_normals(seeds,
-    elem_idx) has shape (elements, members).  ``groups`` is the live plan,
-    so only its elements draw.  Groups are taken in runs of at most
-    NOISE_SLAB draws (a larger group is a run of its own); a run is drawn
-    in one call when its first group is asked for, and each group gets a
-    view of its rows.  Every step is elementwise, so a value does not
-    depend on which run its element falls in.
+    exp(1j * (base + err)), where err = counter_normals(seeds, elem_idx) *
+    (sigma * scale) has shape (entries, members): one draw per fused run of
+    phase segments, scaled by sqrt(n); exact in law.  A splitter's scale,
+    and a run of one's, is 1, so its error is bitwise sigma times its draw.
+    ``groups`` is the live plan, so only its entries draw.  Groups are
+    taken in slabs of at most NOISE_SLAB draws (a larger group is a slab of
+    its own); a slab is drawn in one call when its first group is asked
+    for, and each group gets a view of its rows.  Every step is
+    elementwise, so a value does not depend on which slab its entry falls
+    in.
 
     A phasor is written as the cos and sin of its angle into the real and
     imaginary views of one complex buffer: bitwise what np.exp(1j * angle)
-    gives, which reads an angle of -0.0 as +0.0, at less cost.
+    gives, which reads an angle of -0.0 as +0.0, at less cost.  A width
+    whose draws overflow gives inf errors and NaN values, silently: the
+    leaves turn them into a PropagationError (_leaf_distributions).
     """
-    runs: list[list[_Group]] = []
+    slabs: list[list[_Group]] = []
     size = 0
     for g in groups:
         if g.kind != kind:
             continue
         n = g.elem_idx.size * seeds.size
-        if not runs or size + n > NOISE_SLAB:
-            runs.append([])
+        if not slabs or size + n > NOISE_SLAB:
+            slabs.append([])
             size = 0
-        runs[-1].append(g)
+        slabs[-1].append(g)
         size += n
-    for run in runs:
-        err = sigma * counter_normals(seeds, np.concatenate([g.elem_idx for g in run]))
-        stops = np.cumsum([g.elem_idx.size for g in run]).tolist()
+    for slab in slabs:
+        stops = np.cumsum([g.elem_idx.size for g in slab]).tolist()
         rows = [slice(a, b) for a, b in zip([0] + stops, stops)]
-        if kind == BEAM_SPLITTER:
-            ang = np.pi / 4 + err
-            c, s = np.cos(ang), np.sin(ang)
-            for r in rows:
-                yield c[r], s[r]
-        else:
-            angle = np.concatenate([g.base for g in run]) + err
-            angle += 0.0  # -0.0 to +0.0, as exp(1j * angle) reads it
-            turn = np.empty(angle.shape, dtype=complex)
-            np.cos(angle, out=turn.real)
-            np.sin(angle, out=turn.imag)
-            for r in rows:
-                yield turn[r]
+        with np.errstate(over="ignore", invalid="ignore"):
+            width = sigma * np.concatenate([g.scale for g in slab])
+            err = counter_normals(seeds, np.concatenate([g.elem_idx for g in slab])) * width
+            if kind == BEAM_SPLITTER:
+                ang = np.pi / 4 + err
+                c, s = np.cos(ang), np.sin(ang)
+            else:
+                angle = np.concatenate([g.base for g in slab]) + err
+                angle += 0.0  # -0.0 to +0.0, as exp(1j * angle) reads it
+                turn = np.empty(angle.shape, dtype=complex)
+                np.cos(angle, out=turn.real)
+                np.sin(angle, out=turn.imag)
+        for r in rows:
+            yield (c[r], s[r]) if kind == BEAM_SPLITTER else turn[r]
 
 
 # ------------------------------------------------------- mesh realization
@@ -848,7 +924,10 @@ def circuit_distributions(
     of a level gets them moved b B_j further, and after the level they move
     on by 2^(j-1) B_j.  Moves add in wrapping uint64 arithmetic, and the
     tree's leaf taps draw no noise, so every member is bitwise what
-    propagating that whole tree with the member's seed gives.
+    propagating that whole tree with the member's seed gives, with its phase
+    runs cut at stage boundaries: a prep and each stage fuse their own runs
+    of phase segments (one draw per fused run, scaled by sqrt(n); exact in
+    law), and a run in the whole tree would go on across a boundary.
     Nothing is cached across calls.
     """
     # each request's member seeds, moved past its preparation once that has run

@@ -8,8 +8,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from wavecorr.network import (
+    BEAM_SPLITTER,
+    FANOUT_LABEL,
+    PHASE_SEGMENT,
+    UNEQUAL_COUPLER,
+    Netlist,
+    NoiseModel,
+)
 from wavecorr.reck import MeshPlan
-from wavecorr.splitmix import _mix64_into
+from wavecorr.splitmix import _mix64_into, counter_normals
 from wavecorr.wavecore import DichotomicObservable, WaveState
 
 # branch probabilities below this get no post-measurement state
@@ -44,3 +52,47 @@ def mix64(z: np.ndarray) -> np.ndarray:
     """Stafford variant-13 finalizer on a copy of ``z``: full-avalanche 64-bit mixing."""
     z = np.array(z, dtype=np.uint64)
     return _mix64_into(z, np.empty_like(z))
+
+
+def propagate_per_element(
+    netlist: Netlist, drive: np.ndarray, noise: NoiseModel | None, seeds: np.ndarray
+) -> np.ndarray:
+    """network.propagate's law, element by element: the reference for fused plans.
+
+    Every wire holds one amplitude per member, and the elements run in list
+    order.  Each noisy element draws its own error, counter_normals(seeds,
+    index) scaled by its kind's width (none at width zero): a splitter's
+    angle is pi/4 + error, a phase segment turns by its base + error.  An
+    element whose inputs are zero in every member writes the zeros its
+    outputs already hold, so it is passed over; what it would draw cannot
+    reach an output.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    noise = noise or NoiseModel()
+    wires = np.zeros((netlist.n_wires, seeds.size), dtype=complex)
+    wires[netlist.input_ports] = drive
+    for index, (kind, ins, outs, base) in enumerate(netlist.elements):
+        a = wires[list(ins)]
+        if not a.any():
+            continue
+        if kind == BEAM_SPLITTER:
+            angle = np.pi / 4 + _error(noise.splitter_imbalance_sigma, seeds, index)
+            c, s = np.cos(angle), np.sin(angle)
+            wires[outs[0]] = c * a[0] + s * a[1]
+            wires[outs[1]] = s * a[0] - c * a[1]
+        elif kind == PHASE_SEGMENT:
+            angle = base + _error(noise.phase_jitter_sigma, seeds, index)
+            wires[outs[0]] = a[0] * (np.cos(angle) + 1j * np.sin(angle))
+        elif kind == UNEQUAL_COUPLER:
+            norm = np.sqrt(1.0 + base * base)
+            wires[outs[0]] = a[0] / norm
+            wires[outs[1]] = a[0] * (base / norm)
+        elif kind == FANOUT_LABEL:
+            wires[outs[0]] = a[0]
+    return wires[netlist.output_ports]
+
+
+def _error(sigma: float, seeds: np.ndarray, index: int) -> np.ndarray | float:
+    if sigma == 0.0:
+        return 0.0
+    return sigma * counter_normals(seeds, np.array([index], dtype=np.uint64))

@@ -221,8 +221,8 @@ def _noisy_suite_rate(suite, noise, master_seed, members):
 
 # CHSH, Mermin and PeresMermin means, then the pair and triple suite rates
 PINNED_CRITERION_10 = [
-    "2.82505541643203", "3.9184498013643885", "5.982024883106253",
-    "0.07820389419536682", "0.04683900577825356",
+    "2.8249689236579485", "3.91863317812011", "5.982942858073675",
+    "0.0943687391471979", "0.04561109122814357",
 ]
 
 

@@ -400,20 +400,31 @@ def test_numbers_yaml_reads_as_text_get_a_hint(path, text, written, tmp_path, ca
     assert f"(YAML reads {text} as text; write {written})" in err
 
 
-@pytest.mark.parametrize("field", ["splitter_imbalance_sigma", "phase_jitter_sigma"])
-def test_noise_draws_that_overflow_are_numerical_failures(field, tmp_path):
+@pytest.mark.parametrize("circuit,field,width", [
+    pytest.param(MINIMAL, "splitter_imbalance_sigma", 1.0e308, id="splitter_imbalance_sigma"),
+    pytest.param(MINIMAL, "phase_jitter_sigma", 1.0e308, id="phase_jitter_sigma"),
+    # finite for one segment; the ghz circuits' runs of up to 37 phase
+    # segments draw sqrt(n) times the width, past the float range
+    pytest.param(
+        dict(MINIMAL, state="ghz", inequality="Mermin"), "phase_jitter_sigma", 1.0e307,
+        id="phase_jitter_sigma-run-scaled",
+    ),
+])
+def test_noise_draws_that_overflow_are_numerical_failures(circuit, field, width, tmp_path):
     # sigma * normal overflows to inf, and cos/sin of inf is NaN; that NaN must
-    # not reach the correlators as a verdict.  A subprocess, since this suite
-    # turns the overflow's RuntimeWarning into an error
-    data = dict(MINIMAL, pipeline="network_noisy", noise={field: 1.0e308})
+    # not reach the correlators as a verdict, and the overflow warns nothing,
+    # so it ends as a numerical failure even with RuntimeWarnings as errors
+    data = dict(circuit, pipeline="network_noisy", noise={field: width})
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "wavecorr.cli", "run", write_yaml(tmp_path, data)],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "wavecorr.cli", "run",
+         write_yaml(tmp_path, data)],
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 3
-    assert "run failed: the leaf intensities sum to nan" in proc.stderr
+    assert proc.stderr.startswith("run failed: the leaf intensities sum to nan")
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
     assert "verdict" not in proc.stdout
 
 
@@ -517,19 +528,19 @@ AUDIT_SEQUENCES = "ZI*IZ*ZZ;IX*XI*XX;ZX*XZ*YY;ZI*IX*ZX;IZ*XI*XZ;ZZ*XX*YY"
 # noisy grid scenario; every digit comes from the noise draws of 214 circuits
 PINNED_AUDIT_ROWS = {
     0: (
-        "1;0.99413322569688678;0.99084127559889057;0.99921418924271155;"
-        "0.99949937316815851;-0.99880270726259235",
-        "5.982490770969239", "4.2170725511268987", "0.10853627556344947", "4.21707",
+        "1;0.99223300599120479;0.99379799431017513;0.99700431103618459;"
+        "0.99900136856541888;-0.99846567247375695",
+        "5.9805023523767407", "4.2065020166713021", "0.1032510083356511", "4.2065",
     ),
     3: (
-        "1;0.99761154775718497;0.99608210379671835;0.99873699166212426;"
-        "0.9992324925003635;-0.99738754239542438",
-        "5.9890506781118154", "4.2315914470216276", "0.11579572351081396", "4.23159",
+        "1;0.99770695331110804;0.9916069785833912;0.9981252367248088;"
+        "0.99559297380782696;-0.99633999092864101",
+        "5.9793721333557759", "4.3014624735807168", "0.15073123679035827", "4.30146",
     ),
     7: (
-        "1;0.98926452780619156;0.99492718632327737;0.99693336951706935;"
-        "0.99295716913022436;-0.99826996903140708",
-        "5.972352221808169", "4.1584523744054964", "0.079226187202748433", "4.15845",
+        "1;0.98657148577922826;0.99645331753145128;0.99752767319356939;"
+        "0.9955034481111541;-0.99952776278777289",
+        "5.9755836874031756", "4.2469711127888861", "0.12348555639444286", "4.24697",
     ),
 }
 
@@ -613,41 +624,41 @@ _GRID_TERMS = (
 PINNED_AUDIT_STDOUT = {
     "noisy-3": (
         "scenario pm-noisy-audit: state psi1, pipeline network_noisy, seed 3\n"
-        "PeresMermin: value = +5.989051 +/- 0.000000\n"
+        "PeresMermin: value = +5.979372 +/- 0.000000\n"
         "  + ZI*IZ*ZZ  +1.000000 +/- 0.000000\n"
-        "  + IX*XI*XX  +0.997612 +/- 0.000000\n"
-        "  + ZX*XZ*YY  +0.996082 +/- 0.000000\n"
-        "  + ZI*IX*ZX  +0.998737 +/- 0.000000\n"
-        "  + IZ*XI*XZ  +0.999232 +/- 0.000000\n"
-        "  - ZZ*XX*YY  -0.997388 +/- 0.000000\n"
-        "  bounds: noncontextual 4, corrected 4.23159 (deviation rate 0.115796), "
+        "  + IX*XI*XX  +0.997707 +/- 0.000000\n"
+        "  + ZX*XZ*YY  +0.991607 +/- 0.000000\n"
+        "  + ZI*IX*ZX  +0.998125 +/- 0.000000\n"
+        "  + IZ*XI*XZ  +0.995593 +/- 0.000000\n"
+        "  - ZZ*XX*YY  -0.996340 +/- 0.000000\n"
+        "  bounds: noncontextual 4, corrected 4.30146 (deviation rate 0.150731), "
         "quantum 6, algebraic 6\n"
-        "  verdict: violates NC bound 4, violates corrected bound 4.23159\n"
+        "  verdict: violates NC bound 4, violates corrected bound 4.30146\n"
         "compatibility audit:\n"
-        "  context independence : 0.115796\n"
-        "  order independence   : 0.011330\n"
-        "  repeatability        : 0.006231\n"
-        "  nondisturbance       : 0.008180\n"
-        "  worst case           : 0.115796 (context-independence: state psi11, marginal of YY)\n"
+        "  context independence : 0.150731\n"
+        "  order independence   : 0.008014\n"
+        "  repeatability        : 0.006171\n"
+        "  nondisturbance       : 0.008595\n"
+        "  worst case           : 0.150731 (context-independence: state psi11, marginal of YY)\n"
     ),
     "noisy-83": (
         "scenario pm-noisy-audit: state psi1, pipeline network_noisy, seed 83\n"
-        "PeresMermin: value = +5.987198 +/- 0.000000\n"
+        "PeresMermin: value = +5.990841 +/- 0.000000\n"
         "  + ZI*IZ*ZZ  +1.000000 +/- 0.000000\n"
-        "  + IX*XI*XX  +0.995762 +/- 0.000000\n"
-        "  + ZX*XZ*YY  +0.996835 +/- 0.000000\n"
-        "  + ZI*IX*ZX  +0.995645 +/- 0.000000\n"
-        "  + IZ*XI*XZ  +0.999428 +/- 0.000000\n"
-        "  - ZZ*XX*YY  -0.999528 +/- 0.000000\n"
-        "  bounds: noncontextual 4, corrected 4.1906 (deviation rate 0.0953006), "
+        "  + IX*XI*XX  +0.994161 +/- 0.000000\n"
+        "  + ZX*XZ*YY  +0.998095 +/- 0.000000\n"
+        "  + ZI*IX*ZX  +0.999366 +/- 0.000000\n"
+        "  + IZ*XI*XZ  +0.999593 +/- 0.000000\n"
+        "  - ZZ*XX*YY  -0.999625 +/- 0.000000\n"
+        "  bounds: noncontextual 4, corrected 4.20624 (deviation rate 0.103122), "
         "quantum 6, algebraic 6\n"
-        "  verdict: violates NC bound 4, violates corrected bound 4.1906\n"
+        "  verdict: violates NC bound 4, violates corrected bound 4.20624\n"
         "compatibility audit:\n"
-        "  context independence : 0.095301\n"
-        "  order independence   : 0.009931\n"
-        "  repeatability        : 0.006629\n"
-        "  nondisturbance       : 0.007327\n"
-        "  worst case           : 0.095301 (context-independence: state psi11, marginal of YY)\n"
+        "  context independence : 0.103122\n"
+        "  order independence   : 0.020048\n"
+        "  repeatability        : 0.006846\n"
+        "  nondisturbance       : 0.005319\n"
+        "  worst case           : 0.103122 (context-independence: state psi11, marginal of YY)\n"
     ),
     "ideal": (
         "scenario pm-ideal-audit: state psi5, pipeline ideal, seed 0\n"
@@ -680,37 +691,37 @@ PINNED_AUDIT_STDOUT = {
     ),
     "chsh": (
         "scenario chsh-noisy-audit: state chsh, pipeline network_noisy, seed 5\n"
-        "CHSH: value = +2.858755 +/- 0.000000\n"
+        "CHSH: value = +2.861915 +/- 0.000000\n"
         "  + ZI*IZ  +0.707130 +/- 0.000000\n"
-        "  + XI*IZ  +0.718746 +/- 0.000000\n"
-        "  + ZI*IX  +0.708807 +/- 0.000000\n"
-        "  - XI*IX  -0.724072 +/- 0.000000\n"
-        "  bounds: noncontextual 2, corrected 2.25844 (deviation rate 0.129221), "
+        "  + XI*IZ  +0.718371 +/- 0.000000\n"
+        "  + ZI*IX  +0.711122 +/- 0.000000\n"
+        "  - XI*IX  -0.725291 +/- 0.000000\n"
+        "  bounds: noncontextual 2, corrected 2.28358 (deviation rate 0.141789), "
         "quantum 2.82843, algebraic 4\n"
-        "  verdict: violates NC bound 2, violates corrected bound 2.25844\n"
+        "  verdict: violates NC bound 2, violates corrected bound 2.28358\n"
         "compatibility audit:\n"
-        "  context independence : 0.129221\n"
-        "  order independence   : 0.006985\n"
-        "  repeatability        : 0.006065\n"
-        "  nondisturbance       : 0.007741\n"
-        "  worst case           : 0.129221 (context-independence: state psi11, marginal of XZ)\n"
+        "  context independence : 0.141789\n"
+        "  order independence   : 0.006661\n"
+        "  repeatability        : 0.006956\n"
+        "  nondisturbance       : 0.007155\n"
+        "  worst case           : 0.141789 (context-independence: state psi11, marginal of YY)\n"
     ),
     "mermin": (
         "scenario mermin-noisy-audit: state ghz, pipeline network_noisy, seed 5\n"
-        "Mermin: value = +3.848140 +/- 0.000000\n"
-        "  + ZII*IZI*IIX  +0.979411 +/- 0.000000\n"
-        "  + XII*IZI*IIZ  +0.976578 +/- 0.000000\n"
-        "  + ZII*IXI*IIZ  +0.983063 +/- 0.000000\n"
-        "  - XII*IXI*IIX  -0.909088 +/- 0.000000\n"
-        "  bounds: noncontextual 2, corrected 2.09373 (deviation rate 0.0468646), "
+        "Mermin: value = +3.833708 +/- 0.000000\n"
+        "  + ZII*IZI*IIX  +0.988278 +/- 0.000000\n"
+        "  + XII*IZI*IIZ  +0.988194 +/- 0.000000\n"
+        "  + ZII*IXI*IIZ  +0.933129 +/- 0.000000\n"
+        "  - XII*IXI*IIX  -0.924106 +/- 0.000000\n"
+        "  bounds: noncontextual 2, corrected 2.09657 (deviation rate 0.0482835), "
         "quantum 4, algebraic 4\n"
-        "  verdict: violates NC bound 2, violates corrected bound 2.09373\n"
+        "  verdict: violates NC bound 2, violates corrected bound 2.09657\n"
         "compatibility audit:\n"
-        "  context independence : 0.046865\n"
-        "  order independence   : 0.045970\n"
-        "  repeatability        : 0.004703\n"
+        "  context independence : 0.048284\n"
+        "  order independence   : 0.047528\n"
+        "  repeatability        : 0.007126\n"
         "  nondisturbance       : 0.000518\n"
-        "  worst case           : 0.046865 (context-independence: state 111, marginal of IIX)\n"
+        "  worst case           : 0.048284 (context-independence: state 111, marginal of IIX)\n"
     ),
 }
 

@@ -1,8 +1,11 @@
 import copy
 import hashlib
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import product
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -423,6 +426,10 @@ def whole_tree(prep, *specs):
     per branch, in breadth-first path order ("+" before "-"), and each leaf
     is a fanout_label tap onto an output port; the leaf groups hold those
     ports in basis order, keyed by outcome, first measurement first.
+
+    The tree is compiled with its phase runs cut where circuit_distributions
+    cuts them, at the stage boundaries: a segment that reads a root or a
+    block's branch wire starts a run, as it does behind a stage's input port.
     """
     observables = [pauli_observable(s) for s in specs]
     basis = binary_labels(observables[0].dim.bit_length() - 1)
@@ -432,18 +439,29 @@ def whole_tree(prep, *specs):
     else:
         roots = add_state_prep(net, prep)
     branches = [("", roots)]
+    boundary = list(roots)
     for obs in observables:
         branches = [
             (path + sign, branch)
             for path, wires in branches
             for sign, branch in zip("+-", build_measurement_block(net, obs, wires))
         ]
+        boundary += [w for _, wires in branches for w in wires]
     leaf_groups = {}
     for path, wires in branches:
         leaf_groups[path] = tuple(net.fresh() for _ in wires)
         for w, leaf in zip(wires, leaf_groups[path]):
             net.add(FANOUT_LABEL, (w,), (leaf,))
             net.add_output(leaf)
+    runs = network._phase_runs
+
+    def cut_runs(seg_in, seg_out, n_wires):
+        # wire n_wires, which no segment drives, stands in for each boundary wire
+        return runs(np.where(np.isin(seg_in, boundary), n_wires, seg_in), seg_out, n_wires + 1)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network, "_phase_runs", cut_runs)
+        net._compile()
     return WholeTree(net, leaf_groups)
 
 
@@ -696,9 +714,9 @@ def test_taps_keep_their_slot_and_get_no_group(build):
     net = build()
     taps = {pos for pos, el in enumerate(net.elements) if el.kind == FANOUT_LABEL}
     assert taps
-    groups = full_plan(net)._compile()
-    assert FANOUT_LABEL not in {g.kind for g in groups}
-    compiled = sorted(i for g in groups for i in g.elem_idx.ravel().tolist())
+    full = full_plan(net)
+    assert FANOUT_LABEL not in {g.kind for g in full._compile()}
+    compiled = sorted(i for _, run in entry_runs(full) for i in run)
     assert compiled == sorted(set(range(len(net.elements))) - taps)
 
 
@@ -813,39 +831,34 @@ def mermin_tree():
 
 
 def compiled_groups_digest(net):
-    """sha256 over each compiled group's kind, element indices and bases, in order.
-
-    The two b"none" fields stand where the digests were recorded with a group's
-    per-element noise and leakage override columns, which plain trees never set.
-    """
+    """sha256 over each compiled group's kind, entry indices, bases and jitter scales, in order."""
     h = hashlib.sha256()
     for g in net._compile():
-        fields = [g.kind.encode(), g.elem_idx.tobytes(), g.base.tobytes(), b"none", b"none"]
+        fields = [g.kind.encode(), g.elem_idx.tobytes(), g.base.tobytes(), g.scale.tobytes()]
         for f in fields:
             h.update(len(f).to_bytes(8, "little"))
             h.update(f)
     return h.hexdigest()
 
 
-# Recorded on the netlist with string-named wires that the integer-wire one
-# replaced, over every group then; the taps' groups were later dropped from
-# the digest, on the last netlist that compiled taps, whose digest over every
-# group still matched this record.  The live plan drops elements, so the
-# digest is taken over full_plan's groups, every element but the taps.
-# Equal groups give equal (seed, element index) draws through the same array
-# operations, hence bitwise equal amplitudes.
+# Recorded when each run of phase segments was first fused into one entry.
+# The live plan drops elements, so the digest is taken over full_plan's
+# groups: every element but the taps, each run of phase segments as its
+# head.  Equal groups give equal (seed, entry index) draws through the same
+# array operations, hence bitwise equal amplitudes.  The element counts are
+# the netlists', which fusion leaves as they are.
 PINNED_GROUPS = {
     "psi1 ZX*XZ*YY": (
-        lambda: whole_tree("psi1", "ZX", "XZ", "YY").netlist, 1174, 119,
-        "b92aa1be06d6ea2932ad0014715559c1d7fa8e7567b2318fc668ace5d5c2d0ce",
+        lambda: whole_tree("psi1", "ZX", "XZ", "YY").netlist, 1174, 68,
+        "d8289d0dd333c966357921cc71a785c3cd1da29e918ab1c10da6c07990efa7f9",
     ),
     "ghz XII*IXI*IIX": (
-        mermin_tree, 7932, 520,
-        "89445aff810c5d1d160f22795e2cda9600125182674d91f89d8d3391220a266c",
+        mermin_tree, 7932, 298,
+        "e1a70e8587f3577d67c4e0c9cabf72a9c0f24a9a6e0d3bde94874c0a40622a2b",
     ),
     "chsh ZI*IX": (
-        lambda: whole_tree("chsh", "ZI", "IX").netlist, 391, 55,
-        "ef1e1715f9edf2a75c3c9f19b9b5f97edb624e743c4ee20bcccac4741e27e0b4",
+        lambda: whole_tree("chsh", "ZI", "IX").netlist, 391, 38,
+        "fc592747599c4d186de37dabc123f0b3832ea5301253f9d5f31921d028ec0193",
     ),
 }
 
@@ -1067,10 +1080,11 @@ def test_ensemble_provider_members_match_whole_trees():
 
 # Noise draw pins: one digest per (circuit, noise model, member count) of the
 # repr of every leaf probability that circuit_distributions gives, recorded
-# with a splitter that draws no imbalance computed as the ideal one.  Equal
-# draws through the same elementwise operations give bitwise equal
-# amplitudes, so any change in how the draws are batched must leave these
-# unchanged.  Leakage is not applied, so "both+leak" is "both" at leakage 0.
+# with a splitter that draws no imbalance computed as the ideal one and each
+# run of phase segments fused into one entry.  Equal draws through the same
+# elementwise operations give bitwise equal amplitudes, so any change in how
+# the draws are batched must leave these unchanged.  Leakage is not applied,
+# so "both+leak" is "both" at leakage 0.
 PIN_CIRCUITS = {"psi1 ZX*XZ*YY": ("psi1", ("ZX", "XZ", "YY")),
                 "ghz XII*IXI*IIX": ("ghz", ("XII", "IXI", "IIX"))}
 PIN_NOISE = {
@@ -1097,34 +1111,34 @@ def noisy_leaf_digests(circuit, noise):
 
 PINNED_NOISY_LEAVES = {
     ('psi1 ZX*XZ*YY', 'imbalance'): (
-        'd3168857dd59238aec400c0ebc20a7a69644d97f22f7b5b5a3990dbf418f57a0',
-        '20ea85eabd98025026b0bec0c6386653001d055f90d3f758cbdb786f69108437',
-        'dec91eb4744d89c0b8088e1211f80368ffc4cdb549842358d41a1ccbca4fc7bc',
+        '0911c3c8a9f568aa863c90b8744fa243aed960f7869b8ff2d8a1f9b42383c97a',
+        '9113ee1f2f1f1fa5c91f472082aa7c1fecbd636418855c3e420cf1107516882c',
+        'b1cf428886caf23aec442e01c349e53c8f62059cca6fb4bcc63caa16c984e5fb',
     ),
     ('psi1 ZX*XZ*YY', 'jitter'): (
-        '0934fe197bc6b109f44e4b98e2f6285196ca9df4c066694018ac39ca976764a1',
-        '0d229ffe7773ed9e09eff5834da6744727cadbaf4841c3bf2f52648beb28f7f9',
-        '51e6609034e82165a273292d8b0c66fb4bb38e09f943ebd615ce97e8b3eeca4d',
+        '706dab9bd887d4b79deaa4f94d78021476b8ff4481b05020afaf77458e32fa84',
+        '3904bd70a8933b56c3b0aded7f283acb4326134a8ea8ed733045f8d3737e5eb9',
+        'ecddcf2062bba1437f1074da146192b84a0a9c3072b80ec6547fde4bc13f99c2',
     ),
     ('psi1 ZX*XZ*YY', 'both+leak'): (
-        '17d4ef46b89b38c41cdeab7a9bd891dcdf0530c4f640e39d41892c4d3d718f05',
-        '946c5b66d5e6bb738aa1a0a4d8ab8c99d7cf74d52c547852b3f05c12bff0e17a',
-        '62c6434391c237cf6319df885b2433edb31e8e4ad60b8c6299dc8f1989389850',
+        'ca91cbcc98c086c8c24e200042225de1dbda7e8f7e7c064e0fa37c7d01ff5b6a',
+        '4327e91041f3190af2bdbe701d2d84618f140cfd4e7bccb274aec7d0f94e5276',
+        '242b17d60bb834a5ab90f9fed76ef8b366b0d683df24482bf0a7aeb6bcec3a11',
     ),
     ('ghz XII*IXI*IIX', 'imbalance'): (
-        'd94762685ee9f21d98bb30eecf3aca6bf406e95c8d39d705e977fd277ca9ca95',
-        '0aa93a547b0765405aeda0bcfd645f1e4dcb1bdec423ac35ab314da1cbc561a0',
-        '1f517e615c926709969489c10f7982c22181f896de81a07a0205bed6a8aca21e',
+        '0c705e752d007b44d0b7159583e025e2a4cf8f96b3ac347c77a721c42d2e8a35',
+        'dc455e90c77db058a929a1270ff59d4dde5683ced9e1b35da5a014cedcfd6f67',
+        'b8b66d092d7cca16cb86a1118d1161e8fe5fd9a38abd03e765706b51d9b7e5a4',
     ),
     ('ghz XII*IXI*IIX', 'jitter'): (
-        '2980fbbf0d9e9a94e27d887b82d90c1ba2970b991dd0c666650bad49358a3125',
-        '869a09c26938d7db56de64a6d7d6065ec0a4c1a22684d0c291f1023d3c40059b',
-        'dd0345d090c0928e1b4ec0db6d57fc7e7450cea43f18b77bb1ce6494f751d866',
+        'cd4900705544c2646c4e5c6c74345e99244b3c0a47421ba3e74223af73f9e49d',
+        'cab23dc4604793d56a0a2ffbf107b0fe4d73eb66f5bf03ae16174637eb0f420f',
+        '3540d91ef5451f08ea1a23ff419a0d08f2d752cd44207247208ac91f7c1a89aa',
     ),
     ('ghz XII*IXI*IIX', 'both+leak'): (
-        'c0a8b1ce49a528de3e781b2e49e22fd48253fef107d092d3dd76f7a7516efb78',
-        'b64de17c64e14f84b8f571dbdc476fb855d1aa03ad2bc222366b41368ce85ce2',
-        '187215926e9371829d9567ed9663acd54b515b450cafd7803c5e172dd0b264a6',
+        'bcb46d6eb4e9c167dbeb5dee2f7c83149678bf49184e5f0075ffbaefdb1fa586',
+        '4ee97e10a2f68ddf93c3f483505394e6aa5211a2df0cffa025f68177e80668ad',
+        'e059bc591a681d0beaad7d199e5236f5079cc64595a6a0dfa14219d674369d1d',
     ),
 }
 
@@ -1148,18 +1162,22 @@ def test_noise_does_not_depend_on_slab_size(slab, noise, monkeypatch):
 @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
 def test_jitter_alone_is_the_ideal_circuit_with_drawn_phases(label, seed):
     # a splitter without an imbalance draw is the ideal one, so jitter alone
-    # is bitwise a quiet circuit whose phases carry the drawn errors
+    # is bitwise a quiet circuit whose phase runs carry the drawn errors: a
+    # run's first segment turns by the run's bases, added left to right, plus
+    # sqrt(n) sigma times its own draw, and the rest of the run by 0
     sigma = 0.03
     net = build_sequence_tree(pauli_observable(label))
     rng = np.random.default_rng(seed % 97)
     shape = (len(net.input_ports), 1)
     drive = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    err = sigma * counter_normals(seed, np.arange(len(net.elements), dtype=np.uint64))
-    drawn = rebased(net, {
-        pos: el.base + float(e)
-        for pos, (el, e) in enumerate(zip(net.elements, err))
-        if el.kind == PHASE_SEGMENT
-    })
+    bases = {}
+    for kind, run in entry_runs(net):
+        if kind == PHASE_SEGMENT:
+            [z] = counter_normals(seed, np.array(run[:1], dtype=np.uint64))
+            bases.update(dict.fromkeys(run, 0.0))
+            total = reduce(add, (net.elements[i].base for i in run))
+            bases[run[0]] = total + float(z * (sigma * math.sqrt(len(run))))
+    drawn = rebased(net, bases)
     noisy = propagate(net, drive, NoiseModel(phase_jitter_sigma=sigma), [seed])
     assert noisy.tobytes() == propagate(drawn, drive).tobytes()
 
@@ -1202,8 +1220,24 @@ SHIPPED_LABELS = sorted(
 )
 
 
+def entry_runs(net):
+    """(kind, element indices) per entry of the compiled plan, in plan order.
+
+    A phase entry's run is walked from its head through the readers of each
+    segment's output, as many segments as its jitter scale squared; any
+    other entry is its element alone.
+    """
+    reader = {w: pos for pos, el in enumerate(net.elements) for w in el.ins}
+    for g in net._compile():
+        for head, scale in zip(g.elem_idx.ravel().tolist(), g.scale.ravel().tolist()):
+            run = [head]
+            for _ in range(round(scale * scale) - 1):
+                run.append(reader[net.elements[run[-1]].outs[0]])
+            yield g.kind, run
+
+
 def live_indices(net):
-    return {i for g in net._compile() for i in g.elem_idx.ravel().tolist()}
+    return {i for _, run in entry_runs(net) for i in run}
 
 
 def noisy_indices(net):
@@ -1284,9 +1318,62 @@ def test_live_plan_skips_a_coupler_fed_only_by_ground():
 def test_ghz_prep_draws_for_its_live_elements_only():
     # 950 noisy elements see only ground ports (the seven beside the source
     # and each block's routing grounds), and 520 more sit in the three
-    # post-selected -1 branches, which feed only terminations
+    # post-selected -1 branches, which feed only terminations; the 654 live
+    # ones, 46 splitters and 608 phase segments in 93 runs, draw 139 times
     net = prep_netlist("ghz")
     noisy = noisy_indices(net)
     _, lit = net._layers()
     assert (len(noisy), sum(not lit[i] for i in noisy)) == (2124, 950)
     assert len(live_indices(net) & noisy) == 654
+    entries = Counter(kind for kind, _ in entry_runs(net))
+    assert (entries[BEAM_SPLITTER], entries[PHASE_SEGMENT]) == (46, 93)
+
+
+def live_elements(net):
+    """The elements a live plan keeps, found by a walk back from the output ports.
+
+    An element is kept when it is lit (Netlist._layers) and one of its
+    outputs is an output port or is read by a kept element's ancestor.
+    """
+    _, lit = net._layers()
+    reach = set(net.output_ports)
+    live = set()
+    for pos in reversed(range(len(net.elements))):
+        el = net.elements[pos]
+        if reach.intersection(el.outs):
+            reach.update(el.ins)
+            if lit[pos]:
+                live.add(pos)
+    return live
+
+
+@pytest.mark.parametrize("build", [
+    *(lambda label=label: build_sequence_tree(pauli_observable(label)) for label in SHIPPED_LABELS),
+    *(lambda prep=prep: prep_netlist(prep) for prep in ("ghz", "chsh", "psi1")),
+], ids=[*(f"{label} stage" for label in SHIPPED_LABELS), "ghz prep", "chsh prep", "psi1 prep"])
+def test_each_run_of_live_phase_segments_is_one_entry(build):
+    net = build()
+    elements = net.elements
+    live = live_elements(net)
+    segments = {i for i in live if elements[i].kind == PHASE_SEGMENT}
+    driver = {w: pos for pos, el in enumerate(elements) for w in el.outs}
+    reader = {w: pos for pos, el in enumerate(elements) for w in el.ins}
+    runs = [run for kind, run in entry_runs(net) if kind == PHASE_SEGMENT]
+    # the runs cover the live segments once each, and nothing else
+    assert sum(map(len, runs)) == len(segments)
+    assert sorted(i for run in runs for i in run) == sorted(segments)
+    groups = [g for g in net._compile() if g.kind == PHASE_SEGMENT]
+    heads = np.concatenate([g.elem_idx.ravel() for g in groups]) if groups else []
+    bases = np.concatenate([g.base.ravel() for g in groups]) if groups else []
+    for run, base in zip(runs, bases, strict=True):
+        # each segment reads the one before, and a run neither starts nor
+        # ends beside another live segment: a tap, a port or another kind
+        # ends it
+        assert all(reader[elements[a].outs[0]] == b for a, b in zip(run, run[1:]))
+        assert driver.get(elements[run[0]].ins[0]) not in segments
+        assert reader.get(elements[run[-1]].outs[0]) not in segments
+        # the entry's base is the run's bases added left to right, so a run
+        # of one keeps its element's base bit for bit
+        total = reduce(add, (elements[i].base for i in run))
+        assert np.float64(total).tobytes() == base.tobytes()
+    assert [run[0] for run in runs] == list(heads)

@@ -1,6 +1,7 @@
 """The package's public surface, and imports that every module uses."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,19 @@ def test_every_exported_name_resolves():
     assert len(set(wavecorr.__all__)) == len(wavecorr.__all__)
     missing = [name for name in wavecorr.__all__ if not hasattr(wavecorr, name)]
     assert missing == []
+
+
+def test_readme_examples_print_what_they_say(capsys):
+    # the fenced python blocks run in order in one namespace, and each
+    # `print(...)  # value` line must print its value, so a re-recorded pin
+    # cannot leave the README stale
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    want = [m.group(1) for b in blocks for m in re.finditer(r"^print\(.*\) +# (.*)$", b, re.M)]
+    assert capsys.readouterr().out.splitlines() == want
 
 
 def _unused_imports(path):
