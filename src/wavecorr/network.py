@@ -12,14 +12,13 @@ Element behaviour (ideal):
     phase_segment    a -> exp(i phase) a
     unequal_coupler  s -> (s, r s)/sqrt(1 + r^2)
     termination      absorbs its input
-    fanout_label     passes its input through (a branch tap; it keeps its
-                     input's slot, so it costs no propagation step)
 
-Measurement blocks diagonalize an observable with a mesh, split the
-eigenmodes into a +1 and a -1 branch, and recompose each branch back to
-the computational basis.  A sequence of k measurements is a tree of such
-blocks, one per branch per level, ending in 2^k groups of d modes whose
-intensities are the joint sequential probabilities.
+Measurement blocks diagonalize an observable with a mesh, wire each
+eigenmode straight into the +1 or the -1 branch, a ground taking its place
+in the other, and recompose each branch back to the computational basis.
+A sequence of k measurements is a tree of such blocks, one per branch per
+level, ending in 2^k groups of d modes whose intensities are the joint
+sequential probabilities.
 
 A prepared experiment is a preparation netlist (add_state_prep) feeding
 that tree.  Every level of the tree is the same measurement block for one
@@ -111,7 +110,6 @@ BEAM_SPLITTER = "beam_splitter"
 PHASE_SEGMENT = "phase_segment"
 UNEQUAL_COUPLER = "unequal_coupler"
 TERMINATION = "termination"
-FANOUT_LABEL = "fanout_label"
 
 # (input arity, output arity) per kind
 _ARITY = {
@@ -119,7 +117,6 @@ _ARITY = {
     PHASE_SEGMENT: (1, 1),
     UNEQUAL_COUPLER: (1, 2),
     TERMINATION: (1, 0),
-    FANOUT_LABEL: (1, 1),
 }
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -240,8 +237,7 @@ def _cut_groups(
 
     ``elem_idx``, ``base`` and ``scale`` are columns and ``ins``, ``outs``
     the (2, n) slot rows of those entries; each group holds views of its
-    rows.  Taps get no group: a tap's output already sits in its input's
-    slot.
+    rows.
     """
     if not key.size:
         return []
@@ -250,8 +246,6 @@ def _cut_groups(
     groups = []
     for start, stop, code in zip(starts, stops, (key[starts] % len(_KINDS)).tolist()):
         kind = _KINDS[code]
-        if kind == FANOUT_LABEL:
-            continue
         n_in, n_out = _ARITY[kind]
         rows = slice(start, stop)
         groups.append(
@@ -266,9 +260,9 @@ def _phase_runs(seg_in: np.ndarray, seg_out: np.ndarray, n_wires: int) -> tuple[
     ``seg_in`` and ``seg_out`` hold the input and output wire of each phase
     segment of a plan, in plan order.  A segment whose input wire another
     of them drives continues that one's run; any other starts a run of its
-    own, so a tap, a port or any other kind ends a run.  Pointer jumping,
-    as for Netlist._compile's slot map, takes every segment to the run's
-    first segment while it counts the steps (a run is shorter than
+    own, so a port or any other kind ends a run.  Pointer jumping, as for
+    Netlist._compile's slot map, takes every segment to the run's first
+    segment while it counts the steps (a run is shorter than
     2^bit_length(segments)).
     """
     pos = np.arange(seg_in.size)
@@ -444,13 +438,11 @@ class Netlist:
         Groups run layer by layer, and within a layer in kind order.  A group
         reads (and copies) all of its inputs before it writes an output, so
         each output takes the slot of the input in its own row (a
-        splitter's, a phase segment's or a tap's, a coupler's first), and a
-        coupler's second output opens a slot.  A tap thus moves no amplitude
-        and gets no group, though it keeps its element index.  Input and
-        ground ports get the first slots and the couplers' second outputs
-        the next, in group order; every slot starts at zero, so a ground
-        reads zero however late its reader runs.  ``_slots`` records the
-        count and where the ports sit.
+        splitter's, a phase segment's, a coupler's first), and a coupler's
+        second output opens a slot.  Input and ground ports get the first
+        slots and the couplers' second outputs the next, in group order;
+        every slot starts at zero, so a ground reads zero however late its
+        reader runs.  ``_slots`` records the count and where the ports sit.
 
         Each group holds only the elements that can change an output port,
         and a group left empty is dropped.  An unlit element, which reads
@@ -803,14 +795,12 @@ def build_measurement_block(
     plus = set(obs.plus_indices)
     upper_in, lower_in = [], []
     for i, w in enumerate(eigen):
-        tap = net.fresh()
-        net.add(FANOUT_LABEL, (w,), (tap,))
         if i in plus:
-            upper_in.append(tap)
+            upper_in.append(w)
             lower_in.append(net.add_ground())
         else:
             upper_in.append(net.add_ground())
-            lower_in.append(tap)
+            lower_in.append(w)
     upper = add_mesh(net, recompose_plan, upper_in)
     lower = add_mesh(net, recompose_plan, lower_in)
     return upper, lower
@@ -922,12 +912,12 @@ def circuit_distributions(
     is a stage's element count.  That offset lives in the seeds: each
     sequence's seeds are moved past n once (splitmix.offset_seeds), branch b
     of a level gets them moved b B_j further, and after the level they move
-    on by 2^(j-1) B_j.  Moves add in wrapping uint64 arithmetic, and the
-    tree's leaf taps draw no noise, so every member is bitwise what
-    propagating that whole tree with the member's seed gives, with its phase
-    runs cut at stage boundaries: a prep and each stage fuse their own runs
-    of phase segments (one draw per fused run, scaled by sqrt(n); exact in
-    law), and a run in the whole tree would go on across a boundary.
+    on by 2^(j-1) B_j.  Moves add in wrapping uint64 arithmetic, so every
+    member is bitwise what propagating that whole tree with the member's
+    seed gives, with its phase runs cut at stage boundaries: a prep and each
+    stage fuse their own runs of phase segments (one draw per fused run,
+    scaled by sqrt(n); exact in law), and a run in the whole tree would go
+    on across a boundary.  A request of no members gets no distributions.
     Nothing is cached across calls.
     """
     # each request's member seeds, moved past its preparation once that has run
@@ -1006,7 +996,9 @@ def circuit_distributions(
     for labels, idx in by_labels.items():
         d, n = len(seq_amps[labels]), len(seq_seeds[labels])
         paths = ["".join(p) for p in product("+-", repeat=len(labels))]
-        leaves = seq_amps[labels].reshape(d, len(paths), -1).transpose(1, 0, 2).reshape(-1, n)
+        # the row count given, as -1 is ambiguous for a request of no members
+        leaves = seq_amps[labels].reshape(d, len(paths), -1).transpose(1, 0, 2)
+        leaves = leaves.reshape(len(paths) * d, n)
         dists = iter(_leaf_distributions(paths, d, leaves))
         for i in idx:
             results[i] = list(islice(dists, len(member_seeds[i])))

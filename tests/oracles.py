@@ -10,7 +10,6 @@ import numpy as np
 
 from wavecorr.network import (
     BEAM_SPLITTER,
-    FANOUT_LABEL,
     PHASE_SEGMENT,
     UNEQUAL_COUPLER,
     Netlist,
@@ -87,8 +86,6 @@ def propagate_per_element(
             norm = np.sqrt(1.0 + base * base)
             wires[outs[0]] = a[0] / norm
             wires[outs[1]] = a[0] * (base / norm)
-        elif kind == FANOUT_LABEL:
-            wires[outs[0]] = a[0]
     return wires[netlist.output_ports]
 
 

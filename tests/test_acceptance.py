@@ -221,8 +221,8 @@ def _noisy_suite_rate(suite, noise, master_seed, members):
 
 # CHSH, Mermin and PeresMermin means, then the pair and triple suite rates
 PINNED_CRITERION_10 = [
-    "2.8249689236579485", "3.91863317812011", "5.982942858073675",
-    "0.0943687391471979", "0.04561109122814357",
+    "2.823971039936926", "3.913822060135916", "5.9821531236649665",
+    "0.09344617865674891", "0.047403203767646986",
 ]
 
 

@@ -403,10 +403,11 @@ def test_numbers_yaml_reads_as_text_get_a_hint(path, text, written, tmp_path, ca
 @pytest.mark.parametrize("circuit,field,width", [
     pytest.param(MINIMAL, "splitter_imbalance_sigma", 1.0e308, id="splitter_imbalance_sigma"),
     pytest.param(MINIMAL, "phase_jitter_sigma", 1.0e308, id="phase_jitter_sigma"),
-    # finite for one segment; the ghz circuits' runs of up to 37 phase
-    # segments draw sqrt(n) times the width, past the float range
+    # finite for one segment: its draws stay below 3.73 sigma, and the float
+    # range ends at 8.99 sigma; the ghz circuits' runs of up to 43 phase
+    # segments draw sqrt(n) times the width, up to 16.2 sigma
     pytest.param(
-        dict(MINIMAL, state="ghz", inequality="Mermin"), "phase_jitter_sigma", 1.0e307,
+        dict(MINIMAL, state="ghz", inequality="Mermin"), "phase_jitter_sigma", 2.0e307,
         id="phase_jitter_sigma-run-scaled",
     ),
 ])
@@ -528,19 +529,19 @@ AUDIT_SEQUENCES = "ZI*IZ*ZZ;IX*XI*XX;ZX*XZ*YY;ZI*IX*ZX;IZ*XI*XZ;ZZ*XX*YY"
 # noisy grid scenario; every digit comes from the noise draws of 214 circuits
 PINNED_AUDIT_ROWS = {
     0: (
-        "1;0.99223300599120479;0.99379799431017513;0.99700431103618459;"
-        "0.99900136856541888;-0.99846567247375695",
-        "5.9805023523767407", "4.2065020166713021", "0.1032510083356511", "4.2065",
+        "1;0.99503847861941241;0.9967875205265041;0.9972887535333923;"
+        "0.99855392307139779;-0.99173352833840855",
+        "5.9794022040891148", "4.1682067016298481", "0.084103350814923872", "4.16821",
     ),
     3: (
-        "1;0.99770695331110804;0.9916069785833912;0.9981252367248088;"
-        "0.99559297380782696;-0.99633999092864101",
-        "5.9793721333557759", "4.3014624735807168", "0.15073123679035827", "4.30146",
+        "1;0.99344690534388991;0.98899622825406364;0.99879807343727234;"
+        "0.99843184552514086;-0.99848521411968527",
+        "5.9781582666800519", "4.2324036171920234", "0.1162018085960117", "4.2324",
     ),
     7: (
-        "1;0.98657148577922826;0.99645331753145128;0.99752767319356939;"
-        "0.9955034481111541;-0.99952776278777289",
-        "5.9755836874031756", "4.2469711127888861", "0.12348555639444286", "4.24697",
+        "1;0.98869427895547835;0.99890817584362757;0.99727364600969892;"
+        "0.99662643545650786;-0.99984673707377381",
+        "5.9813492733390863", "4.2537193046049611", "0.12685965230248053", "4.25372",
     ),
 }
 
@@ -624,41 +625,41 @@ _GRID_TERMS = (
 PINNED_AUDIT_STDOUT = {
     "noisy-3": (
         "scenario pm-noisy-audit: state psi1, pipeline network_noisy, seed 3\n"
-        "PeresMermin: value = +5.979372 +/- 0.000000\n"
+        "PeresMermin: value = +5.978158 +/- 0.000000\n"
         "  + ZI*IZ*ZZ  +1.000000 +/- 0.000000\n"
-        "  + IX*XI*XX  +0.997707 +/- 0.000000\n"
-        "  + ZX*XZ*YY  +0.991607 +/- 0.000000\n"
-        "  + ZI*IX*ZX  +0.998125 +/- 0.000000\n"
-        "  + IZ*XI*XZ  +0.995593 +/- 0.000000\n"
-        "  - ZZ*XX*YY  -0.996340 +/- 0.000000\n"
-        "  bounds: noncontextual 4, corrected 4.30146 (deviation rate 0.150731), "
+        "  + IX*XI*XX  +0.993447 +/- 0.000000\n"
+        "  + ZX*XZ*YY  +0.988996 +/- 0.000000\n"
+        "  + ZI*IX*ZX  +0.998798 +/- 0.000000\n"
+        "  + IZ*XI*XZ  +0.998432 +/- 0.000000\n"
+        "  - ZZ*XX*YY  -0.998485 +/- 0.000000\n"
+        "  bounds: noncontextual 4, corrected 4.2324 (deviation rate 0.116202), "
         "quantum 6, algebraic 6\n"
-        "  verdict: violates NC bound 4, violates corrected bound 4.30146\n"
+        "  verdict: violates NC bound 4, violates corrected bound 4.2324\n"
         "compatibility audit:\n"
-        "  context independence : 0.150731\n"
-        "  order independence   : 0.008014\n"
-        "  repeatability        : 0.006171\n"
-        "  nondisturbance       : 0.008595\n"
-        "  worst case           : 0.150731 (context-independence: state psi11, marginal of YY)\n"
+        "  context independence : 0.116202\n"
+        "  order independence   : 0.008577\n"
+        "  repeatability        : 0.006361\n"
+        "  nondisturbance       : 0.008844\n"
+        "  worst case           : 0.116202 (context-independence: state psi11, marginal of YY)\n"
     ),
     "noisy-83": (
         "scenario pm-noisy-audit: state psi1, pipeline network_noisy, seed 83\n"
-        "PeresMermin: value = +5.990841 +/- 0.000000\n"
+        "PeresMermin: value = +5.988084 +/- 0.000000\n"
         "  + ZI*IZ*ZZ  +1.000000 +/- 0.000000\n"
-        "  + IX*XI*XX  +0.994161 +/- 0.000000\n"
-        "  + ZX*XZ*YY  +0.998095 +/- 0.000000\n"
-        "  + ZI*IX*ZX  +0.999366 +/- 0.000000\n"
-        "  + IZ*XI*XZ  +0.999593 +/- 0.000000\n"
-        "  - ZZ*XX*YY  -0.999625 +/- 0.000000\n"
-        "  bounds: noncontextual 4, corrected 4.20624 (deviation rate 0.103122), "
+        "  + IX*XI*XX  +0.995798 +/- 0.000000\n"
+        "  + ZX*XZ*YY  +0.996473 +/- 0.000000\n"
+        "  + ZI*IX*ZX  +0.999755 +/- 0.000000\n"
+        "  + IZ*XI*XZ  +0.998622 +/- 0.000000\n"
+        "  - ZZ*XX*YY  -0.997437 +/- 0.000000\n"
+        "  bounds: noncontextual 4, corrected 4.16169 (deviation rate 0.0808456), "
         "quantum 6, algebraic 6\n"
-        "  verdict: violates NC bound 4, violates corrected bound 4.20624\n"
+        "  verdict: violates NC bound 4, violates corrected bound 4.16169\n"
         "compatibility audit:\n"
-        "  context independence : 0.103122\n"
-        "  order independence   : 0.020048\n"
-        "  repeatability        : 0.006846\n"
-        "  nondisturbance       : 0.005319\n"
-        "  worst case           : 0.103122 (context-independence: state psi11, marginal of YY)\n"
+        "  context independence : 0.080846\n"
+        "  order independence   : 0.009126\n"
+        "  repeatability        : 0.005599\n"
+        "  nondisturbance       : 0.007763\n"
+        "  worst case           : 0.080846 (context-independence: state psi11, marginal of YY)\n"
     ),
     "ideal": (
         "scenario pm-ideal-audit: state psi5, pipeline ideal, seed 0\n"
@@ -691,37 +692,37 @@ PINNED_AUDIT_STDOUT = {
     ),
     "chsh": (
         "scenario chsh-noisy-audit: state chsh, pipeline network_noisy, seed 5\n"
-        "CHSH: value = +2.861915 +/- 0.000000\n"
-        "  + ZI*IZ  +0.707130 +/- 0.000000\n"
-        "  + XI*IZ  +0.718371 +/- 0.000000\n"
-        "  + ZI*IX  +0.711122 +/- 0.000000\n"
-        "  - XI*IX  -0.725291 +/- 0.000000\n"
-        "  bounds: noncontextual 2, corrected 2.28358 (deviation rate 0.141789), "
+        "CHSH: value = +2.852846 +/- 0.000000\n"
+        "  + ZI*IZ  +0.707177 +/- 0.000000\n"
+        "  + XI*IZ  +0.710298 +/- 0.000000\n"
+        "  + ZI*IX  +0.714754 +/- 0.000000\n"
+        "  - XI*IX  -0.720618 +/- 0.000000\n"
+        "  bounds: noncontextual 2, corrected 2.17852 (deviation rate 0.089262), "
         "quantum 2.82843, algebraic 4\n"
-        "  verdict: violates NC bound 2, violates corrected bound 2.28358\n"
+        "  verdict: violates NC bound 2, violates corrected bound 2.17852\n"
         "compatibility audit:\n"
-        "  context independence : 0.141789\n"
-        "  order independence   : 0.006661\n"
-        "  repeatability        : 0.006956\n"
-        "  nondisturbance       : 0.007155\n"
-        "  worst case           : 0.141789 (context-independence: state psi11, marginal of YY)\n"
+        "  context independence : 0.089262\n"
+        "  order independence   : 0.009129\n"
+        "  repeatability        : 0.006428\n"
+        "  nondisturbance       : 0.006033\n"
+        "  worst case           : 0.089262 (context-independence: state psi11, marginal of YY)\n"
     ),
     "mermin": (
         "scenario mermin-noisy-audit: state ghz, pipeline network_noisy, seed 5\n"
-        "Mermin: value = +3.833708 +/- 0.000000\n"
-        "  + ZII*IZI*IIX  +0.988278 +/- 0.000000\n"
-        "  + XII*IZI*IIZ  +0.988194 +/- 0.000000\n"
-        "  + ZII*IXI*IIZ  +0.933129 +/- 0.000000\n"
-        "  - XII*IXI*IIX  -0.924106 +/- 0.000000\n"
-        "  bounds: noncontextual 2, corrected 2.09657 (deviation rate 0.0482835), "
+        "Mermin: value = +3.918486 +/- 0.000000\n"
+        "  + ZII*IZI*IIX  +0.976916 +/- 0.000000\n"
+        "  + XII*IZI*IIZ  +0.994011 +/- 0.000000\n"
+        "  + ZII*IXI*IIZ  +0.987582 +/- 0.000000\n"
+        "  - XII*IXI*IIX  -0.959977 +/- 0.000000\n"
+        "  bounds: noncontextual 2, corrected 2.08488 (deviation rate 0.0424379), "
         "quantum 4, algebraic 4\n"
-        "  verdict: violates NC bound 2, violates corrected bound 2.09657\n"
+        "  verdict: violates NC bound 2, violates corrected bound 2.08488\n"
         "compatibility audit:\n"
-        "  context independence : 0.048284\n"
-        "  order independence   : 0.047528\n"
-        "  repeatability        : 0.007126\n"
-        "  nondisturbance       : 0.000518\n"
-        "  worst case           : 0.048284 (context-independence: state 111, marginal of IIX)\n"
+        "  context independence : 0.042438\n"
+        "  order independence   : 0.041329\n"
+        "  repeatability        : 0.003308\n"
+        "  nondisturbance       : 0.000456\n"
+        "  worst case           : 0.042438 (context-independence: state ghz, marginal of ZII)\n"
     ),
 }
 

@@ -4,7 +4,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import product
+from itertools import chain, product
 from operator import add
 from typing import NamedTuple
 
@@ -14,14 +14,13 @@ import pytest
 import wavecorr.network as network
 from oracles import luders_project
 from wavecorr.contextuality import (
+    AUDIT_SUITES,
     CHSH,
     INEQUALITIES,
-    PAIR_SUITE,
-    TRIPLE_SUITE,
+    measure_inequality,
 )
 from wavecorr.network import (
     BEAM_SPLITTER,
-    FANOUT_LABEL,
     Netlist,
     NetlistError,
     NoiseModel,
@@ -43,6 +42,7 @@ from wavecorr.splitmix import counter_normals, keyed_substream, offset_seeds, su
 from wavecorr.wavecore import (
     WaveState,
     binary_labels,
+    library_state_names,
     pauli_observable,
     sequential_distribution,
     state_library,
@@ -411,10 +411,16 @@ def test_block_routing_example():
 
 
 class WholeTree(NamedTuple):
-    """A prepared tree built whole; ``leaf_groups`` maps each outcome to its d leaf ports."""
+    """A prepared tree built whole.
+
+    ``leaf_groups`` maps each outcome to its d leaf ports, and
+    ``eigen_wires`` holds the wires along which each of the tree's blocks
+    routes its eigenmodes into its branches.
+    """
 
     netlist: Netlist
     leaf_groups: dict
+    eigen_wires: frozenset
 
 
 def whole_tree(prep, *specs):
@@ -423,9 +429,10 @@ def whole_tree(prep, *specs):
     With ``prep`` None the inputs are the bare mode ports in basis order;
     otherwise add_state_prep builds the preparation in front and the single
     input port is its source, wire 0.  Each level is one measurement block
-    per branch, in breadth-first path order ("+" before "-"), and each leaf
-    is a fanout_label tap onto an output port; the leaf groups hold those
-    ports in basis order, keyed by outcome, first measurement first.
+    per branch, in breadth-first path order ("+" before "-"), and the last
+    level's branch wires are the output ports; the leaf groups hold those
+    ports in basis order, keyed by outcome, first measurement first.  A
+    block's eigen wires are the outputs of the first of its three meshes.
 
     The tree is compiled with its phase runs cut where circuit_distributions
     cuts them, at the stage boundaries: a segment that reads a root or a
@@ -440,19 +447,20 @@ def whole_tree(prep, *specs):
         roots = add_state_prep(net, prep)
     branches = [("", roots)]
     boundary = list(roots)
-    for obs in observables:
-        branches = [
-            (path + sign, branch)
-            for path, wires in branches
-            for sign, branch in zip("+-", build_measurement_block(net, obs, wires))
-        ]
-        boundary += [w for _, wires in branches for w in wires]
-    leaf_groups = {}
-    for path, wires in branches:
-        leaf_groups[path] = tuple(net.fresh() for _ in wires)
-        for w, leaf in zip(wires, leaf_groups[path]):
-            net.add(FANOUT_LABEL, (w,), (leaf,))
-            net.add_output(leaf)
+    meshes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network, "add_mesh", lambda *args: meshes.append(add_mesh(*args)) or meshes[-1])
+        for obs in observables:
+            branches = [
+                (path + sign, branch)
+                for path, wires in branches
+                for sign, branch in zip("+-", build_measurement_block(net, obs, wires))
+            ]
+            boundary += [w for _, wires in branches for w in wires]
+    eigen_wires = frozenset(w for mesh in meshes[::3] for w in mesh)
+    leaf_groups = {path: tuple(wires) for path, wires in branches}
+    for w in chain.from_iterable(leaf_groups.values()):
+        net.add_output(w)
     runs = network._phase_runs
 
     def cut_runs(seg_in, seg_out, n_wires):
@@ -462,7 +470,7 @@ def whole_tree(prep, *specs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(network, "_phase_runs", cut_runs)
         net._compile()
-    return WholeTree(net, leaf_groups)
+    return WholeTree(net, leaf_groups, eigen_wires)
 
 
 def leaf_count(tree):
@@ -472,17 +480,15 @@ def leaf_count(tree):
 def path_depths(net):
     """The element counts of the paths from the input ports to the output ports.
 
-    A tap moves no amplitude and adds 0; every other element adds 1.  A wire
-    fed only by ground ports is on no path.  One count for the whole circuit
-    is what makes uniform per-element leakage a global factor that cancels
-    out of the normalized leaf distribution.
+    A wire fed only by ground ports is on no path.  One count for the whole
+    circuit is what makes uniform per-element leakage a global factor that
+    cancels out of the normalized leaf distribution.
     """
     depth = [frozenset()] * net.n_wires
     for w in net.input_ports:
         depth[w] = frozenset({0})
-    for kind, ins, outs, _ in net.elements:
-        step = 0 if kind == FANOUT_LABEL else 1
-        reached = frozenset(d + step for w in ins for d in depth[w])
+    for _, ins, outs, _ in net.elements:
+        reached = frozenset(d + 1 for w in ins for d in depth[w])
         for w in outs:
             depth[w] = reached
     return set().union(*(depth[w] for w in net.output_ports))
@@ -505,8 +511,8 @@ def test_sequences_hold_one_to_three_labels_of_one_width(labels, match):
 
 
 def test_stage_is_one_block_on_bare_inputs():
-    # dim anonymous inputs, the block's elements with no leaf tap after them,
-    # and the upper then the lower branch's wires as outputs
+    # dim anonymous inputs, the block's elements, and the upper then the
+    # lower branch's wires as outputs
     obs = pauli_observable("ZX")
     stage = build_sequence_tree(obs)
     block = Netlist()
@@ -522,10 +528,11 @@ def fragment_kind_tallies(tree):
 
     The walk goes back through drivers from the leaf wires.  Each element it
     reaches brings in its whole fragment: the elements joined to it by wires
-    that no fanout_label cuts, plus the fanouts read off the fragment (taps,
-    whose further readers belong to a branch of their own).  Whole fragments
-    are taken because a branch reads only the taps of its own sign, so the
-    bare ancestors of sibling leaf groups differ.
+    that are not eigen wires.  The walk crosses an eigen wire back to its
+    driver but never ahead, since the wire's reader belongs to a branch of
+    its own.  Whole fragments are taken because a branch reads only the
+    eigen wires of its own sign, so the bare ancestors of sibling leaf
+    groups differ.
     """
     net = tree.netlist
     driver, reader = {}, {}
@@ -539,12 +546,10 @@ def fragment_kind_tallies(tree):
         while stack:
             el = net.elements[stack.pop()]
             back = [driver.get(w) for w in el.ins]
-            ahead = [] if el.kind == FANOUT_LABEL else [reader.get(w) for w in el.outs]
+            ahead = [reader.get(w) for w in el.outs if w not in tree.eigen_wires]
             for pos in back + ahead:
-                if pos is None or pos in seen:
-                    continue
-                seen.add(pos)
-                if not (pos in ahead and net.elements[pos].kind == FANOUT_LABEL):
+                if pos is not None and pos not in seen:
+                    seen.add(pos)
                     stack.append(pos)
         tallies[outcome] = Counter(net.elements[pos].kind for pos in seen)
     return tallies
@@ -708,16 +713,11 @@ def test_circuits_need_a_slot_per_port(build, slots):
     lambda: build_sequence_tree(pauli_observable("ZII")),
     lambda: prep_netlist("ghz"),
 ], ids=["ZI stage", "YY stage", "ZII stage", "ghz prep"])
-def test_taps_keep_their_slot_and_get_no_group(build):
-    # a tap's output takes its input's slot, so a group would copy slots onto
-    # themselves; the other elements keep their indices, so no draw moves
+def test_the_full_plan_runs_every_element_once(build):
+    # every element, each run of phase segments within its entry, at its index
     net = build()
-    taps = {pos for pos, el in enumerate(net.elements) if el.kind == FANOUT_LABEL}
-    assert taps
-    full = full_plan(net)
-    assert FANOUT_LABEL not in {g.kind for g in full._compile()}
-    compiled = sorted(i for _, run in entry_runs(full) for i in run)
-    assert compiled == sorted(set(range(len(net.elements))) - taps)
+    compiled = sorted(i for _, run in entry_runs(full_plan(net)) for i in run)
+    assert compiled == list(range(len(net.elements)))
 
 
 # ------------------------------------------------------------ invariants
@@ -841,24 +841,24 @@ def compiled_groups_digest(net):
     return h.hexdigest()
 
 
-# Recorded when each run of phase segments was first fused into one entry.
-# The live plan drops elements, so the digest is taken over full_plan's
-# groups: every element but the taps, each run of phase segments as its
-# head.  Equal groups give equal (seed, entry index) draws through the same
-# array operations, hence bitwise equal amplitudes.  The element counts are
-# the netlists', which fusion leaves as they are.
+# Recorded with each run of phase segments fused into one entry.  The live
+# plan drops elements, so the digest is taken over full_plan's groups: every
+# element, each run of phase segments as its head.  Equal groups give equal
+# (seed, entry index) draws through the same array operations, hence bitwise
+# equal amplitudes.  The element counts are the netlists', which fusion
+# leaves as they are.
 PINNED_GROUPS = {
     "psi1 ZX*XZ*YY": (
-        lambda: whole_tree("psi1", "ZX", "XZ", "YY").netlist, 1174, 68,
-        "d8289d0dd333c966357921cc71a785c3cd1da29e918ab1c10da6c07990efa7f9",
+        lambda: whole_tree("psi1", "ZX", "XZ", "YY").netlist, 1114, 65,
+        "c86894ffeb54826fc9a4e43ce7dc6f3c82736b6d91080528a23aaee7a5df452f",
     ),
     "ghz XII*IXI*IIX": (
-        mermin_tree, 7932, 298,
-        "e1a70e8587f3577d67c4e0c9cabf72a9c0f24a9a6e0d3bde94874c0a40622a2b",
+        mermin_tree, 7788, 292,
+        "3ef762bebf790c807a52685fbe9706b89a68ee8f86ef680992b4240ff72df81b",
     ),
     "chsh ZI*IX": (
-        lambda: whole_tree("chsh", "ZI", "IX").netlist, 391, 38,
-        "fc592747599c4d186de37dabc123f0b3832ea5301253f9d5f31921d028ec0193",
+        lambda: whole_tree("chsh", "ZI", "IX").netlist, 363, 36,
+        "a62644b875d4afe69fdf668eac54b2fa3be863d05a2a7c21a3cef8bc6c62bce9",
     ),
 }
 
@@ -910,7 +910,7 @@ def test_ensemble_does_not_depend_on_member_chunking(chunk, monkeypatch):
 
 def whole_tree_distributions(prep, labels, noise, seeds):
     """Leaf distributions of the tree with the preparation built in, one per seed."""
-    net, leaf_groups = whole_tree(prep, *labels)
+    net, leaf_groups, _ = whole_tree(prep, *labels)
     members = propagate_ports(net, SOURCE, noise, seeds)
     leaves = np.array([[pa.amplitudes[w] for w in net.output_ports] for pa in members]).T
     d = len(next(iter(leaf_groups.values())))
@@ -923,6 +923,23 @@ def test_batch_members_match_single_seed_requests():
     for dist, seed in zip(dists, ENSEMBLE_SEEDS):
         [[single]] = circuit_distributions([(*request, [seed])], ENSEMBLE_NOISE)
         assert dist.probs == single.probs
+
+
+def test_a_request_of_no_members_gets_no_distributions():
+    # alone, and batched with a request of the same sequence and one of three
+    # levels; the others get the members they get on their own
+    requests = [
+        ("psi1", ("ZI", "IZ"), []), ("chsh", ("ZI", "IZ"), ENSEMBLE_SEEDS[:2]),
+        ("ghz", ("XII", "IXI", "IIX"), []),
+    ]
+    for noise in (None, ENSEMBLE_NOISE):
+        assert circuit_distributions(requests[:1], noise) == [[]]
+        assert circuit_distributions(requests, noise) == [
+            [], circuit_distributions(requests[1:2], noise)[0], []
+        ]
+    # so a provider of no fabrications meets the check every provider meets
+    with pytest.raises(ValueError, match=r"provider returned 0 members for chsh ZI\*IZ"):
+        measure_inequality(CHSH, ensemble_provider(ENSEMBLE_NOISE, 0, 0), "chsh")
 
 
 # every prep kind: a splitter (singlet), a coupler (chsh), terminations (ghz),
@@ -1111,34 +1128,34 @@ def noisy_leaf_digests(circuit, noise):
 
 PINNED_NOISY_LEAVES = {
     ('psi1 ZX*XZ*YY', 'imbalance'): (
-        '0911c3c8a9f568aa863c90b8744fa243aed960f7869b8ff2d8a1f9b42383c97a',
-        '9113ee1f2f1f1fa5c91f472082aa7c1fecbd636418855c3e420cf1107516882c',
-        'b1cf428886caf23aec442e01c349e53c8f62059cca6fb4bcc63caa16c984e5fb',
+        '153d4a7a23182c4ca77b4e84fb907fc28a650c5a19e9900e4f5d1a02f7566104',
+        'f2702bcbedcc035f4bc79a83b5617b37f7956bf769e011ae2f82b1fbf46b9d43',
+        'a42fd825c5e34280d141d493f9064926732b883eb7d997e108b5af07b2b12fa0',
     ),
     ('psi1 ZX*XZ*YY', 'jitter'): (
-        '706dab9bd887d4b79deaa4f94d78021476b8ff4481b05020afaf77458e32fa84',
-        '3904bd70a8933b56c3b0aded7f283acb4326134a8ea8ed733045f8d3737e5eb9',
-        'ecddcf2062bba1437f1074da146192b84a0a9c3072b80ec6547fde4bc13f99c2',
+        '48ac75c14e7be297d69b01239151680b9b5430478884a7819cc6ff38b82fe1af',
+        '3d9253c0199ba98daa19e55519cf55f6aa92e7aa5f5a0de1466a502cf2839e68',
+        '0a5ecb6061258247ec9b0dbe82bfb3159b0aca890195540a734f859f806f63d9',
     ),
     ('psi1 ZX*XZ*YY', 'both+leak'): (
-        'ca91cbcc98c086c8c24e200042225de1dbda7e8f7e7c064e0fa37c7d01ff5b6a',
-        '4327e91041f3190af2bdbe701d2d84618f140cfd4e7bccb274aec7d0f94e5276',
-        '242b17d60bb834a5ab90f9fed76ef8b366b0d683df24482bf0a7aeb6bcec3a11',
+        'd338debafbdfc9c477f020eb5b8c832019802bf93c4cb8cfda76fa47f13cb3d7',
+        'ccdeb18754c90537c65e52ac8c00adc087429476d3057a9c687c915c9a2423b9',
+        '3887d9ba1399e938ef49974b6087926c0d1c7490c9e36ab43135d5943d0cc96c',
     ),
     ('ghz XII*IXI*IIX', 'imbalance'): (
-        '0c705e752d007b44d0b7159583e025e2a4cf8f96b3ac347c77a721c42d2e8a35',
-        'dc455e90c77db058a929a1270ff59d4dde5683ced9e1b35da5a014cedcfd6f67',
-        'b8b66d092d7cca16cb86a1118d1161e8fe5fd9a38abd03e765706b51d9b7e5a4',
+        '296ad5213aea4ec4a7116ed0ad7722b6a3197442e7f01dcef522fea59e0d7e16',
+        'ffdd82fbb99b7b0ed62a28c24faefa4977921451d6b8d7f7c9899d78ecdebe7d',
+        '29e690056108cf09c87e34e452ee140f28fdf94b3123c1a9b111bb49023443e1',
     ),
     ('ghz XII*IXI*IIX', 'jitter'): (
-        'cd4900705544c2646c4e5c6c74345e99244b3c0a47421ba3e74223af73f9e49d',
-        'cab23dc4604793d56a0a2ffbf107b0fe4d73eb66f5bf03ae16174637eb0f420f',
-        '3540d91ef5451f08ea1a23ff419a0d08f2d752cd44207247208ac91f7c1a89aa',
+        '29e77fe7eadc6581b40af7d068c6a985bf737c4bd6c37b4fe3e3f0bae304ae62',
+        'ad201730e806f5e2770349779a4bdfeb4eb865b8f3746b05a93a0bdb1a5d3abd',
+        'af0a4abdf74f803fed02637b77a9d85c8c2e69ef19b22bb05bccad2045274a5e',
     ),
     ('ghz XII*IXI*IIX', 'both+leak'): (
-        'bcb46d6eb4e9c167dbeb5dee2f7c83149678bf49184e5f0075ffbaefdb1fa586',
-        '4ee97e10a2f68ddf93c3f483505394e6aa5211a2df0cffa025f68177e80668ad',
-        'e059bc591a681d0beaad7d199e5236f5079cc64595a6a0dfa14219d674369d1d',
+        '1d4a38c467e1e6509eadee0b1ae7f6b75ad6cda50c10cd417dcab839984b40a7',
+        '0a1ded1feb79aae6729c1bc653e51f17f5038c44b8dc0d19f6cf32eb6a4f65f5',
+        'e2980ea75c14b2aeb57d288fde02c86424b08fe8057b45a060a582105fbb6a36',
     ),
 }
 
@@ -1216,7 +1233,7 @@ def test_noise_is_drawn_once_per_slab(monkeypatch):
 # every Pauli word that a shipped inequality or audit suite measures
 SHIPPED_LABELS = sorted(
     {label for defn in INEQUALITIES.values() for seq in defn.sequences for label in seq}
-    | {label for suite in (PAIR_SUITE, TRIPLE_SUITE) for seq in suite.sequences for label in seq}
+    | {label for suite in AUDIT_SUITES.values() for seq in suite.sequences for label in seq}
 )
 
 
@@ -1261,6 +1278,14 @@ def test_live_plan_equals_full_plan():
         full = propagate(full_plan(net), drive, ENSEMBLE_NOISE, ENSEMBLE_SEEDS)
         assert live.tobytes() == full.tobytes(), name
         assert live_indices(net) & noisy_indices(net) < noisy_indices(net), name
+
+
+def test_shipped_circuits_use_every_element_kind():
+    # every library preparation and every shipped stage: a kind that none of
+    # them uses is compiled and propagated by code that nothing runs
+    nets = [prep_netlist(name) for name in library_state_names()]
+    nets += [build_sequence_tree(pauli_observable(label)) for label in SHIPPED_LABELS]
+    assert {el.kind for net in nets for el in net.elements} == set(network._ARITY)
 
 
 def rebased(net, bases):
@@ -1319,14 +1344,14 @@ def test_ghz_prep_draws_for_its_live_elements_only():
     # 950 noisy elements see only ground ports (the seven beside the source
     # and each block's routing grounds), and 520 more sit in the three
     # post-selected -1 branches, which feed only terminations; the 654 live
-    # ones, 46 splitters and 608 phase segments in 93 runs, draw 139 times
+    # ones, 46 splitters and 608 phase segments in 86 runs, draw 132 times
     net = prep_netlist("ghz")
     noisy = noisy_indices(net)
     _, lit = net._layers()
     assert (len(noisy), sum(not lit[i] for i in noisy)) == (2124, 950)
     assert len(live_indices(net) & noisy) == 654
     entries = Counter(kind for kind, _ in entry_runs(net))
-    assert (entries[BEAM_SPLITTER], entries[PHASE_SEGMENT]) == (46, 93)
+    assert (entries[BEAM_SPLITTER], entries[PHASE_SEGMENT]) == (46, 86)
 
 
 def live_elements(net):
@@ -1367,8 +1392,7 @@ def test_each_run_of_live_phase_segments_is_one_entry(build):
     bases = np.concatenate([g.base.ravel() for g in groups]) if groups else []
     for run, base in zip(runs, bases, strict=True):
         # each segment reads the one before, and a run neither starts nor
-        # ends beside another live segment: a tap, a port or another kind
-        # ends it
+        # ends beside another live segment: a port or another kind ends it
         assert all(reader[elements[a].outs[0]] == b for a, b in zip(run, run[1:]))
         assert driver.get(elements[run[0]].ins[0]) not in segments
         assert reader.get(elements[run[-1]].outs[0]) not in segments

@@ -28,14 +28,14 @@ from wavecorr.events import MAX_THRESHOLD_SAMPLES  # noqa: E402
 
 NOISE_STUDY_AUDIT = """\
 noise: imbalance 0.008, jitter 0.012, leakage 0.001, 3 fabrication seeds
-  CHSH         on chsh : mean 2.8266 std 0.0049  sem 0.0028  range [2.8217, 2.8316]
-  Mermin       on ghz  : mean 3.9202 std 0.0487  sem 0.0281  range [3.8665, 3.9616]
-  PeresMermin  on psi1 : mean 5.9824 std 0.0023  sem 0.0013  range [5.9805, 5.9849]
-  pair suite   : worst 0.1081 (context-independence: state psi11, marginal of YY)
-  triple suite : worst 0.0460 (context-independence: state ghz, marginal of ZII)
-  corrected CHSH        : 2.2162 (below the mean 2.8266)
-  corrected Mermin      : 2.0920 (below the mean 3.9202)
-  corrected PeresMermin : 4.2162 (below the mean 5.9824)
+  CHSH         on chsh : mean 2.8166 std 0.0329  sem 0.0190  range [2.7799, 2.8435]
+  Mermin       on ghz  : mean 3.9009 std 0.0341  sem 0.0197  range [3.8675, 3.9356]
+  PeresMermin  on psi1 : mean 5.9850 std 0.0060  sem 0.0035  range [5.9794, 5.9914]
+  pair suite   : worst 0.1060 (context-independence: state psi11, marginal of YY)
+  triple suite : worst 0.0396 (context-independence: state ghz, marginal of ZII)
+  corrected CHSH        : 2.2120 (below the mean 2.8166)
+  corrected Mermin      : 2.0792 (below the mean 3.9009)
+  corrected PeresMermin : 4.2120 (below the mean 5.9850)
 """
 
 COMPATIBILITY_AUDIT = """\
@@ -43,24 +43,24 @@ hardware model: imbalance 0, jitter 0.05, leakage 0, 3 fabrications per circuit
 
 pair-observable suite (19 sequences, 11 states):
 compatibility audit:
-  context independence : 0.417520
-  order independence   : 0.079727
-  repeatability        : 0.078774
-  nondisturbance       : 0.101592
-  worst case           : 0.417520 (context-independence: state psi11, marginal of YY)
+  context independence : 0.441728
+  order independence   : 0.113049
+  repeatability        : 0.075771
+  nondisturbance       : 0.063900
+  worst case           : 0.441728 (context-independence: state psi11, marginal of YY)
 
 triple-observable suite (12 sequences, 4 states):
 compatibility audit:
-  context independence : 0.170826
-  order independence   : 0.126566
-  repeatability        : 0.066700
-  nondisturbance       : 0.002376
-  worst case           : 0.170826 (context-independence: state ghz, marginal of ZII)
+  context independence : 0.162857
+  order independence   : 0.096880
+  repeatability        : 0.048438
+  nondisturbance       : 0.002271
+  worst case           : 0.162857 (context-independence: state ghz, marginal of ZII)
 
 corrected bounds at these rates:
-  CHSH        : noncontextual 2 -> 2.8350
-  Mermin      : noncontextual 2 -> 2.3417
-  PeresMermin : noncontextual 4 -> 4.8350
+  CHSH        : noncontextual 2 -> 2.8835
+  Mermin      : noncontextual 2 -> 2.3257
+  PeresMermin : noncontextual 4 -> 4.8835
 """
 
 
@@ -122,8 +122,8 @@ def test_compatibility_audit_stdout_is_unchanged(capsys):
 
 def test_noise_study_point_draws_only_live_cells(monkeypatch, capsys):
     # (entry, member) normals of one 20-seed point: one per live splitter
-    # and per run of live phase segments; every element the circuits hold
-    # would be 635 560, and one per live element 453 900
+    # and per run of live phase segments; every noisy element the circuits
+    # hold would be 635 560, and one per live element 453 900
     drawn = []
     real = network.counter_normals
 
@@ -136,7 +136,7 @@ def test_noise_study_point_draws_only_live_cells(monkeypatch, capsys):
             "--leakage", "0.001", "--seed", "37"]
     assert noise_study.main(argv) == 0
     capsys.readouterr()
-    assert sum(drawn) == 120_800
+    assert sum(drawn) == 111_440
 
 
 @pytest.mark.parametrize("seeds", ["-3", "0", "1"])
