@@ -44,7 +44,7 @@ EXPERIMENTS = (
 )
 
 # fabrication seeds per point: criterion 10 uses 100; at this cap one --audit
-# point (whose suites take seeds // 10 members) ran in ~26 s at a ~250 MB peak
+# point (whose suites take seeds // 10 members) ran in ~5 s at a ~195 MB peak
 # on a 2-CPU host, and time and memory grow about linearly with the count
 MAX_SEEDS = 5_000
 

@@ -42,13 +42,14 @@ wire.  A pass holds about PASS_CELLS (slot, member) amplitudes, so a small
 stage takes many members at once and a large one few.
 
 A chain of phase segments is physically one longer line whose phase errors
-add, so the noise is one draw per fused run of phase segments, scaled by
-sqrt(n); exact in law.  A wave that crosses n segments picks up
-exp(i sum(b_k + sigma z_k)), and with the z_k independent standard normals
-that is the law of exp(i (sum b_k + sigma sqrt(n) z)).  The live plan holds
-each run of segments, each reading the one before, as one entry at its
-first segment's index: the run's bases added left to right and a jitter
-scale of sqrt(n).  Every splitter draws on its own.
+add, so a netlist lays each wire's chain down as one segment with a length:
+the mesh builders (add_mesh) extend the segment that drives a wire, adding
+the new phase to its base, left to right, and its length by one, until an
+element reads the wire or it becomes an output port.  Its noise is one draw
+scaled by sqrt(length); exact in law.  A wave that crosses n segments picks
+up exp(i sum(b_k + sigma z_k)), and with the z_k independent standard
+normals that is the law of exp(i (sum b_k + sigma sqrt(n) z)).  Every
+splitter draws on its own.
 
 Fabrication noise is drawn in slabs, not per group: the noisy groups of one
 kind are cut into slabs of at most NOISE_SLAB (entry, member) draws, and a
@@ -61,10 +62,10 @@ since every draw is keyed by (member seed, entry index), each live entry
 draws what it would in a plan that ran every element.
 
 Meshes are laid down in columns that cover every mode of the bundle
-(identity phase segments pad the modes an element does not touch), so all
-paths that carry amplitude cross the same number D of physical elements,
-one D per circuit.  Uniform per-element leakage would scale every leaf's
-intensity by the same (1 - leakage)^D and drop out of the normalized
+(identity phases pad the modes an element does not touch), so all paths
+that carry amplitude cross the same length D of line, a segment counting
+its length, one D per circuit.  Uniform per-unit leakage would scale every
+leaf's intensity by the same (1 - leakage)^D and drop out of the normalized
 distributions, so propagation does not apply it: a circuit's outputs are
 its probabilities, which no leakage changes.
 """
@@ -74,7 +75,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, islice, product, repeat
+from itertools import chain, islice, product
 from operator import add
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -134,26 +135,29 @@ class CircuitElement(NamedTuple):
     """One element on integer wire ids.
 
     ``base`` is a phase segment's phase or a coupler's ratio, 0.0 otherwise.
+    ``length`` is how many unit segments of line a phase segment stands for
+    (its base is theirs added left to right, its jitter sqrt(length) times
+    one's), 1 for any other element.
     """
 
     kind: str
     ins: tuple[int, ...]
     outs: tuple[int, ...]
     base: float = 0.0
+    length: int = 1
 
 
 @dataclass(frozen=True)
 class NoiseModel:
     """Per-element Gaussian imperfections plus uniform power leakage.
 
-    One normal draw per live splitter and per fused run of live phase
-    segments, scaled by sqrt(n) for a run of n; exact in law, since the
+    One normal draw per live splitter and per live phase segment, scaled by
+    sqrt(length) for a segment of that length; exact in law, since its unit
     segments' errors add (see the module docstring).  Each draw is keyed by
-    (seed, index of the splitter or of the run's first segment) through a
-    counter-based generator, so results do not depend on evaluation order
-    and are reproducible bit for bit.  The seeds are not part of the model:
-    every propagation takes one per member.  A width of zero draws nothing
-    and leaves that kind's elements ideal.
+    (seed, element index) through a counter-based generator, so results do
+    not depend on evaluation order and are reproducible bit for bit.  The
+    seeds are not part of the model: every propagation takes one per member.
+    A width of zero draws nothing and leaves that kind's elements ideal.
 
     ``leakage`` is validated and reported but never applied: every lit path
     crosses the same number of elements (see the module docstring), so a
@@ -190,9 +194,8 @@ _CARRIES = np.array([[min(_ARITY[kind]) > k for k in range(2)] for kind in _KIND
 class _Group:
     """Same-kind entries evaluated together in one propagation step.
 
-    An entry is one element, or for phase segments one run of them (see
-    _phase_runs), which its head's ``elem_idx`` stands for.  Per-entry
-    values are columns of shape (n, 1), so they broadcast against the (n,
+    An entry is one element, at its index ``elem_idx``.  Per-entry values
+    are columns of shape (n, 1), so they broadcast against the (n,
     members) amplitudes of an ensemble.  A group carries no noise of its
     own: each entry's draw is keyed by its ``elem_idx``.
     """
@@ -202,7 +205,7 @@ class _Group:
     in_idx: np.ndarray  # shape (in_arity, n): row k holds the slot of each element's k-th input
     out_idx: np.ndarray  # shape (out_arity, n), slots likewise
     base: np.ndarray  # phase or ratio, zeros otherwise
-    scale: np.ndarray  # jitter scale: sqrt(run length) for a phase entry, ones otherwise
+    scale: np.ndarray  # jitter scale: sqrt(length), so 1 for every kind but a phase segment
 
 
 class _Slots(NamedTuple):
@@ -254,35 +257,13 @@ def _cut_groups(
     return groups
 
 
-def _phase_runs(seg_in: np.ndarray, seg_out: np.ndarray, n_wires: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each phase segment's run: the position of its run's first segment, and its rank there.
-
-    ``seg_in`` and ``seg_out`` hold the input and output wire of each phase
-    segment of a plan, in plan order.  A segment whose input wire another
-    of them drives continues that one's run; any other starts a run of its
-    own, so a port or any other kind ends a run.  Pointer jumping, as for
-    Netlist._compile's slot map, takes every segment to the run's first
-    segment while it counts the steps (a run is shorter than
-    2^bit_length(segments)).
-    """
-    pos = np.arange(seg_in.size)
-    driver = np.full(n_wires, -1, dtype=np.intp)
-    driver[seg_out] = pos
-    head = driver[seg_in]
-    first = head < 0
-    head[first] = pos[first]
-    rank = (~first).astype(np.intp)
-    for _ in range(seg_in.size.bit_length()):
-        rank += rank[head]
-        head = head[head]
-    return head, rank
-
-
 class Netlist:
     """Mutable feed-forward circuit on integer wires; it checks its wiring as it compiles.
 
     Every wire is an id from fresh().  Every element sees the noise model
-    alone: its draw is keyed by the element's index.
+    alone: its draw is keyed by the element's index.  A phase segment that
+    add_phases lays stays open, free to grow, until an element reads its
+    wire or the wire becomes an output port.
     """
 
     def __init__(self) -> None:
@@ -291,6 +272,7 @@ class Netlist:
         self.ground_ports: list[int] = []
         self.output_ports: list[int] = []
         self.n_wires = 0
+        self._open: dict[int, int] = {}  # wire -> index of the open segment driving it
         self._compiled: list[_Group] | None = None
         self._slots: _Slots | None = None  # set with _compiled
 
@@ -323,6 +305,7 @@ class Netlist:
         """Read a wire out; propagate() gives the output ports' rows in the order added."""
         self._compiled = None
         self.output_ports.append(self.wire_id(wire))
+        self._open.pop(wire, None)
         return wire
 
     def add(self, kind: str, ins: Sequence[int], outs: Sequence[int], base: float = 0.0) -> None:
@@ -346,6 +329,28 @@ class Netlist:
                 float(base),
             )
         )
+        for w in ins:
+            self._open.pop(w, None)
+
+    def add_phases(self, wire: int, phases: Sequence[float]) -> int:
+        """Lay one or more unit phase segments along ``wire``; returns the wire out.
+
+        They are one segment of length len(phases) whose base is the phases
+        added left to right.  On a wire that an open segment drives, they
+        extend it instead: its base goes on adding them, its length grows by
+        as many, and its output, the wire returned, stays as it was.
+        """
+        pos = self._open.get(self.wire_id(wire))
+        if pos is None:
+            out = self.fresh()
+            pos = self._open[out] = len(self.elements)
+            self.elements.append(CircuitElement(PHASE_SEGMENT, (wire,), (out,), phases[0]))
+            phases = phases[1:]
+        self._compiled = None
+        kind, ins, outs, base, length = self.elements[pos]
+        total = float(reduce(add, phases, base))
+        self.elements[pos] = CircuitElement(kind, ins, outs, total, length + len(phases))
+        return outs[0]
 
     # -- validation and compilation -----------------------------------
 
@@ -368,7 +373,7 @@ class Netlist:
         layers: list[int] = []
         lit = bytearray(len(self.elements))
         append = layers.append
-        for pos, (kind, ins, outs, _) in enumerate(self.elements):
+        for pos, (kind, ins, outs, _, _) in enumerate(self.elements):
             layer = 0
             z = 0
             for w in ins:
@@ -422,7 +427,7 @@ class Netlist:
         for w in outputs:
             reach[w] = 1
         pos = len(self.elements)
-        for _, ins, outs, _ in reversed(self.elements):
+        for _, ins, outs, _, _ in reversed(self.elements):
             pos -= 1
             for w in outs:
                 if reach[w]:
@@ -449,13 +454,8 @@ class Netlist:
         only wires that carry zero (see _layers), writes zeros into slots
         that already hold zeros; one whose outputs reach only terminations
         writes slots that only such elements read, so both may be skipped.
-        Every kept element keeps its index.  Then each run of kept phase
-        segments (_phase_runs) becomes one entry at its first segment's layer,
-        slot and index, with the run's bases added left to right and a
-        jitter scale of sqrt(run length): the run's wires share one slot,
-        which only the run reads, so its result may be written at the first
-        segment's step.  A segment's feeder is kept whenever the segment is,
-        so liveness never cuts a run.  The netlist compiles once, checking
+        Every kept element keeps its index, and a phase segment's entry has
+        the jitter scale sqrt(length).  The netlist compiles once, checking
         its wiring (NetlistError), and keeps the groups.
         """
         if self._compiled is not None:
@@ -469,7 +469,7 @@ class Netlist:
         slot[ports] = np.arange(count)
         groups: list[_Group] = []
         if self.elements:
-            kinds, ins, outs, bases = zip(*self.elements)
+            kinds, ins, outs, bases, lengths = zip(*self.elements)
             kind = np.fromiter(map(_KIND_CODE.__getitem__, kinds), dtype=np.intp, count=len(kinds))
             # a stable sort keeps element order inside each (layer, kind) bucket
             key = np.array(layers, dtype=np.intp) * len(_KINDS) + kind
@@ -478,6 +478,7 @@ class Netlist:
 
             elem_idx = order.astype(np.uint64).reshape(-1, 1)
             base = np.array(bases)[order].reshape(-1, 1)
+            scale = np.sqrt(np.array(lengths, dtype=float))[order].reshape(-1, 1)
             ins = _wire_rows(chain.from_iterable(ins), _N_IN[kind], order)
             outs = _wire_rows(chain.from_iterable(outs), _N_OUT[kind], order)
 
@@ -505,22 +506,6 @@ class Netlist:
             if TERMINATION in kinds:
                 self._drop_unread(live, outputs)
             kept = np.frombuffer(live, dtype=bool)[order]
-
-            # each run of kept phase segments becomes its first segment, with
-            # the run's bases added left to right (a row per run, accumulated
-            # along it) and a jitter scale of sqrt(run length)
-            seg = np.flatnonzero(kept & (kind == _KIND_CODE[PHASE_SEGMENT]))
-            first, rank = _phase_runs(ins[0, seg], outs[0, seg], self.n_wires)
-            run = np.cumsum(rank == 0)[first] - 1
-            length = np.bincount(run)
-            table = np.zeros((length.size, rank.max(initial=0) + 1))
-            table[run, rank] = base[seg, 0]
-            heads = seg[rank == 0]
-            base[heads, 0] = np.cumsum(table, axis=1)[np.arange(length.size), length - 1]
-            scale = np.ones_like(base)
-            scale[heads, 0] = np.sqrt(length)
-            kept[seg[rank > 0]] = False
-
             ins, outs = slot[ins], slot[outs]
             groups = _cut_groups(
                 key[kept], elem_idx[kept], ins[:, kept], outs[:, kept], base[kept], scale[kept]
@@ -601,9 +586,9 @@ def _propagate_members(
     ``amps`` holds each input and ground slot's starting amplitude per
     member; afterwards the output ports' slots hold theirs.  Member m draws
     entry i's fabrication error with seed ``seeds[m]`` at index i: one draw
-    per splitter, and one per fused run of phase segments, scaled by
-    sqrt(n); exact in law.  A termination moves no amplitude, so its group,
-    which only a plan that keeps every element holds, is passed over.
+    per splitter, and one per phase segment, scaled by sqrt(length); exact
+    in law.  A termination moves no amplitude, so its group, which only a
+    plan that keeps every element holds, is passed over.
 
     Noisy splitter and phase values come a slab of groups at a time from
     _noise_slabs, drawn when the loop reaches the slab's first group: one
@@ -649,9 +634,9 @@ def _noise_slabs(groups: list[_Group], kind: str, seeds: np.ndarray, sigma: floa
 
     A splitter group gets (cos, sin) of pi/4 + err, a phase group
     exp(1j * (base + err)), where err = counter_normals(seeds, elem_idx) *
-    (sigma * scale) has shape (entries, members): one draw per fused run of
-    phase segments, scaled by sqrt(n); exact in law.  A splitter's scale,
-    and a run of one's, is 1, so its error is bitwise sigma times its draw.
+    (sigma * scale) has shape (entries, members): one draw per phase
+    segment, scaled by sqrt(length); exact in law.  A splitter's scale, and
+    a unit segment's, is 1, so its error is bitwise sigma times its draw.
     ``groups`` is the live plan, so only its entries draw.  Groups are
     taken in slabs of at most NOISE_SLAB draws (a larger group is a slab of
     its own); a slab is drawn in one call when its first group is asked
@@ -715,28 +700,6 @@ def _plan_for(matrix: np.ndarray) -> MeshPlan:
     return plan
 
 
-def _phase_column(net: Netlist, wires: Sequence[int], phases: Sequence[float]) -> list[int]:
-    first = net.fresh(len(wires))
-    out = list(range(first, first + len(wires)))
-    net.elements.extend(
-        map(CircuitElement, repeat(PHASE_SEGMENT), zip(wires), zip(out), phases)
-    )
-    return out
-
-
-def _splitter_column(net: Netlist, wires: Sequence[int], p: int, q: int) -> list[int]:
-    # splitter on (p, q); identity segments keep the other modes in step
-    first = net.fresh(len(wires))
-    out = list(range(first, first + len(wires)))
-    net.elements.append(CircuitElement(BEAM_SPLITTER, (wires[p], wires[q]), (out[p], out[q])))
-    net.elements.extend(
-        CircuitElement(PHASE_SEGMENT, (w,), (o,))
-        for m, (w, o) in enumerate(zip(wires, out))
-        if m != p and m != q
-    )
-    return out
-
-
 def add_mesh(net: Netlist, plan: MeshPlan, in_wires: Sequence[int]) -> list[int]:
     """Realize a MeshPlan with splitters and phase segments.
 
@@ -749,28 +712,50 @@ def add_mesh(net: Netlist, plan: MeshPlan, in_wires: Sequence[int]) -> list[int]
         phases (phi + th - pi/2 at p, phi + th - pi at q)
 
     which reproduces the element matrix exactly, overall phase included.
-    The plan's output phases form one final column.  Every mode crosses
-    exactly one element per column, so every path crosses as many elements.
-    Returns the output wires, fresh ones, in mode order.
+    The plan's output phases form one final column.  Every mode crosses one
+    unit of line per column (a splitter column pads its other modes with
+    identity phases), so every path crosses as much line.  A mode's phases
+    from one splitter to the next are laid as one segment when the next
+    splitter reads it (Netlist.add_phases): a mode's first segment extends
+    the open one that drives its input wire, if any, and its last is left
+    open, so a mesh that reads the outputs extends it in turn.  Returns the
+    output wires in mode order.
     """
     if len(in_wires) != plan.dim:
         raise NetlistError(f"mesh of dimension {plan.dim} fed with {len(in_wires)} wires")
     wires = [net.wire_id(w) for w in in_wires]
+    laid: list[list[float]] = [[] for _ in wires]  # per mode, its phases since its last splitter
+
+    def column(phases: Sequence[float]) -> None:
+        for line, phase in zip(laid, phases):
+            line.append(phase)
+
+    def splitter(p: int, q: int) -> None:
+        for m, line in enumerate(laid):
+            if m != p and m != q:
+                line.append(0.0)
+        ins = (net.add_phases(wires[p], laid[p]), net.add_phases(wires[q], laid[q]))
+        laid[p], laid[q] = [], []
+        wires[p] = net.fresh(2)
+        wires[q] = wires[p] + 1
+        net.add(BEAM_SPLITTER, ins, (wires[p], wires[q]))
+
     for el in plan.elements:
         p, q, th, phi = el.p, el.q, el.theta, el.phi
         col = [0.0] * plan.dim
         col[q] = -phi - np.pi / 2
-        wires = _phase_column(net, wires, col)
-        wires = _splitter_column(net, wires, p, q)
+        column(col)
+        splitter(p, q)
         col = [0.0] * plan.dim
         col[p] = np.pi - 2 * th
-        wires = _phase_column(net, wires, col)
-        wires = _splitter_column(net, wires, p, q)
+        column(col)
+        splitter(p, q)
         col = [0.0] * plan.dim
         col[p] = phi + th - np.pi / 2
         col[q] = phi + th - np.pi
-        wires = _phase_column(net, wires, col)
-    return _phase_column(net, wires, plan.output_phases)
+        column(col)
+    column(plan.output_phases)
+    return [net.add_phases(w, line) for w, line in zip(wires, laid)]
 
 
 # ------------------------------------------------- blocks and stages
@@ -914,10 +899,10 @@ def circuit_distributions(
     of a level gets them moved b B_j further, and after the level they move
     on by 2^(j-1) B_j.  Moves add in wrapping uint64 arithmetic, so every
     member is bitwise what propagating that whole tree with the member's
-    seed gives, with its phase runs cut at stage boundaries: a prep and each
-    stage fuse their own runs of phase segments (one draw per fused run,
-    scaled by sqrt(n); exact in law), and a run in the whole tree would go
-    on across a boundary.  A request of no members gets no distributions.
+    seed gives, with its open phase segments ended at stage boundaries: a
+    prep and each stage are netlists of their own, whose output ports end
+    their segments, while a segment in the whole tree would grow on across a
+    boundary.  A request of no members gets no distributions.
     Nothing is cached across calls.
     """
     # each request's member seeds, moved past its preparation once that has run

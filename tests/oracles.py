@@ -56,21 +56,22 @@ def mix64(z: np.ndarray) -> np.ndarray:
 def propagate_per_element(
     netlist: Netlist, drive: np.ndarray, noise: NoiseModel | None, seeds: np.ndarray
 ) -> np.ndarray:
-    """network.propagate's law, element by element: the reference for fused plans.
+    """network.propagate's law, unit of line by unit: the reference for its sqrt(length) draws.
 
     Every wire holds one amplitude per member, and the elements run in list
-    order.  Each noisy element draws its own error, counter_normals(seeds,
-    index) scaled by its kind's width (none at width zero): a splitter's
-    angle is pi/4 + error, a phase segment turns by its base + error.  An
-    element whose inputs are zero in every member writes the zeros its
-    outputs already hold, so it is passed over; what it would draw cannot
-    reach an output.
+    order.  Each noisy element draws its own error, scaled by its kind's
+    width (none at width zero): a splitter's angle is pi/4 + error, and a
+    phase segment of length n turns by its base + error, where its error
+    adds n independent draws, one per unit segment, draw k at index
+    + k 2^40, a key no other element's draws reach.  An element whose inputs
+    are zero in every member writes the zeros its outputs already hold, so
+    it is passed over; what it would draw cannot reach an output.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     noise = noise or NoiseModel()
     wires = np.zeros((netlist.n_wires, seeds.size), dtype=complex)
     wires[netlist.input_ports] = drive
-    for index, (kind, ins, outs, base) in enumerate(netlist.elements):
+    for index, (kind, ins, outs, base, length) in enumerate(netlist.elements):
         a = wires[list(ins)]
         if not a.any():
             continue
@@ -80,7 +81,7 @@ def propagate_per_element(
             wires[outs[0]] = c * a[0] + s * a[1]
             wires[outs[1]] = s * a[0] - c * a[1]
         elif kind == PHASE_SEGMENT:
-            angle = base + _error(noise.phase_jitter_sigma, seeds, index)
+            angle = base + _error(noise.phase_jitter_sigma, seeds, index, length)
             wires[outs[0]] = a[0] * (np.cos(angle) + 1j * np.sin(angle))
         elif kind == UNEQUAL_COUPLER:
             norm = np.sqrt(1.0 + base * base)
@@ -89,7 +90,9 @@ def propagate_per_element(
     return wires[netlist.output_ports]
 
 
-def _error(sigma: float, seeds: np.ndarray, index: int) -> np.ndarray | float:
+def _error(sigma: float, seeds: np.ndarray, index: int, length: int = 1) -> np.ndarray | float:
+    """sigma times the sum of ``length`` standard normals, draw k at index + k 2^40."""
     if sigma == 0.0:
         return 0.0
-    return sigma * counter_normals(seeds, np.array([index], dtype=np.uint64))
+    keys = np.uint64(index) + (np.arange(length, dtype=np.uint64) << np.uint64(40))
+    return sigma * counter_normals(seeds, keys[:, None]).sum(axis=0)

@@ -221,8 +221,8 @@ def _noisy_suite_rate(suite, noise, master_seed, members):
 
 # CHSH, Mermin and PeresMermin means, then the pair and triple suite rates
 PINNED_CRITERION_10 = [
-    "2.823971039936926", "3.913822060135916", "5.9821531236649665",
-    "0.09344617865674891", "0.047403203767646986",
+    "2.8245958941661455", "3.9154386718324354", "5.981882939737463",
+    "0.09820368572754164", "0.048705443290647",
 ]
 
 

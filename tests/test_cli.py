@@ -403,9 +403,9 @@ def test_numbers_yaml_reads_as_text_get_a_hint(path, text, written, tmp_path, ca
 @pytest.mark.parametrize("circuit,field,width", [
     pytest.param(MINIMAL, "splitter_imbalance_sigma", 1.0e308, id="splitter_imbalance_sigma"),
     pytest.param(MINIMAL, "phase_jitter_sigma", 1.0e308, id="phase_jitter_sigma"),
-    # finite for one segment: its draws stay below 3.73 sigma, and the float
-    # range ends at 8.99 sigma; the ghz circuits' runs of up to 43 phase
-    # segments draw sqrt(n) times the width, up to 16.2 sigma
+    # finite for unit segments: their draws stay below 3.46 sigma, and the
+    # float range ends at 8.99 sigma; the ghz circuits' phase segments of
+    # length up to 43 draw sqrt(length) times the width, up to 14.4 sigma
     pytest.param(
         dict(MINIMAL, state="ghz", inequality="Mermin"), "phase_jitter_sigma", 2.0e307,
         id="phase_jitter_sigma-run-scaled",
@@ -529,19 +529,19 @@ AUDIT_SEQUENCES = "ZI*IZ*ZZ;IX*XI*XX;ZX*XZ*YY;ZI*IX*ZX;IZ*XI*XZ;ZZ*XX*YY"
 # noisy grid scenario; every digit comes from the noise draws of 214 circuits
 PINNED_AUDIT_ROWS = {
     0: (
-        "1;0.99503847861941241;0.9967875205265041;0.9972887535333923;"
-        "0.99855392307139779;-0.99173352833840855",
-        "5.9794022040891148", "4.1682067016298481", "0.084103350814923872", "4.16821",
+        "1;0.99552323788023911;0.98825416405982547;0.99110635175778072;"
+        "0.99872234985348629;-0.99790020867808671",
+        "5.9715063122294181", "4.2015150850572471", "0.1007575425286234", "4.20152",
     ),
     3: (
-        "1;0.99344690534388991;0.98899622825406364;0.99879807343727234;"
-        "0.99843184552514086;-0.99848521411968527",
-        "5.9781582666800519", "4.2324036171920234", "0.1162018085960117", "4.2324",
+        "1;0.99415012643361744;0.99717517455960425;0.99154255832442972;"
+        "0.99689691508213607;-0.99791811130250929",
+        "5.977682885702297", "4.1882943457510029", "0.094147172875501672", "4.18829",
     ),
     7: (
-        "1;0.98869427895547835;0.99890817584362757;0.99727364600969892;"
-        "0.99662643545650786;-0.99984673707377381",
-        "5.9813492733390863", "4.2537193046049611", "0.12685965230248053", "4.25372",
+        "1;0.98980461483131355;0.99523439526598545;0.9980444066705545;"
+        "0.99908643434312328;-0.996239452749627",
+        "5.9784093038606043", "4.1900358725724258", "0.095017936286212801", "4.19004",
     ),
 }
 
@@ -625,41 +625,41 @@ _GRID_TERMS = (
 PINNED_AUDIT_STDOUT = {
     "noisy-3": (
         "scenario pm-noisy-audit: state psi1, pipeline network_noisy, seed 3\n"
-        "PeresMermin: value = +5.978158 +/- 0.000000\n"
+        "PeresMermin: value = +5.977683 +/- 0.000000\n"
         "  + ZI*IZ*ZZ  +1.000000 +/- 0.000000\n"
-        "  + IX*XI*XX  +0.993447 +/- 0.000000\n"
-        "  + ZX*XZ*YY  +0.988996 +/- 0.000000\n"
-        "  + ZI*IX*ZX  +0.998798 +/- 0.000000\n"
-        "  + IZ*XI*XZ  +0.998432 +/- 0.000000\n"
-        "  - ZZ*XX*YY  -0.998485 +/- 0.000000\n"
-        "  bounds: noncontextual 4, corrected 4.2324 (deviation rate 0.116202), "
+        "  + IX*XI*XX  +0.994150 +/- 0.000000\n"
+        "  + ZX*XZ*YY  +0.997175 +/- 0.000000\n"
+        "  + ZI*IX*ZX  +0.991543 +/- 0.000000\n"
+        "  + IZ*XI*XZ  +0.996897 +/- 0.000000\n"
+        "  - ZZ*XX*YY  -0.997918 +/- 0.000000\n"
+        "  bounds: noncontextual 4, corrected 4.18829 (deviation rate 0.0941472), "
         "quantum 6, algebraic 6\n"
-        "  verdict: violates NC bound 4, violates corrected bound 4.2324\n"
+        "  verdict: violates NC bound 4, violates corrected bound 4.18829\n"
         "compatibility audit:\n"
-        "  context independence : 0.116202\n"
-        "  order independence   : 0.008577\n"
-        "  repeatability        : 0.006361\n"
-        "  nondisturbance       : 0.008844\n"
-        "  worst case           : 0.116202 (context-independence: state psi11, marginal of YY)\n"
+        "  context independence : 0.094147\n"
+        "  order independence   : 0.005864\n"
+        "  repeatability        : 0.006055\n"
+        "  nondisturbance       : 0.012429\n"
+        "  worst case           : 0.094147 (context-independence: state psi11, marginal of YY)\n"
     ),
     "noisy-83": (
         "scenario pm-noisy-audit: state psi1, pipeline network_noisy, seed 83\n"
-        "PeresMermin: value = +5.988084 +/- 0.000000\n"
+        "PeresMermin: value = +5.979515 +/- 0.000000\n"
         "  + ZI*IZ*ZZ  +1.000000 +/- 0.000000\n"
-        "  + IX*XI*XX  +0.995798 +/- 0.000000\n"
-        "  + ZX*XZ*YY  +0.996473 +/- 0.000000\n"
-        "  + ZI*IX*ZX  +0.999755 +/- 0.000000\n"
-        "  + IZ*XI*XZ  +0.998622 +/- 0.000000\n"
-        "  - ZZ*XX*YY  -0.997437 +/- 0.000000\n"
-        "  bounds: noncontextual 4, corrected 4.16169 (deviation rate 0.0808456), "
+        "  + IX*XI*XX  +0.991817 +/- 0.000000\n"
+        "  + ZX*XZ*YY  +0.997200 +/- 0.000000\n"
+        "  + ZI*IX*ZX  +0.995547 +/- 0.000000\n"
+        "  + IZ*XI*XZ  +0.998469 +/- 0.000000\n"
+        "  - ZZ*XX*YY  -0.996482 +/- 0.000000\n"
+        "  bounds: noncontextual 4, corrected 4.1723 (deviation rate 0.0861496), "
         "quantum 6, algebraic 6\n"
-        "  verdict: violates NC bound 4, violates corrected bound 4.16169\n"
+        "  verdict: violates NC bound 4, violates corrected bound 4.1723\n"
         "compatibility audit:\n"
-        "  context independence : 0.080846\n"
-        "  order independence   : 0.009126\n"
-        "  repeatability        : 0.005599\n"
-        "  nondisturbance       : 0.007763\n"
-        "  worst case           : 0.080846 (context-independence: state psi11, marginal of YY)\n"
+        "  context independence : 0.086150\n"
+        "  order independence   : 0.007238\n"
+        "  repeatability        : 0.006858\n"
+        "  nondisturbance       : 0.008579\n"
+        "  worst case           : 0.086150 (context-independence: state psi11, marginal of YY)\n"
     ),
     "ideal": (
         "scenario pm-ideal-audit: state psi5, pipeline ideal, seed 0\n"
@@ -692,37 +692,37 @@ PINNED_AUDIT_STDOUT = {
     ),
     "chsh": (
         "scenario chsh-noisy-audit: state chsh, pipeline network_noisy, seed 5\n"
-        "CHSH: value = +2.852846 +/- 0.000000\n"
-        "  + ZI*IZ  +0.707177 +/- 0.000000\n"
-        "  + XI*IZ  +0.710298 +/- 0.000000\n"
-        "  + ZI*IX  +0.714754 +/- 0.000000\n"
-        "  - XI*IX  -0.720618 +/- 0.000000\n"
-        "  bounds: noncontextual 2, corrected 2.17852 (deviation rate 0.089262), "
+        "CHSH: value = +2.807173 +/- 0.000000\n"
+        "  + ZI*IZ  +0.707242 +/- 0.000000\n"
+        "  + XI*IZ  +0.694527 +/- 0.000000\n"
+        "  + ZI*IX  +0.706535 +/- 0.000000\n"
+        "  - XI*IX  -0.698869 +/- 0.000000\n"
+        "  bounds: noncontextual 2, corrected 2.16736 (deviation rate 0.0836781), "
         "quantum 2.82843, algebraic 4\n"
-        "  verdict: violates NC bound 2, violates corrected bound 2.17852\n"
+        "  verdict: violates NC bound 2, violates corrected bound 2.16736\n"
         "compatibility audit:\n"
-        "  context independence : 0.089262\n"
-        "  order independence   : 0.009129\n"
-        "  repeatability        : 0.006428\n"
-        "  nondisturbance       : 0.006033\n"
-        "  worst case           : 0.089262 (context-independence: state psi11, marginal of YY)\n"
+        "  context independence : 0.083678\n"
+        "  order independence   : 0.010615\n"
+        "  repeatability        : 0.009728\n"
+        "  nondisturbance       : 0.010124\n"
+        "  worst case           : 0.083678 (context-independence: state psi11, marginal of YY)\n"
     ),
     "mermin": (
         "scenario mermin-noisy-audit: state ghz, pipeline network_noisy, seed 5\n"
-        "Mermin: value = +3.918486 +/- 0.000000\n"
-        "  + ZII*IZI*IIX  +0.976916 +/- 0.000000\n"
-        "  + XII*IZI*IIZ  +0.994011 +/- 0.000000\n"
-        "  + ZII*IXI*IIZ  +0.987582 +/- 0.000000\n"
-        "  - XII*IXI*IIX  -0.959977 +/- 0.000000\n"
-        "  bounds: noncontextual 2, corrected 2.08488 (deviation rate 0.0424379), "
+        "Mermin: value = +3.953942 +/- 0.000000\n"
+        "  + ZII*IZI*IIX  +0.993614 +/- 0.000000\n"
+        "  + XII*IZI*IIZ  +0.993894 +/- 0.000000\n"
+        "  + ZII*IXI*IIZ  +0.982624 +/- 0.000000\n"
+        "  - XII*IXI*IIX  -0.983811 +/- 0.000000\n"
+        "  bounds: noncontextual 2, corrected 2.09596 (deviation rate 0.0479814), "
         "quantum 4, algebraic 4\n"
-        "  verdict: violates NC bound 2, violates corrected bound 2.08488\n"
+        "  verdict: violates NC bound 2, violates corrected bound 2.09596\n"
         "compatibility audit:\n"
-        "  context independence : 0.042438\n"
-        "  order independence   : 0.041329\n"
-        "  repeatability        : 0.003308\n"
-        "  nondisturbance       : 0.000456\n"
-        "  worst case           : 0.042438 (context-independence: state ghz, marginal of ZII)\n"
+        "  context independence : 0.047981\n"
+        "  order independence   : 0.038132\n"
+        "  repeatability        : 0.003060\n"
+        "  nondisturbance       : 0.000323\n"
+        "  worst case           : 0.047981 (context-independence: state ghz, marginal of ZII)\n"
     ),
 }
 

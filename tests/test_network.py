@@ -3,9 +3,7 @@ import hashlib
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
-from functools import reduce
 from itertools import chain, product
-from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -431,12 +429,14 @@ def whole_tree(prep, *specs):
     input port is its source, wire 0.  Each level is one measurement block
     per branch, in breadth-first path order ("+" before "-"), and the last
     level's branch wires are the output ports; the leaf groups hold those
-    ports in basis order, keyed by outcome, first measurement first.  A
-    block's eigen wires are the outputs of the first of its three meshes.
+    ports in basis order, keyed by outcome, first measurement first.  The
+    first of a block's three meshes leaves each mode's last segment open, and
+    the branch mesh that the mode feeds extends it, so a block's eigen wires,
+    where it routes its eigenmodes, are the inputs of those segments.
 
-    The tree is compiled with its phase runs cut where circuit_distributions
-    cuts them, at the stage boundaries: a segment that reads a root or a
-    block's branch wire starts a run, as it does behind a stage's input port.
+    The open phase segments are ended where circuit_distributions ends
+    them, at the stage boundaries: a segment that reads a root or a block's
+    branch wire starts anew, as it does behind a stage's input port.
     """
     observables = [pauli_observable(s) for s in specs]
     basis = binary_labels(observables[0].dim.bit_length() - 1)
@@ -446,30 +446,21 @@ def whole_tree(prep, *specs):
     else:
         roots = add_state_prep(net, prep)
     branches = [("", roots)]
-    boundary = list(roots)
     meshes = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(network, "add_mesh", lambda *args: meshes.append(add_mesh(*args)) or meshes[-1])
         for obs in observables:
+            net._open.clear()
             branches = [
                 (path + sign, branch)
                 for path, wires in branches
                 for sign, branch in zip("+-", build_measurement_block(net, obs, wires))
             ]
-            boundary += [w for _, wires in branches for w in wires]
-    eigen_wires = frozenset(w for mesh in meshes[::3] for w in mesh)
+    driver = {w: el for el in net.elements for w in el.outs}
+    eigen_wires = frozenset(driver[w].ins[0] for mesh in meshes[::3] for w in mesh)
     leaf_groups = {path: tuple(wires) for path, wires in branches}
     for w in chain.from_iterable(leaf_groups.values()):
         net.add_output(w)
-    runs = network._phase_runs
-
-    def cut_runs(seg_in, seg_out, n_wires):
-        # wire n_wires, which no segment drives, stands in for each boundary wire
-        return runs(np.where(np.isin(seg_in, boundary), n_wires, seg_in), seg_out, n_wires + 1)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(network, "_phase_runs", cut_runs)
-        net._compile()
     return WholeTree(net, leaf_groups, eigen_wires)
 
 
@@ -478,18 +469,20 @@ def leaf_count(tree):
 
 
 def path_depths(net):
-    """The element counts of the paths from the input ports to the output ports.
+    """The lengths of line along the paths from the input ports to the output ports.
 
-    A wire fed only by ground ports is on no path.  One count for the whole
-    circuit is what makes uniform per-element leakage a global factor that
-    cancels out of the normalized leaf distribution.
+    Each element adds its length: a phase segment of length n is n unit
+    segments of line, any other element 1.  A wire fed only by ground ports
+    is on no path.  One length D for the whole circuit is what makes uniform
+    per-unit leakage a global factor that cancels out of the normalized leaf
+    distribution.
     """
     depth = [frozenset()] * net.n_wires
     for w in net.input_ports:
         depth[w] = frozenset({0})
-    for _, ins, outs, _ in net.elements:
-        reached = frozenset(d + 1 for w in ins for d in depth[w])
-        for w in outs:
+    for el in net.elements:
+        reached = frozenset(d + el.length for w in el.ins for d in depth[w])
+        for w in el.outs:
             depth[w] = reached
     return set().union(*(depth[w] for w in net.output_ports))
 
@@ -714,9 +707,9 @@ def test_circuits_need_a_slot_per_port(build, slots):
     lambda: prep_netlist("ghz"),
 ], ids=["ZI stage", "YY stage", "ZII stage", "ghz prep"])
 def test_the_full_plan_runs_every_element_once(build):
-    # every element, each run of phase segments within its entry, at its index
+    # every element, as one entry at its index
     net = build()
-    compiled = sorted(i for _, run in entry_runs(full_plan(net)) for i in run)
+    compiled = sorted(i for _, i in entries(full_plan(net)))
     assert compiled == list(range(len(net.elements)))
 
 
@@ -755,13 +748,21 @@ def leakage_circuits():
     yield "psi7 ZX*XZ*YY", whole_tree("psi7", "ZX", "XZ", "YY").netlist, source
 
 
+# each circuit's D, recorded when every unit of line was an element of its own
+PINNED_DEPTHS = {
+    "IIX stage": 82, "IIZ stage": 42, "IX stage": 32, "IXI stage": 62, "IZ stage": 12,
+    "IZI stage": 22, "XI stage": 22, "XII stage": 42, "XX stage": 32, "XZ stage": 22,
+    "YY stage": 32, "ZI stage": 2, "ZII stage": 2, "ZX stage": 32, "ZZ stage": 22,
+    "singlet prep": 1, "chsh prep": 2, "ghz prep": 186, "psi11 prep": 16, "psi7 ZX*XZ*YY": 97,
+}
+
+
 def test_every_lit_path_crosses_one_depth_per_circuit():
     # why leakage is not applied: uniform leakage would scale every output
-    # that light reaches by the same (1 - leak)^(D / 2), one D per circuit
-    # (from 1 for the singlet prep to 186 for the ghz prep)
-    for name, net, _ in leakage_circuits():
-        depths = path_depths(net)
-        assert len(depths) == 1 and min(depths) >= 1, (name, depths)
+    # that light reaches by the same (1 - leak)^(D / 2), one D per circuit,
+    # and laying a wire's phases down as one segment leaves each D as it was
+    depths = {name: path_depths(net) for name, net, _ in leakage_circuits()}
+    assert depths == {name: {d} for name, d in PINNED_DEPTHS.items()}
 
 
 def test_noisy_propagation_is_reproducible():
@@ -841,24 +842,22 @@ def compiled_groups_digest(net):
     return h.hexdigest()
 
 
-# Recorded with each run of phase segments fused into one entry.  The live
-# plan drops elements, so the digest is taken over full_plan's groups: every
-# element, each run of phase segments as its head.  Equal groups give equal
-# (seed, entry index) draws through the same array operations, hence bitwise
-# equal amplitudes.  The element counts are the netlists', which fusion
-# leaves as they are.
+# Recorded with each wire's chain of phases laid down as one segment.  The
+# live plan drops elements, so the digest is taken over full_plan's groups:
+# every element.  Equal groups give equal (seed, entry index) draws through
+# the same array operations, hence bitwise equal amplitudes.
 PINNED_GROUPS = {
     "psi1 ZX*XZ*YY": (
-        lambda: whole_tree("psi1", "ZX", "XZ", "YY").netlist, 1114, 65,
-        "c86894ffeb54826fc9a4e43ce7dc6f3c82736b6d91080528a23aaee7a5df452f",
+        lambda: whole_tree("psi1", "ZX", "XZ", "YY").netlist, 402, 51,
+        "01b1efaec0a53caaf5bc89301a19428d0a8ccbd26847bce4bbfcd8007ec12612",
     ),
     "ghz XII*IXI*IIX": (
-        mermin_tree, 7788, 292,
-        "3ef762bebf790c807a52685fbe9706b89a68ee8f86ef680992b4240ff72df81b",
+        mermin_tree, 1356, 161,
+        "dba181580688f8598bf99a737c3bde1eb690b2c2523cbd4aeb54db858279d849",
     ),
     "chsh ZI*IX": (
-        lambda: whole_tree("chsh", "ZI", "IX").netlist, 363, 36,
-        "a62644b875d4afe69fdf668eac54b2fa3be863d05a2a7c21a3cef8bc6c62bce9",
+        lambda: whole_tree("chsh", "ZI", "IX").netlist, 135, 27,
+        "aed7f11eb8e323e9f8097c8402d7b360fbc7b46ef278084b24d389ed24348d29",
     ),
 }
 
@@ -1098,10 +1097,10 @@ def test_ensemble_provider_members_match_whole_trees():
 # Noise draw pins: one digest per (circuit, noise model, member count) of the
 # repr of every leaf probability that circuit_distributions gives, recorded
 # with a splitter that draws no imbalance computed as the ideal one and each
-# run of phase segments fused into one entry.  Equal draws through the same
-# elementwise operations give bitwise equal amplitudes, so any change in how
-# the draws are batched must leave these unchanged.  Leakage is not applied,
-# so "both+leak" is "both" at leakage 0.
+# wire's chain of phases laid down as one segment.  Equal draws through the
+# same elementwise operations give bitwise equal amplitudes, so any change in
+# how the draws are batched must leave these unchanged.  Leakage is not
+# applied, so "both+leak" is "both" at leakage 0.
 PIN_CIRCUITS = {"psi1 ZX*XZ*YY": ("psi1", ("ZX", "XZ", "YY")),
                 "ghz XII*IXI*IIX": ("ghz", ("XII", "IXI", "IIX"))}
 PIN_NOISE = {
@@ -1128,34 +1127,34 @@ def noisy_leaf_digests(circuit, noise):
 
 PINNED_NOISY_LEAVES = {
     ('psi1 ZX*XZ*YY', 'imbalance'): (
-        '153d4a7a23182c4ca77b4e84fb907fc28a650c5a19e9900e4f5d1a02f7566104',
-        'f2702bcbedcc035f4bc79a83b5617b37f7956bf769e011ae2f82b1fbf46b9d43',
-        'a42fd825c5e34280d141d493f9064926732b883eb7d997e108b5af07b2b12fa0',
+        '775babb28ea20bd3f06ca4429aa3e4149b1b89dc0c27607c67647d75460f2f82',
+        'b0c257b2c2ece563b426c721c758c02d7d2e7f645f2501b2705caf611fbf990d',
+        '26257cc33a9da882d0e4c1a4f61a9c7cba95d37f3801219b01589036faf9f043',
     ),
     ('psi1 ZX*XZ*YY', 'jitter'): (
-        '48ac75c14e7be297d69b01239151680b9b5430478884a7819cc6ff38b82fe1af',
-        '3d9253c0199ba98daa19e55519cf55f6aa92e7aa5f5a0de1466a502cf2839e68',
-        '0a5ecb6061258247ec9b0dbe82bfb3159b0aca890195540a734f859f806f63d9',
+        'd70b0d6e552cae693dda03ce9e5237d1f41e71cb763e5d9afe99bbd78e97b445',
+        '480243b1f82c4db23b891b494487a44b5ccd9f2e617c7ba7249d5cefbf7df491',
+        '0cf7f2d2ca62bdf5f6e5592e971156290a2fe1f7d80235eea3df830ef0dd7a6f',
     ),
     ('psi1 ZX*XZ*YY', 'both+leak'): (
-        'd338debafbdfc9c477f020eb5b8c832019802bf93c4cb8cfda76fa47f13cb3d7',
-        'ccdeb18754c90537c65e52ac8c00adc087429476d3057a9c687c915c9a2423b9',
-        '3887d9ba1399e938ef49974b6087926c0d1c7490c9e36ab43135d5943d0cc96c',
+        '47f235c323116d2e3f073964e5642ed29da2b2e635d925916d8c1145991a7f0c',
+        'ccde329e1ccbdb6e1a3f2cad36e07a60f225b9bfb777778d64469fc286430ec3',
+        '53fc0257fc4fb885416a16ac88da36bd3365b126abbdb5f077f262b8c6bbb3aa',
     ),
     ('ghz XII*IXI*IIX', 'imbalance'): (
-        '296ad5213aea4ec4a7116ed0ad7722b6a3197442e7f01dcef522fea59e0d7e16',
-        'ffdd82fbb99b7b0ed62a28c24faefa4977921451d6b8d7f7c9899d78ecdebe7d',
-        '29e690056108cf09c87e34e452ee140f28fdf94b3123c1a9b111bb49023443e1',
+        '05e89a686181d7c44e4a80c39fbd0c92640cc395bf55b0cded04ab8e8e1de88c',
+        'c8bfba166a8a615bc65fd6e7256556872b5ded9018911cae04695cce8bc7cc73',
+        '67ea72c05b5146b2a79d757c8482899b8a3a7b366af2de4afc11b8c6258c0cad',
     ),
     ('ghz XII*IXI*IIX', 'jitter'): (
-        '29e77fe7eadc6581b40af7d068c6a985bf737c4bd6c37b4fe3e3f0bae304ae62',
-        'ad201730e806f5e2770349779a4bdfeb4eb865b8f3746b05a93a0bdb1a5d3abd',
-        'af0a4abdf74f803fed02637b77a9d85c8c2e69ef19b22bb05bccad2045274a5e',
+        'de6aeeb1c866cc55de62d07940ec63f5dd780c0e48018f6550b922f6c48e23a8',
+        '06cf024750c93b51ec64e51360521f4dfdb3a01d997761d288306635c43016f5',
+        'd609b4fbb18489e7b8b543101b84aa5a61ea3c35bf8e97420a0f6d507fbd05ef',
     ),
     ('ghz XII*IXI*IIX', 'both+leak'): (
-        '1d4a38c467e1e6509eadee0b1ae7f6b75ad6cda50c10cd417dcab839984b40a7',
-        '0a1ded1feb79aae6729c1bc653e51f17f5038c44b8dc0d19f6cf32eb6a4f65f5',
-        'e2980ea75c14b2aeb57d288fde02c86424b08fe8057b45a060a582105fbb6a36',
+        '962cb962a7ff593d15354048fea02eb6cf3c2ebf01bdffb0fcc735cc2e9f58ec',
+        '85643e7fa3266b8fef8683e1ef715e3c5023b5d147f44af575a1769cf05bc938',
+        '7599c55bf797a629b7c21f2d99213ceb409b18e5429615d2d573d5d5b5f386e9',
     ),
 }
 
@@ -1164,6 +1163,32 @@ PINNED_NOISY_LEAVES = {
 @pytest.mark.parametrize("noise", list(PIN_NOISE))
 def test_noisy_leaf_distributions_are_pinned(circuit, noise):
     assert noisy_leaf_digests(circuit, noise) == PINNED_NOISY_LEAVES[circuit, noise]
+
+
+# sha256 over the repr of every quiet leaf distribution: each library state
+# and each basis state an audit suite prepares, under each distinct shipped
+# sequence of its width (424 requests), recorded while every unit of line
+# was an element of its own.  Summing a segment's phases in the same order
+# keeps every quiet bit.
+PINNED_QUIET_LEAVES = "25e1a17636e08bbb2653a4a00f7b2d353a6dc3967f4a319336a667e0d03be7b2"
+
+
+def test_quiet_leaf_distributions_are_pinned():
+    definitions = [*INEQUALITIES.values(), *AUDIT_SUITES.values()]
+    sequences = list(dict.fromkeys(tuple(seq) for defn in definitions for seq in defn.sequences))
+    suite_states = [state for suite in AUDIT_SUITES.values() for state in suite.states]
+    states = list(dict.fromkeys([*library_state_names(), *suite_states]))
+    requests = [
+        (state, seq, None)
+        for state in states
+        for seq in sequences
+        if pauli_observable(seq[0]).dim == state_library(state).dim
+    ]
+    assert len(requests) == 424
+    h = hashlib.sha256()
+    for [dist] in circuit_distributions(requests):
+        h.update(repr(list(dist.probs.items())).encode())
+    assert h.hexdigest() == PINNED_QUIET_LEAVES
 
 
 @pytest.mark.parametrize("slab", [1, 2**30])
@@ -1179,21 +1204,19 @@ def test_noise_does_not_depend_on_slab_size(slab, noise, monkeypatch):
 @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
 def test_jitter_alone_is_the_ideal_circuit_with_drawn_phases(label, seed):
     # a splitter without an imbalance draw is the ideal one, so jitter alone
-    # is bitwise a quiet circuit whose phase runs carry the drawn errors: a
-    # run's first segment turns by the run's bases, added left to right, plus
-    # sqrt(n) sigma times its own draw, and the rest of the run by 0
+    # is bitwise a quiet circuit whose phase segments carry the drawn errors:
+    # each turns by its base plus sqrt(length) sigma times its own draw
     sigma = 0.03
     net = build_sequence_tree(pauli_observable(label))
     rng = np.random.default_rng(seed % 97)
     shape = (len(net.input_ports), 1)
     drive = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     bases = {}
-    for kind, run in entry_runs(net):
+    for kind, i in entries(net):
         if kind == PHASE_SEGMENT:
-            [z] = counter_normals(seed, np.array(run[:1], dtype=np.uint64))
-            bases.update(dict.fromkeys(run, 0.0))
-            total = reduce(add, (net.elements[i].base for i in run))
-            bases[run[0]] = total + float(z * (sigma * math.sqrt(len(run))))
+            [z] = counter_normals(seed, np.array([i], dtype=np.uint64))
+            el = net.elements[i]
+            bases[i] = el.base + float(z * (sigma * math.sqrt(el.length)))
     drawn = rebased(net, bases)
     noisy = propagate(net, drive, NoiseModel(phase_jitter_sigma=sigma), [seed])
     assert noisy.tobytes() == propagate(drawn, drive).tobytes()
@@ -1223,7 +1246,7 @@ def test_noise_is_drawn_once_per_slab(monkeypatch):
     assert len(draws(2**30)) == 2  # a slab per kind
     slabs = draws(network.NOISE_SLAB)
     assert sum(slabs) == sum(noisy)
-    # runs are cut greedily, so two runs in a row hold more than one slab's draws
+    # slabs are cut greedily, so two slabs in a row hold more than one slab's draws
     assert len(slabs) <= 2 + 2 * sum(noisy) * members / network.NOISE_SLAB < len(noisy) / 20
     assert max(slabs) * members <= max(network.NOISE_SLAB, max(noisy) * members)
 
@@ -1237,24 +1260,15 @@ SHIPPED_LABELS = sorted(
 )
 
 
-def entry_runs(net):
-    """(kind, element indices) per entry of the compiled plan, in plan order.
-
-    A phase entry's run is walked from its head through the readers of each
-    segment's output, as many segments as its jitter scale squared; any
-    other entry is its element alone.
-    """
-    reader = {w: pos for pos, el in enumerate(net.elements) for w in el.ins}
+def entries(net):
+    """(kind, element index) per entry of the compiled plan, in plan order."""
     for g in net._compile():
-        for head, scale in zip(g.elem_idx.ravel().tolist(), g.scale.ravel().tolist()):
-            run = [head]
-            for _ in range(round(scale * scale) - 1):
-                run.append(reader[net.elements[run[-1]].outs[0]])
-            yield g.kind, run
+        for i in g.elem_idx.ravel().tolist():
+            yield g.kind, i
 
 
 def live_indices(net):
-    return {i for _, run in entry_runs(net) for i in run}
+    return {i for _, i in entries(net)}
 
 
 def noisy_indices(net):
@@ -1283,9 +1297,8 @@ def test_live_plan_equals_full_plan():
 def test_shipped_circuits_use_every_element_kind():
     # every library preparation and every shipped stage: a kind that none of
     # them uses is compiled and propagated by code that nothing runs
-    nets = [prep_netlist(name) for name in library_state_names()]
-    nets += [build_sequence_tree(pauli_observable(label)) for label in SHIPPED_LABELS]
-    assert {el.kind for net in nets for el in net.elements} == set(network._ARITY)
+    kinds = {el.kind for name in LIBRARY_CIRCUITS for el in library_circuit(name).elements}
+    assert kinds == set(network._ARITY)
 
 
 def rebased(net, bases):
@@ -1341,17 +1354,17 @@ def test_live_plan_skips_a_coupler_fed_only_by_ground():
 
 
 def test_ghz_prep_draws_for_its_live_elements_only():
-    # 950 noisy elements see only ground ports (the seven beside the source
-    # and each block's routing grounds), and 520 more sit in the three
-    # post-selected -1 branches, which feed only terminations; the 654 live
-    # ones, 46 splitters and 608 phase segments in 86 runs, draw 132 times
+    # 139 noisy elements see only ground ports (the seven beside the source
+    # and each block's routing grounds), and 85 more sit in the three
+    # post-selected -1 branches, which feed only terminations; the 132 live
+    # ones, 46 splitters and 86 phase segments, draw once each
     net = prep_netlist("ghz")
     noisy = noisy_indices(net)
     _, lit = net._layers()
-    assert (len(noisy), sum(not lit[i] for i in noisy)) == (2124, 950)
-    assert len(live_indices(net) & noisy) == 654
-    entries = Counter(kind for kind, _ in entry_runs(net))
-    assert (entries[BEAM_SPLITTER], entries[PHASE_SEGMENT]) == (46, 86)
+    assert (len(noisy), sum(not lit[i] for i in noisy)) == (356, 139)
+    assert len(live_indices(net) & noisy) == 132
+    kinds = Counter(kind for kind, _ in entries(net))
+    assert (kinds[BEAM_SPLITTER], kinds[PHASE_SEGMENT]) == (46, 86)
 
 
 def live_elements(net):
@@ -1372,32 +1385,65 @@ def live_elements(net):
     return live
 
 
-@pytest.mark.parametrize("build", [
-    *(lambda label=label: build_sequence_tree(pauli_observable(label)) for label in SHIPPED_LABELS),
-    *(lambda prep=prep: prep_netlist(prep) for prep in ("ghz", "chsh", "psi1")),
-], ids=[*(f"{label} stage" for label in SHIPPED_LABELS), "ghz prep", "chsh prep", "psi1 prep"])
-def test_each_run_of_live_phase_segments_is_one_entry(build):
-    net = build()
-    elements = net.elements
-    live = live_elements(net)
-    segments = {i for i in live if elements[i].kind == PHASE_SEGMENT}
-    driver = {w: pos for pos, el in enumerate(elements) for w in el.outs}
-    reader = {w: pos for pos, el in enumerate(elements) for w in el.ins}
-    runs = [run for kind, run in entry_runs(net) if kind == PHASE_SEGMENT]
-    # the runs cover the live segments once each, and nothing else
-    assert sum(map(len, runs)) == len(segments)
-    assert sorted(i for run in runs for i in run) == sorted(segments)
-    groups = [g for g in net._compile() if g.kind == PHASE_SEGMENT]
-    heads = np.concatenate([g.elem_idx.ravel() for g in groups]) if groups else []
-    bases = np.concatenate([g.base.ravel() for g in groups]) if groups else []
-    for run, base in zip(runs, bases, strict=True):
-        # each segment reads the one before, and a run neither starts nor
-        # ends beside another live segment: a port or another kind ends it
-        assert all(reader[elements[a].outs[0]] == b for a, b in zip(run, run[1:]))
-        assert driver.get(elements[run[0]].ins[0]) not in segments
-        assert reader.get(elements[run[-1]].outs[0]) not in segments
-        # the entry's base is the run's bases added left to right, so a run
-        # of one keeps its element's base bit for bit
-        total = reduce(add, (elements[i].base for i in run))
-        assert np.float64(total).tobytes() == base.tobytes()
-    assert [run[0] for run in runs] == list(heads)
+def library_circuit(name):
+    """The netlist of a library prep ("<state> prep") or a shipped stage ("<label> stage")."""
+    label, kind = name.split()
+    return prep_netlist(label) if kind == "prep" else build_sequence_tree(pauli_observable(label))
+
+
+LIBRARY_CIRCUITS = [
+    *(f"{name} prep" for name in library_state_names()),
+    *(f"{label} stage" for label in SHIPPED_LABELS),
+]
+
+# Live entries per (splitter, phase segment, coupler) of each library prep
+# and shipped stage, and a sha256 over each one's sorted (base, jitter scale)
+# phase entries, all recorded when compile fused each run of unit segments
+# into one entry: laying the runs down whole changes no live entry.
+PINNED_LIVE_COUNTS = {
+    "singlet prep": (1, 0, 0), "chsh prep": (2, 0, 1), "ghz prep": (46, 86, 0),
+    "singlet3 prep": (4, 9, 0), "psi1 prep": (0, 1, 0), "psi2 prep": (2, 5, 0),
+    "psi3 prep": (4, 9, 0), "psi4 prep": (6, 13, 0), "psi5 prep": (6, 13, 0),
+    "psi6 prep": (6, 13, 0), "psi7 prep": (4, 9, 0), "psi8 prep": (4, 9, 0),
+    "psi9 prep": (6, 13, 0), "psi10 prep": (6, 13, 0), "psi11 prep": (6, 13, 0),
+    "IIX stage": (48, 104, 0), "IIZ stage": (24, 56, 0), "IX stage": (18, 40, 0),
+    "IXI stage": (36, 80, 0), "IZ stage": (6, 16, 0), "IZI stage": (12, 32, 0),
+    "XI stage": (12, 28, 0), "XII stage": (24, 56, 0), "XX stage": (18, 40, 0),
+    "XZ stage": (12, 28, 0), "YY stage": (18, 40, 0), "ZI stage": (0, 4, 0),
+    "ZII stage": (0, 8, 0), "ZX stage": (18, 40, 0), "ZZ stage": (12, 28, 0),
+}
+PINNED_LIVE_PHASES = "0d725f10a7ef7734ef2be7c6d13a57338b93b3d973f454f8e6139710455ee01e"
+
+
+def live_entry_counts(net):
+    kinds = Counter(kind for kind, _ in entries(net))
+    return tuple(kinds[k] for k in (BEAM_SPLITTER, PHASE_SEGMENT, UNEQUAL_COUPLER))
+
+
+@pytest.mark.parametrize("name", LIBRARY_CIRCUITS)
+def test_each_run_of_live_phase_segments_is_one_entry(name):
+    # a wire's chain of phases is laid down as one segment with a length, so
+    # no segment reads another, and each live one is an entry of its own
+    net = library_circuit(name)
+    driven = {el.outs[0] for el in net.elements if el.kind == PHASE_SEGMENT}
+    assert not [el for el in net.elements if el.kind == PHASE_SEGMENT and el.ins[0] in driven]
+    assert live_indices(net) == live_elements(net)
+    for g in net._compile():
+        # its base bit for bit, and a jitter scale of sqrt(length)
+        elements = [net.elements[i] for i in g.elem_idx.ravel().tolist()]
+        assert g.base.ravel().tolist() == [el.base for el in elements]
+        assert g.scale.ravel().tolist() == [math.sqrt(el.length) for el in elements]
+    assert live_entry_counts(net) == PINNED_LIVE_COUNTS[name]
+
+
+def test_live_phase_entries_are_those_of_unit_segments():
+    h = hashlib.sha256()
+    for name in LIBRARY_CIRCUITS:
+        net = library_circuit(name)
+        phases = [
+            (base, scale)
+            for g in net._compile() if g.kind == PHASE_SEGMENT
+            for base, scale in zip(g.base.ravel().tolist(), g.scale.ravel().tolist())
+        ]
+        h.update(repr((name, live_entry_counts(net), sorted(phases))).encode())
+    assert h.hexdigest() == PINNED_LIVE_PHASES

@@ -28,14 +28,14 @@ from wavecorr.events import MAX_THRESHOLD_SAMPLES  # noqa: E402
 
 NOISE_STUDY_AUDIT = """\
 noise: imbalance 0.008, jitter 0.012, leakage 0.001, 3 fabrication seeds
-  CHSH         on chsh : mean 2.8166 std 0.0329  sem 0.0190  range [2.7799, 2.8435]
-  Mermin       on ghz  : mean 3.9009 std 0.0341  sem 0.0197  range [3.8675, 3.9356]
-  PeresMermin  on psi1 : mean 5.9850 std 0.0060  sem 0.0035  range [5.9794, 5.9914]
-  pair suite   : worst 0.1060 (context-independence: state psi11, marginal of YY)
-  triple suite : worst 0.0396 (context-independence: state ghz, marginal of ZII)
-  corrected CHSH        : 2.2120 (below the mean 2.8166)
-  corrected Mermin      : 2.0792 (below the mean 3.9009)
-  corrected PeresMermin : 4.2120 (below the mean 5.9850)
+  CHSH         on chsh : mean 2.8324 std 0.0140  sem 0.0081  range [2.8187, 2.8468]
+  Mermin       on ghz  : mean 3.9106 std 0.0228  sem 0.0132  range [3.8922, 3.9362]
+  PeresMermin  on psi1 : mean 5.9777 std 0.0055  sem 0.0032  range [5.9715, 5.9821]
+  pair suite   : worst 0.0938 (context-independence: state psi11, marginal of YY)
+  triple suite : worst 0.0463 (context-independence: state ghz, marginal of ZII)
+  corrected CHSH        : 2.1876 (below the mean 2.8324)
+  corrected Mermin      : 2.0925 (below the mean 3.9106)
+  corrected PeresMermin : 4.1876 (below the mean 5.9777)
 """
 
 COMPATIBILITY_AUDIT = """\
@@ -43,24 +43,24 @@ hardware model: imbalance 0, jitter 0.05, leakage 0, 3 fabrications per circuit
 
 pair-observable suite (19 sequences, 11 states):
 compatibility audit:
-  context independence : 0.441728
-  order independence   : 0.113049
-  repeatability        : 0.075771
-  nondisturbance       : 0.063900
-  worst case           : 0.441728 (context-independence: state psi11, marginal of YY)
+  context independence : 0.385723
+  order independence   : 0.096210
+  repeatability        : 0.064488
+  nondisturbance       : 0.070090
+  worst case           : 0.385723 (context-independence: state psi11, marginal of YY)
 
 triple-observable suite (12 sequences, 4 states):
 compatibility audit:
-  context independence : 0.162857
-  order independence   : 0.096880
-  repeatability        : 0.048438
-  nondisturbance       : 0.002271
-  worst case           : 0.162857 (context-independence: state ghz, marginal of ZII)
+  context independence : 0.194294
+  order independence   : 0.159243
+  repeatability        : 0.066951
+  nondisturbance       : 0.002740
+  worst case           : 0.194294 (context-independence: state ghz, marginal of ZII)
 
 corrected bounds at these rates:
-  CHSH        : noncontextual 2 -> 2.8835
-  Mermin      : noncontextual 2 -> 2.3257
-  PeresMermin : noncontextual 4 -> 4.8835
+  CHSH        : noncontextual 2 -> 2.7714
+  Mermin      : noncontextual 2 -> 2.3886
+  PeresMermin : noncontextual 4 -> 4.7714
 """
 
 
@@ -122,8 +122,8 @@ def test_compatibility_audit_stdout_is_unchanged(capsys):
 
 def test_noise_study_point_draws_only_live_cells(monkeypatch, capsys):
     # (entry, member) normals of one 20-seed point: one per live splitter
-    # and per run of live phase segments; every noisy element the circuits
-    # hold would be 635 560, and one per live element 453 900
+    # and per live phase segment; every noisy element the circuits hold
+    # would be 138 520
     drawn = []
     real = network.counter_normals
 
