@@ -100,6 +100,7 @@ from wavecorr.events import (
     sample_events,
 )
 from wavecorr.network import (
+    MAX_SEQUENCE_LENGTH,
     NetlistError,
     NoiseModel,
     PropagationError,
@@ -154,11 +155,6 @@ MAX_ENUMERATED_LABELS = 16
 # and enumerating the bound costs 2^labels products per term (about 0.3 s for
 # 256 terms over 16 labels)
 MAX_CUSTOM_TERMS = 256
-
-# most labels a custom term's sequence may have: every pipeline measures
-# sequences of one to three observables (the ideal one walks 2^labels
-# branches, the circuit ones build trees of that depth)
-MAX_SEQUENCE_LENGTH = 3
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -785,8 +781,8 @@ def _write_csv(path: str, text: str) -> str:
 # -------------------------------------------------------------------- sweep
 
 
-def sweep_rows(file_path: str, seed: int | None = None) -> list[list[str]]:
-    """One CSV row per grid point of the file's vary section, in grid order."""
+def sweep_points(file_path: str, seed: int | None = None) -> list[tuple[Scenario, str]]:
+    """Each grid point of the file's vary section, parsed, and its row label, in grid order."""
     data = load_scenario_dict(file_path)
     vary = data.pop("vary", None)
     if vary is None:
@@ -818,6 +814,11 @@ def sweep_rows(file_path: str, seed: int | None = None) -> list[list[str]]:
             ", ".join(f"{key}={_plain(value)}" for (key, _), value in zip(axes, combo)),
         )
         points.append((scenario, label))
+    return points
+
+
+def sweep_rows(points: Sequence[tuple[Scenario, str]]) -> list[list[str]]:
+    """One CSV row per grid point, run in order."""
     return [csv_row(run_scenario(scenario), scenario_label=label) for scenario, label in points]
 
 
@@ -861,12 +862,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    rows = sweep_rows(args.scenario, seed=args.seed)
-    text = render_csv(rows)
-    csv_path = args.csv or load_scenario_dict(args.scenario).get("csv")
+    points = sweep_points(args.scenario, seed=args.seed)
+    text = render_csv(sweep_rows(points))
+    # csv is no grid axis, so every point has the file's path
+    csv_path = args.csv or points[0][0].csv_path
     if csv_path:
         target = _write_csv(csv_path, text)
-        sys.stdout.write(f"wrote {target} ({len(rows)} rows)\n")
+        sys.stdout.write(f"wrote {target} ({len(points)} rows)\n")
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -258,7 +258,7 @@ def corrected_bound(nc_bound: float, algebraic_max: float, deviation_rate: float
     return float(nc + xi * (alg - nc))
 
 
-def classical_bound_oracle(inequality: InequalityDefinition | str) -> float:
+def classical_bound_oracle(defn: InequalityDefinition) -> float:
     """Exact noncontextual maximum by brute-force +/-1 assignment.
 
     Every observable label gets a fixed outcome independent of which
@@ -268,7 +268,6 @@ def classical_bound_oracle(inequality: InequalityDefinition | str) -> float:
     terms are added one by one in definition order, so every partial sum is
     the one a loop over assignments would form.
     """
-    defn = INEQUALITIES[inequality] if isinstance(inequality, str) else inequality
     labels = defn.observable_labels
     column = {lab: j for j, lab in enumerate(labels)}
     # row r assigns -1 to label j where bit L-1-j of r is set, as product does

@@ -35,11 +35,10 @@ tree with the preparation built in.  Only the amplitudes are computed, and
 only by the live plan of each compiled netlist: the elements that can change
 an output port.
 
-A compiled netlist keeps its wires in slots: an element's output takes its
-input's slot, and a coupler's second output opens a slot, so a circuit
-needs a slot per input and ground port and per coupler, not a row per
-wire.  A pass holds about PASS_CELLS (slot, member) amplitudes, so a small
-stage takes many members at once and a large one few.
+A compiled netlist keeps its wires in the slots Netlist._layers gives them,
+a slot per input and ground port and per coupler, not a row per wire.  A
+pass holds about PASS_CELLS (slot, member) amplitudes, so a small stage
+takes many members at once and a large one few.
 
 A chain of phase segments is physically one longer line whose phase errors
 add, so a netlist lays each wire's chain down as one segment with a length:
@@ -52,10 +51,12 @@ normals that is the law of exp(i (sum b_k + sigma sqrt(n) z)).  Every
 splitter draws on its own.
 
 Fabrication noise is drawn in slabs, not per group: the noisy groups of one
-kind are cut into slabs of at most NOISE_SLAB (entry, member) draws, and a
-slab is drawn, and turned into splitter angles or phasors, in one pass when
-propagation reaches it.  Noise memory is then one slab per kind, however
-large the circuit, and every amplitude is bitwise that of a draw per group.
+kind are cut into slabs of at most NOISE_SLAB (entry, member) draws, a
+larger group being one slab, and a slab is drawn, and turned into splitter
+angles or phasors, in one pass when propagation reaches it.  A group's
+entries each read a slot of their own, so a slab holds at most
+max(PASS_CELLS, slots) draws however many members a call brings, and every
+amplitude is bitwise that of a draw per group.
 Only the live plan draws: an element outside it (fed only by ground ports,
 or behind a post-selection that feeds only terminations) draws nothing, and
 since every draw is keyed by (member seed, entry index), each live entry
@@ -186,8 +187,6 @@ _KINDS = tuple(sorted(_ARITY))
 _KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
 _N_IN = np.array([_ARITY[kind][0] for kind in _KINDS], dtype=np.intp)
 _N_OUT = np.array([_ARITY[kind][1] for kind in _KINDS], dtype=np.intp)
-# per kind, whether output row k continues input row k (k = 0, 1)
-_CARRIES = np.array([[min(_ARITY[kind]) > k for k in range(2)] for kind in _KINDS])
 
 
 @dataclass
@@ -354,18 +353,27 @@ class Netlist:
 
     # -- validation and compilation -----------------------------------
 
-    def _layers(self) -> tuple[list[int], bytearray]:
+    def _layers(self) -> tuple[list[int], bytearray, list[int], int]:
         """Validate; give each element the earliest step at which its inputs are ready.
 
         Also flags, per element, whether it is lit: whether some input may
         carry amplitude.  An input port may; a ground port carries zero in
         every propagation, and so does every output of an unlit element.
+
+        And gives each wire its slot, returned with the slot count: input and
+        then ground ports take slots 0, 1, ...; output k of an element takes
+        the slot of its input k, and an output with no input k (a coupler's
+        second) opens the next slot.
         """
         ready = [-1] * self.n_wires  # step at which each wire is ready; -1 while undriven
-        for w in self.input_ports + self.ground_ports:
+        slot = [0] * self.n_wires
+        ports = self.input_ports + self.ground_ports
+        for i, w in enumerate(ports):
             if ready[w] >= 0:
                 raise NetlistError(f"wire #{w} driven more than once")
             ready[w] = 0
+            slot[w] = i
+        count = len(ports)
         lit_wire = bytearray(self.n_wires)  # wires that may carry amplitude
         for w in self.input_ports:
             lit_wire[w] = 1
@@ -392,11 +400,16 @@ class Netlist:
             append(layer)
             lit[pos] = z
             layer += 1
-            for w in outs:
+            for k, w in enumerate(outs):
                 if ready[w] >= 0:
                     raise NetlistError(f"wire #{w} driven more than once")
                 ready[w] = layer
                 lit_wire[w] = z
+                if k < len(ins):
+                    slot[w] = slot[ins[k]]
+                else:
+                    slot[w] = count
+                    count += 1
         outputs = self.output_ports
         if len(set(outputs)) != len(outputs):
             raise NetlistError("duplicate output port")
@@ -415,7 +428,7 @@ class Netlist:
                 if ready[w] >= 0 and not read[w] and w not in out_set
             ]
             raise NetlistError(f"dangling wires (driven, never read): {dangling}")
-        return layers, lit
+        return layers, lit, slot, count
 
     def _drop_unread(self, flags: bytearray, outputs: list[int]) -> None:
         """Clear the flag of every element none of whose outputs can reach an output port.
@@ -442,12 +455,10 @@ class Netlist:
 
         Groups run layer by layer, and within a layer in kind order.  A group
         reads (and copies) all of its inputs before it writes an output, so
-        each output takes the slot of the input in its own row (a
-        splitter's, a phase segment's, a coupler's first), and a coupler's
-        second output opens a slot.  Input and ground ports get the first
-        slots and the couplers' second outputs the next, in group order;
-        every slot starts at zero, so a ground reads zero however late its
-        reader runs.  ``_slots`` records the count and where the ports sit.
+        each output may take the slot of the input in its own row, as
+        _layers gives it; every slot starts at zero, so a ground reads zero
+        however late its reader runs.  ``_slots`` records the count and
+        where the ports sit.
 
         Each group holds only the elements that can change an output port,
         and a group left empty is dropped.  An unlit element, which reads
@@ -460,13 +471,9 @@ class Netlist:
         """
         if self._compiled is not None:
             return self._compiled
-        layers, live = self._layers()
+        layers, live, slot, count = self._layers()
+        slot = np.array(slot, dtype=np.intp)
         outputs = self.output_ports
-        ports = self.input_ports + self.ground_ports
-        count = len(ports)
-        # the slot of each chain's first wire; of every wire once mapped by head
-        slot = np.zeros(self.n_wires, dtype=np.intp)
-        slot[ports] = np.arange(count)
         groups: list[_Group] = []
         if self.elements:
             kinds, ins, outs, bases, lengths = zip(*self.elements)
@@ -481,23 +488,6 @@ class Netlist:
             scale = np.sqrt(np.array(lengths, dtype=float))[order].reshape(-1, 1)
             ins = _wire_rows(chain.from_iterable(ins), _N_IN[kind], order)
             outs = _wire_rows(chain.from_iterable(outs), _N_OUT[kind], order)
-
-            # output row k of an element with an input row k continues that
-            # input's chain and takes its slot; pointer jumping takes every
-            # wire to its chain's first wire, a port or a coupler's second
-            # output (a chain is shorter than 2^bit_length(wires))
-            kind = kind[order]
-            carries = _CARRIES[kind]
-            head = np.arange(self.n_wires)
-            for k in range(2):
-                head[outs[k, carries[:, k]]] = ins[k, carries[:, k]]
-            for _ in range(self.n_wires.bit_length()):
-                head = head[head]
-            # each coupler's second output opens the next slot, in group order
-            opened = outs[1, kind == _KIND_CODE[UNEQUAL_COUPLER]]
-            slot[opened] = np.arange(count, count + opened.size)
-            count += opened.size
-            slot = slot[head]
 
             # the live plan: lit elements with an output that can reach an
             # output port, which every output can when no termination absorbs
@@ -592,12 +582,12 @@ def _propagate_members(
 
     Noisy splitter and phase values come a slab of groups at a time from
     _noise_slabs, drawn when the loop reaches the slab's first group: one
-    slab per kind is held, whatever the circuit's size, and each value is
-    bitwise what a draw for its group alone gives.  A kind whose width is
-    zero draws nothing and runs the ideal element, so such a model gives
-    the bits of no model at all for that kind.  The model's leakage is not
-    applied: every lit path crosses the same number of elements, so it
-    would scale every output alike.
+    slab per kind is held, of at most max(PASS_CELLS, slots) draws, and
+    each value is bitwise what a draw for its group alone gives.  A kind
+    whose width is zero draws nothing and runs the ideal element, so such a
+    model gives the bits of no model at all for that kind.  The model's
+    leakage is not applied: every lit path crosses the same number of
+    elements, so it would scale every output alike.
     """
     sigma_imb = 0.0 if noise is None else noise.splitter_imbalance_sigma
     sigma_jit = 0.0 if noise is None else noise.phase_jitter_sigma
@@ -640,9 +630,11 @@ def _noise_slabs(groups: list[_Group], kind: str, seeds: np.ndarray, sigma: floa
     ``groups`` is the live plan, so only its entries draw.  Groups are
     taken in slabs of at most NOISE_SLAB draws (a larger group is a slab of
     its own); a slab is drawn in one call when its first group is asked
-    for, and each group gets a view of its rows.  Every step is
-    elementwise, so a value does not depend on which slab its entry falls
-    in.
+    for, and each group gets a view of its rows.  A group has at most as
+    many entries as the pass has slots, so a call draws at most
+    max(PASS_CELLS, slots) values.
+    Every step is elementwise, so a value does not depend on which slab its
+    entry falls in.
 
     A phasor is written as the cos and sin of its angle into the real and
     imaginary views of one complex buffer: bitwise what np.exp(1j * angle)
@@ -851,6 +843,11 @@ def add_state_prep(net: Netlist, prep: str | WaveState) -> list[int]:
     return add_mesh(net, plan, wires)
 
 
+# most measurements in a sequence, so the deepest tree of stages that
+# circuit_distributions runs; the CLI caps a custom term's labels at it
+MAX_SEQUENCE_LENGTH = 3
+
+
 def build_sequence_tree(obs: DichotomicObservable) -> Netlist:
     """The measurement stage for one observable: its block on bare mode inputs.
 
@@ -881,11 +878,11 @@ def circuit_distributions(
     member (None for one member at seed 0).  The result holds
     one list of member distributions per request, in request order.
 
-    A sequence holds one to three labels of one mode count (ValueError
-    otherwise).  Each distinct prep is built once and all of its members
-    propagate through it in one call.  The sequences then propagate a level
-    at a time through measurement stages, ``build_sequence_tree(obs)``, one
-    built per distinct label per call, in the order labels are first met.
+    A sequence holds one to MAX_SEQUENCE_LENGTH labels of one mode count
+    (ValueError otherwise).  Each distinct prep is built once and all of its
+    members propagate through it in one call.  The sequences then propagate
+    a level at a time through measurement stages, ``build_sequence_tree(obs)``,
+    one built per distinct label per call, in the order labels are first met.
     Level j of a sequence feeds 2^(j-1) branches, laid side by side on the
     member axis, branch-major in the tree's breadth-first path order ("+"
     before "-"), each branch holding the sequence's (request, seed) columns;
@@ -934,7 +931,7 @@ def circuit_distributions(
     seq_amps: dict[tuple[str, ...], np.ndarray] = {}
     stages: dict[str, Netlist] = {}  # label -> its measurement stage
     for labels, idx in by_labels.items():
-        if not 1 <= len(labels) <= 3:
+        if not 1 <= len(labels) <= MAX_SEQUENCE_LENGTH:
             raise ValueError("a sequence holds one to three measurements")
         observables = [pauli_observable(lab) for lab in labels]
         d = observables[0].dim

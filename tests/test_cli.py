@@ -20,6 +20,7 @@ from wavecorr.cli import (
     make_provider,
     run_scenario,
     scenario_from_dict,
+    sweep_points,
     sweep_rows,
 )
 from wavecorr.contextuality import INEQUALITIES, correlator
@@ -916,12 +917,12 @@ def test_output_dir_env_prefixes_relative_paths(tmp_path, monkeypatch, capsys):
 def test_sweep_grid_rows_and_determinism(tmp_path, capsys):
     data = dict(MINIMAL, vary={"seed": [1, 2, 3]})
     path = write_yaml(tmp_path, data)
-    rows = sweep_rows(path)
+    rows = sweep_rows(sweep_points(path))
     assert len(rows) == 3
     assert [r[0] for r in rows] == ["t[seed=1]", "t[seed=2]", "t[seed=3]"]
     # ideal pipeline ignores the seed, so the physics columns agree
     assert len({tuple(r[5:]) for r in rows}) == 1
-    assert rows == sweep_rows(path)
+    assert rows == sweep_rows(sweep_points(path))
 
 
 def test_sweep_writes_the_files_csv_unless_given_one(tmp_path, capsys):
@@ -930,7 +931,7 @@ def test_sweep_writes_the_files_csv_unless_given_one(tmp_path, capsys):
     assert main(["sweep", path]) == 0
     assert capsys.readouterr().out == f"wrote {target} (2 rows)\n"
     text = target.read_text()
-    assert text == cli.render_csv(sweep_rows(path))
+    assert text == cli.render_csv(sweep_rows(sweep_points(path)))
     # --csv takes precedence over the file's field, as it does for run
     target.unlink()
     other = tmp_path / "other.csv"
@@ -938,6 +939,17 @@ def test_sweep_writes_the_files_csv_unless_given_one(tmp_path, capsys):
     assert other.read_text() == text
     assert not target.exists()
     capsys.readouterr()
+
+
+def test_sweep_reads_its_scenario_file_once(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "grid.csv"
+    path = write_yaml(tmp_path, dict(MINIMAL, csv=str(target), vary={"seed": [1, 2]}))
+    loads = []
+    load = cli.load_scenario_dict
+    monkeypatch.setattr(cli, "load_scenario_dict", lambda p: loads.append(p) or load(p))
+    assert main(["sweep", path]) == 0
+    assert loads == [path]
+    assert capsys.readouterr().out == f"wrote {target} (2 rows)\n"
 
 
 def test_sweep_csv_is_not_a_grid_axis(tmp_path, capsys):
@@ -952,7 +964,7 @@ def test_sweep_seed_flag_does_not_flatten_a_seed_axis(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: vary.seed: ")
     # on a grid over other fields, --seed still replaces the file's seed
     other = write_yaml(tmp_path, dict(MINIMAL, vary={"state": ["chsh", "00"]}), name="o.yaml")
-    assert {row[4] for row in sweep_rows(other, seed=5)} == {"5"}
+    assert {row[4] for row in sweep_rows(sweep_points(other, seed=5))} == {"5"}
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -969,7 +981,7 @@ def test_unwritable_csv_target_is_a_config_error(command, target, tmp_path, caps
 def test_sweep_empty_grid_rejected(tmp_path):
     path = write_yaml(tmp_path, dict(MINIMAL, vary={"state": []}))
     with pytest.raises(ConfigError, match="vary.state"):
-        sweep_rows(path)
+        sweep_points(path)
     no_vary = write_yaml(tmp_path, MINIMAL, name="n.yaml")
     assert main(["sweep", no_vary]) == 2
 
@@ -983,7 +995,7 @@ def test_sweep_rejects_a_bad_point_before_running_any(tmp_path, capsys, monkeypa
     data = dict(MINIMAL, pipeline="events", events=threshold, vary={"seed": [0, 1, 2, "x"]})
     path = write_yaml(tmp_path, data)
     with pytest.raises(ConfigError) as err:
-        sweep_rows(path)
+        sweep_points(path)
     assert err.value.path == "seed"
     assert main(["sweep", path]) == 2
     assert "config error: seed:" in capsys.readouterr().err
@@ -992,7 +1004,7 @@ def test_sweep_rejects_a_bad_point_before_running_any(tmp_path, capsys, monkeypa
 def test_sweep_cartesian_order(tmp_path):
     data = dict(MINIMAL, vary={"seed": [1, 2], "state": ["chsh", "00"]})
     path = write_yaml(tmp_path, data)
-    labels = [row[0] for row in sweep_rows(path)]
+    labels = [row[0] for row in sweep_rows(sweep_points(path))]
     assert labels == [
         "t[seed=1, state=chsh]",
         "t[seed=1, state=00]",
@@ -1048,14 +1060,14 @@ PINNED_SWEEP_ROWS = (
 
 
 def test_events_sweep_csv_bytes_are_pinned(tmp_path):
-    text = cli.render_csv(sweep_rows(write_yaml(tmp_path, PINNED_SWEEP)))
+    text = cli.render_csv(sweep_rows(sweep_points(write_yaml(tmp_path, PINNED_SWEEP))))
     rows = ["".join(parts) for parts in PINNED_SWEEP_ROWS]
     assert text == "\n".join([",".join(cli.CSV_COLUMNS), *rows]) + "\n"
 
 
 def test_state_sweep_scenario_gives_six_everywhere(capsys):
     path = os.path.join(SCENARIO_DIR, "pm_state_sweep.yaml")
-    rows = sweep_rows(path)
+    rows = sweep_rows(sweep_points(path))
     assert len(rows) == 11
     for row in rows:
         assert float(row[8]) == pytest.approx(6.0, abs=1e-9)

@@ -201,7 +201,7 @@ def test_report_validation_rejects_bad_rate():
 
 
 def test_classical_bounds_by_enumeration():
-    assert classical_bound_oracle("CHSH") == 2.0
+    assert classical_bound_oracle(CHSH) == 2.0
     assert classical_bound_oracle(MERMIN) == 2.0
     assert classical_bound_oracle(PERES_MERMIN) == 4.0
 

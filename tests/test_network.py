@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import wavecorr.network as network
-from oracles import luders_project
+from oracles import luders_project, propagate_per_element
 from wavecorr.contextuality import (
     AUDIT_SUITES,
     CHSH,
@@ -652,8 +652,13 @@ def full_plan(net):
     full = copy.copy(net)
     full._compiled = None
     layers = Netlist._layers
+
+    def all_lit(n):
+        steps, _, slot, count = layers(n)
+        return steps, bytearray([1]) * len(n.elements), slot, count
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Netlist, "_layers", lambda n: (layers(n)[0], bytearray([1]) * len(n.elements)))
+        mp.setattr(Netlist, "_layers", all_lit)
         mp.setattr(Netlist, "_drop_unread", lambda n, flags, outputs: None)
         full._compile()
     return full
@@ -711,6 +716,26 @@ def test_the_full_plan_runs_every_element_once(build):
     net = build()
     compiled = sorted(i for _, i in entries(full_plan(net)))
     assert compiled == list(range(len(net.elements)))
+
+
+def test_a_noise_draw_stays_within_a_pass(monkeypatch):
+    # slabs hold at most NOISE_SLAB draws, but a larger group is drawn whole;
+    # its entries each read a slot of their own and a pass holds
+    # PASS_CELLS // slots members, so no call draws more than PASS_CELLS
+    net = build_sequence_tree(pauli_observable("XII"))
+    members = 2 * (network.PASS_CELLS // slot_count(net))
+    draws = []
+
+    def counted(seeds, keys):
+        z = counter_normals(seeds, keys)
+        draws.append(z.size)
+        return z
+
+    monkeypatch.setattr(network, "counter_normals", counted)
+    drive = np.ones((len(net.input_ports), members), dtype=complex)
+    propagate(net, drive, ENSEMBLE_NOISE, np.arange(members, dtype=np.uint64))
+    assert max(draws) <= network.PASS_CELLS
+    assert max(draws) > network.NOISE_SLAB
 
 
 # ------------------------------------------------------------ invariants
@@ -1360,7 +1385,7 @@ def test_ghz_prep_draws_for_its_live_elements_only():
     # ones, 46 splitters and 86 phase segments, draw once each
     net = prep_netlist("ghz")
     noisy = noisy_indices(net)
-    _, lit = net._layers()
+    _, lit, _, _ = net._layers()
     assert (len(noisy), sum(not lit[i] for i in noisy)) == (356, 139)
     assert len(live_indices(net) & noisy) == 132
     kinds = Counter(kind for kind, _ in entries(net))
@@ -1373,7 +1398,7 @@ def live_elements(net):
     An element is kept when it is lit (Netlist._layers) and one of its
     outputs is an output port or is read by a kept element's ancestor.
     """
-    _, lit = net._layers()
+    _, lit, _, _ = net._layers()
     reach = set(net.output_ports)
     live = set()
     for pos in reversed(range(len(net.elements))):
@@ -1447,3 +1472,20 @@ def test_live_phase_entries_are_those_of_unit_segments():
         ]
         h.update(repr((name, live_entry_counts(net), sorted(phases))).encode())
     assert h.hexdigest() == PINNED_LIVE_PHASES
+
+
+@pytest.mark.parametrize("name", LIBRARY_CIRCUITS)
+def test_slot_plan_propagates_as_a_row_per_wire(name):
+    # the oracle keeps every wire in a row of its own and runs the elements
+    # in list order, so a slot that clobbers a live wire shows here on any
+    # host; phase jitter is left out, as the oracle draws a segment's unit
+    # segments one by one
+    net = library_circuit(name)
+    rng = np.random.default_rng(len(name))
+    seeds = np.array([substream(29, m) for m in range(5)], dtype=np.uint64)
+    shape = (len(net.input_ports), seeds.size)
+    drive = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for noise in (None, NoiseModel(splitter_imbalance_sigma=0.05)):
+        got = propagate(net, drive, noise, seeds)
+        want = propagate_per_element(net, drive, noise, seeds)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
