@@ -227,7 +227,8 @@ def _text_number_hint(value, integer: bool = False) -> str:
     """How to write a number that YAML read as text, such as 1e-3, or "".
 
     PyYAML reads a float only with a dot and, after an e, a signed
-    exponent: 1e-3, 1e6 and 1.0e3 are strings, 1.0e-3 is a float.
+    exponent: 1e-3, 1e6 and 1.0e3 are strings, 1.0e-3 is a float.  A sign
+    needs a digit before the dot: -.5 is a string, -0.5 a float.
     """
     if not isinstance(value, str):
         return ""
@@ -243,6 +244,8 @@ def _text_number_hint(value, integer: bool = False) -> str:
         mantissa, e, exponent = value.strip().lower().partition("e")
         if "." not in mantissa:
             mantissa += ".0"
+        if mantissa.startswith(("-.", "+.")):
+            mantissa = mantissa[0] + "0" + mantissa[1:]
         if e and exponent[0] not in "+-":
             exponent = "+" + exponent
         written = mantissa + e + exponent

@@ -35,10 +35,12 @@ tree with the preparation built in.  Only the amplitudes are computed, and
 only by the live plan of each compiled netlist: the elements that can change
 an output port.
 
-A compiled netlist keeps its wires in the slots Netlist._layers gives them,
-a slot per input and ground port and per coupler, not a row per wire.  A
-pass holds about PASS_CELLS (slot, member) amplitudes, so a small stage
-takes many members at once and a large one few.
+Netlist._layers, the walk that validates a netlist, drops each element
+into a (layer, kind) bucket and gives each wire a slot, one per input and
+ground port and per coupler, not a row per wire.  Each bucket's live
+elements are one same-kind group; groups run layer by layer, and within a
+layer in kind name order.  A pass holds about PASS_CELLS (slot, member)
+amplitudes, so a small stage takes many members at once and a large one few.
 
 A chain of phase segments is physically one longer line whose phase errors
 add, so a netlist lays each wire's chain down as one segment with a length:
@@ -74,11 +76,12 @@ its probabilities, which no leakage changes.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, islice, product
+from itertools import islice, product
 from operator import add
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -182,12 +185,6 @@ class NoiseModel:
 
 # ----------------------------------------------------------------- netlist
 
-# kinds in name order: a group's position among its layer's groups follows it
-_KINDS = tuple(sorted(_ARITY))
-_KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
-_N_IN = np.array([_ARITY[kind][0] for kind in _KINDS], dtype=np.intp)
-_N_OUT = np.array([_ARITY[kind][1] for kind in _KINDS], dtype=np.intp)
-
 
 @dataclass
 class _Group:
@@ -213,47 +210,6 @@ class _Slots(NamedTuple):
     count: int  # rows of the buffer
     inputs: np.ndarray  # slot of each input port, in port order
     outputs: np.ndarray  # slot of each output port, in port order
-
-
-def _wire_rows(wires: Iterable[int], arity: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Shape (2, n): the first and second wire of each element, taken in ``order``.
-
-    ``wires`` lists every element's wires back to back.  Rows past an
-    element's arity hold another element's wire (or one of two padding
-    zeros after the last element) and are never read.
-    """
-    flat = np.fromiter(chain(wires, (0, 0)), dtype=np.intp)
-    first = np.cumsum(arity) - arity
-    return flat[np.stack((first, first + 1))[:, order]]
-
-
-def _cut_groups(
-    key: np.ndarray,
-    elem_idx: np.ndarray,
-    ins: np.ndarray,
-    outs: np.ndarray,
-    base: np.ndarray,
-    scale: np.ndarray,
-) -> list[_Group]:
-    """One group per run of equal (layer, kind) ``key`` among entries sorted by it.
-
-    ``elem_idx``, ``base`` and ``scale`` are columns and ``ins``, ``outs``
-    the (2, n) slot rows of those entries; each group holds views of its
-    rows.
-    """
-    if not key.size:
-        return []
-    cuts = (np.flatnonzero(np.diff(key)) + 1).tolist()
-    starts, stops = [0] + cuts, cuts + [key.size]
-    groups = []
-    for start, stop, code in zip(starts, stops, (key[starts] % len(_KINDS)).tolist()):
-        kind = _KINDS[code]
-        n_in, n_out = _ARITY[kind]
-        rows = slice(start, stop)
-        groups.append(
-            _Group(kind, elem_idx[rows], ins[:n_in, rows], outs[:n_out, rows], base[rows], scale[rows])
-        )
-    return groups
 
 
 class Netlist:
@@ -340,6 +296,8 @@ class Netlist:
         as many, and its output, the wire returned, stays as it was.
         """
         pos = self._open.get(self.wire_id(wire))
+        if len(phases) == 0:
+            raise NetlistError(f"no phases to lay along wire #{wire}")
         if pos is None:
             out = self.fresh()
             pos = self._open[out] = len(self.elements)
@@ -353,16 +311,17 @@ class Netlist:
 
     # -- validation and compilation -----------------------------------
 
-    def _layers(self) -> tuple[list[int], bytearray, list[int], int]:
-        """Validate; give each element the earliest step at which its inputs are ready.
+    def _layers(self) -> tuple[dict[tuple[int, str], list[int]], bytearray, list[int], int]:
+        """Validate; bucket the element indices by (layer, kind), each in element order.
 
-        Also flags, per element, whether it is lit: whether some input may
-        carry amplitude.  An input port may; a ground port carries zero in
-        every propagation, and so does every output of an unlit element.
+        An element's layer is the earliest step at which its inputs are ready.
+        It is lit, a flag per element, when some input may carry amplitude:
+        an input port may; a ground port carries zero in every propagation,
+        and so does every output of an unlit element.
 
-        And gives each wire its slot, returned with the slot count: input and
-        then ground ports take slots 0, 1, ...; output k of an element takes
-        the slot of its input k, and an output with no input k (a coupler's
+        Each wire gets its slot, returned with the slot count: input and then
+        ground ports take slots 0, 1, ...; output k of an element takes the
+        slot of its input k, and an output with no input k (a coupler's
         second) opens the next slot.
         """
         ready = [-1] * self.n_wires  # step at which each wire is ready; -1 while undriven
@@ -378,9 +337,8 @@ class Netlist:
         for w in self.input_ports:
             lit_wire[w] = 1
         read = bytearray(self.n_wires)
-        layers: list[int] = []
+        buckets: defaultdict[tuple[int, str], list[int]] = defaultdict(list)
         lit = bytearray(len(self.elements))
-        append = layers.append
         for pos, (kind, ins, outs, _, _) in enumerate(self.elements):
             layer = 0
             z = 0
@@ -397,7 +355,7 @@ class Netlist:
                 z |= lit_wire[w]
                 if r > layer:
                     layer = r
-            append(layer)
+            buckets[layer, kind].append(pos)
             lit[pos] = z
             layer += 1
             for k, w in enumerate(outs):
@@ -428,7 +386,7 @@ class Netlist:
                 if ready[w] >= 0 and not read[w] and w not in out_set
             ]
             raise NetlistError(f"dangling wires (driven, never read): {dangling}")
-        return layers, lit, slot, count
+        return buckets, lit, slot, count
 
     def _drop_unread(self, flags: bytearray, outputs: list[int]) -> None:
         """Clear the flag of every element none of whose outputs can reach an output port.
@@ -453,12 +411,14 @@ class Netlist:
     def _compile(self) -> list[_Group]:
         """The live plan: same-kind groups in execution order, their wires mapped to slots.
 
-        Groups run layer by layer, and within a layer in kind order.  A group
-        reads (and copies) all of its inputs before it writes an output, so
-        each output may take the slot of the input in its own row, as
-        _layers gives it; every slot starts at zero, so a ground reads zero
-        however late its reader runs.  ``_slots`` records the count and
-        where the ports sit.
+        A group is one of _layers' (layer, kind) buckets, in element order;
+        sorted keys put the groups layer by layer, within a layer in kind name
+        order, and each holds views of arrays gathered for every entry at once.
+        A group reads (and copies) all of its inputs before it writes an
+        output, so each output may take the slot of the input in its own row,
+        as _layers gives it; every slot starts at zero, so a ground reads zero
+        however late its reader runs.  ``_slots`` records the count and where
+        the ports sit.
 
         Each group holds only the elements that can change an output port,
         and a group left empty is dropped.  An unlit element, which reads
@@ -471,36 +431,35 @@ class Netlist:
         """
         if self._compiled is not None:
             return self._compiled
-        layers, live, slot, count = self._layers()
+        buckets, live, slot, count = self._layers()
+        # the live plan: lit elements with an output that can reach an output port,
+        # which every output can when no termination absorbs a wire (every other
+        # element has an output, and every wire is read or is an output port)
+        if any(kind == TERMINATION for _, kind in buckets):
+            self._drop_unread(live, self.output_ports)
+        # each bucket's live elements; sorted keys take layer first, then kind name
+        plan = [(kind, [i for i in idx if live[i]]) for (_, kind), idx in sorted(buckets.items())]
+        plan = [(kind, kept) for kind, kept in plan if kept]
+        order = [i for _, kept in plan for i in kept]
+        picked = [self.elements[i] for i in order]
         slot = np.array(slot, dtype=np.intp)
-        outputs = self.output_ports
-        groups: list[_Group] = []
-        if self.elements:
-            kinds, ins, outs, bases, lengths = zip(*self.elements)
-            kind = np.fromiter(map(_KIND_CODE.__getitem__, kinds), dtype=np.intp, count=len(kinds))
-            # a stable sort keeps element order inside each (layer, kind) bucket
-            key = np.array(layers, dtype=np.intp) * len(_KINDS) + kind
-            order = np.argsort(key, kind="stable")
-            key = key[order]
-
-            elem_idx = order.astype(np.uint64).reshape(-1, 1)
-            base = np.array(bases)[order].reshape(-1, 1)
-            scale = np.sqrt(np.array(lengths, dtype=float))[order].reshape(-1, 1)
-            ins = _wire_rows(chain.from_iterable(ins), _N_IN[kind], order)
-            outs = _wire_rows(chain.from_iterable(outs), _N_OUT[kind], order)
-
-            # the live plan: lit elements with an output that can reach an
-            # output port, which every output can when no termination absorbs
-            # a wire (every other element has an output, and every wire is
-            # read or is an output port)
-            if TERMINATION in kinds:
-                self._drop_unread(live, outputs)
-            kept = np.frombuffer(live, dtype=bool)[order]
-            ins, outs = slot[ins], slot[outs]
-            groups = _cut_groups(
-                key[kept], elem_idx[kept], ins[:, kept], outs[:, kept], base[kept], scale[kept]
-            )
-        self._slots = _Slots(count=count, inputs=slot[self.input_ports], outputs=slot[outputs])
+        # slot rows 0 and 1: each entry's first and last wire (no kind has more
+        # than two), a termination's input for its absent outputs; a row past
+        # an entry's arity is never read
+        ins, outs = (
+            slot.take(np.array([[w[0] for w in ws], [w[-1] for w in ws]], np.intp))
+            for ws in ([el.ins for el in picked], [el.outs or el.ins for el in picked])
+        )
+        elem_idx = np.array(order, dtype=np.uint64).reshape(-1, 1)
+        base = np.array([el.base for el in picked], dtype=float).reshape(-1, 1)
+        scale = np.sqrt(np.array([el.length for el in picked], dtype=float)).reshape(-1, 1)
+        groups, start = [], 0
+        for kind, kept in plan:
+            n_in, n_out = _ARITY[kind]
+            r = slice(start, start + len(kept))
+            groups.append(_Group(kind, elem_idx[r], ins[:n_in, r], outs[:n_out, r], base[r], scale[r]))
+            start = r.stop
+        self._slots = _Slots(count, slot[self.input_ports], slot[self.output_ports])
         self._compiled = groups
         return groups
 

@@ -187,14 +187,16 @@ def _check_pauli_spec(spec: PauliSpec) -> str:
     return spec
 
 
-@lru_cache(maxsize=1024)
 def pauli_matrix(spec: PauliSpec) -> np.ndarray:
-    """Kronecker product of single-factor Pauli matrices, first factor first."""
+    """Kronecker product of single-factor Pauli matrices, first factor first.
+
+    Built anew on every call; pauli_observable caches its observable per
+    spec, so the library builds each spec's matrix once.
+    """
     _check_pauli_spec(spec)
     m = np.array([[1.0 + 0j]])
     for ch in spec:
         m = np.kron(m, _PAULI[ch])
-    m.flags.writeable = False
     return m
 
 

@@ -382,6 +382,8 @@ def test_non_finite_strings_and_huge_integers_are_config_errors(path, value, tmp
         ("noise.phase_jitter_sigma", "1e-3", "1.0e-3"),
         ("noise.phase_jitter_sigma", "1e6", "1.0e+6"),
         ("noise.phase_jitter_sigma", "1.0e3", "1.0e+3"),
+        ("noise.phase_jitter_sigma", "-.5e3", "-0.5e+3"),
+        ("noise.phase_jitter_sigma", "-.5", "-0.5"),
         ("seed", "1e3", "1000"),
     ],
 )

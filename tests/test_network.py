@@ -232,6 +232,16 @@ def test_wiring_validation():
         net.add(PHASE_SEGMENT, (a,), (net.fresh() + 1,), 0.0)
     with pytest.raises(NetlistError, match="nonnegative"):
         net.add(UNEQUAL_COUPLER, (a,), (net.fresh(), net.fresh()), -0.5)
+    # add_phases lays at least one phase, on a wire no open segment drives
+    # and on one that an open segment does
+    net = Netlist()
+    a = net.add_input(net.fresh())
+    with pytest.raises(NetlistError, match="no phases"):
+        net.add_phases(a, [])
+    b = net.add_phases(a, [0.5])
+    with pytest.raises(NetlistError, match="no phases"):
+        net.add_phases(b, [])
+    assert [(el.base, el.length) for el in net.elements] == [(0.5, 1)]
 
 
 def test_drive_must_match_ports():
@@ -654,8 +664,8 @@ def full_plan(net):
     layers = Netlist._layers
 
     def all_lit(n):
-        steps, _, slot, count = layers(n)
-        return steps, bytearray([1]) * len(n.elements), slot, count
+        buckets, _, slot, count = layers(n)
+        return buckets, bytearray([1]) * len(n.elements), slot, count
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Netlist, "_layers", all_lit)
@@ -856,15 +866,22 @@ def mermin_tree():
     return whole_tree("ghz", "XII", "IXI", "IIX").netlist
 
 
+def fields_digest(fields):
+    """sha256 over byte strings, each prefixed with its length."""
+    h = hashlib.sha256()
+    for f in fields:
+        h.update(len(f).to_bytes(8, "little"))
+        h.update(f)
+    return h.hexdigest()
+
+
 def compiled_groups_digest(net):
     """sha256 over each compiled group's kind, entry indices, bases and jitter scales, in order."""
-    h = hashlib.sha256()
-    for g in net._compile():
-        fields = [g.kind.encode(), g.elem_idx.tobytes(), g.base.tobytes(), g.scale.tobytes()]
-        for f in fields:
-            h.update(len(f).to_bytes(8, "little"))
-            h.update(f)
-    return h.hexdigest()
+    return fields_digest(
+        f
+        for g in net._compile()
+        for f in (g.kind.encode(), g.elem_idx.tobytes(), g.base.tobytes(), g.scale.tobytes())
+    )
 
 
 # Recorded with each wire's chain of phases laid down as one segment.  The
@@ -1489,3 +1506,63 @@ def test_slot_plan_propagates_as_a_row_per_wire(name):
         got = propagate(net, drive, noise, seeds)
         want = propagate_per_element(net, drive, noise, seeds)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def live_plan_digest(net):
+    """sha256 over the live plan and where its ports sit.
+
+    Per group, in order: its kind, entry indices, input and output slot
+    rows, bases and jitter scales; then the slot count and the port slots.
+    """
+    groups = net._compile()
+    slots = net._slots
+    return fields_digest(chain(
+        (
+            f
+            for g in groups
+            for f in (g.kind.encode(), g.elem_idx.tobytes(), g.in_idx.tobytes(),
+                      g.out_idx.tobytes(), g.base.tobytes(), g.scale.tobytes())
+        ),
+        (str(slots.count).encode(), slots.inputs.tobytes(), slots.outputs.tobytes()),
+    ))
+
+
+# sha256 of each library prep's and shipped stage's live plan, slot rows
+# included, recorded when compile grouped the plan with a sorted numpy key
+PINNED_LIVE_PLANS = {
+    "singlet prep": "15cf0e03f01138942f239b749911b03ad3ec6bc49a2cfce5b98881dcc6d5d7cd",
+    "chsh prep": "835c2f7b9e93046f2894f0bf3a1c5cac3be7496b8d202908c572ef15837c1023",
+    "ghz prep": "89dd9a1aa405d9a169c05af261b72f0a697d8e6a8e7d997b4524f7ebdb0910e0",
+    "singlet3 prep": "a74d041796e077491620c834ddbe27e51f00ea2eab52fd5540775cceab1b856c",
+    "psi1 prep": "56dddf9c8d6a2b31cadfa93a1a37479e19557a51a0d96800834ba84523e1b4e7",
+    "psi2 prep": "15d5be8b0b30197f49f421eae7615c9a3aa47c4284fe7c55acae122c6a4d7703",
+    "psi3 prep": "0be5f6d5ed1b5883b77649f67a1cf200a56cb0b9224158bc2c57eb23d2c4e887",
+    "psi4 prep": "0fe83885a7afb64ca4fa759f68f6ebe80a8664718719920d3ff28c4867ddfbed",
+    "psi5 prep": "ec2068e79740e6c129df1839be175a48c39e2cf2f5f1d68d97372df049b129e6",
+    "psi6 prep": "fce6fb6ccdbd70ba12126751796e24c2883ef3dc8bd723730d0d10756fba9796",
+    "psi7 prep": "e8a6ddfd11efe4e7435d5e5b805f331973434614594c00192cde03225117f098",
+    "psi8 prep": "dadab5703bf59b1740ad2117aa8f48de03c5fec317e6cd6fe1cb09e200eefaec",
+    "psi9 prep": "fb533959728fbfab444bda5077f3a7e2a77dc7c8b7583f5a5901d0a4c71274c8",
+    "psi10 prep": "0dac08c3ea3d51ab8ced8228a84f3597507f4af0737920622b61b47676e81e0b",
+    "psi11 prep": "48bbd96240d29a85490c9f76f493aeb79751167cc8d95f300f4919d91640bc1d",
+    "IIX stage": "8fa74989f02f0532831ed8ee58d00d4a9d6bd6ed75cc4f325bc710de41786fca",
+    "IIZ stage": "b91b25da59ed888edc8a9dc2dcb8e1832dbc52a5f016931871e6f579b5a5060c",
+    "IX stage": "dccd85e9fcb8360f48868d5d9cacfa491aadf49f43c6648255083e5599f5d48b",
+    "IXI stage": "4a062a2b2e1b4ebc5822599d3324dc0d340659f817edfe0d0daa41ae75d7d60c",
+    "IZ stage": "30049337e9d58b67a1f4efe30fa3591d7c100da16da1abc0dc151257332cdb5a",
+    "IZI stage": "6cb3e7948a36949ea090e1ea85b052e5b692bdba2810b8d5a4ede20b2970315f",
+    "XI stage": "91a3efac813318fcfb45f57ad529644a0bd02623e77542567c7dc39c6d5c2f2e",
+    "XII stage": "479bff1ba82fca39e28c42e6bc5107367bddd6fe240271b1b76620cdac7a3690",
+    "XX stage": "05f23f23b19a7367bd5ad70d5fa2b35a851fbe38fac90ef222ca41ef63ec58e8",
+    "XZ stage": "8a642394d55413390e1ff4001f68c3b108e60ae1d51b486edd172cd89e60e0e1",
+    "YY stage": "da934b138d808769df8dc4d378fb5906a291285dac3fefc75fd5e21253f9e2ee",
+    "ZI stage": "09006e1e717596ad33504289894749a9e5908c81fc7582097969c92777fa1aad",
+    "ZII stage": "e4f2caa124f55426a664571bd6235c8e28614239226b4e46d38a82df4edaa645",
+    "ZX stage": "105b20ed4505d4fd2965de1223da213827f2d73eddbb9430fbd39e2e8aad7dc9",
+    "ZZ stage": "f776d1610cb53c762a18864ba952daad55eca09b60cc4d21ac54bbf0a62d4237",
+}
+
+
+@pytest.mark.parametrize("name", LIBRARY_CIRCUITS)
+def test_live_plan_slot_rows_are_pinned(name):
+    assert live_plan_digest(library_circuit(name)) == PINNED_LIVE_PLANS[name]
