@@ -30,8 +30,9 @@ from wavecorr.contextuality import (
 )
 from wavecorr.network import NoiseModel, PropagationError, ensemble_provider
 
-# fabrications per circuit: at this cap a noisy audit ran in ~17 s at a ~250 MB
-# peak on a 2-CPU host, and time and memory grow about linearly with the count
+# fabrications per circuit: at this cap a noisy audit ran in 5.5-6.5 s at a
+# ~182 MB peak on a 2-CPU host, and time and memory grow about linearly with
+# the count
 MAX_MEMBERS = 500
 
 

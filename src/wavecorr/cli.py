@@ -361,6 +361,8 @@ def _parse_custom_definition(raw, path: str) -> InequalityDefinition:
             )
         seq = tuple(_expect_str(lab, f"{tpath}.sequence[{j}]") for j, lab in enumerate(seq_raw))
         sign = _expect_number(tmap.get("sign", 1.0), f"{tpath}.sign")
+        if sign == 0.0:
+            raise ConfigError(f"{tpath}.sign", "expected a nonzero number")
         terms.append((seq, sign))
     algebraic = data.get("algebraic_max")
     if algebraic is None:

@@ -52,13 +52,13 @@ up exp(i sum(b_k + sigma z_k)), and with the z_k independent standard
 normals that is the law of exp(i (sum b_k + sigma sqrt(n) z)).  Every
 splitter draws on its own.
 
-Fabrication noise is drawn in slabs, not per group: the noisy groups of one
-kind are cut into slabs of at most NOISE_SLAB (entry, member) draws, a
-larger group being one slab, and a slab is drawn, and turned into splitter
-angles or phasors, in one pass when propagation reaches it.  A group's
-entries each read a slot of their own, so a slab holds at most
-max(PASS_CELLS, slots) draws however many members a call brings, and every
-amplitude is bitwise that of a draw per group.
+Fabrication noise is drawn once per noisy kind per pass, not per group:
+one counter_normals call covers every live splitter, and one every live
+phase segment, and each group reads its rows of that draw.  A pass takes
+max(1, PASS_CELLS // width) members, width being the slot count or, if
+more, the live entries of one kind, so the buffer and each kind's draw
+stay within PASS_CELLS cells however many members a call brings, and
+every amplitude is bitwise that of a draw per group.
 Only the live plan draws: an element outside it (fed only by ground ports,
 or behind a post-selection that feeds only terminations) draws nothing, and
 since every draw is keyed by (member seed, entry index), each live entry
@@ -97,19 +97,15 @@ from wavecorr.wavecore import (
     state_library,
 )
 
-# (slot, member) amplitudes per propagation pass, which takes
-# max(1, PASS_CELLS // slots) members, so a pass's buffer stays within 1 MiB
-# and each group temporary within that (a group's elements each read a slot
-# of their own) however many members a call brings.  The shipped stages need
-# 8 or 16 slots and the ghz preparation 32, so every call of the noisy audit
-# scenario or of a 20-member noise study (at most 2 560 cells) runs as one
-# pass; the bound binds on large ensembles only
-PASS_CELLS = 1 << 16
-
-# (entry, member) fabrication draws per noise slab, see _noise_slabs; at
-# 2^12 a slab's largest temporary (both uniforms of each draw) is 64 KiB,
-# while 2^13 raised the peak RSS of a 20-member ensemble run by ~0.25 MB
-NOISE_SLAB = 1 << 12
+# cells per propagation pass, which takes max(1, PASS_CELLS // width)
+# members (Netlist._compile's width: the slot count or, if more, the live
+# entries of one kind), so a pass's buffer (at most 512 KiB of amplitudes)
+# and each kind's noise draw stay within PASS_CELLS cells however many
+# members a call brings.  The largest width of a shipped stage is 104 phase
+# entries, so every call of the noisy audit scenario or of a 20-member noise
+# study (at most 16 640 cells) runs as one pass; the bound binds on large
+# ensembles only
+PASS_CELLS = 1 << 15
 
 BEAM_SPLITTER = "beam_splitter"
 PHASE_SEGMENT = "phase_segment"
@@ -205,11 +201,12 @@ class _Group:
 
 
 class _Slots(NamedTuple):
-    """Where a compiled netlist's ports sit in a propagation buffer."""
+    """Where a compiled netlist's ports sit in a propagation buffer, and a pass's width."""
 
     count: int  # rows of the buffer
     inputs: np.ndarray  # slot of each input port, in port order
     outputs: np.ndarray  # slot of each output port, in port order
+    width: int  # cells per member of a pass: count, or the most live entries of one kind
 
 
 class Netlist:
@@ -417,8 +414,8 @@ class Netlist:
         A group reads (and copies) all of its inputs before it writes an
         output, so each output may take the slot of the input in its own row,
         as _layers gives it; every slot starts at zero, so a ground reads zero
-        however late its reader runs.  ``_slots`` records the count and where
-        the ports sit.
+        however late its reader runs.  ``_slots`` records the count, where
+        the ports sit and the pass width.
 
         Each group holds only the elements that can change an output port,
         and a group left empty is dropped.  An unlit element, which reads
@@ -459,7 +456,8 @@ class Netlist:
             r = slice(start, start + len(kept))
             groups.append(_Group(kind, elem_idx[r], ins[:n_in, r], outs[:n_out, r], base[r], scale[r]))
             start = r.stop
-        self._slots = _Slots(count, slot[self.input_ports], slot[self.output_ports])
+        width = max([count] + [sum(len(kept) for k, kept in plan if k == kind) for kind in _ARITY])
+        self._slots = _Slots(count, slot[self.input_ports], slot[self.output_ports], width)
         self._compiled = groups
         return groups
 
@@ -492,9 +490,11 @@ def propagate(
     element.
 
     Wires live in the slots of Netlist._compile, so a pass's buffer has
-    shape (slots, members).  A pass takes max(1, PASS_CELLS // slots)
-    members, so the buffer stays near PASS_CELLS amplitudes however many
-    members there are, and a small circuit takes many members per pass.
+    shape (slots, members).  A pass takes max(1, PASS_CELLS // width)
+    members, width being the slot count or, if more, the live entries of
+    one kind, so the buffer and each kind's noise draw stay within
+    PASS_CELLS cells however many members there are, and a small circuit
+    takes many members per pass.
     """
     groups = netlist._compile()
     slots = netlist._slots
@@ -507,7 +507,7 @@ def propagate(
         )
 
     out = np.empty((len(slots.outputs), members), dtype=complex)
-    step = max(1, PASS_CELLS // max(slots.count, 1))
+    step = max(1, PASS_CELLS // max(slots.width, 1))
     for first in range(0, members, step):
         cols = slice(first, first + step)
         amps = np.zeros((slots.count, len(member_seeds[cols])), dtype=complex)
@@ -539,24 +539,27 @@ def _propagate_members(
     in law.  A termination moves no amplitude, so its group, which only a
     plan that keeps every element holds, is passed over.
 
-    Noisy splitter and phase values come a slab of groups at a time from
-    _noise_slabs, drawn when the loop reaches the slab's first group: one
-    slab per kind is held, of at most max(PASS_CELLS, slots) draws, and
-    each value is bitwise what a draw for its group alone gives.  A kind
-    whose width is zero draws nothing and runs the ideal element, so such a
-    model gives the bits of no model at all for that kind.  The model's
-    leakage is not applied: every lit path crosses the same number of
-    elements, so it would scale every output alike.
+    Each noisy kind is drawn once per pass, before the loop (_noisy_values),
+    and each group reads its rows ``r`` through a running offset per kind;
+    every step is elementwise, so each value is bitwise what a draw for
+    its group alone gives.  A kind whose width is zero draws nothing and
+    runs the ideal element, so such a model gives the bits of no model at
+    all for that kind.  The model's leakage is not applied: every lit path
+    crosses the same number of elements, so it would scale every output
+    alike.
     """
     sigma_imb = 0.0 if noise is None else noise.splitter_imbalance_sigma
     sigma_jit = 0.0 if noise is None else noise.phase_jitter_sigma
-    imbalance = _noise_slabs(groups, BEAM_SPLITTER, seeds, sigma_imb) if sigma_imb > 0.0 else None
-    jitter = _noise_slabs(groups, PHASE_SEGMENT, seeds, sigma_jit) if sigma_jit > 0.0 else None
+    imbalance = _noisy_values(groups, BEAM_SPLITTER, seeds, sigma_imb)
+    jitter = _noisy_values(groups, PHASE_SEGMENT, seeds, sigma_jit)
+    row = dict.fromkeys(_ARITY, 0)
 
     # take(axis=0) gathers like [], with less per-call overhead on the many
     # small groups of a tree; take copies, so a group may write an output
     # into a slot its own inputs just left
     for g in groups:
+        r = slice(row[g.kind], row[g.kind] + g.elem_idx.size)
+        row[g.kind] = r.stop
         if g.kind == BEAM_SPLITTER:
             u = amps.take(g.in_idx[0], axis=0)
             v = amps.take(g.in_idx[1], axis=0)
@@ -564,12 +567,12 @@ def _propagate_members(
                 amps[g.out_idx[0]] = (u + v) * _SQRT_HALF
                 amps[g.out_idx[1]] = (u - v) * _SQRT_HALF
             else:
-                c, s = next(imbalance)
+                c, s = imbalance[0][r], imbalance[1][r]
                 amps[g.out_idx[0]] = c * u + s * v
                 amps[g.out_idx[1]] = s * u - c * v
         elif g.kind == PHASE_SEGMENT:
             a = amps.take(g.in_idx[0], axis=0)
-            turn = np.exp(1j * g.base) if jitter is None else next(jitter)
+            turn = np.exp(1j * g.base) if jitter is None else jitter[r]
             amps[g.out_idx[0]] = a * turn
         elif g.kind == UNEQUAL_COUPLER:
             s_in = amps.take(g.in_idx[0], axis=0)
@@ -578,22 +581,16 @@ def _propagate_members(
             amps[g.out_idx[1]] = s_in * (g.base / norm)
 
 
-def _noise_slabs(groups: list[_Group], kind: str, seeds: np.ndarray, sigma: float):
-    """Yield, per group of ``kind`` in group order, its entries' noisy values.
+def _noisy_values(groups: list[_Group], kind: str, seeds: np.ndarray, sigma: float):
+    """Every live entry of ``kind``'s noisy values, in group order, or None.
 
-    A splitter group gets (cos, sin) of pi/4 + err, a phase group
+    A splitter gets (cos, sin) of pi/4 + err, a phase segment
     exp(1j * (base + err)), where err = counter_normals(seeds, elem_idx) *
     (sigma * scale) has shape (entries, members): one draw per phase
     segment, scaled by sqrt(length); exact in law.  A splitter's scale, and
     a unit segment's, is 1, so its error is bitwise sigma times its draw.
-    ``groups`` is the live plan, so only its entries draw.  Groups are
-    taken in slabs of at most NOISE_SLAB draws (a larger group is a slab of
-    its own); a slab is drawn in one call when its first group is asked
-    for, and each group gets a view of its rows.  A group has at most as
-    many entries as the pass has slots, so a call draws at most
-    max(PASS_CELLS, slots) values.
-    Every step is elementwise, so a value does not depend on which slab its
-    entry falls in.
+    ``groups`` is the live plan, so only its entries draw, in one call.  A
+    kind that has no group, or a width of zero, draws nothing (None).
 
     A phasor is written as the cos and sin of its angle into the real and
     imaginary views of one complex buffer: bitwise what np.exp(1j * angle)
@@ -601,34 +598,22 @@ def _noise_slabs(groups: list[_Group], kind: str, seeds: np.ndarray, sigma: floa
     whose draws overflow gives inf errors and NaN values, silently: the
     leaves turn them into a PropagationError (_leaf_distributions).
     """
-    slabs: list[list[_Group]] = []
-    size = 0
-    for g in groups:
-        if g.kind != kind:
-            continue
-        n = g.elem_idx.size * seeds.size
-        if not slabs or size + n > NOISE_SLAB:
-            slabs.append([])
-            size = 0
-        slabs[-1].append(g)
-        size += n
-    for slab in slabs:
-        stops = np.cumsum([g.elem_idx.size for g in slab]).tolist()
-        rows = [slice(a, b) for a, b in zip([0] + stops, stops)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            width = sigma * np.concatenate([g.scale for g in slab])
-            err = counter_normals(seeds, np.concatenate([g.elem_idx for g in slab])) * width
-            if kind == BEAM_SPLITTER:
-                ang = np.pi / 4 + err
-                c, s = np.cos(ang), np.sin(ang)
-            else:
-                angle = np.concatenate([g.base for g in slab]) + err
-                angle += 0.0  # -0.0 to +0.0, as exp(1j * angle) reads it
-                turn = np.empty(angle.shape, dtype=complex)
-                np.cos(angle, out=turn.real)
-                np.sin(angle, out=turn.imag)
-        for r in rows:
-            yield (c[r], s[r]) if kind == BEAM_SPLITTER else turn[r]
+    mine = [g for g in groups if g.kind == kind]
+    if sigma <= 0.0 or not mine:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = sigma * np.concatenate([g.scale for g in mine])
+        # err, then the angle in its buffer: x + y is y + x bit for bit
+        angle = counter_normals(seeds, np.concatenate([g.elem_idx for g in mine])) * width
+        if kind == BEAM_SPLITTER:
+            angle += np.pi / 4
+            return np.cos(angle), np.sin(angle)
+        angle += np.concatenate([g.base for g in mine])
+        angle += 0.0  # -0.0 to +0.0, as exp(1j * angle) reads it
+        turn = np.empty(angle.shape, dtype=complex)
+        np.cos(angle, out=turn.real)
+        np.sin(angle, out=turn.imag)
+        return turn
 
 
 # ------------------------------------------------------- mesh realization

@@ -151,9 +151,16 @@ def counter_normals(seed: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
     seeds may not have more axes than the indices.
     """
     pair = indices.astype(np.uint64) * np.uint64(2)
-    # both halves of each Box-Muller pair in one pass over the counters
+    # both halves of each Box-Muller pair in one pass over the counters, then
+    # sqrt(-2 log u1) cos(2 pi u2) in place: the same operations, in order
     u1, u2 = counter_uniform(seed, np.stack([pair, pair + np.uint64(1)]))
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    np.sqrt(u1, out=u1)
+    u2 *= 2.0 * np.pi
+    np.cos(u2, out=u2)
+    u1 *= u2
+    return u1
 
 
 def offset_seeds(seeds: np.ndarray, offsets: np.ndarray) -> np.ndarray:

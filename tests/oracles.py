@@ -16,7 +16,7 @@ from wavecorr.network import (
     NoiseModel,
 )
 from wavecorr.reck import MeshPlan
-from wavecorr.splitmix import _mix64_into, counter_normals
+from wavecorr.splitmix import _mix64_into, counter_normals, counter_uniform
 from wavecorr.wavecore import DichotomicObservable, WaveState
 
 # branch probabilities below this get no post-measurement state
@@ -51,6 +51,18 @@ def mix64(z: np.ndarray) -> np.ndarray:
     """Stafford variant-13 finalizer on a copy of ``z``: full-avalanche 64-bit mixing."""
     z = np.array(z, dtype=np.uint64)
     return _mix64_into(z, np.empty_like(z))
+
+
+def box_muller(seed: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Standard normal per index: sqrt(-2 log u1) cos(2 pi u2), out of place.
+
+    u1 and u2 are the uniforms at counters 2i and 2i + 1, each drawn on its
+    own; counter_normals draws both at once and computes in place.
+    """
+    pair = indices.astype(np.uint64) * np.uint64(2)
+    u1 = counter_uniform(seed, pair)
+    u2 = counter_uniform(seed, pair + np.uint64(1))
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
 def propagate_per_element(

@@ -366,6 +366,16 @@ def test_non_finite_numbers_are_config_errors(path, value, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"config error: {path}: ")
 
 
+@pytest.mark.parametrize("fields", [{}, {"nc_bound": 1}], ids=["enumerated", "nc_bound"])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_a_zero_custom_sign_is_a_config_error(command, fields, tmp_path, capsys):
+    # with or without an nc_bound, which decides whether the bound is enumerated
+    assert main([command, write_yaml(tmp_path, _custom(sign=0, **fields))]) == 2
+    assert capsys.readouterr().err == (
+        "config error: custom.terms[0].sign: expected a nonzero number\n"
+    )
+
+
 @pytest.mark.parametrize("path,value", [
     ("state[1]", "nan"), ("state[1]", "1+infj"),
     pytest.param("custom.terms[0].sign", 10**400, id="custom.terms[0].sign-10**400"),

@@ -651,6 +651,15 @@ def slot_count(net):
     return net._slots.count
 
 
+def pass_width(net):
+    """Cells per member of a propagation pass: the slot count or, if more,
+    the live entries of one kind, which one noise draw covers."""
+    per_kind = Counter()
+    for g in net._compile():
+        per_kind[g.kind] += g.elem_idx.size
+    return max(slot_count(net), *per_kind.values())
+
+
 def full_plan(net):
     """A copy of ``net`` compiled to every element instead of its live plan.
 
@@ -729,23 +738,32 @@ def test_the_full_plan_runs_every_element_once(build):
 
 
 def test_a_noise_draw_stays_within_a_pass(monkeypatch):
-    # slabs hold at most NOISE_SLAB draws, but a larger group is drawn whole;
-    # its entries each read a slot of their own and a pass holds
-    # PASS_CELLS // slots members, so no call draws more than PASS_CELLS
+    # each noisy kind is drawn once per pass, over all its live entries, and a
+    # pass holds PASS_CELLS // width members, so no call draws more than
+    # PASS_CELLS cells; the XII stage's phase entries outnumber its slots
     net = build_sequence_tree(pauli_observable("XII"))
-    members = 2 * (network.PASS_CELLS // slot_count(net))
-    draws = []
+    width = pass_width(net)
+    assert width > slot_count(net)
+    members = 2 * (network.PASS_CELLS // width) + 1  # three passes
+    draws, passes = [], []
+    real = network._propagate_members
 
     def counted(seeds, keys):
         z = counter_normals(seeds, keys)
         draws.append(z.size)
         return z
 
+    def counting(groups, amps, *args):
+        passes.append(amps.shape[1])
+        return real(groups, amps, *args)
+
     monkeypatch.setattr(network, "counter_normals", counted)
+    monkeypatch.setattr(network, "_propagate_members", counting)
     drive = np.ones((len(net.input_ports), members), dtype=complex)
     propagate(net, drive, ENSEMBLE_NOISE, np.arange(members, dtype=np.uint64))
-    assert max(draws) <= network.PASS_CELLS
-    assert max(draws) > network.NOISE_SLAB
+    assert len(passes) == 3
+    assert len(draws) == 2 * len(passes)  # splitters and phase segments
+    assert max(draws) == width * passes[0] <= network.PASS_CELLS
 
 
 # ------------------------------------------------------------ invariants
@@ -943,7 +961,7 @@ def test_ensemble_conserves_intensity_per_member_without_noise():
 def test_ensemble_does_not_depend_on_member_chunking(chunk, monkeypatch):
     net = mermin_tree()
     reference = propagate_ports(net, SOURCE, ENSEMBLE_NOISE, ENSEMBLE_SEEDS)
-    monkeypatch.setattr(network, "PASS_CELLS", chunk * slot_count(net))  # chunk members per pass
+    monkeypatch.setattr(network, "PASS_CELLS", chunk * pass_width(net))  # chunk members per pass
     chunked = propagate_ports(net, SOURCE, ENSEMBLE_NOISE, ENSEMBLE_SEEDS)
     for a, b in zip(chunked, reference, strict=True):
         assert a.amplitudes == b.amplitudes
@@ -1011,7 +1029,7 @@ def test_circuit_distributions_match_whole_trees(kind):
 def test_states_share_a_stage_across_member_chunks(chunk, monkeypatch):
     # chunk members per pass through the YY stage
     stage = build_sequence_tree(pauli_observable("YY"))
-    monkeypatch.setattr(network, "PASS_CELLS", chunk * slot_count(stage))
+    monkeypatch.setattr(network, "PASS_CELLS", chunk * pass_width(stage))
     passes = []
     real = network._propagate_members
 
@@ -1233,12 +1251,12 @@ def test_quiet_leaf_distributions_are_pinned():
     assert h.hexdigest() == PINNED_QUIET_LEAVES
 
 
-@pytest.mark.parametrize("slab", [1, 2**30])
+@pytest.mark.parametrize("cells", [1, 2**30])
 @pytest.mark.parametrize("noise", ["imbalance", "both+leak"])
-def test_noise_does_not_depend_on_slab_size(slab, noise, monkeypatch):
-    # one run per group, and one run per kind for the whole circuit
+def test_noise_does_not_depend_on_pass_size(cells, noise, monkeypatch):
+    # a pass per member, and one pass for every member of a call
     reference = noisy_leaf_digests("ghz XII*IXI*IIX", noise)
-    monkeypatch.setattr(network, "NOISE_SLAB", slab)
+    monkeypatch.setattr(network, "PASS_CELLS", cells)
     assert noisy_leaf_digests("ghz XII*IXI*IIX", noise) == reference
 
 
@@ -1264,33 +1282,39 @@ def test_jitter_alone_is_the_ideal_circuit_with_drawn_phases(label, seed):
     assert noisy.tobytes() == propagate(drawn, drive).tobytes()
 
 
-def test_noise_is_drawn_once_per_slab(monkeypatch):
+def test_noise_is_drawn_once_per_kind_per_pass(monkeypatch):
+    # every live entry of a noisy kind in one call per pass, and only those
     net = mermin_tree()
-    noisy = [len(g.elem_idx) for g in net._compile() if g.kind in (BEAM_SPLITTER, PHASE_SEGMENT)]
-    members = len(ENSEMBLE_SEEDS)
-    monkeypatch.setattr(network, "PASS_CELLS", members * slot_count(net))  # one pass
+    noisy = Counter()
+    for g in net._compile():
+        if g.kind in (BEAM_SPLITTER, PHASE_SEGMENT):
+            noisy[g.kind] += g.elem_idx.size
     calls = []
     real = network.counter_normals
 
     def counting(seeds, indices):
-        calls.append(indices.size)
+        calls.append((indices.size, seeds.size))
         return real(seeds, indices)
 
     monkeypatch.setattr(network, "counter_normals", counting)
-
-    def draws(slab):
-        monkeypatch.setattr(network, "NOISE_SLAB", slab)
+    members = len(ENSEMBLE_SEEDS)
+    for chunk, passes in [(members, [members]), (4, [4, 4, 1])]:
+        monkeypatch.setattr(network, "PASS_CELLS", chunk * pass_width(net))
         calls.clear()
         propagate_ports(net, SOURCE, ENSEMBLE_NOISE, ENSEMBLE_SEEDS)
-        return list(calls)
-
-    assert sorted(draws(1)) == sorted(noisy)  # a slab per group
-    assert len(draws(2**30)) == 2  # a slab per kind
-    slabs = draws(network.NOISE_SLAB)
-    assert sum(slabs) == sum(noisy)
-    # slabs are cut greedily, so two slabs in a row hold more than one slab's draws
-    assert len(slabs) <= 2 + 2 * sum(noisy) * members / network.NOISE_SLAB < len(noisy) / 20
-    assert max(slabs) * members <= max(network.NOISE_SLAB, max(noisy) * members)
+        # splitters, then phase segments, per pass
+        assert calls == [
+            (noisy[kind], n) for n in passes for kind in (BEAM_SPLITTER, PHASE_SEGMENT)
+        ]
+    # a kind with no live entry makes no call: the singlet prep has splitters
+    # only, the psi1 prep phase segments only
+    for prep, kind in [("singlet", BEAM_SPLITTER), ("psi1", PHASE_SEGMENT)]:
+        net = prep_netlist(prep)
+        assert {g.kind for g in net._compile()} == {kind}
+        calls.clear()
+        drive = np.ones((len(net.input_ports), members), dtype=complex)
+        propagate(net, drive, ENSEMBLE_NOISE, ENSEMBLE_SEEDS)
+        assert calls == [(sum(g.elem_idx.size for g in net._compile()), members)]
 
 
 # ------------------------------------------------------------ live plan

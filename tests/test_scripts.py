@@ -22,6 +22,7 @@ import reproduce_experiments  # noqa: E402
 import numpy as np  # noqa: E402
 
 import wavecorr.network as network  # noqa: E402
+from wavecorr.cli import main as cli_main  # noqa: E402
 from wavecorr.cli import run_scenario, scenario_from_dict  # noqa: E402
 from wavecorr.contextuality import CHSH, measure_inequality  # noqa: E402
 from wavecorr.events import MAX_THRESHOLD_SAMPLES  # noqa: E402
@@ -120,10 +121,8 @@ def test_compatibility_audit_stdout_is_unchanged(capsys):
     assert capsys.readouterr().out == COMPATIBILITY_AUDIT
 
 
-def test_noise_study_point_draws_only_live_cells(monkeypatch, capsys):
-    # (entry, member) normals of one 20-seed point: one per live splitter
-    # and per live phase segment; every noisy element the circuits hold
-    # would be 138 520
+def count_normals(monkeypatch):
+    """(entry, member) cells of each counter_normals call propagation makes."""
     drawn = []
     real = network.counter_normals
 
@@ -132,11 +131,33 @@ def test_noise_study_point_draws_only_live_cells(monkeypatch, capsys):
         return real(seeds, indices)
 
     monkeypatch.setattr(network, "counter_normals", counting)
+    return drawn
+
+
+def test_noise_study_point_draws_only_live_cells(monkeypatch, capsys):
+    # (entry, member) normals of one 20-seed point: one per live splitter
+    # and per live phase segment; every noisy element the circuits hold
+    # would be 138 520.  One call per noisy kind per propagate call: two in
+    # each of its 28, less one in each of the 5 through a preparation that
+    # has no live splitter or no live phase segment
+    drawn = count_normals(monkeypatch)
     argv = ["--seeds", "20", "--imbalance", "0.008", "--jitter", "0.012",
             "--leakage", "0.001", "--seed", "37"]
     assert noise_study.main(argv) == 0
     capsys.readouterr()
     assert sum(drawn) == 111_440
+    assert len(drawn) == 51
+
+
+def test_noisy_audit_scenario_draws_only_live_cells(monkeypatch, capsys):
+    # the audited grid scenario at seed 37, one member per circuit: two calls
+    # in each of its 38 propagate calls, less one in each of 4
+    drawn = count_normals(monkeypatch)
+    scenario = os.path.join(SCRIPT_DIR, "..", "scenarios", "pm_noisy_audit.yaml")
+    assert cli_main(["run", scenario, "--seed", "37"]) == 0
+    capsys.readouterr()
+    assert sum(drawn) == 74_425
+    assert len(drawn) == 72
 
 
 @pytest.mark.parametrize("seeds", ["-3", "0", "1"])

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mix64
+from oracles import box_muller, mix64
 from wavecorr.splitmix import (
     GOLDEN,
     _RUN,
+    counter_normals,
     counter_uniform,
     counter_words,
     keyed_substream,
@@ -84,6 +85,18 @@ def test_counter_uniform_broadcasts_seed_arrays():
     both = counter_uniform(seeds[:, None], counter)
     for row, seed in zip(both, seeds):
         np.testing.assert_array_equal(row, counter_uniform(int(seed), counter))
+
+
+@pytest.mark.parametrize("seed", [0, 37, 2**64 - 1])
+def test_counter_normals_match_the_box_muller_oracle(seed):
+    # bit for bit: on an int seed, and on a uint64 seed row broadcast against
+    # an index column, as propagate draws
+    idx = np.arange(0, 2**41, 2**41 // 997, dtype=np.uint64)
+    assert counter_normals(seed, idx).tobytes() == box_muller(seed, idx).tobytes()
+    seeds = np.array([seed, substream(seed, 1), 2**63 + 5], dtype=np.uint64)
+    got = counter_normals(seeds, idx[:, None])
+    assert got.shape == (idx.size, seeds.size)
+    assert got.tobytes() == box_muller(seeds, idx[:, None]).tobytes()
 
 
 # a scenario's noise seed for one circuit, the events seed of another, and an
