@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -242,20 +241,33 @@ def corrected_bound(nc_bound: float, algebraic_max: float, deviation_rate: float
     """Noncontextual bound inflated linearly toward the algebraic maximum.
 
     A deviation rate xi mixes the two bounds as (1-xi)*nc + xi*algebraic.
-    The arithmetic runs in exact rationals built from the decimal form of
-    each input, so bounds computed from hand-entered rates print exactly
-    (0.14 on the 2..4 range gives 2.28, not 2.2800000000000002).
+    Each input is read as its shortest decimal form n * 10^k, the one repr
+    prints, and the mix is formed exactly in integers over the least common
+    power of ten, then rounded once by int true division.  So bounds
+    computed from hand-entered rates print exactly (0.14 on the 2..4 range
+    gives 2.28, not 2.2800000000000002), and the result is the correctly
+    rounded value of the exact rational mix.
     """
     if not 0.0 <= deviation_rate <= 1.0:
         raise ValueError(f"deviation rate {deviation_rate} outside [0, 1]")
+    if not (math.isfinite(nc_bound) and math.isfinite(algebraic_max)):
+        raise ValueError(f"bounds {nc_bound} and {algebraic_max} must be finite")
     if algebraic_max < nc_bound:
         raise ValueError(
             f"algebraic maximum {algebraic_max} below noncontextual bound {nc_bound}"
         )
-    nc = Fraction(str(float(nc_bound)))
-    alg = Fraction(str(float(algebraic_max)))
-    xi = Fraction(str(float(deviation_rate)))
-    return float(nc + xi * (alg - nc))
+    (a, p), (b, q), (c, r) = map(_shortest_decimal, (nc_bound, algebraic_max, deviation_rate))
+    # nc + xi (alg - nc) = a 10^p + c b 10^(q+r) - c a 10^(p+r) = num 10^k
+    k = min(p, p + r, q + r)
+    num = a * 10 ** (p - k) + c * (b * 10 ** (q + r - k) - a * 10 ** (p + r - k))
+    return num * 10 ** max(k, 0) / 10 ** max(-k, 0)
+
+
+def _shortest_decimal(x: float) -> tuple[int, int]:
+    """(n, k) such that n * 10^k is repr's shortest decimal form of the float x."""
+    mantissa, _, exponent = repr(float(x)).partition("e")
+    whole, _, digits = mantissa.partition(".")
+    return int(whole + digits), int(exponent or 0) - len(digits)
 
 
 def classical_bound_oracle(defn: InequalityDefinition) -> float:

@@ -207,7 +207,7 @@ def threshold_event_stream(
     width = min(_BLOCK, n)
     times = np.empty((live.size, width))
     words = (np.empty(width // 2 + 1, np.uint64), np.empty(width // 2 + 1, np.uint64))
-    buffers = (*words, np.empty(width + 2, np.int64), np.arange(1.0, width + 1.0))
+    buffers = (*words, np.empty(width + 2, np.int64))
     # a port dimmer than the brightest by ~1e300 overflows to inf click
     # times, meaning it never fires in any finite window: the right limit
     with np.errstate(over="ignore"):
@@ -268,7 +268,7 @@ def _click_times(
     ``energy`` is the energy in quanta before that click; the one after the
     block is returned.  ``scale`` is (lo, q, rate).
     """
-    (words, scratch, ints, ones), (lo, q, rate) = buffers, scale
+    (words, scratch, ints), (lo, q, rate) = buffers, scale
     w = counter_words(words[: (start % 2 + out.size + 1) // 2], stream, start // 2, scratch)
     np.bitwise_and(w, np.uint64(0xFFFFFFFF), out=ints.view(np.uint64)[0 : 2 * w.size : 2])
     np.right_shift(w, np.uint64(32), out=ints.view(np.uint64)[1 : 2 * w.size : 2])
@@ -279,7 +279,8 @@ def _click_times(
     np.cumsum(spent, out=spent)
     np.multiply(spent, q, out=out)
     energy = int(spent[-1])
-    clicks = np.add(ones[: out.size], start, out=ints.view(np.float64)[: out.size])
+    # click indices start + 1 .. start + size: integers below 2^53, exact in float
+    clicks = np.arange(start + 1.0, start + out.size + 1.0)
     clicks *= lo
     out += clicks
     if rate != 1.0:  # the brightest port's rate; x / 1.0 == x bit for bit

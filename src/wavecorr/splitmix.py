@@ -2,9 +2,13 @@
 
 Every draw is a pure function of (seed, counter), so any slice of a stream
 can be generated independently, in any order and in any chunking, with
-bitwise identical results on every platform.  Noisy circuit propagation and
-event sampling both lean on this: their outputs must not depend on the
-evaluation schedule.
+bitwise identical results.  Noisy circuit propagation and event sampling
+both lean on this: their outputs must not depend on the evaluation
+schedule.  The hashed words and the uniforms are integer arithmetic and
+exact float scaling, so they are the same on every platform.  The normals
+are not: counter_normals takes numpy's log, whose kernel numpy picks by the
+host's SIMD level, and its bits change when the AVX-512 kernels are
+disabled (ROADMAP items 5 and 7).
 
 One private step holds the mixing sequence, the finalizer written mix64
 below, and runs it in place on uint64 buffers.  counter_uniform hashes

@@ -6,6 +6,8 @@ slow, direct form of something the library computes another way.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from wavecorr.network import (
@@ -45,6 +47,12 @@ def luders_project(
     if prob < ZERO_BRANCH_TOL:
         return prob, None
     return prob, WaveState(state.labels, branch / np.sqrt(prob))
+
+
+def rational_corrected_bound(nc_bound: float, algebraic_max: float, deviation_rate: float) -> float:
+    """(1 - xi) nc + xi alg in Fractions of each input's shortest decimal, rounded once."""
+    nc, alg, xi = (Fraction(str(float(x))) for x in (nc_bound, algebraic_max, deviation_rate))
+    return float(nc + xi * (alg - nc))
 
 
 def mix64(z: np.ndarray) -> np.ndarray:

@@ -4,9 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from oracles import rational_corrected_bound
 from wavecorr.contextuality import (
     AUDIT_SUITES,
     CHSH,
@@ -252,6 +253,32 @@ def test_corrected_bound_rejects_bad_input():
         corrected_bound(2.0, 4.0, 1.01)
     with pytest.raises(ValueError):
         corrected_bound(4.0, 2.0, 0.1)
+    for bounds in [(2.0, math.inf), (-math.inf, 4.0), (math.nan, 4.0), (2.0, math.nan)]:
+        with pytest.raises(ValueError):
+            corrected_bound(*bounds, 0.5)
+
+
+# hand-entered decimals, and arbitrary finite floats of either sign
+SHORT_DECIMALS = st.builds(lambda n, k: n / 10**k, st.integers(-10**6, 10**6), st.integers(0, 8))
+BOUNDS = SHORT_DECIMALS | st.floats(allow_nan=False, allow_infinity=False)
+RATES = (
+    st.sampled_from([0.0, 1.0])
+    | st.integers(0, 1000).map(lambda i: i / 1000)
+    | st.floats(min_value=0.0, max_value=1.0)
+)
+
+
+@seed(37)
+@settings(max_examples=500, deadline=None)
+@given(bounds=st.lists(BOUNDS, min_size=2, max_size=2).map(sorted), rate=RATES)
+@example(bounds=[1e-300, 3e300], rate=0.14)
+@example(bounds=[-5e300, -2e-300], rate=1e-300)
+@example(bounds=[-4.0, 2.0], rate=0.0)
+@example(bounds=[-4.0, 2.0], rate=1.0)
+@example(bounds=[-1.7976931348623157e308, 1.7976931348623157e308], rate=0.5)
+def test_corrected_bound_is_the_rational_mix_bit_for_bit(bounds, rate):
+    got = corrected_bound(*bounds, rate)
+    assert repr(got) == repr(rational_corrected_bound(*bounds, rate))
 
 
 @settings(max_examples=60, deadline=None)

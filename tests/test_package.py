@@ -17,6 +17,30 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def test_star_import_binds_exactly_the_exports():
+    namespace = {}
+    exec("from wavecorr import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(wavecorr.__all__)
+    assert set(wavecorr.__all__) <= set(dir(wavecorr))
+
+
+def test_an_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'circuit'"):
+        wavecorr.circuit
+
+
+def test_names_and_submodules_resolve_through_the_module_hook(monkeypatch):
+    # with the cached binding gone, a name comes back from its submodule and
+    # is bound again; a submodule's name resolves to the loaded submodule
+    from wavecorr import reck, splitmix
+
+    monkeypatch.delitem(vars(wavecorr), "MeshPlan", raising=False)
+    monkeypatch.delitem(vars(wavecorr), "splitmix")
+    assert wavecorr.MeshPlan is reck.MeshPlan
+    assert vars(wavecorr)["MeshPlan"] is reck.MeshPlan
+    assert wavecorr.splitmix is splitmix
+
+
 def test_readme_examples_print_what_they_say(capsys):
     # the fenced python blocks run in order in one namespace, and each
     # `print(...)  # value` line must print its value, so a re-recorded pin
@@ -144,17 +168,20 @@ class _Reads(ast.NodeVisitor):
     visit_ListComp = visit_SetComp = visit_DictComp = visit_GeneratorExp = _comprehension
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(tree, stem):
     """(qualified name, name, is a method) of a module's top-level functions and
-    classes and of each class's methods, dunders aside."""
+    classes and of each class's methods, dunders aside: the interpreter reads
+    those, a module's ``__getattr__`` as a class's ``__init__``."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _dunder(node.name):
             yield f"{stem}.{node.name}", node.name, False
         if isinstance(node, ast.ClassDef):
             for m in node.body:
-                if isinstance(m, ast.FunctionDef) and not (
-                    m.name.startswith("__") and m.name.endswith("__")
-                ):
+                if isinstance(m, ast.FunctionDef) and not _dunder(m.name):
                     yield f"{stem}.{node.name}.{m.name}", m.name, True
 
 

@@ -163,3 +163,34 @@ def test_circuit_runs_do_not_load_openssl():
         "print(sorted(m for m in ('_hashlib', 'hashlib') if m in sys.modules))\n"
     )
     assert _run_python(script).strip() == "[]"
+
+
+# fractions brings decimal and _decimal, ~450 KiB resident and ~3 ms of import
+UNREAD = ("fractions", "decimal", "_decimal")
+
+
+def test_a_noise_study_run_loads_neither_fractions_nor_the_event_models():
+    # a bare `import wavecorr` loads no submodule, and the study, which never
+    # draws an event, loads only what the contextuality and network layers import
+    script = (
+        "import contextlib, io, sys\n"
+        "import wavecorr\n"
+        "print(sorted(m for m in sys.modules if m.startswith('wavecorr.')))\n"
+        "sys.path.insert(0, 'scripts')\n"
+        "import noise_study\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert noise_study.main(['--seeds', '20', '--audit']) == 0\n"
+        f"print(sorted(m for m in {(*UNREAD, 'wavecorr.events')!r} if m in sys.modules))\n"
+    )
+    assert _run_python(script).splitlines() == ["[]", "[]"]
+
+
+def test_an_audited_run_does_not_load_fractions():
+    script = (
+        "import contextlib, io, sys\n"
+        "from wavecorr import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['run', 'scenarios/pm_noisy_audit.yaml']) == 0\n"
+        f"print(sorted(m for m in {UNREAD!r} if m in sys.modules))\n"
+    )
+    assert _run_python(script).strip() == "[]"
